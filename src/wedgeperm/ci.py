@@ -9,7 +9,10 @@ recovers the endpoints.
 Common random numbers: the relabelings are drawn once per test, from a
 stream keyed by (seed, test time) and never by delta, so the whole
 p-curve is evaluated against one set of relabelings and inherits exact
-monotonicity for the difference-in-means statistic.
+monotonicity for the difference-in-means statistic.  The combined
+interval evaluates the same LagFamily that gives the analysis its
+p-values, so a caller holding one passes it in rather than drawing the
+relabelings again.
 """
 
 from __future__ import annotations
@@ -21,12 +24,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import gammaincc, ndtr, ndtri
-from scipy.stats import rankdata
 
 from .combine import COMBINERS, _weights_from_moments
 from .design import DataFormatError
-from .mcrt import TestConfig, TrialData, build_groups, build_schedule
-from .permtest import RelabelPlan, TwoGroupSample, relabel_plan
+from .mcrt import LagFamily, TestConfig, TrialData, _family_for
+from .permtest import TailPlan, TwoGroupSample, relabel_plan
 from .rng import seed_sequence
 
 __all__ = [
@@ -121,76 +123,11 @@ def tail_pvalues(sample: TwoGroupSample, delta: float, cfg: CIConfig, seed=None)
     shifted treated mean down, so p1 -> small and p2 -> 1; p1 is
     non-increasing and p2 non-decreasing in delta.
     """
-    plan = _plan_for_sample(sample, cfg, seed)
-    p1, p2 = plan.tails(np.asarray([float(delta)]))
+    p1, p2 = _tail_plan(sample, cfg, seed).tails(np.asarray([float(delta)]))
     return float(p1[0]), float(p2[0])
 
 
-class _TestPlan:
-    """One test's pooled outcomes plus a fixed set of relabelings.
-
-    Evaluates both tail p-values for whole delta vectors.  For the
-    difference in means the comparison is affine in delta, so a single
-    broadcast handles any grid; the rank statistic re-ranks per delta.
-    """
-
-    def __init__(self, sample: TwoGroupSample, plan: RelabelPlan, statistic: str, test_time: int = 0):
-        self.pool = sample.pooled()
-        self.m = sample.n_treated
-        self.n = sample.n_control
-        self.plan = plan
-        self.statistic = statistic
-        self.test_time = test_time
-        # arm moments for precision weights (shift-invariant)
-        self.n_treated = self.m
-        self.n_control = self.n
-        self.var_treated = float(sample.treated.var(ddof=1)) if self.m > 1 else math.nan
-        self.var_control = float(sample.control.var(ddof=1)) if self.n > 1 else math.nan
-        self.mean_diff = float(sample.treated.mean() - sample.control.mean())
-        if statistic == "diff_in_means":
-            self._sums = plan.sums(self.pool)
-            self._hits = plan.treated_hits()
-            self._obs = float(self.pool[: self.m].sum())
-
-    @property
-    def granularity(self) -> float:
-        if self.plan.exact:
-            return 1.0 / self.plan.n_resamples
-        return 1.0 / (self.plan.n_resamples + 1)
-
-    def tails(self, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self.statistic == "diff_in_means":
-            return self._tails_affine(deltas)
-        return self._tails_recompute(deltas)
-
-    def _tails_affine(self, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        obs = self._obs - self.m * deltas  # (D,)
-        resampled = self._sums[:, None] - np.outer(self._hits, deltas)  # (R, D)
-        n_le = (resampled <= obs[None, :]).sum(axis=0)
-        n_ge = (resampled >= obs[None, :]).sum(axis=0)
-        return self._finish(n_le, n_ge)
-
-    def _tails_recompute(self, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n_le = np.empty(deltas.size, dtype=np.int64)
-        n_ge = np.empty(deltas.size, dtype=np.int64)
-        shifted = self.pool.copy()
-        for i, d in enumerate(deltas):
-            shifted[: self.m] = self.pool[: self.m] - d
-            values = rankdata(shifted)
-            obs = values[: self.m].sum()
-            sums = self.plan.sums(values)
-            n_le[i] = (sums <= obs).sum()
-            n_ge[i] = (sums >= obs).sum()
-        return self._finish(n_le, n_ge)
-
-    def _finish(self, n_le, n_ge) -> tuple[np.ndarray, np.ndarray]:
-        r = self.plan.n_resamples
-        if self.plan.exact:
-            return n_le / r, n_ge / r
-        return (1 + n_le) / (r + 1), (1 + n_ge) / (r + 1)
-
-
-def _plan_for_sample(sample: TwoGroupSample, cfg: CIConfig, seed=None) -> _TestPlan:
+def _tail_plan(sample: TwoGroupSample, cfg: CIConfig, seed=None) -> TailPlan:
     t = cfg.test
     plan = relabel_plan(
         sample.n_treated + sample.n_control,
@@ -199,7 +136,7 @@ def _plan_for_sample(sample: TwoGroupSample, cfg: CIConfig, seed=None) -> _TestP
         exact_threshold=t.exact_threshold,
         seed=seed if seed is not None else seed_sequence(t.seed, 0),
     )
-    return _TestPlan(sample, plan, t.statistic)
+    return TailPlan(sample, plan, t.statistic)
 
 
 def _auto_grid(estimate: float, se: float) -> np.ndarray:
@@ -283,12 +220,13 @@ def _invert_curves(
 
 def invert_single(sample: TwoGroupSample, cfg: CIConfig = CIConfig(), lag: int | None = None) -> ConfidenceInterval:
     """Invert one two-group permutation test into a level 1-alpha interval."""
-    plan = _plan_for_sample(sample, cfg)
+    plan = _tail_plan(sample, cfg)
+    m, n = sample.n_treated, sample.n_control
     se = math.sqrt(
-        (plan.var_treated / plan.m if plan.m > 1 else 0.0)
-        + (plan.var_control / plan.n if plan.n > 1 else 0.0)
+        (float(sample.treated.var(ddof=1)) / m if m > 1 else 0.0)
+        + (float(sample.control.var(ddof=1)) / n if n > 1 else 0.0)
     )
-    deltas = _grid_points(cfg, plan.mean_diff, se)
+    deltas = _grid_points(cfg, float(sample.treated.mean() - sample.control.mean()), se)
     p1, p2 = plan.tails(deltas)
 
     def point_tails(d: float) -> tuple[float, float]:
@@ -327,6 +265,7 @@ def invert_combined(
     lag: int,
     cfg: CIConfig = CIConfig(),
     method: str = "weighted_z",
+    family: LagFamily | None = None,
 ) -> ConfidenceInterval:
     """Invert the whole lag-l test family through a combiner.
 
@@ -334,43 +273,29 @@ def invert_combined(
     combined per tail (precision weights are shift-invariant, computed
     once), and the interval collects deltas where each combined tail
     stays above alpha/2.  Relabeling streams are keyed by (seed, test
-    time), matching the analysis run and shared across all deltas.
+    time), matching the analysis run and shared across all deltas; a
+    ``family`` from build_family(data, lag, cfg.test) supplies them
+    already drawn.
     """
-    schedule = build_schedule(data.n_times, lag)
-    groups = build_groups(data.times, schedule)
-    tcfg = cfg.test
-    plans: list[_TestPlan] = []
-    for g in groups:
-        if min(g.n_treated, g.n_control) < tcfg.min_arm:
-            continue
-        y = data.outcomes[:, g.outcome_time]
-        sample = TwoGroupSample(y[g.treated_units], y[g.control_units], data.n_units)
-        plan = relabel_plan(
-            g.n_treated + g.n_control,
-            g.n_treated,
-            budget=tcfg.budget,
-            exact_threshold=tcfg.exact_threshold,
-            seed=seed_sequence(tcfg.seed, g.test_time),
-        )
-        plans.append(_TestPlan(sample, plan, tcfg.statistic, g.test_time))
-    if not plans:
+    family = _family_for(data, lag, cfg.test, family)
+    if not family.tests:
         raise ValueError(f"no testable groups at lag {lag} (all below min_arm)")
-
+    pairs = list(zip(family.tests, family.tails))
     weights = None
     if method == "weighted_z":
-        wv = _weights_from_moments(plans, data.n_units)
+        wv = _weights_from_moments(family.tests, family.n_units)
         kept_times = set(wv.test_times)
-        plans = [p for p in plans if p.test_time in kept_times]
+        pairs = [(t, tail) for t, tail in pairs if t.test_time in kept_times]
         weights = wv.weights
-    gran = np.asarray([p.granularity for p in plans])
+    gran = np.asarray([tail.granularity for _, tail in pairs])
 
     # inverse-variance pooled point estimate for the default grid
-    diffs = np.asarray([p.mean_diff for p in plans])
+    diffs = np.asarray([t.mean_treated - t.mean_control for t, _ in pairs])
     variances = np.asarray(
         [
-            (p.var_treated / p.m if p.m > 1 else np.nan)
-            + (p.var_control / p.n if p.n > 1 else np.nan)
-            for p in plans
+            (t.var_treated / t.n_treated if t.n_treated > 1 else np.nan)
+            + (t.var_control / t.n_control if t.n_control > 1 else np.nan)
+            for t, _ in pairs
         ]
     )
     if np.isfinite(variances).all() and (variances > 0).all():
@@ -383,7 +308,7 @@ def invert_combined(
     deltas = _grid_points(cfg, estimate, se)
 
     def curves(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        tails = [p.tails(points) for p in plans]
+        tails = [tail.tails(points) for _, tail in pairs]
         P1 = np.vstack([t[0] for t in tails])
         P2 = np.vstack([t[1] for t in tails])
         return (

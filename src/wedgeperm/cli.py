@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .ci import CIConfig, GridBracketError, invert_combined, write_ci_csv
 from .combine import COMBINERS, combined_from_mcrt, weights_from_result
 from .design import DataFormatError
-from .mcrt import TestConfig, build_schedule, read_trial_csv, run_mcrts
+from .mcrt import TestConfig, build_family, build_schedule, read_trial_csv, run_mcrts
 from .rng import DEFAULT_SEED
 from .sim import (
     POWER_METHODS,
@@ -222,7 +222,8 @@ def cmd_schedule(cfg: CliConfig) -> int:
 def cmd_analyze(cfg: CliConfig) -> int:
     data = read_trial_csv(cfg.input)
     tcfg = TestConfig(budget=cfg.budget, statistic=cfg.statistic, seed=cfg.seed)
-    result = run_mcrts(data, cfg.lag, tcfg)
+    family = build_family(data, cfg.lag, tcfg)
+    result = run_mcrts(data, cfg.lag, tcfg, family=family)
     if not result.tests:
         reasons = "; ".join(f"t={s.test_time}: {s.reason}" for s in result.skipped)
         print(f"no usable tests at lag {cfg.lag} ({reasons})", file=sys.stderr)
@@ -248,7 +249,7 @@ def cmd_analyze(cfg: CliConfig) -> int:
 
     ci_cfg = CIConfig(alpha=cfg.alpha, grid=cfg.grid, test=tcfg)
     try:
-        interval = invert_combined(data, cfg.lag, ci_cfg, method=cfg.combiner)
+        interval = invert_combined(data, cfg.lag, ci_cfg, method=cfg.combiner, family=family)
     except GridBracketError as exc:
         print(f"interval search failed: {exc}", file=sys.stderr)
         return EXIT_DATA

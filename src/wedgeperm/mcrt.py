@@ -7,6 +7,10 @@ subset crossing later.  Pooling only same-subset later times is what
 makes the per-test conditioning sets nested, so the family of p-values
 is jointly valid; pooling all later times (the tempting construction)
 breaks that for l >= 1.
+
+A LagFamily draws every test's relabelings once per (data, lag,
+TestConfig); the p-values at zero shift and the confidence-interval
+search over shifted effects both evaluate that one draw.
 """
 
 from __future__ import annotations
@@ -21,8 +25,9 @@ from .design import CrossoverTimes, DataFormatError, DesignSpec, AssignmentMatri
 from .permtest import (
     DEFAULT_EXACT_THRESHOLD,
     PermutationResult,
+    TailPlan,
     TwoGroupSample,
-    permutation_pvalue,
+    relabel_plan,
 )
 from .rng import DEFAULT_SEED, seed_sequence
 
@@ -34,8 +39,10 @@ __all__ = [
     "McrtTest",
     "McrtSkip",
     "McrtResult",
+    "LagFamily",
     "build_schedule",
     "build_groups",
+    "build_family",
     "run_groups",
     "run_mcrts",
     "imputable_units",
@@ -260,13 +267,36 @@ class McrtResult:
         raise ValueError("tail must be 'less' or 'greater'")
 
 
-def run_groups(data: TrialData, groups, cfg: TestConfig) -> tuple[tuple[McrtTest, ...], tuple[McrtSkip, ...]]:
-    """Run the permutation engine over prepared groups.
+@dataclass(frozen=True)
+class LagFamily:
+    """One lag's test family with every test's relabelings drawn once.
 
-    Groups with an arm below ``cfg.min_arm`` are skipped with a reason
-    rather than tested; callers decide how to report them.
+    ``tests`` hold each testable group's arm moments and p-values at
+    zero shift; ``tails`` holds, in the same order, the TailPlan that
+    re-evaluates that test under any shifted effect.  Built from one
+    (data, lag, config), it is shared by run_mcrts, invert_combined and
+    every combiner.
     """
+
+    lag: int
+    n_units: int
+    schedule: LagSchedule
+    config: TestConfig
+    tests: tuple[McrtTest, ...]
+    tails: tuple[TailPlan, ...]
+    skipped: tuple[McrtSkip, ...]
+
+    def result(self) -> McrtResult:
+        return McrtResult(
+            lag=self.lag, n_units=self.n_units, schedule=self.schedule,
+            tests=self.tests, skipped=self.skipped,
+        )
+
+
+def _plan_groups(data: TrialData, groups, cfg: TestConfig):
+    """Draw each testable group's relabelings; skip groups below min_arm."""
     tests: list[McrtTest] = []
+    tails: list[TailPlan] = []
     skips: list[McrtSkip] = []
     for g in groups:
         if min(g.n_treated, g.n_control) < cfg.min_arm:
@@ -285,13 +315,14 @@ def run_groups(data: TrialData, groups, cfg: TestConfig) -> tuple[tuple[McrtTest
         treated = y[g.treated_units]
         control = y[g.control_units]
         sample = TwoGroupSample(treated, control, data.n_units)
-        result = permutation_pvalue(
-            sample,
+        plan = relabel_plan(
+            g.n_treated + g.n_control,
+            g.n_treated,
             budget=cfg.budget,
-            statistic=cfg.statistic,
             exact_threshold=cfg.exact_threshold,
             seed=seed_sequence(cfg.seed, g.test_time),
         )
+        tail = TailPlan(sample, plan, cfg.statistic)
         tests.append(
             McrtTest(
                 test_time=g.test_time,
@@ -303,18 +334,49 @@ def run_groups(data: TrialData, groups, cfg: TestConfig) -> tuple[tuple[McrtTest
                 mean_control=float(control.mean()),
                 var_treated=float(treated.var(ddof=1)) if g.n_treated > 1 else math.nan,
                 var_control=float(control.var(ddof=1)) if g.n_control > 1 else math.nan,
-                result=result,
+                result=tail.result(),
             )
         )
+        tails.append(tail)
+    return tests, tails, skips
+
+
+def run_groups(data: TrialData, groups, cfg: TestConfig) -> tuple[tuple[McrtTest, ...], tuple[McrtSkip, ...]]:
+    """Run the permutation engine over prepared groups.
+
+    Groups with an arm below ``cfg.min_arm`` are skipped with a reason
+    rather than tested; callers decide how to report them.
+    """
+    tests, _, skips = _plan_groups(data, groups, cfg)
     return tuple(tests), tuple(skips)
 
 
-def run_mcrts(data: TrialData, lag: int, cfg: TestConfig = TestConfig()) -> McrtResult:
-    """Run the whole lag-l test family on one trial."""
+def build_family(data: TrialData, lag: int, cfg: TestConfig = TestConfig()) -> LagFamily:
+    """Draw the relabelings of the whole lag-l test family once."""
     schedule = build_schedule(data.n_times, lag)
-    groups = build_groups(data.times, schedule)
-    tests, skipped = run_groups(data, groups, cfg)
-    return McrtResult(lag=lag, n_units=data.n_units, schedule=schedule, tests=tests, skipped=skipped)
+    tests, tails, skips = _plan_groups(data, build_groups(data.times, schedule), cfg)
+    return LagFamily(lag, data.n_units, schedule, cfg, tuple(tests), tuple(tails), tuple(skips))
+
+
+def _family_for(data: TrialData, lag: int, cfg: TestConfig, family: LagFamily | None) -> LagFamily:
+    """``family`` after checking it was built for (data, lag, cfg), else a new one."""
+    if family is None:
+        return build_family(data, lag, cfg)
+    if (family.lag, family.n_units, family.config) != (lag, data.n_units, cfg):
+        raise ValueError("family was built for another trial size, lag or test config")
+    return family
+
+
+def run_mcrts(
+    data: TrialData, lag: int, cfg: TestConfig = TestConfig(), family: LagFamily | None = None
+) -> McrtResult:
+    """Run the whole lag-l test family on one trial.
+
+    A ``family`` from build_family(data, lag, cfg) supplies the tests
+    already drawn, so an interval inverted from the same family reuses
+    its relabelings.
+    """
+    return _family_for(data, lag, cfg, family).result()
 
 
 def imputable_units(z, z_star, t: int, lag: int) -> np.ndarray:

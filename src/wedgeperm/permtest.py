@@ -7,7 +7,17 @@ the add-one correction (1 + count) / (budget + 1).
 
 Monte-Carlo resamples are drawn in fixed blocks of 1024, each block on
 a stream derived from (seed, block index), so results never depend on
-how work is scheduled.
+how work is scheduled.  Within a block the uniform keys are drawn in
+row chunks of at most _KEY_CHUNK keys into one reused buffer, so a
+draw's memory is bounded by its selections rather than by budget times
+pool size; the stream fills rows in order, so the selections are
+byte-identical to drawing the whole block's keys at once.
+
+A TailPlan keeps only what tail counting reads from a relabeling draw
+and evaluates both tails for any shift of the treated arm, so one draw
+serves the p-values at zero shift and a whole confidence-interval
+search.  The rank statistic uses midranks computed here in NumPy, so
+importing the package does not load scipy.stats.
 """
 
 from __future__ import annotations
@@ -17,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .rng import seed_sequence
 
@@ -25,8 +34,10 @@ __all__ = [
     "TwoGroupSample",
     "PermutationResult",
     "RelabelPlan",
+    "TailPlan",
     "STATISTICS",
     "diff_in_means",
+    "midranks",
     "rank_sum",
     "statistic_value",
     "relabel_plan",
@@ -39,6 +50,7 @@ DEFAULT_BUDGET = 999
 DEFAULT_EXACT_THRESHOLD = 20_000
 
 _BLOCK = 1024  # resamples per derived stream
+_KEY_CHUNK = 1 << 20  # uniform keys per draw chunk (at least one row)
 
 
 @dataclass(frozen=True)
@@ -81,6 +93,22 @@ class TwoGroupSample:
         return np.concatenate([self.treated, self.control])
 
 
+def midranks(values) -> np.ndarray:
+    """Ranks 1..n of ``values`` with ties sharing their average rank."""
+    x = np.asarray(values, dtype=np.float64).ravel()
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    new = np.empty(x.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    ends = np.append(starts[1:], x.size)
+    ranks = np.empty(x.size)
+    # a tie run at sorted positions start..end-1 holds ranks start+1..end
+    ranks[order] = (0.5 * (starts + ends + 1))[np.cumsum(new) - 1]
+    return ranks
+
+
 def diff_in_means(sample: TwoGroupSample) -> float:
     """sqrt(scale_n) times (treated mean minus control mean)."""
     return math.sqrt(sample.scale_n) * (float(sample.treated.mean()) - float(sample.control.mean()))
@@ -88,7 +116,7 @@ def diff_in_means(sample: TwoGroupSample) -> float:
 
 def rank_sum(sample: TwoGroupSample) -> float:
     """Sum of the treated group's midranks in the pooled sample."""
-    ranks = rankdata(sample.pooled())
+    ranks = midranks(sample.pooled())
     return float(ranks[: sample.n_treated].sum())
 
 
@@ -97,16 +125,6 @@ def statistic_value(sample: TwoGroupSample, statistic: str) -> float:
         return diff_in_means(sample)
     if statistic == "rank_sum":
         return rank_sum(sample)
-    raise ValueError(f"unknown statistic {statistic!r}; choose from {STATISTICS}")
-
-
-def _transform_pool(pool: np.ndarray, statistic: str) -> np.ndarray:
-    """Map the pool so that every supported statistic is a monotone
-    function of the selected-slot sum of the transformed values."""
-    if statistic == "diff_in_means":
-        return pool
-    if statistic == "rank_sum":
-        return rankdata(pool)
     raise ValueError(f"unknown statistic {statistic!r}; choose from {STATISTICS}")
 
 
@@ -137,6 +155,22 @@ class RelabelPlan:
         return (self.selections < self.n_treated).sum(axis=1)
 
 
+def _count_if_at_most(pool_size: int, n_treated: int, limit: int) -> int | None:
+    """C(pool_size, n_treated) if it is at most ``limit``, else None.
+
+    The running product C(pool_size - k + i, i) never decreases in i, so
+    it stops as soon as the limit is passed instead of building a
+    binomial with thousands of digits for a large pool.
+    """
+    k = min(n_treated, pool_size - n_treated)
+    total = 1
+    for i in range(1, k + 1):
+        total = total * (pool_size - k + i) // i
+        if total > limit:
+            return None
+    return total
+
+
 def relabel_plan(
     pool_size: int,
     n_treated: int,
@@ -149,8 +183,8 @@ def relabel_plan(
         raise ValueError("need at least one treated and one control slot")
     if budget < 1:
         raise ValueError("resample budget must be at least 1")
-    total = math.comb(pool_size, n_treated)
-    if total <= exact_threshold:
+    total = _count_if_at_most(pool_size, n_treated, exact_threshold)
+    if total is not None:
         sel = np.fromiter(
             itertools.chain.from_iterable(itertools.combinations(range(pool_size), n_treated)),
             dtype=np.intp,
@@ -159,26 +193,92 @@ def relabel_plan(
         return RelabelPlan(sel, n_treated, pool_size, True)
     root = seed_sequence(seed)
     n_blocks = (budget + _BLOCK - 1) // _BLOCK
-    parts = []
-    remaining = budget
+    rows = max(1, _KEY_CHUNK // pool_size)
+    keys = np.empty((min(rows, _BLOCK, budget), pool_size))
+    sel = np.empty((budget, n_treated), dtype=np.intp)
     for block, child in enumerate(root.spawn(n_blocks)):
-        take = min(_BLOCK, remaining)
-        remaining -= take
         rng = np.random.default_rng(child)
-        keys = rng.random((take, pool_size))
-        # the n_treated smallest keys per row form a uniform subset
-        parts.append(np.argpartition(keys, n_treated - 1, axis=1)[:, :n_treated])
-    sel = np.vstack(parts)
+        block_end = min((block + 1) * _BLOCK, budget)
+        for lo in range(block * _BLOCK, block_end, rows):
+            chunk = keys[: min(rows, block_end - lo)]
+            rng.random(out=chunk)
+            # the n_treated smallest keys per row form a uniform subset
+            sel[lo : lo + chunk.shape[0]] = np.argpartition(chunk, n_treated - 1, axis=1)[:, :n_treated]
     return RelabelPlan(sel, n_treated, pool_size, False)
 
 
-def _tail_probs(sums: np.ndarray, observed: float, exact: bool) -> tuple[float, float]:
-    n = sums.size
-    n_le = int((sums <= observed).sum())
-    n_ge = int((sums >= observed).sum())
+def _selected_sums(pool: np.ndarray, n_treated: int, plan: RelabelPlan, statistic: str):
+    """Per-relabeling selected-slot sums and the observed sum of the
+    values every supported statistic is a monotone function of."""
+    if statistic == "rank_sum":
+        pool = midranks(pool)
+    elif statistic != "diff_in_means":
+        raise ValueError(f"unknown statistic {statistic!r}; choose from {STATISTICS}")
+    return plan.sums(pool), float(pool[:n_treated].sum())
+
+
+def _tail_pvalues(resampled: np.ndarray, observed, exact: bool):
+    """Both tail p-values of each column of ``resampled`` (one row per
+    relabeling): ties count toward both tails, and Monte-Carlo counts
+    take the add-one correction."""
+    r = resampled.shape[0]
+    n_le = (resampled <= observed).sum(axis=0)
+    n_ge = (resampled >= observed).sum(axis=0)
     if exact:
-        return n_le / n, n_ge / n
-    return (1 + n_le) / (n + 1), (1 + n_ge) / (n + 1)
+        return n_le / r, n_ge / r
+    return (1 + n_le) / (r + 1), (1 + n_ge) / (r + 1)
+
+
+class TailPlan:
+    """One test's relabelings reduced to what tail counting reads.
+
+    Evaluates both tail p-values with the treated arm shifted by each
+    delta of a vector.  For the difference in means the comparison is
+    affine in delta, so only the per-relabeling selected-slot sums and
+    treated hits are kept and one broadcast handles any grid; the rank
+    statistic keeps the selections and re-ranks per delta.
+    """
+
+    def __init__(self, sample: TwoGroupSample, plan: RelabelPlan, statistic: str):
+        if statistic not in STATISTICS:
+            raise ValueError(f"unknown statistic {statistic!r}; choose from {STATISTICS}")
+        self.sample = sample
+        self.statistic = statistic
+        self.exact = plan.exact
+        self.n_resamples = plan.n_resamples
+        if statistic == "diff_in_means":
+            self._sums, self._obs = _selected_sums(sample.pooled(), sample.n_treated, plan, statistic)
+            self._hits = plan.treated_hits()
+        else:
+            self._plan = plan
+
+    @property
+    def granularity(self) -> float:
+        """Smallest attainable p-value increment for this test."""
+        return 1.0 / self.n_resamples if self.exact else 1.0 / (self.n_resamples + 1)
+
+    def _rank_tails(self, delta: float):
+        pool = self.sample.pooled()
+        pool[: self.sample.n_treated] -= delta
+        return _tail_pvalues(*_selected_sums(pool, self.sample.n_treated, self._plan, "rank_sum"), self.exact)
+
+    def tails(self, deltas) -> tuple[np.ndarray, np.ndarray]:
+        """(p_less, p_greater) of the shifted test at every delta."""
+        deltas = np.asarray(deltas, dtype=np.float64)
+        if self.statistic == "diff_in_means":
+            obs = self._obs - self.sample.n_treated * deltas  # (D,)
+            resampled = self._sums[:, None] - np.outer(self._hits, deltas)  # (R, D)
+            return _tail_pvalues(resampled, obs, self.exact)
+        tails = [self._rank_tails(d) for d in deltas]
+        return np.array([p for p, _ in tails]), np.array([p for _, p in tails])
+
+    def result(self) -> PermutationResult:
+        """The unshifted test: observed statistic and both p-values."""
+        if self.statistic == "diff_in_means":
+            p_less, p_greater = _tail_pvalues(self._sums, self._obs, self.exact)
+        else:
+            p_less, p_greater = self._rank_tails(0.0)
+        return _result(self.sample, self.statistic, p_less, p_greater, self.n_resamples, self.exact)
 
 
 @dataclass(frozen=True)
@@ -222,7 +322,7 @@ def permutation_pvalue(
     ``seed`` and the add-one correction keeps p-values positive.
 
     A precomputed ``plan`` may be supplied to share relabelings across
-    calls (the confidence-interval search relies on this).
+    calls.
     """
     if plan is None:
         plan = relabel_plan(
@@ -232,14 +332,17 @@ def permutation_pvalue(
             exact_threshold=exact_threshold,
             seed=seed,
         )
-    values = _transform_pool(sample.pooled(), statistic)
-    observed_sum = float(values[: sample.n_treated].sum())
-    p_less, p_greater = _tail_probs(plan.sums(values), observed_sum, plan.exact)
+    sums, observed = _selected_sums(sample.pooled(), sample.n_treated, plan, statistic)
+    p_less, p_greater = _tail_pvalues(sums, observed, plan.exact)
+    return _result(sample, statistic, p_less, p_greater, plan.n_resamples, plan.exact)
+
+
+def _result(sample, statistic, p_less, p_greater, n_resamples, exact) -> PermutationResult:
     return PermutationResult(
         statistic=statistic_value(sample, statistic),
-        p_less=p_less,
-        p_greater=p_greater,
-        n_resamples=plan.n_resamples,
-        exact=plan.exact,
+        p_less=float(p_less),
+        p_greater=float(p_greater),
+        n_resamples=n_resamples,
+        exact=exact,
         statistic_name=statistic,
     )

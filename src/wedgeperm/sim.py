@@ -27,7 +27,7 @@ import numpy as np
 from .ci import CIConfig, GridBracketError, invert_combined
 from .combine import combined_from_mcrt
 from .design import DesignSpec, crossover_times, sample_assignment
-from .mcrt import TestConfig, TrialData, run_mcrts
+from .mcrt import TestConfig, TrialData, build_family, run_mcrts
 from .permtest import TwoGroupSample, permutation_pvalue
 from .rng import DEFAULT_SEED, generator, seed_sequence
 
@@ -389,9 +389,10 @@ def _coverage_replicate(task) -> list[tuple[int, str, bool, float, bool]]:
             seed=seed_sequence(cfg.seed, _COVERAGE_TAG, cfg.interaction, rep, 1, lag),
         )
         ci_cfg = CIConfig(alpha=1.0 - cfg.level, test=tcfg)
+        family = build_family(data, lag, tcfg)
         for method in methods:
             try:
-                ci = invert_combined(data, lag, ci_cfg, method=method)
+                ci = invert_combined(data, lag, ci_cfg, method=method, family=family)
             except GridBracketError:
                 out.append((lag, method, False, 0.0, True))
                 continue

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from wedgeperm import (
+    COMBINERS,
     CIConfig,
     ConfidenceInterval,
     CrossoverTimes,
@@ -14,11 +15,13 @@ from wedgeperm import (
     TestConfig,
     TrialData,
     TwoGroupSample,
+    build_family,
     diff_in_means,
     invert_combined,
     invert_single,
     permutation_pvalue,
     read_ci_csv,
+    run_mcrts,
     shift_outcomes,
     tail_pvalues,
     write_ci_csv,
@@ -253,6 +256,32 @@ class TestInvertCombined:
         data = TrialData(np.arange(4), times, np.random.default_rng(0).normal(size=(4, 3)))
         with pytest.raises(ValueError, match="no testable groups"):
             invert_combined(data, 0, CIConfig())
+
+
+class TestSharedFamily:
+    @pytest.mark.parametrize("statistic", ["diff_in_means", "rank_sum"])
+    def test_shared_family_matches_independent_builds(self, statistic):
+        lag = 1
+        data = make_trial(60, (15, 15, 15, 15), lag=lag, effect=0.4, seed=21, noise=0.5)
+        tcfg = TestConfig(budget=199, statistic=statistic, seed=5)
+        cfg = CIConfig(alpha=0.10, test=tcfg)
+        family = build_family(data, lag, tcfg)
+        shared = run_mcrts(data, lag, tcfg, family=family)
+        alone = run_mcrts(data, lag, tcfg)
+        assert shared == alone
+        for method in COMBINERS:
+            a = invert_combined(data, lag, cfg, method=method, family=family)
+            b = invert_combined(data, lag, cfg, method=method)
+            assert (a.lower, a.upper, a.n_grid) == (b.lower, b.upper, b.n_grid)
+
+    def test_family_for_another_lag_or_config_rejected(self):
+        data = make_trial(40, (10, 10, 10, 10), seed=22)
+        tcfg = TestConfig(budget=99, seed=6)
+        family = build_family(data, 0, tcfg)
+        with pytest.raises(ValueError, match="family was built"):
+            invert_combined(data, 1, CIConfig(test=tcfg), family=family)
+        with pytest.raises(ValueError, match="family was built"):
+            run_mcrts(data, 0, TestConfig(budget=199, seed=6), family=family)
 
 
 class TestCIConfig:

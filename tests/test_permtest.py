@@ -2,12 +2,19 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
+import wedgeperm
 from wedgeperm import (
     PermutationResult,
     TwoGroupSample,
@@ -16,7 +23,9 @@ from wedgeperm import (
     rank_sum,
     relabel_plan,
 )
-from wedgeperm.rng import generator
+from wedgeperm import permtest
+from wedgeperm.permtest import _count_if_at_most, midranks
+from wedgeperm.rng import generator, seed_sequence
 
 finite_floats = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
 small_groups = st.tuples(
@@ -62,10 +71,52 @@ class TestStatistics:
         # pooled (1, 1, 1): every rank is 2
         assert rank_sum(TwoGroupSample([1.0, 1.0], [1.0], 3)) == 4.0
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.1, 0.2, 0.3, 0.7, 0.1, 0.2, 0.3, 0.7],
+            [1.0 / 3, 0.1 + 0.2, 0.3, 2.0 / 3, 1.0 / 3, 0.1 + 0.2],
+            [-0.0, 0.0, 5.5, -2.25, 5.5, 5.5],
+            [4.2],
+            [7.0, 7.0, 7.0],
+        ],
+    )
+    def test_midranks_match_scipy_rankdata(self, values):
+        ours = midranks(values)
+        assert ours.dtype == np.float64
+        assert np.array_equal(ours, rankdata(values))
+
+    def test_midranks_match_scipy_rankdata_on_random_ties(self):
+        gen = generator(44)
+        for size in (2, 17, 1000):
+            values = gen.integers(0, 5, size) * 0.1 + 0.7
+            assert np.array_equal(midranks(values), rankdata(values))
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        src = str(Path(wedgeperm.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, wedgeperm; print('scipy.stats' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert proc.stdout.strip() == "False"
+
     def test_unknown_statistic_rejected(self):
         s = TwoGroupSample([1.0], [0.0], 2)
         with pytest.raises(ValueError, match="unknown statistic"):
             permutation_pvalue(s, statistic="median_gap")
+
+
+def _unchunked_reference(pool_size, n_treated, budget, seed):
+    """The Monte-Carlo draw with each 1024-row block's keys drawn at once."""
+    root = seed_sequence(seed)
+    parts, remaining = [], budget
+    for child in root.spawn((budget + 1023) // 1024):
+        take = min(1024, remaining)
+        remaining -= take
+        keys = np.random.default_rng(child).random((take, pool_size))
+        parts.append(np.argpartition(keys, n_treated - 1, axis=1)[:, :n_treated])
+    return np.vstack(parts)
 
 
 class TestRelabelPlan:
@@ -100,6 +151,44 @@ class TestRelabelPlan:
         assert ((plan.selections >= 0) & (plan.selections < 12)).all()
         # every row is a 3-subset: distinct slots
         assert all(len(set(row)) == 3 for row in plan.selections.tolist())
+
+    @pytest.mark.parametrize("chunk", [7, 100, 1 << 20])
+    def test_chunked_draw_equals_unchunked_draw(self, monkeypatch, chunk):
+        # chunk 100 on pool 30 draws 3 rows at a time, so a block spans
+        # many chunks and its last chunk is ragged; chunk 7 is below one row
+        monkeypatch.setattr(permtest, "_KEY_CHUNK", chunk)
+        for pool, m, budget in ((30, 10, 2500), (100, 17, 499), (7, 3, 1025)):
+            plan = relabel_plan(pool, m, budget=budget, exact_threshold=1, seed=11)
+            ref = _unchunked_reference(pool, m, budget, 11)
+            assert plan.selections.dtype == ref.dtype
+            assert np.array_equal(plan.selections, ref)
+
+    def test_monte_carlo_draw_memory_is_bounded(self):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            relabel_plan(20_000, 10, budget=999, exact_threshold=1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+    def test_exact_threshold_boundary(self):
+        for pool, m in ((10, 3), (12, 6), (200, 199), (25_000, 1)):
+            total = math.comb(pool, m)
+            plan = relabel_plan(pool, m, exact_threshold=total)
+            assert plan.exact and plan.n_resamples == total
+            plan = relabel_plan(pool, m, budget=50, exact_threshold=total - 1, seed=1)
+            assert not plan.exact and plan.n_resamples == 50
+
+    def test_early_exit_count_agrees_with_math_comb(self):
+        for pool in range(2, 40):
+            for m in range(1, pool):
+                total = math.comb(pool, m)
+                assert _count_if_at_most(pool, m, total) == total
+                assert _count_if_at_most(pool, m, total + 1) == total
+                assert _count_if_at_most(pool, m, total - 1) is None
 
     def test_rejects_degenerate_split(self):
         with pytest.raises(ValueError, match="at least one treated"):

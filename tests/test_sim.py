@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import wedgeperm.mcrt
 from wedgeperm import (
     CoverageRow,
     DataFormatError,
@@ -19,6 +20,7 @@ from wedgeperm import (
     emit_tables,
     gen_outcomes_sim1,
     gen_outcomes_sim2,
+    build_schedule,
     interaction_f,
     parse_tables,
     power_study,
@@ -225,6 +227,24 @@ class TestCoverageStudy:
         assert row.effect == 0.5 and row.replicates == 3
         assert row.covered + row.bracket_failures <= row.replicates
         assert row.mean_length >= 0.0
+
+
+    def test_each_lag_draws_its_relabelings_once_for_all_combiners(self, monkeypatch):
+        drawn = []
+        draw = wedgeperm.mcrt.relabel_plan
+
+        def counting_draw(*args, **kwargs):
+            seed = kwargs["seed"]
+            drawn.append((tuple(seed.entropy), tuple(seed.spawn_key)))
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(wedgeperm.mcrt, "relabel_plan", counting_draw)
+        cfg = Sim2Config(n_units=40, n_times=4, taus=(0.2, 0.4, 0.0, 0.0), replicates=2, seed=52)
+        lags = (0, 1)
+        coverage_study(cfg, methods=("weighted_z", "fisher", "bonferroni"), lags=lags, budget=49)
+        tests_per_replicate = sum(len(build_schedule(cfg.n_times, lag).test_times()) for lag in lags)
+        assert len(drawn) == cfg.replicates * tests_per_replicate
+        assert len(set(drawn)) == len(drawn)
 
 
 class TestRowValidation:
