@@ -1,18 +1,29 @@
 """Confidence intervals by inverting shifted permutation tests.
 
 To test a constant lag-l effect delta, subtract delta from every
-treated outcome and rerun the permutation test; the interval collects
-the deltas whose shifted tails stay above alpha/2.  Both tail curves
-are monotone in delta, so a grid search plus bisection refinement
-recovers the endpoints.
+treated outcome and rerun the permutation test; the confidence set
+collects the deltas whose shifted tails both stay at or above alpha/2.
 
-Common random numbers: the relabelings are drawn once per test, from a
-stream keyed by (seed, test time) and never by delta, so the whole
-p-curve is evaluated against one set of relabelings and inherits exact
-monotonicity for the difference-in-means statistic.  The combined
-interval evaluates the same LagFamily that gives the analysis its
-p-values, so a caller holding one passes it in rather than drawing the
-relabelings again.
+The relabelings are drawn once per test, from a stream keyed by (seed,
+test time) and never by delta, so the whole p-curve is evaluated
+against one set of relabelings (Garthwaite 1996, Biometrics).  Under
+those common relabelings each test's tail counts are step functions of
+delta that change only at the test's candidate shifts (TailPlan), and
+every combiner is monotone in its inputs.  The combined curve is
+therefore constant between consecutive candidates of the union, and
+the endpoints are exactly
+
+- lower: the infimum of {delta : combined p_greater(delta) >= alpha/2},
+- upper: the supremum of {delta : combined p_less(delta) >= alpha/2},
+
+each a candidate shift.  A bisection on delta finds them, evaluating
+the curve only on the open cells between candidates, so rounding at a
+tie never decides an endpoint.  A side whose tail stays at or above
+alpha/2 beyond every candidate is unbounded (-inf or inf); when the
+lower endpoint exceeds the upper one no delta is accepted and the set
+is empty (both endpoints nan).  The combined interval evaluates the
+same LagFamily that gives the analysis its p-values, so a caller
+holding one passes it in rather than drawing the relabelings again.
 """
 
 from __future__ import annotations
@@ -23,9 +34,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammaincc, ndtr, ndtri
 
-from .combine import COMBINERS, _weights_from_moments
+from .combine import _tail_combiner, _weights_from_moments
 from .design import DataFormatError
 from .mcrt import LagFamily, TestConfig, TrialData, _family_for
 from .permtest import TailPlan, TwoGroupSample, relabel_plan
@@ -34,7 +44,6 @@ from .rng import seed_sequence
 __all__ = [
     "CIConfig",
     "ConfidenceInterval",
-    "GridBracketError",
     "shift_outcomes",
     "tail_pvalues",
     "invert_single",
@@ -43,54 +52,30 @@ __all__ = [
     "write_ci_csv",
 ]
 
-AUTO_GRID_POINTS = 121
-AUTO_GRID_HALF_WIDTH = 6.0  # pooled standard errors on each side
-
-
-class GridBracketError(ValueError):
-    """The search grid does not bracket both interval endpoints.
-
-    Carries the raw tail p-values at the grid boundaries so callers can
-    see which side to widen.
-    """
-
-    def __init__(self, message: str, p1_lo: float, p1_hi: float, p2_lo: float, p2_hi: float):
-        super().__init__(
-            f"{message}: widen the grid "
-            f"(p1 at grid lo/hi = {p1_lo:.4g}/{p1_hi:.4g}, p2 = {p2_lo:.4g}/{p2_hi:.4g})"
-        )
-        self.p1_lo, self.p1_hi = p1_lo, p1_hi
-        self.p2_lo, self.p2_hi = p2_lo, p2_hi
-
 
 @dataclass(frozen=True)
 class CIConfig:
-    """Inversion settings: alpha, search grid, refinement, engine knobs.
-
-    ``grid`` is (lo, hi, step); None selects the default grid centered
-    on the point estimate with AUTO_GRID_POINTS points spanning
-    AUTO_GRID_HALF_WIDTH pooled standard errors each side.
-    """
+    """Inversion settings: alpha and the per-test engine knobs."""
 
     alpha: float = 0.10
-    grid: tuple[float, float, float] | None = None
-    refine: bool = True
-    refine_iters: int = 20
     test: TestConfig = field(default_factory=TestConfig)
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.grid is not None:
-            lo, hi, step = self.grid
-            if not (lo < hi and step > 0):
-                raise ValueError("grid must satisfy lo < hi with a positive step")
-        if self.refine_iters < 1:
-            raise ValueError("refine_iters must be positive")
 
 
 @dataclass(frozen=True)
 class ConfidenceInterval:
+    """A level-``level`` confidence set for a constant effect.
+
+    Endpoints are exact candidate shifts, -inf/inf for an unbounded
+    side, or both nan when no shift is accepted (``empty``).
+    ``resolution`` is 0.0 for an exact search (nan when read back from
+    CSV); ``n_grid`` counts the shifts at which the combined curve was
+    evaluated.
+    """
+
     lag: int | None
     method: str
     level: float
@@ -102,12 +87,19 @@ class ConfidenceInterval:
     def __post_init__(self):
         if not 0.0 < self.level < 1.0:
             raise ValueError("level must lie in (0, 1)")
+        if math.isnan(self.lower) != math.isnan(self.upper):
+            raise ValueError("an empty set needs both endpoints nan")
         if self.lower > self.upper:
             raise ValueError("interval endpoints are out of order")
 
     @property
+    def empty(self) -> bool:
+        """No shift is accepted."""
+        return math.isnan(self.lower)
+
+    @property
     def length(self) -> float:
-        return self.upper - self.lower
+        return 0.0 if self.empty else self.upper - self.lower
 
 
 def shift_outcomes(sample: TwoGroupSample, delta: float) -> TwoGroupSample:
@@ -139,125 +131,68 @@ def _tail_plan(sample: TwoGroupSample, cfg: CIConfig, seed=None) -> TailPlan:
     return TailPlan(sample, plan, t.statistic)
 
 
-def _auto_grid(estimate: float, se: float) -> np.ndarray:
-    if not math.isfinite(se) or se <= 0:
-        se = max(1.0, abs(estimate)) / AUTO_GRID_HALF_WIDTH
-    half = AUTO_GRID_HALF_WIDTH * se
-    return np.linspace(estimate - half, estimate + half, AUTO_GRID_POINTS)
+def _exact_interval(
+    plans: Sequence[TailPlan], combined: Callable[[np.ndarray], float], alpha: float
+) -> tuple[float, float, int]:
+    """(lower, upper, evaluations) of the set accepted by the combined test.
 
-
-def _grid_points(cfg: CIConfig, estimate: float, se: float) -> np.ndarray:
-    if cfg.grid is None:
-        return _auto_grid(estimate, se)
-    lo, hi, step = cfg.grid
-    n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(n)
-
-
-def _isotonic_envelopes(p1: np.ndarray, p2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Outward monotone cleanup: p1 becomes non-increasing, p2
-    non-decreasing, never dropping below the raw curves, so any cleanup
-    can only widen the interval."""
-    p1_clean = np.maximum.accumulate(p1[::-1])[::-1]
-    p2_clean = np.maximum.accumulate(p2)
-    return p1_clean, p2_clean
-
-
-def _invert_curves(
-    deltas: np.ndarray,
-    p1: np.ndarray,
-    p2: np.ndarray,
-    alpha: float,
-    point_tails: Callable[[float], tuple[float, float]],
-    refine: bool,
-    refine_iters: int,
-) -> tuple[float, float, float]:
-    """Endpoint search shared by single and combined inversion.
-
-    Grid points with a tail p-value >= alpha/2 qualify (ties resolved
-    outward), the interval is [min qualifying by p2, max qualifying by
-    p1], and bisection narrows each endpoint's bracket while always
-    reporting the qualifying end.
+    ``combined`` maps one tail's p-values, one per plan, to the combined
+    p-value; it is non-decreasing in each.  Lower is the smallest
+    candidate c whose combined p_greater on the cell just above c
+    reaches alpha/2 (p_greater only grows with delta), upper the
+    largest c whose combined p_less on the cell just below c does.
     """
     thr = alpha / 2.0
-    p1_clean, p2_clean = _isotonic_envelopes(p1, p2)
-    lower_ok = p2_clean[0] < thr <= p2_clean[-1]
-    upper_ok = p1_clean[-1] < thr <= p1_clean[0]
-    if not (lower_ok and upper_ok):
-        raise GridBracketError(
-            "confidence bounds not bracketed by the search grid",
-            float(p1[0]), float(p1[-1]), float(p2[0]), float(p2[-1]),
-        )
-    i_lo = int(np.argmax(p2_clean >= thr))
-    i_hi = int(len(deltas) - 1 - np.argmax(p1_clean[::-1] >= thr))
-    lower, upper = float(deltas[i_lo]), float(deltas[i_hi])
-    step = float(deltas[1] - deltas[0]) if len(deltas) > 1 else 0.0
-    resolution = step
-    if refine and step > 0:
-        bad, good = float(deltas[i_lo - 1]), lower
-        for _ in range(refine_iters):
-            mid = 0.5 * (bad + good)
-            if point_tails(mid)[1] >= thr:
-                good = mid
-            else:
-                bad = mid
-        lower = good
-        good, bad = upper, float(deltas[i_hi + 1])
-        for _ in range(refine_iters):
-            mid = 0.5 * (good + bad)
-            if point_tails(mid)[0] >= thr:
-                good = mid
-            else:
-                bad = mid
-        upper = good
-        resolution = step / 2.0**refine_iters
+    evaluations = 0
+
+    def curve(v: float, side: str):
+        nonlocal evaluations
+        evaluations += 1
+        cells = [plan.cell(v, side) for plan in plans]
+        p_less = np.array([c[0] for c in cells])
+        p_greater = np.array([c[1] for c in cells])
+        return p_less, p_greater, max(c[2] for c in cells), min(c[3] for c in cells)
+
+    def endpoint(lo: float, hi: float, upper: bool) -> float:
+        # invariant: the endpoint is a candidate in [lo, hi], and lo, hi
+        # are candidates; each step drops at least one candidate and
+        # halves the span
+        side = "left" if upper else "right"
+        while lo < hi:
+            mid = 0.5 * lo + 0.5 * hi
+            if not lo < mid < hi:  # no shift strictly between neighbours
+                mid = hi if upper else lo
+            p_less, p_greater, below, above = curve(mid, side)
+            accepted = combined(p_less if upper else p_greater) >= thr
+            if accepted == upper:  # the endpoint lies at or above the cell
+                lo = above
+            else:  # at or below it
+                hi = below
+        return lo
+
+    first_less, first_greater, _, first = curve(-math.inf, "right")
+    last_less, last_greater, last, _ = curve(math.inf, "left")
+    if combined(last_greater) < thr or combined(first_less) < thr:
+        return math.nan, math.nan, evaluations
+    lower = -math.inf if combined(first_greater) >= thr else endpoint(first, last, upper=False)
+    upper = math.inf if combined(last_less) >= thr else endpoint(first, last, upper=True)
     if lower > upper:
-        # degenerate interval narrower than the grid: both endpoint
-        # searches converged onto the same point from opposite sides
-        lower = upper = 0.5 * (lower + upper)
-    return lower, upper, resolution
+        return math.nan, math.nan, evaluations
+    return lower, upper, evaluations
 
 
 def invert_single(sample: TwoGroupSample, cfg: CIConfig = CIConfig(), lag: int | None = None) -> ConfidenceInterval:
-    """Invert one two-group permutation test into a level 1-alpha interval."""
-    plan = _tail_plan(sample, cfg)
-    m, n = sample.n_treated, sample.n_control
-    se = math.sqrt(
-        (float(sample.treated.var(ddof=1)) / m if m > 1 else 0.0)
-        + (float(sample.control.var(ddof=1)) / n if n > 1 else 0.0)
-    )
-    deltas = _grid_points(cfg, float(sample.treated.mean() - sample.control.mean()), se)
-    p1, p2 = plan.tails(deltas)
-
-    def point_tails(d: float) -> tuple[float, float]:
-        a, b = plan.tails(np.asarray([d]))
-        return float(a[0]), float(b[0])
-
-    lower, upper, resolution = _invert_curves(
-        deltas, p1, p2, cfg.alpha, point_tails, cfg.refine, cfg.refine_iters
-    )
+    """Invert one two-group permutation test into a level 1-alpha set."""
+    lower, upper, evaluations = _exact_interval([_tail_plan(sample, cfg)], lambda p: float(p[0]), cfg.alpha)
     return ConfidenceInterval(
         lag=lag,
         method="single",
         level=1.0 - cfg.alpha,
         lower=lower,
         upper=upper,
-        resolution=resolution,
-        n_grid=len(deltas),
+        resolution=0.0,
+        n_grid=evaluations,
     )
-
-
-def _combine_tail_matrix(P: np.ndarray, method: str, weights=None, gran=None) -> np.ndarray:
-    """Combine a (K, D) one-tail p-value matrix column by column."""
-    if method == "weighted_z":
-        capped = np.where(P >= 1.0, 1.0 - gran[:, None] / 2.0, P)
-        return ndtr(weights @ ndtri(capped))
-    if method == "fisher":
-        stat = -2.0 * np.log(P).sum(axis=0)
-        return np.maximum(gammaincc(P.shape[0], stat / 2.0), np.nextafter(0, 1))
-    if method == "bonferroni":
-        return np.minimum(1.0, P.shape[0] * P.min(axis=0))
-    raise ValueError(f"unknown combiner {method!r}; choose from {COMBINERS}")
 
 
 def invert_combined(
@@ -269,11 +204,11 @@ def invert_combined(
 ) -> ConfidenceInterval:
     """Invert the whole lag-l test family through a combiner.
 
-    Each test's treated outcomes are shifted by delta, tails are
+    Each test's treated outcomes are shifted by delta and tails are
     combined per tail (precision weights are shift-invariant, computed
-    once), and the interval collects deltas where each combined tail
-    stays above alpha/2.  Relabeling streams are keyed by (seed, test
-    time), matching the analysis run and shared across all deltas; a
+    once); the set collects deltas where each combined tail stays at or
+    above alpha/2.  Relabeling streams are keyed by (seed, test time),
+    matching the analysis run and shared across all deltas; a
     ``family`` from build_family(data, lag, cfg.test) supplies them
     already drawn.
     """
@@ -283,56 +218,20 @@ def invert_combined(
     pairs = list(zip(family.tests, family.tails))
     weights = None
     if method == "weighted_z":
-        wv = _weights_from_moments(family.tests, family.n_units)
-        kept_times = set(wv.test_times)
+        weights = _weights_from_moments(family.tests, family.n_units)
+        kept_times = set(weights.test_times)
         pairs = [(t, tail) for t, tail in pairs if t.test_time in kept_times]
-        weights = wv.weights
     gran = np.asarray([tail.granularity for _, tail in pairs])
-
-    # inverse-variance pooled point estimate for the default grid
-    diffs = np.asarray([t.mean_treated - t.mean_control for t, _ in pairs])
-    variances = np.asarray(
-        [
-            (t.var_treated / t.n_treated if t.n_treated > 1 else np.nan)
-            + (t.var_control / t.n_control if t.n_control > 1 else np.nan)
-            for t, _ in pairs
-        ]
-    )
-    if np.isfinite(variances).all() and (variances > 0).all():
-        precision = 1.0 / variances
-        estimate = float((diffs * precision).sum() / precision.sum())
-        se = float(math.sqrt(1.0 / precision.sum()))
-    else:
-        estimate = float(diffs.mean())
-        se = float(diffs.std()) if len(diffs) > 1 else 0.0
-    deltas = _grid_points(cfg, estimate, se)
-
-    def curves(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        tails = [tail.tails(points) for _, tail in pairs]
-        P1 = np.vstack([t[0] for t in tails])
-        P2 = np.vstack([t[1] for t in tails])
-        return (
-            _combine_tail_matrix(P1, method, weights, gran),
-            _combine_tail_matrix(P2, method, weights, gran),
-        )
-
-    p1, p2 = curves(deltas)
-
-    def point_tails(d: float) -> tuple[float, float]:
-        a, b = curves(np.asarray([d]))
-        return float(a[0]), float(b[0])
-
-    lower, upper, resolution = _invert_curves(
-        deltas, p1, p2, cfg.alpha, point_tails, cfg.refine, cfg.refine_iters
-    )
+    combined = _tail_combiner(method, weights, gran)
+    lower, upper, evaluations = _exact_interval([tail for _, tail in pairs], combined, cfg.alpha)
     return ConfidenceInterval(
         lag=lag,
         method=method,
         level=1.0 - cfg.alpha,
         lower=lower,
         upper=upper,
-        resolution=resolution,
-        n_grid=len(deltas),
+        resolution=0.0,
+        n_grid=evaluations,
     )
 
 

@@ -2,9 +2,11 @@
 
 Exit codes are a stable contract: 0 success, 1 usage or configuration
 problems, 2 malformed input data, 3 a theory check that ran and failed.
-All randomness flows from --seed (default 12345, fixed so documented
-examples reproduce); only the worker count (WEDGEPERM_THREADS) and
-color suppression (NO_COLOR) come from the environment.
+An empty confidence set, or one unbounded on a side, is a result rather
+than an error: `analyze` prints it and exits 0.  All randomness flows
+from --seed (default 12345, fixed so documented examples reproduce);
+only the worker count (WEDGEPERM_THREADS) and color suppression
+(NO_COLOR) come from the environment.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .ci import CIConfig, GridBracketError, invert_combined, write_ci_csv
+from .ci import CIConfig, invert_combined, write_ci_csv
 from .combine import COMBINERS, combined_from_mcrt, weights_from_result
 from .design import DataFormatError
 from .mcrt import TestConfig, build_family, build_schedule, read_trial_csv, run_mcrts
@@ -90,7 +92,6 @@ class CliConfig:
     replicates: int | None = None
     full_scale: bool = False
     threads: int = 1
-    grid: tuple[float, float, float] | None = None
     scenario: str | None = None
     scenario_name: str | None = None
     draws: int = 100_000
@@ -153,8 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=499, help="Monte Carlo relabelings per test")
     p.add_argument("--statistic", choices=("diff_in_means", "rank_sum"), default="diff_in_means")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="default 12345")
-    p.add_argument("--grid", nargs=3, type=float, metavar=("LO", "HI", "STEP"),
-                   help="interval search grid; omitted = auto around the point estimate")
     p.add_argument("--out", help="write per-test results CSV here")
     p.add_argument("--ci-out", dest="ci_output", help="write the interval CSV here")
 
@@ -181,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    grid = getattr(args, "grid", None)
     return CliConfig(
         command=args.command,
         input=getattr(args, "input", None),
@@ -199,7 +197,6 @@ def _config_from_args(args: argparse.Namespace) -> CliConfig:
         replicates=getattr(args, "replicates", None),
         full_scale=getattr(args, "full_scale", False),
         threads=_threads_from_env(getattr(args, "threads", None)),
-        grid=None if grid is None else tuple(grid),
         scenario=getattr(args, "scenario", None),
         scenario_name=getattr(args, "scenario_name", None),
         draws=getattr(args, "draws", 100_000),
@@ -247,16 +244,13 @@ def cmd_analyze(cfg: CliConfig) -> int:
         print(f"  t={s.test_time}: skipped ({s.reason})")
     print(f"combined ({cfg.combiner}, two-sided): p = {combined.p_value:.4g}")
 
-    ci_cfg = CIConfig(alpha=cfg.alpha, grid=cfg.grid, test=tcfg)
-    try:
-        interval = invert_combined(data, cfg.lag, ci_cfg, method=cfg.combiner, family=family)
-    except GridBracketError as exc:
-        print(f"interval search failed: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    print(
-        f"{100 * (1 - cfg.alpha):g}% interval for the lag-{cfg.lag} effect: "
-        f"[{interval.lower:.6g}, {interval.upper:.6g}]"
-    )
+    ci_cfg = CIConfig(alpha=cfg.alpha, test=tcfg)
+    interval = invert_combined(data, cfg.lag, ci_cfg, method=cfg.combiner, family=family)
+    if interval.empty:
+        bounds = f"empty (no shift is accepted at alpha={cfg.alpha:g})"
+    else:
+        bounds = f"[{interval.lower:.6g}, {interval.upper:.6g}]"
+    print(f"{100 * (1 - cfg.alpha):g}% interval for the lag-{cfg.lag} effect: {bounds}")
 
     if cfg.output:
         with open(cfg.output, "w") as fh:

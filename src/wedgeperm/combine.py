@@ -185,6 +185,24 @@ def _cap_for_quantile(p: np.ndarray, granularity) -> np.ndarray:
     return np.where(p >= 1.0, 1.0 - g / 2.0, p)
 
 
+def _weighted_z(p: np.ndarray, w: np.ndarray, granularity) -> tuple[float, float]:
+    stat = float(np.dot(w, ndtri(_cap_for_quantile(p, granularity))))
+    return stat, float(ndtr(stat))
+
+
+def _fisher(p: np.ndarray) -> tuple[float, float]:
+    stat = float(-2.0 * np.log(p).sum())
+    # upper chi-square tail with 2K degrees of freedom via the
+    # regularized incomplete gamma function
+    pval = float(gammaincc(p.size, stat / 2.0))
+    return stat, max(pval, np.nextafter(0, 1))
+
+
+def _bonferroni(p: np.ndarray) -> tuple[float, float]:
+    m = float(p.min())
+    return m, min(1.0, p.size * m)
+
+
 def weighted_z_combine(pvalues, weights, granularity=None) -> CombinedPValue:
     """Weighted inverse-normal combination.
 
@@ -200,26 +218,38 @@ def weighted_z_combine(pvalues, weights, granularity=None) -> CombinedPValue:
         raise ValueError("weights must be strictly positive")
     if abs(float((w**2).sum()) - 1.0) > 1e-12:
         raise ValueError("squared weights must sum to 1 within 1e-12")
-    z = ndtri(_cap_for_quantile(p, granularity))
-    stat = float(np.dot(w, z))
-    return CombinedPValue("weighted_z", "one-sided", stat, float(ndtr(stat)), p.size)
+    return CombinedPValue("weighted_z", "one-sided", *_weighted_z(p, w, granularity), p.size)
 
 
 def fisher_combine(pvalues) -> CombinedPValue:
     """Fisher's product rule: -2 sum(log p) against a chi-square with 2K df."""
     p = _validate_pvalues(pvalues)
-    stat = float(-2.0 * np.log(p).sum())
-    # upper chi-square tail with 2K degrees of freedom via the
-    # regularized incomplete gamma function
-    pval = float(gammaincc(p.size, stat / 2.0))
-    return CombinedPValue("fisher", "one-sided", stat, max(pval, np.nextafter(0, 1)), p.size)
+    return CombinedPValue("fisher", "one-sided", *_fisher(p), p.size)
 
 
 def bonferroni_combine(pvalues) -> CombinedPValue:
     """min(1, K * min p); valid under arbitrary dependence."""
     p = _validate_pvalues(pvalues)
-    m = float(p.min())
-    return CombinedPValue("bonferroni", "one-sided", m, min(1.0, p.size * m), p.size)
+    return CombinedPValue("bonferroni", "one-sided", *_bonferroni(p), p.size)
+
+
+def _tail_combiner(method: str, weights: WeightVector | None = None, granularity=None):
+    """The combined p-value as a function of one tail's p-value vector.
+
+    For repeated evaluation on p-values already known to lie in (0, 1],
+    such as an interval search over shifted tests: the statistic and
+    its guards are the ones the public combiners use, without their
+    per-call checks.
+    """
+    if method == "weighted_z":
+        if weights is None:
+            raise ValueError("weighted_z needs a weight vector")
+        return lambda p: _weighted_z(p, weights.weights, granularity)[1]
+    if method == "fisher":
+        return lambda p: _fisher(p)[1]
+    if method == "bonferroni":
+        return lambda p: _bonferroni(p)[1]
+    raise ValueError(f"unknown combiner {method!r}; choose from {COMBINERS}")
 
 
 def _combine_tail(pvalues, method: str, weights=None, granularity=None) -> CombinedPValue:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -217,26 +218,63 @@ def _selected_sums(pool: np.ndarray, n_treated: int, plan: RelabelPlan, statisti
     return plan.sums(pool), float(pool[:n_treated].sum())
 
 
+def _count_pvalues(n_le, n_ge, n_resamples: int, exact: bool):
+    """Both tail p-values from the counts of relabelings at or below and
+    at or above the observed statistic; Monte-Carlo counts take the
+    add-one correction."""
+    if exact:
+        return n_le / n_resamples, n_ge / n_resamples
+    return (1 + n_le) / (n_resamples + 1), (1 + n_ge) / (n_resamples + 1)
+
+
 def _tail_pvalues(resampled: np.ndarray, observed, exact: bool):
     """Both tail p-values of each column of ``resampled`` (one row per
-    relabeling): ties count toward both tails, and Monte-Carlo counts
-    take the add-one correction."""
-    r = resampled.shape[0]
+    relabeling); ties count toward both tails."""
     n_le = (resampled <= observed).sum(axis=0)
     n_ge = (resampled >= observed).sum(axis=0)
-    if exact:
-        return n_le / r, n_ge / r
-    return (1 + n_le) / (r + 1), (1 + n_ge) / (r + 1)
+    return _count_pvalues(n_le, n_ge, resampled.shape[0], exact)
+
+
+def _controls_below(xs: np.ndarray, ys: np.ndarray, v: float, strict: bool) -> np.ndarray:
+    """For each sorted treated value x, how many sorted controls y have
+    x - y > v (or >= v unless ``strict``).
+
+    x - y falls as y grows, so the count is the length of a prefix of
+    ``ys``; one bisection finds it for every treated value at once
+    without forming the m x n differences.
+    """
+    lo = np.zeros(xs.size, dtype=np.intp)
+    hi = np.full(xs.size, ys.size, dtype=np.intp)
+    while True:
+        active = lo < hi
+        if not active.any():
+            return lo
+        mid = (lo + hi) // 2
+        d = xs - ys[np.minimum(mid, ys.size - 1)]
+        inside = d > v if strict else d >= v
+        lo = np.where(active & inside, mid + 1, lo)
+        hi = np.where(active & ~inside, mid, hi)
 
 
 class TailPlan:
     """One test's relabelings reduced to what tail counting reads.
 
-    Evaluates both tail p-values with the treated arm shifted by each
-    delta of a vector.  For the difference in means the comparison is
-    affine in delta, so only the per-relabeling selected-slot sums and
-    treated hits are kept and one broadcast handles any grid; the rank
-    statistic keeps the selections and re-ranks per delta.
+    Shifting the treated arm by delta moves each relabeling's statistic
+    to the other side of the observed one only at a candidate shift, so
+    both tail counts are step functions of delta:
+
+    - difference in means: only the per-relabeling selected-slot sums
+      and treated hits are kept.  Relabeling r with h_r < m treated hits
+      ties the observed statistic at delta = (obs - sum_r) / (m - h_r);
+      the relabelings with h_r = m add a constant count.
+    - rank sum: the selections are kept to sum ranks.  The pooled order
+      changes only where a shifted treated value x_i - delta passes a
+      control value y_j, at delta = x_i - y_j; the m * n differences are
+      never formed, both arms are sorted and counted by bisection.
+
+    ``cell`` evaluates the tails on the open cell beside a shift, where
+    they are constant, with the candidates that bound it; ``tails``
+    evaluates them at given shifts, ties counting toward both tails.
     """
 
     def __init__(self, sample: TwoGroupSample, plan: RelabelPlan, statistic: str):
@@ -252,6 +290,30 @@ class TailPlan:
         else:
             self._plan = plan
 
+    # the candidate structures serve only shifted evaluation, so a test
+    # that never leaves zero shift does not build them
+    @cached_property
+    def _breaks(self) -> tuple[np.ndarray, int, int]:
+        """Sorted candidate shifts, and how many relabelings that never
+        change side sit at or below and at or above the observed sum."""
+        m = self.sample.n_treated
+        moves = self._hits < m
+        breaks = np.sort((self._obs - self._sums[moves]) / (m - self._hits[moves]))
+        fixed = self._sums[~moves]
+        return breaks, int((fixed <= self._obs).sum()), int((fixed >= self._obs).sum())
+
+    @cached_property
+    def _arms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Both arms sorted, the pooled slot of each sorted value, and the
+        within-arm midranks in pooled slot order."""
+        t_order = np.argsort(self.sample.treated, kind="stable")
+        c_order = np.argsort(self.sample.control, kind="stable")
+        ranks = np.concatenate([midranks(self.sample.treated), midranks(self.sample.control)])
+        return (
+            self.sample.treated[t_order], self.sample.control[c_order],
+            t_order, self.sample.n_treated + c_order, ranks,
+        )
+
     @property
     def granularity(self) -> float:
         """Smallest attainable p-value increment for this test."""
@@ -266,11 +328,43 @@ class TailPlan:
         """(p_less, p_greater) of the shifted test at every delta."""
         deltas = np.asarray(deltas, dtype=np.float64)
         if self.statistic == "diff_in_means":
-            obs = self._obs - self.sample.n_treated * deltas  # (D,)
-            resampled = self._sums[:, None] - np.outer(self._hits, deltas)  # (R, D)
-            return _tail_pvalues(resampled, obs, self.exact)
+            b, fixed_le, fixed_ge = self._breaks
+            n_le = fixed_le + b.size - np.searchsorted(b, deltas, "left")
+            n_ge = fixed_ge + np.searchsorted(b, deltas, "right")
+            return _count_pvalues(n_le, n_ge, self.n_resamples, self.exact)
         tails = [self._rank_tails(d) for d in deltas]
         return np.array([p for p, _ in tails]), np.array([p for _, p in tails])
+
+    def cell(self, v: float, side: str) -> tuple[float, float, float, float]:
+        """Both tails on the open cell just above (``side="right"``) or
+        just below (``"left"``) the shift ``v``, where they are constant.
+
+        Returns (p_less, p_greater, below, above): ``below`` is the
+        largest candidate shift under the cell and ``above`` the
+        smallest over it, -inf or inf when there is none.  No shift is
+        formed, so rounding cannot move a candidate across ``v``.
+        """
+        if self.statistic == "diff_in_means":
+            b, fixed_le, fixed_ge = self._breaks
+            k = int(np.searchsorted(b, v, side))
+            p_less, p_greater = _count_pvalues(fixed_le + b.size - k, fixed_ge + k, self.n_resamples, self.exact)
+            below = float(b[k - 1]) if k > 0 else -math.inf
+            above = float(b[k]) if k < b.size else math.inf
+            return p_less, p_greater, below, above
+        xs, ys, t_slots, c_slots, arm_ranks = self._arms
+        # a treated value stays above control y_j on the cell while x - y_j
+        # exceeds v; ties between arms cannot occur inside a cell
+        a = _controls_below(xs, ys, v, strict=side == "right")
+        ranks = arm_ranks.copy()
+        ranks[t_slots] += a
+        ranks[c_slots] += np.searchsorted(a, np.arange(ys.size), "right")
+        m = xs.size
+        p_less, p_greater = _tail_pvalues(self._plan.sums(ranks), float(ranks[:m].sum()), self.exact)
+        rows = a < ys.size
+        below = float((xs[rows] - ys[a[rows]]).max()) if rows.any() else -math.inf
+        rows = a > 0
+        above = float((xs[rows] - ys[a[rows] - 1]).min()) if rows.any() else math.inf
+        return float(p_less), float(p_greater), below, above
 
     def result(self) -> PermutationResult:
         """The unshifted test: observed statistic and both p-values."""

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ci import CIConfig, GridBracketError, invert_combined
+from .ci import CIConfig, invert_combined
 from .combine import combined_from_mcrt
 from .design import DesignSpec, crossover_times, sample_assignment
 from .mcrt import TestConfig, TrialData, build_family, run_mcrts
@@ -59,7 +59,7 @@ _POWER_HEADER = [
 _COVERAGE_HEADER = [
     "study", "n_units", "n_times", "interaction", "level", "lag", "effect",
     "method", "replicates", "covered", "coverage", "stderr",
-    "mean_length", "bracket_failures",
+    "mean_length", "empty_sets",
 ]
 
 
@@ -195,7 +195,9 @@ def gen_outcomes_sim2(cfg: Sim2Config, rng) -> TrialData:
     return TrialData(np.arange(cfg.n_units), times, y)
 
 
-@dataclass(frozen=True)
+# study rows and results are slotted: callers that keep many studies
+# hold only the fields, not a dict per row
+@dataclass(frozen=True, slots=True)
 class PowerRow:
     n_units: int
     n_times: int
@@ -223,7 +225,7 @@ class PowerRow:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoverageRow:
     n_units: int
     n_times: int
@@ -237,7 +239,7 @@ class CoverageRow:
     coverage: float
     stderr: float
     mean_length: float
-    bracket_failures: int
+    empty_sets: int
 
     def __post_init__(self):
         if not 0.0 <= self.coverage <= 1.0:
@@ -246,19 +248,18 @@ class CoverageRow:
     @classmethod
     def from_counts(
         cls, n_units, n_times, interaction, level, lag, effect, method,
-        replicates, covered, total_length, bracket_failures,
+        replicates, covered, total_length, empty_sets,
     ):
-        usable = replicates - bracket_failures
-        coverage = covered / usable if usable else 0.0
-        stderr = math.sqrt(coverage * (1.0 - coverage) / usable) if usable else 0.0
-        mean_length = total_length / usable if usable else 0.0
+        """An empty set counts as a miss of length 0."""
+        coverage = covered / replicates
+        stderr = math.sqrt(coverage * (1.0 - coverage) / replicates)
         return cls(
             n_units, n_times, interaction, float(level), lag, float(effect), method,
-            replicates, covered, coverage, stderr, mean_length, bracket_failures,
+            replicates, covered, coverage, stderr, total_length / replicates, empty_sets,
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StudyResult:
     """Rows of one study plus any cells skipped as infeasible."""
 
@@ -391,13 +392,9 @@ def _coverage_replicate(task) -> list[tuple[int, str, bool, float, bool]]:
         ci_cfg = CIConfig(alpha=1.0 - cfg.level, test=tcfg)
         family = build_family(data, lag, tcfg)
         for method in methods:
-            try:
-                ci = invert_combined(data, lag, ci_cfg, method=method, family=family)
-            except GridBracketError:
-                out.append((lag, method, False, 0.0, True))
-                continue
+            ci = invert_combined(data, lag, ci_cfg, method=method, family=family)
             covered = ci.lower <= cfg.taus[lag] <= ci.upper
-            out.append((lag, method, covered, ci.length, False))
+            out.append((lag, method, covered, ci.length, ci.empty))
     return out
 
 
@@ -413,9 +410,9 @@ def coverage_study(
     """Interval coverage of each true lagged effect, per combiner.
 
     Every replicate draws one dataset and inverts the test family at
-    each requested lag; a replicate whose search grid fails to bracket
-    an endpoint counts as a bracketing failure for that row rather
-    than as a miss.
+    each requested lag.  An empty confidence set counts as a miss of
+    length 0 and is also tallied in ``empty_sets``; an unbounded set has
+    infinite length.
     """
     if replicates is not None and replicates != cfg.replicates:
         cfg = replace(cfg, replicates=replicates)
@@ -432,12 +429,12 @@ def coverage_study(
         for method in methods:
             hits = [r for reps in results for r in reps if r[0] == lag and r[1] == method]
             covered = sum(1 for r in hits if r[2])
-            total_length = sum(r[3] for r in hits if not r[4])
-            failures = sum(1 for r in hits if r[4])
+            total_length = sum(r[3] for r in hits)
+            empty = sum(1 for r in hits if r[4])
             rows.append(
                 CoverageRow.from_counts(
                     cfg.n_units, cfg.n_times, cfg.interaction, cfg.level, lag,
-                    cfg.taus[lag], method, cfg.replicates, covered, total_length, failures,
+                    cfg.taus[lag], method, cfg.replicates, covered, total_length, empty,
                 )
             )
     return StudyResult("coverage", tuple(rows))
@@ -450,7 +447,7 @@ def emit_tables(result: StudyResult, path) -> None:
                      rejections,rate,stderr
     Coverage tables: study,n_units,n_times,interaction,level,lag,effect,
                      method,replicates,covered,coverage,stderr,
-                     mean_length,bracket_failures
+                     mean_length,empty_sets
     Floats are written with repr so parsing them back is lossless.
     """
     with open(path, "w", newline="") as fh:
@@ -472,7 +469,7 @@ def emit_tables(result: StudyResult, path) -> None:
                         "coverage", r.n_units, r.n_times, r.interaction, repr(r.level),
                         r.lag, repr(r.effect), r.method, r.replicates, r.covered,
                         repr(r.coverage), repr(r.stderr), repr(r.mean_length),
-                        r.bracket_failures,
+                        r.empty_sets,
                     ]
                 )
         else:

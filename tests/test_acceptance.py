@@ -206,8 +206,8 @@ def test_criterion_7_interval_coverage_under_interaction(capsys):
     _report(
         capsys,
         f"ACCEPTANCE 7: {'PASS' if ok else 'FAIL'} — coverage {row.coverage:.3f} "
-        f"({row.covered} of {row.replicates - row.bracket_failures} usable replicates, "
-        f"{row.bracket_failures} bracket failures, mean length {row.mean_length:.3f})",
+        f"({row.covered} of {row.replicates} replicates, "
+        f"{row.empty_sets} empty sets, mean length {row.mean_length:.3f})",
     )
     assert ok
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,12 +12,15 @@ from wedgeperm import (
     CIConfig,
     ConfidenceInterval,
     CrossoverTimes,
-    GridBracketError,
+    Sim1Config,
     TestConfig,
     TrialData,
     TwoGroupSample,
     build_family,
+    bonferroni_combine,
     diff_in_means,
+    fisher_combine,
+    gen_outcomes_sim1,
     invert_combined,
     invert_single,
     permutation_pvalue,
@@ -24,6 +28,8 @@ from wedgeperm import (
     run_mcrts,
     shift_outcomes,
     tail_pvalues,
+    weighted_z_combine,
+    weights_from_result,
     write_ci_csv,
 )
 from wedgeperm.rng import generator, seed_sequence
@@ -109,13 +115,13 @@ class TestTailPValues:
 
 class TestInvertSingle:
     def test_zero_noise_exact_effect_recovered(self):
-        # the qualifying set is the single point tau, which may fall
-        # between grid nodes; the interval then collapses onto it
+        # every relabeling ties the observed statistic at tau, the only
+        # candidate shift, so the set is the single point tau
         tau = 2.0
         s = TwoGroupSample(np.full(6, tau), np.zeros(6), 12)
         ci = invert_single(s, CIConfig(alpha=0.10))
-        assert ci.lower - 1e-5 <= tau <= ci.upper + 1e-5
-        assert ci.length < 0.1
+        assert (ci.lower, ci.upper) == (tau, tau)
+        assert ci.length == 0.0
 
     def test_covers_point_estimate(self):
         s = gaussian_shift_sample(10, 10, 0.5, 7)
@@ -141,34 +147,6 @@ class TestInvertSingle:
         assert narrow.lower >= wide.lower - 1e-9
         assert narrow.upper <= wide.upper + 1e-9
         assert narrow.length <= wide.length + 1e-9
-
-    def test_explicit_grid_and_resolution(self):
-        s = gaussian_shift_sample(10, 10, 0.5, 10)
-        cfg = CIConfig(alpha=0.10, grid=(-4.0, 5.0, 0.5), refine=True, refine_iters=12)
-        ci = invert_single(s, cfg)
-        assert ci.resolution == pytest.approx(0.5 / 2**12)
-        assert -4.0 <= ci.lower <= ci.upper <= 5.0
-
-    def test_unrefined_endpoints_sit_on_the_grid(self):
-        s = gaussian_shift_sample(10, 10, 0.5, 11)
-        cfg = CIConfig(alpha=0.10, grid=(-4.0, 5.0, 0.25), refine=False)
-        ci = invert_single(s, cfg)
-        for endpoint in (ci.lower, ci.upper):
-            steps = (endpoint - (-4.0)) / 0.25
-            assert steps == pytest.approx(round(steps), abs=1e-9)
-
-    def test_refinement_tightens_within_one_step(self):
-        s = gaussian_shift_sample(10, 10, 0.5, 11)
-        coarse = invert_single(s, CIConfig(alpha=0.10, grid=(-4.0, 5.0, 0.25), refine=False))
-        fine = invert_single(s, CIConfig(alpha=0.10, grid=(-4.0, 5.0, 0.25), refine=True))
-        assert coarse.lower - 0.25 <= fine.lower <= coarse.lower + 1e-9
-        assert coarse.upper <= fine.upper <= coarse.upper + 0.25 + 1e-9
-
-    def test_bracket_failure_carries_boundary_pvalues(self):
-        s = TwoGroupSample(np.full(6, 5.0) + 0.01 * np.arange(6), 0.01 * np.arange(6), 12)
-        with pytest.raises(GridBracketError, match="widen the grid") as err:
-            invert_single(s, CIConfig(alpha=0.10, grid=(-0.2, 0.2, 0.05)))
-        assert 0.0 <= err.value.p2_hi < 0.05
 
     def test_coverage_at_ninety_percent(self):
         # 200 replicates of a constant-shift model at level 0.90
@@ -202,7 +180,7 @@ class TestRankStatisticPath:
 
     def test_interval_covers_effect(self):
         s = gaussian_shift_sample(10, 10, 1.0, 13)
-        cfg = CIConfig(alpha=0.10, grid=(-2.0, 4.0, 0.1), test=TestConfig(statistic="rank_sum", budget=299))
+        cfg = CIConfig(alpha=0.10, test=TestConfig(statistic="rank_sum", budget=299))
         ci = invert_single(s, cfg)
         assert ci.lower <= 1.0 <= ci.upper
 
@@ -258,6 +236,183 @@ class TestInvertCombined:
             invert_combined(data, 0, CIConfig())
 
 
+def dyadic_trial(seed: int) -> TrialData:
+    """Nine units crossing at times 1, 2, 3, three each, with outcomes on
+    a 1/8 grid: at lag 0 the family is an exactly enumerated 3-vs-6 and
+    3-vs-3 test, with ties within and across arms."""
+    rng = generator(seed, 31)
+    times = CrossoverTimes(np.repeat([1, 2, 3], 3), 3)
+    return TrialData(np.arange(9), times, rng.integers(-12, 13, (9, 4)) / 8.0)
+
+
+def _fraction_midranks(values):
+    return [sum(u < v for u in values) + Fraction(sum(u == v for u in values) + 1, 2) for v in values]
+
+
+def _exact_tails(sample: TwoGroupSample, delta: Fraction, statistic: str):
+    """Both tails of the exactly enumerated test shifted by delta, in Fractions."""
+    m = sample.n_treated
+    pool = [Fraction(x) - delta for x in sample.treated] + [Fraction(y) for y in sample.control]
+    if statistic == "rank_sum":
+        pool = _fraction_midranks(pool)
+    # with the pool fixed, the difference in means grows with the treated sum
+    sums = [sum(pool[i] for i in sel) for sel in itertools.combinations(range(len(pool)), m)]
+    obs = sum(pool[:m])
+    return Fraction(sum(s <= obs for s in sums), len(sums)), Fraction(sum(s >= obs for s in sums), len(sums))
+
+
+def _candidates(sample: TwoGroupSample, statistic: str) -> set:
+    """Shifts at which some relabeling can change side, in Fractions."""
+    x = [Fraction(v) for v in sample.treated]
+    y = [Fraction(v) for v in sample.control]
+    if statistic == "rank_sum":
+        return {a - b for a in x for b in y}
+    m, pool = len(x), x + y
+    out = set()
+    for sel in itertools.combinations(range(len(pool)), m):
+        hits = sum(i < m for i in sel)
+        if hits < m:
+            out.add((sum(x) - sum(pool[i] for i in sel)) / (m - hits))
+    return out
+
+
+class ExactOracle:
+    """The accepted set of a family, from Fraction tails at every candidate
+    shift, between each neighbouring pair and beyond both ends."""
+
+    def __init__(self, samples, statistic, combined, alpha):
+        self.cands = sorted(set().union(*(_candidates(s, statistic) for s in samples)))
+        points = [self.cands[0] - 1]
+        for a, b in zip(self.cands, self.cands[1:]):
+            points += [a, (a + b) / 2]
+        self.points = points + [self.cands[-1], self.cands[-1] + 1]
+        self.samples, self.statistic, self.combined = samples, statistic, combined
+        self.thr = alpha / 2
+
+    def accepts(self, delta: Fraction) -> tuple[bool, bool]:
+        """Whether the combined p_less and p_greater reach alpha/2 at delta."""
+        tails = [_exact_tails(s, delta, self.statistic) for s in self.samples]
+        return (
+            self.combined([float(p) for p, _ in tails]) >= self.thr,
+            self.combined([float(q) for _, q in tails]) >= self.thr,
+        )
+
+    def interval(self) -> tuple:
+        # odd positions of ``points`` are candidates, even ones the open
+        # cells between them (ends included)
+        flags = [self.accepts(d) for d in self.points]
+        less_ok = [i for i, (ok, _) in enumerate(flags) if ok]
+        greater_ok = [i for i, (_, ok) in enumerate(flags) if ok]
+        if not less_ok or not greater_ok:
+            return None
+        i, j = greater_ok[0], less_ok[-1]
+        lower = -math.inf if i == 0 else self.points[i if i % 2 else i - 1]
+        upper = math.inf if j == len(self.points) - 1 else self.points[j if j % 2 else j + 1]
+        return None if lower > upper else (lower, upper)
+
+    def neighbours(self, endpoint: float) -> tuple[Fraction, Fraction, Fraction]:
+        """The candidate at ``endpoint`` and the midpoints to the next
+        candidate on each side (one unit out at an end)."""
+        k = min(range(len(self.cands)), key=lambda i: abs(self.cands[i] - Fraction(endpoint)))
+        c = self.cands[k]
+        below = (self.cands[k - 1] + c) / 2 if k > 0 else c - 1
+        above = (c + self.cands[k + 1]) / 2 if k + 1 < len(self.cands) else c + 1
+        return c, below, above
+
+
+class TestExactEndpoints:
+    @pytest.mark.parametrize("alpha", [0.10, 0.30])
+    @pytest.mark.parametrize("method", ["single", "weighted_z", "fisher", "bonferroni"])
+    @pytest.mark.parametrize("statistic", ["diff_in_means", "rank_sum"])
+    def test_endpoints_match_fraction_oracle(self, statistic, method, alpha):
+        data = dyadic_trial(40 + int(100 * alpha))
+        tcfg = TestConfig(statistic=statistic)
+        cfg = CIConfig(alpha=alpha, test=tcfg)
+        family = build_family(data, 0, tcfg)
+        assert all(tail.exact for tail in family.tails)
+        samples = [tail.sample for tail in family.tails]
+        if method == "single":
+            samples = samples[:1]
+            ci = invert_single(samples[0], cfg)
+            combined = lambda p: p[0]
+        else:
+            ci = invert_combined(data, 0, cfg, method=method, family=family)
+            if method == "weighted_z":
+                wv = weights_from_result(family.result())
+                assert len(wv.test_times) == len(samples)
+                gran = [t.granularity for t in family.tests]
+                combined = lambda p: weighted_z_combine(p, wv, gran).p_value
+            else:
+                combined = lambda p: (fisher_combine if method == "fisher" else bonferroni_combine)(p).p_value
+        oracle = ExactOracle(samples, statistic, combined, alpha)
+        expected = oracle.interval()
+        assert expected is not None and ci.resolution == 0.0
+        # rank candidates are exact differences; a mean-difference candidate
+        # is rounded once, in its division by the number of swapped slots
+        ulps = 0 if statistic == "rank_sum" else 1
+        for got, want in zip((ci.lower, ci.upper), expected):
+            assert math.isfinite(got), (ci, expected)
+            assert abs(got - float(want)) <= ulps * math.ulp(float(want))
+        # the decision flips across each endpoint, strictly between candidates
+        _, below, above = oracle.neighbours(ci.lower)
+        assert not oracle.accepts(below)[1] and oracle.accepts(above)[1]
+        _, below, above = oracle.neighbours(ci.upper)
+        assert oracle.accepts(below)[0] and not oracle.accepts(above)[0]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_adjacent_float_candidates(self, sign):
+        # treated values one ulp apart make neighbouring candidates with no
+        # float between them at the upper endpoint (the lower one when
+        # mirrored), so the search must decide from the cells beside them
+        u = math.ulp(1.0)
+        s = TwoGroupSample(sign * (1.0 + u * np.arange(4)), sign * np.array([0.0, 0.0, 0.5, 1.5]), 8)
+        ci = invert_single(s, CIConfig(alpha=0.30, test=TestConfig(statistic="rank_sum")))
+        oracle = ExactOracle([s], "rank_sum", lambda p: p[0], 0.30)
+        assert (ci.lower, ci.upper) == tuple(float(e) for e in oracle.interval())
+        endpoint = Fraction(ci.upper if sign > 0 else ci.lower)
+        assert any(abs(c - endpoint) == u for c in oracle.cands)
+
+    @pytest.mark.parametrize("statistic", ["diff_in_means", "rank_sum"])
+    def test_cells_beside_each_candidate(self, statistic):
+        tail = build_family(dyadic_trial(3), 0, TestConfig(statistic=statistic)).tails[0]
+        cands = sorted(_candidates(tail.sample, statistic))
+        edges = [cands[0] - 1] + cands + [cands[-1] + 1]
+        for k, c in enumerate(cands, start=1):
+            for side, (lo, hi) in (("left", edges[k - 1 : k + 1]), ("right", edges[k : k + 2])):
+                p_less, p_greater, below, above = tail.cell(float(c), side)
+                exact = _exact_tails(tail.sample, (lo + hi) / 2, statistic)
+                assert (p_less, p_greater) == tuple(float(p) for p in exact)
+                assert below == (float(lo) if lo in cands else -math.inf)
+                assert above == (float(hi) if hi in cands else math.inf)
+
+    def test_empty_set_is_reported_as_empty(self):
+        # Bonferroni's combined tails never both reach alpha/2 here: the
+        # lower endpoint (about 0.509) exceeds the upper one (about 0.201)
+        data = gen_outcomes_sim1(Sim1Config(100, 6, lag=1, effect=0.3), generator(19))
+        cfg = CIConfig(alpha=0.10)
+        ci = invert_combined(data, 1, cfg, method="bonferroni")
+        assert ci.empty and math.isnan(ci.lower) and math.isnan(ci.upper)
+        assert ci.length == 0.0
+        family = build_family(data, 1, cfg.test)
+        deltas = np.linspace(-1.0, 2.0, 3001)
+        tails = [tail.tails(deltas) for tail in family.tails]
+        k = len(tails)
+        p_less = np.minimum(1.0, k * np.min([t[0] for t in tails], axis=0))
+        p_greater = np.minimum(1.0, k * np.min([t[1] for t in tails], axis=0))
+        assert not ((p_less >= 0.05) & (p_greater >= 0.05)).any()
+        assert not invert_combined(data, 1, cfg, method="weighted_z", family=family).empty
+
+    def test_unbounded_sides_are_infinite(self):
+        # two against two has six relabelings, so no p-value falls below
+        # 1/6 and every shift is accepted at alpha = 0.10
+        s = TwoGroupSample([0.5, 1.25], [0.0, -0.75], 4)
+        ci = invert_single(s, CIConfig(alpha=0.10))
+        assert (ci.lower, ci.upper, ci.length) == (-math.inf, math.inf, math.inf)
+        assert not ci.empty
+        finite = invert_single(s, CIConfig(alpha=0.40))
+        assert math.isfinite(finite.lower) and math.isfinite(finite.upper)
+
+
 class TestSharedFamily:
     @pytest.mark.parametrize("statistic", ["diff_in_means", "rank_sum"])
     def test_shared_family_matches_independent_builds(self, statistic):
@@ -289,13 +444,11 @@ class TestCIConfig:
         with pytest.raises(ValueError, match="alpha"):
             CIConfig(alpha=0.0)
 
-    def test_grid_order(self):
-        with pytest.raises(ValueError, match="grid"):
-            CIConfig(grid=(1.0, -1.0, 0.1))
-
     def test_interval_endpoint_order_enforced(self):
         with pytest.raises(ValueError, match="out of order"):
             ConfidenceInterval(0, "single", 0.9, 2.0, 1.0, 0.01, 10)
+        with pytest.raises(ValueError, match="both endpoints nan"):
+            ConfidenceInterval(0, "single", 0.9, math.nan, 1.0, 0.0, 10)
 
 
 class TestCiCsv:
@@ -304,14 +457,22 @@ class TestCiCsv:
         rows = [
             ConfidenceInterval(2, "weighted_z", 0.9, -0.25, 0.75, 0.001, 121),
             ConfidenceInterval(None, "single", 0.95, 0.1, 0.2, 0.001, 41),
+            ConfidenceInterval(1, "bonferroni", 0.9, math.nan, math.nan, 0.0, 26),
+            ConfidenceInterval(0, "fisher", 0.9, -math.inf, math.inf, 0.0, 2),
         ]
         write_ci_csv(path, rows)
+        assert path.read_text().splitlines()[3:] == ["1,bonferroni,0.9,nan,nan", "0,fisher,0.9,-inf,inf"]
         back = read_ci_csv(path)
         assert [(r.lag, r.method, r.level) for r in back] == [
             (2, "weighted_z", 0.9),
             (None, "single", 0.95),
+            (1, "bonferroni", 0.9),
+            (0, "fisher", 0.9),
         ]
         assert back[0].lower == -0.25 and back[0].upper == 0.75
+        assert [r.empty for r in back] == [False, False, True, False]
+        assert back[2].length == 0.0
+        assert (back[3].lower, back[3].upper, back[3].length) == (-math.inf, math.inf, math.inf)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "ci.csv"

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from wedgeperm import parse_tables, read_ci_csv, write_trial_csv
+from wedgeperm import Sim1Config, gen_outcomes_sim1, parse_tables, read_ci_csv, write_trial_csv
 from wedgeperm.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from wedgeperm.rng import generator
 from wedgeperm.validate import Scenario, FiniteAssignmentSpace, PartitionFamily, save_scenario
 
 from conftest import make_trial
@@ -98,12 +99,25 @@ class TestAnalyze:
         assert main(["analyze", str(path), "--lag", "0"]) == EXIT_DATA
         assert "no usable tests" in capsys.readouterr().err
 
-    def test_unbracketed_grid(self, trial_csv, capsys):
-        code = main(
-            ["analyze", str(trial_csv), "--lag", "0", "--grid", "-0.01", "0.01", "0.005"]
-        )
-        assert code == EXIT_DATA
-        assert "interval search failed" in capsys.readouterr().err
+    def test_empty_set_is_printed_and_written(self, tmp_path, capsys):
+        data = gen_outcomes_sim1(Sim1Config(100, 6, lag=1, effect=0.3), generator(19))
+        path, ci_path = tmp_path / "trial.csv", tmp_path / "ci.csv"
+        write_trial_csv(path, data)
+        argv = ["analyze", str(path), "--lag", "1", "--combiner", "bonferroni"]
+        assert main(argv + ["--ci-out", str(ci_path)]) == EXIT_OK
+        assert "90% interval for the lag-1 effect: empty" in capsys.readouterr().out
+        assert ci_path.read_text().splitlines()[1] == "1,bonferroni,0.9,nan,nan"
+        assert read_ci_csv(ci_path)[0].empty
+        assert main(argv + ["--grid", "-1", "1", "0.1"]) == EXIT_USAGE
+
+    def test_unbounded_interval_is_printed_and_written(self, tmp_path, capsys):
+        # one two-against-two test: no p-value falls below 1/6
+        data = make_trial(4, (2, 2), seed=5)
+        path, ci_path = tmp_path / "tiny.csv", tmp_path / "ci.csv"
+        write_trial_csv(path, data)
+        assert main(["analyze", str(path), "--lag", "0", "--ci-out", str(ci_path)]) == EXIT_OK
+        assert "90% interval for the lag-0 effect: [-inf, inf]" in capsys.readouterr().out
+        assert ci_path.read_text().splitlines()[1] == "0,weighted_z,0.9,-inf,inf"
 
 
 class TestSimulate:

@@ -225,7 +225,7 @@ class TestCoverageStudy:
         assert len(result.rows) == 4
         row = result.rows_for(lag=1, method="weighted_z")[0]
         assert row.effect == 0.5 and row.replicates == 3
-        assert row.covered + row.bracket_failures <= row.replicates
+        assert row.covered + row.empty_sets <= row.replicates
         assert row.mean_length >= 0.0
 
 
