@@ -9,6 +9,8 @@ and verifies the underlying joint-validity theory exactly on small
 enumerable spaces.  A CLI (``wedgeperm``) fronts the same operations.
 """
 
+from types import ModuleType as _ModuleType
+
 from .rng import DEFAULT_SEED, generator, seed_sequence
 from .design import (
     AssignmentMatrix,
@@ -126,115 +128,8 @@ from .sim import (
 
 __version__ = "0.1.0"
 
+# every name the imports above bind, without the submodules they also bind
 __all__ = [
-    "DEFAULT_SEED",
-    "generator",
-    "seed_sequence",
-    # design
-    "AssignmentMatrix",
-    "AssignmentViolation",
-    "CrossoverTimes",
-    "DataFormatError",
-    "DesignSpec",
-    "crossover_times",
-    "enumerate_crossover_vectors",
-    "matrix_from_times",
-    "read_assignment_csv",
-    "sample_assignment",
-    "space_size",
-    "step_conditional_prob",
-    "validate_assignment",
-    "write_assignment_csv",
-    # permtest
-    "DEFAULT_BUDGET",
-    "DEFAULT_EXACT_THRESHOLD",
-    "STATISTICS",
-    "PermutationResult",
-    "RelabelPlan",
-    "TailPlan",
-    "TwoGroupSample",
-    "diff_in_means",
-    "permutation_pvalue",
-    "rank_sum",
-    "relabel_plan",
-    # mcrt
-    "LagFamily",
-    "LagSchedule",
-    "LagTestGroup",
-    "McrtResult",
-    "McrtSkip",
-    "McrtTest",
-    "TestConfig",
-    "TrialData",
-    "build_family",
-    "build_groups",
-    "build_schedule",
-    "imputable_units",
-    "read_trial_csv",
-    "run_groups",
-    "run_mcrts",
-    "write_trial_csv",
-    # combine
-    "COMBINERS",
-    "CombinedPValue",
-    "WeightVector",
-    "bonferroni_combine",
-    "combined_from_mcrt",
-    "combined_from_tests",
-    "estimate_lambda",
-    "fisher_combine",
-    "weighted_z_combine",
-    "weights_from_result",
-    # ci
-    "CIConfig",
-    "ConfidenceInterval",
-    "invert_combined",
-    "invert_single",
-    "read_ci_csv",
-    "shift_outcomes",
-    "tail_pvalues",
-    "write_ci_csv",
-    # validate
-    "BUNDLED_SCENARIOS",
-    "CondIndepResult",
-    "DominanceReport",
-    "DominanceRow",
-    "FiniteAssignmentSpace",
-    "HasseDiagram",
-    "HasseNode",
-    "NestedCheck",
-    "NestednessError",
-    "PartitionCheck",
-    "PartitionFamily",
-    "PotentialOutcomeTable",
-    "Scenario",
-    "all_pairs_nested",
-    "build_hasse",
-    "bundled_scenario",
-    "coarsening",
-    "cond_indep_check",
-    "conditional_pvalues",
-    "is_partition",
-    "joint_dominance_check",
-    "load_scenario",
-    "pairwise_nested_check",
-    "refinement",
-    "save_scenario",
-    "stepped_wedge_scenario",
-    # sim
-    "POWER_METHODS",
-    "CoverageRow",
-    "PowerRow",
-    "Sim1Config",
-    "Sim2Config",
-    "StudyResult",
-    "coverage_study",
-    "default_counts",
-    "emit_tables",
-    "gen_outcomes_sim1",
-    "gen_outcomes_sim2",
-    "interaction_f",
-    "parse_tables",
-    "power_study",
-    "__version__",
-]
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + ["__version__"]

@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .ci import CIConfig, invert_combined, write_ci_csv
 from .combine import COMBINERS, combined_from_mcrt, weights_from_result
@@ -40,7 +39,7 @@ from .validate import (
     load_scenario,
 )
 
-__all__ = ["CliConfig", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -70,31 +69,6 @@ _COVERAGE_KEYS = {
     "study", "n_units", "n_times", "taus", "interaction", "level",
     "replicates", "budget", "methods", "lags", "seed", "statistic",
 }
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Everything a subcommand needs, resolved from flags + environment."""
-
-    command: str
-    input: str | None = None
-    output: str | None = None
-    ci_output: str | None = None
-    n_times: int = 0
-    lag: int = 0
-    alpha: float = 0.10
-    combiner: str = "weighted_z"
-    budget: int = 499
-    statistic: str = "diff_in_means"
-    seed: int | None = DEFAULT_SEED
-    preset: str | None = None
-    config_path: str | None = None
-    replicates: int | None = None
-    full_scale: bool = False
-    threads: int = 1
-    scenario: str | None = None
-    scenario_name: str | None = None
-    draws: int = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -179,36 +153,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    return CliConfig(
-        command=args.command,
-        input=getattr(args, "input", None),
-        output=getattr(args, "out", None),
-        ci_output=getattr(args, "ci_output", None),
-        n_times=getattr(args, "n_times", 0),
-        lag=getattr(args, "lag", 0),
-        alpha=getattr(args, "alpha", 0.10),
-        combiner=getattr(args, "combiner", "weighted_z"),
-        budget=getattr(args, "budget", 499),
-        statistic=getattr(args, "statistic", "diff_in_means"),
-        seed=getattr(args, "seed", DEFAULT_SEED),
-        preset=getattr(args, "preset", None),
-        config_path=getattr(args, "config_path", None),
-        replicates=getattr(args, "replicates", None),
-        full_scale=getattr(args, "full_scale", False),
-        threads=_threads_from_env(getattr(args, "threads", None)),
-        scenario=getattr(args, "scenario", None),
-        scenario_name=getattr(args, "scenario_name", None),
-        draws=getattr(args, "draws", 100_000),
-    )
-
-
-def cmd_schedule(cfg: CliConfig) -> int:
-    schedule = build_schedule(cfg.n_times, cfg.lag)  # ValueError -> usage
+def cmd_schedule(args: argparse.Namespace) -> int:
+    schedule = build_schedule(args.n_times, args.lag)  # ValueError -> usage
     for subset in schedule.subsets:
         print(",".join(str(t) for t in subset))
-    if cfg.output:
-        with open(cfg.output, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write("subset,time\n")
             for j, subset in enumerate(schedule.subsets, start=1):
                 for t in subset:
@@ -216,23 +166,23 @@ def cmd_schedule(cfg: CliConfig) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(cfg: CliConfig) -> int:
-    data = read_trial_csv(cfg.input)
-    tcfg = TestConfig(budget=cfg.budget, statistic=cfg.statistic, seed=cfg.seed)
-    family = build_family(data, cfg.lag, tcfg)
-    result = run_mcrts(data, cfg.lag, tcfg, family=family)
+def cmd_analyze(args: argparse.Namespace) -> int:
+    data = read_trial_csv(args.input)
+    tcfg = TestConfig(budget=args.budget, statistic=args.statistic, seed=args.seed)
+    family = build_family(data, args.lag, tcfg)
+    result = run_mcrts(data, args.lag, tcfg, family=family)
     if not result.tests:
         reasons = "; ".join(f"t={s.test_time}: {s.reason}" for s in result.skipped)
-        print(f"no usable tests at lag {cfg.lag} ({reasons})", file=sys.stderr)
+        print(f"no usable tests at lag {args.lag} ({reasons})", file=sys.stderr)
         return EXIT_DATA
 
     weight_of = {}
-    if cfg.combiner == "weighted_z":
+    if args.combiner == "weighted_z":
         wv = weights_from_result(result)
         weight_of = dict(zip(wv.test_times, wv.weights))
-    combined = combined_from_mcrt(result, cfg.combiner, "two-sided")
+    combined = combined_from_mcrt(result, args.combiner, "two-sided")
 
-    print(f"lag {cfg.lag}: {len(result.tests)} tests, {len(result.skipped)} skipped")
+    print(f"lag {args.lag}: {len(result.tests)} tests, {len(result.skipped)} skipped")
     for t in result.tests:
         w = f"  weight={weight_of[t.test_time]:.4f}" if t.test_time in weight_of else ""
         print(
@@ -242,18 +192,18 @@ def cmd_analyze(cfg: CliConfig) -> int:
         )
     for s in result.skipped:
         print(f"  t={s.test_time}: skipped ({s.reason})")
-    print(f"combined ({cfg.combiner}, two-sided): p = {combined.p_value:.4g}")
+    print(f"combined ({args.combiner}, two-sided): p = {combined.p_value:.4g}")
 
-    ci_cfg = CIConfig(alpha=cfg.alpha, test=tcfg)
-    interval = invert_combined(data, cfg.lag, ci_cfg, method=cfg.combiner, family=family)
+    ci_cfg = CIConfig(alpha=args.alpha, test=tcfg)
+    interval = invert_combined(data, args.lag, ci_cfg, method=args.combiner, family=family)
     if interval.empty:
-        bounds = f"empty (no shift is accepted at alpha={cfg.alpha:g})"
+        bounds = f"empty (no shift is accepted at alpha={args.alpha:g})"
     else:
         bounds = f"[{interval.lower:.6g}, {interval.upper:.6g}]"
-    print(f"{100 * (1 - cfg.alpha):g}% interval for the lag-{cfg.lag} effect: {bounds}")
+    print(f"{100 * (1 - args.alpha):g}% interval for the lag-{args.lag} effect: {bounds}")
 
-    if cfg.output:
-        with open(cfg.output, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write("test_time,outcome_time,n_treated,n_control,statistic,p_less,p_greater,weight\n")
             for t in result.tests:
                 w = repr(float(weight_of[t.test_time])) if t.test_time in weight_of else ""
@@ -261,22 +211,22 @@ def cmd_analyze(cfg: CliConfig) -> int:
                     f"{t.test_time},{t.outcome_time},{t.n_treated},{t.n_control},"
                     f"{t.result.statistic!r},{t.result.p_less!r},{t.result.p_greater!r},{w}\n"
                 )
-    if cfg.ci_output:
-        write_ci_csv(cfg.ci_output, [interval])
+    if args.ci_output:
+        write_ci_csv(args.ci_output, [interval])
     return EXIT_OK
 
 
-def _load_study_config(cfg: CliConfig) -> dict:
-    if cfg.preset:
-        doc = dict(PRESETS[cfg.preset])
+def _load_study_config(args: argparse.Namespace) -> dict:
+    if args.preset:
+        doc = dict(PRESETS[args.preset])
     else:
-        with open(cfg.config_path) as fh:
+        with open(args.config_path) as fh:
             try:
                 doc = json.load(fh)
             except json.JSONDecodeError as exc:
-                raise DataFormatError(f"{cfg.config_path}: not valid JSON: {exc}") from None
+                raise DataFormatError(f"{args.config_path}: not valid JSON: {exc}") from None
         if not isinstance(doc, dict):
-            raise DataFormatError(f"{cfg.config_path}: expected a JSON object")
+            raise DataFormatError(f"{args.config_path}: expected a JSON object")
     study = doc.get("study")
     if study not in ("power", "coverage"):
         raise ValueError(f"config key 'study' must be 'power' or 'coverage', got {study!r}")
@@ -284,21 +234,21 @@ def _load_study_config(cfg: CliConfig) -> dict:
     for key in doc:
         if key not in allowed:
             raise ValueError(f"unknown config key {key!r} for a {study} study")
-    if cfg.full_scale:
+    if args.full_scale:
         doc["replicates"] = 1000
         doc["budget"] = 1000
-    if cfg.replicates is not None:
-        doc["replicates"] = cfg.replicates
+    if args.replicates is not None:
+        doc["replicates"] = args.replicates
     doc.setdefault("seed", DEFAULT_SEED)
-    if cfg.seed is not None:
-        doc["seed"] = cfg.seed
+    if args.seed is not None:
+        doc["seed"] = args.seed
     return doc
 
 
-def cmd_simulate(cfg: CliConfig) -> int:
-    doc = _load_study_config(cfg)
+def cmd_simulate(args: argparse.Namespace) -> int:
+    doc = _load_study_config(args)
     study = doc["study"]
-    out = cfg.output or f"{study}.csv"
+    out = args.out or f"{study}.csv"
     if study == "power":
         grid = doc.get("grid")
         if not isinstance(grid, list) or not grid:
@@ -316,7 +266,7 @@ def cmd_simulate(cfg: CliConfig) -> int:
                 methods=tuple(doc.get("methods", POWER_METHODS)),
                 seed=doc["seed"],
                 statistic=doc.get("statistic", "diff_in_means"),
-                threads=cfg.threads,
+                threads=args.threads,
             )
             rows.extend(part.rows)
             skipped.extend(part.skipped)
@@ -350,18 +300,18 @@ def cmd_simulate(cfg: CliConfig) -> int:
             lags=lags,
             budget=doc.get("budget", 499),
             statistic=doc.get("statistic", "diff_in_means"),
-            threads=cfg.threads,
+            threads=args.threads,
         )
     emit_tables(result, out)
     print(f"wrote {out} ({len(result.rows)} rows)", file=sys.stderr)
     return EXIT_OK
 
 
-def cmd_validate(cfg: CliConfig) -> int:
-    if cfg.scenario_name:
-        scenario = bundled_scenario(cfg.scenario_name)
+def cmd_validate(args: argparse.Namespace) -> int:
+    if args.scenario_name:
+        scenario = bundled_scenario(args.scenario_name)
     else:
-        scenario = load_scenario(cfg.scenario)
+        scenario = load_scenario(args.scenario)
     space, family = scenario.space, scenario.family
     print(
         f"scenario: {scenario.name} ({space.size} elements, "
@@ -395,7 +345,7 @@ def cmd_validate(cfg: CliConfig) -> int:
         failed = True
         print(f"hasse diagram: {_pass(False)} ({exc})")
 
-    report = scenario.run(n_draws=cfg.draws)
+    report = scenario.run(n_draws=args.draws)
     for r in report.cond_indep:
         if not r.ok:
             failed = True
@@ -428,16 +378,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _config_from_args(args)
-        if cfg.command == "schedule":
-            return cmd_schedule(cfg)
-        if cfg.command == "analyze":
-            return cmd_analyze(cfg)
-        if cfg.command == "simulate":
-            return cmd_simulate(cfg)
-        if cfg.command == "validate":
-            return cmd_validate(cfg)
-        parser.error(f"unknown command {cfg.command!r}")
+        args.threads = _threads_from_env(getattr(args, "threads", None))
+        if args.command == "schedule":
+            return cmd_schedule(args)
+        if args.command == "analyze":
+            return cmd_analyze(args)
+        if args.command == "simulate":
+            return cmd_simulate(args)
+        if args.command == "validate":
+            return cmd_validate(args)
+        parser.error(f"unknown command {args.command!r}")
     except DataFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

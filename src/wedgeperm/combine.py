@@ -8,16 +8,33 @@ weights (the headline method), Fisher's product rule, and Bonferroni.
 Direction convention: a combiner consumes one-sided p-values from a
 single tail.  The two-sided mode combines each tail separately and
 reports twice the smaller combined p-value, capped at 1.
+
+The normal and chi-square functions the combiners need are computed
+here rather than imported, so the package does not load SciPy:
+
+- the normal quantile is ``statistics.NormalDist().inv_cdf``, Wichura's
+  Algorithm AS 241 (Applied Statistics, 1988), accurate to about 1e-16;
+- the normal CDF takes ``0.5 + 0.5 * erf(x / sqrt 2)`` while
+  ``|x / sqrt 2| < 1`` and ``0.5 * erfc(|x| / sqrt 2)`` (or its
+  complement) beyond, the split SciPy's ``ndtr`` uses, so neither tail
+  is formed by cancellation;
+- Fisher's statistic has 2K degrees of freedom, always even, so its
+  upper tail is the finite Poisson sum exp(-y) * sum_{i<K} y**i / i!
+  at y = statistic / 2.  The sum is formed by Horner's rule and
+  multiplied by exp(-y / 2) twice, so the tail stays normal wherever
+  the true value does rather than underflowing with exp(-y) past
+  y = 745.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaincc, ndtr, ndtri
 
 __all__ = [
     "CombinedPValue",
@@ -166,36 +183,64 @@ def _validate_pvalues(pvalues) -> np.ndarray:
     return p
 
 
-def _cap_for_quantile(p: np.ndarray, granularity) -> np.ndarray:
-    """Replace p = 1 by 1 - granularity/2 so the normal quantile stays finite.
+_norm_inv_cdf = NormalDist().inv_cdf
+_SQRT1_2 = math.sqrt(0.5)
 
-    ``granularity`` is the smallest attainable p-value increment of each
-    test (1/(B+1) for Monte Carlo, 1/M for exact); Monte-Carlo
-    resolution rather than an infinity then sets the ceiling.
+
+def _normal_scores(p: np.ndarray, granularity) -> list[float]:
+    """Standard normal quantiles of p-values in (0, 1], capping p = 1 first.
+
+    A p-value of 1 becomes 1 - granularity/2 so its quantile stays
+    finite.  ``granularity`` is the smallest attainable p-value
+    increment of each test (1/(B+1) for Monte Carlo, 1/M for exact);
+    Monte-Carlo resolution rather than an infinity then sets the
+    ceiling.
     """
-    if not (p >= 1.0).any():
-        return p
-    if granularity is None:
-        raise ValueError(
-            "a p-value of exactly 1 needs the test's resolution (granularity) to be capped"
-        )
-    g = np.broadcast_to(np.asarray(granularity, dtype=np.float64), p.shape)
-    if (g <= 0).any() or (g > 1).any():
-        raise ValueError("granularity values must lie in (0, 1]")
-    return np.where(p >= 1.0, 1.0 - g / 2.0, p)
+    q = p.tolist()
+    if max(q) >= 1.0:
+        if granularity is None:
+            raise ValueError(
+                "a p-value of exactly 1 needs the test's resolution (granularity) to be capped"
+            )
+        g = np.broadcast_to(np.asarray(granularity, dtype=np.float64), p.shape).tolist()
+        if any(h <= 0.0 or h > 1.0 for h in g):
+            raise ValueError("granularity values must lie in (0, 1]")
+        q = [1.0 - h / 2.0 if x >= 1.0 else x for x, h in zip(q, g)]
+    # a granularity below 2**-52 caps to 1.0 again, whose quantile is inf
+    return [_norm_inv_cdf(x) if x < 1.0 else math.inf for x in q]
+
+
+def _norm_cdf(x: float) -> float:
+    """Standard normal CDF, split between erf and erfc as SciPy's ndtr is."""
+    z = x * _SQRT1_2
+    if abs(z) < 1.0:
+        return 0.5 + 0.5 * math.erf(z)
+    tail = 0.5 * math.erfc(abs(z))
+    return 1.0 - tail if z > 0 else tail
+
+
+def _chi2_even_sf(k: int, y: float) -> float:
+    """Upper tail of a chi-square with 2k degrees of freedom at 2y."""
+    s = 1.0
+    for i in range(k - 1, 0, -1):
+        s = 1.0 + s * y / i
+    if s == math.inf:
+        # only past y = 709 with k over about a hundred: sum the terms
+        # in log space, each with relative error about y * eps
+        log_y = math.log(y)
+        return math.fsum(math.exp(i * log_y - y - math.lgamma(i + 1)) for i in range(k))
+    half = math.exp(-0.5 * y)
+    return s * half * half
 
 
 def _weighted_z(p: np.ndarray, w: np.ndarray, granularity) -> tuple[float, float]:
-    stat = float(np.dot(w, ndtri(_cap_for_quantile(p, granularity))))
-    return stat, float(ndtr(stat))
+    stat = math.fsum(map(operator.mul, w.tolist(), _normal_scores(p, granularity)))
+    return stat, _norm_cdf(stat)
 
 
 def _fisher(p: np.ndarray) -> tuple[float, float]:
     stat = float(-2.0 * np.log(p).sum())
-    # upper chi-square tail with 2K degrees of freedom via the
-    # regularized incomplete gamma function
-    pval = float(gammaincc(p.size, stat / 2.0))
-    return stat, max(pval, np.nextafter(0, 1))
+    return stat, max(_chi2_even_sf(p.size, stat / 2.0), np.nextafter(0, 1))
 
 
 def _bonferroni(p: np.ndarray) -> tuple[float, float]:

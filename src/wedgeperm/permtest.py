@@ -17,7 +17,7 @@ A TailPlan keeps only what tail counting reads from a relabeling draw
 and evaluates both tails for any shift of the treated arm, so one draw
 serves the p-values at zero shift and a whole confidence-interval
 search.  The rank statistic uses midranks computed here in NumPy, so
-importing the package does not load scipy.stats.
+importing the package does not load SciPy.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaincc, ndtr, ndtri
 
 from wedgeperm import (
     CombinedPValue,
@@ -21,6 +22,7 @@ from wedgeperm import (
     weighted_z_combine,
     weights_from_result,
 )
+from wedgeperm.combine import _chi2_even_sf, _norm_cdf, _normal_scores
 from wedgeperm.rng import generator
 
 from conftest import make_trial
@@ -139,6 +141,77 @@ class TestBonferroni:
 
     def test_all_ones_capped(self):
         assert bonferroni_combine([1.0, 1.0, 1.0]).p_value == 1.0
+
+
+def ulps_apart(a, b) -> np.ndarray:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return np.abs(a - b) / np.spacing(np.maximum(np.abs(a), np.abs(b)))
+
+
+def attainable_pvalues() -> np.ndarray:
+    """Every p-value a test can report, sorted: Monte Carlo, exact, and capped."""
+    ps = set()
+    for budget in (99, 499, 999, 9999):
+        ps.update((1 + c) / (budget + 1) for c in range(budget))
+        ps.add(1.0 - 0.5 / (budget + 1))
+    for m in {math.comb(n, k) for n in range(2, 17) for k in range(1, n)}:
+        ps.update(c / m for c in range(1, m))
+        ps.add(1.0 - 0.5 / m)
+    return np.asarray(sorted(ps))
+
+
+class TestNormalAndChiSquareTails:
+    """The in-package distribution functions against SciPy's."""
+
+    def test_quantile_matches_ndtri_and_is_monotone(self):
+        p = attainable_pvalues()
+        ours = np.asarray(_normal_scores(p, None))
+        assert ulps_apart(ours, ndtri(p)).max() <= 64
+        assert (np.diff(ours) >= 0).all()
+        # a cap below one ulp of 1 leaves p = 1, whose quantile is inf as in ndtri
+        assert _normal_scores(np.asarray([1.0, 0.5]), 1e-17) == [math.inf, 0.0]
+
+    def test_cdf_matches_ndtr(self):
+        x = np.linspace(-38.0, 38.0, 76_001)
+        ours = np.asarray([_norm_cdf(v) for v in x.tolist()])
+        ref = ndtr(x)
+        apart = ulps_apart(ours, ref)
+        assert (apart[np.abs(x) <= 8] <= 64).all()
+        # ndtr forms exp(-z*z) from a rounded square, which alone moves it
+        # up to x**2 / 2 ulps in the lower tail; past x = -37.7 it returns 0
+        # where the true value is subnormal
+        assert (apart[ref > 0] <= (64 + x**2 / 2)[ref > 0]).all()
+        assert (ours[ref == 0] < np.finfo(np.float64).tiny).all()
+        assert (np.diff(ours) >= 0).all()
+
+    def test_even_df_chi_square_tail_matches_gammaincc(self):
+        eps = np.finfo(np.float64).eps
+        y = np.geomspace(1e-12, 2000.0, 3001)
+        for k in range(1, 41):
+            ref = gammaincc(k, y)
+            ours = np.asarray([_chi2_even_sf(k, v) for v in y.tolist()])
+            # gammaincc exponentiates the rounded k*log(y) - y - lgamma(k),
+            # an error of about that exponent times eps of its own
+            exponent = np.abs(k * np.log(y) - y - math.lgamma(k))
+            rtol = np.maximum(1e-13, 4 * eps * exponent)
+            big = ref >= 1e-300
+            assert (np.abs(ours - ref)[big] <= (rtol * ref)[big]).all(), k
+            assert (ours[ref >= np.finfo(np.float64).tiny] > 0).all(), k
+
+    @pytest.mark.parametrize(
+        "k, y, expected, rtol",
+        [
+            # the regularized upper incomplete gamma to 256 bits, rounded
+            (10, 750.0, 3.9825649431765975e-306, 1e-14),
+            (26, 750.9, 3.9982065857104005e-280, 1e-14),
+            (39, 776.8, 5.957011129890495e-273, 1e-14),
+            (38, 813.3, 2.233747937592235e-289, 1e-14),
+            # the sum itself overflows: terms are summed in log space
+            (1000, 1204.0, 6.45420572869353e-10, 1e-12),
+        ],
+    )
+    def test_chi_square_tail_deep_values(self, k, y, expected, rtol):
+        assert _chi2_even_sf(k, y) == pytest.approx(expected, rel=rtol, abs=0)
 
 
 class TestCombinerMonotonicity:

@@ -22,10 +22,13 @@ from wedgeperm import (
     permutation_pvalue,
     rank_sum,
     relabel_plan,
+    write_trial_csv,
 )
 from wedgeperm import permtest
 from wedgeperm.permtest import _count_if_at_most, midranks
 from wedgeperm.rng import generator, seed_sequence
+
+from conftest import make_trial
 
 finite_floats = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
 small_groups = st.tuples(
@@ -92,14 +95,28 @@ class TestStatistics:
             values = gen.integers(0, 5, size) * 0.1 + 0.7
             assert np.array_equal(midranks(values), rankdata(values))
 
-    def test_import_leaves_scipy_stats_unloaded(self):
+    def test_package_and_cli_leave_scipy_unloaded(self, tmp_path):
+        trial = tmp_path / "trial.csv"
+        write_trial_csv(trial, make_trial(36, (12, 12, 12), lag=0, effect=0.8, seed=19))
         src = str(Path(wedgeperm.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, wedgeperm; print('scipy.stats' in sys.modules)"],
-            env=env, capture_output=True, text=True, check=True, timeout=120,
+        analyze = "".join(
+            f"assert cli.main(['analyze', {str(trial)!r}, '--lag', '0', '--budget', '99', "
+            f"'--combiner', {c!r}]) == 0\n"
+            for c in ("weighted_z", "fisher")
         )
-        assert proc.stdout.strip() == "False"
+        simulate = (
+            "assert cli.main(['simulate', '--preset', 'sim1-desk', '--replicates', '1', "
+            "'--out', 'power.csv']) == 0\n"
+        )
+        report = "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        for run in ("", "from wedgeperm import cli\n" + analyze, "from wedgeperm import cli\n" + simulate):
+            code = "import sys, wedgeperm\n" + run + report
+            proc = subprocess.run(
+                [sys.executable, "-c", code],
+                env=env, cwd=tmp_path, capture_output=True, text=True, check=True, timeout=300,
+            )
+            assert proc.stdout.splitlines()[-1] == "[]", code
 
     def test_unknown_statistic_rejected(self):
         s = TwoGroupSample([1.0], [0.0], 2)
