@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -436,7 +437,8 @@ def read_trial_csv(path) -> TrialData:
         n_times = len(head) - 3
         if n_times < 2:
             raise DataFormatError(f"{path}: line 1: need outcome columns y0..yT with T >= 2")
-        units, times, rows = [], [], []
+        # flat typed buffers hold 8 bytes per value, not a Python object
+        units, times, outcomes = array("q"), array("q"), array("d")
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
@@ -447,14 +449,21 @@ def read_trial_csv(path) -> TrialData:
             try:
                 units.append(int(row[0]))
                 times.append(int(row[1]))
-                rows.append([float(v) for v in row[2:]])
+                outcomes.extend(map(float, row[2:]))
             except ValueError as exc:
                 raise DataFormatError(f"{path}: line {lineno}: {exc}") from None
+            except OverflowError:
+                col = len(units) - len(times)  # 0 if the unit overflowed, 1 if the time did
+                raise DataFormatError(
+                    f"{path}: line {lineno}: {head[col]} {row[col].strip()} does not fit in a 64-bit integer"
+                ) from None
     if not units:
         raise DataFormatError(f"{path}: no data rows")
     try:
         data = TrialData(
-            np.asarray(units), CrossoverTimes(np.asarray(times), n_times), np.asarray(rows)
+            np.frombuffer(units, dtype=np.int64),
+            CrossoverTimes(np.frombuffer(times, dtype=np.int64), n_times),
+            np.frombuffer(outcomes).reshape(len(units), n_times + 1),
         )
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from None

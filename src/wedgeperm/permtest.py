@@ -8,16 +8,20 @@ the add-one correction (1 + count) / (budget + 1).
 Monte-Carlo resamples are drawn in fixed blocks of 1024, each block on
 a stream derived from (seed, block index), so results never depend on
 how work is scheduled.  Within a block the uniform keys are drawn in
-row chunks of at most _KEY_CHUNK keys into one reused buffer, so a
-draw's memory is bounded by its selections rather than by budget times
-pool size; the stream fills rows in order, so the selections are
-byte-identical to drawing the whole block's keys at once.
+row chunks of at most _KEY_CHUNK keys into one reused buffer; the
+stream fills rows in order, so the selections are byte-identical to
+drawing the whole block's keys at once.  A plan fixes its streams when
+it is made and replays them chunk by chunk: reducing a draw to its
+per-relabeling selected-slot sums and treated hits needs one key chunk
+plus those B sums and hits, never the B x m selections.
 
 A TailPlan keeps only what tail counting reads from a relabeling draw
 and evaluates both tails for any shift of the treated arm, so one draw
 serves the p-values at zero shift and a whole confidence-interval
-search.  The rank statistic uses midranks computed here in NumPy, so
-importing the package does not load SciPy.
+search.  The difference in means keeps the streamed sums and hits; the
+rank sum re-sums ranks at every shift, so it still keeps the B x m
+selections.  The rank statistic uses midranks computed here in NumPy,
+so importing the package does not load SciPy.
 """
 
 from __future__ import annotations
@@ -129,23 +133,52 @@ def statistic_value(sample: TwoGroupSample, statistic: str) -> float:
     raise ValueError(f"unknown statistic {statistic!r}; choose from {STATISTICS}")
 
 
-@dataclass(frozen=True)
 class RelabelPlan:
-    """A reusable draw of treated-slot selections for one pool size.
+    """A fixed draw of treated-slot selections for one pool size.
 
     ``selections`` has one row per relabeling, listing which pooled
     slots are called treated.  Exact plans enumerate all C(m+n, m)
-    subsets; Monte-Carlo plans hold ``n_resamples`` uniform draws.
+    subsets.  Monte-Carlo plans hold the streams of ``n_resamples``
+    uniform draws and replay them: ``reduce`` visits the draw one key
+    chunk at a time and keeps none of it, while ``selections`` (and
+    ``sums`` and ``treated_hits``, which read it) materialises the whole
+    draw once and keeps it.
     """
 
-    selections: np.ndarray
-    n_treated: int
-    pool_size: int
-    exact: bool
+    def __init__(self, n_treated: int, pool_size: int, n_resamples: int, exact: bool,
+                 streams: tuple[np.random.SeedSequence, ...] = (), selections: np.ndarray | None = None):
+        self.n_treated = n_treated
+        self.pool_size = pool_size
+        self.n_resamples = n_resamples
+        self.exact = exact
+        self._streams = streams
+        self._selections = selections
+
+    def _chunks(self):
+        """(first row, selections of the rows) for each key chunk of the
+        Monte-Carlo draw, in row order; the first chunk is the largest."""
+        m, budget = self.n_treated, self.n_resamples
+        rows = max(1, _KEY_CHUNK // self.pool_size)
+        keys = np.empty((min(rows, _BLOCK, budget), self.pool_size))
+        for block, stream in enumerate(self._streams):
+            rng = np.random.default_rng(stream)
+            block_end = min((block + 1) * _BLOCK, budget)
+            for lo in range(block * _BLOCK, block_end, rows):
+                chunk_keys = keys[: min(rows, block_end - lo)]
+                rng.random(out=chunk_keys)
+                # the n_treated smallest keys per row form a uniform subset
+                yield lo, np.argpartition(chunk_keys, m - 1, axis=1)[:, :m]
 
     @property
-    def n_resamples(self) -> int:
-        return int(self.selections.shape[0])
+    def selections(self) -> np.ndarray:
+        """The whole draw, materialised on first use and kept."""
+        if self._selections is None:
+            sel = np.empty((self.n_resamples, self.n_treated), dtype=np.intp)
+            for lo, chunk in self._chunks():
+                sel[lo : lo + chunk.shape[0]] = chunk
+                del chunk  # free its index before the next chunk is drawn
+            self._selections = sel
+        return self._selections
 
     def sums(self, values: np.ndarray) -> np.ndarray:
         """Selected-slot sums of ``values`` for every relabeling."""
@@ -154,6 +187,28 @@ class RelabelPlan:
     def treated_hits(self) -> np.ndarray:
         """Per relabeling, how many originally-treated slots were selected."""
         return (self.selections < self.n_treated).sum(axis=1)
+
+    def reduce(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``sums(values)`` and ``treated_hits()`` in one pass over the
+        draw; a draw not yet materialised is visited one key chunk at a
+        time and none of it is kept."""
+        if self._selections is not None:
+            return self.sums(values), self.treated_hits()
+        sums = np.empty(self.n_resamples)
+        hits = np.empty(self.n_resamples, dtype=np.intp)
+        buf = None
+        for lo, chunk in self._chunks():
+            if buf is None:
+                buf = np.empty(chunk.shape, dtype=np.intp)
+            # a contiguous copy of argpartition's strided columns gathers
+            # faster than the columns themselves
+            sel = buf[: chunk.shape[0]]
+            np.copyto(sel, chunk)
+            del chunk  # free its index before the gather and the next chunk
+            hi = lo + sel.shape[0]
+            values[sel].sum(axis=1, out=sums[lo:hi])
+            (sel < self.n_treated).sum(axis=1, out=hits[lo:hi])
+        return sums, hits
 
 
 def _count_if_at_most(pool_size: int, n_treated: int, limit: int) -> int | None:
@@ -179,7 +234,11 @@ def relabel_plan(
     exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
     seed=None,
 ) -> RelabelPlan:
-    """Enumerate or sample treated-slot selections for a pooled test."""
+    """Enumerate or sample treated-slot selections for a pooled test.
+
+    A Monte-Carlo draw is fixed here, ``seed=None`` resolving to one
+    fresh entropy, and the plan replays it on demand.
+    """
     if not 1 <= n_treated < pool_size:
         raise ValueError("need at least one treated and one control slot")
     if budget < 1:
@@ -191,31 +250,9 @@ def relabel_plan(
             dtype=np.intp,
             count=total * n_treated,
         ).reshape(total, n_treated)
-        return RelabelPlan(sel, n_treated, pool_size, True)
-    root = seed_sequence(seed)
-    n_blocks = (budget + _BLOCK - 1) // _BLOCK
-    rows = max(1, _KEY_CHUNK // pool_size)
-    keys = np.empty((min(rows, _BLOCK, budget), pool_size))
-    sel = np.empty((budget, n_treated), dtype=np.intp)
-    for block, child in enumerate(root.spawn(n_blocks)):
-        rng = np.random.default_rng(child)
-        block_end = min((block + 1) * _BLOCK, budget)
-        for lo in range(block * _BLOCK, block_end, rows):
-            chunk = keys[: min(rows, block_end - lo)]
-            rng.random(out=chunk)
-            # the n_treated smallest keys per row form a uniform subset
-            sel[lo : lo + chunk.shape[0]] = np.argpartition(chunk, n_treated - 1, axis=1)[:, :n_treated]
-    return RelabelPlan(sel, n_treated, pool_size, False)
-
-
-def _selected_sums(pool: np.ndarray, n_treated: int, plan: RelabelPlan, statistic: str):
-    """Per-relabeling selected-slot sums and the observed sum of the
-    values every supported statistic is a monotone function of."""
-    if statistic == "rank_sum":
-        pool = midranks(pool)
-    elif statistic != "diff_in_means":
-        raise ValueError(f"unknown statistic {statistic!r}; choose from {STATISTICS}")
-    return plan.sums(pool), float(pool[:n_treated].sum())
+        return RelabelPlan(n_treated, pool_size, total, True, selections=sel)
+    streams = tuple(seed_sequence(seed).spawn((budget + _BLOCK - 1) // _BLOCK))
+    return RelabelPlan(n_treated, pool_size, budget, False, streams=streams)
 
 
 def _count_pvalues(n_le, n_ge, n_resamples: int, exact: bool):
@@ -264,9 +301,10 @@ class TailPlan:
     both tail counts are step functions of delta:
 
     - difference in means: only the per-relabeling selected-slot sums
-      and treated hits are kept.  Relabeling r with h_r < m treated hits
-      ties the observed statistic at delta = (obs - sum_r) / (m - h_r);
-      the relabelings with h_r = m add a constant count.
+      and treated hits are kept, reduced from the draw chunk by chunk.
+      Relabeling r with h_r < m treated hits ties the observed statistic
+      at delta = (obs - sum_r) / (m - h_r); the relabelings with h_r = m
+      add a constant count.
     - rank sum: the selections are kept to sum ranks.  The pooled order
       changes only where a shifted treated value x_i - delta passes a
       control value y_j, at delta = x_i - y_j; the m * n differences are
@@ -285,8 +323,9 @@ class TailPlan:
         self.exact = plan.exact
         self.n_resamples = plan.n_resamples
         if statistic == "diff_in_means":
-            self._sums, self._obs = _selected_sums(sample.pooled(), sample.n_treated, plan, statistic)
-            self._hits = plan.treated_hits()
+            pool = sample.pooled()
+            self._sums, self._hits = plan.reduce(pool)
+            self._obs = float(pool[: sample.n_treated].sum())
         else:
             self._plan = plan
 
@@ -322,7 +361,8 @@ class TailPlan:
     def _rank_tails(self, delta: float):
         pool = self.sample.pooled()
         pool[: self.sample.n_treated] -= delta
-        return _tail_pvalues(*_selected_sums(pool, self.sample.n_treated, self._plan, "rank_sum"), self.exact)
+        ranks = midranks(pool)
+        return _tail_pvalues(self._plan.sums(ranks), float(ranks[: self.sample.n_treated].sum()), self.exact)
 
     def tails(self, deltas) -> tuple[np.ndarray, np.ndarray]:
         """(p_less, p_greater) of the shifted test at every delta."""
@@ -372,7 +412,14 @@ class TailPlan:
             p_less, p_greater = _tail_pvalues(self._sums, self._obs, self.exact)
         else:
             p_less, p_greater = self._rank_tails(0.0)
-        return _result(self.sample, self.statistic, p_less, p_greater, self.n_resamples, self.exact)
+        return PermutationResult(
+            statistic=statistic_value(self.sample, self.statistic),
+            p_less=float(p_less),
+            p_greater=float(p_greater),
+            n_resamples=self.n_resamples,
+            exact=self.exact,
+            statistic_name=self.statistic,
+        )
 
 
 @dataclass(frozen=True)
@@ -426,17 +473,4 @@ def permutation_pvalue(
             exact_threshold=exact_threshold,
             seed=seed,
         )
-    sums, observed = _selected_sums(sample.pooled(), sample.n_treated, plan, statistic)
-    p_less, p_greater = _tail_pvalues(sums, observed, plan.exact)
-    return _result(sample, statistic, p_less, p_greater, plan.n_resamples, plan.exact)
-
-
-def _result(sample, statistic, p_less, p_greater, n_resamples, exact) -> PermutationResult:
-    return PermutationResult(
-        statistic=statistic_value(sample, statistic),
-        p_less=float(p_less),
-        p_greater=float(p_greater),
-        n_resamples=n_resamples,
-        exact=exact,
-        statistic_name=statistic,
-    )
+    return TailPlan(sample, plan, statistic).result()

@@ -89,6 +89,12 @@ class TestAnalyze:
         assert main(["analyze", str(path), "--lag", "0"]) == EXIT_DATA
         assert "line 3" in capsys.readouterr().err
 
+    def test_oversized_unit_id_is_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text("unit,crossover_time,y0,y1,y2\n1,1,0.0,0.1,0.2\n99999999999999999999,2,0.0,0.1,0.2\n")
+        assert main(["analyze", str(path), "--lag", "0"]) == EXIT_DATA
+        assert "line 3" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert main(["analyze", "/nonexistent/trial.csv", "--lag", "0"]) == EXIT_DATA
 

@@ -263,6 +263,15 @@ class TestTrialCsv:
         with pytest.raises(DataFormatError, match="line 2"):
             read_trial_csv(path)
 
+    @pytest.mark.parametrize(
+        "column, row", [("unit", "99999999999999999999,2"), ("crossover_time", "1,-99999999999999999999")]
+    )
+    def test_integer_beyond_int64_cites_line(self, tmp_path, column, row):
+        path = tmp_path / "trial.csv"
+        path.write_text(f"unit,crossover_time,y0,y1,y2\n0,1,0.0,0.1,0.2\n{row},0.0,0.0,0.0\n")
+        with pytest.raises(DataFormatError, match=f"line 3: {column} .* 64-bit"):
+            read_trial_csv(path)
+
     def test_misordered_outcome_columns_rejected(self, tmp_path):
         path = tmp_path / "trial.csv"
         path.write_text("unit,crossover_time,y1,y0,y2\n0,1,0,0,0\n")

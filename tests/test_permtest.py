@@ -17,6 +17,7 @@ from scipy.stats import rankdata
 import wedgeperm
 from wedgeperm import (
     PermutationResult,
+    TailPlan,
     TwoGroupSample,
     diff_in_means,
     permutation_pvalue,
@@ -180,16 +181,46 @@ class TestRelabelPlan:
             assert plan.selections.dtype == ref.dtype
             assert np.array_equal(plan.selections, ref)
 
+    @pytest.mark.parametrize("chunk", [7, 100, 1 << 20])
+    @pytest.mark.parametrize("seed", [11, None])
+    def test_streamed_reduction_equals_materialised_selections(self, monkeypatch, chunk, seed):
+        monkeypatch.setattr(permtest, "_KEY_CHUNK", chunk)
+        for pool, m, budget in ((30, 10, 2500), (100, 17, 499), (7, 3, 1025)):
+            plan = relabel_plan(pool, m, budget=budget, exact_threshold=1, seed=seed)
+            values = generator(pool).normal(size=pool)
+            # streamed first, so the selections are drawn only afterwards
+            sums, hits = plan.reduce(values)
+            ref_sums, ref_hits = plan.sums(values), plan.treated_hits()
+            assert sums.dtype == ref_sums.dtype and sums.tobytes() == ref_sums.tobytes()
+            assert hits.dtype == ref_hits.dtype and np.array_equal(hits, ref_hits)
+
     def test_monte_carlo_draw_memory_is_bounded(self):
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            relabel_plan(20_000, 10, budget=999, exact_threshold=1, seed=0)
+            # reading the selections forces the draw
+            relabel_plan(20_000, 10, budget=999, exact_threshold=1, seed=0).selections
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    def test_streamed_tail_plan_keeps_no_selections(self):
+        # m = 5000 of pool 25 000 at B = 999: the selections and their
+        # gather would take 38 MiB each
+        values = generator(4).normal(size=25_000)
+        sample = TwoGroupSample(values[:5000], values[5000:], 50_000)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            plan = relabel_plan(25_000, 5000, budget=999, exact_threshold=1, seed=0)
+            TailPlan(sample, plan, "diff_in_means")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
     def test_exact_threshold_boundary(self):
         for pool, m in ((10, 3), (12, 6), (200, 199), (25_000, 1)):
