@@ -53,9 +53,7 @@ from .mcrt import (
     build_family,
     build_groups,
     build_schedule,
-    imputable_units,
     read_trial_csv,
-    run_groups,
     run_mcrts,
     write_trial_csv,
 )
@@ -65,7 +63,6 @@ from .combine import (
     WeightVector,
     bonferroni_combine,
     combined_from_mcrt,
-    combined_from_tests,
     estimate_lambda,
     fisher_combine,
     weighted_z_combine,
@@ -77,8 +74,6 @@ from .ci import (
     invert_combined,
     invert_single,
     read_ci_csv,
-    shift_outcomes,
-    tail_pvalues,
     write_ci_csv,
 )
 from .validate import (

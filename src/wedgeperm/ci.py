@@ -17,12 +17,14 @@ the endpoints are exactly
 - upper: the supremum of {delta : combined p_less(delta) >= alpha/2},
 
 each a candidate shift.  A bisection on delta finds them, evaluating
-the curve only on the open cells between candidates, so rounding at a
-tie never decides an endpoint.  A side whose tail stays at or above
-alpha/2 beyond every candidate is unbounded (-inf or inf); when the
-lower endpoint exceeds the upper one no delta is accepted and the set
-is empty (both endpoints nan).  The combined interval evaluates the
-same LagFamily that gives the analysis its p-values, so a caller
+the curve only on the open cells between candidates; no shifted
+outcome is ever formed, so rounding at a tie never decides an
+endpoint.  A side whose tail stays at or above alpha/2 beyond every
+candidate is unbounded (-inf or inf); when the lower endpoint exceeds
+the upper one no delta is accepted and the set is empty (both
+endpoints nan).  The combined interval evaluates the
+same LagFamily that gives the analysis its p-values, through the same
+kept tests and weights as the combined p-value (combine), so a caller
 holding one passes it in rather than drawing the relabelings again.
 """
 
@@ -35,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .combine import _tail_combiner, _weights_from_moments
+from .combine import _combiner
 from .design import DataFormatError
 from .mcrt import LagFamily, TestConfig, TrialData, _family_for
 from .permtest import TailPlan, TwoGroupSample, relabel_plan
@@ -44,8 +46,6 @@ from .rng import seed_sequence
 __all__ = [
     "CIConfig",
     "ConfidenceInterval",
-    "shift_outcomes",
-    "tail_pvalues",
     "invert_single",
     "invert_combined",
     "read_ci_csv",
@@ -71,9 +71,8 @@ class ConfidenceInterval:
 
     Endpoints are exact candidate shifts, -inf/inf for an unbounded
     side, or both nan when no shift is accepted (``empty``).
-    ``resolution`` is 0.0 for an exact search (nan when read back from
-    CSV); ``n_grid`` counts the shifts at which the combined curve was
-    evaluated.
+    ``n_grid`` counts the shifts at which the combined curve was
+    evaluated (0 when read back from CSV).
     """
 
     lag: int | None
@@ -81,7 +80,6 @@ class ConfidenceInterval:
     level: float
     lower: float
     upper: float
-    resolution: float
     n_grid: int
 
     def __post_init__(self):
@@ -102,44 +100,15 @@ class ConfidenceInterval:
         return 0.0 if self.empty else self.upper - self.lower
 
 
-def shift_outcomes(sample: TwoGroupSample, delta: float) -> TwoGroupSample:
-    """Subtract a hypothesized constant effect from the treated arm."""
-    return TwoGroupSample(sample.treated - delta, sample.control, sample.scale_n)
-
-
-def tail_pvalues(sample: TwoGroupSample, delta: float, cfg: CIConfig, seed=None) -> tuple[float, float]:
-    """(p1, p2) for one delta: lower and upper tail of the shifted test.
-
-    p1 is the probability of a relabeled statistic <= the observed one
-    on the shifted data, p2 of >=.  Driving delta to +infinity sends the
-    shifted treated mean down, so p1 -> small and p2 -> 1; p1 is
-    non-increasing and p2 non-decreasing in delta.
-    """
-    p1, p2 = _tail_plan(sample, cfg, seed).tails(np.asarray([float(delta)]))
-    return float(p1[0]), float(p2[0])
-
-
-def _tail_plan(sample: TwoGroupSample, cfg: CIConfig, seed=None) -> TailPlan:
-    t = cfg.test
-    plan = relabel_plan(
-        sample.n_treated + sample.n_control,
-        sample.n_treated,
-        budget=t.budget,
-        exact_threshold=t.exact_threshold,
-        seed=seed if seed is not None else seed_sequence(t.seed, 0),
-    )
-    return TailPlan(sample, plan, t.statistic)
-
-
 def _exact_interval(
-    plans: Sequence[TailPlan], combined: Callable[[np.ndarray], float], alpha: float
+    plans: Sequence[TailPlan], combined: Callable[[np.ndarray], tuple[float, float]], alpha: float
 ) -> tuple[float, float, int]:
     """(lower, upper, evaluations) of the set accepted by the combined test.
 
     ``combined`` maps one tail's p-values, one per plan, to the combined
-    p-value; it is non-decreasing in each.  Lower is the smallest
-    candidate c whose combined p_greater on the cell just above c
-    reaches alpha/2 (p_greater only grows with delta), upper the
+    (statistic, p-value), the p-value non-decreasing in each.  Lower is
+    the smallest candidate c whose combined p_greater on the cell just
+    above c reaches alpha/2 (p_greater only grows with delta), upper the
     largest c whose combined p_less on the cell just below c does.
     """
     thr = alpha / 2.0
@@ -163,7 +132,7 @@ def _exact_interval(
             if not lo < mid < hi:  # no shift strictly between neighbours
                 mid = hi if upper else lo
             p_less, p_greater, below, above = curve(mid, side)
-            accepted = combined(p_less if upper else p_greater) >= thr
+            accepted = combined(p_less if upper else p_greater)[1] >= thr
             if accepted == upper:  # the endpoint lies at or above the cell
                 lo = above
             else:  # at or below it
@@ -172,25 +141,36 @@ def _exact_interval(
 
     first_less, first_greater, _, first = curve(-math.inf, "right")
     last_less, last_greater, last, _ = curve(math.inf, "left")
-    if combined(last_greater) < thr or combined(first_less) < thr:
+    if combined(last_greater)[1] < thr or combined(first_less)[1] < thr:
         return math.nan, math.nan, evaluations
-    lower = -math.inf if combined(first_greater) >= thr else endpoint(first, last, upper=False)
-    upper = math.inf if combined(last_less) >= thr else endpoint(first, last, upper=True)
+    lower = -math.inf if combined(first_greater)[1] >= thr else endpoint(first, last, upper=False)
+    upper = math.inf if combined(last_less)[1] >= thr else endpoint(first, last, upper=True)
     if lower > upper:
         return math.nan, math.nan, evaluations
     return lower, upper, evaluations
 
 
 def invert_single(sample: TwoGroupSample, cfg: CIConfig = CIConfig(), lag: int | None = None) -> ConfidenceInterval:
-    """Invert one two-group permutation test into a level 1-alpha set."""
-    lower, upper, evaluations = _exact_interval([_tail_plan(sample, cfg)], lambda p: float(p[0]), cfg.alpha)
+    """Invert one two-group permutation test into a level 1-alpha set.
+
+    The relabelings are drawn once, on the stream keyed by (seed, 0).
+    """
+    t = cfg.test
+    plan = relabel_plan(
+        sample.n_treated + sample.n_control,
+        sample.n_treated,
+        budget=t.budget,
+        exact_threshold=t.exact_threshold,
+        seed=seed_sequence(t.seed, 0),
+    )
+    tail = TailPlan(sample, plan, t.statistic)
+    lower, upper, evaluations = _exact_interval([tail], lambda p: (p[0], p[0]), cfg.alpha)
     return ConfidenceInterval(
         lag=lag,
         method="single",
         level=1.0 - cfg.alpha,
         lower=lower,
         upper=upper,
-        resolution=0.0,
         n_grid=evaluations,
     )
 
@@ -205,9 +185,10 @@ def invert_combined(
     """Invert the whole lag-l test family through a combiner.
 
     Each test's treated outcomes are shifted by delta and tails are
-    combined per tail (precision weights are shift-invariant, computed
-    once); the set collects deltas where each combined tail stays at or
-    above alpha/2.  Relabeling streams are keyed by (seed, test time),
+    combined per tail over the tests the combiner keeps (precision
+    weights are shift-invariant, computed once, as for the p-value);
+    the set collects deltas where each combined tail stays at or above
+    alpha/2.  Relabeling streams are keyed by (seed, test time),
     matching the analysis run and shared across all deltas; a
     ``family`` from build_family(data, lag, cfg.test) supplies them
     already drawn.
@@ -215,22 +196,15 @@ def invert_combined(
     family = _family_for(data, lag, cfg.test, family)
     if not family.tests:
         raise ValueError(f"no testable groups at lag {lag} (all below min_arm)")
-    pairs = list(zip(family.tests, family.tails))
-    weights = None
-    if method == "weighted_z":
-        weights = _weights_from_moments(family.tests, family.n_units)
-        kept_times = set(weights.test_times)
-        pairs = [(t, tail) for t, tail in pairs if t.test_time in kept_times]
-    gran = np.asarray([tail.granularity for _, tail in pairs])
-    combined = _tail_combiner(method, weights, gran)
-    lower, upper, evaluations = _exact_interval([tail for _, tail in pairs], combined, cfg.alpha)
+    kept, combined = _combiner(family.tests, family.n_units, method)
+    tails = {t.test_time: tail for t, tail in zip(family.tests, family.tails)}
+    lower, upper, evaluations = _exact_interval([tails[t.test_time] for t in kept], combined, cfg.alpha)
     return ConfidenceInterval(
         lag=lag,
         method=method,
         level=1.0 - cfg.alpha,
         lower=lower,
         upper=upper,
-        resolution=0.0,
         n_grid=evaluations,
     )
 
@@ -272,7 +246,6 @@ def read_ci_csv(path) -> list[ConfidenceInterval]:
                         level=float(row[2]),
                         lower=float(row[3]),
                         upper=float(row[4]),
-                        resolution=math.nan,
                         n_grid=0,
                     )
                 )

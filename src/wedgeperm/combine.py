@@ -44,7 +44,6 @@ __all__ = [
     "weighted_z_combine",
     "fisher_combine",
     "bonferroni_combine",
-    "combined_from_tests",
     "combined_from_mcrt",
     "COMBINERS",
 ]
@@ -240,7 +239,8 @@ def _weighted_z(p: np.ndarray, w: np.ndarray, granularity) -> tuple[float, float
 
 def _fisher(p: np.ndarray) -> tuple[float, float]:
     stat = float(-2.0 * np.log(p).sum())
-    return stat, max(_chi2_even_sf(p.size, stat / 2.0), np.nextafter(0, 1))
+    # the tail's rounding can pass 1 when every p-value is near 1
+    return stat, min(1.0, max(_chi2_even_sf(p.size, stat / 2.0), np.nextafter(0, 1)))
 
 
 def _bonferroni(p: np.ndarray) -> tuple[float, float]:
@@ -278,62 +278,45 @@ def bonferroni_combine(pvalues) -> CombinedPValue:
     return CombinedPValue("bonferroni", "one-sided", *_bonferroni(p), p.size)
 
 
-def _tail_combiner(method: str, weights: WeightVector | None = None, granularity=None):
-    """The combined p-value as a function of one tail's p-value vector.
+def _combiner(tests: Sequence, n_total: int, method: str):
+    """(kept tests, one-tail combination) for ``method`` over completed tests.
 
-    For repeated evaluation on p-values already known to lie in (0, 1],
-    such as an interval search over shifted tests: the statistic and
-    its guards are the ones the public combiners use, without their
-    per-call checks.
+    The combination maps the kept tests' p-values from one tail, in
+    order, to (statistic, combined p-value) through the cores the public
+    combiners use, without their per-call checks.  weighted_z keeps the
+    tests with estimable precision and weights them over those alone;
+    the other combiners keep every test.
     """
     if method == "weighted_z":
-        if weights is None:
-            raise ValueError("weighted_z needs a weight vector")
-        return lambda p: _weighted_z(p, weights.weights, granularity)[1]
+        weights = _weights_from_moments(tests, n_total)
+        kept_times = set(weights.test_times)
+        kept = [t for t in tests if t.test_time in kept_times]
+        gran = np.asarray([t.granularity for t in kept])
+        return kept, lambda p: _weighted_z(p, weights.weights, gran)
     if method == "fisher":
-        return lambda p: _fisher(p)[1]
+        return list(tests), _fisher
     if method == "bonferroni":
-        return lambda p: _bonferroni(p)[1]
+        return list(tests), _bonferroni
     raise ValueError(f"unknown combiner {method!r}; choose from {COMBINERS}")
 
 
-def _combine_tail(pvalues, method: str, weights=None, granularity=None) -> CombinedPValue:
-    if method == "weighted_z":
-        if weights is None:
-            raise ValueError("weighted_z needs a weight vector")
-        return weighted_z_combine(pvalues, weights, granularity)
-    if method == "fisher":
-        return fisher_combine(pvalues)
-    if method == "bonferroni":
-        return bonferroni_combine(pvalues)
-    raise ValueError(f"unknown combiner {method!r}; choose from {COMBINERS}")
+def combined_from_mcrt(result, method: str, alternative: str = "greater") -> CombinedPValue:
+    """Combine the p-values of a result's completed tests.
 
-
-def combined_from_tests(tests: Sequence, n_total: int, method: str, alternative: str = "greater") -> CombinedPValue:
-    """Combine the p-values of completed tests.
-
-    ``alternative`` is "greater" (treatment raises outcomes, the
-    default), "less", or "two-sided" (both tails combined separately,
-    then twice the smaller combined p, capped at 1).  For weighted_z,
-    tests without estimable precision are dropped from the combination
-    with their weight.
+    ``result`` is an McrtResult, or any object with ``tests`` and
+    ``n_units``.  ``alternative`` is "greater" (treatment raises
+    outcomes, the default), "less", or "two-sided" (both tails combined
+    separately, then twice the smaller combined p, capped at 1).  For
+    weighted_z, tests without estimable precision are dropped from the
+    combination with their weight.
     """
-    tests = list(tests)
-    if not tests:
+    if not result.tests:
         raise ValueError("no tests to combine")
-    if method == "weighted_z":
-        wv = _weights_from_moments(tests, n_total)
-        kept = [t for t in tests if t.test_time in set(wv.test_times)]
-        weights = wv
-    else:
-        kept = tests
-        weights = None
-    gran = np.asarray([t.granularity for t in kept])
+    kept, combine = _combiner(result.tests, result.n_units, method)
 
     def one_tail(tail: str) -> CombinedPValue:
         p = np.asarray([t.result.p_less if tail == "less" else t.result.p_greater for t in kept])
-        c = _combine_tail(p, method, weights, gran)
-        return CombinedPValue(method, tail, c.statistic, c.p_value, c.n_tests)
+        return CombinedPValue(method, tail, *combine(p), p.size)
 
     if alternative in ("less", "greater"):
         return one_tail(alternative)
@@ -345,8 +328,3 @@ def combined_from_tests(tests: Sequence, n_total: int, method: str, alternative:
     return CombinedPValue(
         method, "two-sided", side.statistic, min(1.0, 2.0 * side.p_value), side.n_tests
     )
-
-
-def combined_from_mcrt(result, method: str, alternative: str = "greater") -> CombinedPValue:
-    """Convenience wrapper over combined_from_tests for an McrtResult."""
-    return combined_from_tests(result.tests, result.n_units, method, alternative)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -257,12 +258,12 @@ def read_assignment_csv(path, n_times: int | None = None) -> tuple[np.ndarray, C
     When ``n_times`` is omitted it is inferred as the largest time seen.
     Schema violations raise DataFormatError naming the offending line.
     """
-    units: list[int] = []
-    times: list[int] = []
+    head = ("unit", "crossover_time")
+    units, times = array("q"), array("q")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["unit", "crossover_time"]:
+        if header is None or tuple(h.strip() for h in header[:2]) != head:
             raise DataFormatError(f"{path}: line 1: expected header 'unit,crossover_time'")
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
@@ -274,11 +275,16 @@ def read_assignment_csv(path, n_times: int | None = None) -> tuple[np.ndarray, C
                 times.append(int(row[1]))
             except ValueError as exc:
                 raise DataFormatError(f"{path}: line {lineno}: {exc}") from None
+            except OverflowError:
+                col = len(units) - len(times)  # 0 if the unit overflowed, 1 if the time did
+                raise DataFormatError(
+                    f"{path}: line {lineno}: {head[col]} {row[col].strip()} does not fit in a 64-bit integer"
+                ) from None
     if not units:
         raise DataFormatError(f"{path}: no data rows")
     inferred = max(times) if n_times is None else int(n_times)
     try:
-        ct = CrossoverTimes(np.asarray(times), max(inferred, 2))
+        ct = CrossoverTimes(np.frombuffer(times, dtype=np.int64), max(inferred, 2))
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
-    return np.asarray(units, dtype=np.int64), ct
+    return np.array(units, dtype=np.int64), ct

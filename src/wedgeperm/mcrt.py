@@ -44,9 +44,7 @@ __all__ = [
     "build_schedule",
     "build_groups",
     "build_family",
-    "run_groups",
     "run_mcrts",
-    "imputable_units",
     "read_trial_csv",
     "write_trial_csv",
 ]
@@ -175,7 +173,8 @@ class TrialData:
         outcomes = np.array(self.outcomes, dtype=np.float64, copy=True)
         if units.ndim != 1:
             raise ValueError("unit ids must be 1-d")
-        if len(set(units.tolist())) != units.size:
+        ordered = np.sort(units)
+        if (ordered[1:] == ordered[:-1]).any():
             raise ValueError("unit ids must be distinct")
         if outcomes.ndim != 2:
             raise ValueError("outcome panel must be 2-d")
@@ -342,16 +341,6 @@ def _plan_groups(data: TrialData, groups, cfg: TestConfig):
     return tests, tails, skips
 
 
-def run_groups(data: TrialData, groups, cfg: TestConfig) -> tuple[tuple[McrtTest, ...], tuple[McrtSkip, ...]]:
-    """Run the permutation engine over prepared groups.
-
-    Groups with an arm below ``cfg.min_arm`` are skipped with a reason
-    rather than tested; callers decide how to report them.
-    """
-    tests, _, skips = _plan_groups(data, groups, cfg)
-    return tuple(tests), tuple(skips)
-
-
 def build_family(data: TrialData, lag: int, cfg: TestConfig = TestConfig()) -> LagFamily:
     """Draw the relabelings of the whole lag-l test family once."""
     schedule = build_schedule(data.n_times, lag)
@@ -378,32 +367,6 @@ def run_mcrts(
     its relabelings.
     """
     return _family_for(data, lag, cfg, family).result()
-
-
-def imputable_units(z, z_star, t: int, lag: int) -> np.ndarray:
-    """Units whose lag-l outcome at time t+lag is imputable under both assignments.
-
-    A unit qualifies iff under each assignment its first t+lag columns
-    are either "crossed exactly at t" or "not yet crossed by t+lag",
-    i.e. its crossover time is t or at least t+lag+1.
-    """
-    a = _as_times_array(z)
-    b = _as_times_array(z_star)
-    if a.shape != b.shape:
-        raise ValueError("assignments must cover the same units")
-    n_times = None
-    for obj in (z, z_star):
-        if isinstance(obj, CrossoverTimes):
-            n_times = obj.n_times
-        elif isinstance(obj, AssignmentMatrix):
-            n_times = obj.n_times
-    if n_times is None:
-        n_times = int(max(a.max(), b.max()))
-    if not 1 <= t <= n_times - lag:
-        raise ValueError(f"t must lie in 1..{n_times - lag} so the outcome time exists")
-    ok_a = (a == t) | (a >= t + lag + 1)
-    ok_b = (b == t) | (b >= t + lag + 1)
-    return np.flatnonzero(ok_a & ok_b)
 
 
 def write_trial_csv(path, data: TrialData) -> None:

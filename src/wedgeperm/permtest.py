@@ -311,8 +311,8 @@ class TailPlan:
       never formed, both arms are sorted and counted by bisection.
 
     ``cell`` evaluates the tails on the open cell beside a shift, where
-    they are constant, with the candidates that bound it; ``tails``
-    evaluates them at given shifts, ties counting toward both tails.
+    they are constant, with the candidates that bound it; ``result``
+    gives the unshifted test.
     """
 
     def __init__(self, sample: TwoGroupSample, plan: RelabelPlan, statistic: str):
@@ -353,28 +353,6 @@ class TailPlan:
             t_order, self.sample.n_treated + c_order, ranks,
         )
 
-    @property
-    def granularity(self) -> float:
-        """Smallest attainable p-value increment for this test."""
-        return 1.0 / self.n_resamples if self.exact else 1.0 / (self.n_resamples + 1)
-
-    def _rank_tails(self, delta: float):
-        pool = self.sample.pooled()
-        pool[: self.sample.n_treated] -= delta
-        ranks = midranks(pool)
-        return _tail_pvalues(self._plan.sums(ranks), float(ranks[: self.sample.n_treated].sum()), self.exact)
-
-    def tails(self, deltas) -> tuple[np.ndarray, np.ndarray]:
-        """(p_less, p_greater) of the shifted test at every delta."""
-        deltas = np.asarray(deltas, dtype=np.float64)
-        if self.statistic == "diff_in_means":
-            b, fixed_le, fixed_ge = self._breaks
-            n_le = fixed_le + b.size - np.searchsorted(b, deltas, "left")
-            n_ge = fixed_ge + np.searchsorted(b, deltas, "right")
-            return _count_pvalues(n_le, n_ge, self.n_resamples, self.exact)
-        tails = [self._rank_tails(d) for d in deltas]
-        return np.array([p for p, _ in tails]), np.array([p for _, p in tails])
-
     def cell(self, v: float, side: str) -> tuple[float, float, float, float]:
         """Both tails on the open cell just above (``side="right"``) or
         just below (``"left"``) the shift ``v``, where they are constant.
@@ -411,7 +389,9 @@ class TailPlan:
         if self.statistic == "diff_in_means":
             p_less, p_greater = _tail_pvalues(self._sums, self._obs, self.exact)
         else:
-            p_less, p_greater = self._rank_tails(0.0)
+            ranks = midranks(self.sample.pooled())
+            obs = float(ranks[: self.sample.n_treated].sum())
+            p_less, p_greater = _tail_pvalues(self._plan.sums(ranks), obs, self.exact)
         return PermutationResult(
             statistic=statistic_value(self.sample, self.statistic),
             p_less=float(p_less),
@@ -451,7 +431,6 @@ def permutation_pvalue(
     statistic: str = "diff_in_means",
     exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
     seed=None,
-    plan: RelabelPlan | None = None,
 ) -> PermutationResult:
     """Both one-sided p-values for a two-group comparison.
 
@@ -462,15 +441,14 @@ def permutation_pvalue(
     ``budget`` Monte-Carlo relabelings are drawn on streams derived from
     ``seed`` and the add-one correction keeps p-values positive.
 
-    A precomputed ``plan`` may be supplied to share relabelings across
-    calls.
+    To share one draw of relabelings across calls, build the plan with
+    relabel_plan and evaluate ``TailPlan(sample, plan, statistic).result()``.
     """
-    if plan is None:
-        plan = relabel_plan(
-            sample.n_treated + sample.n_control,
-            sample.n_treated,
-            budget=budget,
-            exact_threshold=exact_threshold,
-            seed=seed,
-        )
+    plan = relabel_plan(
+        sample.n_treated + sample.n_control,
+        sample.n_treated,
+        budget=budget,
+        exact_threshold=exact_threshold,
+        seed=seed,
+    )
     return TailPlan(sample, plan, statistic).result()

@@ -13,6 +13,7 @@ from wedgeperm import (
     ConfidenceInterval,
     CrossoverTimes,
     Sim1Config,
+    TailPlan,
     TestConfig,
     TrialData,
     TwoGroupSample,
@@ -25,9 +26,8 @@ from wedgeperm import (
     invert_single,
     permutation_pvalue,
     read_ci_csv,
+    relabel_plan,
     run_mcrts,
-    shift_outcomes,
-    tail_pvalues,
     weighted_z_combine,
     weights_from_result,
     write_ci_csv,
@@ -42,24 +42,35 @@ def gaussian_shift_sample(m: int, n: int, tau: float, seed: int) -> TwoGroupSamp
     return TwoGroupSample(rng.normal(tau, 1, m), rng.normal(0, 1, n), m + n)
 
 
+def tail_plan(sample: TwoGroupSample, tcfg: TestConfig = TestConfig()) -> TailPlan:
+    """The test invert_single draws for ``sample``."""
+    plan = relabel_plan(
+        sample.n_treated + sample.n_control,
+        sample.n_treated,
+        budget=tcfg.budget,
+        exact_threshold=tcfg.exact_threshold,
+        seed=seed_sequence(tcfg.seed, 0),
+    )
+    return TailPlan(sample, plan, tcfg.statistic)
+
+
+def tails_at(tail: TailPlan, delta: float) -> tuple[float, float]:
+    """Both tails at a shift that is not a candidate: the cells on either
+    side of it are one cell, strictly between two candidates."""
+    right = tail.cell(delta, "right")
+    assert tail.cell(delta, "left") == right
+    p_less, p_greater, below, above = right
+    assert below < delta < above
+    return p_less, p_greater
+
+
 class TestShiftOutcomes:
-    def test_zero_shift_is_identity(self):
-        s = gaussian_shift_sample(4, 4, 0.3, 1)
-        out = shift_outcomes(s, 0.0)
-        assert np.array_equal(out.treated, s.treated)
-        assert np.array_equal(out.control, s.control)
-
-    def test_round_trip(self):
-        s = gaussian_shift_sample(4, 4, 0.3, 2)
-        back = shift_outcomes(shift_outcomes(s, 1.25), -1.25)
-        assert np.allclose(back.treated, s.treated)
-
     def test_true_effect_shift_centers_the_statistic(self):
         tau = 0.8
         gaps = []
         for seed in range(300):
             s = gaussian_shift_sample(6, 6, tau, seed)
-            gaps.append(diff_in_means(shift_outcomes(s, tau)))
+            gaps.append(diff_in_means(TwoGroupSample(s.treated - tau, s.control, s.scale_n)))
         # mean of sqrt(N)(gap) ~ N(0, N*(1/m+1/n)); se of the average below
         se = math.sqrt(12 * (1 / 6 + 1 / 6) / 300)
         assert abs(float(np.mean(gaps))) < 3 * se
@@ -68,21 +79,22 @@ class TestShiftOutcomes:
 class TestTailPValues:
     def test_symmetric_pool_has_equal_tails_at_zero(self):
         s = TwoGroupSample([-2.0, -1.0, 1.0, 2.0], [-2.0, -1.0, 1.0, 2.0], 8)
-        p1, p2 = tail_pvalues(s, 0.0, CIConfig())
-        assert p1 == p2
+        r = permutation_pvalue(s)
+        assert r.p_less == r.p_greater
 
     def test_large_shift_drives_tails_apart(self):
         s = gaussian_shift_sample(5, 5, 0.0, 3)
-        p1_hi, p2_hi = tail_pvalues(s, 50.0, CIConfig())
+        tail = tail_plan(s)
+        p1_hi, p2_hi = tails_at(tail, 50.0)
         assert p2_hi == 1.0 and p1_hi <= 1.0 / math.comb(10, 5) + 1e-12
-        p1_lo, p2_lo = tail_pvalues(s, -50.0, CIConfig())
+        p1_lo, p2_lo = tails_at(tail, -50.0)
         assert p1_lo == 1.0 and p2_lo <= 1.0 / math.comb(10, 5) + 1e-12
 
     def test_exact_enumeration_cross_check(self):
         s = gaussian_shift_sample(4, 4, 0.5, 4)
         delta = 0.7
-        p1, p2 = tail_pvalues(s, delta, CIConfig())
-        shifted = shift_outcomes(s, delta)
+        p1, p2 = tails_at(tail_plan(s), delta)
+        shifted = TwoGroupSample(s.treated - delta, s.control, s.scale_n)
         pool = shifted.pooled()
         obs = diff_in_means(shifted)
         stats = []
@@ -95,8 +107,8 @@ class TestTailPValues:
 
     def test_matches_permutation_pvalue_at_zero_shift(self):
         s = gaussian_shift_sample(8, 12, 0.2, 5)
-        cfg = CIConfig(test=TestConfig(budget=299, exact_threshold=1, seed=9))
-        p1, p2 = tail_pvalues(s, 0.0, cfg)
+        tcfg = TestConfig(budget=299, exact_threshold=1, seed=9)
+        p1, p2 = tails_at(tail_plan(s, tcfg), 0.0)
         r = permutation_pvalue(
             s, budget=299, exact_threshold=1, seed=seed_sequence(9, 0)
         )
@@ -104,9 +116,9 @@ class TestTailPValues:
 
     def test_monotone_in_delta_under_shared_randomness(self):
         s = gaussian_shift_sample(10, 14, 0.4, 6)
-        cfg = CIConfig(test=TestConfig(budget=199, exact_threshold=1, seed=2))
+        tail = tail_plan(s, TestConfig(budget=199, exact_threshold=1, seed=2))
         deltas = np.linspace(-2, 2, 41)
-        curves = [tail_pvalues(s, d, cfg) for d in deltas]
+        curves = [tails_at(tail, d) for d in deltas]
         p1 = np.asarray([c[0] for c in curves])
         p2 = np.asarray([c[1] for c in curves])
         assert (np.diff(p1) <= 1e-12).all()
@@ -163,12 +175,14 @@ class TestInvertSingle:
 class TestRankStatisticPath:
     def test_tails_match_brute_force_recomputation(self):
         s = gaussian_shift_sample(4, 5, 0.6, 12)
-        cfg = CIConfig(test=TestConfig(statistic="rank_sum"))
+        tail = tail_plan(s, TestConfig(statistic="rank_sum"))
         from scipy.stats import rankdata
 
+        r = permutation_pvalue(s, statistic="rank_sum")
+        assert tails_at(tail, 0.0) == (r.p_less, r.p_greater)
         for delta in (-0.5, 0.0, 0.8):
-            p1, p2 = tail_pvalues(s, delta, cfg)
-            pool = shift_outcomes(s, delta).pooled()
+            p1, p2 = tails_at(tail, delta)
+            pool = TwoGroupSample(s.treated - delta, s.control, s.scale_n).pooled()
             ranks = rankdata(pool)
             obs = ranks[:4].sum()
             sums = []
@@ -346,7 +360,7 @@ class TestExactEndpoints:
                 combined = lambda p: (fisher_combine if method == "fisher" else bonferroni_combine)(p).p_value
         oracle = ExactOracle(samples, statistic, combined, alpha)
         expected = oracle.interval()
-        assert expected is not None and ci.resolution == 0.0
+        assert expected is not None
         # rank candidates are exact differences; a mean-difference candidate
         # is rounded once, in its division by the number of swapped slots
         ulps = 0 if statistic == "rank_sum" else 1
@@ -394,12 +408,14 @@ class TestExactEndpoints:
         assert ci.empty and math.isnan(ci.lower) and math.isnan(ci.upper)
         assert ci.length == 0.0
         family = build_family(data, 1, cfg.test)
-        deltas = np.linspace(-1.0, 2.0, 3001)
-        tails = [tail.tails(deltas) for tail in family.tails]
-        k = len(tails)
-        p_less = np.minimum(1.0, k * np.min([t[0] for t in tails], axis=0))
-        p_greater = np.minimum(1.0, k * np.min([t[1] for t in tails], axis=0))
-        assert not ((p_less >= 0.05) & (p_greater >= 0.05)).any()
+        k = len(family.tails)
+        for delta in np.linspace(-1.0, 2.0, 3001):
+            # on both sides of each point, in case it is a candidate
+            for side in ("left", "right"):
+                cells = [tail.cell(float(delta), side) for tail in family.tails]
+                p_less = min(1.0, k * min(c[0] for c in cells))
+                p_greater = min(1.0, k * min(c[1] for c in cells))
+                assert not (p_less >= 0.05 and p_greater >= 0.05)
         assert not invert_combined(data, 1, cfg, method="weighted_z", family=family).empty
 
     def test_unbounded_sides_are_infinite(self):
@@ -446,19 +462,19 @@ class TestCIConfig:
 
     def test_interval_endpoint_order_enforced(self):
         with pytest.raises(ValueError, match="out of order"):
-            ConfidenceInterval(0, "single", 0.9, 2.0, 1.0, 0.01, 10)
+            ConfidenceInterval(0, "single", 0.9, 2.0, 1.0, 10)
         with pytest.raises(ValueError, match="both endpoints nan"):
-            ConfidenceInterval(0, "single", 0.9, math.nan, 1.0, 0.0, 10)
+            ConfidenceInterval(0, "single", 0.9, math.nan, 1.0, 10)
 
 
 class TestCiCsv:
     def test_round_trip_with_and_without_lag(self, tmp_path):
         path = tmp_path / "ci.csv"
         rows = [
-            ConfidenceInterval(2, "weighted_z", 0.9, -0.25, 0.75, 0.001, 121),
-            ConfidenceInterval(None, "single", 0.95, 0.1, 0.2, 0.001, 41),
-            ConfidenceInterval(1, "bonferroni", 0.9, math.nan, math.nan, 0.0, 26),
-            ConfidenceInterval(0, "fisher", 0.9, -math.inf, math.inf, 0.0, 2),
+            ConfidenceInterval(2, "weighted_z", 0.9, -0.25, 0.75, 121),
+            ConfidenceInterval(None, "single", 0.95, 0.1, 0.2, 41),
+            ConfidenceInterval(1, "bonferroni", 0.9, math.nan, math.nan, 26),
+            ConfidenceInterval(0, "fisher", 0.9, -math.inf, math.inf, 2),
         ]
         write_ci_csv(path, rows)
         assert path.read_text().splitlines()[3:] == ["1,bonferroni,0.9,nan,nan", "0,fisher,0.9,-inf,inf"]

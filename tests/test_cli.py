@@ -5,7 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from wedgeperm import Sim1Config, gen_outcomes_sim1, parse_tables, read_ci_csv, write_trial_csv
+from wedgeperm import (
+    Sim1Config,
+    Sim2Config,
+    gen_outcomes_sim1,
+    gen_outcomes_sim2,
+    parse_tables,
+    read_ci_csv,
+    write_trial_csv,
+)
 from wedgeperm.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from wedgeperm.rng import generator
 from wedgeperm.validate import Scenario, FiniteAssignmentSpace, PartitionFamily, save_scenario
@@ -82,6 +90,16 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "combined (fisher, two-sided)" in out
         assert "50% interval" in out
+
+    @pytest.mark.parametrize("statistic", ["diff_in_means", "rank_sum"])
+    def test_fisher_with_tails_near_one(self, tmp_path, capsys, statistic):
+        # five p_less of 1 and one of 0.998: Fisher's tail rounds past 1
+        data = gen_outcomes_sim2(Sim2Config(n_units=2000, n_times=8, interaction=1), generator(3, 2000, 8))
+        path = tmp_path / "trial.csv"
+        write_trial_csv(path, data)
+        argv = ["analyze", str(path), "--lag", "1", "--budget", "499", "--seed", "7"]
+        assert main(argv + ["--combiner", "fisher", "--statistic", statistic]) == EXIT_OK
+        assert "combined (fisher, two-sided): p = " in capsys.readouterr().out
 
     def test_malformed_row_cites_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

@@ -15,7 +15,6 @@ from wedgeperm import (
     WeightVector,
     bonferroni_combine,
     combined_from_mcrt,
-    combined_from_tests,
     estimate_lambda,
     fisher_combine,
     run_mcrts,
@@ -124,6 +123,10 @@ class TestFisher:
     def test_all_ones_give_one(self):
         out = fisher_combine([1.0, 1.0, 1.0])
         assert out.statistic == 0.0 and out.p_value == 1.0
+
+    def test_tail_rounded_past_one_is_capped(self):
+        # the chi-square tail rounds to 1.0000000000000002 here
+        assert fisher_combine([1, 1, 1, 1, 1, 0.998]).p_value == 1.0
 
     def test_uniform_inputs_stay_uniform(self):
         rng = generator(77)
@@ -252,7 +255,7 @@ class TestWeightVector:
 class TestWeightsFromResult:
     def test_identical_tests_share_weight_equally(self):
         tests = [stub_test(1, 1.0, 1.0, 5, 5), stub_test(2, 1.0, 1.0, 5, 5)]
-        wv = combined_from_tests(tests, 10, "weighted_z", "greater")
+        wv = combined_from_mcrt(SimpleNamespace(tests=tests, n_units=10), "weighted_z", "greater")
         # symmetric case collapses to the equal-weight combination
         direct = weighted_z_combine([0.5, 0.5], EQUAL2, [0.002, 0.002])
         assert wv.p_value == pytest.approx(direct.p_value)
@@ -314,7 +317,7 @@ class TestCombinedFromTests:
     def test_unknown_method_rejected(self):
         tests = [stub_test(1, 1.0, 1.0, 5, 5)]
         with pytest.raises(ValueError, match="unknown combiner"):
-            combined_from_tests(tests, 10, "tippett", "greater")
+            combined_from_mcrt(SimpleNamespace(tests=tests, n_units=10), "tippett", "greater")
 
     def test_invariant_on_result_type(self):
         with pytest.raises(ValueError, match=r"\(0, 1\]"):

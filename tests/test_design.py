@@ -214,6 +214,16 @@ class TestAssignmentCsv:
         with pytest.raises(DataFormatError, match="line 3"):
             read_assignment_csv(path)
 
+    @pytest.mark.parametrize("column, row, value", [
+        ("unit", "99999999999999999999,2", "99999999999999999999"),
+        ("crossover_time", "1,-99999999999999999999", "-99999999999999999999"),
+    ], ids=["unit", "crossover_time"])
+    def test_integer_beyond_int64_cites_line(self, tmp_path, column, row, value):
+        path = tmp_path / "assign.csv"
+        path.write_text(f"unit,crossover_time\n0,1\n{row}\n")
+        with pytest.raises(DataFormatError, match=f"line 3: {column} {value} does not fit in a 64-bit integer"):
+            read_assignment_csv(path)
+
     def test_empty_body_rejected(self, tmp_path):
         path = tmp_path / "assign.csv"
         path.write_text("unit,crossover_time\n")

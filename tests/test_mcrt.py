@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,20 +10,17 @@ import pytest
 from wedgeperm import (
     CrossoverTimes,
     DataFormatError,
-    DesignSpec,
     TestConfig,
     TrialData,
+    TwoGroupSample,
     build_groups,
     build_schedule,
-    enumerate_crossover_vectors,
-    imputable_units,
-    matrix_from_times,
+    permutation_pvalue,
     read_trial_csv,
-    run_groups,
     run_mcrts,
     write_trial_csv,
 )
-from wedgeperm.rng import generator
+from wedgeperm.rng import generator, seed_sequence
 
 from conftest import make_trial
 
@@ -174,9 +172,15 @@ class TestRunMcrts:
         full = run_mcrts(tiny_trial, 0, cfg)
         groups = build_groups(tiny_trial.times, full.schedule)
         target = full.tests[-1]
-        solo, _ = run_groups(tiny_trial, [g for g in groups if g.test_time == target.test_time], cfg)
-        assert solo[0].result.p_less == target.result.p_less
-        assert solo[0].result.p_greater == target.result.p_greater
+        (g,) = [g for g in groups if g.test_time == target.test_time]
+        y = tiny_trial.outcomes[:, g.outcome_time]
+        sample = TwoGroupSample(y[g.treated_units], y[g.control_units], tiny_trial.n_units)
+        solo = permutation_pvalue(
+            sample, budget=cfg.budget, exact_threshold=cfg.exact_threshold,
+            seed=seed_sequence(cfg.seed, target.test_time),
+        )
+        assert solo.p_less == target.result.p_less
+        assert solo.p_greater == target.result.p_greater
 
     def test_p_values_accessor(self, tiny_trial):
         res = run_mcrts(tiny_trial, 0, TestConfig(budget=99))
@@ -195,51 +199,6 @@ class TestRunMcrts:
             hits += p <= alpha
         se = math.sqrt(alpha * (1 - alpha) / n_reps)
         assert hits / n_reps <= alpha + 3 * se
-
-
-class TestImputableUnits:
-    def test_equal_assignments_reduce_to_time_filter(self):
-        times = np.asarray([1, 2, 3, 4, 2, 4])
-        out = imputable_units(times, times, t=2, lag=1)
-        # qualifies iff crossing exactly at 2 or after 3
-        assert out.tolist() == [1, 3, 4, 5]
-
-    def test_lagged_crosser_excluded_regardless_of_partner(self):
-        z = np.asarray([2, 3, 3])  # unit 0 crosses at t+1 = 2
-        for partner in ([1, 3, 3], [3, 3, 3], [2, 3, 3]):
-            out = imputable_units(z, np.asarray(partner), t=1, lag=1)
-            assert 0 not in out.tolist()
-
-    def test_matches_prefix_pattern_oracle(self):
-        # exhaustive over all assignment pairs on a 12-element space
-        spec = DesignSpec(4, (1, 1, 2))
-        vectors = list(enumerate_crossover_vectors(spec))
-        lag = 1
-        for t in (1, 2):
-            width = t + lag
-            allowed = {
-                tuple(1 if s == t - 1 else 0 for s in range(width)),  # crosses at t
-                (0,) * width,  # untouched through t+lag
-            }
-            for va, vb in itertools.product(vectors, repeat=2):
-                za = matrix_from_times(CrossoverTimes(np.asarray(va), 3)).z
-                zb = matrix_from_times(CrossoverTimes(np.asarray(vb), 3)).z
-                expected = [
-                    i
-                    for i in range(4)
-                    if tuple(za[i, :width]) in allowed and tuple(zb[i, :width]) in allowed
-                ]
-                got = imputable_units(np.asarray(va), np.asarray(vb), t=t, lag=lag)
-                assert got.tolist() == expected
-
-    def test_mismatched_unit_counts_rejected(self):
-        with pytest.raises(ValueError, match="same units"):
-            imputable_units(np.asarray([1, 2]), np.asarray([1, 2, 3]), t=1, lag=0)
-
-    def test_outcome_time_must_exist(self):
-        times = CrossoverTimes(np.asarray([1, 2, 3]), 3)
-        with pytest.raises(ValueError, match="outcome time"):
-            imputable_units(times, times, t=3, lag=1)
 
 
 class TestTrialCsv:
@@ -289,3 +248,26 @@ class TestTrialData:
         times = CrossoverTimes(np.asarray([1, 2]), 2)
         with pytest.raises(ValueError, match="distinct"):
             TrialData(np.asarray([3, 3]), times, np.zeros((2, 3)))
+
+    def test_duplicates_apart_in_input_order_rejected(self):
+        times = CrossoverTimes(np.asarray([1, 2, 2, 1]), 2)
+        with pytest.raises(ValueError, match="distinct"):
+            TrialData(np.asarray([9, -4, 2, -4]), times, np.zeros((4, 3)))
+
+    def test_construction_memory_is_two_copies_and_a_sort(self):
+        # the copies of the 50 000 x 11 panel and the ids take 4.6 MiB and
+        # the sorted ids 0.4 MiB; a Python set of the ids took 3.5 MiB more
+        rng = generator(5)
+        n = 50_000
+        units = rng.permutation(n).astype(np.int64) * 7 + 3
+        times = CrossoverTimes(rng.integers(1, 11, n), 10)
+        outcomes = rng.normal(size=(n, 11))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            TrialData(units, times, outcomes)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.5 * 2**20

@@ -12,12 +12,12 @@ EXPORTED = {
     "TailPlan", "TwoGroupSample", "diff_in_means", "permutation_pvalue", "rank_sum",
     "relabel_plan", "LagFamily", "LagSchedule", "LagTestGroup", "McrtResult",
     "McrtSkip", "McrtTest", "TestConfig", "TrialData", "build_family", "build_groups",
-    "build_schedule", "imputable_units", "read_trial_csv", "run_groups", "run_mcrts",
+    "build_schedule", "read_trial_csv", "run_mcrts",
     "write_trial_csv", "COMBINERS", "CombinedPValue", "WeightVector",
-    "bonferroni_combine", "combined_from_mcrt", "combined_from_tests",
+    "bonferroni_combine", "combined_from_mcrt",
     "estimate_lambda", "fisher_combine", "weighted_z_combine", "weights_from_result",
     "CIConfig", "ConfidenceInterval", "invert_combined", "invert_single", "read_ci_csv",
-    "shift_outcomes", "tail_pvalues", "write_ci_csv", "BUNDLED_SCENARIOS",
+    "write_ci_csv", "BUNDLED_SCENARIOS",
     "CondIndepResult", "DominanceReport", "DominanceRow", "FiniteAssignmentSpace",
     "HasseDiagram", "HasseNode", "NestedCheck", "NestednessError", "PartitionCheck",
     "PartitionFamily", "PotentialOutcomeTable", "Scenario", "all_pairs_nested",

@@ -330,8 +330,9 @@ class TestMonteCarloPValues:
     def test_shared_plan_overrides_budget(self):
         s = TwoGroupSample(np.arange(4, dtype=float), np.arange(8, dtype=float), 12)
         plan = relabel_plan(12, 4, budget=250, exact_threshold=1, seed=1)
-        r = permutation_pvalue(s, budget=999, plan=plan)
+        r = TailPlan(s, plan, "diff_in_means").result()
         assert r.n_resamples == 250
+        assert r == permutation_pvalue(s, budget=250, exact_threshold=1, seed=1)
 
 
 class TestNullValidity:
