@@ -53,6 +53,7 @@ from .mcrt import (
     build_family,
     build_groups,
     build_schedule,
+    naive_groups,
     read_trial_csv,
     run_mcrts,
     write_trial_csv,
@@ -88,7 +89,6 @@ from .validate import (
     NestednessError,
     PartitionCheck,
     PartitionFamily,
-    PotentialOutcomeTable,
     Scenario,
     all_pairs_nested,
     build_hasse,

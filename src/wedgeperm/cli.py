@@ -308,6 +308,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    if args.draws < 1:
+        raise ValueError(f"--draws must be at least 1, got {args.draws}")
     if args.scenario_name:
         scenario = bundled_scenario(args.scenario_name)
     else:

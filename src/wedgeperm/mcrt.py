@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +43,7 @@ __all__ = [
     "LagFamily",
     "build_schedule",
     "build_groups",
+    "naive_groups",
     "build_family",
     "run_mcrts",
     "read_trial_csv",
@@ -121,12 +122,31 @@ class LagTestGroup:
         return int(self.control_units.size)
 
 
-def _as_times_array(times) -> np.ndarray:
+def _times_array(times, n_times: int) -> np.ndarray:
+    """Crossover times as an int array, checked to lie in 1..n_times."""
     if isinstance(times, CrossoverTimes):
-        return times.times
-    if isinstance(times, AssignmentMatrix):
-        return _to_times(times).times
-    return np.asarray(times, dtype=np.int64)
+        arr = times.times
+    elif isinstance(times, AssignmentMatrix):
+        arr = _to_times(times).times
+    else:
+        arr = np.asarray(times, dtype=np.int64)
+    if arr.min() < 1 or arr.max() > n_times:
+        raise ValueError(f"crossover times must lie in 1..{n_times}")
+    return arr
+
+
+def _group(arr: np.ndarray, n_times: int, test_time: int, lag: int, subset_index: int, control_times) -> LagTestGroup:
+    """Units crossing at ``test_time`` against units crossing at ``control_times``."""
+    is_control = np.zeros(n_times + 1, dtype=bool)  # a lookup over times 0..T
+    is_control[list(control_times)] = True
+    return LagTestGroup(
+        test_time=test_time,
+        outcome_time=test_time + lag,
+        subset_index=subset_index,
+        treated_units=np.flatnonzero(arr == test_time),
+        control_units=np.flatnonzero(is_control[arr]),
+        control_times=tuple(control_times),
+    )
 
 
 def build_groups(times, schedule: LagSchedule) -> tuple[LagTestGroup, ...]:
@@ -136,24 +156,29 @@ def build_groups(times, schedule: LagSchedule) -> tuple[LagTestGroup, ...]:
     times of k's own subset; a subset's last element yields no test.
     Groups are returned in increasing test time.
     """
-    arr = _as_times_array(times)
-    if arr.min() < 1 or arr.max() > schedule.n_times:
-        raise ValueError(f"crossover times must lie in 1..{schedule.n_times}")
-    groups = []
-    for j, subset in enumerate(schedule.subsets, start=1):
-        for pos, k in enumerate(subset[:-1]):
-            later = subset[pos + 1 :]
-            groups.append(
-                LagTestGroup(
-                    test_time=k,
-                    outcome_time=k + schedule.lag,
-                    subset_index=j,
-                    treated_units=np.flatnonzero(arr == k),
-                    control_units=np.flatnonzero(np.isin(arr, later)),
-                    control_times=tuple(later),
-                )
-            )
+    T = schedule.n_times
+    arr = _times_array(times, T)
+    groups = [
+        _group(arr, T, k, schedule.lag, j, subset[pos + 1 :])
+        for j, subset in enumerate(schedule.subsets, start=1)
+        for pos, k in enumerate(subset[:-1])
+    ]
     return tuple(sorted(groups, key=lambda g: g.test_time))
+
+
+def naive_groups(times, n_times: int, lag: int) -> tuple[LagTestGroup, ...]:
+    """The unconditional comparisons: at each t in 1..T-lag-1, units
+    crossing at t against every unit crossing after t + lag.
+
+    These pools do not nest once lag >= 1, so the family is not jointly
+    valid; it serves as the Bonferroni baseline and as validate's
+    broken construction.  Every group has subset_index 0.
+    """
+    arr = _times_array(times, n_times)
+    return tuple(
+        _group(arr, n_times, t, lag, 0, range(t + lag + 1, n_times + 1))
+        for t in range(1, n_times - lag)
+    )
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,6 @@ import numpy as np
 #: time-based, so that bare invocations are reproducible.
 DEFAULT_SEED = 12345
 
-SeedLike = "int | np.random.SeedSequence | None"
-
 
 def seed_sequence(seed, *keys: int) -> np.random.SeedSequence:
     """Derive a child SeedSequence from ``seed`` and integer ``keys``.

@@ -26,8 +26,8 @@ import numpy as np
 
 from .ci import CIConfig, invert_combined
 from .combine import combined_from_mcrt
-from .design import DesignSpec, crossover_times, sample_assignment
-from .mcrt import TestConfig, TrialData, build_family, run_mcrts
+from .design import DataFormatError, DesignSpec, crossover_times, sample_assignment
+from .mcrt import TestConfig, TrialData, build_family, naive_groups, run_mcrts
 from .permtest import TwoGroupSample, permutation_pvalue
 from .rng import DEFAULT_SEED, generator, seed_sequence
 
@@ -301,22 +301,21 @@ def _power_replicate(task) -> dict[str, bool]:
 
 
 def _bonferroni_naive_pvalue(data: TrialData, lag: int, budget: int, statistic: str, seed, rep: int) -> float:
-    """Bonferroni over the unconditional comparisons: at each period t,
-    units crossing at t against everything still untreated at t + lag,
-    each a plain two-group permutation test, two-sided."""
-    a = data.times.times
-    T = data.n_times
+    """Bonferroni over the unconditional comparisons (naive_groups): at
+    each period t, units crossing at t against everything still
+    untreated at t + lag, each a plain two-group permutation test,
+    two-sided."""
     y = data.outcomes
     pvals = []
-    for t in range(1, T - lag):
-        treated = np.flatnonzero(a == t)
-        control = np.flatnonzero(a >= t + lag + 1)
-        if min(treated.size, control.size) < 2:
+    for g in naive_groups(data.times, data.n_times, lag):
+        if min(g.n_treated, g.n_control) < 2:
             continue
-        sample = TwoGroupSample(y[treated, t + lag], y[control, t + lag], data.n_units)
+        sample = TwoGroupSample(
+            y[g.treated_units, g.outcome_time], y[g.control_units, g.outcome_time], data.n_units
+        )
         r = permutation_pvalue(
             sample, budget=budget, statistic=statistic,
-            seed=seed_sequence(seed, _POWER_TAG, rep, 2, t),
+            seed=seed_sequence(seed, _POWER_TAG, rep, 2, g.test_time),
         )
         pvals.append(min(1.0, 2.0 * min(r.p_less, r.p_greater)))
     if not pvals:
@@ -478,8 +477,6 @@ def emit_tables(result: StudyResult, path) -> None:
 
 def parse_tables(path) -> StudyResult:
     """Read a CSV produced by emit_tables back into a StudyResult."""
-    from .design import DataFormatError
-
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)

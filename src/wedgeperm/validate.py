@@ -17,6 +17,11 @@ randomization tests:
 * the joint dominance bound  P{all K p-values <= alpha_k} <= prod alpha_k,
   marginally and conditionally on each coarsening cell.
 
+Statistics enter as one value per element.  The stepped-wedge
+scenarios build each element's comparisons with mcrt's group
+constructors and their statistic with permtest.diff_in_means, so the
+checks run on the comparisons that `analyze` runs.
+
 Spaces are expected to stay tiny (hundreds of elements); an exact cap
 and a Monte Carlo fallback guard the joint probability when someone
 feeds in something larger.
@@ -26,21 +31,21 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .design import DataFormatError, DesignSpec, enumerate_crossover_vectors
-from .mcrt import build_schedule
+from .mcrt import build_groups, build_schedule, naive_groups
+from .permtest import TwoGroupSample, diff_in_means
 from .rng import generator
 
 __all__ = [
     "NestednessError",
     "FiniteAssignmentSpace",
     "PartitionFamily",
-    "PotentialOutcomeTable",
     "PartitionCheck",
     "NestedCheck",
     "CondIndepResult",
@@ -129,7 +134,6 @@ class FiniteAssignmentSpace:
             if abs(sum(vals) - 1.0) > 1e-9:
                 raise ValueError("probabilities must sum to 1 within 1e-9")
             self.probs = vals
-        self._index = {token: i for i, token in enumerate(self.elements)}
 
     @classmethod
     def uniform(cls, elements: Sequence) -> "FiniteAssignmentSpace":
@@ -139,9 +143,6 @@ class FiniteAssignmentSpace:
     @property
     def size(self) -> int:
         return len(self.elements)
-
-    def index(self, token) -> int:
-        return self._index[token]
 
     def prob_of(self, indices) -> Fraction | float:
         zero = Fraction(0) if self.exact else 0.0
@@ -170,26 +171,6 @@ class PartitionFamily:
             cells.setdefault(lab, []).append(i)
         return {lab: frozenset(idx) for lab, idx in cells.items()}
 
-    @classmethod
-    def from_cells(cls, cell_lists: Sequence[Sequence[Sequence[int]]], n_elements: int) -> "PartitionFamily":
-        """Build from explicit cells; each inner list must partition
-        range(n_elements) (checked via is_partition semantics)."""
-        label_vectors = []
-        for k, cells in enumerate(cell_lists):
-            vec: list = [None] * n_elements
-            for lab, cell in enumerate(cells):
-                for i in cell:
-                    if not 0 <= i < n_elements:
-                        raise ValueError(f"partition {k}: element index {i} out of range")
-                    if vec[i] is not None:
-                        raise ValueError(f"partition {k}: element {i} appears in two cells")
-                    vec[i] = lab
-            missing = [i for i, lab in enumerate(vec) if lab is None]
-            if missing:
-                raise ValueError(f"partition {k}: element {missing[0]} is not covered")
-            label_vectors.append(vec)
-        return cls(label_vectors)
-
     @property
     def n_partitions(self) -> int:
         return len(self.labels)
@@ -205,33 +186,6 @@ class PartitionFamily:
         for cells in self._cells:
             out.update(cells.values())
         return out
-
-
-class PotentialOutcomeTable:
-    """Outcome array indexed (element, unit, time): the full schedule of
-    what every unit would show under every assignment."""
-
-    def __init__(self, outcomes):
-        arr = np.asarray(outcomes, dtype=np.float64)
-        if arr.ndim != 3:
-            raise ValueError("outcomes must be indexed (element, unit, time)")
-        if not np.isfinite(arr).all():
-            raise ValueError("outcomes must be finite")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        self.outcomes = arr
-
-    @property
-    def n_elements(self) -> int:
-        return self.outcomes.shape[0]
-
-    @property
-    def n_units(self) -> int:
-        return self.outcomes.shape[1]
-
-    @property
-    def n_times(self) -> int:
-        return self.outcomes.shape[2]
 
 
 @dataclass(frozen=True)
@@ -303,22 +257,11 @@ def all_pairs_nested(family: PartitionFamily) -> list[NestedCheck]:
     return out
 
 
-def _assert_within_union(family: PartitionFamily, produced: Sequence[frozenset], what: str) -> None:
-    union = family.all_cells()
-    for cell in produced:
-        if cell not in union:
-            raise AssertionError(
-                f"{what} produced a cell outside the family union on a nested "
-                f"family; this indicates an internal error"
-            )
-
-
-def refinement(family: PartitionFamily, subset: Sequence[int]) -> list[frozenset]:
-    """Per-element intersection of the chosen partitions' cells.
-
-    Always a partition; on a fully nested family every output cell is
-    one of the family's own cells, which is asserted.
-    """
+def _combine_cells(family: PartitionFamily, subset: Sequence[int], op, what: str) -> list[frozenset]:
+    """Per-element ``op`` (intersection or union) of the chosen
+    partitions' cells, deduplicated in element order.  On a fully nested
+    family every output cell is one of the family's own cells, which is
+    asserted."""
     subset = list(subset)
     if not subset:
         raise ValueError("subset must be nonempty")
@@ -327,13 +270,22 @@ def refinement(family: PartitionFamily, subset: Sequence[int]) -> list[frozenset
     for i in range(family.n_elements):
         cell = family.cell_of(subset[0], i)
         for k in subset[1:]:
-            cell = cell & family.cell_of(k, i)
+            cell = op(cell, family.cell_of(k, i))
         if cell not in seen:
             seen.add(cell)
             out.append(cell)
-    if not all_pairs_nested(family):
-        _assert_within_union(family, out, "refinement")
+    if not all_pairs_nested(family) and not set(out) <= family.all_cells():
+        raise AssertionError(
+            f"{what} produced a cell outside the family union on a nested "
+            f"family; this indicates an internal error"
+        )
     return out
+
+
+def refinement(family: PartitionFamily, subset: Sequence[int]) -> list[frozenset]:
+    """Per-element intersection of the chosen partitions' cells; always
+    a partition."""
+    return _combine_cells(family, subset, frozenset.intersection, "refinement")
 
 
 def coarsening(family: PartitionFamily, subset: Sequence[int]) -> list[frozenset]:
@@ -342,21 +294,7 @@ def coarsening(family: PartitionFamily, subset: Sequence[int]) -> list[frozenset
     On a non-nested family the result may fail to be a partition;
     is_partition will flag the overlap.
     """
-    subset = list(subset)
-    if not subset:
-        raise ValueError("subset must be nonempty")
-    out: list[frozenset] = []
-    seen: set[frozenset] = set()
-    for i in range(family.n_elements):
-        cell = family.cell_of(subset[0], i)
-        for k in subset[1:]:
-            cell = cell | family.cell_of(k, i)
-        if cell not in seen:
-            seen.add(cell)
-            out.append(cell)
-    if not all_pairs_nested(family):
-        _assert_within_union(family, out, "coarsening")
-    return out
+    return _combine_cells(family, subset, frozenset.union, "coarsening")
 
 
 @dataclass(frozen=True)
@@ -490,26 +428,11 @@ def build_hasse(family: PartitionFamily) -> HasseDiagram:
     return HasseDiagram(nodes, roots)
 
 
-def _statistic_values(space: FiniteAssignmentSpace, table: PotentialOutcomeTable | None, stat) -> np.ndarray:
-    """Normalize one statistic to a value per element.
-
-    A callable is invoked as stat(element_token, outcome_matrix) with
-    the (unit, time) outcome slice for that element; anything else is
-    taken as a precomputed value vector.
-    """
-    if callable(stat):
-        if table is None:
-            raise ValueError("callable statistics need an outcome table")
-        if table.n_elements != space.size:
-            raise ValueError("outcome table and space disagree on the number of elements")
-        vals = np.asarray(
-            [stat(space.elements[i], table.outcomes[i]) for i in range(space.size)],
-            dtype=np.float64,
-        )
-    else:
-        vals = np.asarray(stat, dtype=np.float64)
-        if vals.shape != (space.size,):
-            raise ValueError("statistic vector must have one value per element")
+def _statistic_values(space: FiniteAssignmentSpace, stat) -> np.ndarray:
+    """One statistic as a finite value per element."""
+    vals = np.asarray(stat, dtype=np.float64)
+    if vals.shape != (space.size,):
+        raise ValueError("statistic vector must have one value per element")
     if not np.isfinite(vals).all():
         raise ValueError("statistic values must be finite")
     return vals
@@ -586,7 +509,6 @@ def _as_alpha(a) -> Fraction:
 def joint_dominance_check(
     space: FiniteAssignmentSpace,
     family: PartitionFamily,
-    table: PotentialOutcomeTable | None,
     stats: Sequence,
     alphas: Sequence[Sequence],
     n_draws: int = 100_000,
@@ -607,11 +529,13 @@ def joint_dominance_check(
         raise ValueError("family and space disagree on the number of elements")
     if len(stats) != K:
         raise ValueError(f"need one statistic per partition ({K}), got {len(stats)}")
-    values = [_statistic_values(space, table, s) for s in stats]
+    if n_draws < 1:
+        raise ValueError(f"n_draws must be at least 1, got {n_draws}")
+    values = [_statistic_values(space, s) for s in stats]
 
     nested_failures = tuple(all_pairs_nested(family))
     indep = tuple(
-        cond_indep_check(space, family, table, stats, j, k)
+        cond_indep_check(space, family, stats, j, k)
         for j in range(K)
         for k in range(j + 1, K)
     )
@@ -680,7 +604,6 @@ def joint_dominance_check(
 def cond_indep_check(
     space: FiniteAssignmentSpace,
     family: PartitionFamily,
-    table: PotentialOutcomeTable | None,
     stats: Sequence,
     j: int,
     k: int,
@@ -692,8 +615,8 @@ def cond_indep_check(
     assignment probabilities) is compared against the product of its
     marginals; the result reports the largest total-variation gap.
     """
-    vj = _statistic_values(space, table, stats[j])
-    vk = _statistic_values(space, table, stats[k])
+    vj = _statistic_values(space, stats[j])
+    vk = _statistic_values(space, stats[k])
     cells = refinement(family, [j, k])
     zero = Fraction(0) if space.exact else 0.0
     max_gap = zero
@@ -721,7 +644,7 @@ def cond_indep_check(
 
 
 # ---------------------------------------------------------------------------
-# scenarios: serializable bundles of (space, partitions, outcomes, statistics)
+# scenarios: serializable bundles of (space, partitions, statistics, levels)
 
 
 @dataclass
@@ -735,7 +658,6 @@ class Scenario:
 
     space: FiniteAssignmentSpace
     family: PartitionFamily
-    table: PotentialOutcomeTable | None
     stats: list[np.ndarray]
     stat_names: list[str]
     partition_names: list[str]
@@ -743,9 +665,7 @@ class Scenario:
     name: str = "scenario"
 
     def run(self, n_draws: int = 100_000) -> DominanceReport:
-        return joint_dominance_check(
-            self.space, self.family, self.table, self.stats, self.alphas, n_draws=n_draws
-        )
+        return joint_dominance_check(self.space, self.family, self.stats, self.alphas, n_draws=n_draws)
 
 
 def _prob_to_json(p) -> str | float:
@@ -769,7 +689,6 @@ def save_scenario(path, scenario: Scenario) -> None:
             {"name": name, "labels": [str(lab) for lab in vec]}
             for name, vec in zip(scenario.partition_names, scenario.family.labels)
         ],
-        "outcomes": None if scenario.table is None else scenario.table.outcomes.tolist(),
         "statistics": [
             {"name": name, "values": [float(v) for v in vals]}
             for name, vals in zip(scenario.stat_names, scenario.stats)
@@ -805,23 +724,25 @@ def load_scenario(path) -> Scenario:
         partitions = doc["partitions"]
         family = PartitionFamily([p["labels"] for p in partitions])
         partition_names = [str(p.get("name", f"partition{k}")) for k, p in enumerate(partitions)]
-        table = None if doc.get("outcomes") is None else PotentialOutcomeTable(doc["outcomes"])
         stats = [np.asarray(s["values"], dtype=np.float64) for s in doc["statistics"]]
         stat_names = [str(s.get("name", f"stat{k}")) for k, s in enumerate(doc["statistics"])]
         alphas = [tuple(_as_alpha(a) for a in vec) for vec in doc["alphas"]]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise DataFormatError(f"{path}: malformed scenario: {exc!r}") from None
     for vals in stats:
         if vals.shape != (space.size,):
             raise DataFormatError(f"{path}: statistic vectors must have one value per element")
+        if not np.isfinite(vals).all():
+            raise DataFormatError(f"{path}: statistic values must be finite")
     if family.n_elements != space.size:
         raise DataFormatError(f"{path}: partition labels must have one entry per element")
     if len(stats) != family.n_partitions:
         raise DataFormatError(f"{path}: need exactly one statistic per partition")
+    if any(len(vec) != family.n_partitions for vec in alphas):
+        raise DataFormatError(f"{path}: every level vector needs one level per partition")
     return Scenario(
         space=space,
         family=family,
-        table=table,
         stats=stats,
         stat_names=stat_names,
         partition_names=partition_names,
@@ -849,11 +770,15 @@ def stepped_wedge_scenario(
 ) -> Scenario:
     """Enumerated staggered-crossover space with effect-free outcomes.
 
-    ``conditioning`` picks the partition family: "sequential" fixes the
-    subset-membership map plus all crossings before the test time (the
-    construction the theory validates), while "naive" groups only by
-    the identity of each test's comparison pool — the shortcut that
-    breaks nestedness once the outcome lag exceeds zero.
+    Every element's comparisons come from the engine.  ``conditioning``
+    "sequential" takes mcrt.build_groups (controls from the later times
+    of the test time's own subset) and conditions on the
+    subset-membership map plus all crossings before the test time: the
+    construction the theory validates.  "naive" takes mcrt.naive_groups
+    (controls are every later crosser) and conditions only on the
+    identity of each test's pool: the shortcut that breaks nestedness
+    once the outcome lag exceeds zero.  Each statistic is
+    permtest.diff_in_means of the element's groups.
 
     Outcomes are i.i.d. normal draws shared across all assignments, so
     every null hypothesis holds by construction and the dominance bound
@@ -863,65 +788,41 @@ def stepped_wedge_scenario(
     n_times = spec.n_times
     elements = list(enumerate_crossover_vectors(spec))
     space = FiniteAssignmentSpace.uniform(elements)
-    gen = generator(seed, 97)
-    outcomes = gen.standard_normal((n_units, n_times))
-    table = PotentialOutcomeTable(np.broadcast_to(outcomes, (space.size, n_units, n_times)))
+    panel = np.zeros((n_units, n_times + 1))  # column s is time s; no test reads time 0
+    panel[:, 1:] = generator(seed, 97).standard_normal((n_units, n_times))
 
     if conditioning == "sequential":
         schedule = build_schedule(n_times, lag)
+        tests = list(zip(*(build_groups(z, schedule) for z in elements)))
         subset_of = {t: j for j, subset in enumerate(schedule.subsets) for t in subset}
-        test_times = list(schedule.test_times())
-        comparisons = []
-        for t in test_times:
-            j = subset_of[t]
-            later = [s for s in schedule.subsets[j] if s > t]
-            comparisons.append((t, set(later)))
-        labels = []
-        for t in test_times:
-            vec = []
-            for z in elements:
-                membership = tuple(subset_of.get(a, -1) for a in z)
-                prefix = tuple(a if a < t else 0 for a in z)
-                vec.append((membership, prefix))
-            labels.append(vec)
+        labels = [
+            [(tuple(subset_of.get(a, -1) for a in z), tuple(a if a < test[0].test_time else 0 for a in z))
+             for z in elements]
+            for test in tests
+        ]
     elif conditioning == "naive":
         if lag >= n_times - 1:
             raise ValueError("naive conditioning needs lag + 1 < number of periods")
-        test_times = list(range(1, n_times - lag))
-        comparisons = [(t, set(range(t + lag + 1, n_times + 1))) for t in test_times]
-        labels = []
-        for t, control_times in comparisons:
-            vec = []
-            for z in elements:
-                pool = tuple(i for i, a in enumerate(z) if a == t or a in control_times)
-                vec.append(pool)
-            labels.append(vec)
+        tests = list(zip(*(naive_groups(z, n_times, lag) for z in elements)))
+        labels = [
+            [tuple(np.sort(np.concatenate([g.treated_units, g.control_units])).tolist()) for g in test]
+            for test in tests
+        ]
     else:
         raise ValueError(f"unknown conditioning {conditioning!r}")
 
-    family = PartitionFamily(labels)
-    stats = []
-    for (t, control_times) in comparisons:
-        col = t + lag - 1
-        vals = []
-        for z in elements:
-            treated = [i for i, a in enumerate(z) if a == t]
-            control = [i for i, a in enumerate(z) if a in control_times]
-            if treated and control:
-                v = outcomes[treated, col].mean() - outcomes[control, col].mean()
-            else:
-                v = 0.0
-            vals.append(v)
-        stats.append(np.asarray(vals))
+    def statistic(g) -> float:
+        y = panel[:, g.outcome_time]
+        return diff_in_means(TwoGroupSample(y[g.treated_units], y[g.control_units], n_units))
 
+    test_times = [test[0].test_time for test in tests]
     return Scenario(
         space=space,
-        family=family,
-        table=table,
-        stats=stats,
-        stat_names=[f"mean_gap_t{t}" for t, _ in comparisons],
-        partition_names=[f"test_t{t}" for t, _ in comparisons],
-        alphas=list(alphas) if alphas is not None else _default_alpha_grid(len(comparisons)),
+        family=PartitionFamily(labels),
+        stats=[np.asarray([statistic(g) for g in test]) for test in tests],
+        stat_names=[f"diff_in_means_t{t}" for t in test_times],
+        partition_names=[f"test_t{t}" for t in test_times],
+        alphas=list(alphas) if alphas is not None else _default_alpha_grid(len(tests)),
         name=name or f"stepped-wedge-{conditioning}",
     )
 

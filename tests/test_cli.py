@@ -251,7 +251,6 @@ class TestValidate:
         scenario = Scenario(
             space=space,
             family=PartitionFamily([[0, 0, 0]]),
-            table=None,
             stats=[np.asarray([2.0, 1.0, 0.0])],
             stat_names=["gap"],
             partition_names=["test"],
@@ -262,6 +261,56 @@ class TestValidate:
         save_scenario(path, scenario)
         assert main(["validate", "--scenario", str(path), "--draws", "2000"]) == EXIT_OK
         assert "monte carlo (2000 draws)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("draws", ["0", "-5"])
+    def test_fewer_than_one_draw_is_a_usage_error_before_any_output(self, tmp_path, capsys, draws):
+        scenario = Scenario(
+            space=FiniteAssignmentSpace([(0,), (1,), (2,)], [0.5, 0.25, 0.25]),
+            family=PartitionFamily([[0, 0, 0]]),
+            stats=[np.asarray([2.0, 1.0, 0.0])],
+            stat_names=["gap"],
+            partition_names=["test"],
+            alphas=[(0.5,)],
+            name="float-probs",
+        )
+        path = tmp_path / "mc.json"
+        save_scenario(path, scenario)
+        assert main(["validate", "--scenario", str(path), "--draws", draws]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--draws must be at least 1" in captured.err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc["alphas"][0].pop(),
+            lambda doc: doc.update(probs=["1/2"] * len(doc["elements"])),
+            lambda doc: doc.update(probs=["abc"] + ["1/12"] * (len(doc["elements"]) - 1)),
+            lambda doc: doc["partitions"][0]["labels"].pop(),
+            lambda doc: doc["elements"].__setitem__(1, doc["elements"][0]),
+            lambda doc: doc["statistics"][0]["values"].__setitem__(0, "x"),
+            lambda doc: doc["alphas"][0].__setitem__(0, "zz"),
+            lambda doc: doc.update(probs=["1/0"] + ["1/12"] * (len(doc["elements"]) - 1)),
+            lambda doc: doc["statistics"][0]["values"].__setitem__(0, float("nan")),
+        ],
+        ids=[
+            "alpha-vector-length", "probs-sum", "prob-not-a-number", "label-lengths",
+            "duplicate-elements", "statistic-not-a-number", "alpha-not-a-number",
+            "prob-zero-denominator", "statistic-not-finite",
+        ],
+    )
+    def test_malformed_scenario_file_is_a_data_error(self, tmp_path, capsys, edit):
+        from wedgeperm import stepped_wedge_scenario
+
+        path = tmp_path / "scenario.json"
+        save_scenario(path, stepped_wedge_scenario(4, (2, 1, 1), lag=0))
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--scenario", str(path)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: ")
 
     def test_invalid_scenario_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -12,7 +12,7 @@ EXPORTED = {
     "TailPlan", "TwoGroupSample", "diff_in_means", "permutation_pvalue", "rank_sum",
     "relabel_plan", "LagFamily", "LagSchedule", "LagTestGroup", "McrtResult",
     "McrtSkip", "McrtTest", "TestConfig", "TrialData", "build_family", "build_groups",
-    "build_schedule", "read_trial_csv", "run_mcrts",
+    "build_schedule", "naive_groups", "read_trial_csv", "run_mcrts",
     "write_trial_csv", "COMBINERS", "CombinedPValue", "WeightVector",
     "bonferroni_combine", "combined_from_mcrt",
     "estimate_lambda", "fisher_combine", "weighted_z_combine", "weights_from_result",
@@ -20,7 +20,7 @@ EXPORTED = {
     "write_ci_csv", "BUNDLED_SCENARIOS",
     "CondIndepResult", "DominanceReport", "DominanceRow", "FiniteAssignmentSpace",
     "HasseDiagram", "HasseNode", "NestedCheck", "NestednessError", "PartitionCheck",
-    "PartitionFamily", "PotentialOutcomeTable", "Scenario", "all_pairs_nested",
+    "PartitionFamily", "Scenario", "all_pairs_nested",
     "build_hasse", "bundled_scenario", "coarsening", "cond_indep_check",
     "conditional_pvalues", "is_partition", "joint_dominance_check", "load_scenario",
     "pairwise_nested_check", "refinement", "save_scenario", "stepped_wedge_scenario",

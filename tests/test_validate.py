@@ -1,5 +1,6 @@
 """Exact finite-space checks for families of conditional tests."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -8,18 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wedgeperm import (
+    CrossoverTimes,
     DataFormatError,
     FiniteAssignmentSpace,
     NestednessError,
     PartitionFamily,
-    PotentialOutcomeTable,
     Scenario,
+    TestConfig,
+    TrialData,
     all_pairs_nested,
+    build_family,
     build_hasse,
     bundled_scenario,
     coarsening,
     cond_indep_check,
     conditional_pvalues,
+    generator,
     is_partition,
     joint_dominance_check,
     load_scenario,
@@ -222,7 +227,7 @@ class TestCondIndep:
         space = FiniteAssignmentSpace.uniform([f"e{i}" for i in range(6)])
         fam = PartitionFamily([[0] * 6, [0] * 6])
         v = np.asarray([0.0, 0.0, 1.0, 1.0, 2.0, 2.0])
-        res = cond_indep_check(space, fam, None, [v, v], 0, 1)
+        res = cond_indep_check(space, fam, [v, v], 0, 1)
         assert not res.ok and res.exact
         assert res.max_gap == pytest.approx(2 / 3)
         assert res.worst_cell == frozenset(range(6))
@@ -233,7 +238,7 @@ class TestCondIndep:
         fam = PartitionFamily([labels, labels])
         vj = np.asarray([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
         vk = np.asarray([7.0, 7.0, 7.0, 9.0, 9.0, 9.0])  # constant per cell
-        res = cond_indep_check(space, fam, None, [vj, vk], 0, 1)
+        res = cond_indep_check(space, fam, [vj, vk], 0, 1)
         assert res.ok and res.max_gap == 0 and res.worst_cell is None
 
 
@@ -247,7 +252,6 @@ class TestJointDominance:
         report = joint_dominance_check(
             space,
             fam,
-            None,
             [values],
             alphas=[(Fraction(3, 4),), (Fraction(1, 2),), (1,)],
         )
@@ -265,23 +269,30 @@ class TestJointDominance:
         fam = PartitionFamily([[0, 0, 0]])
         values = np.asarray([2.0, 1.0, 0.0])
         report = joint_dominance_check(
-            space, fam, None, [values], alphas=[(0.5,), (0.75,)], n_draws=4000, seed=3
+            space, fam, [values], alphas=[(0.5,), (0.75,)], n_draws=4000, seed=3
         )
         assert not report.exact and report.n_draws == 4000
         assert all(r.stderr is not None and r.stderr > 0 for r in report.rows)
         assert report.conditions_ok and report.bound_ok
 
+    def test_fewer_than_one_draw_rejected(self):
+        space = FiniteAssignmentSpace([("a",), ("b",)], [0.5, 0.5])
+        fam = PartitionFamily([[0, 0]])
+        for n_draws in (0, -5):
+            with pytest.raises(ValueError, match="n_draws must be at least 1"):
+                joint_dominance_check(space, fam, [np.zeros(2)], alphas=[(0.5,)], n_draws=n_draws)
+
     def test_statistic_count_must_match_partitions(self):
         with pytest.raises(ValueError, match="one statistic per partition"):
             joint_dominance_check(
-                SPACE4, CHAIN, None, [np.zeros(4)], alphas=[(1, 1, 1)]
+                SPACE4, CHAIN, [np.zeros(4)], alphas=[(1, 1, 1)]
             )
 
     def test_family_and_space_sizes_must_agree(self):
         small = FiniteAssignmentSpace.uniform(["x", "y"])
         with pytest.raises(ValueError, match="disagree"):
             joint_dominance_check(
-                small, CHAIN, None, [np.zeros(4)] * 3, alphas=[(1, 1, 1)]
+                small, CHAIN, [np.zeros(4)] * 3, alphas=[(1, 1, 1)]
             )
 
 
@@ -325,7 +336,42 @@ class TestSteppedWedgeScenarios:
             bundled_scenario("missing")
 
 
+class TestEngineMatchesOracle:
+    """In exact mode the engine's p-values are the oracle's conditional
+    counts over the sequential cells, element by element."""
+
+    @pytest.mark.parametrize(
+        "n_units, counts, lag", [(4, (2, 1, 1), 0), (6, (2, 2, 1, 1), 0), (7, (2, 2, 2, 1), 1)]
+    )
+    def test_exact_p_greater_equals_conditional_pvalue(self, n_units, counts, lag):
+        scenario = stepped_wedge_scenario(n_units, counts, lag)
+        space, family = scenario.space, scenario.family
+        n_times = len(counts)
+        panel = generator(11, n_units).standard_normal((n_units, n_times + 1))
+        cfg = TestConfig(exact_threshold=10**9, min_arm=1)
+        families = [
+            build_family(TrialData(np.arange(n_units), CrossoverTimes(z, n_times), panel), lag, cfg)
+            for z in space.elements
+        ]
+        for k in range(family.n_partitions):
+            tests = [fam.tests[k] for fam in families]
+            assert all(t.result.exact for t in tests)
+            assert {f"test_t{t.test_time}" for t in tests} == {scenario.partition_names[k]}
+            engine_stats = np.asarray([t.result.statistic for t in tests])
+            oracle = conditional_pvalues(space, list(family.cells(k).values()), engine_stats)
+            assert [t.result.p_greater for t in tests] == [float(p) for p in oracle]
+
+
 class TestScenarioFiles:
+    def test_saved_without_outcomes_and_older_files_still_load(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        save_scenario(path, bundled_scenario("nested-lag0"))
+        doc = json.loads(path.read_text())
+        assert "outcomes" not in doc
+        doc["outcomes"] = [[[0.0] * 4] * 4] * len(doc["elements"])
+        path.write_text(json.dumps(doc))
+        assert load_scenario(path).run().ok
+
     def test_round_trip_uniform_space(self, tmp_path):
         path = tmp_path / "scenario.json"
         scenario = stepped_wedge_scenario(4, (2, 1, 1), lag=0, name="round-trip")
@@ -351,7 +397,6 @@ class TestScenarioFiles:
         scenario = Scenario(
             space=space,
             family=PartitionFamily([[0, 0, 1]]),
-            table=None,
             stats=[np.asarray([1.0, 2.0, 3.0])],
             stat_names=["gap"],
             partition_names=["test"],
@@ -395,8 +440,6 @@ class TestScenarioFiles:
         path = tmp_path / "short.json"
         scenario = stepped_wedge_scenario(3, (2, 1), lag=0, name="short")
         save_scenario(path, scenario)
-        import json
-
         doc = json.loads(path.read_text())
         doc["statistics"][0]["values"] = [0.0]
         path.write_text(json.dumps(doc))
