@@ -45,12 +45,10 @@ from .mcrt import (
     LagFamily,
     LagSchedule,
     LagTestGroup,
-    McrtResult,
     McrtSkip,
     McrtTest,
     TestConfig,
     TrialData,
-    build_family,
     build_groups,
     build_schedule,
     naive_groups,
@@ -70,7 +68,6 @@ from .combine import (
     weights_from_result,
 )
 from .ci import (
-    CIConfig,
     ConfidenceInterval,
     invert_combined,
     invert_single,

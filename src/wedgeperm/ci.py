@@ -22,47 +22,34 @@ outcome is ever formed, so rounding at a tie never decides an
 endpoint.  A side whose tail stays at or above alpha/2 beyond every
 candidate is unbounded (-inf or inf); when the lower endpoint exceeds
 the upper one no delta is accepted and the set is empty (both
-endpoints nan).  The combined interval evaluates the
-same LagFamily that gives the analysis its p-values, through the same
-kept tests and weights as the combined p-value (combine), so a caller
-holding one passes it in rather than drawing the relabelings again.
+endpoints nan).  The combined interval inverts the
+LagFamily that run_mcrts returns, the one that gives the analysis its
+p-values, through the same kept tests and weights as the combined
+p-value (combine), so its relabelings are never drawn again.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .combine import _combiner
 from .design import DataFormatError
-from .mcrt import LagFamily, TestConfig, TrialData, _family_for
+from .mcrt import LagFamily, TestConfig
 from .permtest import TailPlan, TwoGroupSample, relabel_plan
 from .rng import seed_sequence
 
 __all__ = [
-    "CIConfig",
     "ConfidenceInterval",
     "invert_single",
     "invert_combined",
     "read_ci_csv",
     "write_ci_csv",
 ]
-
-
-@dataclass(frozen=True)
-class CIConfig:
-    """Inversion settings: alpha and the per-test engine knobs."""
-
-    alpha: float = 0.10
-    test: TestConfig = field(default_factory=TestConfig)
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -111,6 +98,8 @@ def _exact_interval(
     above c reaches alpha/2 (p_greater only grows with delta), upper the
     largest c whose combined p_less on the cell just below c does.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
     thr = alpha / 2.0
     evaluations = 0
 
@@ -150,59 +139,51 @@ def _exact_interval(
     return lower, upper, evaluations
 
 
-def invert_single(sample: TwoGroupSample, cfg: CIConfig = CIConfig(), lag: int | None = None) -> ConfidenceInterval:
+def invert_single(
+    sample: TwoGroupSample, alpha: float = 0.10, cfg: TestConfig = TestConfig(), lag: int | None = None
+) -> ConfidenceInterval:
     """Invert one two-group permutation test into a level 1-alpha set.
 
     The relabelings are drawn once, on the stream keyed by (seed, 0).
     """
-    t = cfg.test
     plan = relabel_plan(
         sample.n_treated + sample.n_control,
         sample.n_treated,
-        budget=t.budget,
-        exact_threshold=t.exact_threshold,
-        seed=seed_sequence(t.seed, 0),
+        budget=cfg.budget,
+        exact_threshold=cfg.exact_threshold,
+        seed=seed_sequence(cfg.seed, 0),
     )
-    tail = TailPlan(sample, plan, t.statistic)
-    lower, upper, evaluations = _exact_interval([tail], lambda p: (p[0], p[0]), cfg.alpha)
+    tail = TailPlan(sample, plan, cfg.statistic)
+    lower, upper, evaluations = _exact_interval([tail], lambda p: (p[0], p[0]), alpha)
     return ConfidenceInterval(
         lag=lag,
         method="single",
-        level=1.0 - cfg.alpha,
+        level=1.0 - alpha,
         lower=lower,
         upper=upper,
         n_grid=evaluations,
     )
 
 
-def invert_combined(
-    data: TrialData,
-    lag: int,
-    cfg: CIConfig = CIConfig(),
-    method: str = "weighted_z",
-    family: LagFamily | None = None,
-) -> ConfidenceInterval:
-    """Invert the whole lag-l test family through a combiner.
+def invert_combined(family: LagFamily, alpha: float = 0.10, method: str = "weighted_z") -> ConfidenceInterval:
+    """Invert a lag's whole test family through a combiner.
 
     Each test's treated outcomes are shifted by delta and tails are
     combined per tail over the tests the combiner keeps (precision
     weights are shift-invariant, computed once, as for the p-value);
     the set collects deltas where each combined tail stays at or above
-    alpha/2.  Relabeling streams are keyed by (seed, test time),
-    matching the analysis run and shared across all deltas; a
-    ``family`` from build_family(data, lag, cfg.test) supplies them
-    already drawn.
+    alpha/2.  Every delta is evaluated against the relabelings that
+    run_mcrts drew for ``family``.
     """
-    family = _family_for(data, lag, cfg.test, family)
     if not family.tests:
-        raise ValueError(f"no testable groups at lag {lag} (all below min_arm)")
+        raise ValueError(f"no testable groups at lag {family.lag} (all below min_arm)")
     kept, combined = _combiner(family.tests, family.n_units, method)
     tails = {t.test_time: tail for t, tail in zip(family.tests, family.tails)}
-    lower, upper, evaluations = _exact_interval([tails[t.test_time] for t in kept], combined, cfg.alpha)
+    lower, upper, evaluations = _exact_interval([tails[t.test_time] for t in kept], combined, alpha)
     return ConfidenceInterval(
-        lag=lag,
+        lag=family.lag,
         method=method,
-        level=1.0 - cfg.alpha,
+        level=1.0 - alpha,
         lower=lower,
         upper=upper,
         n_grid=evaluations,

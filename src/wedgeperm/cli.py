@@ -16,10 +16,10 @@ import json
 import os
 import sys
 
-from .ci import CIConfig, invert_combined, write_ci_csv
+from .ci import invert_combined, write_ci_csv
 from .combine import COMBINERS, combined_from_mcrt, weights_from_result
 from .design import DataFormatError
-from .mcrt import TestConfig, build_family, build_schedule, read_trial_csv, run_mcrts
+from .mcrt import TestConfig, build_schedule, read_trial_csv, run_mcrts
 from .rng import DEFAULT_SEED
 from .sim import (
     POWER_METHODS,
@@ -167,35 +167,35 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if not 0.0 < args.alpha < 1.0:
+        raise ValueError(f"--alpha must lie in (0, 1), got {args.alpha:g}")
     data = read_trial_csv(args.input)
     tcfg = TestConfig(budget=args.budget, statistic=args.statistic, seed=args.seed)
-    family = build_family(data, args.lag, tcfg)
-    result = run_mcrts(data, args.lag, tcfg, family=family)
-    if not result.tests:
-        reasons = "; ".join(f"t={s.test_time}: {s.reason}" for s in result.skipped)
+    family = run_mcrts(data, args.lag, tcfg)
+    if not family.tests:
+        reasons = "; ".join(f"t={s.test_time}: {s.reason}" for s in family.skipped)
         print(f"no usable tests at lag {args.lag} ({reasons})", file=sys.stderr)
         return EXIT_DATA
 
     weight_of = {}
     if args.combiner == "weighted_z":
-        wv = weights_from_result(result)
+        wv = weights_from_result(family)
         weight_of = dict(zip(wv.test_times, wv.weights))
-    combined = combined_from_mcrt(result, args.combiner, "two-sided")
+    combined = combined_from_mcrt(family, args.combiner, "two-sided")
 
-    print(f"lag {args.lag}: {len(result.tests)} tests, {len(result.skipped)} skipped")
-    for t in result.tests:
+    print(f"lag {args.lag}: {len(family.tests)} tests, {len(family.skipped)} skipped")
+    for t in family.tests:
         w = f"  weight={weight_of[t.test_time]:.4f}" if t.test_time in weight_of else ""
         print(
             f"  t={t.test_time} outcome@{t.outcome_time}: "
             f"n1={t.n_treated} n0={t.n_control} "
             f"p_less={t.result.p_less:.4f} p_greater={t.result.p_greater:.4f}{w}"
         )
-    for s in result.skipped:
+    for s in family.skipped:
         print(f"  t={s.test_time}: skipped ({s.reason})")
     print(f"combined ({args.combiner}, two-sided): p = {combined.p_value:.4g}")
 
-    ci_cfg = CIConfig(alpha=args.alpha, test=tcfg)
-    interval = invert_combined(data, args.lag, ci_cfg, method=args.combiner, family=family)
+    interval = invert_combined(family, args.alpha, args.combiner)
     if interval.empty:
         bounds = f"empty (no shift is accepted at alpha={args.alpha:g})"
     else:
@@ -205,7 +205,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("test_time,outcome_time,n_treated,n_control,statistic,p_less,p_greater,weight\n")
-            for t in result.tests:
+            for t in family.tests:
                 w = repr(float(weight_of[t.test_time])) if t.test_time in weight_of else ""
                 fh.write(
                     f"{t.test_time},{t.outcome_time},{t.n_treated},{t.n_control},"
@@ -249,10 +249,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     doc = _load_study_config(args)
     study = doc["study"]
     out = args.out or f"{study}.csv"
+    if not isinstance(doc.get("methods", []), list):
+        raise ValueError(f"config key 'methods' must be a list, got {doc['methods']!r}")
     if study == "power":
         grid = doc.get("grid")
         if not isinstance(grid, list) or not grid:
             raise ValueError("config key 'grid' must be a non-empty list of [N, T, lag, effect] cells")
+        for cell in grid:
+            if not isinstance(cell, list) or len(cell) != 4 or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in cell
+            ):
+                raise ValueError(f"grid cell {cell!r} is not a list of four numbers [N, T, lag, effect]")
         rows: list = []
         skipped: list = []
         total = len(grid)

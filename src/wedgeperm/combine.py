@@ -160,7 +160,7 @@ def _weights_from_moments(tests, n_total: int) -> WeightVector:
 
 
 def weights_from_result(result) -> WeightVector:
-    """Precision weights for an McrtResult, renormalized over usable tests.
+    """Precision weights for a LagFamily, renormalized over usable tests.
 
     Tests skipped by the engine never appear; a surviving test whose
     arms are both constant is excluded here with a reason.  Squared
@@ -303,12 +303,12 @@ def _combiner(tests: Sequence, n_total: int, method: str):
 def combined_from_mcrt(result, method: str, alternative: str = "greater") -> CombinedPValue:
     """Combine the p-values of a result's completed tests.
 
-    ``result`` is an McrtResult, or any object with ``tests`` and
-    ``n_units``.  ``alternative`` is "greater" (treatment raises
-    outcomes, the default), "less", or "two-sided" (both tails combined
-    separately, then twice the smaller combined p, capped at 1).  For
-    weighted_z, tests without estimable precision are dropped from the
-    combination with their weight.
+    ``result`` is a LagFamily from run_mcrts, or any object with
+    ``tests`` and ``n_units``.  ``alternative`` is "greater" (treatment
+    raises outcomes, the default), "less", or "two-sided" (both tails
+    combined separately, then twice the smaller combined p, capped at
+    1).  For weighted_z, tests without estimable precision are dropped
+    from the combination with their weight.
     """
     if not result.tests:
         raise ValueError("no tests to combine")

@@ -8,9 +8,10 @@ makes the per-test conditioning sets nested, so the family of p-values
 is jointly valid; pooling all later times (the tempting construction)
 breaks that for l >= 1.
 
-A LagFamily draws every test's relabelings once per (data, lag,
-TestConfig); the p-values at zero shift and the confidence-interval
-search over shifted effects both evaluate that one draw.
+run_mcrts returns one LagFamily per (data, lag, TestConfig), with
+every test's relabelings drawn once; the p-values at zero shift and
+the confidence-interval search over shifted effects both evaluate that
+one draw.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import csv
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,12 +40,10 @@ __all__ = [
     "TestConfig",
     "McrtTest",
     "McrtSkip",
-    "McrtResult",
     "LagFamily",
     "build_schedule",
     "build_groups",
     "naive_groups",
-    "build_family",
     "run_mcrts",
     "read_trial_csv",
     "write_trial_csv",
@@ -275,13 +274,21 @@ class McrtSkip:
 
 
 @dataclass(frozen=True)
-class McrtResult:
-    """All tests for one lag, ordered by test time, plus skips."""
+class LagFamily:
+    """One lag's test family with every test's relabelings drawn once.
+
+    ``tests`` hold each testable group's arm moments and p-values at
+    zero shift, ordered by test time; ``tails`` holds, in the same
+    order, the TailPlan that re-evaluates that test under any shifted
+    effect.  run_mcrts builds it; the combiners and invert_combined
+    read it.  Two families compare equal by everything but their tails.
+    """
 
     lag: int
     n_units: int
     schedule: LagSchedule
     tests: tuple[McrtTest, ...]
+    tails: tuple[TailPlan, ...] = field(compare=False, repr=False)
     skipped: tuple[McrtSkip, ...]
 
     def p_values(self, tail: str) -> np.ndarray:
@@ -292,38 +299,14 @@ class McrtResult:
         raise ValueError("tail must be 'less' or 'greater'")
 
 
-@dataclass(frozen=True)
-class LagFamily:
-    """One lag's test family with every test's relabelings drawn once.
-
-    ``tests`` hold each testable group's arm moments and p-values at
-    zero shift; ``tails`` holds, in the same order, the TailPlan that
-    re-evaluates that test under any shifted effect.  Built from one
-    (data, lag, config), it is shared by run_mcrts, invert_combined and
-    every combiner.
-    """
-
-    lag: int
-    n_units: int
-    schedule: LagSchedule
-    config: TestConfig
-    tests: tuple[McrtTest, ...]
-    tails: tuple[TailPlan, ...]
-    skipped: tuple[McrtSkip, ...]
-
-    def result(self) -> McrtResult:
-        return McrtResult(
-            lag=self.lag, n_units=self.n_units, schedule=self.schedule,
-            tests=self.tests, skipped=self.skipped,
-        )
-
-
-def _plan_groups(data: TrialData, groups, cfg: TestConfig):
-    """Draw each testable group's relabelings; skip groups below min_arm."""
+def run_mcrts(data: TrialData, lag: int, cfg: TestConfig = TestConfig()) -> LagFamily:
+    """Run the whole lag-l test family on one trial, drawing each
+    testable group's relabelings once; groups below min_arm are skipped."""
+    schedule = build_schedule(data.n_times, lag)
     tests: list[McrtTest] = []
     tails: list[TailPlan] = []
     skips: list[McrtSkip] = []
-    for g in groups:
+    for g in build_groups(data.times, schedule):
         if min(g.n_treated, g.n_control) < cfg.min_arm:
             skips.append(
                 McrtSkip(
@@ -363,35 +346,7 @@ def _plan_groups(data: TrialData, groups, cfg: TestConfig):
             )
         )
         tails.append(tail)
-    return tests, tails, skips
-
-
-def build_family(data: TrialData, lag: int, cfg: TestConfig = TestConfig()) -> LagFamily:
-    """Draw the relabelings of the whole lag-l test family once."""
-    schedule = build_schedule(data.n_times, lag)
-    tests, tails, skips = _plan_groups(data, build_groups(data.times, schedule), cfg)
-    return LagFamily(lag, data.n_units, schedule, cfg, tuple(tests), tuple(tails), tuple(skips))
-
-
-def _family_for(data: TrialData, lag: int, cfg: TestConfig, family: LagFamily | None) -> LagFamily:
-    """``family`` after checking it was built for (data, lag, cfg), else a new one."""
-    if family is None:
-        return build_family(data, lag, cfg)
-    if (family.lag, family.n_units, family.config) != (lag, data.n_units, cfg):
-        raise ValueError("family was built for another trial size, lag or test config")
-    return family
-
-
-def run_mcrts(
-    data: TrialData, lag: int, cfg: TestConfig = TestConfig(), family: LagFamily | None = None
-) -> McrtResult:
-    """Run the whole lag-l test family on one trial.
-
-    A ``family`` from build_family(data, lag, cfg) supplies the tests
-    already drawn, so an interval inverted from the same family reuses
-    its relabelings.
-    """
-    return _family_for(data, lag, cfg, family).result()
+    return LagFamily(lag, data.n_units, schedule, tuple(tests), tuple(tails), tuple(skips))
 
 
 def write_trial_csv(path, data: TrialData) -> None:

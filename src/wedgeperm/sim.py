@@ -24,10 +24,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ci import CIConfig, invert_combined
+from .ci import invert_combined
 from .combine import combined_from_mcrt
 from .design import DataFormatError, DesignSpec, crossover_times, sample_assignment
-from .mcrt import TestConfig, TrialData, build_family, naive_groups, run_mcrts
+from .mcrt import TestConfig, TrialData, naive_groups, run_mcrts
 from .permtest import TwoGroupSample, permutation_pvalue
 from .rng import DEFAULT_SEED, generator, seed_sequence
 
@@ -345,6 +345,8 @@ def power_study(
         raise ValueError(f"unknown methods: {sorted(unknown)}; choose from {POWER_METHODS}")
     if replicates is not None and replicates < 1:
         raise ValueError("replicates must be positive")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     cells: list[Sim1Config] = []
     skipped: list[tuple[str, str]] = []
     for cell in grid:
@@ -388,10 +390,9 @@ def _coverage_replicate(task) -> list[tuple[int, str, bool, float, bool]]:
             budget=budget, statistic=statistic,
             seed=seed_sequence(cfg.seed, _COVERAGE_TAG, cfg.interaction, rep, 1, lag),
         )
-        ci_cfg = CIConfig(alpha=1.0 - cfg.level, test=tcfg)
-        family = build_family(data, lag, tcfg)
+        family = run_mcrts(data, lag, tcfg)
         for method in methods:
-            ci = invert_combined(data, lag, ci_cfg, method=method, family=family)
+            ci = invert_combined(family, 1.0 - cfg.level, method)
             covered = ci.lower <= cfg.taus[lag] <= ci.upper
             out.append((lag, method, covered, ci.length, ci.empty))
     return out

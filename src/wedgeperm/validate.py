@@ -560,7 +560,9 @@ def joint_dominance_check(
     cell_rows: list[DominanceRow] = []
     union_cells = coarsening(family, range(K))
     draws = None
-    if not exact:
+    if exact:
+        cell_mass = [space.prob_of(cell) for cell in union_cells]
+    else:
         probs = np.asarray([float(p) for p in space.probs])
         gen = generator(seed if seed is not None else 0, 1)
         draws = gen.choice(space.size, size=n_draws, p=probs / probs.sum())
@@ -571,8 +573,8 @@ def joint_dominance_check(
         if exact:
             prob = sum((space.probs[i] for i in range(space.size) if hits[i]), zero)
             rows.append(DominanceRow(vec, prob, bound, prob <= bound))
-            for cell in union_cells:
-                cprob = sum((space.probs[i] for i in cell if hits[i]), zero) / space.prob_of(cell)
+            for cell, mass in zip(union_cells, cell_mass):
+                cprob = sum((space.probs[i] for i in cell if hits[i]), zero) / mass
                 cell_rows.append(DominanceRow(vec, cprob, bound, cprob <= bound, cell=cell))
         else:
             hit_arr = np.asarray(hits)[draws]

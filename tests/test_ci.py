@@ -9,7 +9,6 @@ import pytest
 
 from wedgeperm import (
     COMBINERS,
-    CIConfig,
     ConfidenceInterval,
     CrossoverTimes,
     Sim1Config,
@@ -17,7 +16,6 @@ from wedgeperm import (
     TestConfig,
     TrialData,
     TwoGroupSample,
-    build_family,
     bonferroni_combine,
     diff_in_means,
     fisher_combine,
@@ -131,13 +129,13 @@ class TestInvertSingle:
         # candidate shift, so the set is the single point tau
         tau = 2.0
         s = TwoGroupSample(np.full(6, tau), np.zeros(6), 12)
-        ci = invert_single(s, CIConfig(alpha=0.10))
+        ci = invert_single(s, 0.10)
         assert (ci.lower, ci.upper) == (tau, tau)
         assert ci.length == 0.0
 
     def test_covers_point_estimate(self):
         s = gaussian_shift_sample(10, 10, 0.5, 7)
-        ci = invert_single(s, CIConfig(alpha=0.10, test=TestConfig(budget=499, seed=3)))
+        ci = invert_single(s, 0.10, TestConfig(budget=499, seed=3))
         gap = float(s.treated.mean() - s.control.mean())
         assert ci.lower <= gap <= ci.upper
 
@@ -145,17 +143,17 @@ class TestInvertSingle:
         c = 3.5
         s = gaussian_shift_sample(9, 9, 0.0, 8)
         shifted = TwoGroupSample(s.treated + c, s.control, s.scale_n)
-        cfg = CIConfig(alpha=0.10, test=TestConfig(budget=299, seed=4))
-        a = invert_single(s, cfg)
-        b = invert_single(shifted, cfg)
+        tcfg = TestConfig(budget=299, seed=4)
+        a = invert_single(s, 0.10, tcfg)
+        b = invert_single(shifted, 0.10, tcfg)
         assert b.lower == pytest.approx(a.lower + c, abs=1e-9)
         assert b.upper == pytest.approx(a.upper + c, abs=1e-9)
 
     def test_higher_confidence_never_shortens(self):
         s = gaussian_shift_sample(12, 12, 0.3, 9)
         tcfg = TestConfig(budget=399, seed=5)
-        wide = invert_single(s, CIConfig(alpha=0.10, test=tcfg))
-        narrow = invert_single(s, CIConfig(alpha=0.50, test=tcfg))
+        wide = invert_single(s, 0.10, tcfg)
+        narrow = invert_single(s, 0.50, tcfg)
         assert narrow.lower >= wide.lower - 1e-9
         assert narrow.upper <= wide.upper + 1e-9
         assert narrow.length <= wide.length + 1e-9
@@ -165,8 +163,7 @@ class TestInvertSingle:
         tau, n_reps, covered = 0.5, 200, 0
         for rep in range(n_reps):
             s = gaussian_shift_sample(12, 12, tau, 2_000 + rep)
-            cfg = CIConfig(alpha=0.10, test=TestConfig(budget=299, seed=rep))
-            ci = invert_single(s, cfg)
+            ci = invert_single(s, 0.10, TestConfig(budget=299, seed=rep))
             covered += ci.lower <= tau <= ci.upper
         se = math.sqrt(0.9 * 0.1 / n_reps)
         assert covered / n_reps >= 0.90 - 3 * se
@@ -194,8 +191,7 @@ class TestRankStatisticPath:
 
     def test_interval_covers_effect(self):
         s = gaussian_shift_sample(10, 10, 1.0, 13)
-        cfg = CIConfig(alpha=0.10, test=TestConfig(statistic="rank_sum", budget=299))
-        ci = invert_single(s, cfg)
+        ci = invert_single(s, 0.10, TestConfig(statistic="rank_sum", budget=299))
         assert ci.lower <= 1.0 <= ci.upper
 
 
@@ -208,10 +204,9 @@ class TestInvertCombined:
         y = rng.normal(0, 1, (10, 3))
         y[times.times == 1, 1] += 0.7
         data = TrialData(np.arange(10), times, y)
-        cfg = CIConfig(alpha=0.10)
-        combined = invert_combined(data, 0, cfg, method="weighted_z")
+        combined = invert_combined(run_mcrts(data, 0), 0.10, "weighted_z")
         group_sample = TwoGroupSample(y[times.times == 1, 1], y[times.times == 2, 1], 10)
-        single = invert_single(group_sample, cfg)
+        single = invert_single(group_sample, 0.10)
         assert combined.lower == pytest.approx(single.lower, abs=1e-6)
         assert combined.upper == pytest.approx(single.upper, abs=1e-6)
 
@@ -219,7 +214,7 @@ class TestInvertCombined:
     def test_covers_injected_effect(self, method):
         tau, lag = 0.6, 1
         data = make_trial(96, (24, 24, 24, 24), lag=lag, effect=tau, seed=15, noise=0.3)
-        ci = invert_combined(data, lag, CIConfig(alpha=0.10), method=method)
+        ci = invert_combined(run_mcrts(data, lag), 0.10, method)
         assert ci.lower <= tau <= ci.upper
         assert ci.method == method and ci.lag == lag
 
@@ -228,8 +223,7 @@ class TestInvertCombined:
         n_reps = 60
         for rep in range(n_reps):
             data = make_trial(40, (10, 10, 10, 10), seed=3_000 + rep)
-            cfg = CIConfig(alpha=0.10, test=TestConfig(budget=199, seed=rep))
-            ci = invert_combined(data, 0, cfg)
+            ci = invert_combined(run_mcrts(data, 0, TestConfig(budget=199, seed=rep)), 0.10)
             covered += ci.lower <= 0.0 <= ci.upper
         se = math.sqrt(0.9 * 0.1 / n_reps)
         assert covered / n_reps >= 0.90 - 3 * se
@@ -239,7 +233,7 @@ class TestInvertCombined:
         # fisher; the qualifying set degenerates to the single point 1.5
         times = CrossoverTimes(np.repeat([1, 2, 3], 6), 3)
         data = constant_baseline_trial(times, lag=0, effect=1.5)
-        ci = invert_combined(data, 0, CIConfig(alpha=0.10), method="fisher")
+        ci = invert_combined(run_mcrts(data, 0), 0.10, "fisher")
         assert ci.lower - 1e-5 <= 1.5 <= ci.upper + 1e-5
         assert ci.length < 0.1
 
@@ -247,7 +241,7 @@ class TestInvertCombined:
         times = CrossoverTimes(np.asarray([1, 2, 2, 2]), 2)
         data = TrialData(np.arange(4), times, np.random.default_rng(0).normal(size=(4, 3)))
         with pytest.raises(ValueError, match="no testable groups"):
-            invert_combined(data, 0, CIConfig())
+            invert_combined(run_mcrts(data, 0))
 
 
 def dyadic_trial(seed: int) -> TrialData:
@@ -341,18 +335,17 @@ class TestExactEndpoints:
     def test_endpoints_match_fraction_oracle(self, statistic, method, alpha):
         data = dyadic_trial(40 + int(100 * alpha))
         tcfg = TestConfig(statistic=statistic)
-        cfg = CIConfig(alpha=alpha, test=tcfg)
-        family = build_family(data, 0, tcfg)
+        family = run_mcrts(data, 0, tcfg)
         assert all(tail.exact for tail in family.tails)
         samples = [tail.sample for tail in family.tails]
         if method == "single":
             samples = samples[:1]
-            ci = invert_single(samples[0], cfg)
+            ci = invert_single(samples[0], alpha, tcfg)
             combined = lambda p: p[0]
         else:
-            ci = invert_combined(data, 0, cfg, method=method, family=family)
+            ci = invert_combined(family, alpha, method)
             if method == "weighted_z":
-                wv = weights_from_result(family.result())
+                wv = weights_from_result(family)
                 assert len(wv.test_times) == len(samples)
                 gran = [t.granularity for t in family.tests]
                 combined = lambda p: weighted_z_combine(p, wv, gran).p_value
@@ -380,7 +373,7 @@ class TestExactEndpoints:
         # mirrored), so the search must decide from the cells beside them
         u = math.ulp(1.0)
         s = TwoGroupSample(sign * (1.0 + u * np.arange(4)), sign * np.array([0.0, 0.0, 0.5, 1.5]), 8)
-        ci = invert_single(s, CIConfig(alpha=0.30, test=TestConfig(statistic="rank_sum")))
+        ci = invert_single(s, 0.30, TestConfig(statistic="rank_sum"))
         oracle = ExactOracle([s], "rank_sum", lambda p: p[0], 0.30)
         assert (ci.lower, ci.upper) == tuple(float(e) for e in oracle.interval())
         endpoint = Fraction(ci.upper if sign > 0 else ci.lower)
@@ -388,7 +381,7 @@ class TestExactEndpoints:
 
     @pytest.mark.parametrize("statistic", ["diff_in_means", "rank_sum"])
     def test_cells_beside_each_candidate(self, statistic):
-        tail = build_family(dyadic_trial(3), 0, TestConfig(statistic=statistic)).tails[0]
+        tail = run_mcrts(dyadic_trial(3), 0, TestConfig(statistic=statistic)).tails[0]
         cands = sorted(_candidates(tail.sample, statistic))
         edges = [cands[0] - 1] + cands + [cands[-1] + 1]
         for k, c in enumerate(cands, start=1):
@@ -403,11 +396,10 @@ class TestExactEndpoints:
         # Bonferroni's combined tails never both reach alpha/2 here: the
         # lower endpoint (about 0.509) exceeds the upper one (about 0.201)
         data = gen_outcomes_sim1(Sim1Config(100, 6, lag=1, effect=0.3), generator(19))
-        cfg = CIConfig(alpha=0.10)
-        ci = invert_combined(data, 1, cfg, method="bonferroni")
+        family = run_mcrts(data, 1)
+        ci = invert_combined(family, 0.10, "bonferroni")
         assert ci.empty and math.isnan(ci.lower) and math.isnan(ci.upper)
         assert ci.length == 0.0
-        family = build_family(data, 1, cfg.test)
         k = len(family.tails)
         for delta in np.linspace(-1.0, 2.0, 3001):
             # on both sides of each point, in case it is a candidate
@@ -416,16 +408,16 @@ class TestExactEndpoints:
                 p_less = min(1.0, k * min(c[0] for c in cells))
                 p_greater = min(1.0, k * min(c[1] for c in cells))
                 assert not (p_less >= 0.05 and p_greater >= 0.05)
-        assert not invert_combined(data, 1, cfg, method="weighted_z", family=family).empty
+        assert not invert_combined(family, 0.10, "weighted_z").empty
 
     def test_unbounded_sides_are_infinite(self):
         # two against two has six relabelings, so no p-value falls below
         # 1/6 and every shift is accepted at alpha = 0.10
         s = TwoGroupSample([0.5, 1.25], [0.0, -0.75], 4)
-        ci = invert_single(s, CIConfig(alpha=0.10))
+        ci = invert_single(s, 0.10)
         assert (ci.lower, ci.upper, ci.length) == (-math.inf, math.inf, math.inf)
         assert not ci.empty
-        finite = invert_single(s, CIConfig(alpha=0.40))
+        finite = invert_single(s, 0.40)
         assert math.isfinite(finite.lower) and math.isfinite(finite.upper)
 
 
@@ -435,30 +427,26 @@ class TestSharedFamily:
         lag = 1
         data = make_trial(60, (15, 15, 15, 15), lag=lag, effect=0.4, seed=21, noise=0.5)
         tcfg = TestConfig(budget=199, statistic=statistic, seed=5)
-        cfg = CIConfig(alpha=0.10, test=tcfg)
-        family = build_family(data, lag, tcfg)
-        shared = run_mcrts(data, lag, tcfg, family=family)
-        alone = run_mcrts(data, lag, tcfg)
-        assert shared == alone
+        family = run_mcrts(data, lag, tcfg)
+        assert family == run_mcrts(data, lag, tcfg)
         for method in COMBINERS:
-            a = invert_combined(data, lag, cfg, method=method, family=family)
-            b = invert_combined(data, lag, cfg, method=method)
-            assert (a.lower, a.upper, a.n_grid) == (b.lower, b.upper, b.n_grid)
-
-    def test_family_for_another_lag_or_config_rejected(self):
-        data = make_trial(40, (10, 10, 10, 10), seed=22)
-        tcfg = TestConfig(budget=99, seed=6)
-        family = build_family(data, 0, tcfg)
-        with pytest.raises(ValueError, match="family was built"):
-            invert_combined(data, 1, CIConfig(test=tcfg), family=family)
-        with pytest.raises(ValueError, match="family was built"):
-            run_mcrts(data, 0, TestConfig(budget=199, seed=6), family=family)
+            # the family's relabelings are read, never redrawn, so a
+            # second inversion matches one from a fresh family
+            first = invert_combined(family, 0.10, method)
+            again = invert_combined(family, 0.10, method)
+            fresh = invert_combined(run_mcrts(data, lag, tcfg), 0.10, method)
+            assert first == again == fresh
 
 
-class TestCIConfig:
+class TestIntervalArguments:
     def test_alpha_bounds(self):
-        with pytest.raises(ValueError, match="alpha"):
-            CIConfig(alpha=0.0)
+        s = TwoGroupSample([0.5, 1.25, 2.0], [0.0, -0.75, 0.25], 6)
+        family = run_mcrts(make_trial(40, (10, 10, 10, 10), seed=22), 0, TestConfig(budget=99))
+        for alpha in (0.0, 1.0, 1.5, -0.1):
+            with pytest.raises(ValueError, match="alpha"):
+                invert_single(s, alpha)
+            with pytest.raises(ValueError, match="alpha"):
+                invert_combined(family, alpha)
 
     def test_interval_endpoint_order_enforced(self):
         with pytest.raises(ValueError, match="out of order"):

@@ -113,6 +113,13 @@ class TestAnalyze:
         assert main(["analyze", str(path), "--lag", "0"]) == EXIT_DATA
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha", ["0", "1", "1.5", "-0.1"])
+    def test_alpha_outside_unit_interval_is_a_usage_error_before_any_output(self, trial_csv, capsys, alpha):
+        assert main(["analyze", str(trial_csv), "--lag", "0", "--alpha", alpha]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--alpha must lie in (0, 1)" in captured.err
+
     def test_missing_file(self, capsys):
         assert main(["analyze", "/nonexistent/trial.csv", "--lag", "0"]) == EXIT_DATA
 
@@ -200,6 +207,25 @@ class TestSimulate:
         )
         assert code == EXIT_USAGE
         assert "replicates" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"alpha": 1.5}, "alpha must lie in (0, 1)"),
+            ({"grid": [[100, 6]]}, "grid cell [100, 6] is not a list of four numbers"),
+            ({"grid": [["a", 6, 0, 0.0]]}, "grid cell ['a', 6, 0, 0.0] is not a list of four numbers"),
+            ({"methods": "mcrts_z"}, "'methods' must be a list"),
+        ],
+        ids=["alpha", "short-cell", "text-in-cell", "methods-not-a-list"],
+    )
+    def test_malformed_power_config_rejected_before_any_replicate(self, tmp_path, capsys, edit, message):
+        cfg = {"study": "power", "grid": [[100, 6, 0, 0.0]], "replicates": 2, "budget": 49}
+        cfg_path, out = tmp_path / "study.json", tmp_path / "power.csv"
+        cfg_path.write_text(json.dumps({**cfg, **edit}))
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == EXIT_USAGE
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and message in errors[0]
+        assert not out.exists()
 
     def test_missing_study_source(self, capsys):
         assert main(["simulate"]) == EXIT_USAGE

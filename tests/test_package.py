@@ -10,13 +10,13 @@ EXPORTED = {
     "validate_assignment", "write_assignment_csv", "DEFAULT_BUDGET",
     "DEFAULT_EXACT_THRESHOLD", "STATISTICS", "PermutationResult", "RelabelPlan",
     "TailPlan", "TwoGroupSample", "diff_in_means", "permutation_pvalue", "rank_sum",
-    "relabel_plan", "LagFamily", "LagSchedule", "LagTestGroup", "McrtResult",
-    "McrtSkip", "McrtTest", "TestConfig", "TrialData", "build_family", "build_groups",
+    "relabel_plan", "LagFamily", "LagSchedule", "LagTestGroup",
+    "McrtSkip", "McrtTest", "TestConfig", "TrialData", "build_groups",
     "build_schedule", "naive_groups", "read_trial_csv", "run_mcrts",
     "write_trial_csv", "COMBINERS", "CombinedPValue", "WeightVector",
     "bonferroni_combine", "combined_from_mcrt",
     "estimate_lambda", "fisher_combine", "weighted_z_combine", "weights_from_result",
-    "CIConfig", "ConfidenceInterval", "invert_combined", "invert_single", "read_ci_csv",
+    "ConfidenceInterval", "invert_combined", "invert_single", "read_ci_csv",
     "write_ci_csv", "BUNDLED_SCENARIOS",
     "CondIndepResult", "DominanceReport", "DominanceRow", "FiniteAssignmentSpace",
     "HasseDiagram", "HasseNode", "NestedCheck", "NestednessError", "PartitionCheck",

@@ -18,7 +18,6 @@ from wedgeperm import (
     TestConfig,
     TrialData,
     all_pairs_nested,
-    build_family,
     build_hasse,
     bundled_scenario,
     coarsening,
@@ -30,6 +29,7 @@ from wedgeperm import (
     load_scenario,
     pairwise_nested_check,
     refinement,
+    run_mcrts,
     save_scenario,
     stepped_wedge_scenario,
 )
@@ -275,6 +275,27 @@ class TestJointDominance:
         assert all(r.stderr is not None and r.stderr > 0 for r in report.rows)
         assert report.conditions_ok and report.bound_ok
 
+    def test_cell_masses_computed_once(self, monkeypatch):
+        # each coarsening cell's mass is summed once, however many level
+        # vectors are checked
+        calls = []
+        prob_of = FiniteAssignmentSpace.prob_of
+
+        def counting(space, indices):
+            calls.append(1)
+            return prob_of(space, indices)
+
+        monkeypatch.setattr(FiniteAssignmentSpace, "prob_of", counting)
+        stats = [np.asarray([0.0, 1.0, 2.0, 3.0])] * 3
+        levels = [Fraction(k, 5) for k in range(1, 6)]
+        counts = []
+        for alphas in ([(1, 1, 1)], [(a, b, 1) for a in levels for b in levels]):
+            calls.clear()
+            report = joint_dominance_check(SPACE4, CHAIN, stats, alphas=alphas)
+            assert report.exact and len(report.rows) == len(alphas)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
     def test_fewer_than_one_draw_rejected(self):
         space = FiniteAssignmentSpace([("a",), ("b",)], [0.5, 0.5])
         fam = PartitionFamily([[0, 0]])
@@ -350,7 +371,7 @@ class TestEngineMatchesOracle:
         panel = generator(11, n_units).standard_normal((n_units, n_times + 1))
         cfg = TestConfig(exact_threshold=10**9, min_arm=1)
         families = [
-            build_family(TrialData(np.arange(n_units), CrossoverTimes(z, n_times), panel), lag, cfg)
+            run_mcrts(TrialData(np.arange(n_units), CrossoverTimes(z, n_times), panel), lag, cfg)
             for z in space.elements
         ]
         for k in range(family.n_partitions):
