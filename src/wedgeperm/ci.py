@@ -19,13 +19,19 @@ the endpoints are exactly
 each a candidate shift.  A bisection on delta finds them, evaluating
 the curve only on the open cells between candidates; no shifted
 outcome is ever formed, so rounding at a tie never decides an
-endpoint.  A side whose tail stays at or above alpha/2 beyond every
-candidate is unbounded (-inf or inf); when the lower endpoint exceeds
-the upper one no delta is accepted and the set is empty (both
-endpoints nan).  The combined interval inverts the
-LagFamily that run_mcrts returns, the one that gives the analysis its
-p-values, through the same kept tests and weights as the combined
-p-value (combine), so its relabelings are never drawn again.
+endpoint.  Each evaluation is one probe of a family lookup
+(permtest._ShiftIndex) built once per interval.  For the difference in
+means it merges the tests' candidates into their union, so a probe is
+two binary searches for the whole family rather than one call per
+test, and it computes only the tail that the bisection step reads; the
+rank sum re-sums each test's ranks at every probe.  A side whose tail
+stays at or above alpha/2 beyond every candidate is unbounded (-inf or
+inf); when the lower endpoint exceeds the upper one no delta is
+accepted and the set is empty (both endpoints nan).  The combined
+interval inverts the LagFamily that run_mcrts returns, the one that
+gives the analysis its p-values, through the same kept tests and
+weights as the combined p-value (combine), so its relabelings are
+never drawn again.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ import numpy as np
 from .combine import _combiner
 from .design import DataFormatError
 from .mcrt import LagFamily, TestConfig
-from .permtest import TailPlan, TwoGroupSample, relabel_plan
+from .permtest import TailPlan, TwoGroupSample, _ShiftIndex, relabel_plan
 from .rng import seed_sequence
 
 __all__ = [
@@ -87,53 +93,56 @@ class ConfidenceInterval:
         return 0.0 if self.empty else self.upper - self.lower
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+
+
 def _exact_interval(
-    plans: Sequence[TailPlan], combined: Callable[[np.ndarray], tuple[float, float]], alpha: float
+    shifts: _ShiftIndex, combined: Callable[[np.ndarray], tuple[float, float]], alpha: float
 ) -> tuple[float, float, int]:
     """(lower, upper, evaluations) of the set accepted by the combined test.
 
-    ``combined`` maps one tail's p-values, one per plan, to the combined
-    (statistic, p-value), the p-value non-decreasing in each.  Lower is
-    the smallest candidate c whose combined p_greater on the cell just
-    above c reaches alpha/2 (p_greater only grows with delta), upper the
-    largest c whose combined p_less on the cell just below c does.
+    ``combined`` maps one tail's p-values, one per test of ``shifts``,
+    to the combined (statistic, p-value), the p-value non-decreasing in
+    each.  Lower is the smallest candidate c whose combined p_greater on
+    the cell just above c reaches alpha/2 (p_greater only grows with
+    delta), upper the largest c whose combined p_less on the cell just
+    below c does.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
     thr = alpha / 2.0
     evaluations = 0
 
     def curve(v: float, side: str):
         nonlocal evaluations
         evaluations += 1
-        cells = [plan.cell(v, side) for plan in plans]
-        p_less = np.array([c[0] for c in cells])
-        p_greater = np.array([c[1] for c in cells])
-        return p_less, p_greater, max(c[2] for c in cells), min(c[3] for c in cells)
+        return shifts.cell(v, side)
+
+    def p_value(at, tail: str) -> float:
+        return combined(shifts.tail(at, tail))[1]
 
     def endpoint(lo: float, hi: float, upper: bool) -> float:
         # invariant: the endpoint is a candidate in [lo, hi], and lo, hi
         # are candidates; each step drops at least one candidate and
         # halves the span
-        side = "left" if upper else "right"
+        side, tail = ("left", "less") if upper else ("right", "greater")
         while lo < hi:
             mid = 0.5 * lo + 0.5 * hi
             if not lo < mid < hi:  # no shift strictly between neighbours
                 mid = hi if upper else lo
-            p_less, p_greater, below, above = curve(mid, side)
-            accepted = combined(p_less if upper else p_greater)[1] >= thr
-            if accepted == upper:  # the endpoint lies at or above the cell
+            at, below, above = curve(mid, side)
+            if (p_value(at, tail) >= thr) == upper:  # the endpoint lies at or above the cell
                 lo = above
             else:  # at or below it
                 hi = below
         return lo
 
-    first_less, first_greater, _, first = curve(-math.inf, "right")
-    last_less, last_greater, last, _ = curve(math.inf, "left")
-    if combined(last_greater)[1] < thr or combined(first_less)[1] < thr:
+    first_at, _, first = curve(-math.inf, "right")
+    last_at, last, _ = curve(math.inf, "left")
+    if p_value(last_at, "greater") < thr or p_value(first_at, "less") < thr:
         return math.nan, math.nan, evaluations
-    lower = -math.inf if combined(first_greater)[1] >= thr else endpoint(first, last, upper=False)
-    upper = math.inf if combined(last_less)[1] >= thr else endpoint(first, last, upper=True)
+    lower = -math.inf if p_value(first_at, "greater") >= thr else endpoint(first, last, upper=False)
+    upper = math.inf if p_value(last_at, "less") >= thr else endpoint(first, last, upper=True)
     if lower > upper:
         return math.nan, math.nan, evaluations
     return lower, upper, evaluations
@@ -146,6 +155,7 @@ def invert_single(
 
     The relabelings are drawn once, on the stream keyed by (seed, 0).
     """
+    _check_alpha(alpha)
     plan = relabel_plan(
         sample.n_treated + sample.n_control,
         sample.n_treated,
@@ -153,8 +163,8 @@ def invert_single(
         exact_threshold=cfg.exact_threshold,
         seed=seed_sequence(cfg.seed, 0),
     )
-    tail = TailPlan(sample, plan, cfg.statistic)
-    lower, upper, evaluations = _exact_interval([tail], lambda p: (p[0], p[0]), alpha)
+    shifts = _ShiftIndex([TailPlan(sample, plan, cfg.statistic)])
+    lower, upper, evaluations = _exact_interval(shifts, lambda p: (p[0], p[0]), alpha)
     return ConfidenceInterval(
         lag=lag,
         method="single",
@@ -175,11 +185,13 @@ def invert_combined(family: LagFamily, alpha: float = 0.10, method: str = "weigh
     alpha/2.  Every delta is evaluated against the relabelings that
     run_mcrts drew for ``family``.
     """
+    _check_alpha(alpha)
     if not family.tests:
         raise ValueError(f"no testable groups at lag {family.lag} (all below min_arm)")
     kept, combined = _combiner(family.tests, family.n_units, method)
     tails = {t.test_time: tail for t, tail in zip(family.tests, family.tails)}
-    lower, upper, evaluations = _exact_interval([tails[t.test_time] for t in kept], combined, alpha)
+    shifts = _ShiftIndex([tails[t.test_time] for t in kept])
+    lower, upper, evaluations = _exact_interval(shifts, combined, alpha)
     return ConfidenceInterval(
         lag=family.lag,
         method=method,

@@ -255,21 +255,23 @@ def relabel_plan(
     return RelabelPlan(n_treated, pool_size, budget, False, streams=streams)
 
 
-def _count_pvalues(n_le, n_ge, n_resamples: int, exact: bool):
-    """Both tail p-values from the counts of relabelings at or below and
-    at or above the observed statistic; Monte-Carlo counts take the
-    add-one correction."""
-    if exact:
-        return n_le / n_resamples, n_ge / n_resamples
-    return (1 + n_le) / (n_resamples + 1), (1 + n_ge) / (n_resamples + 1)
+def _add_one(n_resamples: int, exact: bool) -> tuple[int, int]:
+    """(add, denominator) of a tail p-value (add + count) / denominator:
+    Monte-Carlo counts take the add-one correction, exact ones none."""
+    return (0, n_resamples) if exact else (1, n_resamples + 1)
+
+
+def _tail_counts(resampled: np.ndarray, observed):
+    """How many relabelings (rows of ``resampled``) sit at or below and at
+    or above ``observed``, per column; ties count toward both tails."""
+    return (resampled <= observed).sum(axis=0), (resampled >= observed).sum(axis=0)
 
 
 def _tail_pvalues(resampled: np.ndarray, observed, exact: bool):
-    """Both tail p-values of each column of ``resampled`` (one row per
-    relabeling); ties count toward both tails."""
-    n_le = (resampled <= observed).sum(axis=0)
-    n_ge = (resampled >= observed).sum(axis=0)
-    return _count_pvalues(n_le, n_ge, resampled.shape[0], exact)
+    """Both tail p-values of each column of ``resampled``."""
+    add, den = _add_one(resampled.shape[0], exact)
+    n_le, n_ge = _tail_counts(resampled, observed)
+    return (add + n_le) / den, (add + n_ge) / den
 
 
 def _controls_below(xs: np.ndarray, ys: np.ndarray, v: float, strict: bool) -> np.ndarray:
@@ -311,8 +313,9 @@ class TailPlan:
       never formed, both arms are sorted and counted by bisection.
 
     ``cell`` evaluates the tails on the open cell beside a shift, where
-    they are constant, with the candidates that bound it; ``result``
-    gives the unshifted test.
+    they are constant, with the candidates that bound it, through the
+    one-test case of the family lookup _ShiftIndex; ``result`` gives the
+    unshifted test.
     """
 
     def __init__(self, sample: TwoGroupSample, plan: RelabelPlan, statistic: str):
@@ -362,13 +365,13 @@ class TailPlan:
         smallest over it, -inf or inf when there is none.  No shift is
         formed, so rounding cannot move a candidate across ``v``.
         """
-        if self.statistic == "diff_in_means":
-            b, fixed_le, fixed_ge = self._breaks
-            k = int(np.searchsorted(b, v, side))
-            p_less, p_greater = _count_pvalues(fixed_le + b.size - k, fixed_ge + k, self.n_resamples, self.exact)
-            below = float(b[k - 1]) if k > 0 else -math.inf
-            above = float(b[k]) if k < b.size else math.inf
-            return p_less, p_greater, below, above
+        index = _ShiftIndex([self])
+        at, below, above = index.cell(v, side)
+        return float(index.tail(at, "less")[0]), float(index.tail(at, "greater")[0]), below, above
+
+    def _rank_cell(self, v: float, side: str) -> tuple[int, int, float, float]:
+        """The rank-sum test's tail counts on the cell beside ``v`` (see
+        ``cell``), with the candidates that bound it."""
         xs, ys, t_slots, c_slots, arm_ranks = self._arms
         # a treated value stays above control y_j on the cell while x - y_j
         # exceeds v; ties between arms cannot occur inside a cell
@@ -376,13 +379,12 @@ class TailPlan:
         ranks = arm_ranks.copy()
         ranks[t_slots] += a
         ranks[c_slots] += np.searchsorted(a, np.arange(ys.size), "right")
-        m = xs.size
-        p_less, p_greater = _tail_pvalues(self._plan.sums(ranks), float(ranks[:m].sum()), self.exact)
+        n_le, n_ge = _tail_counts(self._plan.sums(ranks), float(ranks[: xs.size].sum()))
         rows = a < ys.size
         below = float((xs[rows] - ys[a[rows]]).max()) if rows.any() else -math.inf
         rows = a > 0
         above = float((xs[rows] - ys[a[rows] - 1]).min()) if rows.any() else math.inf
-        return float(p_less), float(p_greater), below, above
+        return n_le, n_ge, below, above
 
     def result(self) -> PermutationResult:
         """The unshifted test: observed statistic and both p-values."""
@@ -400,6 +402,75 @@ class TailPlan:
             exact=self.exact,
             statistic_name=self.statistic,
         )
+
+
+class _ShiftIndex:
+    """The shifted tails of a family of tests, one lookup per probe.
+
+    A probe is the open cell just above or below a shift (TailPlan.cell)
+    and gives every test's position in it at once.  For the difference
+    in means, the tests' sorted candidate shifts (TailPlan._breaks) are
+    merged once, stably, into their distinct union, and each candidate
+    keeps its rank in the union, offset by (union size + 1) times its
+    test's index.  A probe then takes two searchsorted calls: one on the
+    union finds the cell and the candidates that bound it, and one with
+    a needle per test, at the cell's rank plus the test's offset, counts
+    each test's candidates below the cell.  The rank sum re-sums ranks
+    at every shift, so each of its tests counts its own cell
+    (TailPlan._rank_cell).  ``tail`` turns a position into one tail's
+    p-values, so a probe computes only the tail it reads.
+    """
+
+    def __init__(self, tails):
+        self._tails = tuple(tails)
+        add, den = zip(*(_add_one(t.n_resamples, t.exact) for t in self._tails))
+        self._add, self._den = np.asarray(add), np.asarray(den)
+        self._means = self._tails[0].statistic == "diff_in_means"
+        if not self._means:
+            return
+        breaks, fixed_le, fixed_ge = zip(*(t._breaks for t in self._tails))
+        sizes = np.asarray([b.size for b in breaks])
+        merged = np.concatenate(breaks)
+        order = np.argsort(merged, kind="stable")
+        ordered = merged[order]
+        new = np.empty(ordered.size, dtype=bool)
+        new[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+        self._union = ordered[new]
+        self._offsets = (self._union.size + 1) * np.arange(sizes.size)
+        self._keys = np.empty(merged.size, dtype=np.intp)
+        self._keys[order] = np.cumsum(new) - 1
+        self._keys += np.repeat(self._offsets, sizes)
+        # a probe finds the keys of the tests before each test too, so a
+        # test with k candidates below the cell sits at start + k; it has
+        # fixed_le + size - k relabelings at or below the observed sum
+        # and fixed_ge + k at or above it
+        starts = np.cumsum(sizes) - sizes
+        self._less = self._add + np.asarray(fixed_le) + sizes + starts
+        self._greater = self._add + np.asarray(fixed_ge) - starts
+
+    def cell(self, v: float, side: str):
+        """(position, below, above) of the open cell just above
+        (``side="right"``) or just below (``"left"``) the shift ``v``;
+        ``below`` and ``above`` are the family's nearest candidates, -inf
+        or inf when there is none."""
+        if not self._means:
+            cells = [t._rank_cell(v, side) for t in self._tails]
+            counts = (np.array([c[0] for c in cells]), np.array([c[1] for c in cells]))
+            return counts, max(c[2] for c in cells), min(c[3] for c in cells)
+        union = self._union
+        j = int(union.searchsorted(v, side))
+        below = float(union[j - 1]) if j > 0 else -math.inf
+        above = float(union[j]) if j < union.size else math.inf
+        return self._keys.searchsorted(self._offsets + j), below, above
+
+    def tail(self, at, tail: str) -> np.ndarray:
+        """Every test's ``tail`` ("less" or "greater") p-value at a
+        position from ``cell``."""
+        less = tail == "less"
+        if self._means:
+            return (self._less - at if less else self._greater + at) / self._den
+        return (self._add + at[0 if less else 1]) / self._den
 
 
 @dataclass(frozen=True)

@@ -559,13 +559,19 @@ def joint_dominance_check(
     rows: list[DominanceRow] = []
     cell_rows: list[DominanceRow] = []
     union_cells = coarsening(family, range(K))
-    draws = None
     if exact:
         cell_mass = [space.prob_of(cell) for cell in union_cells]
     else:
         probs = np.asarray([float(p) for p in space.probs])
         gen = generator(seed if seed is not None else 0, 1)
         draws = gen.choice(space.size, size=n_draws, p=probs / probs.sum())
+        # the draws enter only through how often each element was drawn;
+        # cells may overlap on a non-nested family, so each cell sums its
+        # own elements' counts rather than labelling the draws
+        drawn = np.bincount(draws, minlength=space.size)
+        members = np.concatenate([np.fromiter(cell, dtype=np.intp) for cell in union_cells])
+        starts = np.cumsum([0] + [len(cell) for cell in union_cells[:-1]])
+        cell_draws = np.add.reduceat(drawn[members], starts)
 
     for vec in alpha_rows:
         bound = math.prod(vec)
@@ -577,16 +583,15 @@ def joint_dominance_check(
                 cprob = sum((space.probs[i] for i in cell if hits[i]), zero) / mass
                 cell_rows.append(DominanceRow(vec, cprob, bound, cprob <= bound, cell=cell))
         else:
-            hit_arr = np.asarray(hits)[draws]
-            est = float(hit_arr.mean())
+            hit_draws = np.where(hits, drawn, 0)
+            est = int(hit_draws.sum()) / n_draws
             se = math.sqrt(est * (1 - est) / n_draws)
             rows.append(DominanceRow(vec, est, bound, est <= float(bound) + 3 * se, stderr=se))
-            for cell in union_cells:
-                in_cell = np.isin(draws, list(cell))
-                n_cell = int(in_cell.sum())
+            cell_hits = np.add.reduceat(hit_draws[members], starts)
+            for cell, n_cell, n_hit in zip(union_cells, cell_draws.tolist(), cell_hits.tolist()):
                 if n_cell == 0:
                     continue
-                cest = float(np.asarray(hits)[draws[in_cell]].mean())
+                cest = n_hit / n_cell
                 cse = math.sqrt(cest * (1 - cest) / n_cell)
                 cell_rows.append(
                     DominanceRow(vec, cest, bound, cest <= float(bound) + 3 * cse, stderr=cse, cell=cell)

@@ -11,6 +11,7 @@ from wedgeperm import (
     COMBINERS,
     ConfidenceInterval,
     CrossoverTimes,
+    RelabelPlan,
     Sim1Config,
     TailPlan,
     TestConfig,
@@ -30,6 +31,7 @@ from wedgeperm import (
     weights_from_result,
     write_ci_csv,
 )
+from wedgeperm.permtest import _ShiftIndex
 from wedgeperm.rng import generator, seed_sequence
 
 from conftest import constant_baseline_trial, make_trial
@@ -438,7 +440,137 @@ class TestSharedFamily:
             assert first == again == fresh
 
 
+class TestFamilyLookup:
+    def test_matches_direct_counts_on_monte_carlo_family(self):
+        # outcomes on a 0.1 grid make tests share candidate shifts, and the
+        # 5-vs-5 test has relabelings that never change side
+        data = gen_outcomes_sim1(Sim1Config(20, 4, lag=0, effect=0.3), generator(23))
+        data = TrialData(data.units, data.times, np.round(data.outcomes, 1))
+        family = run_mcrts(data, 0, TestConfig(budget=499, exact_threshold=1, seed=8))
+        direct = []
+        for test, tail in zip(family.tests, family.tails):
+            m, pool = tail.sample.n_treated, tail.sample.pooled()
+            plan = relabel_plan(pool.size, m, budget=499, exact_threshold=1, seed=seed_sequence(8, test.test_time))
+            sums, hits = plan.sums(pool), plan.treated_hits()
+            obs, moves = float(pool[:m].sum()), hits < m
+            fixed = sums[~moves]
+            breaks = (obs - sums[moves]) / (m - hits[moves])
+            direct.append((breaks, int((fixed <= obs).sum()), int((fixed >= obs).sum())))
+        cands = np.unique(np.concatenate([d for d, _, _ in direct]))
+        assert (sum(np.isin(cands, d) for d, _, _ in direct) >= 2).any()
+        assert any(le or ge for _, le, ge in direct)
+
+        index = _ShiftIndex(family.tails)
+        probes = [(-math.inf, "right"), (math.inf, "left")]
+        probes += [(float(c), side) for c in cands for side in ("left", "right")]
+        for v, side in probes:
+            at, below, above = index.cell(v, side)
+            # on the cell just above v a relabeling with candidate d is at or
+            # above the observed statistic when d <= v; just below v when d < v
+            up = [(d <= v if side == "right" else d < v).sum() for d, _, _ in direct]
+            assert index.tail(at, "less").tolist() == [
+                (1 + le + d.size - u) / 500 for (d, le, _), u in zip(direct, up)
+            ]
+            assert index.tail(at, "greater").tolist() == [(1 + ge + u) / 500 for (_, _, ge), u in zip(direct, up)]
+            under = cands[cands <= v] if side == "right" else cands[cands < v]
+            over = cands[cands > v] if side == "right" else cands[cands >= v]
+            assert below == (under[-1] if under.size else -math.inf)
+            assert above == (over[0] if over.size else math.inf)
+
+
+# (trial, statistic, lag, combiner, lower, upper, n_grid), recorded from the
+# per-test evaluator that preceded the family lookup
+PINNED_INTERVALS = [
+    ("raw", "diff_in_means", 0, "weighted_z", -0.25586141766170084, -0.01368639308725021, 29),
+    ("raw", "diff_in_means", 0, "fisher", -0.2591746054102637, -0.004576572971387065, 27),
+    ("raw", "diff_in_means", 0, "bonferroni", -0.31260485410555905, 0.10134597595744564, 26),
+    ("raw", "diff_in_means", 1, "weighted_z", 0.04864657966592948, 0.35650247150928, 28),
+    ("raw", "diff_in_means", 1, "fisher", 0.05947098029110048, 0.3350300308869244, 28),
+    ("raw", "diff_in_means", 1, "bonferroni", 0.05594762795159861, 0.27322886446815886, 28),
+    ("raw", "diff_in_means", 2, "weighted_z", -0.29837387337239596, 0.042826704389358206, 30),
+    ("raw", "diff_in_means", 2, "fisher", -0.30777687855786495, 0.06915604255444764, 31),
+    ("raw", "diff_in_means", 2, "bonferroni", -0.4888745378877703, 0.2277616053816208, 26),
+    ("raw", "diff_in_means", 3, "weighted_z", -0.25586720537528657, 0.16108878805187032, 25),
+    ("raw", "diff_in_means", 3, "fisher", -0.28741467630900935, 0.20568507920712772, 26),
+    ("raw", "diff_in_means", 3, "bonferroni", -0.37172305652632903, 0.3096177508085087, 27),
+    ("raw", "diff_in_means", 4, "weighted_z", -0.3000937090495377, 0.15298217574859965, 27),
+    ("raw", "diff_in_means", 4, "fisher", -0.3422686325809785, 0.18556051425445474, 27),
+    ("raw", "diff_in_means", 4, "bonferroni", -0.4315954446979333, 0.28297520405188514, 25),
+    ("raw", "rank_sum", 0, "weighted_z", -0.2600854344471024, -0.022381442382490957, 30),
+    ("raw", "rank_sum", 0, "fisher", -0.2542769945483918, -0.01341240272404809, 30),
+    ("raw", "rank_sum", 0, "bonferroni", -0.30581277278611707, 0.08490157967645251, 28),
+    ("raw", "rank_sum", 1, "weighted_z", 0.032073720791401694, 0.34249307734731294, 28),
+    ("raw", "rank_sum", 1, "fisher", 0.03509094284777481, 0.3515037753302437, 27),
+    ("raw", "rank_sum", 1, "bonferroni", 0.0034338046665296496, 0.260095738364043, 28),
+    ("raw", "rank_sum", 2, "weighted_z", -0.3743097269886193, -0.005683701689999321, 25),
+    ("raw", "rank_sum", 2, "fisher", -0.3584518524956142, 0.00955268410744825, 29),
+    ("raw", "rank_sum", 2, "bonferroni", -0.5125871165714728, 0.09467165503832842, 26),
+    ("raw", "rank_sum", 3, "weighted_z", -0.3100332133628392, 0.154521290223399, 23),
+    ("raw", "rank_sum", 3, "fisher", -0.35544717223979094, 0.20214220780840297, 23),
+    ("raw", "rank_sum", 3, "bonferroni", -0.37503616904587367, 0.2126942302083572, 24),
+    ("raw", "rank_sum", 4, "weighted_z", -0.35314147847579624, 0.10612949175508035, 22),
+    ("raw", "rank_sum", 4, "fisher", -0.3955781977912447, 0.17025542206609368, 22),
+    ("raw", "rank_sum", 4, "bonferroni", -0.49682030272138755, 0.33982088855561043, 25),
+    ("rounded", "diff_in_means", 0, "weighted_z", -0.25555555555555576, -0.014285714285714488, 23),
+    ("rounded", "diff_in_means", 0, "fisher", -0.2599999999999998, -3.700743415417188e-17, 28),
+    ("rounded", "diff_in_means", 0, "bonferroni", -0.28181818181818197, 0.1142857142857144, 25),
+    ("rounded", "diff_in_means", 1, "weighted_z", 0.062499999999999556, 0.36666666666666675, 25),
+    ("rounded", "diff_in_means", 1, "fisher", 0.07999999999999971, 0.3444444444444446, 28),
+    ("rounded", "diff_in_means", 1, "bonferroni", 0.08333333333333333, 0.3000000000000007, 25),
+    ("rounded", "diff_in_means", 2, "weighted_z", -0.3000000000000003, 0.03750000000000009, 29),
+    ("rounded", "diff_in_means", 2, "fisher", -0.31428571428571417, 0.07500000000000018, 24),
+    ("rounded", "diff_in_means", 2, "bonferroni", -0.514285714285714, 0.22499999999999964, 26),
+    ("rounded", "diff_in_means", 3, "weighted_z", -0.25714285714285673, 0.15714285714285733, 24),
+    ("rounded", "diff_in_means", 3, "fisher", -0.28999999999999987, 0.20000000000000018, 23),
+    ("rounded", "diff_in_means", 3, "bonferroni", -0.366666666666666, 0.31666666666666643, 24),
+    ("rounded", "diff_in_means", 4, "weighted_z", -0.2999999999999998, 0.1555555555555562, 24),
+    ("rounded", "diff_in_means", 4, "fisher", -0.3333333333333339, 0.18000000000000113, 23),
+    ("rounded", "diff_in_means", 4, "bonferroni", -0.4199999999999989, 0.27500000000000036, 23),
+    ("rounded", "rank_sum", 0, "weighted_z", -0.2999999999999998, 0.0, 16),
+    ("rounded", "rank_sum", 0, "fisher", -0.20000000000000018, 0.0, 17),
+    ("rounded", "rank_sum", 0, "bonferroni", -0.30000000000000004, 0.10000000000000009, 20),
+    ("rounded", "rank_sum", 1, "weighted_z", 0.0, 0.30000000000000027, 16),
+    ("rounded", "rank_sum", 1, "fisher", 0.09999999999999964, 0.30000000000000027, 19),
+    ("rounded", "rank_sum", 1, "bonferroni", 0.0, 0.2999999999999998, 15),
+    ("rounded", "rank_sum", 2, "weighted_z", -0.3999999999999999, 0.0, 16),
+    ("rounded", "rank_sum", 2, "fisher", -0.3999999999999999, 0.0, 16),
+    ("rounded", "rank_sum", 2, "bonferroni", -0.5000000000000002, 0.10000000000000009, 18),
+    ("rounded", "rank_sum", 3, "weighted_z", -0.30000000000000004, 0.19999999999999973, 16),
+    ("rounded", "rank_sum", 3, "fisher", -0.30000000000000027, 0.19999999999999996, 17),
+    ("rounded", "rank_sum", 3, "bonferroni", -0.30000000000000027, 0.19999999999999973, 16),
+    ("rounded", "rank_sum", 4, "weighted_z", -0.30000000000000027, 0.10000000000000009, 18),
+    ("rounded", "rank_sum", 4, "fisher", -0.3999999999999999, 0.19999999999999973, 16),
+    ("rounded", "rank_sum", 4, "bonferroni", -0.5, 0.30000000000000027, 17),
+]
+
+
+class TestFixedSeedIntervals:
+    def test_endpoints_and_evaluations_are_pinned(self):
+        data = gen_outcomes_sim1(Sim1Config(100, 8, lag=1, effect=0.3), generator(7))
+        trials = {"raw": data, "rounded": TrialData(data.units, data.times, np.round(data.outcomes, 1))}
+        families = {}
+        for trial, statistic, lag, method, lower, upper, n_grid in PINNED_INTERVALS:
+            key = (trial, statistic, lag)
+            if key not in families:
+                families[key] = run_mcrts(trials[trial], lag, TestConfig(statistic=statistic, seed=11))
+            ci = invert_combined(families[key], 0.10, method)
+            got = (repr(ci.lower), repr(ci.upper), ci.n_grid)
+            assert got == (repr(lower), repr(upper), n_grid), (key, method)
+
+
 class TestIntervalArguments:
+    def test_alpha_checked_before_any_draw(self, monkeypatch):
+        def no_draw(plan, values):
+            raise AssertionError("relabelings drawn")
+
+        monkeypatch.setattr(RelabelPlan, "reduce", no_draw)
+        s = TwoGroupSample([0.5, 1.25, 2.0], [0.0, -0.75, 0.25], 6)
+        for alpha in (0.0, 1.0, 1.5, -0.1, math.nan):
+            with pytest.raises(ValueError, match="alpha"):
+                invert_single(s, alpha)
+        with pytest.raises(AssertionError, match="relabelings drawn"):
+            invert_single(s, 0.10)
+
     def test_alpha_bounds(self):
         s = TwoGroupSample([0.5, 1.25, 2.0], [0.0, -0.75, 0.25], 6)
         family = run_mcrts(make_trial(40, (10, 10, 10, 10), seed=22), 0, TestConfig(budget=99))

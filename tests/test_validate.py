@@ -296,6 +296,36 @@ class TestJointDominance:
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
 
+    def test_monte_carlo_rows_match_a_per_cell_reference(self):
+        # the naive lag-1 coarsening overlaps, so a draw can fall in several
+        # cells; each cell row must read exactly the draws inside it
+        sc = stepped_wedge_scenario(4, (1, 1, 1, 1), lag=1, conditioning="naive")
+        space = FiniteAssignmentSpace(sc.space.elements, [float(p) for p in sc.space.probs])
+        cells = coarsening(sc.family, range(sc.family.n_partitions))
+        assert not is_partition(space, cells).ok
+        n_draws, seed = 20_000, 4
+        report = joint_dominance_check(space, sc.family, sc.stats, sc.alphas, n_draws=n_draws, seed=seed)
+
+        probs = np.asarray(space.probs)
+        draws = generator(seed, 1).choice(space.size, size=n_draws, p=probs / probs.sum())
+        pvals = [
+            conditional_pvalues(space, list(sc.family.cells(k).values()), sc.stats[k])
+            for k in range(sc.family.n_partitions)
+        ]
+        rows, cell_rows = [], []
+        for vec, row in zip(sc.alphas, report.rows):
+            hits = np.asarray([all(p[i] <= a for p, a in zip(pvals, vec)) for i in range(space.size)])
+            rows.append(float(hits[draws].mean()))
+            for cell in cells:
+                in_cell = np.isin(draws, list(cell))
+                if in_cell.any():
+                    cell_rows.append((cell, float(hits[draws[in_cell]].mean()), int(in_cell.sum())))
+        assert [r.probability for r in report.rows] == rows
+        assert [(r.cell, r.probability) for r in report.cell_rows] == [c[:2] for c in cell_rows]
+        for r, (_, est, n_cell) in zip(report.cell_rows, cell_rows):
+            assert r.stderr == np.sqrt(est * (1 - est) / n_cell)
+        assert len(report.cell_rows) > len(report.rows) and 0 < max(rows) < 1
+
     def test_fewer_than_one_draw_rejected(self):
         space = FiniteAssignmentSpace([("a",), ("b",)], [0.5, 0.5])
         fam = PartitionFamily([[0, 0]])
