@@ -22,16 +22,15 @@ outcome is ever formed, so rounding at a tie never decides an
 endpoint.  Each evaluation is one probe of a family lookup
 (permtest._ShiftIndex) built once per interval.  For the difference in
 means it merges the tests' candidates into their union, so a probe is
-two binary searches for the whole family rather than one call per
-test, and it computes only the tail that the bisection step reads; the
-rank sum re-sums each test's ranks at every probe.  A side whose tail
-stays at or above alpha/2 beyond every candidate is unbounded (-inf or
-inf); when the lower endpoint exceeds the upper one no delta is
-accepted and the set is empty (both endpoints nan).  The combined
-interval inverts the LagFamily that run_mcrts returns, the one that
-gives the analysis its p-values, through the same kept tests and
-weights as the combined p-value (combine), so its relabelings are
-never drawn again.
+two binary searches for the whole family, and it computes only the
+tail that the bisection step reads; the rank sum re-sums each test's
+ranks at every probe.  A side whose tail stays at or above alpha/2
+beyond every candidate is unbounded (-inf or inf); when the lower
+endpoint exceeds the upper one no delta is accepted and the set is
+empty (both endpoints nan).  The combined interval inverts the
+LagFamily that run_mcrts returns, the one that gives the analysis its
+p-values, through the same kept tests and weights as the combined
+p-value (combine), so its relabelings are never drawn again.
 """
 
 from __future__ import annotations
@@ -145,7 +144,8 @@ def _exact_interval(
     upper = math.inf if p_value(last_at, "less") >= thr else endpoint(first, last, upper=True)
     if lower > upper:
         return math.nan, math.nan, evaluations
-    return lower, upper, evaluations
+    # a candidate can be -0.0; adding 0.0 reports it as 0.0 and changes no other value
+    return lower + 0.0, upper + 0.0, evaluations
 
 
 def invert_single(

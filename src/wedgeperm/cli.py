@@ -30,6 +30,7 @@ from .sim import (
     power_study,
 )
 from .validate import (
+    FLOAT_TOL,
     NestednessError,
     all_pairs_nested,
     build_hasse,
@@ -148,8 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--scenario", help="scenario JSON file")
     src.add_argument("--name", dest="scenario_name", choices=BUNDLED_SCENARIOS,
                      help="bundled scenario")
-    p.add_argument("--draws", type=int, default=100_000,
-                   help="Monte Carlo draws when the space is too large for exact mode")
     return parser
 
 
@@ -315,8 +314,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    if args.draws < 1:
-        raise ValueError(f"--draws must be at least 1, got {args.draws}")
     if args.scenario_name:
         scenario = bundled_scenario(args.scenario_name)
     else:
@@ -354,7 +351,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         failed = True
         print(f"hasse diagram: {_pass(False)} ({exc})")
 
-    report = scenario.run(n_draws=args.draws)
+    report = scenario.run()
     for r in report.cond_indep:
         if not r.ok:
             failed = True
@@ -362,7 +359,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     bad_rows = [r for r in report.rows if not r.holds]
     bad_cells = [r for r in report.cell_rows if not r.holds]
-    mode = "exact" if report.exact else f"monte carlo ({report.n_draws} draws)"
+    mode = "exact" if report.exact else f"float, tolerance {FLOAT_TOL:g}"
     print(
         f"joint dominance ({mode}): {_pass(not bad_rows and not bad_cells)} "
         f"({len(report.rows)} level vectors, {len(report.cell_rows)} conditional rows)"

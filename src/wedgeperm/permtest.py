@@ -15,13 +15,13 @@ it is made and replays them chunk by chunk: reducing a draw to its
 per-relabeling selected-slot sums and treated hits needs one key chunk
 plus those B sums and hits, never the B x m selections.
 
-A TailPlan keeps only what tail counting reads from a relabeling draw
-and evaluates both tails for any shift of the treated arm, so one draw
-serves the p-values at zero shift and a whole confidence-interval
-search.  The difference in means keeps the streamed sums and hits; the
-rank sum re-sums ranks at every shift, so it still keeps the B x m
-selections.  The rank statistic uses midranks computed here in NumPy,
-so importing the package does not load SciPy.
+A TailPlan keeps only what tail counting reads from a relabeling draw,
+and a _ShiftIndex over TailPlans evaluates both tails for any shift of
+the treated arm, so one draw serves the p-values at zero shift and a
+whole confidence-interval search.  The difference in means keeps the
+streamed sums and hits; the rank sum re-sums ranks at every shift, so
+it still keeps the B x m selections.  The rank statistic uses midranks
+computed here in NumPy, so importing the package does not load SciPy.
 """
 
 from __future__ import annotations
@@ -312,10 +312,9 @@ class TailPlan:
       control value y_j, at delta = x_i - y_j; the m * n differences are
       never formed, both arms are sorted and counted by bisection.
 
-    ``cell`` evaluates the tails on the open cell beside a shift, where
-    they are constant, with the candidates that bound it, through the
-    one-test case of the family lookup _ShiftIndex; ``result`` gives the
-    unshifted test.
+    The family lookup _ShiftIndex evaluates the tails on the open cell
+    beside a shift, where they are constant, with the candidates that
+    bound it; ``result`` gives the unshifted test.
     """
 
     def __init__(self, sample: TwoGroupSample, plan: RelabelPlan, statistic: str):
@@ -356,22 +355,9 @@ class TailPlan:
             t_order, self.sample.n_treated + c_order, ranks,
         )
 
-    def cell(self, v: float, side: str) -> tuple[float, float, float, float]:
-        """Both tails on the open cell just above (``side="right"``) or
-        just below (``"left"``) the shift ``v``, where they are constant.
-
-        Returns (p_less, p_greater, below, above): ``below`` is the
-        largest candidate shift under the cell and ``above`` the
-        smallest over it, -inf or inf when there is none.  No shift is
-        formed, so rounding cannot move a candidate across ``v``.
-        """
-        index = _ShiftIndex([self])
-        at, below, above = index.cell(v, side)
-        return float(index.tail(at, "less")[0]), float(index.tail(at, "greater")[0]), below, above
-
     def _rank_cell(self, v: float, side: str) -> tuple[int, int, float, float]:
         """The rank-sum test's tail counts on the cell beside ``v`` (see
-        ``cell``), with the candidates that bound it."""
+        _ShiftIndex.cell), with the candidates that bound it."""
         xs, ys, t_slots, c_slots, arm_ranks = self._arms
         # a treated value stays above control y_j on the cell while x - y_j
         # exceeds v; ties between arms cannot occur inside a cell
@@ -407,18 +393,20 @@ class TailPlan:
 class _ShiftIndex:
     """The shifted tails of a family of tests, one lookup per probe.
 
-    A probe is the open cell just above or below a shift (TailPlan.cell)
-    and gives every test's position in it at once.  For the difference
-    in means, the tests' sorted candidate shifts (TailPlan._breaks) are
-    merged once, stably, into their distinct union, and each candidate
-    keeps its rank in the union, offset by (union size + 1) times its
-    test's index.  A probe then takes two searchsorted calls: one on the
-    union finds the cell and the candidates that bound it, and one with
-    a needle per test, at the cell's rank plus the test's offset, counts
-    each test's candidates below the cell.  The rank sum re-sums ranks
-    at every shift, so each of its tests counts its own cell
-    (TailPlan._rank_cell).  ``tail`` turns a position into one tail's
-    p-values, so a probe computes only the tail it reads.
+    A probe is the open cell just above or below a shift, where every
+    test's tails are constant, and gives every test's position in it at
+    once; no shift is formed, so rounding cannot move a candidate across
+    the probed shift.  For the difference in means, the tests' sorted
+    candidate shifts (TailPlan._breaks) are merged once, stably, into
+    their distinct union, and each candidate keeps its rank in the union,
+    offset by (union size + 1) times its test's index.  A probe then takes
+    two searchsorted calls: one on the union finds the cell and the
+    candidates that bound it, and one with a needle per test, at the
+    cell's rank plus the test's offset, counts each test's candidates
+    below the cell.  The rank sum re-sums ranks at every shift, so each of
+    its tests counts its own cell (TailPlan._rank_cell).  ``tail`` turns a
+    position into one tail's p-values, so a probe computes only the tail
+    it reads.
     """
 
     def __init__(self, tails):
@@ -493,7 +481,7 @@ class PermutationResult:
     @property
     def granularity(self) -> float:
         """Smallest attainable p-value increment for this test."""
-        return 1.0 / self.n_resamples if self.exact else 1.0 / (self.n_resamples + 1)
+        return 1.0 / _add_one(self.n_resamples, self.exact)[1]
 
 
 def permutation_pvalue(

@@ -22,9 +22,9 @@ scenarios build each element's comparisons with mcrt's group
 constructors and their statistic with permtest.diff_in_means, so the
 checks run on the comparisons that `analyze` runs.
 
-Spaces are expected to stay tiny (hundreds of elements); an exact cap
-and a Monte Carlo fallback guard the joint probability when someone
-feeds in something larger.
+Spaces are expected to stay tiny (hundreds of elements), so every
+probability is summed over the elements that make it up.  A space given
+in floats is checked in floats within one tolerance, FLOAT_TOL.
 """
 
 from __future__ import annotations
@@ -70,8 +70,7 @@ __all__ = [
     "save_scenario",
 ]
 
-EXACT_SPACE_CAP = 1_000_000
-FLOAT_INDEP_TOL = 1e-12
+FLOAT_TOL = 1e-12  # float spaces only; exact ones decide without a tolerance
 
 
 class NestednessError(ValueError):
@@ -469,7 +468,6 @@ class DominanceRow:
     probability: Fraction | float
     bound: Fraction | float
     holds: bool
-    stderr: float | None = None
     cell: frozenset | None = None  # None marks the marginal row
 
 
@@ -481,7 +479,6 @@ class DominanceReport:
     cond_indep: tuple[CondIndepResult, ...]
     rows: tuple[DominanceRow, ...]
     cell_rows: tuple[DominanceRow, ...]
-    n_draws: int | None = None
 
     @property
     def bound_ok(self) -> bool:
@@ -511,26 +508,27 @@ def joint_dominance_check(
     family: PartitionFamily,
     stats: Sequence,
     alphas: Sequence[Sequence],
-    n_draws: int = 100_000,
-    seed=None,
 ) -> DominanceReport:
     """Does P{all K p-values <= alpha_k} stay below prod(alpha_k)?
 
     Computes every test's conditional p-value exactly by enumeration
-    inside its cell, then evaluates the joint probability under the
-    assignment distribution — exactly on small exact spaces, by Monte
-    Carlo (with a reported standard error) otherwise.  The conditional
-    version given each coarsening cell is evaluated too.  Nestedness
-    and pairwise conditional independence are checked first and the
-    report carries their status regardless of the bound's outcome.
+    inside its cell, then sums the probabilities of the elements where
+    every test rejects: over the whole space for the marginal row, and
+    over each coarsening cell, divided by the cell's mass, for the
+    conditional rows.  Exact spaces decide in Fractions.  Float spaces
+    allow FLOAT_TOL twice: a p-value rejects when it is at most
+    alpha_k + FLOAT_TOL, and a row holds when its probability is at most
+    the bound + FLOAT_TOL, so float rounding does not decide a verdict
+    (and a violation smaller than FLOAT_TOL goes unreported).
+    Nestedness and pairwise conditional independence are checked first
+    and the report carries their status regardless of the bound's
+    outcome.
     """
     K = family.n_partitions
     if family.n_elements != space.size:
         raise ValueError("family and space disagree on the number of elements")
     if len(stats) != K:
         raise ValueError(f"need one statistic per partition ({K}), got {len(stats)}")
-    if n_draws < 1:
-        raise ValueError(f"n_draws must be at least 1, got {n_draws}")
     values = [_statistic_values(space, s) for s in stats]
 
     nested_failures = tuple(all_pairs_nested(family))
@@ -550,61 +548,35 @@ def joint_dominance_check(
         if len(vec) != K:
             raise ValueError(f"every level vector needs {K} entries")
 
-    exact = space.exact and space.size <= EXACT_SPACE_CAP
     zero = Fraction(0) if space.exact else 0.0
-
-    def hit_indicator(vec) -> list[bool]:
-        return [all(pvals[k][i] <= vec[k] for k in range(K)) for i in range(space.size)]
+    tol = zero if space.exact else FLOAT_TOL
+    whole = range(space.size)
+    # (members, mass, cell) of each conditioning event: first the whole
+    # space, whose mass is exactly 1 on an exact space, for the marginal
+    # row, then each coarsening cell
+    conditions = [(whole, space.prob_of(whole), None)] + [
+        (cell, space.prob_of(cell), cell) for cell in coarsening(family, range(K))
+    ]
 
     rows: list[DominanceRow] = []
     cell_rows: list[DominanceRow] = []
-    union_cells = coarsening(family, range(K))
-    if exact:
-        cell_mass = [space.prob_of(cell) for cell in union_cells]
-    else:
-        probs = np.asarray([float(p) for p in space.probs])
-        gen = generator(seed if seed is not None else 0, 1)
-        draws = gen.choice(space.size, size=n_draws, p=probs / probs.sum())
-        # the draws enter only through how often each element was drawn;
-        # cells may overlap on a non-nested family, so each cell sums its
-        # own elements' counts rather than labelling the draws
-        drawn = np.bincount(draws, minlength=space.size)
-        members = np.concatenate([np.fromiter(cell, dtype=np.intp) for cell in union_cells])
-        starts = np.cumsum([0] + [len(cell) for cell in union_cells[:-1]])
-        cell_draws = np.add.reduceat(drawn[members], starts)
-
     for vec in alpha_rows:
         bound = math.prod(vec)
-        hits = hit_indicator(vec)
-        if exact:
-            prob = sum((space.probs[i] for i in range(space.size) if hits[i]), zero)
-            rows.append(DominanceRow(vec, prob, bound, prob <= bound))
-            for cell, mass in zip(union_cells, cell_mass):
-                cprob = sum((space.probs[i] for i in cell if hits[i]), zero) / mass
-                cell_rows.append(DominanceRow(vec, cprob, bound, cprob <= bound, cell=cell))
-        else:
-            hit_draws = np.where(hits, drawn, 0)
-            est = int(hit_draws.sum()) / n_draws
-            se = math.sqrt(est * (1 - est) / n_draws)
-            rows.append(DominanceRow(vec, est, bound, est <= float(bound) + 3 * se, stderr=se))
-            cell_hits = np.add.reduceat(hit_draws[members], starts)
-            for cell, n_cell, n_hit in zip(union_cells, cell_draws.tolist(), cell_hits.tolist()):
-                if n_cell == 0:
-                    continue
-                cest = n_hit / n_cell
-                cse = math.sqrt(cest * (1 - cest) / n_cell)
-                cell_rows.append(
-                    DominanceRow(vec, cest, bound, cest <= float(bound) + 3 * cse, stderr=cse, cell=cell)
-                )
+        limit = bound + tol
+        levels = [a + tol for a in vec]
+        hits = [all(pvals[k][i] <= levels[k] for k in range(K)) for i in whole]
+        for members, mass, cell in conditions:
+            prob = sum((space.probs[i] for i in members if hits[i]), zero) / mass
+            row = DominanceRow(vec, prob, bound, prob <= limit, cell=cell)
+            (rows if cell is None else cell_rows).append(row)
 
     return DominanceReport(
-        exact=exact,
+        exact=space.exact,
         conditions_ok=conditions_ok,
         nested_failures=nested_failures,
         cond_indep=indep,
         rows=tuple(rows),
         cell_rows=tuple(cell_rows),
-        n_draws=None if exact else n_draws,
     )
 
 
@@ -646,7 +618,7 @@ def cond_indep_check(
         gap = gap / 2
         if gap > max_gap:
             max_gap, worst = gap, cell
-    ok = (max_gap == 0) if space.exact else (max_gap < FLOAT_INDEP_TOL)
+    ok = (max_gap == 0) if space.exact else (max_gap < FLOAT_TOL)
     return CondIndepResult(ok, j, k, float(max_gap), worst, space.exact)
 
 
@@ -671,8 +643,8 @@ class Scenario:
     alphas: list[tuple]
     name: str = "scenario"
 
-    def run(self, n_draws: int = 100_000) -> DominanceReport:
-        return joint_dominance_check(self.space, self.family, self.stats, self.alphas, n_draws=n_draws)
+    def run(self) -> DominanceReport:
+        return joint_dominance_check(self.space, self.family, self.stats, self.alphas)
 
 
 def _prob_to_json(p) -> str | float:

@@ -42,8 +42,8 @@ def gaussian_shift_sample(m: int, n: int, tau: float, seed: int) -> TwoGroupSamp
     return TwoGroupSample(rng.normal(tau, 1, m), rng.normal(0, 1, n), m + n)
 
 
-def tail_plan(sample: TwoGroupSample, tcfg: TestConfig = TestConfig()) -> TailPlan:
-    """The test invert_single draws for ``sample``."""
+def shift_index(sample: TwoGroupSample, tcfg: TestConfig = TestConfig()) -> _ShiftIndex:
+    """The one-test lookup invert_single builds for ``sample``."""
     plan = relabel_plan(
         sample.n_treated + sample.n_control,
         sample.n_treated,
@@ -51,14 +51,21 @@ def tail_plan(sample: TwoGroupSample, tcfg: TestConfig = TestConfig()) -> TailPl
         exact_threshold=tcfg.exact_threshold,
         seed=seed_sequence(tcfg.seed, 0),
     )
-    return TailPlan(sample, plan, tcfg.statistic)
+    return _ShiftIndex([TailPlan(sample, plan, tcfg.statistic)])
 
 
-def tails_at(tail: TailPlan, delta: float) -> tuple[float, float]:
+def probe(index: _ShiftIndex, v: float, side: str) -> tuple[float, float, float, float]:
+    """(p_less, p_greater, below, above) of a one-test lookup on the open
+    cell just above (``side="right"``) or below (``"left"``) the shift v."""
+    at, below, above = index.cell(v, side)
+    return float(index.tail(at, "less")[0]), float(index.tail(at, "greater")[0]), below, above
+
+
+def tails_at(index: _ShiftIndex, delta: float) -> tuple[float, float]:
     """Both tails at a shift that is not a candidate: the cells on either
     side of it are one cell, strictly between two candidates."""
-    right = tail.cell(delta, "right")
-    assert tail.cell(delta, "left") == right
+    right = probe(index, delta, "right")
+    assert probe(index, delta, "left") == right
     p_less, p_greater, below, above = right
     assert below < delta < above
     return p_less, p_greater
@@ -84,16 +91,16 @@ class TestTailPValues:
 
     def test_large_shift_drives_tails_apart(self):
         s = gaussian_shift_sample(5, 5, 0.0, 3)
-        tail = tail_plan(s)
-        p1_hi, p2_hi = tails_at(tail, 50.0)
+        index = shift_index(s)
+        p1_hi, p2_hi = tails_at(index, 50.0)
         assert p2_hi == 1.0 and p1_hi <= 1.0 / math.comb(10, 5) + 1e-12
-        p1_lo, p2_lo = tails_at(tail, -50.0)
+        p1_lo, p2_lo = tails_at(index, -50.0)
         assert p1_lo == 1.0 and p2_lo <= 1.0 / math.comb(10, 5) + 1e-12
 
     def test_exact_enumeration_cross_check(self):
         s = gaussian_shift_sample(4, 4, 0.5, 4)
         delta = 0.7
-        p1, p2 = tails_at(tail_plan(s), delta)
+        p1, p2 = tails_at(shift_index(s), delta)
         shifted = TwoGroupSample(s.treated - delta, s.control, s.scale_n)
         pool = shifted.pooled()
         obs = diff_in_means(shifted)
@@ -108,7 +115,7 @@ class TestTailPValues:
     def test_matches_permutation_pvalue_at_zero_shift(self):
         s = gaussian_shift_sample(8, 12, 0.2, 5)
         tcfg = TestConfig(budget=299, exact_threshold=1, seed=9)
-        p1, p2 = tails_at(tail_plan(s, tcfg), 0.0)
+        p1, p2 = tails_at(shift_index(s, tcfg), 0.0)
         r = permutation_pvalue(
             s, budget=299, exact_threshold=1, seed=seed_sequence(9, 0)
         )
@@ -116,9 +123,9 @@ class TestTailPValues:
 
     def test_monotone_in_delta_under_shared_randomness(self):
         s = gaussian_shift_sample(10, 14, 0.4, 6)
-        tail = tail_plan(s, TestConfig(budget=199, exact_threshold=1, seed=2))
+        index = shift_index(s, TestConfig(budget=199, exact_threshold=1, seed=2))
         deltas = np.linspace(-2, 2, 41)
-        curves = [tails_at(tail, d) for d in deltas]
+        curves = [tails_at(index, d) for d in deltas]
         p1 = np.asarray([c[0] for c in curves])
         p2 = np.asarray([c[1] for c in curves])
         assert (np.diff(p1) <= 1e-12).all()
@@ -174,13 +181,13 @@ class TestInvertSingle:
 class TestRankStatisticPath:
     def test_tails_match_brute_force_recomputation(self):
         s = gaussian_shift_sample(4, 5, 0.6, 12)
-        tail = tail_plan(s, TestConfig(statistic="rank_sum"))
+        index = shift_index(s, TestConfig(statistic="rank_sum"))
         from scipy.stats import rankdata
 
         r = permutation_pvalue(s, statistic="rank_sum")
-        assert tails_at(tail, 0.0) == (r.p_less, r.p_greater)
+        assert tails_at(index, 0.0) == (r.p_less, r.p_greater)
         for delta in (-0.5, 0.0, 0.8):
-            p1, p2 = tails_at(tail, delta)
+            p1, p2 = tails_at(index, delta)
             pool = TwoGroupSample(s.treated - delta, s.control, s.scale_n).pooled()
             ranks = rankdata(pool)
             obs = ranks[:4].sum()
@@ -384,11 +391,12 @@ class TestExactEndpoints:
     @pytest.mark.parametrize("statistic", ["diff_in_means", "rank_sum"])
     def test_cells_beside_each_candidate(self, statistic):
         tail = run_mcrts(dyadic_trial(3), 0, TestConfig(statistic=statistic)).tails[0]
+        index = _ShiftIndex([tail])
         cands = sorted(_candidates(tail.sample, statistic))
         edges = [cands[0] - 1] + cands + [cands[-1] + 1]
         for k, c in enumerate(cands, start=1):
             for side, (lo, hi) in (("left", edges[k - 1 : k + 1]), ("right", edges[k : k + 2])):
-                p_less, p_greater, below, above = tail.cell(float(c), side)
+                p_less, p_greater, below, above = probe(index, float(c), side)
                 exact = _exact_tails(tail.sample, (lo + hi) / 2, statistic)
                 assert (p_less, p_greater) == tuple(float(p) for p in exact)
                 assert below == (float(lo) if lo in cands else -math.inf)
@@ -403,10 +411,11 @@ class TestExactEndpoints:
         assert ci.empty and math.isnan(ci.lower) and math.isnan(ci.upper)
         assert ci.length == 0.0
         k = len(family.tails)
+        indexes = [_ShiftIndex([tail]) for tail in family.tails]
         for delta in np.linspace(-1.0, 2.0, 3001):
             # on both sides of each point, in case it is a candidate
             for side in ("left", "right"):
-                cells = [tail.cell(float(delta), side) for tail in family.tails]
+                cells = [probe(index, float(delta), side) for index in indexes]
                 p_less = min(1.0, k * min(c[0] for c in cells))
                 p_greater = min(1.0, k * min(c[1] for c in cells))
                 assert not (p_less >= 0.05 and p_greater >= 0.05)
@@ -609,6 +618,15 @@ class TestCiCsv:
         assert [r.empty for r in back] == [False, False, True, False]
         assert back[2].length == 0.0
         assert (back[3].lower, back[3].upper, back[3].length) == (-math.inf, math.inf, math.inf)
+
+    def test_zero_endpoint_is_written_as_positive_zero(self, tmp_path):
+        # the rank-sum candidates here include -0.0 - 0.0, which is -0.0, at the upper endpoint
+        s = TwoGroupSample([0.0, 0.0, -0.0, -1.0, -0.0, -1.0], [0.0, 1.0, -0.0, -1.0, 0.0, 0.0], 12)
+        ci = invert_single(s, 0.2, TestConfig(statistic="rank_sum"))
+        assert (repr(ci.lower), repr(ci.upper)) == ("-1.0", "0.0")
+        path = tmp_path / "ci.csv"
+        write_ci_csv(path, [ci])
+        assert path.read_text().splitlines()[1] == ",single,0.8,-1.0,0.0"
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "ci.csv"

@@ -272,7 +272,7 @@ class TestValidate:
         assert main(["validate", "--scenario", str(path)]) == EXIT_OK
         assert "from-file" in capsys.readouterr().out
 
-    def test_monte_carlo_scenario_reports_draws(self, tmp_path, capsys):
+    def test_float_scenario_validates_without_a_draw_count(self, tmp_path, capsys):
         space = FiniteAssignmentSpace([(0,), (1,), (2,)], [0.5, 0.25, 0.25])
         scenario = Scenario(
             space=space,
@@ -283,28 +283,36 @@ class TestValidate:
             alphas=[(0.5,)],
             name="float-probs",
         )
-        path = tmp_path / "mc.json"
+        path = tmp_path / "float.json"
         save_scenario(path, scenario)
-        assert main(["validate", "--scenario", str(path), "--draws", "2000"]) == EXIT_OK
-        assert "monte carlo (2000 draws)" in capsys.readouterr().out
+        assert main(["validate", "--scenario", str(path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "joint dominance (float, tolerance 1e-12): pass" in out
+        assert "draws" not in out
 
-    @pytest.mark.parametrize("draws", ["0", "-5"])
-    def test_fewer_than_one_draw_is_a_usage_error_before_any_output(self, tmp_path, capsys, draws):
+    def test_float_violation_exits_3(self, tmp_path, capsys):
+        # both tests reject on 251 of 1000 equally likely elements
+        n = 1000
         scenario = Scenario(
-            space=FiniteAssignmentSpace([(0,), (1,), (2,)], [0.5, 0.25, 0.25]),
-            family=PartitionFamily([[0, 0, 0]]),
-            stats=[np.asarray([2.0, 1.0, 0.0])],
-            stat_names=["gap"],
-            partition_names=["test"],
-            alphas=[(0.5,)],
-            name="float-probs",
+            space=FiniteAssignmentSpace([(i,) for i in range(n)], [1.0 / n] * n),
+            family=PartitionFamily([[0] * n, [0] * n]),
+            stats=[np.isin(np.arange(n), np.arange(lo, lo + 500)).astype(float) for lo in (0, 249)],
+            stat_names=["a", "b"],
+            partition_names=["a", "b"],
+            alphas=[(0.5, 0.5)],
+            name="float-violation",
         )
-        path = tmp_path / "mc.json"
+        path = tmp_path / "violation.json"
         save_scenario(path, scenario)
-        assert main(["validate", "--scenario", str(path), "--draws", draws]) == EXIT_USAGE
+        assert main(["validate", "--scenario", str(path)]) == EXIT_CHECK
+        assert "marginal violation at levels (0.5, 0.5): probability 0.251 > bound 0.25" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("draws", ["10", "0", "-5"])
+    def test_draws_is_an_unknown_option(self, capsys, draws):
+        assert main(["validate", "--name", "nested-lag0", "--draws", draws]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--draws must be at least 1" in captured.err
+        assert "unrecognized arguments: --draws" in captured.err
 
     @pytest.mark.parametrize(
         "edit",

@@ -1,6 +1,7 @@
 """Exact finite-space checks for families of conditional tests."""
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -33,12 +34,18 @@ from wedgeperm import (
     save_scenario,
     stepped_wedge_scenario,
 )
+from wedgeperm.validate import FLOAT_TOL
 
 SPACE4 = FiniteAssignmentSpace.uniform(["e0", "e1", "e2", "e3"])
 
 # a three-level chain: everything, two halves, four singletons
 CHAIN = PartitionFamily([[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 2, 3]])
 CROSSING = PartitionFamily([[0, 0, 1, 1], [0, 1, 1, 0]])
+
+
+def float_copy(space: FiniteAssignmentSpace) -> FiniteAssignmentSpace:
+    """The same space with its probabilities given as floats."""
+    return FiniteAssignmentSpace(space.elements, [float(p) for p in space.probs])
 
 
 class TestIsPartition:
@@ -261,18 +268,15 @@ class TestJointDominance:
             Fraction(0),
             Fraction(1),
         ]
-        assert report.n_draws is None
 
-    def test_monte_carlo_path_reports_stderr(self):
+    def test_float_space_sums_its_probabilities(self):
         space = FiniteAssignmentSpace([("a",), ("b",), ("c",)], [0.5, 0.25, 0.25])
         assert not space.exact
         fam = PartitionFamily([[0, 0, 0]])
         values = np.asarray([2.0, 1.0, 0.0])
-        report = joint_dominance_check(
-            space, fam, [values], alphas=[(0.5,), (0.75,)], n_draws=4000, seed=3
-        )
-        assert not report.exact and report.n_draws == 4000
-        assert all(r.stderr is not None and r.stderr > 0 for r in report.rows)
+        report = joint_dominance_check(space, fam, [values], alphas=[(0.5,), (0.75,)])
+        assert not report.exact
+        assert [r.probability for r in report.rows] == [0.5, 0.75]
         assert report.conditions_ok and report.bound_ok
 
     def test_cell_masses_computed_once(self, monkeypatch):
@@ -296,42 +300,61 @@ class TestJointDominance:
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
 
-    def test_monte_carlo_rows_match_a_per_cell_reference(self):
-        # the naive lag-1 coarsening overlaps, so a draw can fall in several
-        # cells; each cell row must read exactly the draws inside it
+    def test_float_rows_match_a_per_cell_reference(self):
+        # the naive lag-1 coarsening overlaps, so an element can fall in
+        # several cells; each cell row must sum exactly the elements inside it
         sc = stepped_wedge_scenario(4, (1, 1, 1, 1), lag=1, conditioning="naive")
-        space = FiniteAssignmentSpace(sc.space.elements, [float(p) for p in sc.space.probs])
+        space = float_copy(sc.space)
         cells = coarsening(sc.family, range(sc.family.n_partitions))
         assert not is_partition(space, cells).ok
-        n_draws, seed = 20_000, 4
-        report = joint_dominance_check(space, sc.family, sc.stats, sc.alphas, n_draws=n_draws, seed=seed)
+        report = joint_dominance_check(space, sc.family, sc.stats, sc.alphas)
 
         probs = np.asarray(space.probs)
-        draws = generator(seed, 1).choice(space.size, size=n_draws, p=probs / probs.sum())
         pvals = [
             conditional_pvalues(space, list(sc.family.cells(k).values()), sc.stats[k])
             for k in range(sc.family.n_partitions)
         ]
         rows, cell_rows = [], []
-        for vec, row in zip(sc.alphas, report.rows):
-            hits = np.asarray([all(p[i] <= a for p, a in zip(pvals, vec)) for i in range(space.size)])
-            rows.append(float(hits[draws].mean()))
+        for vec in sc.alphas:
+            hits = np.asarray([all(p[i] <= a + FLOAT_TOL for p, a in zip(pvals, vec)) for i in range(space.size)])
+            rows.append(math.fsum(probs[hits]))
             for cell in cells:
-                in_cell = np.isin(draws, list(cell))
-                if in_cell.any():
-                    cell_rows.append((cell, float(hits[draws[in_cell]].mean()), int(in_cell.sum())))
-        assert [r.probability for r in report.rows] == rows
-        assert [(r.cell, r.probability) for r in report.cell_rows] == [c[:2] for c in cell_rows]
-        for r, (_, est, n_cell) in zip(report.cell_rows, cell_rows):
-            assert r.stderr == np.sqrt(est * (1 - est) / n_cell)
+                members = sorted(cell)
+                cell_rows.append((cell, math.fsum(probs[members][hits[members]]) / math.fsum(probs[members])))
+        assert [r.probability for r in report.rows] == pytest.approx(rows, abs=1e-15)
+        assert [r.cell for r in report.cell_rows] == [c for c, _ in cell_rows]
+        assert [r.probability for r in report.cell_rows] == pytest.approx([p for _, p in cell_rows], abs=1e-15)
         assert len(report.cell_rows) > len(report.rows) and 0 < max(rows) < 1
 
-    def test_fewer_than_one_draw_rejected(self):
-        space = FiniteAssignmentSpace([("a",), ("b",)], [0.5, 0.5])
-        fam = PartitionFamily([[0, 0]])
-        for n_draws in (0, -5):
-            with pytest.raises(ValueError, match="n_draws must be at least 1"):
-                joint_dominance_check(space, fam, [np.zeros(2)], alphas=[(0.5,)], n_draws=n_draws)
+    def test_float_violation_is_reported(self):
+        # stat 1 rejects on elements 0-499, stat 2 on 249-748: both reject
+        # with probability 251/1000 > 1/4
+        n = 1000
+        fam = PartitionFamily([[0] * n, [0] * n])
+        stats = [np.isin(np.arange(n), np.arange(lo, lo + 500)).astype(float) for lo in (0, 249)]
+        half = Fraction(1, 2)
+        exact = joint_dominance_check(FiniteAssignmentSpace.uniform(range(n)), fam, stats, [(half, half)])
+        assert exact.rows[0].probability == Fraction(251, 1000) and not exact.bound_ok
+        space = FiniteAssignmentSpace(range(n), [1.0 / n] * n)
+        report = joint_dominance_check(space, fam, stats, [(half, half)])
+        assert not report.exact
+        assert report.rows[0].probability == pytest.approx(0.251, abs=1e-12)
+        assert not report.bound_ok and not report.ok
+
+    @pytest.mark.parametrize(
+        "n_units, counts, lag, conditioning",
+        [(4, (2, 1, 1), 0, "sequential"), (4, (1, 1, 1, 1), 1, "naive"), (6, (2, 2, 1, 1), 0, "sequential")],
+    )
+    def test_float_copies_match_fraction_rows(self, n_units, counts, lag, conditioning):
+        sc = stepped_wedge_scenario(n_units, counts, lag, conditioning=conditioning)
+        exact = sc.run()
+        approx = joint_dominance_check(float_copy(sc.space), sc.family, sc.stats, sc.alphas)
+        assert exact.exact and not approx.exact
+        want = list(exact.rows) + list(exact.cell_rows)
+        got = list(approx.rows) + list(approx.cell_rows)
+        assert [(r.alphas, r.bound, r.cell) for r in got] == [(r.alphas, r.bound, r.cell) for r in want]
+        assert max(abs(g.probability - float(w.probability)) for g, w in zip(got, want)) <= 1e-12
+        assert [r.holds for r in got] == [r.holds for r in want]
 
     def test_statistic_count_must_match_partitions(self):
         with pytest.raises(ValueError, match="one statistic per partition"):
