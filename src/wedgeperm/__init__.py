@@ -13,20 +13,13 @@ from types import ModuleType as _ModuleType
 
 from .rng import DEFAULT_SEED, generator, seed_sequence
 from .design import (
-    AssignmentMatrix,
-    AssignmentViolation,
     CrossoverTimes,
     DataFormatError,
     DesignSpec,
-    crossover_times,
     enumerate_crossover_vectors,
-    matrix_from_times,
-    read_assignment_csv,
     sample_assignment,
     space_size,
     step_conditional_prob,
-    validate_assignment,
-    write_assignment_csv,
 )
 from .permtest import (
     DEFAULT_BUDGET,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import CrossoverTimes, DataFormatError, DesignSpec, AssignmentMatrix, crossover_times as _to_times
+from .design import CrossoverTimes, DataFormatError, DesignSpec
 from .permtest import (
     DEFAULT_EXACT_THRESHOLD,
     PermutationResult,
@@ -122,16 +122,11 @@ class LagTestGroup:
 
 
 def _times_array(times, n_times: int) -> np.ndarray:
-    """Crossover times as an int array, checked to lie in 1..n_times."""
+    """Crossover times as an int array, checked by CrossoverTimes to be
+    whole numbers in 1..n_times."""
     if isinstance(times, CrossoverTimes):
-        arr = times.times
-    elif isinstance(times, AssignmentMatrix):
-        arr = _to_times(times).times
-    else:
-        arr = np.asarray(times, dtype=np.int64)
-    if arr.min() < 1 or arr.max() > n_times:
-        raise ValueError(f"crossover times must lie in 1..{n_times}")
-    return arr
+        times = times.times
+    return CrossoverTimes(times, n_times).times
 
 
 def _group(arr: np.ndarray, n_times: int, test_time: int, lag: int, subset_index: int, control_times) -> LagTestGroup:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .ci import invert_combined
 from .combine import combined_from_mcrt
-from .design import DataFormatError, DesignSpec, crossover_times, sample_assignment
+from .design import DataFormatError, DesignSpec, sample_assignment
 from .mcrt import TestConfig, TrialData, naive_groups, run_mcrts
 from .permtest import TwoGroupSample, permutation_pvalue
 from .rng import DEFAULT_SEED, generator, seed_sequence
@@ -160,7 +160,7 @@ def _panel(cfg, rng, slope: float, interaction: int) -> tuple[np.ndarray, np.nda
     given stream always produces the same dataset.
     """
     spec = DesignSpec(cfg.n_units, default_counts(cfg.n_units, cfg.n_times))
-    times = crossover_times(sample_assignment(spec, rng))
+    times = sample_assignment(spec, rng)
     n, T = cfg.n_units, cfg.n_times
     mu = rng.normal(0.0, math.sqrt(cfg.var_unit), n)
     x = rng.normal(0.0, math.sqrt(cfg.var_covariate), n)

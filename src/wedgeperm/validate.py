@@ -557,17 +557,38 @@ def joint_dominance_check(
     conditions = [(whole, space.prob_of(whole), None)] + [
         (cell, space.prob_of(cell), cell) for cell in coarsening(family, range(K))
     ]
+    # (condition, position in its member order) of every element; cells
+    # of a non-nested coarsening overlap, so an element may have several
+    places: list[list[tuple[int, int]]] = [[] for _ in whole]
+    for c, (members, _, _) in enumerate(conditions):
+        for pos, i in enumerate(members):
+            places[i].append((c, pos))
+
+    # per test, level -> the elements whose p-value rejects at that level
+    rejecting = [
+        {level: {i for i in whole if pvals[k][i] <= level} for level in {vec[k] + tol for vec in alpha_rows}}
+        for k in range(K)
+    ]
 
     rows: list[DominanceRow] = []
     cell_rows: list[DominanceRow] = []
     for vec in alpha_rows:
         bound = math.prod(vec)
         limit = bound + tol
-        levels = [a + tol for a in vec]
-        hits = [all(pvals[k][i] <= levels[k] for k in range(K)) for i in whole]
-        for members, mass, cell in conditions:
-            prob = sum((space.probs[i] for i in members if hits[i]), zero) / mass
-            row = DominanceRow(vec, prob, bound, prob <= limit, cell=cell)
+        found: list[list[tuple[int, int]]] = [[] for _ in conditions]
+        for i in set.intersection(*(rejecting[k][a + tol] for k, a in enumerate(vec))):
+            for c, pos in places[i]:
+                found[c].append((pos, i))
+        zero_ok = zero <= limit
+        for (members, mass, cell), hits in zip(conditions, found):
+            if hits:
+                # summed in the cell's own member order, so float rows
+                # do not depend on the order the hits were found in
+                hits.sort()
+                prob = sum((space.probs[i] for _, i in hits), zero) / mass
+                row = DominanceRow(vec, prob, bound, prob <= limit, cell=cell)
+            else:  # zero / mass is zero itself, in both arithmetics
+                row = DominanceRow(vec, zero, bound, zero_ok, cell=cell)
             (rows if cell is None else cell_rows).append(row)
 
     return DominanceReport(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wedgeperm import CrossoverTimes, DesignSpec, TrialData, sample_assignment, crossover_times
+from wedgeperm import CrossoverTimes, DesignSpec, TrialData, sample_assignment
 from wedgeperm.rng import generator
 
 
@@ -22,7 +22,7 @@ def make_trial(
     """
     spec = DesignSpec(n_units, tuple(counts))
     rng = generator(seed, 5)
-    times = crossover_times(sample_assignment(spec, rng))
+    times = sample_assignment(spec, rng)
     T = spec.n_times
     y = rng.normal(0.0, noise, (n_units, T + 1)) if noise > 0 else np.zeros((n_units, T + 1))
     cols = times.times + lag

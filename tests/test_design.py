@@ -1,4 +1,4 @@
-"""Assignment designs: sizes, conditional probabilities, sampling, IO."""
+"""Assignment designs: sizes, conditional probabilities, sampling."""
 
 import math
 from fractions import Fraction
@@ -10,19 +10,13 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from wedgeperm import (
-    AssignmentMatrix,
     CrossoverTimes,
-    DataFormatError,
     DesignSpec,
-    crossover_times,
     enumerate_crossover_vectors,
-    matrix_from_times,
-    read_assignment_csv,
+    naive_groups,
     sample_assignment,
     space_size,
     step_conditional_prob,
-    validate_assignment,
-    write_assignment_csv,
 )
 from wedgeperm.rng import generator
 
@@ -96,20 +90,29 @@ class TestStepConditionalProb:
 
 class TestSampleAssignment:
     def test_forced_single_column(self):
-        m = sample_assignment(spec_of((3,)), generator(0))
-        assert m.z.tolist() == [[1], [1], [1]]
+        t = sample_assignment(spec_of((3,)), generator(0))
+        assert t.times.tolist() == [1, 1, 1]
+        assert t.n_times == 1
 
     def test_every_draw_validates(self):
         spec = spec_of((3, 1, 2))
         rng = generator(42)
         for _ in range(50):
-            assert validate_assignment(sample_assignment(spec, rng).z, spec) is None
+            assert sample_assignment(spec, rng).to_spec() == spec
 
     def test_same_seed_is_bit_identical(self):
         spec = spec_of((4, 3, 5))
-        a = sample_assignment(spec, generator(7, 1)).z
-        b = sample_assignment(spec, generator(7, 1)).z
-        assert np.array_equal(a, b)
+        a = sample_assignment(spec, generator(7, 1)).times
+        b = sample_assignment(spec, generator(7, 1)).times
+        assert a.dtype == b.dtype == np.int64
+        assert a.tobytes() == b.tobytes()
+
+    def test_fixed_seed_draw_is_pinned(self):
+        # a change to the shuffle, or to how it reads the stream, moves these
+        assert sample_assignment(spec_of((2, 3, 1)), generator(5)).times.tolist() == [1, 2, 2, 2, 3, 1]
+        assert sample_assignment(spec_of((4, 3, 5)), generator(7, 1)).times.tolist() == [
+            3, 3, 2, 3, 1, 3, 3, 1, 1, 2, 1, 2,
+        ]
 
     def test_uniform_over_small_space(self):
         # chi-square goodness of fit at level 0.001 on a 90-cell space
@@ -119,8 +122,7 @@ class TestSampleAssignment:
         rng = generator(2024)
         n_draws = 100_000
         for _ in range(n_draws):
-            m = sample_assignment(spec, rng)
-            cells[tuple(crossover_times(m).times.tolist())] += 1
+            cells[tuple(sample_assignment(spec, rng).times.tolist())] += 1
         observed = np.asarray(list(cells.values()), dtype=float)
         expected = n_draws / len(cells)
         chi2 = float(((observed - expected) ** 2 / expected).sum())
@@ -128,56 +130,37 @@ class TestSampleAssignment:
 
 
 class TestCrossoverTimes:
-    def test_identity_two_by_two(self):
-        m = AssignmentMatrix(np.asarray([[1, 0], [0, 1]]))
-        assert crossover_times(m).times.tolist() == [1, 2]
-
-    def test_round_trip_matrix(self):
-        spec = spec_of((2, 3, 1))
-        m = sample_assignment(spec, generator(5))
-        rebuilt = matrix_from_times(crossover_times(m))
-        assert np.array_equal(rebuilt.z, m.z)
-
     def test_histogram_matches_counts(self):
         spec = spec_of((3, 1, 4))
         rng = generator(9)
         for _ in range(20):
-            t = crossover_times(sample_assignment(spec, rng))
-            assert t.counts() == spec.counts
+            assert sample_assignment(spec, rng).counts() == spec.counts
+
+    def test_wrong_counts_fail_the_design_check(self):
+        times = CrossoverTimes(np.asarray([1, 1, 1, 2]), 2)
+        assert times.to_spec() == DesignSpec(4, (3, 1))
+        assert times.to_spec() != spec_of((2, 2))
 
     def test_rejects_out_of_range_times(self):
         with pytest.raises(ValueError, match="1..2"):
             CrossoverTimes(np.asarray([1, 3]), 2)
 
+    @pytest.mark.parametrize("times", [[], [[1, 2], [2, 1]]], ids=["empty", "2-d"])
+    def test_rejects_anything_but_a_vector(self, times):
+        with pytest.raises(ValueError, match="non-empty 1-d"):
+            CrossoverTimes(np.asarray(times), 2)
 
-class TestValidateAssignment:
-    def test_valid_matrix_passes(self):
-        spec = spec_of((2, 2))
-        m = sample_assignment(spec, generator(1))
-        assert validate_assignment(m.z, spec) is None
+    @pytest.mark.parametrize("times", [[1.5, 2.9], [1.0, np.nan], [1.0, np.inf]], ids=["fraction", "nan", "inf"])
+    def test_rejects_non_integral_times(self, times):
+        with pytest.raises(ValueError, match="whole numbers"):
+            CrossoverTimes(np.asarray(times), 2)
 
-    def test_row_of_zeros_names_row(self):
-        spec = spec_of((2, 2))
-        z = np.asarray([[1, 0], [0, 1], [0, 0], [0, 1]])
-        v = validate_assignment(z, spec)
-        assert v is not None and v.kind == "row" and v.index == 2
-        assert "unit 2" in v.message
+    def test_integral_floats_are_accepted(self):
+        assert CrossoverTimes(np.asarray([2.0, 1.0]), 2).times.tolist() == [2, 1]
 
-    def test_wrong_column_sum_names_column(self):
-        spec = spec_of((2, 2))
-        z = np.asarray([[1, 0], [1, 0], [1, 0], [0, 1]])
-        v = validate_assignment(z, spec)
-        assert v is not None and v.kind == "column" and v.index == 1
-        assert "time 1" in v.message
-
-    def test_shape_mismatch_reported(self):
-        v = validate_assignment(np.zeros((2, 2)), spec_of((2, 2)))
-        assert v is not None and v.kind == "shape"
-
-    def test_non_binary_entry_reported(self):
-        z = np.asarray([[2, 0], [0, 1], [1, 0], [0, 1]])
-        v = validate_assignment(z, spec_of((2, 2)))
-        assert v is not None and v.kind == "values"
+    def test_group_builders_reject_non_integral_times(self):
+        with pytest.raises(ValueError, match="whole numbers"):
+            naive_groups([1.7, 2.2, 3.0], 3, 0)
 
 
 class TestEnumeration:
@@ -191,41 +174,3 @@ class TestEnumeration:
         spec = spec_of((5, 5, 5))
         with pytest.raises(ValueError, match="cap"):
             list(enumerate_crossover_vectors(spec, cap=100))
-
-
-class TestAssignmentCsv:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "assign.csv"
-        times = CrossoverTimes(np.asarray([2, 1, 3, 1]), 3)
-        write_assignment_csv(path, times)
-        units, back = read_assignment_csv(path, n_times=3)
-        assert units.tolist() == [0, 1, 2, 3]
-        assert back.times.tolist() == [2, 1, 3, 1]
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "assign.csv"
-        path.write_text("who,when\n0,1\n")
-        with pytest.raises(DataFormatError, match="line 1"):
-            read_assignment_csv(path)
-
-    def test_non_integer_row_cites_line(self, tmp_path):
-        path = tmp_path / "assign.csv"
-        path.write_text("unit,crossover_time\n0,1\n1,x\n")
-        with pytest.raises(DataFormatError, match="line 3"):
-            read_assignment_csv(path)
-
-    @pytest.mark.parametrize("column, row, value", [
-        ("unit", "99999999999999999999,2", "99999999999999999999"),
-        ("crossover_time", "1,-99999999999999999999", "-99999999999999999999"),
-    ], ids=["unit", "crossover_time"])
-    def test_integer_beyond_int64_cites_line(self, tmp_path, column, row, value):
-        path = tmp_path / "assign.csv"
-        path.write_text(f"unit,crossover_time\n0,1\n{row}\n")
-        with pytest.raises(DataFormatError, match=f"line 3: {column} {value} does not fit in a 64-bit integer"):
-            read_assignment_csv(path)
-
-    def test_empty_body_rejected(self, tmp_path):
-        path = tmp_path / "assign.csv"
-        path.write_text("unit,crossover_time\n")
-        with pytest.raises(DataFormatError, match="no data rows"):
-            read_assignment_csv(path)

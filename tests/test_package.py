@@ -3,11 +3,9 @@
 import wedgeperm
 
 EXPORTED = {
-    "DEFAULT_SEED", "generator", "seed_sequence", "AssignmentMatrix",
-    "AssignmentViolation", "CrossoverTimes", "DataFormatError", "DesignSpec",
-    "crossover_times", "enumerate_crossover_vectors", "matrix_from_times",
-    "read_assignment_csv", "sample_assignment", "space_size", "step_conditional_prob",
-    "validate_assignment", "write_assignment_csv", "DEFAULT_BUDGET",
+    "DEFAULT_SEED", "generator", "seed_sequence", "CrossoverTimes", "DataFormatError",
+    "DesignSpec", "enumerate_crossover_vectors", "sample_assignment", "space_size",
+    "step_conditional_prob", "DEFAULT_BUDGET",
     "DEFAULT_EXACT_THRESHOLD", "STATISTICS", "PermutationResult", "RelabelPlan",
     "TailPlan", "TwoGroupSample", "diff_in_means", "permutation_pvalue", "rank_sum",
     "relabel_plan", "LagFamily", "LagSchedule", "LagTestGroup",
