@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from array import array
 from dataclasses import dataclass, field
 
@@ -357,24 +358,37 @@ def write_trial_csv(path, data: TrialData) -> None:
             )
 
 
-def read_trial_csv(path) -> TrialData:
-    """Read a trial panel; schema violations raise DataFormatError with the line."""
+def _read_header(path, reader) -> list[str]:
+    """The checked header row: unit, crossover_time, then y0..yT with T >= 2."""
+    header = next(reader, None)
+    if header is None or len(header) < 3:
+        raise DataFormatError(f"{path}: line 1: expected header 'unit,crossover_time,y0,...'")
+    head = [h.strip() for h in header]
+    if head[:2] != ["unit", "crossover_time"]:
+        raise DataFormatError(f"{path}: line 1: expected header to start 'unit,crossover_time'")
+    expected_y = [f"y{t}" for t in range(len(head) - 2)]
+    if head[2:] != expected_y:
+        raise DataFormatError(
+            f"{path}: line 1: outcome columns must be y0..y{len(head) - 3} in order"
+        )
+    if len(head) - 3 < 2:
+        raise DataFormatError(f"{path}: line 1: need outcome columns y0..yT with T >= 2")
+    return head
+
+
+def _trial_data(path, units, times, outcomes, n_times: int) -> TrialData:
+    try:
+        return TrialData(units, CrossoverTimes(times, n_times), outcomes)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+
+
+def _read_rows(path) -> TrialData:
+    """read_trial_csv row by row: each cell goes through int or float,
+    so a bad row raises DataFormatError naming its line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < 3:
-            raise DataFormatError(f"{path}: line 1: expected header 'unit,crossover_time,y0,...'")
-        head = [h.strip() for h in header]
-        if head[:2] != ["unit", "crossover_time"]:
-            raise DataFormatError(f"{path}: line 1: expected header to start 'unit,crossover_time'")
-        expected_y = [f"y{t}" for t in range(len(head) - 2)]
-        if head[2:] != expected_y:
-            raise DataFormatError(
-                f"{path}: line 1: outcome columns must be y0..y{len(head) - 3} in order"
-            )
-        n_times = len(head) - 3
-        if n_times < 2:
-            raise DataFormatError(f"{path}: line 1: need outcome columns y0..yT with T >= 2")
+        head = _read_header(path, reader)
         # flat typed buffers hold 8 bytes per value, not a Python object
         units, times, outcomes = array("q"), array("q"), array("d")
         for lineno, row in enumerate(reader, start=2):
@@ -397,12 +411,36 @@ def read_trial_csv(path) -> TrialData:
                 ) from None
     if not units:
         raise DataFormatError(f"{path}: no data rows")
-    try:
-        data = TrialData(
-            np.frombuffer(units, dtype=np.int64),
-            CrossoverTimes(np.frombuffer(times, dtype=np.int64), n_times),
-            np.frombuffer(outcomes).reshape(len(units), n_times + 1),
-        )
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
-    return data
+    n_times = len(head) - 3
+    return _trial_data(
+        path,
+        np.frombuffer(units, dtype=np.int64),
+        np.frombuffer(times, dtype=np.int64),
+        np.frombuffer(outcomes).reshape(len(units), n_times + 1),
+        n_times,
+    )
+
+
+def read_trial_csv(path) -> TrialData:
+    """Read a trial panel; schema violations raise DataFormatError with the line.
+
+    Fields may be quoted, and blank rows are skipped.  The body is parsed
+    in one call to NumPy's C reader.  A body that reader rejects or finds
+    empty is re-read row by row (``_read_rows``): that path names the
+    offending line, and it also accepts what the C reader does not, such
+    as whitespace-only or all-empty rows, digit underscores and
+    non-ASCII digits.
+    """
+    with open(path, newline="") as fh:
+        n_times = len(_read_header(path, csv.reader(fh))) - 3
+        dtype = [("unit", np.int64), ("time", np.int64), ("y", np.float64, (n_times + 1,))]
+        try:
+            with warnings.catch_warnings():
+                # an empty body gets the row loop's own message instead
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                body = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
+        except ValueError:
+            body = None
+    if body is None or body.size == 0:
+        return _read_rows(path)
+    return _trial_data(path, body["unit"], body["time"], body["y"], n_times)

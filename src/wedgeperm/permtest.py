@@ -15,6 +15,14 @@ it is made and replays them chunk by chunk: reducing a draw to its
 per-relabeling selected-slot sums and treated hits needs one key chunk
 plus those B sums and hits, never the B x m selections.
 
+What a fixed seed fixes does not depend on the CPU: the keys, each
+relabeling's selected set, its treated hits, and so p-values away from
+near-ties.  The order in which argpartition lists a selected set does:
+NumPy dispatches its kernel by SIMD level (AVX-512, AVX2 or baseline),
+and the selected-slot sums follow that order, so their last bits, and
+with them interval endpoints and p-values on tied outcomes, can differ
+between machines.
+
 A TailPlan keeps only what tail counting reads from a relabeling draw,
 and a _ShiftIndex over TailPlans evaluates both tails for any shift of
 the treated arm, so one draw serves the p-values at zero shift and a
@@ -55,7 +63,9 @@ DEFAULT_BUDGET = 999
 DEFAULT_EXACT_THRESHOLD = 20_000
 
 _BLOCK = 1024  # resamples per derived stream
-_KEY_CHUNK = 1 << 20  # uniform keys per draw chunk (at least one row)
+# uniform keys per draw chunk (at least one row): 512 KiB of keys, so a
+# chunk and its argpartition index fit together in a 2 MiB L2 cache
+_KEY_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)

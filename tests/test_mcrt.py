@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,7 @@ from wedgeperm import (
     run_mcrts,
     write_trial_csv,
 )
+from wedgeperm import mcrt
 from wedgeperm.rng import generator, seed_sequence
 
 from conftest import make_trial
@@ -236,6 +238,65 @@ class TestTrialCsv:
         path.write_text("unit,crossover_time,y1,y0,y2\n0,1,0,0,0\n")
         with pytest.raises(DataFormatError, match="y0"):
             read_trial_csv(path)
+
+
+_HEADER = "unit,crossover_time,y0,y1,y2\n"
+
+# (id, file text, None if it parses or a pattern of its message)
+_READER_CORPUS = [
+    ("quoted", _HEADER + '"0","1","0.5",0.1,"-0.2"\n1,2,0,0,0\n', None),
+    ("padded", _HEADER + " 0 , 1 ,  0.5 ,0.1,0.2 \n1,2,0,0,0\n", None),
+    ("tabs", _HEADER + "0\t,\t1,\t0.5,0.1,0.2\n1,2,0,0,0\n", None),
+    ("no-break-spaces", _HEADER + "\xa00,1,\xa00.5\xa0,0.1,0.2\n1,2,0,0,0\n", None),
+    ("crlf", _HEADER.replace("\n", "\r\n") + "0,1,0.5,0.1,0.2\r\n1,2,0,0,0\r\n", None),
+    ("plus-signs", _HEADER + "+0,+1,+0.5,0.1,+2e-3\n1,2,0,0,0\n", None),
+    ("no-trailing-newline", _HEADER + "0,1,0.5,0.1,0.2\n1,2,0,0,0", None),
+    ("blank-rows", _HEADER + "\n0,1,0.5,0.1,0.2\n\n1,2,0,0,0\n\n", None),
+    ("whitespace-only-row", _HEADER + "0,1,0.5,0.1,0.2\n  \t \n1,2,0,0,0\n", None),
+    ("empty-fields-row", _HEADER + "0,1,0.5,0.1,0.2\n,,,,\n1,2,0,0,0\n", None),
+    ("digit-underscores", _HEADER + "0,1,1_0.5,0.1,0.2\n1_0,2,0,0,0\n", None),
+    ("arabic-indic-digits", _HEADER + "\u0660,\u0661,\u0660.\u0665,0.1,0.2\n1,2,0,0,0\n", None),
+    ("infinity", _HEADER + "0,1,infinity,0.1,0.2\n1,2,0,0,0\n", "non-finite"),
+    ("float-crossover-time", _HEADER + "0,1,0.5,0.1,0.2\n1,1.0,0,0,0\n", "line 3: invalid literal"),
+    ("int64-overflow", _HEADER + "0,1,0.5,0.1,0.2\n9223372036854775808,2,0,0,0\n", "line 3: unit .* 64-bit"),
+    ("wrong-column-count", _HEADER + "0,1,0.5,0.1,0.2\n1,2,0,0\n", "line 3: expected 5 columns, got 4"),
+    ("header-only", _HEADER, "no data rows"),
+    ("blank-rows-only", _HEADER + "\n \n,,,,\n", "no data rows"),
+]
+
+
+def _read_outcome(read, path):
+    try:
+        data = read(path)
+    except DataFormatError as exc:
+        return str(exc)
+    return data.units.tobytes(), data.times.times.tobytes(), data.outcomes.tobytes(), data.outcomes.shape
+
+
+class TestTrialCsvReaderPaths:
+    """The C-reader body parse and the row loop it falls back to agree."""
+
+    @pytest.mark.parametrize("text, message", [c[1:] for c in _READER_CORPUS], ids=[c[0] for c in _READER_CORPUS])
+    def test_fast_path_equals_row_loop(self, tmp_path, text, message):
+        path = tmp_path / "trial.csv"
+        path.write_bytes(text.encode())
+        got = _read_outcome(read_trial_csv, path)
+        assert got == _read_outcome(mcrt._read_rows, path)
+        if message is None:
+            assert not isinstance(got, str), got
+        else:
+            assert isinstance(got, str) and re.search(message, got), got
+
+    def test_clean_file_never_reaches_the_row_loop(self, tmp_path, monkeypatch, tiny_trial):
+        path = tmp_path / "trial.csv"
+        write_trial_csv(path, tiny_trial)
+
+        def row_loop(_path):
+            raise AssertionError("a clean file fell back to the row loop")
+
+        monkeypatch.setattr(mcrt, "_read_rows", row_loop)
+        back = read_trial_csv(path)
+        assert np.array_equal(back.outcomes, tiny_trial.outcomes)
 
 
 class TestTrialData:

@@ -1,5 +1,6 @@
 """Two-group permutation engine: statistics, plans, exact and MC tails."""
 
+import hashlib
 import itertools
 import math
 import os
@@ -206,9 +207,9 @@ class TestRelabelPlan:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
-    def test_streamed_tail_plan_keeps_no_selections(self):
-        # m = 5000 of pool 25 000 at B = 999: the selections and their
-        # gather would take 38 MiB each
+    @staticmethod
+    def _streamed_tail_plan_peak():
+        """tracemalloc peak of one m = 5000, pool 25 000, B = 999 TailPlan."""
         values = generator(4).normal(size=25_000)
         sample = TwoGroupSample(values[:5000], values[5000:], 50_000)
         tracemalloc.start()
@@ -217,10 +218,32 @@ class TestRelabelPlan:
             tracemalloc.reset_peak()
             plan = relabel_plan(25_000, 5000, budget=999, exact_threshold=1, seed=0)
             TailPlan(sample, plan, "diff_in_means")
-            peak = tracemalloc.get_traced_memory()[1] - before
+            return tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak < 24 * 2**20
+
+    def test_streamed_tail_plan_keeps_no_selections(self):
+        # the selections and their gather would take 38 MiB each
+        assert self._streamed_tail_plan_peak() < 24 * 2**20
+
+    def test_streamed_tail_plan_peak_fits_a_few_key_chunks(self):
+        # 512 KiB key chunks: the same plan peaked at 17.4 MiB with
+        # 8 MiB chunks, each with an 8 MiB argpartition index
+        assert self._streamed_tail_plan_peak() < 4 * 2**20
+
+    def test_fixed_seed_selected_sets_and_hits_are_pinned(self):
+        # argpartition lists a selected set in an order that depends on
+        # the CPU's SIMD level, and the sums follow that order, so only
+        # the row-sorted sets and the hits are pinned, never the sums
+        plan = relabel_plan(500, 100, budget=499, seed=5)
+        rows = np.sort(plan.selections, axis=1).astype(np.int64)
+        hits = plan.treated_hits().astype(np.int64)
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == (
+            "43c91bd02d257c632f6851c15a29864282429ee65c37eeafcb6c37f4415d4a09"
+        )
+        assert hashlib.sha256(hits.tobytes()).hexdigest() == (
+            "d00886a078736fe5a66eac4dcc5281ac691ed202da9ac0f3e4c39f4eeb99bdb2"
+        )
 
     def test_exact_threshold_boundary(self):
         for pool, m in ((10, 3), (12, 6), (200, 199), (25_000, 1)):
