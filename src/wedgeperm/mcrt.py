@@ -429,7 +429,10 @@ def read_trial_csv(path) -> TrialData:
     empty is re-read row by row (``_read_rows``): that path names the
     offending line, and it also accepts what the C reader does not, such
     as whitespace-only or all-empty rows, digit underscores and
-    non-ASCII digits.
+    non-ASCII digits.  NumPy releases that still parse a non-integer
+    int64 cell through a float (and truncate it) warn with a
+    DeprecationWarning; that warning is made an error, which NumPy
+    raises as ValueError, so such a cell is also left to the row loop.
     """
     with open(path, newline="") as fh:
         n_times = len(_read_header(path, csv.reader(fh))) - 3
@@ -438,6 +441,8 @@ def read_trial_csv(path) -> TrialData:
             with warnings.catch_warnings():
                 # an empty body gets the row loop's own message instead
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                # '1.7' or an overflowing int64 cell must not be truncated or wrapped
+                warnings.simplefilter("error", DeprecationWarning)
                 body = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
         except ValueError:
             body = None

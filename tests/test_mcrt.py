@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -258,6 +259,9 @@ _READER_CORPUS = [
     ("arabic-indic-digits", _HEADER + "\u0660,\u0661,\u0660.\u0665,0.1,0.2\n1,2,0,0,0\n", None),
     ("infinity", _HEADER + "0,1,infinity,0.1,0.2\n1,2,0,0,0\n", "non-finite"),
     ("float-crossover-time", _HEADER + "0,1,0.5,0.1,0.2\n1,1.0,0,0,0\n", "line 3: invalid literal"),
+    ("fractional-crossover-time", _HEADER + "0,1,0.5,0.1,0.2\n1,1.7,0,0,0\n", "line 3: invalid literal"),
+    ("nan-crossover-time", _HEADER + "0,1,0.5,0.1,0.2\n1,nan,0,0,0\n", "line 3: invalid literal"),
+    ("int64-overflow-time", _HEADER + "0,1,0.5,0.1,0.2\n1,9223372036854775808,0,0,0\n", "line 3: crossover_time .* 64-bit"),
     ("int64-overflow", _HEADER + "0,1,0.5,0.1,0.2\n9223372036854775808,2,0,0,0\n", "line 3: unit .* 64-bit"),
     ("wrong-column-count", _HEADER + "0,1,0.5,0.1,0.2\n1,2,0,0\n", "line 3: expected 5 columns, got 4"),
     ("header-only", _HEADER, "no data rows"),
@@ -286,6 +290,28 @@ class TestTrialCsvReaderPaths:
             assert not isinstance(got, str), got
         else:
             assert isinstance(got, str) and re.search(message, got), got
+
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    def test_int_parsed_via_float_falls_back_to_the_row_loop(self, tmp_path, monkeypatch):
+        # NumPy 1.23 and later releases that keep the deprecated parse read a
+        # non-integer int64 cell as a float and truncate it, with only a
+        # DeprecationWarning that their C reader raises as ValueError when
+        # warnings are errors; this stands in for such a release
+        path = tmp_path / "trial.csv"
+        path.write_text(_HEADER + "0,1,0.5,0.1,0.2\n1,1.7,0,0,0\n")
+        real_loadtxt = np.loadtxt
+
+        def loadtxt(fh, dtype, **kwargs):
+            body = real_loadtxt(fh, dtype=[(f[0], np.float64, *f[2:]) for f in dtype], **kwargs)
+            try:
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+            except DeprecationWarning as exc:
+                raise ValueError("could not convert string '1.7' to int64") from exc
+            return body.astype(dtype)
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        with pytest.raises(DataFormatError, match="line 3: invalid literal for int"):
+            read_trial_csv(path)
 
     def test_clean_file_never_reaches_the_row_loop(self, tmp_path, monkeypatch, tiny_trial):
         path = tmp_path / "trial.csv"
