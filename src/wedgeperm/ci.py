@@ -20,7 +20,8 @@ each a candidate shift.  A bisection on delta finds them, evaluating
 the curve only on the open cells between candidates; no shifted
 outcome is ever formed, so rounding at a tie never decides an
 endpoint.  Each evaluation is one probe of a family lookup
-(permtest._ShiftIndex) built once per interval.  For the difference in
+(permtest._ShiftIndex) built once per family and kept set of tests, so
+combiners that keep the same tests share it.  For the difference in
 means it merges the tests' candidates into their union, so a probe is
 two binary searches for the whole family, and it computes only the
 tail that the bisection step reads; the rank sum re-sums each test's
@@ -189,8 +190,13 @@ def invert_combined(family: LagFamily, alpha: float = 0.10, method: str = "weigh
     if not family.tests:
         raise ValueError(f"no testable groups at lag {family.lag} (all below min_arm)")
     kept, combined = _combiner(family.tests, family.n_units, method)
-    tails = {t.test_time: tail for t, tail in zip(family.tests, family.tails)}
-    shifts = _ShiftIndex([tails[t.test_time] for t in kept])
+    # combiners that keep the same tests invert the same tails, so the
+    # family keeps one lookup per kept set
+    times = tuple(t.test_time for t in kept)
+    shifts = family._shift_indexes.get(times)
+    if shifts is None:
+        tails = {t.test_time: tail for t, tail in zip(family.tests, family.tails)}
+        shifts = family._shift_indexes[times] = _ShiftIndex([tails[t] for t in times])
     lower, upper, evaluations = _exact_interval(shifts, combined, alpha)
     return ConfidenceInterval(
         lag=family.lag,

@@ -277,7 +277,9 @@ class LagFamily:
     zero shift, ordered by test time; ``tails`` holds, in the same
     order, the TailPlan that re-evaluates that test under any shifted
     effect.  run_mcrts builds it; the combiners and invert_combined
-    read it.  Two families compare equal by everything but their tails.
+    read it.  Two families compare equal by everything but their tails
+    and the shift indexes invert_combined keeps, one per kept set of
+    test times.
     """
 
     lag: int
@@ -286,6 +288,7 @@ class LagFamily:
     tests: tuple[McrtTest, ...]
     tails: tuple[TailPlan, ...] = field(compare=False, repr=False)
     skipped: tuple[McrtSkip, ...]
+    _shift_indexes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def p_values(self, tail: str) -> np.ndarray:
         if tail == "less":
@@ -433,19 +436,36 @@ def read_trial_csv(path) -> TrialData:
     int64 cell through a float (and truncate it) warn with a
     DeprecationWarning; that warning is made an error, which NumPy
     raises as ValueError, so such a cell is also left to the row loop.
+    A file that does not decode names its first line that does not.
     """
-    with open(path, newline="") as fh:
-        n_times = len(_read_header(path, csv.reader(fh))) - 3
-        dtype = [("unit", np.int64), ("time", np.int64), ("y", np.float64, (n_times + 1,))]
-        try:
-            with warnings.catch_warnings():
-                # an empty body gets the row loop's own message instead
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                # '1.7' or an overflowing int64 cell must not be truncated or wrapped
-                warnings.simplefilter("error", DeprecationWarning)
-                body = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
-        except ValueError:
-            body = None
-    if body is None or body.size == 0:
-        return _read_rows(path)
+    try:
+        with open(path, newline="") as fh:
+            n_times = len(_read_header(path, csv.reader(fh))) - 3
+            dtype = [("unit", np.int64), ("time", np.int64), ("y", np.float64, (n_times + 1,))]
+            try:
+                with warnings.catch_warnings():
+                    # an empty body gets the row loop's own message instead
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    # '1.7' or an overflowing int64 cell must not be truncated or wrapped
+                    warnings.simplefilter("error", DeprecationWarning)
+                    body = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
+            except ValueError:  # a UnicodeDecodeError too, which the row loop raises again
+                body = None
+        if body is None or body.size == 0:
+            return _read_rows(path)
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from None
     return _trial_data(path, body["unit"], body["time"], body["y"], n_times)
+
+
+def _undecodable(path, exc: UnicodeDecodeError) -> DataFormatError:
+    """The error for a file that does not decode, naming its first line
+    that does not; text is decoded in blocks, so only reading the file
+    again as bytes, line by line, tells which line that is."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.decode(exc.encoding)
+            except UnicodeDecodeError as line_exc:
+                return DataFormatError(f"{path}: line {lineno}: {line_exc}")
+    return DataFormatError(f"{path}: {exc}")

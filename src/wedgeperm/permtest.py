@@ -8,12 +8,15 @@ the add-one correction (1 + count) / (budget + 1).
 Monte-Carlo resamples are drawn in fixed blocks of 1024, each block on
 a stream derived from (seed, block index), so results never depend on
 how work is scheduled.  Within a block the uniform keys are drawn in
-row chunks of at most _KEY_CHUNK keys into one reused buffer; the
-stream fills rows in order, so the selections are byte-identical to
-drawing the whole block's keys at once.  A plan fixes its streams when
-it is made and replays them chunk by chunk: reducing a draw to its
-per-relabeling selected-slot sums and treated hits needs one key chunk
-plus those B sums and hits, never the B x m selections.
+row chunks of at most _KEY_CHUNK keys into one buffer per thread,
+reused by every test the thread draws: a buffer freed after each test
+would be handed back to the OS by the allocator and page-faulted in
+again by the next one.  The stream fills rows in order, so the
+selections are byte-identical to drawing the whole block's keys at
+once.  A plan fixes its streams when it is made and replays them chunk
+by chunk: reducing a draw to its per-relabeling selected-slot sums and
+treated hits needs one key chunk plus those B sums and hits, never the
+B x m selections.
 
 What a fixed seed fixes does not depend on the CPU: the keys, each
 relabeling's selected set, its treated hits, and so p-values away from
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -66,6 +70,20 @@ _BLOCK = 1024  # resamples per derived stream
 # uniform keys per draw chunk (at least one row): 512 KiB of keys, so a
 # chunk and its argpartition index fit together in a 2 MiB L2 cache
 _KEY_CHUNK = 1 << 16
+
+_thread_keys = threading.local()
+
+
+def _key_buffer(size: int) -> np.ndarray:
+    """A float64 buffer of ``size`` keys: a view of this thread's kept
+    buffer of _KEY_CHUNK keys, or, for a row wider than that, a new
+    buffer that is not kept."""
+    if size > _KEY_CHUNK:
+        return np.empty(size)
+    buf = getattr(_thread_keys, "buf", None)
+    if buf is None or buf.size < _KEY_CHUNK:
+        buf = _thread_keys.buf = np.empty(_KEY_CHUNK)
+    return buf[:size]
 
 
 @dataclass(frozen=True)
@@ -167,9 +185,14 @@ class RelabelPlan:
     def _chunks(self):
         """(first row, selections of the rows) for each key chunk of the
         Monte-Carlo draw, in row order; the first chunk is the largest."""
-        m, budget = self.n_treated, self.n_resamples
-        rows = max(1, _KEY_CHUNK // self.pool_size)
-        keys = np.empty((min(rows, _BLOCK, budget), self.pool_size))
+        m, budget, pool = self.n_treated, self.n_resamples, self.pool_size
+        rows = max(1, _KEY_CHUNK // pool)
+        first = min(rows, _BLOCK, budget)
+        # the thread's plans share one key buffer, even with their
+        # generators interleaved: a chunk's keys are drawn and handed to
+        # argpartition before the yield, and what is yielded is
+        # argpartition's own new array, so no key outlives its chunk
+        keys = _key_buffer(first * pool).reshape(first, pool)
         for block, stream in enumerate(self._streams):
             rng = np.random.default_rng(stream)
             block_end = min((block + 1) * _BLOCK, budget)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -275,6 +274,9 @@ def _parallel_map(fn, tasks: Sequence, threads: int) -> list:
     """Order-preserving map, optionally fanned out over processes."""
     if threads <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    # imported here, so that importing the package does not load it
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(tasks) // (4 * threads))
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, tasks, chunksize=chunk))

@@ -447,6 +447,29 @@ class TestSharedFamily:
             again = invert_combined(family, 0.10, method)
             fresh = invert_combined(run_mcrts(data, lag, tcfg), 0.10, method)
             assert first == again == fresh
+        # every combiner keeps every test here, so all three read one lookup
+        assert list(family._shift_indexes) == [tuple(t.test_time for t in family.tests)]
+
+    def test_weighted_z_dropping_a_test_gets_its_own_lookup(self):
+        data = make_trial(60, (15, 15, 15, 15), lag=0, effect=0.4, seed=21, noise=0.5)
+        outcomes = data.outcomes.copy()
+        outcomes[:, 2] = 1.0  # both arms of the time-2 test are constant: it has no weight
+        data = TrialData(data.units, data.times, outcomes)
+        tcfg = TestConfig(budget=199, seed=5)
+        family = run_mcrts(data, 0, tcfg)
+        every = tuple(t.test_time for t in family.tests)
+        assert 2 in every
+        for method in ("weighted_z", "fisher", "bonferroni", "weighted_z"):
+            assert invert_combined(family, 0.10, method) == invert_combined(run_mcrts(data, 0, tcfg), 0.10, method)
+        assert set(family._shift_indexes) == {every, tuple(t for t in every if t != 2)}
+
+    def test_equality_and_repr_ignore_the_kept_lookups(self):
+        data = make_trial(60, (15, 15, 15, 15), lag=1, effect=0.4, seed=21, noise=0.5)
+        family, other = run_mcrts(data, 1), run_mcrts(data, 1)
+        invert_combined(family, 0.10, "fisher")
+        assert family._shift_indexes and not other._shift_indexes
+        assert family == other
+        assert repr(family) == repr(other)
 
 
 class TestFamilyLookup:

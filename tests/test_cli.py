@@ -107,6 +107,12 @@ class TestAnalyze:
         assert main(["analyze", str(path), "--lag", "0"]) == EXIT_DATA
         assert "line 3" in capsys.readouterr().err
 
+    def test_undecodable_byte_is_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"unit,crossover_time,y0,y1,y2\n1,1,0.0,0.1,0.2\n2,2,0.\xff,0.1,0.2\n3,3,0.0,0.1,0.2\n")
+        assert main(["analyze", str(path), "--lag", "0"]) == EXIT_DATA
+        assert f"{path}: line 3: " in capsys.readouterr().err
+
     def test_oversized_unit_id_is_a_data_error(self, tmp_path, capsys):
         path = tmp_path / "big.csv"
         path.write_text("unit,crossover_time,y0,y1,y2\n1,1,0.0,0.1,0.2\n99999999999999999999,2,0.0,0.1,0.2\n")

@@ -234,6 +234,19 @@ class TestTrialCsv:
         with pytest.raises(DataFormatError, match=f"line 3: {column} .* 64-bit"):
             read_trial_csv(path)
 
+    @pytest.mark.parametrize("bad_line", [1, 3, 1500])
+    def test_undecodable_byte_cites_line(self, tmp_path, bad_line):
+        # line 1 is the header; line 1500 lies beyond the block the header
+        # read decodes, so the C reader meets it first, then the row loop
+        rows = [b"%d,%d,0.0,0.1,0.2" % (i, i % 3 + 1) for i in range(2000)]
+        lines = [b"unit,crossover_time,y0,y1,y2"] + rows
+        lines[bad_line - 1] += b"\xff"
+        path = tmp_path / "trial.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        message = f"{re.escape(str(path))}: line {bad_line}: .*can't decode byte 0xff"
+        with pytest.raises(DataFormatError, match=message):
+            read_trial_csv(path)
+
     def test_misordered_outcome_columns_rejected(self, tmp_path):
         path = tmp_path / "trial.csv"
         path.write_text("unit,crossover_time,y1,y0,y2\n0,1,0,0,0\n")

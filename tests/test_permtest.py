@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -181,6 +182,72 @@ class TestRelabelPlan:
             ref = _unchunked_reference(pool, m, budget, 11)
             assert plan.selections.dtype == ref.dtype
             assert np.array_equal(plan.selections, ref)
+
+    @pytest.mark.parametrize("chunk", [100, permtest._KEY_CHUNK])
+    def test_interleaved_draws_equal_separate_draws(self, monkeypatch, chunk):
+        # two plans of different pool sizes draw through the thread's one
+        # key buffer, a chunk of each in turn; chunk 100 gives each plan
+        # many chunks, the default chunk a ragged last one on pool 100
+        monkeypatch.setattr(permtest, "_KEY_CHUNK", chunk)
+        shapes = ((30, 10, 2500), (100, 17, 1100))
+        plans = [relabel_plan(pool, m, budget=budget, exact_threshold=1, seed=11) for pool, m, budget in shapes]
+        yielded = [[], []]
+        for pair in itertools.zip_longest(*(plan._chunks() for plan in plans)):
+            for kept, item in zip(yielded, pair):
+                if item is not None:
+                    kept.append(item)
+        # every chunk is read only now, after both draws have finished
+        for (pool, m, budget), kept in zip(shapes, yielded):
+            sel = np.full((budget, m), -1, dtype=np.intp)
+            for lo, chunk in kept:
+                sel[lo : lo + chunk.shape[0]] = chunk
+            assert np.array_equal(sel, _unchunked_reference(pool, m, budget, 11))
+
+    def test_concurrent_threads_draw_what_sequential_draws_do(self):
+        shapes = ((30, 10, 4000, 11), (5000, 17, 999, 12), (300, 150, 2000, 13))
+        expected = [relabel_plan(pool, m, budget=b, exact_threshold=1, seed=s).selections for pool, m, b, s in shapes]
+        barrier = threading.Barrier(len(shapes))
+        got = [None] * len(shapes)
+
+        def draw(k):
+            pool, m, budget, seed = shapes[k]
+            barrier.wait()
+            got[k] = [
+                relabel_plan(pool, m, budget=budget, exact_threshold=1, seed=seed).selections for _ in range(4)
+            ]
+
+        # more threads than cores, switching often, so the draws overlap
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=draw, args=(k,)) for k in range(len(shapes))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for ref, draws in zip(expected, got):
+            assert all(np.array_equal(ref, sel) for sel in draws)
+
+    def test_wide_pool_keeps_at_most_one_key_chunk(self):
+        wide = permtest._KEY_CHUNK + 500
+        kept = {}
+
+        def draw(name, pools):
+            for pool in pools:
+                relabel_plan(pool, 5, budget=3, exact_threshold=1, seed=1).selections
+            buf = getattr(permtest._thread_keys, "buf", None)
+            kept[name] = None if buf is None else buf.size
+
+        # each in a new thread, so no earlier draw has sized its buffer
+        for name, pools in (("wide only", [wide]), ("narrow, then wide", [10, wide])):
+            t = threading.Thread(target=draw, args=(name, pools))
+            t.start()
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert kept == {"wide only": None, "narrow, then wide": permtest._KEY_CHUNK}
 
     @pytest.mark.parametrize("chunk", [7, 100, 1 << 20])
     @pytest.mark.parametrize("seed", [11, None])

@@ -1,10 +1,15 @@
 """Simulation studies: outcome models, power and coverage tables."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wedgeperm
 import wedgeperm.mcrt
 from wedgeperm import (
     CoverageRow,
@@ -324,3 +329,14 @@ class TestDeterminism:
         a = power_study([(16, 2, 0, 0.2)], replicates=5, budget=49, seed=13)
         b = power_study([(16, 2, 0, 0.2)], replicates=5, budget=49, seed=13)
         assert a.rows == b.rows
+
+
+def test_package_import_leaves_process_pools_unloaded():
+    # only a study run with threads > 1 needs concurrent.futures
+    src = str(Path(wedgeperm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, wedgeperm; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert proc.stdout.strip() == "[]"
