@@ -389,7 +389,7 @@ def _trial_data(path, units, times, outcomes, n_times: int) -> TrialData:
 def _read_rows(path) -> TrialData:
     """read_trial_csv row by row: each cell goes through int or float,
     so a bad row raises DataFormatError naming its line."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         head = _read_header(path, reader)
         # flat typed buffers hold 8 bytes per value, not a Python object
@@ -436,10 +436,12 @@ def read_trial_csv(path) -> TrialData:
     int64 cell through a float (and truncate it) warn with a
     DeprecationWarning; that warning is made an error, which NumPy
     raises as ValueError, so such a cell is also left to the row loop.
-    A file that does not decode names its first line that does not.
+    The file is read as UTF-8, after a byte-order mark if it starts with
+    one, as spreadsheet programs write; a file that does not decode names
+    its first line that does not.
     """
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             n_times = len(_read_header(path, csv.reader(fh))) - 3
             dtype = [("unit", np.int64), ("time", np.int64), ("y", np.float64, (n_times + 1,))]
             try:

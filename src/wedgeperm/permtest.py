@@ -20,11 +20,15 @@ B x m selections.
 
 What a fixed seed fixes does not depend on the CPU: the keys, each
 relabeling's selected set, its treated hits, and so p-values away from
-near-ties.  The order in which argpartition lists a selected set does:
-NumPy dispatches its kernel by SIMD level (AVX-512, AVX2 or baseline),
-and the selected-slot sums follow that order, so their last bits, and
-with them interval endpoints and p-values on tied outcomes, can differ
-between machines.
+near-ties.  The selected-slot sums follow the order in which a selected
+set is listed.  A pool of up to _TAGGED_POOL slots lists it in key
+order on every CPU: each key, an integer multiple of 2^-53, is tagged
+with its slot in the low 8 bits of one integer, in a second kept buffer
+per thread, and each row of tags is sorted, which on such narrow rows
+costs less than argpartition's per-row setup.  A wider pool takes
+argpartition's order, which NumPy's kernel sets by SIMD level (AVX-512,
+AVX2 or baseline), so the last bits of its sums, and with them interval
+endpoints and p-values on tied outcomes, can differ between machines.
 
 A TailPlan keeps only what tail counting reads from a relabeling draw,
 and a _ShiftIndex over TailPlans evaluates both tails for any shift of
@@ -71,18 +75,26 @@ _BLOCK = 1024  # resamples per derived stream
 # chunk and its argpartition index fit together in a 2 MiB L2 cache
 _KEY_CHUNK = 1 << 16
 
+# widest pool whose selections come from sorting slot-tagged keys: a
+# slot takes the 8 low bits of its tag, and up to this width NumPy's
+# AVX2 and AVX-512 argpartition kernels already list a selected set in
+# key order, so on those CPUs the sums are the ones it gave
+_TAGGED_POOL = 256
+
+# this thread's kept buffers: "buf" for the keys, "tags" for the tags
 _thread_keys = threading.local()
 
 
-def _key_buffer(size: int) -> np.ndarray:
-    """A float64 buffer of ``size`` keys: a view of this thread's kept
-    buffer of _KEY_CHUNK keys, or, for a row wider than that, a new
-    buffer that is not kept."""
+def _key_buffer(size: int, name: str = "buf", dtype=np.float64) -> np.ndarray:
+    """A buffer of ``size`` elements: a view of this thread's kept buffer
+    ``name`` of _KEY_CHUNK elements, or, for a row wider than that, a
+    new buffer that is not kept."""
     if size > _KEY_CHUNK:
-        return np.empty(size)
-    buf = getattr(_thread_keys, "buf", None)
+        return np.empty(size, dtype)
+    buf = getattr(_thread_keys, name, None)
     if buf is None or buf.size < _KEY_CHUNK:
-        buf = _thread_keys.buf = np.empty(_KEY_CHUNK)
+        buf = np.empty(_KEY_CHUNK, dtype)
+        setattr(_thread_keys, name, buf)
     return buf[:size]
 
 
@@ -188,19 +200,35 @@ class RelabelPlan:
         m, budget, pool = self.n_treated, self.n_resamples, self.pool_size
         rows = max(1, _KEY_CHUNK // pool)
         first = min(rows, _BLOCK, budget)
-        # the thread's plans share one key buffer, even with their
-        # generators interleaved: a chunk's keys are drawn and handed to
-        # argpartition before the yield, and what is yielded is
-        # argpartition's own new array, so no key outlives its chunk
+        # the thread's plans share its kept buffers, even with their
+        # generators interleaved: a chunk's keys are drawn and selected
+        # from before the yield, and what is yielded is a new array, so
+        # no key or tag outlives its chunk
         keys = _key_buffer(first * pool).reshape(first, pool)
+        tagged = pool <= _TAGGED_POOL
+        if tagged:
+            tags = _key_buffer(first * pool, "tags", np.int64).reshape(first, pool)
+            slots = np.arange(pool, dtype=np.int64)
         for block, stream in enumerate(self._streams):
             rng = np.random.default_rng(stream)
             block_end = min((block + 1) * _BLOCK, budget)
             for lo in range(block * _BLOCK, block_end, rows):
-                chunk_keys = keys[: min(rows, block_end - lo)]
+                n_rows = min(rows, block_end - lo)
+                chunk_keys = keys[:n_rows]
                 rng.random(out=chunk_keys)
                 # the n_treated smallest keys per row form a uniform subset
-                yield lo, np.argpartition(chunk_keys, m - 1, axis=1)[:, :m]
+                if tagged:
+                    # a key is k * 2^-53 with k < 2^53, so key * 2^61 is
+                    # the integer k shifted left by 8: the tags order a row
+                    # by key, exact-key ties by slot, and their low 8 bits
+                    # give the slot
+                    chunk_tags = tags[:n_rows]
+                    np.multiply(chunk_keys, 2.0**61, out=chunk_tags, casting="unsafe")
+                    chunk_tags |= slots
+                    chunk_tags.sort(axis=1)
+                    yield lo, chunk_tags[:, :m] & 0xFF
+                else:
+                    yield lo, np.argpartition(chunk_keys, m - 1, axis=1)[:, :m]
 
     @property
     def selections(self) -> np.ndarray:
@@ -231,13 +259,16 @@ class RelabelPlan:
         hits = np.empty(self.n_resamples, dtype=np.intp)
         buf = None
         for lo, chunk in self._chunks():
-            if buf is None:
-                buf = np.empty(chunk.shape, dtype=np.intp)
-            # a contiguous copy of argpartition's strided columns gathers
-            # faster than the columns themselves
-            sel = buf[: chunk.shape[0]]
-            np.copyto(sel, chunk)
-            del chunk  # free its index before the gather and the next chunk
+            if chunk.flags.owndata:  # a sorted chunk's own new array
+                sel = chunk
+            else:
+                if buf is None:
+                    buf = np.empty(chunk.shape, dtype=np.intp)
+                # a contiguous copy of argpartition's strided columns
+                # gathers faster than the columns themselves
+                sel = buf[: chunk.shape[0]]
+                np.copyto(sel, chunk)
+            del chunk  # free argpartition's index before the gather and the next chunk
             hi = lo + sel.shape[0]
             values[sel].sum(axis=1, out=sums[lo:hi])
             (sel < self.n_treated).sum(axis=1, out=hits[lo:hi])

@@ -113,6 +113,17 @@ class TestAnalyze:
         assert main(["analyze", str(path), "--lag", "0"]) == EXIT_DATA
         assert f"{path}: line 3: " in capsys.readouterr().err
 
+    def test_byte_order_mark_analyzes_identically(self, trial_csv, tmp_path, capsys):
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + trial_csv.read_bytes())
+        runs = []
+        for name, path in (("plain", trial_csv), ("marked", marked)):
+            res, ci = tmp_path / f"{name}_tests.csv", tmp_path / f"{name}_ci.csv"
+            argv = ["analyze", str(path), "--lag", "0", "--seed", "7", "--out", str(res), "--ci-out", str(ci)]
+            assert main(argv) == EXIT_OK
+            runs.append((capsys.readouterr().out, res.read_bytes(), ci.read_bytes()))
+        assert runs[0] == runs[1]
+
     def test_oversized_unit_id_is_a_data_error(self, tmp_path, capsys):
         path = tmp_path / "big.csv"
         path.write_text("unit,crossover_time,y0,y1,y2\n1,1,0.0,0.1,0.2\n99999999999999999999,2,0.0,0.1,0.2\n")

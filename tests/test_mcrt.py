@@ -247,6 +247,14 @@ class TestTrialCsv:
         with pytest.raises(DataFormatError, match=message):
             read_trial_csv(path)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path, tiny_trial):
+        # spreadsheet programs start a "CSV UTF-8" file with one
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_trial_csv(plain, tiny_trial)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for read in (read_trial_csv, mcrt._read_rows):
+            assert _read_outcome(read, marked) == _read_outcome(read, plain)
+
     def test_misordered_outcome_columns_rejected(self, tmp_path):
         path = tmp_path / "trial.csv"
         path.write_text("unit,crossover_time,y1,y0,y2\n0,1,0,0,0\n")
@@ -263,6 +271,8 @@ _READER_CORPUS = [
     ("tabs", _HEADER + "0\t,\t1,\t0.5,0.1,0.2\n1,2,0,0,0\n", None),
     ("no-break-spaces", _HEADER + "\xa00,1,\xa00.5\xa0,0.1,0.2\n1,2,0,0,0\n", None),
     ("crlf", _HEADER.replace("\n", "\r\n") + "0,1,0.5,0.1,0.2\r\n1,2,0,0,0\r\n", None),
+    ("utf-8-bom", "\ufeff" + _HEADER + "0,1,0.5,0.1,0.2\n1,2,0,0,0\n", None),
+    ("utf-8-bom-then-bad-row", "\ufeff" + _HEADER + "0,1,0.5,0.1,0.2\n1,2,0,oops,0\n", "line 3: could not convert"),
     ("plus-signs", _HEADER + "+0,+1,+0.5,0.1,+2e-3\n1,2,0,0,0\n", None),
     ("no-trailing-newline", _HEADER + "0,1,0.5,0.1,0.2\n1,2,0,0,0", None),
     ("blank-rows", _HEADER + "\n0,1,0.5,0.1,0.2\n\n1,2,0,0,0\n\n", None),

@@ -127,16 +127,52 @@ class TestStatistics:
             permutation_pvalue(s, statistic="median_gap")
 
 
-def _unchunked_reference(pool_size, n_treated, budget, seed):
-    """The Monte-Carlo draw with each 1024-row block's keys drawn at once."""
+def _block_keys(pool_size, budget, seed):
+    """Each 1024-row block's keys of a Monte-Carlo draw, drawn at once."""
     root = seed_sequence(seed)
-    parts, remaining = [], budget
+    remaining = budget
     for child in root.spawn((budget + 1023) // 1024):
         take = min(1024, remaining)
         remaining -= take
-        keys = np.random.default_rng(child).random((take, pool_size))
-        parts.append(np.argpartition(keys, n_treated - 1, axis=1)[:, :n_treated])
-    return np.vstack(parts)
+        yield np.random.default_rng(child).random((take, pool_size))
+
+
+def _unchunked_reference(pool_size, n_treated, budget, seed):
+    """The Monte-Carlo draw with each block's keys drawn at once: a pool
+    of up to 256 slots lists each selected set in key order, exact-key
+    ties by slot, and a wider one as argpartition does."""
+    if pool_size <= 256:
+        select = lambda keys: np.argsort(keys, axis=1, kind="stable")[:, :n_treated]
+    else:
+        select = lambda keys: np.argpartition(keys, n_treated - 1, axis=1)[:, :n_treated]
+    return np.vstack([select(keys) for keys in _block_keys(pool_size, budget, seed)])
+
+
+# NumPy 2.4's dispatched x86 levels above its X86_V2 baseline; disabling
+# them leaves argpartition its baseline kernel
+_BASELINE_SIMD = "X86_V4 AVX512_ICL AVX512_SPR X86_V3"
+
+# run both in this process and in one with _BASELINE_SIMD disabled
+_NARROW_DIGESTS = """
+import hashlib
+import numpy as np
+from wedgeperm import relabel_plan
+from wedgeperm.rng import generator
+
+
+def kernel_lists_key_order():
+    keys = np.random.default_rng(0).random((200, 66))
+    return bool((np.argpartition(keys, 15, axis=1)[:, :16] == np.argsort(keys, axis=1)[:, :16]).all())
+
+
+def digests():
+    out = []
+    for pool, m in ((5, 2), (33, 8), (66, 16), (100, 50), (256, 64)):
+        for values in (generator(pool).normal(size=pool), np.round(generator(pool).normal(size=pool), 1)):
+            sums, hits = relabel_plan(pool, m, budget=1100, exact_threshold=1, seed=pool).reduce(values)
+            out.append(hashlib.sha256(sums.tobytes() + hits.astype(np.int64).tobytes()).hexdigest()[:16])
+    return out
+"""
 
 
 class TestRelabelPlan:
@@ -183,6 +219,75 @@ class TestRelabelPlan:
             assert plan.selections.dtype == ref.dtype
             assert np.array_equal(plan.selections, ref)
 
+    @pytest.mark.parametrize("chunk", [1000, permtest._KEY_CHUNK])
+    def test_narrow_pools_list_selections_in_key_order(self, monkeypatch, chunk):
+        # chunk 1000 draws 1000 // pool rows at a time, so a block spans
+        # many chunks, most pools' last one ragged; budget 1100 spans two
+        # blocks
+        monkeypatch.setattr(permtest, "_KEY_CHUNK", chunk)
+        for pool in range(2, 258):
+            budget = 1100 if pool in (2, 66, 255, 256, 257) else 40
+            for m in sorted({1, pool // 3 or 1, pool - 1}):
+                plan = relabel_plan(pool, m, budget=budget, exact_threshold=1, seed=pool)
+                by_key = np.vstack([
+                    np.argsort(keys, axis=1, kind="stable")[:, :m] for keys in _block_keys(pool, budget, pool)
+                ])
+                values = generator(pool).normal(size=pool)
+                # streamed first, so the selections are drawn only afterwards
+                sums, hits = plan.reduce(values)
+                assert np.array_equal(hits, (by_key < m).sum(axis=1))
+                if pool <= 256:
+                    assert np.array_equal(plan.selections, by_key), (pool, m)
+                    assert sums.tobytes() == values[by_key].sum(axis=1).tobytes()
+                else:  # argpartition's order, and the same selected sets
+                    assert np.array_equal(plan.selections, _unchunked_reference(pool, m, budget, pool))
+                    assert np.array_equal(np.sort(plan.selections, axis=1), np.sort(by_key, axis=1))
+
+    def test_keys_are_multiples_of_two_to_the_minus_53(self):
+        # the narrow-pool tags hold key * 2^53 exactly in 53 bits above
+        # an 8-bit slot; keys with finer bits would spill into the slot
+        keys = np.random.default_rng(seed_sequence(3)).random(1 << 16)
+        scaled = keys * 2.0**53
+        assert np.array_equal(scaled, np.floor(scaled)), "Generator.random keys are not multiples of 2^-53"
+        assert scaled.max() < 2.0**53
+        # the lowest of the 53 bits is used, so no coarser grid would do either
+        assert (scaled % 2 == 1).any()
+
+    def test_narrow_pool_keeps_one_tag_chunk(self):
+        kept = {}
+
+        def draw(name, pools):
+            seen = []
+            for pool in pools:
+                relabel_plan(pool, 5, budget=700, exact_threshold=1, seed=1).reduce(np.zeros(pool))
+                tags = getattr(permtest._thread_keys, "tags", None)
+                seen.append(None if tags is None else (tags.size, tags.dtype, tags.__array_interface__["data"][0]))
+            kept[name] = seen
+
+        # each in a new thread, so no earlier draw has made its buffers
+        for name, pools in (("wide only", [257, 1000]), ("narrow and wide", [10, 256, 1000, 66])):
+            t = threading.Thread(target=draw, args=(name, pools))
+            t.start()
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert kept["wide only"] == [None, None]
+        first, *rest = kept["narrow and wide"]
+        assert first[:2] == (permtest._KEY_CHUNK, np.int64) and rest == [first] * 3
+
+        # with this thread's buffers made, a narrow draw allocates only
+        # its selections, never a chunk of keys or tags
+        values = np.zeros(66)
+        relabel_plan(66, 16, budget=499, exact_threshold=1, seed=2).reduce(values)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            relabel_plan(66, 16, budget=499, exact_threshold=1, seed=3).reduce(values)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 499 * 66 * 8
+
     @pytest.mark.parametrize("chunk", [100, permtest._KEY_CHUNK])
     def test_interleaved_draws_equal_separate_draws(self, monkeypatch, chunk):
         # two plans of different pool sizes draw through the thread's one
@@ -204,7 +309,7 @@ class TestRelabelPlan:
             assert np.array_equal(sel, _unchunked_reference(pool, m, budget, 11))
 
     def test_concurrent_threads_draw_what_sequential_draws_do(self):
-        shapes = ((30, 10, 4000, 11), (5000, 17, 999, 12), (300, 150, 2000, 13))
+        shapes = ((30, 10, 4000, 11), (5000, 17, 999, 12), (300, 150, 2000, 13), (256, 64, 2000, 14))
         expected = [relabel_plan(pool, m, budget=b, exact_threshold=1, seed=s).selections for pool, m, b, s in shapes]
         barrier = threading.Barrier(len(shapes))
         got = [None] * len(shapes)
@@ -311,6 +416,43 @@ class TestRelabelPlan:
         assert hashlib.sha256(hits.tobytes()).hexdigest() == (
             "d00886a078736fe5a66eac4dcc5281ac691ed202da9ac0f3e4c39f4eeb99bdb2"
         )
+
+    def test_fixed_seed_narrow_pool_sums_are_pinned(self):
+        # a pool of up to 256 slots lists each selected set in key order
+        # on every CPU, so its sums are pinned to the bit
+        values = np.round(generator(5).normal(size=66), 1)
+        sums, hits = relabel_plan(66, 16, budget=499, seed=5).reduce(values)
+        assert hashlib.sha256(sums.tobytes()).hexdigest() == (
+            "5fad7532f4d1dc77bb92c6909d6d64e4a3e65113f15eb198798d228db50d2eb5"
+        )
+        assert hashlib.sha256(hits.astype(np.int64).tobytes()).hexdigest() == (
+            "e8791f16c419a9972c37bc3d42cca1f1dd9efea62f92773b9bea29ab8d48b7e7"
+        )
+
+    def test_narrow_pool_sums_do_not_depend_on_the_simd_level(self):
+        namespace = {}
+        exec(_NARROW_DIGESTS, namespace)
+        if not namespace["kernel_lists_key_order"]():
+            pytest.skip("argpartition runs its baseline kernel here already, as on a CPU without AVX2")
+        src = str(Path(wedgeperm.__file__).resolve().parents[1])
+        env = dict(
+            os.environ,
+            NPY_DISABLE_CPU_FEATURES=_BASELINE_SIMD,
+            PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        )
+        code = _NARROW_DIGESTS + "print(kernel_lists_key_order(), digests())"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::ImportWarning", "-c", code],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        if proc.returncode != 0 and "NPY_DISABLE_CPU_FEATURES" in proc.stderr:
+            pytest.skip("this NumPy rejects the baseline feature set: " + proc.stderr.strip().splitlines()[-1])
+        assert proc.returncode == 0, proc.stderr
+        key_order, got = proc.stdout.split(maxsplit=1)
+        if key_order == "True":
+            pytest.skip("argpartition lists key order with those features disabled too")
+        assert got.strip() == repr(namespace["digests"]())
+
 
     def test_exact_threshold_boundary(self):
         for pool, m in ((10, 3), (12, 6), (200, 199), (25_000, 1)):
