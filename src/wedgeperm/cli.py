@@ -178,7 +178,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     weight_of = {}
     if args.combiner == "weighted_z":
-        wv = weights_from_result(family)
+        try:
+            wv = weights_from_result(family)
+        except ValueError as exc:  # every completed test has constant arms
+            print(f"lag {args.lag}: {exc}", file=sys.stderr)
+            return EXIT_DATA
         weight_of = dict(zip(wv.test_times, wv.weights))
     combined = combined_from_mcrt(family, args.combiner, "two-sided")
 

@@ -154,7 +154,7 @@ def _weights_from_moments(tests, n_total: int) -> WeightVector:
         lambdas.append(lam)
         kept_times.append(t.test_time)
     if not lambdas:
-        raise ValueError("no test could be weighted: " + "; ".join(r for _, r in excluded))
+        raise ValueError("no test could be weighted: " + "; ".join(f"t={t}: {r}" for t, r in excluded))
     lam = np.asarray(lambdas)
     return WeightVector(np.sqrt(lam / lam.sum()), tuple(kept_times), tuple(excluded), lam)
 

@@ -8,10 +8,10 @@ makes the per-test conditioning sets nested, so the family of p-values
 is jointly valid; pooling all later times (the tempting construction)
 breaks that for l >= 1.
 
-run_mcrts returns one LagFamily per (data, lag, TestConfig), with
-every test's relabelings drawn once; the p-values at zero shift and
-the confidence-interval search over shifted effects both evaluate that
-one draw.
+run_mcrts returns one LagFamily per (data, lag, TestConfig, group
+builder), with every test's relabelings drawn once; the p-values at
+zero shift and the confidence-interval search over shifted effects
+both evaluate that one draw.
 """
 
 from __future__ import annotations
@@ -144,13 +144,14 @@ def _group(arr: np.ndarray, n_times: int, test_time: int, lag: int, subset_index
     )
 
 
-def build_groups(times, schedule: LagSchedule) -> tuple[LagTestGroup, ...]:
-    """Treated/control groups for every test in the schedule.
+def build_groups(times, n_times: int, lag: int) -> tuple[LagTestGroup, ...]:
+    """Treated/control groups for every test of build_schedule(n_times, lag).
 
     Controls for the test at time k are the units crossing at the later
     times of k's own subset; a subset's last element yields no test.
     Groups are returned in increasing test time.
     """
+    schedule = build_schedule(n_times, lag)
     T = schedule.n_times
     arr = _times_array(times, T)
     groups = [
@@ -166,9 +167,12 @@ def naive_groups(times, n_times: int, lag: int) -> tuple[LagTestGroup, ...]:
     crossing at t against every unit crossing after t + lag.
 
     These pools do not nest once lag >= 1, so the family is not jointly
-    valid; it serves as the Bonferroni baseline and as validate's
-    broken construction.  Every group has subset_index 0.
+    valid; run_mcrts over them is the Bonferroni baseline of the power
+    study, and they are validate's broken construction.  Every group has
+    subset_index 0.
     """
+    if not 0 <= lag < n_times - 1:
+        raise ValueError(f"lag {lag} admits no tests with {n_times} times")
     arr = _times_array(times, n_times)
     return tuple(
         _group(arr, n_times, t, lag, 0, range(t + lag + 1, n_times + 1))
@@ -284,7 +288,6 @@ class LagFamily:
 
     lag: int
     n_units: int
-    schedule: LagSchedule
     tests: tuple[McrtTest, ...]
     tails: tuple[TailPlan, ...] = field(compare=False, repr=False)
     skipped: tuple[McrtSkip, ...]
@@ -298,14 +301,15 @@ class LagFamily:
         raise ValueError("tail must be 'less' or 'greater'")
 
 
-def run_mcrts(data: TrialData, lag: int, cfg: TestConfig = TestConfig()) -> LagFamily:
-    """Run the whole lag-l test family on one trial, drawing each
-    testable group's relabelings once; groups below min_arm are skipped."""
-    schedule = build_schedule(data.n_times, lag)
+def run_mcrts(data: TrialData, lag: int, cfg: TestConfig = TestConfig(), groups=build_groups) -> LagFamily:
+    """Run a lag-l test family on one trial, drawing each testable
+    group's relabelings once; groups below min_arm are skipped.
+    ``groups(times, n_times, lag)`` builds the comparisons: build_groups
+    (nested) or naive_groups (the unconditional baseline)."""
     tests: list[McrtTest] = []
     tails: list[TailPlan] = []
     skips: list[McrtSkip] = []
-    for g in build_groups(data.times, schedule):
+    for g in groups(data.times, data.n_times, lag):
         if min(g.n_treated, g.n_control) < cfg.min_arm:
             skips.append(
                 McrtSkip(
@@ -345,7 +349,7 @@ def run_mcrts(data: TrialData, lag: int, cfg: TestConfig = TestConfig()) -> LagF
             )
         )
         tails.append(tail)
-    return LagFamily(lag, data.n_units, schedule, tuple(tests), tuple(tails), tuple(skips))
+    return LagFamily(lag, data.n_units, tuple(tests), tuple(tails), tuple(skips))
 
 
 def write_trial_csv(path, data: TrialData) -> None:

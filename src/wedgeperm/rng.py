@@ -20,6 +20,11 @@ def seed_sequence(seed, *keys: int) -> np.random.SeedSequence:
 
     The same (seed, keys) pair always yields the same stream; distinct
     key tuples yield statistically independent streams.
+
+    Keys after a SeedSequence seed extend its spawn key, so
+    seed_sequence(seed_sequence(s, *a), *b) is seed_sequence(s, *a, *b)
+    when the integer seed s and keys a take at least four 32-bit words:
+    NumPy zero-pads only shorter entropy before a spawn key.
     """
     if isinstance(seed, np.random.SeedSequence):
         if not keys:

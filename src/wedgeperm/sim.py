@@ -5,13 +5,16 @@ unit intercept, a unit covariate with a linear time trend, i.i.d.
 noise, and a single lagged effect; it powers the size/power study
 grids.  The second layers a possibly nonlinear covariate interaction
 and a whole vector of lagged effects on top, and feeds the
-interval-coverage study.
+interval-coverage study.  The power study runs one family per group
+builder and replicate, the nested one (run_mcrts over build_groups)
+for MCRTs+Z/F and the Bonferroni baseline (run_mcrts over
+naive_groups), and reads each method's p-value by combined_from_mcrt.
 
 Everything is deterministic given (config, seed): datasets come from a
 stream keyed by (seed, study tag, replicate), test relabelings from
-(seed, study tag, replicate, test time), and replicates parallelize
-over processes with order-preserving collection, so the emitted CSV
-tables are byte-identical no matter how many workers run.
+(seed, study tag, replicate, family key, test time), and replicates
+parallelize over processes with order-preserving collection, so the
+emitted CSV tables are byte-identical no matter how many workers run.
 """
 
 from __future__ import annotations
@@ -26,8 +29,7 @@ import numpy as np
 from .ci import invert_combined
 from .combine import combined_from_mcrt
 from .design import DataFormatError, DesignSpec, sample_assignment
-from .mcrt import TestConfig, TrialData, naive_groups, run_mcrts
-from .permtest import TwoGroupSample, permutation_pvalue
+from .mcrt import TestConfig, TrialData, build_groups, naive_groups, run_mcrts
 from .rng import DEFAULT_SEED, generator, seed_sequence
 
 __all__ = [
@@ -47,7 +49,14 @@ __all__ = [
     "parse_tables",
 ]
 
-POWER_METHODS = ("mcrts_z", "mcrts_f", "bonferroni")
+# method -> (group builder, stream key, combiner); the family a builder
+# runs is seeded by seed_sequence(seed, _POWER_TAG, replicate, key)
+_POWER_FAMILIES = {
+    "mcrts_z": (build_groups, 1, "weighted_z"),
+    "mcrts_f": (build_groups, 1, "fisher"),
+    "bonferroni": (naive_groups, 2, "bonferroni"),
+}
+POWER_METHODS = tuple(_POWER_FAMILIES)
 _POWER_TAG = 101
 _COVERAGE_TAG = 202
 
@@ -285,44 +294,20 @@ def _parallel_map(fn, tasks: Sequence, threads: int) -> list:
 def _power_replicate(task) -> dict[str, bool]:
     cfg, rep, alpha, budget, methods, statistic = task
     data = gen_outcomes_sim1(cfg, generator(cfg.seed, _POWER_TAG, rep, 0))
+    families = {}
     out: dict[str, bool] = {}
-    if "mcrts_z" in methods or "mcrts_f" in methods:
-        tcfg = TestConfig(
-            budget=budget, statistic=statistic,
-            seed=seed_sequence(cfg.seed, _POWER_TAG, rep, 1),
-        )
-        res = run_mcrts(data, cfg.lag, tcfg)
-        for name, combiner in (("mcrts_z", "weighted_z"), ("mcrts_f", "fisher")):
-            if name in methods:
-                p = combined_from_mcrt(res, combiner, "two-sided").p_value
-                out[name] = p <= alpha
-    if "bonferroni" in methods:
-        p = _bonferroni_naive_pvalue(data, cfg.lag, budget, statistic, cfg.seed, rep)
-        out["bonferroni"] = p <= alpha
+    for name in methods:
+        groups, key, combiner = _POWER_FAMILIES[name]
+        if groups not in families:
+            tcfg = TestConfig(
+                budget=budget, statistic=statistic,
+                seed=seed_sequence(cfg.seed, _POWER_TAG, rep, key),
+            )
+            families[groups] = run_mcrts(data, cfg.lag, tcfg, groups)
+        family = families[groups]
+        # a family with no completed test rejects nothing
+        out[name] = bool(family.tests) and combined_from_mcrt(family, combiner, "two-sided").p_value <= alpha
     return out
-
-
-def _bonferroni_naive_pvalue(data: TrialData, lag: int, budget: int, statistic: str, seed, rep: int) -> float:
-    """Bonferroni over the unconditional comparisons (naive_groups): at
-    each period t, units crossing at t against everything still
-    untreated at t + lag, each a plain two-group permutation test,
-    two-sided."""
-    y = data.outcomes
-    pvals = []
-    for g in naive_groups(data.times, data.n_times, lag):
-        if min(g.n_treated, g.n_control) < 2:
-            continue
-        sample = TwoGroupSample(
-            y[g.treated_units, g.outcome_time], y[g.control_units, g.outcome_time], data.n_units
-        )
-        r = permutation_pvalue(
-            sample, budget=budget, statistic=statistic,
-            seed=seed_sequence(seed, _POWER_TAG, rep, 2, g.test_time),
-        )
-        pvals.append(min(1.0, 2.0 * min(r.p_less, r.p_greater)))
-    if not pvals:
-        return 1.0
-    return min(1.0, len(pvals) * min(pvals))
 
 
 def power_study(

@@ -792,17 +792,15 @@ def stepped_wedge_scenario(
     panel[:, 1:] = generator(seed, 97).standard_normal((n_units, n_times))
 
     if conditioning == "sequential":
-        schedule = build_schedule(n_times, lag)
-        tests = list(zip(*(build_groups(z, schedule) for z in elements)))
-        subset_of = {t: j for j, subset in enumerate(schedule.subsets) for t in subset}
+        tests = list(zip(*(build_groups(z, n_times, lag) for z in elements)))
+        subsets = build_schedule(n_times, lag).subsets
+        subset_of = {t: j for j, subset in enumerate(subsets) for t in subset}
         labels = [
             [(tuple(subset_of.get(a, -1) for a in z), tuple(a if a < test[0].test_time else 0 for a in z))
              for z in elements]
             for test in tests
         ]
     elif conditioning == "naive":
-        if lag >= n_times - 1:
-            raise ValueError("naive conditioning needs lag + 1 < number of periods")
         tests = list(zip(*(naive_groups(z, n_times, lag) for z in elements)))
         labels = [
             [tuple(np.sort(np.concatenate([g.treated_units, g.control_units])).tolist()) for g in test]

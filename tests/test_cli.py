@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from wedgeperm import (
+    CrossoverTimes,
     Sim1Config,
     Sim2Config,
     gen_outcomes_sim1,
     gen_outcomes_sim2,
     parse_tables,
     read_ci_csv,
+    TrialData,
     write_trial_csv,
 )
 from wedgeperm.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
@@ -147,6 +149,23 @@ class TestAnalyze:
         assert main(["analyze", str(path), "--lag", "0"]) == EXIT_DATA
         assert "no usable tests" in capsys.readouterr().err
 
+    def test_no_weightable_test_is_a_data_error(self, tmp_path, capsys):
+        # five units cross at each of times 1..6 and every outcome at
+        # time t is t: each test's arms are constant, so no test has a
+        # precision weight, while fisher and bonferroni need none
+        y = np.tile(np.arange(7.0), (30, 1))
+        data = TrialData(np.arange(30), CrossoverTimes(np.repeat(np.arange(1, 7), 5), 6), y)
+        path = tmp_path / "constant.csv"
+        write_trial_csv(path, data)
+        argv = ["analyze", str(path), "--lag", "1", "--combiner"]
+        assert main(argv + ["weighted_z"]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("lag 1: no test could be weighted: t=1: zero variance in both arms")
+        assert main(argv + ["fisher"]) == EXIT_OK
+        assert main(argv + ["bonferroni"]) == EXIT_OK
+
     def test_empty_set_is_printed_and_written(self, tmp_path, capsys):
         data = gen_outcomes_sim1(Sim1Config(100, 6, lag=1, effect=0.3), generator(19))
         path, ci_path = tmp_path / "trial.csv", tmp_path / "ci.csv"
@@ -180,6 +199,15 @@ class TestSimulate:
         assert len(result.rows) == 12  # 4 cells x 3 methods
         assert all(r.replicates == 2 for r in result.rows)
         assert "wrote" in capsys.readouterr().err
+
+    def test_cell_whose_tests_are_all_skipped_rejects_nothing(self, tmp_path, capsys):
+        # one unit per period leaves every arm below min_arm
+        cfg_path, out = tmp_path / "study.json", tmp_path / "power.csv"
+        cfg_path.write_text(json.dumps({"study": "power", "grid": [[6, 6, 0, 0.0]], "replicates": 3}))
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+        rows = parse_tables(out).rows
+        assert [r.method for r in rows] == ["mcrts_z", "mcrts_f", "bonferroni"]
+        assert all(r.rejections == 0 for r in rows)
 
     def test_config_file_coverage(self, tmp_path, capsys):
         cfg = {

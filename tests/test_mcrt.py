@@ -17,6 +17,7 @@ from wedgeperm import (
     TwoGroupSample,
     build_groups,
     build_schedule,
+    naive_groups,
     permutation_pvalue,
     read_trial_csv,
     run_mcrts,
@@ -69,25 +70,22 @@ class TestBuildSchedule:
 
 class TestBuildGroups:
     def test_first_test_controls_lag_one(self):
-        s = build_schedule(8, 1)
         times = CrossoverTimes(np.arange(1, 9), 8)
-        groups = {g.test_time: g for g in build_groups(times, s)}
+        groups = {g.test_time: g for g in build_groups(times, 8, 1)}
         assert groups[1].control_times == (3, 5, 7)
         assert groups[1].treated_units.tolist() == [0]
         assert groups[1].control_units.tolist() == [2, 4, 6]
         assert groups[1].outcome_time == 2
 
     def test_last_subset_element_yields_no_group(self):
-        s = build_schedule(8, 1)
         times = CrossoverTimes(np.arange(1, 9), 8)
-        tested = {g.test_time for g in build_groups(times, s)}
+        tested = {g.test_time for g in build_groups(times, 8, 1)}
         assert 7 not in tested and 8 not in tested
 
     def test_groups_sorted_and_disjoint_across_subsets(self):
-        s = build_schedule(8, 2)
         rng = generator(1)
         times = CrossoverTimes(rng.integers(1, 9, size=40), 8)
-        groups = build_groups(times, s)
+        groups = build_groups(times, 8, 2)
         assert [g.test_time for g in groups] == sorted(g.test_time for g in groups)
         by_subset = {}
         for g in groups:
@@ -96,20 +94,26 @@ class TestBuildGroups:
         for a, b in itertools.combinations(by_subset.values(), 2):
             assert not (a & b)
 
+    @pytest.mark.parametrize("groups", [build_groups, naive_groups])
+    @pytest.mark.parametrize("lag", [-1, 7])
+    def test_lag_admitting_no_test_rejected(self, groups, lag):
+        times = CrossoverTimes(np.arange(1, 9), 8)
+        with pytest.raises(ValueError, match="lag"):
+            groups(times, 8, lag)
+
     def test_every_control_crosses_after_outcome_time(self):
-        s = build_schedule(6, 1)
+        lag = 1
         rng = generator(2)
         times = CrossoverTimes(rng.integers(1, 7, size=30), 6)
-        for g in build_groups(times, s):
+        for g in build_groups(times, 6, lag):
             crossings = times.times[g.control_units]
-            assert (crossings >= g.test_time + s.lag + 1).all()
+            assert (crossings >= g.test_time + lag + 1).all()
 
     @pytest.mark.parametrize("n_times,lag", [(8, 1), (8, 2), (6, 0), (5, 2), (7, 3), (9, 4)])
     def test_pools_nested_along_each_subset(self, n_times, lag):
-        s = build_schedule(n_times, lag)
         rng = generator(3)
         times = CrossoverTimes(rng.integers(1, n_times + 1, size=50), n_times)
-        groups = build_groups(times, s)
+        groups = build_groups(times, n_times, lag)
         for j in {g.subset_index for g in groups}:
             chain = sorted((g for g in groups if g.subset_index == j), key=lambda g: g.test_time)
             pools = [
@@ -121,10 +125,9 @@ class TestBuildGroups:
     @pytest.mark.parametrize("n_times,lag", [(8, 1), (8, 4), (6, 2), (5, 3), (4, 1)])
     def test_units_with_reachable_controls_are_covered(self, n_times, lag):
         # a unit crossing at t with t + lag + 1 <= T sits in some group
-        s = build_schedule(n_times, lag)
         times = CrossoverTimes(np.arange(1, n_times + 1), n_times)
         covered = set()
-        for g in build_groups(times, s):
+        for g in build_groups(times, n_times, lag):
             covered |= set(times.times[g.treated_units].tolist())
             covered |= set(times.times[g.control_units].tolist())
         for t in range(1, n_times + 1):
@@ -142,7 +145,7 @@ class TestRunMcrts:
 
     def test_result_bookkeeping(self, tiny_trial):
         res = run_mcrts(tiny_trial, 1, TestConfig(budget=99))
-        groups = build_groups(tiny_trial.times, res.schedule)
+        groups = build_groups(tiny_trial.times, tiny_trial.n_times, 1)
         testable = [g for g in groups if min(g.n_treated, g.n_control) >= 2]
         assert len(res.tests) + len(res.skipped) == len(groups)
         assert len(res.tests) == len(testable)
@@ -152,6 +155,21 @@ class TestRunMcrts:
             y = tiny_trial.outcomes[:, g.outcome_time]
             assert t.mean_treated == pytest.approx(float(y[g.treated_units].mean()))
             assert t.var_control == pytest.approx(float(y[g.control_units].var(ddof=1)))
+
+    def test_naive_groups_family(self, tiny_trial):
+        # the same runner over the unconditional pools: one test or skip
+        # per group, each on its test time's stream
+        cfg = TestConfig(budget=99, seed=17)
+        res = run_mcrts(tiny_trial, 1, cfg, naive_groups)
+        groups = naive_groups(tiny_trial.times, tiny_trial.n_times, 1)
+        assert len(res.tests) + len(res.skipped) == len(groups)
+        assert res.tests and all(t.subset_index == 0 for t in res.tests)
+        target = res.tests[0]
+        (g,) = [g for g in groups if g.test_time == target.test_time]
+        y = tiny_trial.outcomes[:, g.outcome_time]
+        sample = TwoGroupSample(y[g.treated_units], y[g.control_units], tiny_trial.n_units)
+        solo = permutation_pvalue(sample, budget=99, seed=seed_sequence(17, target.test_time))
+        assert solo == target.result
 
     def test_arm_below_min_arm_is_skipped_with_reason(self):
         times = CrossoverTimes(np.asarray([1, 2, 2, 2, 3, 3, 3]), 3)
@@ -173,7 +191,7 @@ class TestRunMcrts:
         # a test's p-values are unchanged when run alone
         cfg = TestConfig(budget=199, seed=33, exact_threshold=1)
         full = run_mcrts(tiny_trial, 0, cfg)
-        groups = build_groups(tiny_trial.times, full.schedule)
+        groups = build_groups(tiny_trial.times, tiny_trial.n_times, 0)
         target = full.tests[-1]
         (g,) = [g for g in groups if g.test_time == target.test_time]
         y = tiny_trial.outcomes[:, g.outcome_time]

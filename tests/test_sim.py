@@ -1,5 +1,6 @@
 """Simulation studies: outcome models, power and coverage tables."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -14,11 +15,13 @@ import wedgeperm.mcrt
 from wedgeperm import (
     CoverageRow,
     DataFormatError,
+    POWER_METHODS,
     PowerRow,
     Sim1Config,
     Sim2Config,
     StudyResult,
     TestConfig,
+    TwoGroupSample,
     combined_from_mcrt,
     coverage_study,
     default_counts,
@@ -27,7 +30,9 @@ from wedgeperm import (
     gen_outcomes_sim2,
     build_schedule,
     interaction_f,
+    naive_groups,
     parse_tables,
+    permutation_pvalue,
     power_study,
     run_mcrts,
 )
@@ -196,16 +201,76 @@ class TestPowerStudy:
 
     def test_replicate_reproducible_from_public_pieces(self):
         # one replicate re-derived by hand: same dataset stream, same
-        # per-test streams, both combiners read the same family run
+        # per-test streams, both combiners read the same nested family
+        # run, and Bonferroni reads the naive family on stream key 2
         cfg = Sim1Config(n_units=20, n_times=3, lag=1, effect=0.5, seed=31)
-        out = _power_replicate((cfg, 4, 0.05, 99, ("mcrts_z", "mcrts_f"), "diff_in_means"))
+        out = _power_replicate((cfg, 4, 0.05, 99, POWER_METHODS, "diff_in_means"))
         data = gen_outcomes_sim1(cfg, generator(31, _POWER_TAG, 4, 0))
-        res = run_mcrts(
+        nested = run_mcrts(
             data, 1, TestConfig(budget=99, seed=seed_sequence(31, _POWER_TAG, 4, 1))
         )
-        for name, combiner in (("mcrts_z", "weighted_z"), ("mcrts_f", "fisher")):
-            p = combined_from_mcrt(res, combiner, "two-sided").p_value
+        naive = run_mcrts(
+            data, 1, TestConfig(budget=99, seed=seed_sequence(31, _POWER_TAG, 4, 2)), naive_groups
+        )
+        for name, family, combiner in (
+            ("mcrts_z", nested, "weighted_z"),
+            ("mcrts_f", nested, "fisher"),
+            ("bonferroni", naive, "bonferroni"),
+        ):
+            p = combined_from_mcrt(family, combiner, "two-sided").p_value
             assert out[name] == (p <= 0.05)
+
+    def test_family_without_completed_tests_rejects_nothing(self):
+        # one unit per period: every arm is below min_arm, so every test
+        # of both families is skipped
+        result = power_study([(6, 6, 0, 0.0)], replicates=3, budget=49)
+        assert [r.method for r in result.rows] == list(POWER_METHODS)
+        assert all(r.rejections == 0 for r in result.rows)
+
+    @pytest.mark.parametrize("seed", [0, 12345, 2**40 + 7])
+    @pytest.mark.parametrize("statistic", ["diff_in_means", "rank_sum"])
+    def test_baseline_matches_the_per_test_permutation_loop(self, seed, statistic):
+        # the baseline family's test at time t draws on
+        # seed_sequence(seed_sequence(seed, TAG, rep, 2), t), which must
+        # be the stream seed_sequence(seed, TAG, rep, 2, t) that a plain
+        # loop of permutation tests over naive_groups used; NumPy pads
+        # entropy before a spawn key only when it is under 4 words
+        for n_units, n_times, lag in ((40, 8, 3), (300, 8, 2), (20, 3, 1)):
+            cfg = Sim1Config(n_units=n_units, n_times=n_times, lag=lag, effect=0.3, seed=seed)
+            for rep in range(2):
+                data = gen_outcomes_sim1(cfg, generator(seed, _POWER_TAG, rep, 0))
+                tcfg = TestConfig(
+                    budget=99, statistic=statistic, seed=seed_sequence(seed, _POWER_TAG, rep, 2)
+                )
+                family = run_mcrts(data, lag, tcfg, naive_groups)
+                y = data.outcomes
+                expected, pvals = [], []
+                for g in naive_groups(data.times, n_times, lag):
+                    if min(g.n_treated, g.n_control) < 2:
+                        continue
+                    sample = TwoGroupSample(
+                        y[g.treated_units, g.outcome_time], y[g.control_units, g.outcome_time], n_units
+                    )
+                    r = permutation_pvalue(
+                        sample, budget=99, statistic=statistic,
+                        seed=seed_sequence(seed, _POWER_TAG, rep, 2, g.test_time),
+                    )
+                    expected.append((g.test_time, r))
+                    pvals.append(min(1.0, 2.0 * min(r.p_less, r.p_greater)))
+                assert [(t.test_time, t.result) for t in family.tests] == expected
+                old = min(1.0, len(pvals) * min(pvals))
+                assert combined_from_mcrt(family, "bonferroni", "two-sided").p_value == old
+
+    def test_three_method_table_bytes_are_pinned(self, tmp_path):
+        # sha256 of this table as the separate Bonferroni loop wrote it
+        result = power_study(
+            [(24, 4, 1, 0.8), (30, 5, 2, 0.0)], replicates=6, budget=49, seed=2**40 + 7
+        )
+        path = tmp_path / "power.csv"
+        emit_tables(result, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "57cdc6f7a4d77b07c3a63d11c79c66a463c954f48fea2a8cf96626ecf3c66fce"
+        )
 
     def test_power_rises_with_the_effect(self):
         result = power_study(
