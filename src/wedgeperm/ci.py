@@ -184,20 +184,21 @@ def invert_combined(family: LagFamily, alpha: float = 0.10, method: str = "weigh
     weights are shift-invariant, computed once, as for the p-value);
     the set collects deltas where each combined tail stays at or above
     alpha/2.  Every delta is evaluated against the relabelings that
-    run_mcrts drew for ``family``.
+    run_mcrts drew for ``family``.  When the combiner keeps no test, no
+    shift is rejected and the set is the whole line, (-inf, inf).
     """
     _check_alpha(alpha)
-    if not family.tests:
-        raise ValueError(f"no testable groups at lag {family.lag} (all below min_arm)")
     kept, combined = _combiner(family.tests, family.n_units, method)
-    # combiners that keep the same tests invert the same tails, so the
-    # family keeps one lookup per kept set
-    times = tuple(t.test_time for t in kept)
-    shifts = family._shift_indexes.get(times)
-    if shifts is None:
-        tails = {t.test_time: tail for t, tail in zip(family.tests, family.tails)}
-        shifts = family._shift_indexes[times] = _ShiftIndex([tails[t] for t in times])
-    lower, upper, evaluations = _exact_interval(shifts, combined, alpha)
+    lower, upper, evaluations = -math.inf, math.inf, 0
+    if kept:
+        # combiners that keep the same tests invert the same tails, so
+        # the family keeps one lookup per kept set
+        times = tuple(t.test_time for t in kept)
+        shifts = family._shift_indexes.get(times)
+        if shifts is None:
+            tails = {t.test_time: tail for t, tail in zip(family.tests, family.tails)}
+            shifts = family._shift_indexes[times] = _ShiftIndex([tails[t] for t in times])
+        lower, upper, evaluations = _exact_interval(shifts, combined, alpha)
     return ConfidenceInterval(
         lag=family.lag,
         method=method,

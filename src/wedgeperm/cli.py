@@ -30,9 +30,7 @@ from .sim import (
     power_study,
 )
 from .validate import (
-    FLOAT_TOL,
     NestednessError,
-    all_pairs_nested,
     build_hasse,
     bundled_scenario,
     BUNDLED_SCENARIOS,
@@ -325,7 +323,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     space, family = scenario.space, scenario.family
     print(
         f"scenario: {scenario.name} ({space.size} elements, "
-        f"{family.n_partitions} partitions, {'exact' if space.exact else 'float'} probabilities)"
+        f"{family.n_partitions} partitions, exact probabilities)"
     )
     failed = False
 
@@ -337,10 +335,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
         else:
             print(f"partition {k}: {_pass(True)} ({len(family.cells(k))} cells)")
 
-    nested_failures = all_pairs_nested(family)
-    if nested_failures:
+    report = scenario.run()
+    if report.nested_failures:
         failed = True
-        for f in nested_failures:
+        for f in report.nested_failures:
             print(
                 f"nestedness {f.j},{f.k}: {_pass(False)} — cells {f.witness[0]!r} and "
                 f"{f.witness[1]!r} overlap without containment"
@@ -355,7 +353,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
         failed = True
         print(f"hasse diagram: {_pass(False)} ({exc})")
 
-    report = scenario.run()
     for r in report.cond_indep:
         if not r.ok:
             failed = True
@@ -363,9 +360,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     bad_rows = [r for r in report.rows if not r.holds]
     bad_cells = [r for r in report.cell_rows if not r.holds]
-    mode = "exact" if report.exact else f"float, tolerance {FLOAT_TOL:g}"
     print(
-        f"joint dominance ({mode}): {_pass(not bad_rows and not bad_cells)} "
+        f"joint dominance (exact): {_pass(not bad_rows and not bad_cells)} "
         f"({len(report.rows)} level vectors, {len(report.cell_rows)} conditional rows)"
     )
     for r in bad_rows:

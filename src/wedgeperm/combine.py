@@ -139,6 +139,10 @@ def estimate_lambda(treated, control, n_total: int) -> float:
     )
 
 
+class _NoWeights(ValueError):
+    """No test of a family has an estimable precision."""
+
+
 def _weights_from_moments(tests, n_total: int) -> WeightVector:
     lambdas: list[float] = []
     kept_times: list[int] = []
@@ -154,7 +158,7 @@ def _weights_from_moments(tests, n_total: int) -> WeightVector:
         lambdas.append(lam)
         kept_times.append(t.test_time)
     if not lambdas:
-        raise ValueError("no test could be weighted: " + "; ".join(f"t={t}: {r}" for t, r in excluded))
+        raise _NoWeights("no test could be weighted: " + "; ".join(f"t={t}: {r}" for t, r in excluded))
     lam = np.asarray(lambdas)
     return WeightVector(np.sqrt(lam / lam.sum()), tuple(kept_times), tuple(excluded), lam)
 
@@ -278,6 +282,10 @@ def bonferroni_combine(pvalues) -> CombinedPValue:
     return CombinedPValue("bonferroni", "one-sided", *_bonferroni(p), p.size)
 
 
+def _no_evidence(p: np.ndarray) -> tuple[float, float]:
+    return math.nan, 1.0
+
+
 def _combiner(tests: Sequence, n_total: int, method: str):
     """(kept tests, one-tail combination) for ``method`` over completed tests.
 
@@ -285,19 +293,24 @@ def _combiner(tests: Sequence, n_total: int, method: str):
     order, to (statistic, combined p-value) through the cores the public
     combiners use, without their per-call checks.  weighted_z keeps the
     tests with estimable precision and weights them over those alone;
-    the other combiners keep every test.
+    the other combiners keep every test.  The kept set may be empty: a
+    combination over no test has no evidence, so its statistic is nan,
+    its p-value 1, and it rejects nothing.
     """
+    if method not in COMBINERS:
+        raise ValueError(f"unknown combiner {method!r}; choose from {COMBINERS}")
     if method == "weighted_z":
-        weights = _weights_from_moments(tests, n_total)
+        try:
+            weights = _weights_from_moments(tests, n_total)
+        except _NoWeights:
+            return [], _no_evidence
         kept_times = set(weights.test_times)
         kept = [t for t in tests if t.test_time in kept_times]
         gran = np.asarray([t.granularity for t in kept])
         return kept, lambda p: _weighted_z(p, weights.weights, gran)
-    if method == "fisher":
-        return list(tests), _fisher
-    if method == "bonferroni":
-        return list(tests), _bonferroni
-    raise ValueError(f"unknown combiner {method!r}; choose from {COMBINERS}")
+    if not tests:
+        return [], _no_evidence
+    return list(tests), _fisher if method == "fisher" else _bonferroni
 
 
 def combined_from_mcrt(result, method: str, alternative: str = "greater") -> CombinedPValue:
@@ -308,10 +321,9 @@ def combined_from_mcrt(result, method: str, alternative: str = "greater") -> Com
     raises outcomes, the default), "less", or "two-sided" (both tails
     combined separately, then twice the smaller combined p, capped at
     1).  For weighted_z, tests without estimable precision are dropped
-    from the combination with their weight.
+    from the combination with their weight.  With no test left to
+    combine, the p-value is 1 and ``n_tests`` is 0.
     """
-    if not result.tests:
-        raise ValueError("no tests to combine")
     kept, combine = _combiner(result.tests, result.n_units, method)
 
     def one_tail(tail: str) -> CombinedPValue:

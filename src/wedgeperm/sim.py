@@ -258,7 +258,9 @@ class CoverageRow:
         cls, n_units, n_times, interaction, level, lag, effect, method,
         replicates, covered, total_length, empty_sets,
     ):
-        """An empty set counts as a miss of length 0."""
+        """An empty set counts as a miss of length 0.  A replicate whose
+        combiner keeps no test has the whole line as its set, so it
+        counts as covered, with infinite length."""
         coverage = covered / replicates
         stderr = math.sqrt(coverage * (1.0 - coverage) / replicates)
         return cls(
@@ -304,9 +306,7 @@ def _power_replicate(task) -> dict[str, bool]:
                 seed=seed_sequence(cfg.seed, _POWER_TAG, rep, key),
             )
             families[groups] = run_mcrts(data, cfg.lag, tcfg, groups)
-        family = families[groups]
-        # a family with no completed test rejects nothing
-        out[name] = bool(family.tests) and combined_from_mcrt(family, combiner, "two-sided").p_value <= alpha
+        out[name] = combined_from_mcrt(families[groups], combiner, "two-sided").p_value <= alpha
     return out
 
 

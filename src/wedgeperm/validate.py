@@ -3,9 +3,10 @@
 Everything here enumerates: the assignment space is a finite list of
 tokens with known positive probabilities, partitions are label vectors
 over that list, and p-values are computed by exact conditional counting
-inside each cell.  With rational probabilities the arithmetic runs in
-`fractions.Fraction`, so the dominance bound and the independence gaps
-are decided exactly rather than within a tolerance.
+inside each cell.  Every probability and level is an exact rational,
+and the arithmetic runs in `fractions.Fraction`, so the dominance bound
+and the independence gaps are decided exactly rather than within a
+tolerance.
 
 The checks mirror the structural theory behind multiple conditional
 randomization tests:
@@ -23,8 +24,10 @@ constructors and their statistic with permtest.diff_in_means, so the
 checks run on the comparisons that `analyze` runs.
 
 Spaces are expected to stay tiny (hundreds of elements), so every
-probability is summed over the elements that make it up.  A space given
-in floats is checked in floats within one tolerance, FLOAT_TOL.
+probability is summed over the elements that make it up.  A float reads
+as the decimal it prints as, so 0.1 is 1/10; a space whose total so read
+misses 1 by at most 1e-9, as thirds typed as 0.3333333333333333 do, is
+divided by that total.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -70,9 +74,6 @@ __all__ = [
     "save_scenario",
 ]
 
-FLOAT_TOL = 1e-12  # float spaces only; exact ones decide without a tolerance
-
-
 class NestednessError(ValueError):
     """Two conditioning partitions have overlapping, non-nested cells."""
 
@@ -85,28 +86,25 @@ class NestednessError(ValueError):
         self.label_j, self.label_k = label_j, label_k
 
 
-def _as_probability(value) -> Fraction | float:
-    """Parse one probability: Fraction/int stay exact, 'p/q' strings
-    become exact, floats stay floats (inexact mode)."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise ValueError("probabilities must be numeric, not boolean")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
+def _as_fraction(value) -> Fraction:
+    """One probability or level as an exact rational.
+
+    A float reads as the decimal it prints as, so 0.1 is 1/10 (NaN and
+    infinities are rejected); an int, a Fraction, or a "p/q" or decimal
+    string reads through Fraction.  A bool is not a number here.
+    """
     if isinstance(value, float):
-        return value
-    raise ValueError(f"cannot interpret probability {value!r}")
+        return Fraction(repr(float(value)))
+    if isinstance(value, (int, str, Fraction)) and not isinstance(value, bool):
+        return Fraction(value)
+    raise ValueError(f"cannot interpret {value!r} as a probability or level")
 
 
 class FiniteAssignmentSpace:
     """An enumerated assignment space with one probability per element.
 
-    Elements are opaque hashable tokens in a stable order.  When every
-    probability is rational the space is *exact* and downstream checks
-    use Fraction arithmetic throughout.
+    Elements are opaque hashable tokens in a stable order, and every
+    probability is a positive Fraction; together they sum to exactly 1.
     """
 
     def __init__(self, elements: Sequence, probs: Sequence):
@@ -115,24 +113,15 @@ class FiniteAssignmentSpace:
             raise ValueError("the space needs at least one element")
         if len(set(self.elements)) != len(self.elements):
             raise ValueError("elements must be distinct")
-        parsed = [_as_probability(p) for p in probs]
+        parsed = [_as_fraction(p) for p in probs]
         if len(parsed) != len(self.elements):
             raise ValueError("need exactly one probability per element")
-        self.exact = all(isinstance(p, Fraction) for p in parsed)
-        if self.exact:
-            self.probs: tuple = tuple(parsed)
-            total = sum(self.probs, Fraction(0))
-            if any(p <= 0 for p in self.probs):
-                raise ValueError("probabilities must be positive everywhere")
-            if total != 1:
-                raise ValueError(f"probabilities sum to {total}, expected 1")
-        else:
-            vals = tuple(float(p) for p in parsed)
-            if any(not math.isfinite(v) or v <= 0 for v in vals):
-                raise ValueError("probabilities must be positive and finite")
-            if abs(sum(vals) - 1.0) > 1e-9:
-                raise ValueError("probabilities must sum to 1 within 1e-9")
-            self.probs = vals
+        if any(p <= 0 for p in parsed):
+            raise ValueError("probabilities must be positive everywhere")
+        total = sum(parsed, Fraction(0))
+        if abs(total - 1) > Fraction(1, 10**9):
+            raise ValueError(f"probabilities sum to {total}, expected 1 within 1e-9")
+        self.probs: tuple[Fraction, ...] = tuple(p / total for p in parsed)
 
     @classmethod
     def uniform(cls, elements: Sequence) -> "FiniteAssignmentSpace":
@@ -143,9 +132,8 @@ class FiniteAssignmentSpace:
     def size(self) -> int:
         return len(self.elements)
 
-    def prob_of(self, indices) -> Fraction | float:
-        zero = Fraction(0) if self.exact else 0.0
-        return sum((self.probs[i] for i in indices), zero)
+    def prob_of(self, indices) -> Fraction:
+        return sum((self.probs[i] for i in indices), Fraction(0))
 
 
 class PartitionFamily:
@@ -186,6 +174,13 @@ class PartitionFamily:
             out.update(cells.values())
         return out
 
+    @cached_property
+    def nested_failures(self) -> tuple[NestedCheck, ...]:
+        """Failing pair checks, computed once; empty means fully nested."""
+        K = self.n_partitions
+        checks = (pairwise_nested_check(self, j, k) for j in range(K) for k in range(j + 1, K))
+        return tuple(res for res in checks if not res.ok)
+
 
 @dataclass(frozen=True)
 class PartitionCheck:
@@ -209,7 +204,6 @@ class CondIndepResult:
     k: int
     max_gap: float
     worst_cell: frozenset | None
-    exact: bool
 
 
 def is_partition(space: FiniteAssignmentSpace, cells: Sequence[Sequence[int]]) -> PartitionCheck:
@@ -246,14 +240,7 @@ def pairwise_nested_check(family: PartitionFamily, j: int, k: int) -> NestedChec
 
 def all_pairs_nested(family: PartitionFamily) -> list[NestedCheck]:
     """Failing pair checks; empty means the family is fully nested."""
-    out = []
-    K = family.n_partitions
-    for j in range(K):
-        for k in range(j + 1, K):
-            res = pairwise_nested_check(family, j, k)
-            if not res.ok:
-                out.append(res)
-    return out
+    return list(family.nested_failures)
 
 
 def _combine_cells(family: PartitionFamily, subset: Sequence[int], op, what: str) -> list[frozenset]:
@@ -273,7 +260,7 @@ def _combine_cells(family: PartitionFamily, subset: Sequence[int], op, what: str
         if cell not in seen:
             seen.add(cell)
             out.append(cell)
-    if not all_pairs_nested(family) and not set(out) <= family.all_cells():
+    if not family.nested_failures and not set(out) <= family.all_cells():
         raise AssertionError(
             f"{what} produced a cell outside the family union on a nested "
             f"family; this indicates an internal error"
@@ -345,9 +332,8 @@ class HasseDiagram:
 
 def build_hasse(family: PartitionFamily) -> HasseDiagram:
     """Build the covering diagram, verifying nestedness first."""
-    failures = all_pairs_nested(family)
-    if failures:
-        f = failures[0]
+    if family.nested_failures:
+        f = family.nested_failures[0]
         raise NestednessError(f.j, f.k, *f.witness)
 
     cell_owners: dict[frozenset, set[int]] = {}
@@ -441,13 +427,13 @@ def conditional_pvalues(space: FiniteAssignmentSpace, cells: Sequence[frozenset]
     """Exact upper-tail conditional p-value for every element.
 
     Within its cell, an element's p-value is the conditional probability
-    of a statistic value >= its own.  Exact spaces give Fractions.
+    of a statistic value >= its own, a Fraction.
     """
     pvals: list = [None] * space.size
     for cell in cells:
         members = sorted(cell, key=lambda i: -values[i])
         total = space.prob_of(cell)
-        running = Fraction(0) if space.exact else 0.0
+        running = Fraction(0)
         pos = 0
         while pos < len(members):
             tie_end = pos
@@ -465,15 +451,14 @@ def conditional_pvalues(space: FiniteAssignmentSpace, cells: Sequence[frozenset]
 @dataclass(frozen=True)
 class DominanceRow:
     alphas: tuple
-    probability: Fraction | float
-    bound: Fraction | float
+    probability: Fraction
+    bound: Fraction
     holds: bool
     cell: frozenset | None = None  # None marks the marginal row
 
 
 @dataclass(frozen=True)
 class DominanceReport:
-    exact: bool
     conditions_ok: bool
     nested_failures: tuple[NestedCheck, ...]
     cond_indep: tuple[CondIndepResult, ...]
@@ -489,20 +474,6 @@ class DominanceReport:
         return self.conditions_ok and self.bound_ok
 
 
-def _as_alpha(a) -> Fraction:
-    """Levels become exact rationals; decimal strings and floats go
-    through their decimal representation, so 0.1 means 1/10."""
-    if isinstance(a, Fraction):
-        return a
-    if isinstance(a, int):
-        return Fraction(a)
-    if isinstance(a, float):
-        return Fraction(str(a))
-    if isinstance(a, str):
-        return Fraction(a)
-    raise ValueError(f"cannot interpret level {a!r}")
-
-
 def joint_dominance_check(
     space: FiniteAssignmentSpace,
     family: PartitionFamily,
@@ -515,11 +486,9 @@ def joint_dominance_check(
     inside its cell, then sums the probabilities of the elements where
     every test rejects: over the whole space for the marginal row, and
     over each coarsening cell, divided by the cell's mass, for the
-    conditional rows.  Exact spaces decide in Fractions.  Float spaces
-    allow FLOAT_TOL twice: a p-value rejects when it is at most
-    alpha_k + FLOAT_TOL, and a row holds when its probability is at most
-    the bound + FLOAT_TOL, so float rounding does not decide a verdict
-    (and a violation smaller than FLOAT_TOL goes unreported).
+    conditional rows.  Levels read as exact rationals (a float as the
+    decimal it prints as), so every comparison and every sum is decided
+    in Fractions, without a tolerance.
     Nestedness and pairwise conditional independence are checked first
     and the report carries their status regardless of the bound's
     outcome.
@@ -531,7 +500,7 @@ def joint_dominance_check(
         raise ValueError(f"need one statistic per partition ({K}), got {len(stats)}")
     values = [_statistic_values(space, s) for s in stats]
 
-    nested_failures = tuple(all_pairs_nested(family))
+    nested_failures = family.nested_failures
     indep = tuple(
         cond_indep_check(space, family, stats, j, k)
         for j in range(K)
@@ -543,30 +512,25 @@ def joint_dominance_check(
         conditional_pvalues(space, list(family.cells(k).values()), values[k])
         for k in range(K)
     ]
-    alpha_rows = [tuple(_as_alpha(a) for a in vec) for vec in alphas]
+    alpha_rows = [tuple(_as_fraction(a) for a in vec) for vec in alphas]
     for vec in alpha_rows:
         if len(vec) != K:
             raise ValueError(f"every level vector needs {K} entries")
 
-    zero = Fraction(0) if space.exact else 0.0
-    tol = zero if space.exact else FLOAT_TOL
     whole = range(space.size)
-    # (members, mass, cell) of each conditioning event: first the whole
-    # space, whose mass is exactly 1 on an exact space, for the marginal
-    # row, then each coarsening cell
-    conditions = [(whole, space.prob_of(whole), None)] + [
-        (cell, space.prob_of(cell), cell) for cell in coarsening(family, range(K))
-    ]
-    # (condition, position in its member order) of every element; cells
-    # of a non-nested coarsening overlap, so an element may have several
-    places: list[list[tuple[int, int]]] = [[] for _ in whole]
-    for c, (members, _, _) in enumerate(conditions):
-        for pos, i in enumerate(members):
-            places[i].append((c, pos))
+    # (cell, mass) of each conditioning event: first the whole space, of
+    # mass 1, for the marginal row, then each coarsening cell
+    conditions = [(None, Fraction(1))] + [(cell, space.prob_of(cell)) for cell in coarsening(family, range(K))]
+    # the conditions each element lies in; cells of a non-nested
+    # coarsening overlap, so an element may lie in several
+    places: list[list[int]] = [[0] for _ in whole]
+    for c, (cell, _) in enumerate(conditions[1:], start=1):
+        for i in cell:
+            places[i].append(c)
 
     # per test, level -> the elements whose p-value rejects at that level
     rejecting = [
-        {level: {i for i in whole if pvals[k][i] <= level} for level in {vec[k] + tol for vec in alpha_rows}}
+        {level: {i for i in whole if pvals[k][i] <= level} for level in {vec[k] for vec in alpha_rows}}
         for k in range(K)
     ]
 
@@ -574,25 +538,15 @@ def joint_dominance_check(
     cell_rows: list[DominanceRow] = []
     for vec in alpha_rows:
         bound = math.prod(vec)
-        limit = bound + tol
-        found: list[list[tuple[int, int]]] = [[] for _ in conditions]
-        for i in set.intersection(*(rejecting[k][a + tol] for k, a in enumerate(vec))):
-            for c, pos in places[i]:
-                found[c].append((pos, i))
-        zero_ok = zero <= limit
-        for (members, mass, cell), hits in zip(conditions, found):
-            if hits:
-                # summed in the cell's own member order, so float rows
-                # do not depend on the order the hits were found in
-                hits.sort()
-                prob = sum((space.probs[i] for _, i in hits), zero) / mass
-                row = DominanceRow(vec, prob, bound, prob <= limit, cell=cell)
-            else:  # zero / mass is zero itself, in both arithmetics
-                row = DominanceRow(vec, zero, bound, zero_ok, cell=cell)
-            (rows if cell is None else cell_rows).append(row)
+        found = [Fraction(0)] * len(conditions)
+        for i in set.intersection(*(rejecting[k][a] for k, a in enumerate(vec))):
+            for c in places[i]:
+                found[c] += space.probs[i]
+        for (cell, mass), hit in zip(conditions, found):
+            prob = hit / mass
+            (rows if cell is None else cell_rows).append(DominanceRow(vec, prob, bound, prob <= bound, cell=cell))
 
     return DominanceReport(
-        exact=space.exact,
         conditions_ok=conditions_ok,
         nested_failures=nested_failures,
         cond_indep=indep,
@@ -618,7 +572,7 @@ def cond_indep_check(
     vj = _statistic_values(space, stats[j])
     vk = _statistic_values(space, stats[k])
     cells = refinement(family, [j, k])
-    zero = Fraction(0) if space.exact else 0.0
+    zero = Fraction(0)
     max_gap = zero
     worst: frozenset | None = None
     for cell in cells:
@@ -632,15 +586,16 @@ def cond_indep_check(
             joint[key] = joint.get(key, zero) + w
             marg_j[vj[i]] = marg_j.get(vj[i], zero) + w
             marg_k[vk[i]] = marg_k.get(vk[i], zero) + w
-        gap = zero
-        for a, pa in marg_j.items():
-            for b, pb in marg_k.items():
-                gap += abs(joint.get((a, b), zero) - pa * pb)
+        # a pair of values outside the joint support adds its product
+        # mass, and the product masses of all pairs sum to exactly 1
+        gap = Fraction(1)
+        for (a, b), pab in joint.items():
+            prod = marg_j[a] * marg_k[b]
+            gap += abs(pab - prod) - prod
         gap = gap / 2
         if gap > max_gap:
             max_gap, worst = gap, cell
-    ok = (max_gap == 0) if space.exact else (max_gap < FLOAT_TOL)
-    return CondIndepResult(ok, j, k, float(max_gap), worst, space.exact)
+    return CondIndepResult(max_gap == 0, j, k, float(max_gap), worst)
 
 
 # ---------------------------------------------------------------------------
@@ -668,17 +623,13 @@ class Scenario:
         return joint_dominance_check(self.space, self.family, self.stats, self.alphas)
 
 
-def _prob_to_json(p) -> str | float:
-    if isinstance(p, Fraction):
-        return f"{p.numerator}/{p.denominator}"
-    return float(p)
+def _prob_to_json(p: Fraction) -> str:
+    return f"{p.numerator}/{p.denominator}"
 
 
 def save_scenario(path, scenario: Scenario) -> None:
     probs = [_prob_to_json(p) for p in scenario.space.probs]
-    if scenario.space.exact and all(
-        p == scenario.space.probs[0] for p in scenario.space.probs
-    ) and scenario.space.probs[0] == Fraction(1, scenario.space.size):
+    if all(p == Fraction(1, scenario.space.size) for p in scenario.space.probs):
         probs = "uniform"
     doc = {
         "version": 1,
@@ -693,7 +644,7 @@ def save_scenario(path, scenario: Scenario) -> None:
             {"name": name, "values": [float(v) for v in vals]}
             for name, vals in zip(scenario.stat_names, scenario.stats)
         ],
-        "alphas": [[_prob_to_json(a) for a in vec] for vec in scenario.alphas],
+        "alphas": [[_prob_to_json(_as_fraction(a)) for a in vec] for vec in scenario.alphas],
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
@@ -726,7 +677,7 @@ def load_scenario(path) -> Scenario:
         partition_names = [str(p.get("name", f"partition{k}")) for k, p in enumerate(partitions)]
         stats = [np.asarray(s["values"], dtype=np.float64) for s in doc["statistics"]]
         stat_names = [str(s.get("name", f"stat{k}")) for k, s in enumerate(doc["statistics"])]
-        alphas = [tuple(_as_alpha(a) for a in vec) for vec in doc["alphas"]]
+        alphas = [tuple(_as_fraction(a) for a in vec) for vec in doc["alphas"]]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise DataFormatError(f"{path}: malformed scenario: {exc!r}") from None
     for vals in stats:

@@ -246,11 +246,16 @@ class TestInvertCombined:
         assert ci.lower - 1e-5 <= 1.5 <= ci.upper + 1e-5
         assert ci.length < 0.1
 
-    def test_no_testable_groups_rejected(self):
+    @pytest.mark.parametrize("method", ["weighted_z", "fisher", "bonferroni"])
+    def test_no_testable_groups_give_the_whole_line(self, method):
+        # a family with no test rejects no shift
         times = CrossoverTimes(np.asarray([1, 2, 2, 2]), 2)
         data = TrialData(np.arange(4), times, np.random.default_rng(0).normal(size=(4, 3)))
-        with pytest.raises(ValueError, match="no testable groups"):
-            invert_combined(run_mcrts(data, 0))
+        family = run_mcrts(data, 0)
+        assert not family.tests
+        ci = invert_combined(family, 0.10, method)
+        assert (ci.lower, ci.upper, ci.n_grid) == (-math.inf, math.inf, 0)
+        assert not ci.empty and ci.length == math.inf
 
 
 def dyadic_trial(seed: int) -> TrialData:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import wedgeperm.validate
 from wedgeperm import (
     CrossoverTimes,
     Sim1Config,
@@ -14,6 +15,7 @@ from wedgeperm import (
     parse_tables,
     read_ci_csv,
     TrialData,
+    bundled_scenario,
     write_trial_csv,
 )
 from wedgeperm.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
@@ -332,7 +334,8 @@ class TestValidate:
         save_scenario(path, scenario)
         assert main(["validate", "--scenario", str(path)]) == EXIT_OK
         out = capsys.readouterr().out
-        assert "joint dominance (float, tolerance 1e-12): pass" in out
+        assert "(3 elements, 1 partitions, exact probabilities)" in out
+        assert "joint dominance (exact): pass" in out
         assert "draws" not in out
 
     def test_float_violation_exits_3(self, tmp_path, capsys):
@@ -350,7 +353,21 @@ class TestValidate:
         path = tmp_path / "violation.json"
         save_scenario(path, scenario)
         assert main(["validate", "--scenario", str(path)]) == EXIT_CHECK
-        assert "marginal violation at levels (0.5, 0.5): probability 0.251 > bound 0.25" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "joint dominance (exact): FAIL" in out
+        assert "marginal violation at levels (0.5, 0.5): probability 0.251 > bound 0.25" in out
+
+    def test_nestedness_is_computed_once(self, monkeypatch, capsys):
+        # the partition, Hasse, refinement, coarsening and dominance
+        # steps all read the family's one nestedness result
+        calls = []
+        check = wedgeperm.validate.pairwise_nested_check
+        monkeypatch.setattr(
+            wedgeperm.validate, "pairwise_nested_check", lambda *a: calls.append(a[1:]) or check(*a)
+        )
+        assert main(["validate", "--name", "naive-lag1"]) == EXIT_CHECK
+        K = bundled_scenario("naive-lag1").family.n_partitions
+        assert K > 1 and sorted(calls) == [(j, k) for j in range(K) for k in range(j + 1, K)]
 
     @pytest.mark.parametrize("draws", ["10", "0", "-5"])
     def test_draws_is_an_unknown_option(self, capsys, draws):
@@ -371,11 +388,18 @@ class TestValidate:
             lambda doc: doc["alphas"][0].__setitem__(0, "zz"),
             lambda doc: doc.update(probs=["1/0"] + ["1/12"] * (len(doc["elements"]) - 1)),
             lambda doc: doc["statistics"][0]["values"].__setitem__(0, float("nan")),
+            lambda doc: doc.update(probs=[1 / 12 + 1e-6] + [1 / 12] * (len(doc["elements"]) - 1)),
+            lambda doc: doc.update(probs=[True] + ["1/12"] * (len(doc["elements"]) - 1)),
+            lambda doc: doc["alphas"][0].__setitem__(0, True),
+            lambda doc: doc.update(probs=[float("nan")] + ["1/12"] * (len(doc["elements"]) - 1)),
+            lambda doc: doc.update(probs=[float("inf")] + ["1/12"] * (len(doc["elements"]) - 1)),
+            lambda doc: doc.update(probs=[-1 / 12, 3 / 12] + ["1/12"] * (len(doc["elements"]) - 2)),
         ],
         ids=[
             "alpha-vector-length", "probs-sum", "prob-not-a-number", "label-lengths",
             "duplicate-elements", "statistic-not-a-number", "alpha-not-a-number",
-            "prob-zero-denominator", "statistic-not-finite",
+            "prob-zero-denominator", "statistic-not-finite", "probs-sum-off-by-1e-6",
+            "prob-bool", "alpha-bool", "prob-nan", "prob-infinite", "prob-negative",
         ],
     )
     def test_malformed_scenario_file_is_a_data_error(self, tmp_path, capsys, edit):

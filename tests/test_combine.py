@@ -318,6 +318,24 @@ class TestCombinedFromTests:
         tests = [stub_test(1, 1.0, 1.0, 5, 5)]
         with pytest.raises(ValueError, match="unknown combiner"):
             combined_from_mcrt(SimpleNamespace(tests=tests, n_units=10), "tippett", "greater")
+        with pytest.raises(ValueError, match="unknown combiner"):
+            combined_from_mcrt(SimpleNamespace(tests=(), n_units=10), "tippett", "greater")
+
+    @pytest.mark.parametrize(
+        "tests, method",
+        [
+            ((), "weighted_z"),
+            ((), "fisher"),
+            ((), "bonferroni"),
+            ((stub_test(1, 0.0, 0.0, 5, 5, 0.001, 1.0),), "weighted_z"),
+        ],
+        ids=["empty-weighted_z", "empty-fisher", "empty-bonferroni", "unweightable"],
+    )
+    @pytest.mark.parametrize("alternative", ["less", "greater", "two-sided"])
+    def test_no_kept_test_gives_p_one(self, tests, method, alternative):
+        combined = combined_from_mcrt(SimpleNamespace(tests=tests, n_units=10), method, alternative)
+        assert (combined.p_value, combined.n_tests, combined.alternative) == (1.0, 0, alternative)
+        assert math.isnan(combined.statistic)
 
     def test_invariant_on_result_type(self):
         with pytest.raises(ValueError, match=r"\(0, 1\]"):

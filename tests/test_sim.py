@@ -227,6 +227,17 @@ class TestPowerStudy:
         assert [r.method for r in result.rows] == list(POWER_METHODS)
         assert all(r.rejections == 0 for r in result.rows)
 
+    def test_family_without_weightable_tests_gives_rows(self):
+        # zero variances: every arm is constant, so weighted_z has no
+        # test to weight and rejects nothing, while the other methods
+        # still see the effect
+        cfg = Sim1Config(
+            n_units=12, n_times=3, lag=0, effect=1.0,
+            var_unit=0, var_covariate=0, var_noise=0, replicates=2,
+        )
+        result = power_study([cfg], budget=49)
+        assert {r.method: r.rejections for r in result.rows} == {"mcrts_z": 0, "mcrts_f": 2, "bonferroni": 2}
+
     @pytest.mark.parametrize("seed", [0, 12345, 2**40 + 7])
     @pytest.mark.parametrize("statistic", ["diff_in_means", "rank_sum"])
     def test_baseline_matches_the_per_test_permutation_loop(self, seed, statistic):
@@ -298,6 +309,13 @@ class TestCoverageStudy:
         assert row.covered + row.empty_sets <= row.replicates
         assert row.mean_length >= 0.0
 
+
+    def test_lag_without_testable_groups_is_covered_with_infinite_length(self):
+        # eight units over eight periods: one unit per arm, so every
+        # lag-0 test is skipped and each set is the whole line
+        cfg = Sim2Config(n_units=8, n_times=8, replicates=2)
+        [row] = coverage_study(cfg, lags=[0], budget=49).rows
+        assert (row.covered, row.coverage, row.mean_length, row.empty_sets) == (2, 1.0, math.inf, 0)
 
     def test_each_lag_draws_its_relabelings_once_for_all_combiners(self, monkeypatch):
         drawn = []

@@ -1,7 +1,6 @@
 """Exact finite-space checks for families of conditional tests."""
 
 import json
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -34,7 +33,6 @@ from wedgeperm import (
     save_scenario,
     stepped_wedge_scenario,
 )
-from wedgeperm.validate import FLOAT_TOL
 
 SPACE4 = FiniteAssignmentSpace.uniform(["e0", "e1", "e2", "e3"])
 
@@ -46,6 +44,26 @@ CROSSING = PartitionFamily([[0, 0, 1, 1], [0, 1, 1, 0]])
 def float_copy(space: FiniteAssignmentSpace) -> FiniteAssignmentSpace:
     """The same space with its probabilities given as floats."""
     return FiniteAssignmentSpace(space.elements, [float(p) for p in space.probs])
+
+
+class TestReadingProbabilities:
+    def test_thirds_typed_as_floats_normalize_to_exact_thirds(self):
+        # 0.3333333333333333 three times misses 1 by 1e-16
+        space = FiniteAssignmentSpace(["a", "b", "c"], [1 / 3] * 3)
+        assert space.probs == (Fraction(1, 3),) * 3
+
+    def test_total_off_by_more_than_1e9_rejected(self):
+        with pytest.raises(ValueError, match="within 1e-9"):
+            FiniteAssignmentSpace(["a", "b"], [0.5, 0.5 + 1e-6])
+
+    @pytest.mark.parametrize("bad", [True, float("nan"), float("inf"), -0.5, None])
+    def test_bool_and_non_finite_or_negative_probabilities_rejected(self, bad):
+        with pytest.raises(ValueError):
+            FiniteAssignmentSpace(["a", "b"], [bad, 0.5])
+
+    def test_bool_level_rejected(self):
+        with pytest.raises(ValueError, match="cannot interpret True"):
+            joint_dominance_check(SPACE4, CHAIN, [np.zeros(4)] * 3, alphas=[(True, 1, 1)])
 
 
 class TestIsPartition:
@@ -235,7 +253,7 @@ class TestCondIndep:
         fam = PartitionFamily([[0] * 6, [0] * 6])
         v = np.asarray([0.0, 0.0, 1.0, 1.0, 2.0, 2.0])
         res = cond_indep_check(space, fam, [v, v], 0, 1)
-        assert not res.ok and res.exact
+        assert not res.ok
         assert res.max_gap == pytest.approx(2 / 3)
         assert res.worst_cell == frozenset(range(6))
 
@@ -247,6 +265,38 @@ class TestCondIndep:
         vk = np.asarray([7.0, 7.0, 7.0, 9.0, 9.0, 9.0])  # constant per cell
         res = cond_indep_check(space, fam, [vj, vk], 0, 1)
         assert res.ok and res.max_gap == 0 and res.worst_cell is None
+
+
+    @given(
+        data=st.lists(
+            st.tuples(st.integers(0, 1), st.integers(0, 2), st.integers(0, 2), st.integers(1, 4)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_gap_matches_the_all_pairs_sum(self, data):
+        # reference: half the sum of |joint - product| over every pair of
+        # marginal values, the cell's mass taken as 1
+        labels, vj, vk, weights = (list(col) for col in zip(*data))
+        space = FiniteAssignmentSpace(range(len(data)), [Fraction(w, sum(weights)) for w in weights])
+        fam = PartitionFamily([labels, labels])
+        want = Fraction(0)
+        for lab in set(labels):
+            cell = [i for i in range(len(data)) if labels[i] == lab]
+            mass = sum(space.probs[i] for i in cell)
+
+            def p(pred):
+                return sum((space.probs[i] for i in cell if pred(i)), Fraction(0)) / mass
+
+            gap = sum(
+                abs(p(lambda i: (vj[i], vk[i]) == (a, b)) - p(lambda i: vj[i] == a) * p(lambda i: vk[i] == b))
+                for a in {vj[i] for i in cell}
+                for b in {vk[i] for i in cell}
+            ) / 2
+            want = max(want, gap)
+        res = cond_indep_check(space, fam, [np.asarray(vj, float), np.asarray(vk, float)], 0, 1)
+        assert res.max_gap == float(want) and res.ok == (want == 0)
 
 
 class TestJointDominance:
@@ -262,7 +312,7 @@ class TestJointDominance:
             [values],
             alphas=[(Fraction(3, 4),), (Fraction(1, 2),), (1,)],
         )
-        assert report.exact and report.conditions_ok and report.bound_ok
+        assert report.conditions_ok and report.bound_ok
         assert [r.probability for r in report.rows] == [
             Fraction(3, 4),
             Fraction(0),
@@ -270,13 +320,14 @@ class TestJointDominance:
         ]
 
     def test_float_space_sums_its_probabilities(self):
+        # floats read as the decimals they print as, levels too
         space = FiniteAssignmentSpace([("a",), ("b",), ("c",)], [0.5, 0.25, 0.25])
-        assert not space.exact
+        assert space.probs == (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
         fam = PartitionFamily([[0, 0, 0]])
         values = np.asarray([2.0, 1.0, 0.0])
         report = joint_dominance_check(space, fam, [values], alphas=[(0.5,), (0.75,)])
-        assert not report.exact
-        assert [r.probability for r in report.rows] == [0.5, 0.75]
+        assert [r.probability for r in report.rows] == [Fraction(1, 2), Fraction(3, 4)]
+        assert [r.bound for r in report.rows] == [Fraction(1, 2), Fraction(3, 4)]
         assert report.conditions_ok and report.bound_ok
 
     def test_cell_masses_computed_once(self, monkeypatch):
@@ -296,7 +347,7 @@ class TestJointDominance:
         for alphas in ([(1, 1, 1)], [(a, b, 1) for a in levels for b in levels]):
             calls.clear()
             report = joint_dominance_check(SPACE4, CHAIN, stats, alphas=alphas)
-            assert report.exact and len(report.rows) == len(alphas)
+            assert len(report.rows) == len(alphas)
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
 
@@ -309,21 +360,20 @@ class TestJointDominance:
         assert not is_partition(space, cells).ok
         report = joint_dominance_check(space, sc.family, sc.stats, sc.alphas)
 
-        probs = np.asarray(space.probs)
+        def mass(members) -> Fraction:
+            return sum((space.probs[i] for i in members), Fraction(0))
+
         pvals = [
             conditional_pvalues(space, list(sc.family.cells(k).values()), sc.stats[k])
             for k in range(sc.family.n_partitions)
         ]
         rows, cell_rows = [], []
         for vec in sc.alphas:
-            hits = np.asarray([all(p[i] <= a + FLOAT_TOL for p, a in zip(pvals, vec)) for i in range(space.size)])
-            rows.append(math.fsum(probs[hits]))
-            for cell in cells:
-                members = sorted(cell)
-                cell_rows.append((cell, math.fsum(probs[members][hits[members]]) / math.fsum(probs[members])))
-        assert [r.probability for r in report.rows] == pytest.approx(rows, abs=1e-15)
-        assert [r.cell for r in report.cell_rows] == [c for c, _ in cell_rows]
-        assert [r.probability for r in report.cell_rows] == pytest.approx([p for _, p in cell_rows], abs=1e-15)
+            hits = {i for i in range(space.size) if all(p[i] <= a for p, a in zip(pvals, vec))}
+            rows.append(mass(hits))
+            cell_rows.extend((cell, mass(cell & hits) / mass(cell)) for cell in cells)
+        assert [r.probability for r in report.rows] == rows
+        assert [(r.cell, r.probability) for r in report.cell_rows] == cell_rows
         assert len(report.cell_rows) > len(report.rows) and 0 < max(rows) < 1
 
     def test_float_violation_is_reported(self):
@@ -336,9 +386,8 @@ class TestJointDominance:
         exact = joint_dominance_check(FiniteAssignmentSpace.uniform(range(n)), fam, stats, [(half, half)])
         assert exact.rows[0].probability == Fraction(251, 1000) and not exact.bound_ok
         space = FiniteAssignmentSpace(range(n), [1.0 / n] * n)
-        report = joint_dominance_check(space, fam, stats, [(half, half)])
-        assert not report.exact
-        assert report.rows[0].probability == pytest.approx(0.251, abs=1e-12)
+        report = joint_dominance_check(space, fam, stats, [(0.5, 0.5)])
+        assert report.rows[0].probability == Fraction(251, 1000)
         assert not report.bound_ok and not report.ok
 
     @pytest.mark.parametrize(
@@ -348,13 +397,12 @@ class TestJointDominance:
     def test_float_copies_match_fraction_rows(self, n_units, counts, lag, conditioning):
         sc = stepped_wedge_scenario(n_units, counts, lag, conditioning=conditioning)
         exact = sc.run()
-        approx = joint_dominance_check(float_copy(sc.space), sc.family, sc.stats, sc.alphas)
-        assert exact.exact and not approx.exact
-        want = list(exact.rows) + list(exact.cell_rows)
-        got = list(approx.rows) + list(approx.cell_rows)
-        assert [(r.alphas, r.bound, r.cell) for r in got] == [(r.alphas, r.bound, r.cell) for r in want]
-        assert max(abs(g.probability - float(w.probability)) for g, w in zip(got, want)) <= 1e-12
-        assert [r.holds for r in got] == [r.holds for r in want]
+        # a uniform space typed as floats misses 1 by rounding only, so
+        # it normalizes back to the exact space and gives the same rows
+        space = float_copy(sc.space)
+        assert space.probs == sc.space.probs
+        copy = joint_dominance_check(space, sc.family, sc.stats, sc.alphas)
+        assert copy == exact
 
     def test_statistic_count_must_match_partitions(self):
         with pytest.raises(ValueError, match="one statistic per partition"):
@@ -373,7 +421,6 @@ class TestJointDominance:
 class TestSteppedWedgeScenarios:
     def test_valid_construction_passes_exactly(self):
         report = bundled_scenario("nested-lag0").run()
-        assert report.exact
         assert report.conditions_ok and not report.nested_failures
         assert all(r.ok for r in report.cond_indep)
         assert report.bound_ok and report.ok
@@ -381,11 +428,10 @@ class TestSteppedWedgeScenarios:
     def test_lagged_sequential_conditioning_also_passes(self):
         scenario = stepped_wedge_scenario(4, (1, 1, 1, 1), lag=1, conditioning="sequential")
         report = scenario.run()
-        assert report.exact and report.conditions_ok and report.bound_ok
+        assert report.conditions_ok and report.bound_ok
 
     def test_naive_lagged_conditioning_fails(self):
         report = bundled_scenario("naive-lag1").run()
-        assert report.exact
         assert report.nested_failures and not report.conditions_ok
         assert not report.bound_ok and not report.ok
         worst = max(
@@ -452,7 +498,7 @@ class TestScenarioFiles:
         save_scenario(path, scenario)
         loaded = load_scenario(path)
         assert loaded.name == "round-trip"
-        assert loaded.space.exact and loaded.space.size == scenario.space.size
+        assert loaded.space.size == scenario.space.size
         assert loaded.space.probs == scenario.space.probs
         for k in range(scenario.family.n_partitions):
             assert set(loaded.family.cells(k).values()) == set(
@@ -485,6 +531,49 @@ class TestScenarioFiles:
             Fraction(1, 4),
         )
         assert loaded.alphas == [(Fraction(1, 5),)]
+
+    def test_round_trip_normalized_float_space(self, tmp_path):
+        # the total misses 1 by 1e-10, so every probability is divided by
+        # it; the saved p/q strings give back the same rationals
+        path = tmp_path / "normalized.json"
+        space = FiniteAssignmentSpace([(0,), (1,), (2,)], [0.2, 0.3, 0.5000000001])
+        assert sum(space.probs) == 1 and space.probs[0] == Fraction(2, 10) / Fraction("1.0000000001")
+        scenario = Scenario(
+            space=space,
+            family=PartitionFamily([[0, 0, 1]]),
+            stats=[np.asarray([1.0, 2.0, 3.0])],
+            stat_names=["gap"],
+            partition_names=["test"],
+            alphas=[(0.2,)],
+            name="normalized",
+        )
+        save_scenario(path, scenario)
+        doc = json.loads(path.read_text())
+        assert all(isinstance(p, str) for p in doc["probs"]) and doc["alphas"] == [["1/5"]]
+        loaded = load_scenario(path)
+        assert loaded.space.probs == space.probs
+        assert loaded.run() == scenario.run()
+
+    def test_float_file_gets_the_report_of_its_decimal_copy(self, tmp_path):
+        # a file typed in float probabilities and levels checks as the
+        # same file typed in the decimals they print as
+        sc = stepped_wedge_scenario(4, (1, 1, 1, 1), lag=1, conditioning="naive")
+        decimals = [f"0.0{3 + i % 3}" for i in range(sc.space.size - 1)]
+        decimals.append(repr(float(1 - sum(Fraction(d) for d in decimals))))
+        docs = {}
+        for kind in ("float", "decimal"):
+            path = tmp_path / f"{kind}.json"
+            save_scenario(path, sc)
+            doc = json.loads(path.read_text())
+            doc["probs"] = [float(d) for d in decimals] if kind == "float" else decimals
+            typed = float if kind == "float" else lambda a: str(float(a))
+            doc["alphas"] = [[typed(a) for a in vec] for vec in sc.alphas]
+            path.write_text(json.dumps(doc))
+            docs[kind] = load_scenario(path)
+        assert docs["float"].space.probs == tuple(Fraction(d) for d in decimals)
+        report = docs["float"].run()
+        assert report == docs["decimal"].run()
+        assert not report.ok and not report.bound_ok
 
     def test_not_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
