@@ -46,7 +46,7 @@ import numpy as np
 from .combine import _combiner
 from .design import DataFormatError
 from .mcrt import LagFamily, TestConfig
-from .permtest import TailPlan, TwoGroupSample, _ShiftIndex, relabel_plan
+from .permtest import TwoGroupSample, _ShiftIndex, _tail_plan
 from .rng import seed_sequence
 
 __all__ = [
@@ -157,14 +157,8 @@ def invert_single(
     The relabelings are drawn once, on the stream keyed by (seed, 0).
     """
     _check_alpha(alpha)
-    plan = relabel_plan(
-        sample.n_treated + sample.n_control,
-        sample.n_treated,
-        budget=cfg.budget,
-        exact_threshold=cfg.exact_threshold,
-        seed=seed_sequence(cfg.seed, 0),
-    )
-    shifts = _ShiftIndex([TailPlan(sample, plan, cfg.statistic)])
+    tail = _tail_plan(sample, cfg.statistic, cfg.budget, cfg.exact_threshold, seed_sequence(cfg.seed, 0))
+    shifts = _ShiftIndex([tail])
     lower, upper, evaluations = _exact_interval(shifts, lambda p: (p[0], p[0]), alpha)
     return ConfidenceInterval(
         lag=lag,

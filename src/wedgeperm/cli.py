@@ -12,7 +12,6 @@ only the worker count (WEDGEPERM_THREADS) and color suppression
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -34,6 +33,7 @@ from .validate import (
     build_hasse,
     bundled_scenario,
     BUNDLED_SCENARIOS,
+    _read_json,
     is_partition,
     load_scenario,
 )
@@ -221,11 +221,7 @@ def _load_study_config(args: argparse.Namespace) -> dict:
     if args.preset:
         doc = dict(PRESETS[args.preset])
     else:
-        with open(args.config_path) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"{args.config_path}: not valid JSON: {exc}") from None
+        doc = _read_json(args.config_path)
         if not isinstance(doc, dict):
             raise DataFormatError(f"{args.config_path}: expected a JSON object")
     study = doc.get("study")

@@ -30,7 +30,7 @@ from .permtest import (
     PermutationResult,
     TailPlan,
     TwoGroupSample,
-    relabel_plan,
+    _tail_plan,
 )
 from .rng import DEFAULT_SEED, seed_sequence
 
@@ -326,14 +326,8 @@ def run_mcrts(data: TrialData, lag: int, cfg: TestConfig = TestConfig(), groups=
         treated = y[g.treated_units]
         control = y[g.control_units]
         sample = TwoGroupSample(treated, control, data.n_units)
-        plan = relabel_plan(
-            g.n_treated + g.n_control,
-            g.n_treated,
-            budget=cfg.budget,
-            exact_threshold=cfg.exact_threshold,
-            seed=seed_sequence(cfg.seed, g.test_time),
-        )
-        tail = TailPlan(sample, plan, cfg.statistic)
+        seed = seed_sequence(cfg.seed, g.test_time)
+        tail = _tail_plan(sample, cfg.statistic, cfg.budget, cfg.exact_threshold, seed)
         tests.append(
             McrtTest(
                 test_time=g.test_time,

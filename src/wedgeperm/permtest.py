@@ -14,9 +14,10 @@ would be handed back to the OS by the allocator and page-faulted in
 again by the next one.  The stream fills rows in order, so the
 selections are byte-identical to drawing the whole block's keys at
 once.  A plan fixes its streams when it is made and replays them chunk
-by chunk: reducing a draw to its per-relabeling selected-slot sums and
-treated hits needs one key chunk plus those B sums and hits, never the
-B x m selections.
+by chunk; an exact plan yields its enumeration through the same chunks,
+so no plan keeps its rows.  Reducing a draw to its per-relabeling
+selected-slot sums and treated hits needs one chunk plus those B sums
+and hits, never the B x m selections.
 
 What a fixed seed fixes does not depend on the CPU: the keys, each
 relabeling's selected set, its treated hits, and so p-values away from
@@ -34,9 +35,10 @@ A TailPlan keeps only what tail counting reads from a relabeling draw,
 and a _ShiftIndex over TailPlans evaluates both tails for any shift of
 the treated arm, so one draw serves the p-values at zero shift and a
 whole confidence-interval search.  The difference in means keeps the
-streamed sums and hits; the rank sum re-sums ranks at every shift, so
-it still keeps the B x m selections.  The rank statistic uses midranks
-computed here in NumPy, so importing the package does not load SciPy.
+streamed sums and hits; only the rank sum, which re-sums ranks at every
+shift, gathers the B x m selections and keeps them.  The rank statistic
+uses midranks computed here in NumPy, so importing the package does not
+load SciPy.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ __all__ = [
     "diff_in_means",
     "midranks",
     "rank_sum",
-    "statistic_value",
     "relabel_plan",
     "permutation_pvalue",
 ]
@@ -165,40 +166,38 @@ def rank_sum(sample: TwoGroupSample) -> float:
     return float(ranks[: sample.n_treated].sum())
 
 
-def statistic_value(sample: TwoGroupSample, statistic: str) -> float:
-    if statistic == "diff_in_means":
-        return diff_in_means(sample)
-    if statistic == "rank_sum":
-        return rank_sum(sample)
-    raise ValueError(f"unknown statistic {statistic!r}; choose from {STATISTICS}")
-
-
 class RelabelPlan:
     """A fixed draw of treated-slot selections for one pool size.
 
-    ``selections`` has one row per relabeling, listing which pooled
-    slots are called treated.  Exact plans enumerate all C(m+n, m)
-    subsets.  Monte-Carlo plans hold the streams of ``n_resamples``
-    uniform draws and replay them: ``reduce`` visits the draw one key
-    chunk at a time and keeps none of it, while ``selections`` (and
-    ``sums`` and ``treated_hits``, which read it) materialises the whole
-    draw once and keeps it.
+    Each relabeling is one row listing which pooled slots are called
+    treated.  Exact plans enumerate all C(m+n, m) subsets in
+    itertools.combinations order; Monte-Carlo plans hold the streams of
+    ``n_resamples`` uniform draws.  Both yield their rows through the
+    same chunks and keep none of them: ``reduce`` visits the draw one
+    chunk at a time, and ``selections`` gathers the whole draw anew on
+    every read.
     """
 
     def __init__(self, n_treated: int, pool_size: int, n_resamples: int, exact: bool,
-                 streams: tuple[np.random.SeedSequence, ...] = (), selections: np.ndarray | None = None):
+                 streams: tuple[np.random.SeedSequence, ...] = ()):
         self.n_treated = n_treated
         self.pool_size = pool_size
         self.n_resamples = n_resamples
         self.exact = exact
         self._streams = streams
-        self._selections = selections
 
     def _chunks(self):
-        """(first row, selections of the rows) for each key chunk of the
-        Monte-Carlo draw, in row order; the first chunk is the largest."""
+        """(first row, selections of the rows) for each chunk of the
+        draw, in row order; the first chunk is the largest."""
         m, budget, pool = self.n_treated, self.n_resamples, self.pool_size
         rows = max(1, _KEY_CHUNK // pool)
+        if self.exact:
+            subsets = itertools.combinations(range(pool), m)
+            for lo in range(0, budget, rows):
+                n_rows = min(rows, budget - lo)
+                rows_flat = itertools.chain.from_iterable(itertools.islice(subsets, n_rows))
+                yield lo, np.fromiter(rows_flat, np.intp, n_rows * m).reshape(n_rows, m)
+            return
         first = min(rows, _BLOCK, budget)
         # the thread's plans share its kept buffers, even with their
         # generators interleaved: a chunk's keys are drawn and selected
@@ -232,34 +231,22 @@ class RelabelPlan:
 
     @property
     def selections(self) -> np.ndarray:
-        """The whole draw, materialised on first use and kept."""
-        if self._selections is None:
-            sel = np.empty((self.n_resamples, self.n_treated), dtype=np.intp)
-            for lo, chunk in self._chunks():
-                sel[lo : lo + chunk.shape[0]] = chunk
-                del chunk  # free its index before the next chunk is drawn
-            self._selections = sel
-        return self._selections
-
-    def sums(self, values: np.ndarray) -> np.ndarray:
-        """Selected-slot sums of ``values`` for every relabeling."""
-        return values[self.selections].sum(axis=1)
-
-    def treated_hits(self) -> np.ndarray:
-        """Per relabeling, how many originally-treated slots were selected."""
-        return (self.selections < self.n_treated).sum(axis=1)
+        """The whole draw, gathered from its chunks on every read."""
+        sel = np.empty((self.n_resamples, self.n_treated), dtype=np.intp)
+        for lo, chunk in self._chunks():
+            sel[lo : lo + chunk.shape[0]] = chunk
+            del chunk  # free its index before the next chunk is drawn
+        return sel
 
     def reduce(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``sums(values)`` and ``treated_hits()`` in one pass over the
-        draw; a draw not yet materialised is visited one key chunk at a
-        time and none of it is kept."""
-        if self._selections is not None:
-            return self.sums(values), self.treated_hits()
+        """Per relabeling, the selected-slot sum of ``values`` and how
+        many originally-treated slots were selected, in one pass over the
+        draw that keeps none of it."""
         sums = np.empty(self.n_resamples)
         hits = np.empty(self.n_resamples, dtype=np.intp)
         buf = None
         for lo, chunk in self._chunks():
-            if chunk.flags.owndata:  # a sorted chunk's own new array
+            if chunk.flags.c_contiguous:  # a sorted, enumerated or one-row chunk
                 sel = chunk
             else:
                 if buf is None:
@@ -268,7 +255,7 @@ class RelabelPlan:
                 # gathers faster than the columns themselves
                 sel = buf[: chunk.shape[0]]
                 np.copyto(sel, chunk)
-            del chunk  # free argpartition's index before the gather and the next chunk
+            del chunk  # a copied chunk frees argpartition's index before the gather and the next chunk
             hi = lo + sel.shape[0]
             values[sel].sum(axis=1, out=sums[lo:hi])
             (sel < self.n_treated).sum(axis=1, out=hits[lo:hi])
@@ -298,10 +285,11 @@ def relabel_plan(
     exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
     seed=None,
 ) -> RelabelPlan:
-    """Enumerate or sample treated-slot selections for a pooled test.
+    """Fix the enumeration or sample of treated-slot selections for a
+    pooled test; the plan yields its rows on demand.
 
     A Monte-Carlo draw is fixed here, ``seed=None`` resolving to one
-    fresh entropy, and the plan replays it on demand.
+    fresh entropy.
     """
     if not 1 <= n_treated < pool_size:
         raise ValueError("need at least one treated and one control slot")
@@ -309,12 +297,7 @@ def relabel_plan(
         raise ValueError("resample budget must be at least 1")
     total = _count_if_at_most(pool_size, n_treated, exact_threshold)
     if total is not None:
-        sel = np.fromiter(
-            itertools.chain.from_iterable(itertools.combinations(range(pool_size), n_treated)),
-            dtype=np.intp,
-            count=total * n_treated,
-        ).reshape(total, n_treated)
-        return RelabelPlan(n_treated, pool_size, total, True, selections=sel)
+        return RelabelPlan(n_treated, pool_size, total, True)
     streams = tuple(seed_sequence(seed).spawn((budget + _BLOCK - 1) // _BLOCK))
     return RelabelPlan(n_treated, pool_size, budget, False, streams=streams)
 
@@ -367,11 +350,13 @@ class TailPlan:
     both tail counts are step functions of delta:
 
     - difference in means: only the per-relabeling selected-slot sums
-      and treated hits are kept, reduced from the draw chunk by chunk.
+      and treated hits are kept, reduced from the draw chunk by chunk
+      (RelabelPlan.reduce).
       Relabeling r with h_r < m treated hits ties the observed statistic
       at delta = (obs - sum_r) / (m - h_r); the relabelings with h_r = m
       add a constant count.
-    - rank sum: the selections are kept to sum ranks.  The pooled order
+    - rank sum: the draw's selections are gathered once and kept to
+      sum ranks; it is the only test that keeps them.  The pooled order
       changes only where a shifted treated value x_i - delta passes a
       control value y_j, at delta = x_i - y_j; the m * n differences are
       never formed, both arms are sorted and counted by bisection.
@@ -393,7 +378,7 @@ class TailPlan:
             self._sums, self._hits = plan.reduce(pool)
             self._obs = float(pool[: sample.n_treated].sum())
         else:
-            self._plan = plan
+            self._selections = plan.selections
 
     # the candidate structures serve only shifted evaluation, so a test
     # that never leaves zero shift does not build them
@@ -404,8 +389,8 @@ class TailPlan:
         m = self.sample.n_treated
         moves = self._hits < m
         breaks = np.sort((self._obs - self._sums[moves]) / (m - self._hits[moves]))
-        fixed = self._sums[~moves]
-        return breaks, int((fixed <= self._obs).sum()), int((fixed >= self._obs).sum())
+        fixed_le, fixed_ge = _tail_counts(self._sums[~moves], self._obs)
+        return breaks, int(fixed_le), int(fixed_ge)
 
     @cached_property
     def _arms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -429,7 +414,7 @@ class TailPlan:
         ranks = arm_ranks.copy()
         ranks[t_slots] += a
         ranks[c_slots] += np.searchsorted(a, np.arange(ys.size), "right")
-        n_le, n_ge = _tail_counts(self._plan.sums(ranks), float(ranks[: xs.size].sum()))
+        n_le, n_ge = _tail_counts(ranks[self._selections].sum(axis=1), float(ranks[: xs.size].sum()))
         rows = a < ys.size
         below = float((xs[rows] - ys[a[rows]]).max()) if rows.any() else -math.inf
         rows = a > 0
@@ -439,19 +424,34 @@ class TailPlan:
     def result(self) -> PermutationResult:
         """The unshifted test: observed statistic and both p-values."""
         if self.statistic == "diff_in_means":
+            statistic = diff_in_means(self.sample)
             p_less, p_greater = _tail_pvalues(self._sums, self._obs, self.exact)
         else:
             ranks = midranks(self.sample.pooled())
-            obs = float(ranks[: self.sample.n_treated].sum())
-            p_less, p_greater = _tail_pvalues(self._plan.sums(ranks), obs, self.exact)
+            statistic = float(ranks[: self.sample.n_treated].sum())
+            p_less, p_greater = _tail_pvalues(ranks[self._selections].sum(axis=1), statistic, self.exact)
         return PermutationResult(
-            statistic=statistic_value(self.sample, self.statistic),
+            statistic=statistic,
             p_less=float(p_less),
             p_greater=float(p_greater),
             n_resamples=self.n_resamples,
             exact=self.exact,
             statistic_name=self.statistic,
         )
+
+
+def _tail_plan(sample: TwoGroupSample, statistic: str, budget: int, exact_threshold: int, seed) -> TailPlan:
+    """One test's TailPlan on its own draw of relabelings.  It calls
+    relabel_plan through this module's global, so a wrapper bound to
+    that name sees every test's draw."""
+    plan = relabel_plan(
+        sample.n_treated + sample.n_control,
+        sample.n_treated,
+        budget=budget,
+        exact_threshold=exact_threshold,
+        seed=seed,
+    )
+    return TailPlan(sample, plan, statistic)
 
 
 class _ShiftIndex:
@@ -567,11 +567,4 @@ def permutation_pvalue(
     To share one draw of relabelings across calls, build the plan with
     relabel_plan and evaluate ``TailPlan(sample, plan, statistic).result()``.
     """
-    plan = relabel_plan(
-        sample.n_treated + sample.n_control,
-        sample.n_treated,
-        budget=budget,
-        exact_threshold=exact_threshold,
-        seed=seed,
-    )
-    return TailPlan(sample, plan, statistic).result()
+    return _tail_plan(sample, statistic, budget, exact_threshold, seed).result()

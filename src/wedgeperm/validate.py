@@ -651,12 +651,21 @@ def save_scenario(path, scenario: Scenario) -> None:
         fh.write("\n")
 
 
-def load_scenario(path) -> Scenario:
-    with open(path) as fh:
+def _read_json(path):
+    """The JSON document in ``path``, UTF-8 with or without a byte-order
+    mark, as a trial CSV is read; bad bytes or bad JSON raise
+    DataFormatError naming the path."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: not valid UTF-8: {exc}") from None
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{path}: not valid JSON: {exc}") from None
+
+
+def load_scenario(path) -> Scenario:
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise DataFormatError(f"{path}: expected a JSON object at the top level")
     if doc.get("version") != 1:

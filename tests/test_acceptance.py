@@ -159,7 +159,7 @@ def test_criterion_5_permutation_variance(capsys):
     pool = np.concatenate([treated, control])
 
     plan = relabel_plan(m + n, m, budget=100_000, exact_threshold=1, seed=seed_sequence(7, 0))
-    sums = plan.sums(pool)
+    sums, _ = plan.reduce(pool)
     total = pool.sum()
     stats = math.sqrt(m + n) * (sums / m - (total - sums) / n)
     mc_var = float(stats.var(ddof=1))

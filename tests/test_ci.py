@@ -488,7 +488,7 @@ class TestFamilyLookup:
         for test, tail in zip(family.tests, family.tails):
             m, pool = tail.sample.n_treated, tail.sample.pooled()
             plan = relabel_plan(pool.size, m, budget=499, exact_threshold=1, seed=seed_sequence(8, test.test_time))
-            sums, hits = plan.sums(pool), plan.treated_hits()
+            sums, hits = plan.reduce(pool)
             obs, moves = float(pool[:m].sum()), hits < m
             fixed = sums[~moves]
             breaks = (obs - sums[moves]) / (m - hits[moves])

@@ -241,6 +241,22 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg_path)]) == EXIT_USAGE
         assert "bogus" in capsys.readouterr().err
 
+    def test_config_with_byte_order_mark_reads_like_one_without(self, tmp_path, capsys):
+        cfg = {"study": "power", "grid": [[16, 2, 0, 0.0]], "replicates": 1, "budget": 49}
+        runs = []
+        for name, prefix in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+            cfg_path, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+            cfg_path.write_bytes(prefix + json.dumps(cfg).encode())
+            assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+            runs.append(out.read_bytes())
+        assert runs[0] == runs[1]
+
+    def test_undecodable_config_is_a_data_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "study.json"
+        cfg_path.write_bytes(b'{"study": "power", "grid": [[16, 2, 0, 0.0]], "replicates": 1}\xff')
+        assert main(["simulate", "--config", str(cfg_path)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"error: {cfg_path}: not valid UTF-8: ")
+
     def test_invalid_json_config(self, tmp_path, capsys):
         cfg_path = tmp_path / "study.json"
         cfg_path.write_text("{broken")
@@ -419,6 +435,26 @@ class TestValidate:
         path = tmp_path / "bad.json"
         path.write_text("not json {")
         assert main(["validate", "--scenario", str(path)]) == EXIT_DATA
+
+    def test_scenario_with_byte_order_mark_validates(self, tmp_path, capsys):
+        from wedgeperm import stepped_wedge_scenario
+
+        path = tmp_path / "scenario.json"
+        save_scenario(path, stepped_wedge_scenario(4, (2, 1, 1), lag=0, name="from-file"))
+        assert main(["validate", "--scenario", str(path)]) == EXIT_OK
+        plain = capsys.readouterr().out
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert main(["validate", "--scenario", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == plain
+
+    def test_undecodable_scenario_file_is_a_data_error(self, tmp_path, capsys):
+        from wedgeperm import stepped_wedge_scenario
+
+        path = tmp_path / "scenario.json"
+        save_scenario(path, stepped_wedge_scenario(4, (2, 1, 1), lag=0))
+        path.write_bytes(path.read_bytes().replace(b"{", b"{\xff", 1))
+        assert main(["validate", "--scenario", str(path)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"error: {path}: not valid UTF-8: ")
 
     def test_missing_scenario_file(self, capsys):
         assert main(["validate", "--scenario", "/nonexistent.json"]) == EXIT_DATA

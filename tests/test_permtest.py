@@ -182,18 +182,50 @@ class TestRelabelPlan:
         rows = {tuple(sorted(r)) for r in plan.selections.tolist()}
         assert rows == {tuple(c) for c in itertools.combinations(range(4), 2)}
 
+    @pytest.mark.parametrize("chunk", [7, 100])
+    def test_exact_plan_streams_combinations_order_across_chunks(self, monkeypatch, chunk):
+        # chunk 100 on pool 12 enumerates 8 rows at a time, so the 495
+        # subsets span 62 chunks, the last one ragged; chunk 7 is below
+        # one row
+        monkeypatch.setattr(permtest, "_KEY_CHUNK", chunk)
+        plan = relabel_plan(12, 4, exact_threshold=495)
+        assert plan.exact and plan.n_resamples == 495
+        chunks = list(plan._chunks())
+        assert len(chunks) == (62 if chunk == 100 else 495)
+        # each chunk is contiguous, so reduce gathers from it directly
+        assert all(c.flags.c_contiguous for _, c in chunks)
+        sel = plan.selections
+        assert sel.dtype == np.intp
+        assert np.array_equal(sel, np.array(list(itertools.combinations(range(12), 4))))
+        values = generator(12).normal(size=12)
+        sums, hits = plan.reduce(values)
+        assert sums.tobytes() == values[sel].sum(axis=1).tobytes()
+        assert np.array_equal(hits, (sel < 4).sum(axis=1))
+
+    def test_exact_plan_keeps_no_rows(self):
+        # its 18 564 rows of 6 slots would take 0.85 MiB
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            plan = relabel_plan(18, 6)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert plan.exact and plan.n_resamples == 18_564
+        assert grown < 4096
+
     def test_exact_hits_follow_hypergeometric_counts(self):
         m, n = 3, 4
         plan = relabel_plan(m + n, m, exact_threshold=100)
-        hits = plan.treated_hits()
+        hits = (plan.selections < m).sum(axis=1)
         for k in range(m + 1):
             assert int((hits == k).sum()) == math.comb(m, k) * math.comb(n, m - k)
 
     def test_sums_are_linear_in_a_constant_shift(self):
         plan = relabel_plan(10, 4, budget=200, exact_threshold=1, seed=3)
         values = np.arange(10, dtype=float)
-        shifted = plan.sums(values + 2.5)
-        assert np.allclose(shifted, plan.sums(values) + 4 * 2.5)
+        shifted, _ = plan.reduce(values + 2.5)
+        assert np.allclose(shifted, plan.reduce(values)[0] + 4 * 2.5)
 
     def test_monte_carlo_plan_is_deterministic(self):
         a = relabel_plan(30, 10, budget=777, exact_threshold=1, seed=9)
@@ -363,7 +395,8 @@ class TestRelabelPlan:
             values = generator(pool).normal(size=pool)
             # streamed first, so the selections are drawn only afterwards
             sums, hits = plan.reduce(values)
-            ref_sums, ref_hits = plan.sums(values), plan.treated_hits()
+            sel = plan.selections
+            ref_sums, ref_hits = values[sel].sum(axis=1), (sel < m).sum(axis=1)
             assert sums.dtype == ref_sums.dtype and sums.tobytes() == ref_sums.tobytes()
             assert hits.dtype == ref_hits.dtype and np.array_equal(hits, ref_hits)
 
@@ -407,9 +440,9 @@ class TestRelabelPlan:
         # argpartition lists a selected set in an order that depends on
         # the CPU's SIMD level, and the sums follow that order, so only
         # the row-sorted sets and the hits are pinned, never the sums
-        plan = relabel_plan(500, 100, budget=499, seed=5)
-        rows = np.sort(plan.selections, axis=1).astype(np.int64)
-        hits = plan.treated_hits().astype(np.int64)
+        sel = relabel_plan(500, 100, budget=499, seed=5).selections
+        rows = np.sort(sel, axis=1).astype(np.int64)
+        hits = (sel < 100).sum(axis=1).astype(np.int64)
         assert hashlib.sha256(rows.tobytes()).hexdigest() == (
             "43c91bd02d257c632f6851c15a29864282429ee65c37eeafcb6c37f4415d4a09"
         )
@@ -594,7 +627,7 @@ class TestPermutedVariance:
         c = 2.0 * (c - c.mean()) / c.std(ddof=1)
         sample = TwoGroupSample(t, c, N)
         plan = relabel_plan(N, m, budget=40_000, exact_threshold=1, seed=6)
-        sums = plan.sums(sample.pooled())
+        sums, _ = plan.reduce(sample.pooled())
         # sum -> statistic: T = sqrt(N) * (s/m - (total - s)/n)
         total = sample.pooled().sum()
         stats = math.sqrt(N) * (sums / m - (total - sums) / n)

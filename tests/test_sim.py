@@ -319,14 +319,14 @@ class TestCoverageStudy:
 
     def test_each_lag_draws_its_relabelings_once_for_all_combiners(self, monkeypatch):
         drawn = []
-        draw = wedgeperm.mcrt.relabel_plan
+        draw = wedgeperm.permtest.relabel_plan
 
         def counting_draw(*args, **kwargs):
             seed = kwargs["seed"]
             drawn.append((tuple(seed.entropy), tuple(seed.spawn_key)))
             return draw(*args, **kwargs)
 
-        monkeypatch.setattr(wedgeperm.mcrt, "relabel_plan", counting_draw)
+        monkeypatch.setattr(wedgeperm.permtest, "relabel_plan", counting_draw)
         cfg = Sim2Config(n_units=40, n_times=4, taus=(0.2, 0.4, 0.0, 0.0), replicates=2, seed=52)
         lags = (0, 1)
         coverage_study(cfg, methods=("weighted_z", "fisher", "bonferroni"), lags=lags, budget=49)
