@@ -36,7 +36,6 @@ p-value (combine), so its relabelings are never drawn again.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -44,7 +43,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .combine import _combiner
-from .design import DataFormatError
+from .design import _read_table, _write_table
 from .mcrt import LagFamily, TestConfig
 from .permtest import TwoGroupSample, _ShiftIndex, _tail_plan
 from .rng import seed_sequence
@@ -203,46 +202,37 @@ def invert_combined(family: LagFamily, alpha: float = 0.10, method: str = "weigh
     )
 
 
+_CI_COLUMNS = ["lag", "method", "level", "delta_lo", "delta_hi"]
+
+
 def write_ci_csv(path, intervals: Sequence[ConfidenceInterval]) -> None:
     """Write `lag,method,level,delta_lo,delta_hi` rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lag", "method", "level", "delta_lo", "delta_hi"])
-        for ci in intervals:
-            writer.writerow(
-                [
-                    "" if ci.lag is None else int(ci.lag),
-                    ci.method,
-                    repr(float(ci.level)),
-                    repr(float(ci.lower)),
-                    repr(float(ci.upper)),
-                ]
-            )
+    _write_table(
+        path,
+        _CI_COLUMNS,
+        (
+            ["" if ci.lag is None else int(ci.lag), ci.method, float(ci.level), float(ci.lower), float(ci.upper)]
+            for ci in intervals
+        ),
+    )
+
+
+def _ci_columns(head: list[str]):
+    if head != _CI_COLUMNS:
+        raise ValueError(f"unexpected header {head}")
+    return _ci_row
+
+
+def _ci_row(row: list[str]) -> ConfidenceInterval:
+    return ConfidenceInterval(
+        lag=None if row[0] == "" else int(row[0]),
+        method=row[1],
+        level=float(row[2]),
+        lower=float(row[3]),
+        upper=float(row[4]),
+        n_grid=0,
+    )
 
 
 def read_ci_csv(path) -> list[ConfidenceInterval]:
-    out: list[ConfidenceInterval] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["lag", "method", "level", "delta_lo", "delta_hi"]:
-            raise DataFormatError(f"{path}: line 1: unexpected header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 5:
-                raise DataFormatError(f"{path}: line {lineno}: expected 5 columns")
-            try:
-                out.append(
-                    ConfidenceInterval(
-                        lag=None if row[0] == "" else int(row[0]),
-                        method=row[1],
-                        level=float(row[2]),
-                        lower=float(row[3]),
-                        upper=float(row[4]),
-                        n_grid=0,
-                    )
-                )
-            except ValueError as exc:
-                raise DataFormatError(f"{path}: line {lineno}: {exc}") from None
-    return out
+    return list(_read_table(path, _ci_columns))

@@ -19,9 +19,9 @@ from .ci import invert_combined, write_ci_csv
 from .combine import COMBINERS, combined_from_mcrt, weights_from_result
 from .design import DataFormatError
 from .mcrt import TestConfig, build_schedule, read_trial_csv, run_mcrts
+from .permtest import STATISTICS
 from .rng import DEFAULT_SEED
 from .sim import (
-    POWER_METHODS,
     Sim2Config,
     StudyResult,
     coverage_study,
@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.10,
                    help="two-sided level; the interval has level 1-alpha (default 0.10)")
     p.add_argument("--budget", type=int, default=499, help="Monte Carlo relabelings per test")
-    p.add_argument("--statistic", choices=("diff_in_means", "rank_sum"), default="diff_in_means")
+    p.add_argument("--statistic", choices=STATISTICS, default="diff_in_means")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="default 12345")
     p.add_argument("--out", help="write per-test results CSV here")
     p.add_argument("--ci-out", dest="ci_output", help="write the interval CSV here")
@@ -236,10 +236,15 @@ def _load_study_config(args: argparse.Namespace) -> dict:
         doc["budget"] = 1000
     if args.replicates is not None:
         doc["replicates"] = args.replicates
-    doc.setdefault("seed", DEFAULT_SEED)
     if args.seed is not None:
         doc["seed"] = args.seed
     return doc
+
+
+def _given(doc: dict, *keys: str) -> dict:
+    """The entries of ``doc`` under ``keys`` that it holds; a study takes
+    its own defaults for the others."""
+    return {key: doc[key] for key in keys if key in doc}
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -260,51 +265,30 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         rows: list = []
         skipped: list = []
         total = len(grid)
+        study_args = _given(doc, "replicates", "budget", "alpha", "methods", "seed", "statistic")
         for i, cell in enumerate(grid, start=1):
             print(f"power study: cell {i}/{total} {cell}", file=sys.stderr)
-            part = power_study(
-                [tuple(cell)],
-                replicates=doc.get("replicates", 300),
-                budget=doc.get("budget", 499),
-                alpha=doc.get("alpha", 0.05),
-                methods=tuple(doc.get("methods", POWER_METHODS)),
-                seed=doc["seed"],
-                statistic=doc.get("statistic", "diff_in_means"),
-                threads=args.threads,
-            )
+            part = power_study([tuple(cell)], threads=args.threads, **study_args)
             rows.extend(part.rows)
             skipped.extend(part.skipped)
             for cell_repr, reason in part.skipped:
                 print(f"  skipped {cell_repr}: {reason}", file=sys.stderr)
         result = StudyResult("power", tuple(rows), tuple(skipped))
     else:
-        n_times = doc.get("n_times", 8)
-        base_taus = Sim2Config().taus
-        taus = tuple(doc["taus"]) if "taus" in doc else (
-            base_taus + (0.0,) * max(0, n_times - len(base_taus))
-        )[:n_times]
-        sim_cfg = Sim2Config(
-            n_units=doc.get("n_units", 200),
-            n_times=n_times,
-            taus=taus,
-            interaction=doc.get("interaction", 0),
-            replicates=doc.get("replicates", 300),
-            seed=doc["seed"],
-            level=doc.get("level", 0.90),
-        )
-        lags = tuple(doc.get("lags", (0, 1, 2, 3, 4)))
+        cfg_args = _given(doc, "n_units", "n_times", "taus", "interaction", "replicates", "seed", "level")
+        if "taus" in cfg_args:
+            cfg_args["taus"] = tuple(cfg_args["taus"])
+        elif "n_times" in cfg_args:  # the default effects, cut or padded with zeros
+            n_times = cfg_args["n_times"]
+            cfg_args["taus"] = (Sim2Config().taus + (0.0,) * n_times)[:n_times]
+        sim_cfg = Sim2Config(**cfg_args)
         print(
             f"coverage study: N={sim_cfg.n_units} T={sim_cfg.n_times} "
-            f"interaction={sim_cfg.interaction} replicates={sim_cfg.replicates} lags={lags}",
+            f"interaction={sim_cfg.interaction} replicates={sim_cfg.replicates}",
             file=sys.stderr,
         )
         result = coverage_study(
-            sim_cfg,
-            methods=tuple(doc.get("methods", ("weighted_z",))),
-            lags=lags,
-            budget=doc.get("budget", 499),
-            statistic=doc.get("statistic", "diff_in_means"),
-            threads=args.threads,
+            sim_cfg, threads=args.threads, **_given(doc, "methods", "lags", "budget", "statistic")
         )
     emit_tables(result, out)
     print(f"wrote {out} ({len(result.rows)} rows)", file=sys.stderr)

@@ -11,10 +11,11 @@ panel column t.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -35,8 +36,74 @@ class DataFormatError(ValueError):
     """A structured text input (CSV, JSON) violates its documented schema.
 
     The one error every reader in the package raises; it lives here,
-    at the bottom of the import graph, so that each reader can import it.
+    at the bottom of the import graph, so that each reader can import it,
+    with the CSV table codec (_read_table, _write_table) they share.
     """
+
+
+def _write_table(path, header: list[str], rows: Iterable) -> None:
+    """Write ``header`` and then ``rows`` as CSV, one row at a time, so
+    that ``rows`` may be a generator; floats are written with repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _header(path, reader, columns: Callable[[list[str]], Callable]) -> tuple[int, Callable]:
+    """The width and row converter of the table whose header ``reader``
+    reads next: ``columns`` takes the stripped cells of line 1 (none for
+    an empty file) and returns the converter; a ValueError it raises
+    becomes a DataFormatError naming line 1."""
+    head = [cell.strip() for cell in next(reader, [])]
+    try:
+        return len(head), columns(head)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: line 1: {exc}") from None
+
+
+def _read_table(path, columns: Callable[[list[str]], Callable]) -> Iterator:
+    """Yield each data row of the CSV file at ``path`` through the
+    converter that ``columns`` returns for its header (see _header).
+
+    The file is read as UTF-8, after a byte-order mark if it starts with
+    one, as spreadsheet programs write; rows whose cells are all blank
+    are skipped.  A row of the wrong width, a ValueError or
+    OverflowError of the converter, and a byte that does not decode
+    raise DataFormatError naming the line.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            width, convert = _header(path, reader, columns)
+            start = reader.line_num + 1
+            for row in reader:
+                # a quoted cell may span lines; a row is named by its first
+                lineno, start = start, reader.line_num + 1
+                if all(not cell.strip() for cell in row):
+                    continue
+                if len(row) != width:
+                    raise DataFormatError(f"{path}: line {lineno}: expected {width} columns, got {len(row)}")
+                try:
+                    value = convert(row)
+                except (ValueError, OverflowError) as exc:
+                    raise DataFormatError(f"{path}: line {lineno}: {exc}") from None
+                yield value
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from None
+
+
+def _undecodable(path, exc: UnicodeDecodeError) -> DataFormatError:
+    """The error for a file that does not decode, naming its first line
+    that does not; text is decoded in blocks, so only reading the file
+    again as bytes, line by line, tells which line that is."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.decode(exc.encoding)
+            except UnicodeDecodeError as line_exc:
+                return DataFormatError(f"{path}: line {lineno}: {line_exc}")
+    return DataFormatError(f"{path}: {exc}")
 
 
 @dataclass(frozen=True)

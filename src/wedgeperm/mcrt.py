@@ -24,7 +24,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import CrossoverTimes, DataFormatError, DesignSpec
+from .design import (
+    CrossoverTimes,
+    DataFormatError,
+    DesignSpec,
+    _header,
+    _read_table,
+    _undecodable,
+    _write_table,
+)
 from .permtest import (
     DEFAULT_EXACT_THRESHOLD,
     PermutationResult,
@@ -142,6 +150,13 @@ def _group(arr: np.ndarray, n_times: int, test_time: int, lag: int, subset_index
         control_units=np.flatnonzero(is_control[arr]),
         control_times=tuple(control_times),
     )
+
+
+def _group_sample(outcomes: np.ndarray, g: LagTestGroup) -> TwoGroupSample:
+    """The outcomes of ``g``'s treated and control units at its outcome
+    time, scaled by the trial size (the panel's row count)."""
+    y = outcomes[:, g.outcome_time]
+    return TwoGroupSample(y[g.treated_units], y[g.control_units], outcomes.shape[0])
 
 
 def build_groups(times, n_times: int, lag: int) -> tuple[LagTestGroup, ...]:
@@ -322,10 +337,8 @@ def run_mcrts(data: TrialData, lag: int, cfg: TestConfig = TestConfig(), groups=
                 )
             )
             continue
-        y = data.outcomes[:, g.outcome_time]
-        treated = y[g.treated_units]
-        control = y[g.control_units]
-        sample = TwoGroupSample(treated, control, data.n_units)
+        sample = _group_sample(data.outcomes, g)
+        treated, control = sample.treated, sample.control
         seed = seed_sequence(cfg.seed, g.test_time)
         tail = _tail_plan(sample, cfg.statistic, cfg.budget, cfg.exact_threshold, seed)
         tests.append(
@@ -348,33 +361,40 @@ def run_mcrts(data: TrialData, lag: int, cfg: TestConfig = TestConfig(), groups=
 
 def write_trial_csv(path, data: TrialData) -> None:
     """Write `unit,crossover_time,y0,...,yT` rows."""
-    n_times = data.n_times
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["unit", "crossover_time"] + [f"y{t}" for t in range(n_times + 1)])
-        for i in range(data.n_units):
-            writer.writerow(
-                [int(data.units[i]), int(data.times.times[i])]
-                + [repr(float(v)) for v in data.outcomes[i]]
-            )
+    _write_table(
+        path,
+        ["unit", "crossover_time"] + [f"y{t}" for t in range(data.n_times + 1)],
+        (
+            [int(data.units[i]), int(data.times.times[i])] + data.outcomes[i].tolist()
+            for i in range(data.n_units)
+        ),
+    )
 
 
-def _read_header(path, reader) -> list[str]:
-    """The checked header row: unit, crossover_time, then y0..yT with T >= 2."""
-    header = next(reader, None)
-    if header is None or len(header) < 3:
-        raise DataFormatError(f"{path}: line 1: expected header 'unit,crossover_time,y0,...'")
-    head = [h.strip() for h in header]
+def _trial_columns(head: list[str]):
+    """The row converter of a checked trial header: unit,
+    crossover_time, then y0..yT with T >= 2."""
+    if len(head) < 3:
+        raise ValueError("expected header 'unit,crossover_time,y0,...'")
     if head[:2] != ["unit", "crossover_time"]:
-        raise DataFormatError(f"{path}: line 1: expected header to start 'unit,crossover_time'")
-    expected_y = [f"y{t}" for t in range(len(head) - 2)]
-    if head[2:] != expected_y:
-        raise DataFormatError(
-            f"{path}: line 1: outcome columns must be y0..y{len(head) - 3} in order"
-        )
+        raise ValueError("expected header to start 'unit,crossover_time'")
+    if head[2:] != [f"y{t}" for t in range(len(head) - 2)]:
+        raise ValueError(f"outcome columns must be y0..y{len(head) - 3} in order")
     if len(head) - 3 < 2:
-        raise DataFormatError(f"{path}: line 1: need outcome columns y0..yT with T >= 2")
-    return head
+        raise ValueError("need outcome columns y0..yT with T >= 2")
+    return _trial_row
+
+
+def _trial_row(row: list[str]) -> tuple[int, int, list[float]]:
+    """Unit, crossover time and outcomes of one row; each cell goes
+    through int or float, and the integers must fit in int64."""
+    ids = []
+    for name, cell in zip(("unit", "crossover_time"), row):
+        value = int(cell)
+        if not -(2**63) <= value < 2**63:
+            raise ValueError(f"{name} {cell.strip()} does not fit in a 64-bit integer")
+        ids.append(value)
+    return ids[0], ids[1], [float(cell) for cell in row[2:]]
 
 
 def _trial_data(path, units, times, outcomes, n_times: int) -> TrialData:
@@ -385,40 +405,23 @@ def _trial_data(path, units, times, outcomes, n_times: int) -> TrialData:
 
 
 def _read_rows(path) -> TrialData:
-    """read_trial_csv row by row: each cell goes through int or float,
-    so a bad row raises DataFormatError naming its line."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        head = _read_header(path, reader)
-        # flat typed buffers hold 8 bytes per value, not a Python object
-        units, times, outcomes = array("q"), array("q"), array("d")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(head):
-                raise DataFormatError(
-                    f"{path}: line {lineno}: expected {len(head)} columns, got {len(row)}"
-                )
-            try:
-                units.append(int(row[0]))
-                times.append(int(row[1]))
-                outcomes.extend(map(float, row[2:]))
-            except ValueError as exc:
-                raise DataFormatError(f"{path}: line {lineno}: {exc}") from None
-            except OverflowError:
-                col = len(units) - len(times)  # 0 if the unit overflowed, 1 if the time did
-                raise DataFormatError(
-                    f"{path}: line {lineno}: {head[col]} {row[col].strip()} does not fit in a 64-bit integer"
-                ) from None
+    """read_trial_csv row by row through the table codec, so a bad row
+    raises DataFormatError naming its line."""
+    # flat typed buffers hold 8 bytes per value, not a Python object
+    units, times, outcomes = array("q"), array("q"), array("d")
+    for unit, time, ys in _read_table(path, _trial_columns):
+        units.append(unit)
+        times.append(time)
+        outcomes.extend(ys)
     if not units:
         raise DataFormatError(f"{path}: no data rows")
-    n_times = len(head) - 3
+    width = len(outcomes) // len(units)
     return _trial_data(
         path,
         np.frombuffer(units, dtype=np.int64),
         np.frombuffer(times, dtype=np.int64),
-        np.frombuffer(outcomes).reshape(len(units), n_times + 1),
-        n_times,
+        np.frombuffer(outcomes).reshape(len(units), width),
+        width - 1,
     )
 
 
@@ -440,7 +443,7 @@ def read_trial_csv(path) -> TrialData:
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            n_times = len(_read_header(path, csv.reader(fh))) - 3
+            n_times = _header(path, csv.reader(fh), _trial_columns)[0] - 3
             dtype = [("unit", np.int64), ("time", np.int64), ("y", np.float64, (n_times + 1,))]
             try:
                 with warnings.catch_warnings():
@@ -456,16 +459,3 @@ def read_trial_csv(path) -> TrialData:
     except UnicodeDecodeError as exc:
         raise _undecodable(path, exc) from None
     return _trial_data(path, body["unit"], body["time"], body["y"], n_times)
-
-
-def _undecodable(path, exc: UnicodeDecodeError) -> DataFormatError:
-    """The error for a file that does not decode, naming its first line
-    that does not; text is decoded in blocks, so only reading the file
-    again as bytes, line by line, tells which line that is."""
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                line.decode(exc.encoding)
-            except UnicodeDecodeError as line_exc:
-                return DataFormatError(f"{path}: line {lineno}: {line_exc}")
-    return DataFormatError(f"{path}: {exc}")

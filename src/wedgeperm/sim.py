@@ -19,16 +19,16 @@ emitted CSV tables are byte-identical no matter how many workers run.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass, fields, replace
+from functools import cache, partial
+from typing import Iterable, Sequence, get_type_hints
 
 import numpy as np
 
 from .ci import invert_combined
 from .combine import combined_from_mcrt
-from .design import DataFormatError, DesignSpec, sample_assignment
+from .design import DesignSpec, _read_table, _write_table, sample_assignment
 from .mcrt import TestConfig, TrialData, build_groups, naive_groups, run_mcrts
 from .rng import DEFAULT_SEED, generator, seed_sequence
 
@@ -59,16 +59,6 @@ _POWER_FAMILIES = {
 POWER_METHODS = tuple(_POWER_FAMILIES)
 _POWER_TAG = 101
 _COVERAGE_TAG = 202
-
-_POWER_HEADER = [
-    "study", "n_units", "n_times", "lag", "effect", "method",
-    "replicates", "rejections", "rate", "stderr",
-]
-_COVERAGE_HEADER = [
-    "study", "n_units", "n_times", "interaction", "level", "lag", "effect",
-    "method", "replicates", "covered", "coverage", "stderr",
-    "mean_length", "empty_sets",
-]
 
 
 def default_counts(n_units: int, n_times: int) -> tuple[int, ...]:
@@ -427,76 +417,51 @@ def coverage_study(
     return StudyResult("coverage", tuple(rows))
 
 
-def emit_tables(result: StudyResult, path) -> None:
-    """Write the study as one CSV with a stable, documented schema.
+@cache  # get_type_hints evaluates the annotations on every call
+def _study_columns(row_type) -> tuple[tuple[str, type], ...]:
+    """Name and type of each field of a study row, in order."""
+    types = get_type_hints(row_type)
+    return tuple((f.name, types[f.name]) for f in fields(row_type))
 
-    Power tables:    study,n_units,n_times,lag,effect,method,replicates,
-                     rejections,rate,stderr
-    Coverage tables: study,n_units,n_times,interaction,level,lag,effect,
-                     method,replicates,covered,coverage,stderr,
-                     mean_length,empty_sets
+
+_ROW_TYPES = {"power": PowerRow, "coverage": CoverageRow}
+
+
+def emit_tables(result: StudyResult, path) -> None:
+    """Write the study as one CSV: a ``study`` column, then one column
+    per field of its row type (PowerRow or CoverageRow), in order.
+
     Floats are written with repr so parsing them back is lossless.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if result.study == "power":
-            writer.writerow(_POWER_HEADER)
-            for r in result.rows:
-                writer.writerow(
-                    [
-                        "power", r.n_units, r.n_times, r.lag, repr(r.effect), r.method,
-                        r.replicates, r.rejections, repr(r.rate), repr(r.stderr),
-                    ]
-                )
-        elif result.study == "coverage":
-            writer.writerow(_COVERAGE_HEADER)
-            for r in result.rows:
-                writer.writerow(
-                    [
-                        "coverage", r.n_units, r.n_times, r.interaction, repr(r.level),
-                        r.lag, repr(r.effect), r.method, r.replicates, r.covered,
-                        repr(r.coverage), repr(r.stderr), repr(r.mean_length),
-                        r.empty_sets,
-                    ]
-                )
-        else:
-            raise ValueError(f"unknown study kind {result.study!r}")
+    row_type = _ROW_TYPES.get(result.study)
+    if row_type is None:
+        raise ValueError(f"unknown study kind {result.study!r}")
+    names = [name for name, _ in _study_columns(row_type)]
+    _write_table(
+        path,
+        ["study"] + names,
+        ([result.study] + [getattr(r, name) for name in names] for r in result.rows),
+    )
 
 
 def parse_tables(path) -> StudyResult:
-    """Read a CSV produced by emit_tables back into a StudyResult."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header == _POWER_HEADER:
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                try:
-                    rows.append(
-                        PowerRow(
-                            int(row[1]), int(row[2]), int(row[3]), float(row[4]), row[5],
-                            int(row[6]), int(row[7]), float(row[8]), float(row[9]),
-                        )
-                    )
-                except (ValueError, IndexError) as exc:
-                    raise DataFormatError(f"{path}: line {lineno}: {exc}") from None
-            return StudyResult("power", tuple(rows))
-        if header == _COVERAGE_HEADER:
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                try:
-                    rows.append(
-                        CoverageRow(
-                            int(row[1]), int(row[2]), int(row[3]), float(row[4]),
-                            int(row[5]), float(row[6]), row[7], int(row[8]), int(row[9]),
-                            float(row[10]), float(row[11]), float(row[12]), int(row[13]),
-                        )
-                    )
-                except (ValueError, IndexError) as exc:
-                    raise DataFormatError(f"{path}: line {lineno}: {exc}") from None
-            return StudyResult("coverage", tuple(rows))
-    raise DataFormatError(f"{path}: unrecognized table header {header}")
+    """Read a CSV produced by emit_tables back into a StudyResult; each
+    cell is read through its field's type."""
+    studies = []
+
+    def columns(head: list[str]):
+        for study, row_type in _ROW_TYPES.items():
+            typed = _study_columns(row_type)
+            if head == ["study"] + [name for name, _ in typed]:
+                studies.append(study)
+                return partial(_study_row, study, row_type, [kind for _, kind in typed])
+        raise ValueError(f"unrecognized table header {head}")
+
+    rows = tuple(_read_table(path, columns))
+    return StudyResult(studies[0], rows)
+
+
+def _study_row(study: str, row_type, kinds: list[type], row: list[str]):
+    if row[0].strip() != study:
+        raise ValueError(f"study {row[0]!r} in a {study} table")
+    return row_type(*(kind(cell) for kind, cell in zip(kinds, row[1:])))

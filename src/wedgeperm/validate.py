@@ -42,8 +42,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .design import DataFormatError, DesignSpec, enumerate_crossover_vectors
-from .mcrt import build_groups, build_schedule, naive_groups
-from .permtest import TwoGroupSample, diff_in_means
+from .mcrt import _group_sample, build_groups, build_schedule, naive_groups
+from .permtest import diff_in_means
 from .rng import generator
 
 __all__ = [
@@ -769,15 +769,11 @@ def stepped_wedge_scenario(
     else:
         raise ValueError(f"unknown conditioning {conditioning!r}")
 
-    def statistic(g) -> float:
-        y = panel[:, g.outcome_time]
-        return diff_in_means(TwoGroupSample(y[g.treated_units], y[g.control_units], n_units))
-
     test_times = [test[0].test_time for test in tests]
     return Scenario(
         space=space,
         family=PartitionFamily(labels),
-        stats=[np.asarray([statistic(g) for g in test]) for test in tests],
+        stats=[np.asarray([diff_in_means(_group_sample(panel, g)) for g in test]) for test in tests],
         stat_names=[f"diff_in_means_t{t}" for t in test_times],
         partition_names=[f"test_t{t}" for t in test_times],
         alphas=list(alphas) if alphas is not None else _default_alpha_grid(len(tests)),
