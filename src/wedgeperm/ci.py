@@ -189,8 +189,7 @@ def invert_combined(family: LagFamily, alpha: float = 0.10, method: str = "weigh
         times = tuple(t.test_time for t in kept)
         shifts = family._shift_indexes.get(times)
         if shifts is None:
-            tails = {t.test_time: tail for t, tail in zip(family.tests, family.tails)}
-            shifts = family._shift_indexes[times] = _ShiftIndex([tails[t] for t in times])
+            shifts = family._shift_indexes[times] = _ShiftIndex([t.tail for t in kept])
         lower, upper, evaluations = _exact_interval(shifts, combined, alpha)
     return ConfidenceInterval(
         lag=family.lag,

@@ -124,8 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--combiner", choices=COMBINERS, default="weighted_z")
     p.add_argument("--alpha", type=float, default=0.10,
                    help="two-sided level; the interval has level 1-alpha (default 0.10)")
-    p.add_argument("--budget", type=int, default=499, help="Monte Carlo relabelings per test")
-    p.add_argument("--statistic", choices=STATISTICS, default="diff_in_means")
+    p.add_argument("--budget", type=int, default=TestConfig().budget, help="Monte Carlo relabelings per test")
+    p.add_argument("--statistic", choices=STATISTICS, default=TestConfig().statistic)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="default 12345")
     p.add_argument("--out", help="write per-test results CSV here")
     p.add_argument("--ci-out", dest="ci_output", help="write the interval CSV here")
@@ -275,13 +275,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 print(f"  skipped {cell_repr}: {reason}", file=sys.stderr)
         result = StudyResult("power", tuple(rows), tuple(skipped))
     else:
-        cfg_args = _given(doc, "n_units", "n_times", "taus", "interaction", "replicates", "seed", "level")
-        if "taus" in cfg_args:
-            cfg_args["taus"] = tuple(cfg_args["taus"])
-        elif "n_times" in cfg_args:  # the default effects, cut or padded with zeros
-            n_times = cfg_args["n_times"]
-            cfg_args["taus"] = (Sim2Config().taus + (0.0,) * n_times)[:n_times]
-        sim_cfg = Sim2Config(**cfg_args)
+        sim_cfg = Sim2Config(
+            **_given(doc, "n_units", "n_times", "taus", "interaction", "replicates", "seed", "level")
+        )
         print(
             f"coverage study: N={sim_cfg.n_units} T={sim_cfg.n_times} "
             f"interaction={sim_cfg.interaction} replicates={sim_cfg.replicates}",

@@ -21,13 +21,13 @@ import math
 import warnings
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .design import (
     CrossoverTimes,
     DataFormatError,
-    DesignSpec,
     _header,
     _read_table,
     _undecodable,
@@ -240,8 +240,9 @@ class TrialData:
     def n_times(self) -> int:
         return self.times.n_times
 
-    def spec(self) -> DesignSpec:
-        return self.times.to_spec()
+
+# a test needs at least this many units in each arm; smaller groups are skipped
+MIN_ARM = 2
 
 
 @dataclass(frozen=True)
@@ -254,25 +255,40 @@ class TestConfig:
 
     budget: int = 499
     exact_threshold: int = DEFAULT_EXACT_THRESHOLD
-    min_arm: int = 2
     statistic: str = "diff_in_means"
     seed: int = DEFAULT_SEED
 
 
+def _arm_variance(x: np.ndarray) -> float:
+    return float(x.var(ddof=1)) if x.size > 1 else math.nan
+
+
 @dataclass(frozen=True)
 class McrtTest:
-    """One completed test: group sizes, arm moments, permutation result."""
+    """One completed test: its permutation result and the TailPlan that
+    re-evaluates it under any shifted effect.  Arm sizes and variances
+    are read from the plan's sample, a variance only on first read."""
 
     test_time: int
     outcome_time: int
-    subset_index: int
-    n_treated: int
-    n_control: int
-    mean_treated: float
-    mean_control: float
-    var_treated: float
-    var_control: float
     result: PermutationResult
+    tail: TailPlan = field(compare=False, repr=False)
+
+    @property
+    def n_treated(self) -> int:
+        return self.tail.sample.n_treated
+
+    @property
+    def n_control(self) -> int:
+        return self.tail.sample.n_control
+
+    @cached_property
+    def var_treated(self) -> float:
+        return _arm_variance(self.tail.sample.treated)
+
+    @cached_property
+    def var_control(self) -> float:
+        return _arm_variance(self.tail.sample.control)
 
     @property
     def granularity(self) -> float:
@@ -292,71 +308,37 @@ class McrtSkip:
 class LagFamily:
     """One lag's test family with every test's relabelings drawn once.
 
-    ``tests`` hold each testable group's arm moments and p-values at
-    zero shift, ordered by test time; ``tails`` holds, in the same
-    order, the TailPlan that re-evaluates that test under any shifted
-    effect.  run_mcrts builds it; the combiners and invert_combined
-    read it.  Two families compare equal by everything but their tails
-    and the shift indexes invert_combined keeps, one per kept set of
-    test times.
+    ``tests`` hold each testable group's p-values at zero shift and its
+    TailPlan, ordered by test time.  run_mcrts builds it; the combiners
+    and invert_combined read it.  Two families compare equal by
+    everything but their tests' tails and the shift indexes
+    invert_combined keeps, one per kept set of test times.
     """
 
     lag: int
     n_units: int
     tests: tuple[McrtTest, ...]
-    tails: tuple[TailPlan, ...] = field(compare=False, repr=False)
     skipped: tuple[McrtSkip, ...]
     _shift_indexes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-    def p_values(self, tail: str) -> np.ndarray:
-        if tail == "less":
-            return np.asarray([t.result.p_less for t in self.tests])
-        if tail == "greater":
-            return np.asarray([t.result.p_greater for t in self.tests])
-        raise ValueError("tail must be 'less' or 'greater'")
 
 
 def run_mcrts(data: TrialData, lag: int, cfg: TestConfig = TestConfig(), groups=build_groups) -> LagFamily:
     """Run a lag-l test family on one trial, drawing each testable
-    group's relabelings once; groups below min_arm are skipped.
-    ``groups(times, n_times, lag)`` builds the comparisons: build_groups
-    (nested) or naive_groups (the unconditional baseline)."""
+    group's relabelings once; groups with an arm below MIN_ARM are
+    skipped.  ``groups(times, n_times, lag)`` builds the comparisons:
+    build_groups (nested) or naive_groups (the unconditional baseline)."""
     tests: list[McrtTest] = []
-    tails: list[TailPlan] = []
     skips: list[McrtSkip] = []
     for g in groups(data.times, data.n_times, lag):
-        if min(g.n_treated, g.n_control) < cfg.min_arm:
-            skips.append(
-                McrtSkip(
-                    g.test_time,
-                    g.outcome_time,
-                    g.n_treated,
-                    g.n_control,
-                    f"arm size below min_arm={cfg.min_arm} "
-                    f"(treated {g.n_treated}, control {g.n_control})",
-                )
-            )
+        if min(g.n_treated, g.n_control) < MIN_ARM:
+            reason = f"arm size below min_arm={MIN_ARM} (treated {g.n_treated}, control {g.n_control})"
+            skips.append(McrtSkip(g.test_time, g.outcome_time, g.n_treated, g.n_control, reason))
             continue
         sample = _group_sample(data.outcomes, g)
-        treated, control = sample.treated, sample.control
         seed = seed_sequence(cfg.seed, g.test_time)
         tail = _tail_plan(sample, cfg.statistic, cfg.budget, cfg.exact_threshold, seed)
-        tests.append(
-            McrtTest(
-                test_time=g.test_time,
-                outcome_time=g.outcome_time,
-                subset_index=g.subset_index,
-                n_treated=g.n_treated,
-                n_control=g.n_control,
-                mean_treated=float(treated.mean()),
-                mean_control=float(control.mean()),
-                var_treated=float(treated.var(ddof=1)) if g.n_treated > 1 else math.nan,
-                var_control=float(control.var(ddof=1)) if g.n_control > 1 else math.nan,
-                result=tail.result(),
-            )
-        )
-        tails.append(tail)
-    return LagFamily(lag, data.n_units, tuple(tests), tuple(tails), tuple(skips))
+        tests.append(McrtTest(g.test_time, g.outcome_time, tail.result(), tail))
+    return LagFamily(lag, data.n_units, tuple(tests), tuple(skips))
 
 
 def write_trial_csv(path, data: TrialData) -> None:

@@ -436,7 +436,6 @@ class TailPlan:
             p_greater=float(p_greater),
             n_resamples=self.n_resamples,
             exact=self.exact,
-            statistic_name=self.statistic,
         )
 
 
@@ -534,7 +533,6 @@ class PermutationResult:
     p_greater: float
     n_resamples: int
     exact: bool
-    statistic_name: str = "diff_in_means"
 
     def __post_init__(self):
         if not (0.0 < self.p_less <= 1.0 and 0.0 < self.p_greater <= 1.0):

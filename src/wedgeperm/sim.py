@@ -27,7 +27,7 @@ from typing import Iterable, Sequence, get_type_hints
 import numpy as np
 
 from .ci import invert_combined
-from .combine import combined_from_mcrt
+from .combine import COMBINERS, combined_from_mcrt
 from .design import DesignSpec, _read_table, _write_table, sample_assignment
 from .mcrt import TestConfig, TrialData, build_groups, naive_groups, run_mcrts
 from .rng import DEFAULT_SEED, generator, seed_sequence
@@ -59,6 +59,7 @@ _POWER_FAMILIES = {
 POWER_METHODS = tuple(_POWER_FAMILIES)
 _POWER_TAG = 101
 _COVERAGE_TAG = 202
+_PAPER_TAUS = (0.1, 0.3, 0.6, 0.4, 0.2)
 
 
 def default_counts(n_units: int, n_times: int) -> tuple[int, ...]:
@@ -106,14 +107,16 @@ class Sim1Config:
 class Sim2Config:
     """Coverage-study model: effect vector plus covariate interaction.
 
-    ``interaction`` selects the extra covariate term: 0 none, 1
-    quadratic, 2 exponential, 3 saturating; any nonzero choice also
+    ``taus`` holds one effect per lag 0..n_times-1; by default the
+    paper's (0.1, 0.3, 0.6, 0.4, 0.2), cut or padded with zeros to
+    n_times.  ``interaction`` selects the extra covariate term: 0 none,
+    1 quadratic, 2 exponential, 3 saturating; any nonzero choice also
     shrinks the linear covariate slope from 0.5 to 0.45.
     """
 
     n_units: int = 200
     n_times: int = 8
-    taus: tuple[float, ...] = (0.1, 0.3, 0.6, 0.4, 0.2, 0.0, 0.0, 0.0)
+    taus: tuple[float, ...] | None = None
     interaction: int = 0
     var_unit: float = 0.25
     var_covariate: float = 0.25
@@ -124,6 +127,8 @@ class Sim2Config:
 
     def __post_init__(self):
         default_counts(self.n_units, self.n_times)
+        taus = (_PAPER_TAUS + (0.0,) * self.n_times)[: self.n_times] if self.taus is None else self.taus
+        object.__setattr__(self, "taus", tuple(taus))
         if len(self.taus) != self.n_times:
             raise ValueError(f"need one effect per lag 0..{self.n_times - 1}")
         if self.interaction not in (0, 1, 2, 3):
@@ -306,15 +311,17 @@ def power_study(
     budget: int = 499,
     alpha: float = 0.05,
     methods: Sequence[str] = POWER_METHODS,
-    seed: int = DEFAULT_SEED,
+    seed: int | None = None,
     statistic: str = "diff_in_means",
     threads: int = 1,
 ) -> StudyResult:
     """Rejection rates over a grid of scenario cells.
 
     ``grid`` holds Sim1Config instances or (n_units, n_times, lag,
-    effect) tuples; tuples inherit the study-level replicates and seed.
-    Tuple cells that are infeasible (lag too large for the horizon) are
+    effect) tuples.  ``replicates`` and ``seed``, when given, apply to
+    every cell; otherwise a Sim1Config keeps its own, and a tuple cell
+    takes Sim1Config's defaults (300 replicates, DEFAULT_SEED).  Tuple
+    cells that are infeasible (lag too large for the horizon) are
     skipped and listed in the result instead of raising.
     """
     unknown = set(methods) - set(POWER_METHODS)
@@ -326,21 +333,14 @@ def power_study(
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     cells: list[Sim1Config] = []
     skipped: list[tuple[str, str]] = []
+    given = {k: v for k, v in (("replicates", replicates), ("seed", seed)) if v is not None}
     for cell in grid:
         if isinstance(cell, Sim1Config):
-            if replicates is not None and cell.replicates != replicates:
-                cell = replace(cell, replicates=replicates)
-            cells.append(cell)
+            cells.append(replace(cell, **given))
             continue
         n_units, n_times, lag, effect = cell
         try:
-            cells.append(
-                Sim1Config(
-                    n_units=n_units, n_times=n_times, lag=lag, effect=effect,
-                    replicates=replicates if replicates is not None else 300,
-                    seed=seed,
-                )
-            )
+            cells.append(Sim1Config(n_units=n_units, n_times=n_times, lag=lag, effect=effect, **given))
         except ValueError as exc:
             skipped.append((repr(tuple(cell)), str(exc)))
     rows = []
@@ -391,6 +391,9 @@ def coverage_study(
     length 0 and is also tallied in ``empty_sets``; an unbounded set has
     infinite length.
     """
+    unknown = set(methods) - set(COMBINERS)
+    if unknown:
+        raise ValueError(f"unknown combiners: {sorted(unknown)}; choose from {COMBINERS}")
     if replicates is not None and replicates != cfg.replicates:
         cfg = replace(cfg, replicates=replicates)
     for lag in lags:
@@ -432,6 +435,8 @@ def emit_tables(result: StudyResult, path) -> None:
     per field of its row type (PowerRow or CoverageRow), in order.
 
     Floats are written with repr so parsing them back is lossless.
+    Skipped cells are not written: the table has no place for them,
+    and ``simulate`` reports each one on stderr.
     """
     row_type = _ROW_TYPES.get(result.study)
     if row_type is None:
@@ -446,7 +451,8 @@ def emit_tables(result: StudyResult, path) -> None:
 
 def parse_tables(path) -> StudyResult:
     """Read a CSV produced by emit_tables back into a StudyResult; each
-    cell is read through its field's type."""
+    cell is read through its field's type.  The table holds no skipped
+    cells, so the result's ``skipped`` is always empty."""
     studies = []
 
     def columns(head: list[str]):

@@ -350,8 +350,9 @@ class TestExactEndpoints:
         data = dyadic_trial(40 + int(100 * alpha))
         tcfg = TestConfig(statistic=statistic)
         family = run_mcrts(data, 0, tcfg)
-        assert all(tail.exact for tail in family.tails)
-        samples = [tail.sample for tail in family.tails]
+        tails = [t.tail for t in family.tests]
+        assert all(tail.exact for tail in tails)
+        samples = [tail.sample for tail in tails]
         if method == "single":
             samples = samples[:1]
             ci = invert_single(samples[0], alpha, tcfg)
@@ -395,7 +396,7 @@ class TestExactEndpoints:
 
     @pytest.mark.parametrize("statistic", ["diff_in_means", "rank_sum"])
     def test_cells_beside_each_candidate(self, statistic):
-        tail = run_mcrts(dyadic_trial(3), 0, TestConfig(statistic=statistic)).tails[0]
+        tail = run_mcrts(dyadic_trial(3), 0, TestConfig(statistic=statistic)).tests[0].tail
         index = _ShiftIndex([tail])
         cands = sorted(_candidates(tail.sample, statistic))
         edges = [cands[0] - 1] + cands + [cands[-1] + 1]
@@ -415,8 +416,9 @@ class TestExactEndpoints:
         ci = invert_combined(family, 0.10, "bonferroni")
         assert ci.empty and math.isnan(ci.lower) and math.isnan(ci.upper)
         assert ci.length == 0.0
-        k = len(family.tails)
-        indexes = [_ShiftIndex([tail]) for tail in family.tails]
+        tails = [t.tail for t in family.tests]
+        k = len(tails)
+        indexes = [_ShiftIndex([tail]) for tail in tails]
         for delta in np.linspace(-1.0, 2.0, 3001):
             # on both sides of each point, in case it is a candidate
             for side in ("left", "right"):
@@ -485,7 +487,8 @@ class TestFamilyLookup:
         data = TrialData(data.units, data.times, np.round(data.outcomes, 1))
         family = run_mcrts(data, 0, TestConfig(budget=499, exact_threshold=1, seed=8))
         direct = []
-        for test, tail in zip(family.tests, family.tails):
+        tails = [t.tail for t in family.tests]
+        for test, tail in zip(family.tests, tails):
             m, pool = tail.sample.n_treated, tail.sample.pooled()
             plan = relabel_plan(pool.size, m, budget=499, exact_threshold=1, seed=seed_sequence(8, test.test_time))
             sums, hits = plan.reduce(pool)
@@ -497,7 +500,7 @@ class TestFamilyLookup:
         assert (sum(np.isin(cands, d) for d, _, _ in direct) >= 2).any()
         assert any(le or ge for _, le, ge in direct)
 
-        index = _ShiftIndex(family.tails)
+        index = _ShiftIndex(tails)
         probes = [(-math.inf, "right"), (math.inf, "left")]
         probes += [(float(c), side) for c in cands for side in ("left", "right")]
         for v, side in probes:

@@ -1,5 +1,6 @@
 """Lag schedules, nested test groups, and the per-lag test family."""
 
+import dataclasses
 import itertools
 import math
 import re
@@ -12,15 +13,20 @@ import pytest
 from wedgeperm import (
     CrossoverTimes,
     DataFormatError,
+    LagFamily,
+    McrtTest,
     TestConfig,
     TrialData,
     TwoGroupSample,
     build_groups,
     build_schedule,
+    combined_from_mcrt,
+    invert_combined,
     naive_groups,
     permutation_pvalue,
     read_trial_csv,
     run_mcrts,
+    weights_from_result,
     write_trial_csv,
 )
 from wedgeperm import mcrt
@@ -153,7 +159,7 @@ class TestRunMcrts:
         for t, g in zip(res.tests, testable):
             assert (t.n_treated, t.n_control) == (g.n_treated, g.n_control)
             y = tiny_trial.outcomes[:, g.outcome_time]
-            assert t.mean_treated == pytest.approx(float(y[g.treated_units].mean()))
+            assert np.array_equal(t.tail.sample.treated, y[g.treated_units])
             assert t.var_control == pytest.approx(float(y[g.control_units].var(ddof=1)))
 
     def test_naive_groups_family(self, tiny_trial):
@@ -163,7 +169,7 @@ class TestRunMcrts:
         res = run_mcrts(tiny_trial, 1, cfg, naive_groups)
         groups = naive_groups(tiny_trial.times, tiny_trial.n_times, 1)
         assert len(res.tests) + len(res.skipped) == len(groups)
-        assert res.tests and all(t.subset_index == 0 for t in res.tests)
+        assert res.tests
         target = res.tests[0]
         (g,) = [g for g in groups if g.test_time == target.test_time]
         y = tiny_trial.outcomes[:, g.outcome_time]
@@ -176,8 +182,33 @@ class TestRunMcrts:
         data = TrialData(np.arange(7), times, np.zeros((7, 4)))
         res = run_mcrts(data, 0, TestConfig(budget=9))
         skipped = {s.test_time: s for s in res.skipped}
-        assert 1 in skipped and "min_arm" in skipped[1].reason
+        assert skipped[1].reason == "arm size below min_arm=2 (treated 1, control 6)"
         assert {t.test_time for t in res.tests} == {2}
+
+    def test_record_holds_the_result_and_its_plan(self):
+        assert [f.name for f in dataclasses.fields(McrtTest)] == ["test_time", "outcome_time", "result", "tail"]
+        assert [f.name for f in dataclasses.fields(LagFamily)] == [
+            "lag", "n_units", "tests", "skipped", "_shift_indexes"
+        ]
+
+    def test_arm_variances_are_computed_only_for_weighting(self, tiny_trial, monkeypatch):
+        calls = []
+        variance = mcrt._arm_variance
+        monkeypatch.setattr(mcrt, "_arm_variance", lambda x: calls.append(x.size) or variance(x))
+        family = run_mcrts(tiny_trial, 0, TestConfig(budget=99))
+        for method in ("fisher", "bonferroni"):
+            combined_from_mcrt(family, method, "two-sided")
+            invert_combined(family, 0.1, method)
+        assert calls == []
+        assert not any("var_treated" in vars(t) or "var_control" in vars(t) for t in family.tests)
+        # weights, p-value and interval read each arm's variance once
+        weights_from_result(family)
+        combined_from_mcrt(family, "weighted_z", "two-sided")
+        invert_combined(family, 0.1, "weighted_z")
+        assert len(calls) == 2 * len(family.tests)
+        for t in family.tests:
+            assert t.var_treated == float(t.tail.sample.treated.var(ddof=1))
+            assert t.var_control == float(t.tail.sample.control.var(ddof=1))
 
     def test_same_seed_reproduces_everything(self, tiny_trial):
         cfg = TestConfig(budget=199, seed=21)
@@ -203,12 +234,6 @@ class TestRunMcrts:
         assert solo.p_less == target.result.p_less
         assert solo.p_greater == target.result.p_greater
 
-    def test_p_values_accessor(self, tiny_trial):
-        res = run_mcrts(tiny_trial, 0, TestConfig(budget=99))
-        assert len(res.p_values("less")) == len(res.tests)
-        with pytest.raises(ValueError, match="tail"):
-            res.p_values("both")
-
     def test_null_rejection_rate_controlled(self):
         # effect-free trials: combined family rejects no more than alpha
         alpha, n_reps = 0.05, 400
@@ -216,7 +241,7 @@ class TestRunMcrts:
         for rep in range(n_reps):
             data = make_trial(30, (10, 10, 10), seed=1000 + rep)
             res = run_mcrts(data, 0, TestConfig(budget=199, seed=rep))
-            p = min(res.p_values("greater").min() * len(res.tests), 1.0)
+            p = combined_from_mcrt(res, "bonferroni", "greater").p_value
             hits += p <= alpha
         se = math.sqrt(alpha * (1 - alpha) / n_reps)
         assert hits / n_reps <= alpha + 3 * se

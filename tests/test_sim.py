@@ -36,7 +36,7 @@ from wedgeperm import (
     power_study,
     run_mcrts,
 )
-from wedgeperm.rng import generator, seed_sequence
+from wedgeperm.rng import DEFAULT_SEED, generator, seed_sequence
 from wedgeperm.sim import _POWER_TAG, _power_replicate
 
 
@@ -71,6 +71,12 @@ class TestConfigs:
     def test_replicates_positive(self):
         with pytest.raises(ValueError, match="replicates"):
             Sim1Config(replicates=0)
+
+    def test_default_effects_are_cut_or_padded_to_the_periods(self):
+        assert Sim2Config().taus == (0.1, 0.3, 0.6, 0.4, 0.2, 0.0, 0.0, 0.0)
+        assert Sim2Config(n_times=3).taus == (0.1, 0.3, 0.6)
+        assert Sim2Config(n_times=10).taus == (0.1, 0.3, 0.6, 0.4, 0.2) + (0.0,) * 5
+        assert Sim2Config(n_times=2, taus=[0.5, 1]).taus == (0.5, 1)
 
     def test_effect_vector_length_must_match_periods(self):
         with pytest.raises(ValueError, match="one effect per lag"):
@@ -191,6 +197,22 @@ class TestPowerStudy:
         with pytest.raises(ValueError, match="unknown methods"):
             power_study([(12, 3, 0, 0.0)], methods=("mcrts_z", "anova"))
 
+    def test_seed_applies_to_every_cell(self, monkeypatch):
+        seeds = []
+        draw = wedgeperm.sim.generator
+
+        def recording_generator(seed, *key):
+            seeds.append(seed)
+            return draw(seed, *key)
+
+        monkeypatch.setattr(wedgeperm.sim, "generator", recording_generator)
+        grid = [Sim1Config(n_units=16, n_times=2, replicates=2, seed=21), (16, 2, 0, 0.0)]
+        power_study(grid, replicates=2, budget=19, methods=("mcrts_f",), seed=5)
+        assert seeds == [5] * 4
+        seeds.clear()
+        power_study(grid, replicates=2, budget=19, methods=("mcrts_f",))
+        assert seeds == [21, 21, DEFAULT_SEED, DEFAULT_SEED]
+
     def test_rows_per_method_and_replicate_override(self):
         cfg = Sim1Config(n_units=16, n_times=2, replicates=3, seed=21)
         result = power_study([cfg], replicates=8, budget=49)
@@ -310,6 +332,15 @@ class TestCoverageStudy:
         assert row.mean_length >= 0.0
 
 
+    def test_unknown_combiner_rejected_before_any_replicate(self, monkeypatch):
+        def no_data(cfg, rng):
+            pytest.fail("drew a dataset before checking the combiners")
+
+        monkeypatch.setattr(wedgeperm.sim, "gen_outcomes_sim2", no_data)
+        cfg = Sim2Config(n_units=24, n_times=3, replicates=2)
+        with pytest.raises(ValueError, match=r"unknown combiners: \['anova'\]"):
+            coverage_study(cfg, methods=("weighted_z", "anova"), lags=(0,), budget=49)
+
     def test_lag_without_testable_groups_is_covered_with_infinite_length(self):
         # eight units over eight periods: one unit per arm, so every
         # lag-0 test is skipped and each set is the whole line
@@ -365,6 +396,14 @@ class TestTables:
         emit_tables(result, path)
         back = parse_tables(path)
         assert back.study == "coverage" and back.rows == result.rows
+
+    def test_skipped_cells_are_not_written(self, tmp_path):
+        # the table holds rows only; simulate reports skipped cells on stderr
+        result = power_study([(16, 2, 0, 0.0), (16, 2, 5, 0.0)], replicates=2, budget=19)
+        assert result.skipped == ((repr((16, 2, 5, 0.0)), "lag must lie in [0, 0]"),)
+        path = tmp_path / "power.csv"
+        emit_tables(result, path)
+        assert parse_tables(path) == StudyResult("power", result.rows)
 
     def test_unknown_study_kind_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown study kind"):
