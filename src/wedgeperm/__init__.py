@@ -36,7 +36,6 @@ from .permtest import (
 )
 from .mcrt import (
     LagFamily,
-    LagSchedule,
     LagTestGroup,
     McrtSkip,
     McrtTest,
@@ -80,7 +79,6 @@ from .validate import (
     PartitionCheck,
     PartitionFamily,
     Scenario,
-    all_pairs_nested,
     build_hasse,
     bundled_scenario,
     coarsening,

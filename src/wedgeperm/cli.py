@@ -5,8 +5,7 @@ problems, 2 malformed input data, 3 a theory check that ran and failed.
 An empty confidence set, or one unbounded on a side, is a result rather
 than an error: `analyze` prints it and exits 0.  All randomness flows
 from --seed (default 12345, fixed so documented examples reproduce);
-only the worker count (WEDGEPERM_THREADS) and color suppression
-(NO_COLOR) come from the environment.
+only color suppression (NO_COLOR) comes from the environment.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import sys
 
 from .ci import invert_combined, write_ci_csv
 from .combine import COMBINERS, combined_from_mcrt, weights_from_result
-from .design import DataFormatError
+from .design import DataFormatError, _read_json, _write_table
 from .mcrt import TestConfig, build_schedule, read_trial_csv, run_mcrts
 from .permtest import STATISTICS
 from .rng import DEFAULT_SEED
@@ -33,7 +32,6 @@ from .validate import (
     build_hasse,
     bundled_scenario,
     BUNDLED_SCENARIOS,
-    _read_json,
     is_partition,
     load_scenario,
 )
@@ -63,11 +61,20 @@ PRESETS = {
     },
 }
 
-_POWER_KEYS = {"study", "grid", "replicates", "budget", "alpha", "methods", "seed", "statistic"}
-_COVERAGE_KEYS = {
-    "study", "n_units", "n_times", "taus", "interaction", "level",
-    "replicates", "budget", "methods", "lags", "seed", "statistic",
+# each study's config keys and the JSON type each takes: a float key
+# takes an int too, and a bool is neither an int nor a float
+_CONFIG_KEYS = {
+    "power": {
+        "study": str, "grid": list, "replicates": int, "budget": int,
+        "alpha": float, "methods": list, "seed": int, "statistic": str,
+    },
+    "coverage": {
+        "study": str, "n_units": int, "n_times": int, "taus": list, "interaction": int,
+        "level": float, "replicates": int, "budget": int, "methods": list, "lags": list,
+        "seed": int, "statistic": str,
+    },
 }
+_TYPE_NAMES = {str: "a string", list: "a list", int: "an integer", float: "a number"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,23 +94,6 @@ def _color(text: str, code: str) -> str:
 
 def _pass(ok: bool) -> str:
     return _color("pass", "32") if ok else _color("FAIL", "31")
-
-
-def _threads_from_env(flag_value: int | None) -> int:
-    if flag_value is not None:
-        if flag_value < 1:
-            raise ValueError("--threads must be at least 1")
-        return flag_value
-    raw = os.environ.get("WEDGEPERM_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"WEDGEPERM_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ValueError("WEDGEPERM_THREADS must be at least 1")
-    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -139,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="full-scale settings: 1000 replicates, 1000 relabelings")
     p.add_argument("--seed", type=int, default=None,
                    help="override the config seed (config default 12345)")
-    p.add_argument("--threads", type=int, help="worker processes (or WEDGEPERM_THREADS)")
+    p.add_argument("--threads", type=int, default=1, help="worker processes (default 1)")
     p.add_argument("--out", help="output CSV (default <study>.csv)")
 
     p = sub.add_parser("validate", help="check a finite scenario against the theory")
@@ -151,15 +141,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
-    schedule = build_schedule(args.n_times, args.lag)  # ValueError -> usage
-    for subset in schedule.subsets:
+    subsets = build_schedule(args.n_times, args.lag)  # ValueError -> usage
+    for subset in subsets:
         print(",".join(str(t) for t in subset))
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("subset,time\n")
-            for j, subset in enumerate(schedule.subsets, start=1):
-                for t in subset:
-                    fh.write(f"{j},{t}\n")
+        _write_table(
+            args.out, ["subset", "time"],
+            ([j, t] for j, subset in enumerate(subsets, start=1) for t in subset),
+        )
     return EXIT_OK
 
 
@@ -181,7 +170,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         except ValueError as exc:  # every completed test has constant arms
             print(f"lag {args.lag}: {exc}", file=sys.stderr)
             return EXIT_DATA
-        weight_of = dict(zip(wv.test_times, wv.weights))
+        weight_of = dict(zip(wv.test_times, wv.weights.tolist()))
     combined = combined_from_mcrt(family, args.combiner, "two-sided")
 
     print(f"lag {args.lag}: {len(family.tests)} tests, {len(family.skipped)} skipped")
@@ -204,14 +193,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(f"{100 * (1 - args.alpha):g}% interval for the lag-{args.lag} effect: {bounds}")
 
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("test_time,outcome_time,n_treated,n_control,statistic,p_less,p_greater,weight\n")
-            for t in family.tests:
-                w = repr(float(weight_of[t.test_time])) if t.test_time in weight_of else ""
-                fh.write(
-                    f"{t.test_time},{t.outcome_time},{t.n_treated},{t.n_control},"
-                    f"{t.result.statistic!r},{t.result.p_less!r},{t.result.p_greater!r},{w}\n"
-                )
+        _write_table(
+            args.out,
+            ["test_time", "outcome_time", "n_treated", "n_control", "statistic", "p_less", "p_greater", "weight"],
+            (
+                [t.test_time, t.outcome_time, t.n_treated, t.n_control, t.result.statistic,
+                 t.result.p_less, t.result.p_greater, weight_of.get(t.test_time, "")]
+                for t in family.tests
+            ),
+        )
     if args.ci_output:
         write_ci_csv(args.ci_output, [interval])
     return EXIT_OK
@@ -227,10 +217,13 @@ def _load_study_config(args: argparse.Namespace) -> dict:
     study = doc.get("study")
     if study not in ("power", "coverage"):
         raise ValueError(f"config key 'study' must be 'power' or 'coverage', got {study!r}")
-    allowed = _POWER_KEYS if study == "power" else _COVERAGE_KEYS
-    for key in doc:
-        if key not in allowed:
+    types = _CONFIG_KEYS[study]
+    for key, value in doc.items():
+        if key not in types:
             raise ValueError(f"unknown config key {key!r} for a {study} study")
+        kind = types[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+            raise ValueError(f"config key {key!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
     if args.full_scale:
         doc["replicates"] = 1000
         doc["budget"] = 1000
@@ -248,11 +241,11 @@ def _given(doc: dict, *keys: str) -> dict:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.threads < 1:
+        raise ValueError("--threads must be at least 1")
     doc = _load_study_config(args)
     study = doc["study"]
     out = args.out or f"{study}.csv"
-    if not isinstance(doc.get("methods", []), list):
-        raise ValueError(f"config key 'methods' must be a list, got {doc['methods']!r}")
     if study == "power":
         grid = doc.get("grid")
         if not isinstance(grid, list) or not grid:
@@ -360,7 +353,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        args.threads = _threads_from_env(getattr(args, "threads", None))
         if args.command == "schedule":
             return cmd_schedule(args)
         if args.command == "analyze":

@@ -256,18 +256,17 @@ def weighted_z_combine(pvalues, weights, granularity=None) -> CombinedPValue:
     """Weighted inverse-normal combination.
 
     Computes sum_k w_k * Phi^{-1}(p_k) and maps it back through Phi.
-    Weights must be positive with squares summing to one; under joint
+    ``weights`` is a WeightVector or a plain vector, which WeightVector
+    checks to be positive with squares summing to one; under joint
     validity the result again stochastically dominates Uniform(0, 1).
     """
     p = _validate_pvalues(pvalues)
-    w = weights.weights if isinstance(weights, WeightVector) else np.asarray(weights, dtype=np.float64)
-    if w.shape != p.shape:
+    if not isinstance(weights, WeightVector):
+        w = np.asarray(weights, dtype=np.float64)
+        weights = WeightVector(w, tuple(range(w.size)))
+    if weights.weights.shape != p.shape:
         raise ValueError("weights and p-values must align")
-    if (w <= 0).any():
-        raise ValueError("weights must be strictly positive")
-    if abs(float((w**2).sum()) - 1.0) > 1e-12:
-        raise ValueError("squared weights must sum to 1 within 1e-12")
-    return CombinedPValue("weighted_z", "one-sided", *_weighted_z(p, w, granularity), p.size)
+    return CombinedPValue("weighted_z", "one-sided", *_weighted_z(p, weights.weights, granularity), p.size)
 
 
 def fisher_combine(pvalues) -> CombinedPValue:

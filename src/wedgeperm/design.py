@@ -12,6 +12,7 @@ panel column t.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,13 +38,16 @@ class DataFormatError(ValueError):
 
     The one error every reader in the package raises; it lives here,
     at the bottom of the import graph, so that each reader can import it,
-    with the CSV table codec (_read_table, _write_table) they share.
+    with the CSV table codec (_read_table, _write_table) and the JSON
+    reader (_read_json) they share.
     """
 
 
 def _write_table(path, header: list[str], rows: Iterable) -> None:
     """Write ``header`` and then ``rows`` as CSV, one row at a time, so
-    that ``rows`` may be a generator; floats are written with repr."""
+    that ``rows`` may be a generator; every row ends in CRLF, and floats
+    are written with repr.  Every CSV the package writes goes through
+    here."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -91,6 +95,19 @@ def _read_table(path, columns: Callable[[list[str]], Callable]) -> Iterator:
                 yield value
     except UnicodeDecodeError as exc:
         raise _undecodable(path, exc) from None
+
+
+def _read_json(path):
+    """The JSON document in ``path``, read as _read_table reads a CSV:
+    UTF-8 with or without a byte-order mark; bad bytes or bad JSON raise
+    DataFormatError naming the path."""
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: not valid UTF-8: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"{path}: not valid JSON: {exc}") from None
 
 
 def _undecodable(path, exc: UnicodeDecodeError) -> DataFormatError:
@@ -206,25 +223,27 @@ def sample_assignment(spec: DesignSpec, rng=None) -> CrossoverTimes:
 def enumerate_crossover_vectors(spec: DesignSpec, cap: int | None = 1_000_000) -> Iterator[tuple[int, ...]]:
     """Yield every assignment once, as a tuple of crossover times, in lex order.
 
-    Raises if the space exceeds ``cap`` elements (pass None to disable).
+    Steps from the sorted multiset of times to its next permutation in
+    place, so the depth of the call stack does not grow with the unit
+    count.  Raises if the space exceeds ``cap`` elements (pass None to
+    disable).
     """
     if cap is not None:
         size = space_size(spec)
         if size > cap:
             raise ValueError(f"assignment space has {size} elements, above the cap of {cap}")
-    remaining = list(spec.counts)
-    prefix: list[int] = []
-
-    def rec() -> Iterator[tuple[int, ...]]:
-        if len(prefix) == spec.n_units:
-            yield tuple(prefix)
+    vec = [t for t, c in enumerate(spec.counts, start=1) for _ in range(c)]
+    while True:
+        yield tuple(vec)
+        # i: the rightmost unit followed by a larger time; with none, the
+        # times descend, the last vector in lex order
+        i = len(vec) - 2
+        while i >= 0 and vec[i] >= vec[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for t in range(1, spec.n_times + 1):
-            if remaining[t - 1] > 0:
-                remaining[t - 1] -= 1
-                prefix.append(t)
-                yield from rec()
-                prefix.pop()
-                remaining[t - 1] += 1
-
-    yield from rec()
+        j = len(vec) - 1
+        while vec[j] <= vec[i]:
+            j -= 1
+        vec[i], vec[j] = vec[j], vec[i]
+        vec[i + 1 :] = reversed(vec[i + 1 :])

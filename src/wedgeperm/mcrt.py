@@ -43,7 +43,6 @@ from .permtest import (
 from .rng import DEFAULT_SEED, seed_sequence
 
 __all__ = [
-    "LagSchedule",
     "LagTestGroup",
     "TrialData",
     "TestConfig",
@@ -59,27 +58,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LagSchedule:
-    """Disjoint test-time subsets for one lag."""
-
-    n_times: int
-    lag: int
-    subsets: tuple[tuple[int, ...], ...]
-
-    def test_times(self) -> tuple[int, ...]:
-        """Times that yield a test: every subset element with a later
-        element in the same subset (the last element has no controls)."""
-        return tuple(sorted(k for subset in self.subsets for k in subset[:-1]))
-
-
-def build_schedule(n_times: int, lag: int) -> LagSchedule:
-    """Construct the lag-l test subsets.
+def build_schedule(n_times: int, lag: int) -> tuple[tuple[int, ...], ...]:
+    """Construct the lag-l test subsets, disjoint tuples of times.
 
     Subset j starts at time j and strides by lag+1 while the next time
     still fits in 1..n_times.  The number of subsets is
     min(lag+1, n_times-lag-1): beyond that, a starting time could never
-    pair a tested unit with a later-crossing control.
+    pair a tested unit with a later-crossing control.  Every element of
+    a subset but its last yields a test; the last has no controls.
     """
     n_times = int(n_times)
     lag = int(lag)
@@ -101,7 +87,7 @@ def build_schedule(n_times: int, lag: int) -> LagSchedule:
             t += lag + 1
             members.append(t)
         subsets.append(tuple(members))
-    return LagSchedule(n_times, lag, tuple(subsets))
+    return tuple(subsets)
 
 
 @dataclass(frozen=True)
@@ -110,10 +96,8 @@ class LagTestGroup:
 
     test_time: int
     outcome_time: int
-    subset_index: int
     treated_units: np.ndarray
     control_units: np.ndarray
-    control_times: tuple[int, ...]
 
     def __post_init__(self):
         for name in ("treated_units", "control_units"):
@@ -138,17 +122,15 @@ def _times_array(times, n_times: int) -> np.ndarray:
     return CrossoverTimes(times, n_times).times
 
 
-def _group(arr: np.ndarray, n_times: int, test_time: int, lag: int, subset_index: int, control_times) -> LagTestGroup:
+def _group(arr: np.ndarray, n_times: int, test_time: int, lag: int, control_times) -> LagTestGroup:
     """Units crossing at ``test_time`` against units crossing at ``control_times``."""
     is_control = np.zeros(n_times + 1, dtype=bool)  # a lookup over times 0..T
     is_control[list(control_times)] = True
     return LagTestGroup(
         test_time=test_time,
         outcome_time=test_time + lag,
-        subset_index=subset_index,
         treated_units=np.flatnonzero(arr == test_time),
         control_units=np.flatnonzero(is_control[arr]),
-        control_times=tuple(control_times),
     )
 
 
@@ -166,12 +148,12 @@ def build_groups(times, n_times: int, lag: int) -> tuple[LagTestGroup, ...]:
     times of k's own subset; a subset's last element yields no test.
     Groups are returned in increasing test time.
     """
-    schedule = build_schedule(n_times, lag)
-    T = schedule.n_times
-    arr = _times_array(times, T)
+    n_times, lag = int(n_times), int(lag)
+    subsets = build_schedule(n_times, lag)
+    arr = _times_array(times, n_times)
     groups = [
-        _group(arr, T, k, schedule.lag, j, subset[pos + 1 :])
-        for j, subset in enumerate(schedule.subsets, start=1)
+        _group(arr, n_times, k, lag, subset[pos + 1 :])
+        for subset in subsets
         for pos, k in enumerate(subset[:-1])
     ]
     return tuple(sorted(groups, key=lambda g: g.test_time))
@@ -183,14 +165,13 @@ def naive_groups(times, n_times: int, lag: int) -> tuple[LagTestGroup, ...]:
 
     These pools do not nest once lag >= 1, so the family is not jointly
     valid; run_mcrts over them is the Bonferroni baseline of the power
-    study, and they are validate's broken construction.  Every group has
-    subset_index 0.
+    study, and they are validate's broken construction.
     """
     if not 0 <= lag < n_times - 1:
         raise ValueError(f"lag {lag} admits no tests with {n_times} times")
     arr = _times_array(times, n_times)
     return tuple(
-        _group(arr, n_times, t, lag, 0, range(t + lag + 1, n_times + 1))
+        _group(arr, n_times, t, lag, range(t + lag + 1, n_times + 1))
         for t in range(1, n_times - lag)
     )
 

@@ -41,7 +41,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .design import DataFormatError, DesignSpec, enumerate_crossover_vectors
+from .design import DataFormatError, DesignSpec, _read_json, enumerate_crossover_vectors
 from .mcrt import _group_sample, build_groups, build_schedule, naive_groups
 from .permtest import diff_in_means
 from .rng import generator
@@ -59,7 +59,6 @@ __all__ = [
     "HasseDiagram",
     "is_partition",
     "pairwise_nested_check",
-    "all_pairs_nested",
     "refinement",
     "coarsening",
     "build_hasse",
@@ -236,11 +235,6 @@ def pairwise_nested_check(family: PartitionFamily, j: int, k: int) -> NestedChec
             if inter and inter != a and inter != b:
                 return NestedCheck(False, j, k, (lab_j, lab_k))
     return NestedCheck(True, j, k)
-
-
-def all_pairs_nested(family: PartitionFamily) -> list[NestedCheck]:
-    """Failing pair checks; empty means the family is fully nested."""
-    return list(family.nested_failures)
 
 
 def _combine_cells(family: PartitionFamily, subset: Sequence[int], op, what: str) -> list[frozenset]:
@@ -423,6 +417,26 @@ def _statistic_values(space: FiniteAssignmentSpace, stat) -> np.ndarray:
     return vals
 
 
+def _consistent(
+    space: FiniteAssignmentSpace, family: PartitionFamily, stats: Sequence, alphas: Sequence[Sequence]
+) -> tuple[list[np.ndarray], list[tuple[Fraction, ...]]]:
+    """The statistic values and exact level vectors of one check, once
+    space, partitions, statistics and levels agree: the family labels
+    every element, there is one statistic per partition, each is a
+    finite value per element, and each level vector has one level per
+    partition."""
+    K = family.n_partitions
+    if family.n_elements != space.size:
+        raise ValueError("family and space disagree on the number of elements")
+    if len(stats) != K:
+        raise ValueError(f"need one statistic per partition ({K}), got {len(stats)}")
+    values = [_statistic_values(space, s) for s in stats]
+    alpha_rows = [tuple(_as_fraction(a) for a in vec) for vec in alphas]
+    if any(len(vec) != K for vec in alpha_rows):
+        raise ValueError(f"every level vector needs {K} entries")
+    return values, alpha_rows
+
+
 def conditional_pvalues(space: FiniteAssignmentSpace, cells: Sequence[frozenset], values: np.ndarray) -> list:
     """Exact upper-tail conditional p-value for every element.
 
@@ -494,11 +508,7 @@ def joint_dominance_check(
     outcome.
     """
     K = family.n_partitions
-    if family.n_elements != space.size:
-        raise ValueError("family and space disagree on the number of elements")
-    if len(stats) != K:
-        raise ValueError(f"need one statistic per partition ({K}), got {len(stats)}")
-    values = [_statistic_values(space, s) for s in stats]
+    values, alpha_rows = _consistent(space, family, stats, alphas)
 
     nested_failures = family.nested_failures
     indep = tuple(
@@ -512,10 +522,6 @@ def joint_dominance_check(
         conditional_pvalues(space, list(family.cells(k).values()), values[k])
         for k in range(K)
     ]
-    alpha_rows = [tuple(_as_fraction(a) for a in vec) for vec in alphas]
-    for vec in alpha_rows:
-        if len(vec) != K:
-            raise ValueError(f"every level vector needs {K} entries")
 
     whole = range(space.size)
     # (cell, mass) of each conditioning event: first the whole space, of
@@ -651,19 +657,6 @@ def save_scenario(path, scenario: Scenario) -> None:
         fh.write("\n")
 
 
-def _read_json(path):
-    """The JSON document in ``path``, UTF-8 with or without a byte-order
-    mark, as a trial CSV is read; bad bytes or bad JSON raise
-    DataFormatError naming the path."""
-    with open(path, encoding="utf-8-sig") as fh:
-        try:
-            return json.load(fh)
-        except UnicodeDecodeError as exc:
-            raise DataFormatError(f"{path}: not valid UTF-8: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: not valid JSON: {exc}") from None
-
-
 def load_scenario(path) -> Scenario:
     doc = _read_json(path)
     if not isinstance(doc, dict):
@@ -684,22 +677,10 @@ def load_scenario(path) -> Scenario:
         partitions = doc["partitions"]
         family = PartitionFamily([p["labels"] for p in partitions])
         partition_names = [str(p.get("name", f"partition{k}")) for k, p in enumerate(partitions)]
-        stats = [np.asarray(s["values"], dtype=np.float64) for s in doc["statistics"]]
+        stats, alphas = _consistent(space, family, [s["values"] for s in doc["statistics"]], doc["alphas"])
         stat_names = [str(s.get("name", f"stat{k}")) for k, s in enumerate(doc["statistics"])]
-        alphas = [tuple(_as_fraction(a) for a in vec) for vec in doc["alphas"]]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise DataFormatError(f"{path}: malformed scenario: {exc!r}") from None
-    for vals in stats:
-        if vals.shape != (space.size,):
-            raise DataFormatError(f"{path}: statistic vectors must have one value per element")
-        if not np.isfinite(vals).all():
-            raise DataFormatError(f"{path}: statistic values must be finite")
-    if family.n_elements != space.size:
-        raise DataFormatError(f"{path}: partition labels must have one entry per element")
-    if len(stats) != family.n_partitions:
-        raise DataFormatError(f"{path}: need exactly one statistic per partition")
-    if any(len(vec) != family.n_partitions for vec in alphas):
-        raise DataFormatError(f"{path}: every level vector needs one level per partition")
     return Scenario(
         space=space,
         family=family,
@@ -753,7 +734,7 @@ def stepped_wedge_scenario(
 
     if conditioning == "sequential":
         tests = list(zip(*(build_groups(z, n_times, lag) for z in elements)))
-        subsets = build_schedule(n_times, lag).subsets
+        subsets = build_schedule(n_times, lag)
         subset_of = {t: j for j, subset in enumerate(subsets) for t in subset}
         labels = [
             [(tuple(subset_of.get(a, -1) for a in z), tuple(a if a < test[0].test_time else 0 for a in z))

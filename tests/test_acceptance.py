@@ -20,7 +20,6 @@ from wedgeperm import (
     PartitionFamily,
     Sim1Config,
     Sim2Config,
-    all_pairs_nested,
     build_hasse,
     coverage_study,
     enumerate_crossover_vectors,
@@ -118,22 +117,22 @@ def test_criterion_4_conditioning_discrimination_as_stated(capsys):
     naive = PartitionFamily([pools_t1, pools_t2])
 
     sequential = stepped_wedge_scenario(4, (2, 1, 1), lag=1, conditioning="sequential").family
-    assert all_pairs_nested(sequential) == []
+    assert sequential.nested_failures == ()
 
-    failures = all_pairs_nested(naive)
+    failures = naive.nested_failures
     _report(
         capsys,
         "ACCEPTANCE 4 (as stated, three periods): FAIL — the naive family is "
         f"nested ({len(failures)} failing pairs; its two pools are complements)",
     )
-    assert failures != []  # stated discrimination; provably unattainable here
+    assert failures != ()  # stated discrimination; provably unattainable here
 
 
 def test_criterion_4_conditioning_discrimination_four_periods(capsys):
     naive = stepped_wedge_scenario(4, (1, 1, 1, 1), lag=1, conditioning="naive").family
     sequential = stepped_wedge_scenario(4, (1, 1, 1, 1), lag=1, conditioning="sequential").family
-    naive_failures = all_pairs_nested(naive)
-    sequential_failures = all_pairs_nested(sequential)
+    naive_failures = naive.nested_failures
+    sequential_failures = sequential.nested_failures
     diagram = build_hasse(sequential)  # raises on a non-nested family
     ok = bool(naive_failures) and not sequential_failures
     _report(
@@ -142,8 +141,8 @@ def test_criterion_4_conditioning_discrimination_four_periods(capsys):
         f"family has {len(naive_failures)} non-nested pair(s); staggered "
         f"conditioning is nested ({diagram.n_nodes} diagram nodes)",
     )
-    assert naive_failures != []
-    assert sequential_failures == []
+    assert naive_failures != ()
+    assert sequential_failures == ()
 
 
 def test_criterion_5_permutation_variance(capsys):

@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
+import wedgeperm.sim
 import wedgeperm.validate
 from wedgeperm import (
     CrossoverTimes,
+    TestConfig,
     Sim1Config,
     Sim2Config,
     gen_outcomes_sim1,
@@ -16,9 +18,13 @@ from wedgeperm import (
     read_ci_csv,
     TrialData,
     bundled_scenario,
+    read_trial_csv,
+    run_mcrts,
+    weights_from_result,
     write_trial_csv,
 )
 from wedgeperm.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from wedgeperm.design import _write_table
 from wedgeperm.rng import generator
 from wedgeperm.validate import Scenario, FiniteAssignmentSpace, PartitionFamily, save_scenario
 
@@ -35,6 +41,13 @@ class TestSchedule:
         path = tmp_path / "schedule.csv"
         assert main(["schedule", "--T", "3", "--lag", "1", "--out", str(path)]) == EXIT_OK
         assert path.read_text() == "subset,time\n1,1\n1,3\n"
+
+    def test_csv_goes_through_the_table_writer(self, tmp_path, capsys):
+        path, expected = tmp_path / "schedule.csv", tmp_path / "expected.csv"
+        assert main(["schedule", "--T", "8", "--lag", "2", "--out", str(path)]) == EXIT_OK
+        _write_table(expected, ["subset", "time"], [[1, 1], [1, 4], [1, 7], [2, 2], [2, 5], [2, 8], [3, 3], [3, 6]])
+        assert path.read_bytes() == expected.read_bytes()
+        assert path.read_bytes() == b"subset,time\r\n1,1\r\n1,4\r\n1,7\r\n2,2\r\n2,5\r\n2,8\r\n3,3\r\n3,6\r\n"
 
     def test_lag_too_large_is_a_usage_error(self, capsys):
         assert main(["schedule", "--T", "3", "--lag", "2"]) == EXIT_USAGE
@@ -85,6 +98,39 @@ class TestAnalyze:
         ci = intervals[0]
         assert ci.method == "weighted_z" and ci.level == 0.9 and ci.lag == 0
         assert ci.lower <= 0.8 <= ci.upper
+
+    def test_per_test_csv_goes_through_the_table_writer(self, tmp_path, capsys):
+        # every outcome at time 1 is 0, so the test at time 1 has constant
+        # arms and no weight, while the test at time 2 is weighted
+        data = make_trial(12, (4, 4, 4), seed=3)
+        y = np.array(data.outcomes)
+        y[:, 1] = 0.0
+        trial, path, expected = tmp_path / "trial.csv", tmp_path / "tests.csv", tmp_path / "expected.csv"
+        write_trial_csv(trial, TrialData(data.units, data.times, y))
+        assert main(["analyze", str(trial), "--lag", "0", "--seed", "7", "--out", str(path)]) == EXIT_OK
+
+        family = run_mcrts(read_trial_csv(trial), 0, TestConfig(seed=7))
+        wv = weights_from_result(family)
+        assert wv.test_times == (2,) and [t for t, _ in wv.excluded] == [1]
+        weight_of = dict(zip(wv.test_times, wv.weights.tolist()))
+        header = ["test_time", "outcome_time", "n_treated", "n_control", "statistic", "p_less", "p_greater", "weight"]
+        rows = [
+            [t.test_time, t.outcome_time, t.n_treated, t.n_control, t.result.statistic,
+             t.result.p_less, t.result.p_greater, weight_of.get(t.test_time, "")]
+            for t in family.tests
+        ]
+        _write_table(expected, header, rows)
+        written = path.read_bytes()
+        assert written == expected.read_bytes()
+
+        lines = written.decode().split("\r\n")
+        assert lines[0] == ",".join(header) and lines[-1] == "" and "\n" not in "".join(lines)
+        cells = [line.split(",") for line in lines[1:-1]]
+        assert [row[7] for row in cells] == ["", repr(weight_of[2])]
+        for row, t in zip(cells, family.tests, strict=True):
+            assert [int(c) for c in row[:4]] == [t.test_time, t.outcome_time, t.n_treated, t.n_control]
+            assert float(row[4]) == t.result.statistic
+            assert float(row[5]) == t.result.p_less and float(row[6]) == t.result.p_greater
 
     def test_combiner_and_alpha_flags(self, trial_csv, capsys):
         code = main(
@@ -278,8 +324,14 @@ class TestSimulate:
             ({"grid": [[100, 6]]}, "grid cell [100, 6] is not a list of four numbers"),
             ({"grid": [["a", 6, 0, 0.0]]}, "grid cell ['a', 6, 0, 0.0] is not a list of four numbers"),
             ({"methods": "mcrts_z"}, "'methods' must be a list"),
+            ({"replicates": "2"}, "config key 'replicates' must be an integer, got '2'"),
+            ({"budget": "49"}, "config key 'budget' must be an integer, got '49'"),
+            ({"alpha": True}, "config key 'alpha' must be a number, got True"),
         ],
-        ids=["alpha", "short-cell", "text-in-cell", "methods-not-a-list"],
+        ids=[
+            "alpha", "short-cell", "text-in-cell", "methods-not-a-list",
+            "replicates-text", "budget-text", "alpha-bool",
+        ],
     )
     def test_malformed_power_config_rejected_before_any_replicate(self, tmp_path, capsys, edit, message):
         cfg = {"study": "power", "grid": [[100, 6, 0, 0.0]], "replicates": 2, "budget": 49}
@@ -290,28 +342,55 @@ class TestSimulate:
         assert len(errors) == 1 and message in errors[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"lags": 3}, "config key 'lags' must be a list, got 3"),
+            ({"level": "0.9"}, "config key 'level' must be a number, got '0.9'"),
+            ({"replicates": "2"}, "config key 'replicates' must be an integer, got '2'"),
+            ({"n_units": 40.0}, "config key 'n_units' must be an integer, got 40.0"),
+        ],
+        ids=["lags-number", "level-text", "replicates-text", "n_units-float"],
+    )
+    def test_malformed_coverage_config_rejected_before_any_replicate(
+        self, tmp_path, capsys, monkeypatch, edit, message
+    ):
+        def no_replicate(*args):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(wedgeperm.sim, "gen_outcomes_sim2", no_replicate)
+        cfg = {"study": "coverage", "n_units": 40, "n_times": 6, "replicates": 2, "lags": [0], "budget": 49}
+        cfg_path, out = tmp_path / "study.json", tmp_path / "coverage.csv"
+        cfg_path.write_text(json.dumps({**cfg, **edit}))
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
     def test_missing_study_source(self, capsys):
         assert main(["simulate"]) == EXIT_USAGE
 
-    def test_same_seed_same_bytes_across_thread_settings(self, tmp_path, capsys, monkeypatch):
+    def test_same_seed_same_bytes_across_thread_settings(self, tmp_path, capsys):
         cfg_path = tmp_path / "study.json"
         cfg_path.write_text(
             json.dumps({"study": "power", "grid": [[16, 2, 0, 0.3]], "replicates": 6, "budget": 49})
         )
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(["simulate", "--config", str(cfg_path), "--threads", "1", "--out", str(a)]) == EXIT_OK
-        monkeypatch.setenv("WEDGEPERM_THREADS", "2")
-        assert main(["simulate", "--config", str(cfg_path), "--out", str(b)]) == EXIT_OK
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(a)]) == EXIT_OK
+        assert main(["simulate", "--config", str(cfg_path), "--threads", "2", "--out", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
-    def test_bad_thread_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("WEDGEPERM_THREADS", "abc")
-        cfg_path = tmp_path / "study.json"
+    def test_thread_count_below_one_rejected(self, tmp_path, capsys):
+        cfg_path, out = tmp_path / "study.json", tmp_path / "power.csv"
         cfg_path.write_text(
             json.dumps({"study": "power", "grid": [[16, 2, 0, 0.0]], "replicates": 1, "budget": 49})
         )
-        assert main(["simulate", "--config", str(cfg_path)]) == EXIT_USAGE
-        assert "WEDGEPERM_THREADS" in capsys.readouterr().err
+        assert main(["simulate", "--config", str(cfg_path), "--threads", "0", "--out", str(out)]) == EXIT_USAGE
+        assert "--threads must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_thread_count_is_not_read_from_the_environment(self, monkeypatch, capsys):
+        monkeypatch.setenv("WEDGEPERM_THREADS", "abc")
+        assert main(["schedule", "--T", "8", "--lag", "1"]) == EXIT_OK
 
 
 class TestValidate:

@@ -1,5 +1,6 @@
 """Assignment designs: sizes, conditional probabilities, sampling."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -174,3 +175,13 @@ class TestEnumeration:
         spec = spec_of((5, 5, 5))
         with pytest.raises(ValueError, match="cap"):
             list(enumerate_crossover_vectors(spec, cap=100))
+
+    @pytest.mark.parametrize("counts", [(3, 2, 1), (1, 3, 1, 2), (1,) * 6, (2, 2, 2), (4,)])
+    def test_lex_order_of_the_distinct_permutations(self, counts):
+        labels = [t for t, c in enumerate(counts, start=1) for _ in range(c)]
+        expected = sorted(set(itertools.permutations(labels)))
+        assert list(enumerate_crossover_vectors(spec_of(counts))) == expected
+
+    def test_many_units_do_not_deepen_the_stack(self):
+        vecs = enumerate_crossover_vectors(DesignSpec(1200, (1199, 1)))
+        assert sum(1 for _ in vecs) == 1200

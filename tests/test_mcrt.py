@@ -38,17 +38,17 @@ from conftest import make_trial
 class TestBuildSchedule:
     def test_eight_periods_lag_one(self):
         s = build_schedule(8, 1)
-        assert s.subsets == ((1, 3, 5, 7), (2, 4, 6, 8))
-        assert s.test_times() == (1, 2, 3, 4, 5, 6)
+        assert s == ((1, 3, 5, 7), (2, 4, 6, 8))
+        assert sorted(k for subset in s for k in subset[:-1]) == [1, 2, 3, 4, 5, 6]
 
     def test_eight_periods_lag_zero(self):
         s = build_schedule(8, 0)
-        assert s.subsets == (tuple(range(1, 9)),)
-        assert s.test_times() == tuple(range(1, 8))
+        assert s == (tuple(range(1, 9)),)
+        assert sorted(k for subset in s for k in subset[:-1]) == list(range(1, 8))
 
     def test_eight_periods_lag_two(self):
         s = build_schedule(8, 2)
-        assert s.subsets == ((1, 4, 7), (2, 5, 8), (3, 6))
+        assert s == ((1, 4, 7), (2, 5, 8), (3, 6))
 
     def test_lag_too_large_rejected(self):
         with pytest.raises(ValueError, match="lag 7"):
@@ -64,9 +64,9 @@ class TestBuildSchedule:
     def test_structural_invariants(self, n_times):
         for lag in range(n_times - 1):
             s = build_schedule(n_times, lag)
-            assert len(s.subsets) == min(lag + 1, n_times - lag - 1)
+            assert len(s) == min(lag + 1, n_times - lag - 1)
             seen = set()
-            for j, subset in enumerate(s.subsets, start=1):
+            for j, subset in enumerate(s, start=1):
                 assert subset[0] == j
                 assert all(b - a == lag + 1 for a, b in zip(subset, subset[1:]))
                 assert subset[-1] <= n_times
@@ -78,7 +78,7 @@ class TestBuildGroups:
     def test_first_test_controls_lag_one(self):
         times = CrossoverTimes(np.arange(1, 9), 8)
         groups = {g.test_time: g for g in build_groups(times, 8, 1)}
-        assert groups[1].control_times == (3, 5, 7)
+        assert times.times[groups[1].control_units].tolist() == [3, 5, 7]
         assert groups[1].treated_units.tolist() == [0]
         assert groups[1].control_units.tolist() == [2, 4, 6]
         assert groups[1].outcome_time == 2
@@ -93,10 +93,11 @@ class TestBuildGroups:
         times = CrossoverTimes(rng.integers(1, 9, size=40), 8)
         groups = build_groups(times, 8, 2)
         assert [g.test_time for g in groups] == sorted(g.test_time for g in groups)
+        subset_of = {t: j for j, subset in enumerate(build_schedule(8, 2)) for t in subset}
         by_subset = {}
         for g in groups:
             pool = set(g.treated_units.tolist()) | set(g.control_units.tolist())
-            by_subset.setdefault(g.subset_index, set()).update(pool)
+            by_subset.setdefault(subset_of[g.test_time], set()).update(pool)
         for a, b in itertools.combinations(by_subset.values(), 2):
             assert not (a & b)
 
@@ -119,9 +120,9 @@ class TestBuildGroups:
     def test_pools_nested_along_each_subset(self, n_times, lag):
         rng = generator(3)
         times = CrossoverTimes(rng.integers(1, n_times + 1, size=50), n_times)
-        groups = build_groups(times, n_times, lag)
-        for j in {g.subset_index for g in groups}:
-            chain = sorted((g for g in groups if g.subset_index == j), key=lambda g: g.test_time)
+        groups = {g.test_time: g for g in build_groups(times, n_times, lag)}
+        for subset in build_schedule(n_times, lag):
+            chain = [groups[t] for t in subset[:-1]]
             pools = [
                 set(g.treated_units.tolist()) | set(g.control_units.tolist()) for g in chain
             ]

@@ -8,7 +8,7 @@ EXPORTED = {
     "step_conditional_prob", "DEFAULT_BUDGET",
     "DEFAULT_EXACT_THRESHOLD", "STATISTICS", "PermutationResult", "RelabelPlan",
     "TailPlan", "TwoGroupSample", "diff_in_means", "permutation_pvalue", "rank_sum",
-    "relabel_plan", "LagFamily", "LagSchedule", "LagTestGroup",
+    "relabel_plan", "LagFamily", "LagTestGroup",
     "McrtSkip", "McrtTest", "TestConfig", "TrialData", "build_groups",
     "build_schedule", "naive_groups", "read_trial_csv", "run_mcrts",
     "write_trial_csv", "COMBINERS", "CombinedPValue", "WeightVector",
@@ -18,7 +18,7 @@ EXPORTED = {
     "write_ci_csv", "BUNDLED_SCENARIOS",
     "CondIndepResult", "DominanceReport", "DominanceRow", "FiniteAssignmentSpace",
     "HasseDiagram", "HasseNode", "NestedCheck", "NestednessError", "PartitionCheck",
-    "PartitionFamily", "Scenario", "all_pairs_nested",
+    "PartitionFamily", "Scenario",
     "build_hasse", "bundled_scenario", "coarsening", "cond_indep_check",
     "conditional_pvalues", "is_partition", "joint_dominance_check", "load_scenario",
     "pairwise_nested_check", "refinement", "save_scenario", "stepped_wedge_scenario",

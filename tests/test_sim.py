@@ -361,7 +361,9 @@ class TestCoverageStudy:
         cfg = Sim2Config(n_units=40, n_times=4, taus=(0.2, 0.4, 0.0, 0.0), replicates=2, seed=52)
         lags = (0, 1)
         coverage_study(cfg, methods=("weighted_z", "fisher", "bonferroni"), lags=lags, budget=49)
-        tests_per_replicate = sum(len(build_schedule(cfg.n_times, lag).test_times()) for lag in lags)
+        tests_per_replicate = sum(
+            len([k for subset in build_schedule(cfg.n_times, lag) for k in subset[:-1]]) for lag in lags
+        )
         assert len(drawn) == cfg.replicates * tests_per_replicate
         assert len(set(drawn)) == len(drawn)
 

@@ -17,7 +17,6 @@ from wedgeperm import (
     Scenario,
     TestConfig,
     TrialData,
-    all_pairs_nested,
     build_hasse,
     bundled_scenario,
     coarsening,
@@ -100,7 +99,7 @@ class TestNestedChecks:
     def test_chain_nests_in_both_orders(self):
         assert pairwise_nested_check(CHAIN, 0, 2).ok
         assert pairwise_nested_check(CHAIN, 2, 0).ok
-        assert all_pairs_nested(CHAIN) == []
+        assert CHAIN.nested_failures == ()
 
     def test_crossing_cells_reported_with_witness(self):
         res = pairwise_nested_check(CROSSING, 0, 1)
@@ -111,7 +110,7 @@ class TestNestedChecks:
         assert a & b and not (a <= b or b <= a)
 
     def test_all_pairs_lists_every_failure(self):
-        failures = all_pairs_nested(CROSSING)
+        failures = CROSSING.nested_failures
         assert [(f.j, f.k) for f in failures] == [(0, 1)]
 
 
@@ -446,7 +445,7 @@ class TestSteppedWedgeScenarios:
         # nestedness holds vacuously; discrimination needs >= 2 tests
         scenario = stepped_wedge_scenario(4, (2, 1, 1), lag=1, conditioning="naive")
         assert scenario.family.n_partitions == 1
-        assert all_pairs_nested(scenario.family) == []
+        assert scenario.family.nested_failures == ()
 
     def test_unknown_conditioning_rejected(self):
         with pytest.raises(ValueError, match="unknown conditioning"):
