@@ -98,9 +98,11 @@ def _check_alpha(alpha: float) -> None:
 
 
 def _exact_interval(
-    shifts: _ShiftIndex, combined: Callable[[np.ndarray], tuple[float, float]], alpha: float
-) -> tuple[float, float, int]:
-    """(lower, upper, evaluations) of the set accepted by the combined test.
+    shifts: _ShiftIndex, combined: Callable[[np.ndarray], tuple[float, float]], alpha: float,
+    lag: int | None, method: str,
+) -> ConfidenceInterval:
+    """The level 1-alpha set accepted by the combined test, reported
+    under ``lag`` and ``method``, with its evaluation count as ``n_grid``.
 
     ``combined`` maps one tail's p-values, one per test of ``shifts``,
     to the combined (statistic, p-value), the p-value non-decreasing in
@@ -138,14 +140,13 @@ def _exact_interval(
 
     first_at, _, first = curve(-math.inf, "right")
     last_at, last, _ = curve(math.inf, "left")
-    if p_value(last_at, "greater") < thr or p_value(first_at, "less") < thr:
-        return math.nan, math.nan, evaluations
-    lower = -math.inf if p_value(first_at, "greater") >= thr else endpoint(first, last, upper=False)
-    upper = math.inf if p_value(last_at, "less") >= thr else endpoint(first, last, upper=True)
-    if lower > upper:
-        return math.nan, math.nan, evaluations
-    # a candidate can be -0.0; adding 0.0 reports it as 0.0 and changes no other value
-    return lower + 0.0, upper + 0.0, evaluations
+    lower = upper = math.nan  # the empty set unless some shift is accepted
+    if p_value(last_at, "greater") >= thr and p_value(first_at, "less") >= thr:
+        lo = -math.inf if p_value(first_at, "greater") >= thr else endpoint(first, last, upper=False)
+        hi = math.inf if p_value(last_at, "less") >= thr else endpoint(first, last, upper=True)
+        if lo <= hi:  # a candidate can be -0.0; adding 0.0 reports it as 0.0 and changes no other value
+            lower, upper = lo + 0.0, hi + 0.0
+    return ConfidenceInterval(lag, method, 1.0 - alpha, lower, upper, evaluations)
 
 
 def invert_single(
@@ -157,16 +158,7 @@ def invert_single(
     """
     _check_alpha(alpha)
     tail = _tail_plan(sample, cfg.statistic, cfg.budget, cfg.exact_threshold, seed_sequence(cfg.seed, 0))
-    shifts = _ShiftIndex([tail])
-    lower, upper, evaluations = _exact_interval(shifts, lambda p: (p[0], p[0]), alpha)
-    return ConfidenceInterval(
-        lag=lag,
-        method="single",
-        level=1.0 - alpha,
-        lower=lower,
-        upper=upper,
-        n_grid=evaluations,
-    )
+    return _exact_interval(_ShiftIndex([tail]), lambda p: (p[0], p[0]), alpha, lag, "single")
 
 
 def invert_combined(family: LagFamily, alpha: float = 0.10, method: str = "weighted_z") -> ConfidenceInterval:
@@ -182,23 +174,15 @@ def invert_combined(family: LagFamily, alpha: float = 0.10, method: str = "weigh
     """
     _check_alpha(alpha)
     kept, combined = _combiner(family.tests, family.n_units, method)
-    lower, upper, evaluations = -math.inf, math.inf, 0
-    if kept:
-        # combiners that keep the same tests invert the same tails, so
-        # the family keeps one lookup per kept set
-        times = tuple(t.test_time for t in kept)
-        shifts = family._shift_indexes.get(times)
-        if shifts is None:
-            shifts = family._shift_indexes[times] = _ShiftIndex([t.tail for t in kept])
-        lower, upper, evaluations = _exact_interval(shifts, combined, alpha)
-    return ConfidenceInterval(
-        lag=family.lag,
-        method=method,
-        level=1.0 - alpha,
-        lower=lower,
-        upper=upper,
-        n_grid=evaluations,
-    )
+    if not kept:
+        return ConfidenceInterval(family.lag, method, 1.0 - alpha, -math.inf, math.inf, 0)
+    # combiners that keep the same tests invert the same tails, so the
+    # family keeps one lookup per kept set
+    times = tuple(t.test_time for t in kept)
+    shifts = family._shift_indexes.get(times)
+    if shifts is None:
+        shifts = family._shift_indexes[times] = _ShiftIndex([t.tail for t in kept])
+    return _exact_interval(shifts, combined, alpha, family.lag, method)
 
 
 _CI_COLUMNS = ["lag", "method", "level", "delta_lo", "delta_hi"]

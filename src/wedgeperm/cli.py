@@ -1,11 +1,12 @@
 """Command-line front end: schedule, analyze, simulate, validate.
 
 Exit codes are a stable contract: 0 success, 1 usage or configuration
-problems, 2 malformed input data, 3 a theory check that ran and failed.
-An empty confidence set, or one unbounded on a side, is a result rather
-than an error: `analyze` prints it and exits 0.  All randomness flows
-from --seed (default 12345, fixed so documented examples reproduce);
-only color suppression (NO_COLOR) comes from the environment.
+problems, 2 malformed input data or a file that cannot be read or
+written, 3 a theory check that ran and failed.  An empty confidence
+set, or one unbounded on a side, is a result rather than an error:
+`analyze` prints it and exits 0.  All randomness flows from --seed
+(default 12345, fixed so documented examples reproduce); only color
+suppression (NO_COLOR) comes from the environment.
 """
 
 from __future__ import annotations
@@ -62,19 +63,34 @@ PRESETS = {
 }
 
 # each study's config keys and the JSON type each takes: a float key
-# takes an int too, and a bool is neither an int nor a float
+# takes an int too, and a bool is neither an int nor a float.  A list
+# key gives the type of its items in brackets; a grid cell is a list of
+# exactly the types of _CELL
+_CELL = (int, int, int, float)
 _CONFIG_KEYS = {
     "power": {
-        "study": str, "grid": list, "replicates": int, "budget": int,
-        "alpha": float, "methods": list, "seed": int, "statistic": str,
+        "study": str, "grid": [_CELL], "replicates": int, "budget": int,
+        "alpha": float, "methods": [str], "seed": int, "statistic": str,
     },
     "coverage": {
-        "study": str, "n_units": int, "n_times": int, "taus": list, "interaction": int,
-        "level": float, "replicates": int, "budget": int, "methods": list, "lags": list,
+        "study": str, "n_units": int, "n_times": int, "taus": [float], "interaction": int,
+        "level": float, "replicates": int, "budget": int, "methods": [str], "lags": [int],
         "seed": int, "statistic": str,
     },
 }
 _TYPE_NAMES = {str: "a string", list: "a list", int: "an integer", float: "a number"}
+_ITEM_NAMES = {
+    str: "strings", int: "integers", float: "numbers",
+    _CELL: "[N, T, lag, effect] cells of three integers and a number",
+}
+
+
+def _has_type(value, kind) -> bool:
+    """Whether a JSON value is of ``kind``: a type, or a tuple of types
+    for a list of exactly those."""
+    if isinstance(kind, tuple):
+        return isinstance(value, list) and len(value) == len(kind) and all(map(_has_type, value, kind))
+    return not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -221,9 +237,11 @@ def _load_study_config(args: argparse.Namespace) -> dict:
     for key, value in doc.items():
         if key not in types:
             raise ValueError(f"unknown config key {key!r} for a {study} study")
-        kind = types[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        kind, item = (list, types[key][0]) if isinstance(types[key], list) else (types[key], None)
+        if not _has_type(value, kind):
             raise ValueError(f"config key {key!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
+        if item is not None and not all(_has_type(v, item) for v in value):
+            raise ValueError(f"config key {key!r} must be a list of {_ITEM_NAMES[item]}, got {value!r}")
     if args.full_scale:
         doc["replicates"] = 1000
         doc["budget"] = 1000
@@ -248,13 +266,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out = args.out or f"{study}.csv"
     if study == "power":
         grid = doc.get("grid")
-        if not isinstance(grid, list) or not grid:
+        if not grid:
             raise ValueError("config key 'grid' must be a non-empty list of [N, T, lag, effect] cells")
-        for cell in grid:
-            if not isinstance(cell, list) or len(cell) != 4 or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in cell
-            ):
-                raise ValueError(f"grid cell {cell!r} is not a list of four numbers [N, T, lag, effect]")
         rows: list = []
         skipped: list = []
         total = len(grid)
@@ -362,10 +375,7 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return cmd_validate(args)
         parser.error(f"unknown command {args.command!r}")
-    except DataFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
+    except (DataFormatError, OSError) as exc:  # bad data, or a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (ValueError, NotImplementedError) as exc:

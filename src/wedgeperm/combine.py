@@ -305,7 +305,7 @@ def _combiner(tests: Sequence, n_total: int, method: str):
             return [], _no_evidence
         kept_times = set(weights.test_times)
         kept = [t for t in tests if t.test_time in kept_times]
-        gran = np.asarray([t.granularity for t in kept])
+        gran = np.asarray([t.result.granularity for t in kept])
         return kept, lambda p: _weighted_z(p, weights.weights, gran)
     if not tests:
         return [], _no_evidence

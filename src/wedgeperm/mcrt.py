@@ -35,6 +35,7 @@ from .design import (
 )
 from .permtest import (
     DEFAULT_EXACT_THRESHOLD,
+    STATISTICS,
     PermutationResult,
     TailPlan,
     TwoGroupSample,
@@ -78,16 +79,9 @@ def build_schedule(n_times: int, lag: int) -> tuple[tuple[int, ...], ...]:
             f"lag {lag} admits no tests with {n_times} times: "
             "every potential control would have to cross over after the last time"
         )
-    n_subsets = min(lag + 1, n_times - lag - 1)
-    subsets = []
-    for j in range(1, n_subsets + 1):
-        t = j
-        members = [t]
-        while t + lag + 1 <= n_times:
-            t += lag + 1
-            members.append(t)
-        subsets.append(tuple(members))
-    return tuple(subsets)
+    return tuple(
+        tuple(range(j, n_times + 1, lag + 1)) for j in range(1, min(lag + 1, n_times - lag - 1) + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -231,13 +225,20 @@ class TestConfig:
     """Knobs shared by the per-test permutation engine.
 
     The per-test stream is derived from (seed, test time), so adding or
-    removing one test never perturbs the others.
+    removing one test never perturbs the others.  A statistic or budget
+    the engine cannot run is rejected here, before any test is drawn.
     """
 
     budget: int = 499
     exact_threshold: int = DEFAULT_EXACT_THRESHOLD
     statistic: str = "diff_in_means"
     seed: int = DEFAULT_SEED
+
+    def __post_init__(self):
+        if self.statistic not in STATISTICS:
+            raise ValueError(f"unknown statistic {self.statistic!r}; choose from {STATISTICS}")
+        if self.budget < 1:
+            raise ValueError("resample budget must be at least 1")
 
 
 def _arm_variance(x: np.ndarray) -> float:
@@ -270,10 +271,6 @@ class McrtTest:
     @cached_property
     def var_control(self) -> float:
         return _arm_variance(self.tail.sample.control)
-
-    @property
-    def granularity(self) -> float:
-        return self.result.granularity
 
 
 @dataclass(frozen=True)

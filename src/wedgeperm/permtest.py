@@ -140,19 +140,11 @@ class TwoGroupSample:
 
 
 def midranks(values) -> np.ndarray:
-    """Ranks 1..n of ``values`` with ties sharing their average rank."""
+    """Ranks 1..n of ``values`` with ties sharing their average rank: a
+    run of c ties ending at sorted position k holds k - (c - 1) / 2."""
     x = np.asarray(values, dtype=np.float64).ravel()
-    order = np.argsort(x, kind="stable")
-    ordered = x[order]
-    new = np.empty(x.size, dtype=bool)
-    new[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    ends = np.append(starts[1:], x.size)
-    ranks = np.empty(x.size)
-    # a tie run at sorted positions start..end-1 holds ranks start+1..end
-    ranks[order] = (0.5 * (starts + ends + 1))[np.cumsum(new) - 1]
-    return ranks
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
 def diff_in_means(sample: TwoGroupSample) -> float:
@@ -314,13 +306,6 @@ def _tail_counts(resampled: np.ndarray, observed):
     return (resampled <= observed).sum(axis=0), (resampled >= observed).sum(axis=0)
 
 
-def _tail_pvalues(resampled: np.ndarray, observed, exact: bool):
-    """Both tail p-values of each column of ``resampled``."""
-    add, den = _add_one(resampled.shape[0], exact)
-    n_le, n_ge = _tail_counts(resampled, observed)
-    return (add + n_le) / den, (add + n_ge) / den
-
-
 def _controls_below(xs: np.ndarray, ys: np.ndarray, v: float, strict: bool) -> np.ndarray:
     """For each sorted treated value x, how many sorted controls y have
     x - y > v (or >= v unless ``strict``).
@@ -361,9 +346,10 @@ class TailPlan:
       control value y_j, at delta = x_i - y_j; the m * n differences are
       never formed, both arms are sorted and counted by bisection.
 
-    The family lookup _ShiftIndex evaluates the tails on the open cell
-    beside a shift, where they are constant, with the candidates that
-    bound it; ``result`` gives the unshifted test.
+    For both, ``_sums`` and ``_obs`` hold each relabeling's and the
+    observed statistic sum at zero shift, which ``result`` counts.  The
+    family lookup _ShiftIndex evaluates the tails on the open cell beside
+    a shift, where they are constant, with the candidates that bound it.
     """
 
     def __init__(self, sample: TwoGroupSample, plan: RelabelPlan, statistic: str):
@@ -373,12 +359,14 @@ class TailPlan:
         self.statistic = statistic
         self.exact = plan.exact
         self.n_resamples = plan.n_resamples
+        pool = sample.pooled()
         if statistic == "diff_in_means":
-            pool = sample.pooled()
             self._sums, self._hits = plan.reduce(pool)
-            self._obs = float(pool[: sample.n_treated].sum())
         else:
             self._selections = plan.selections
+            pool = midranks(pool)
+            self._sums = pool[self._selections].sum(axis=1)
+        self._obs = float(pool[: sample.n_treated].sum())
 
     # the candidate structures serve only shifted evaluation, so a test
     # that never leaves zero shift does not build them
@@ -423,17 +411,12 @@ class TailPlan:
 
     def result(self) -> PermutationResult:
         """The unshifted test: observed statistic and both p-values."""
-        if self.statistic == "diff_in_means":
-            statistic = diff_in_means(self.sample)
-            p_less, p_greater = _tail_pvalues(self._sums, self._obs, self.exact)
-        else:
-            ranks = midranks(self.sample.pooled())
-            statistic = float(ranks[: self.sample.n_treated].sum())
-            p_less, p_greater = _tail_pvalues(ranks[self._selections].sum(axis=1), statistic, self.exact)
+        add, den = _add_one(self.n_resamples, self.exact)
+        n_le, n_ge = _tail_counts(self._sums, self._obs)
         return PermutationResult(
-            statistic=statistic,
-            p_less=float(p_less),
-            p_greater=float(p_greater),
+            statistic=diff_in_means(self.sample) if self.statistic == "diff_in_means" else self._obs,
+            p_less=float((add + n_le) / den),
+            p_greater=float((add + n_ge) / den),
             n_resamples=self.n_resamples,
             exact=self.exact,
         )
@@ -460,12 +443,12 @@ class _ShiftIndex:
     test's tails are constant, and gives every test's position in it at
     once; no shift is formed, so rounding cannot move a candidate across
     the probed shift.  For the difference in means, the tests' sorted
-    candidate shifts (TailPlan._breaks) are merged once, stably, into
-    their distinct union, and each candidate keeps its rank in the union,
-    offset by (union size + 1) times its test's index.  A probe then takes
-    two searchsorted calls: one on the union finds the cell and the
-    candidates that bound it, and one with a needle per test, at the
-    cell's rank plus the test's offset, counts each test's candidates
+    candidate shifts (TailPlan._breaks) are merged once into their
+    distinct union (np.unique), and each candidate keeps its rank in the
+    union, offset by (union size + 1) times its test's index.  A probe
+    then takes two searchsorted calls: one on the union finds the cell
+    and the candidates that bound it, and one with a needle per test, at
+    the cell's rank plus the test's offset, counts each test's candidates
     below the cell.  The rank sum re-sums ranks at every shift, so each of
     its tests counts its own cell (TailPlan._rank_cell).  ``tail`` turns a
     position into one tail's p-values, so a probe computes only the tail
@@ -481,17 +464,10 @@ class _ShiftIndex:
             return
         breaks, fixed_le, fixed_ge = zip(*(t._breaks for t in self._tails))
         sizes = np.asarray([b.size for b in breaks])
-        merged = np.concatenate(breaks)
-        order = np.argsort(merged, kind="stable")
-        ordered = merged[order]
-        new = np.empty(ordered.size, dtype=bool)
-        new[:1] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-        self._union = ordered[new]
+        # -0.0 and 0.0 share a rank; the union keeps either as its value
+        self._union, ranks = np.unique(np.concatenate(breaks), return_inverse=True)
         self._offsets = (self._union.size + 1) * np.arange(sizes.size)
-        self._keys = np.empty(merged.size, dtype=np.intp)
-        self._keys[order] = np.cumsum(new) - 1
-        self._keys += np.repeat(self._offsets, sizes)
+        self._keys = ranks + np.repeat(self._offsets, sizes)
         # a probe finds the keys of the tests before each test too, so a
         # test with k candidates below the cell sits at start + k; it has
         # fixed_le + size - k relabelings at or below the observed sum

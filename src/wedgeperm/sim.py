@@ -289,18 +289,15 @@ def _parallel_map(fn, tasks: Sequence, threads: int) -> list:
 
 
 def _power_replicate(task) -> dict[str, bool]:
-    cfg, rep, alpha, budget, methods, statistic = task
+    cfg, rep, alpha, tcfg, methods = task
     data = gen_outcomes_sim1(cfg, generator(cfg.seed, _POWER_TAG, rep, 0))
     families = {}
     out: dict[str, bool] = {}
     for name in methods:
         groups, key, combiner = _POWER_FAMILIES[name]
         if groups not in families:
-            tcfg = TestConfig(
-                budget=budget, statistic=statistic,
-                seed=seed_sequence(cfg.seed, _POWER_TAG, rep, key),
-            )
-            families[groups] = run_mcrts(data, cfg.lag, tcfg, groups)
+            seed = seed_sequence(cfg.seed, _POWER_TAG, rep, key)
+            families[groups] = run_mcrts(data, cfg.lag, replace(tcfg, seed=seed), groups)
         out[name] = combined_from_mcrt(families[groups], combiner, "two-sided").p_value <= alpha
     return out
 
@@ -331,6 +328,7 @@ def power_study(
         raise ValueError("replicates must be positive")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    tcfg = TestConfig(budget=budget, statistic=statistic)
     cells: list[Sim1Config] = []
     skipped: list[tuple[str, str]] = []
     given = {k: v for k, v in (("replicates", replicates), ("seed", seed)) if v is not None}
@@ -345,7 +343,7 @@ def power_study(
             skipped.append((repr(tuple(cell)), str(exc)))
     rows = []
     for cfg in cells:
-        tasks = [(cfg, rep, alpha, budget, tuple(methods), statistic) for rep in range(cfg.replicates)]
+        tasks = [(cfg, rep, alpha, tcfg, tuple(methods)) for rep in range(cfg.replicates)]
         results = _parallel_map(_power_replicate, tasks, threads)
         for method in methods:
             rejections = sum(r[method] for r in results)
@@ -359,15 +357,12 @@ def power_study(
 
 
 def _coverage_replicate(task) -> list[tuple[int, str, bool, float, bool]]:
-    cfg, rep, lags, methods, budget, statistic = task
+    cfg, rep, lags, methods, tcfg = task
     data = gen_outcomes_sim2(cfg, generator(cfg.seed, _COVERAGE_TAG, cfg.interaction, rep, 0))
     out = []
     for lag in lags:
-        tcfg = TestConfig(
-            budget=budget, statistic=statistic,
-            seed=seed_sequence(cfg.seed, _COVERAGE_TAG, cfg.interaction, rep, 1, lag),
-        )
-        family = run_mcrts(data, lag, tcfg)
+        seed = seed_sequence(cfg.seed, _COVERAGE_TAG, cfg.interaction, rep, 1, lag)
+        family = run_mcrts(data, lag, replace(tcfg, seed=seed))
         for method in methods:
             ci = invert_combined(family, 1.0 - cfg.level, method)
             covered = ci.lower <= cfg.taus[lag] <= ci.upper
@@ -399,10 +394,8 @@ def coverage_study(
     for lag in lags:
         if not 0 <= lag <= cfg.n_times - 2:
             raise ValueError(f"lag {lag} out of range for {cfg.n_times} periods")
-    tasks = [
-        (cfg, rep, tuple(lags), tuple(methods), budget, statistic)
-        for rep in range(cfg.replicates)
-    ]
+    tcfg = TestConfig(budget=budget, statistic=statistic)
+    tasks = [(cfg, rep, tuple(lags), tuple(methods), tcfg) for rep in range(cfg.replicates)]
     results = _parallel_map(_coverage_replicate, tasks, threads)
     rows = []
     for lag in lags:

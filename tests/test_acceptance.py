@@ -20,6 +20,7 @@ from wedgeperm import (
     PartitionFamily,
     Sim1Config,
     Sim2Config,
+    TestConfig,
     build_hasse,
     coverage_study,
     enumerate_crossover_vectors,
@@ -63,7 +64,7 @@ def test_criterion_2_power_ordering(capsys):
     cfg = Sim1Config(n_units=300, n_times=8, lag=2, effect=0.05, replicates=1000)
     methods = ("mcrts_z", "mcrts_f", "bonferroni")
     outs = [
-        _power_replicate((cfg, rep, ALPHA, PER_TEST_BUDGET, methods, "diff_in_means"))
+        _power_replicate((cfg, rep, ALPHA, TestConfig(budget=PER_TEST_BUDGET), methods))
         for rep in range(cfg.replicates)
     ]
     z = np.array([o["mcrts_z"] for o in outs])

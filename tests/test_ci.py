@@ -362,7 +362,7 @@ class TestExactEndpoints:
             if method == "weighted_z":
                 wv = weights_from_result(family)
                 assert len(wv.test_times) == len(samples)
-                gran = [t.granularity for t in family.tests]
+                gran = [t.result.granularity for t in family.tests]
                 combined = lambda p: weighted_z_combine(p, wv, gran).p_value
             else:
                 combined = lambda p: (fisher_combine if method == "fisher" else bonferroni_combine)(p).p_value

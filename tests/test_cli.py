@@ -30,6 +30,8 @@ from wedgeperm.validate import Scenario, FiniteAssignmentSpace, PartitionFamily,
 
 from conftest import make_trial
 
+CELLS = "config key 'grid' must be a list of [N, T, lag, effect] cells of three integers and a number"
+
 
 class TestSchedule:
     def test_prints_one_line_per_subset(self, capsys):
@@ -321,16 +323,23 @@ class TestSimulate:
         "edit, message",
         [
             ({"alpha": 1.5}, "alpha must lie in (0, 1)"),
-            ({"grid": [[100, 6]]}, "grid cell [100, 6] is not a list of four numbers"),
-            ({"grid": [["a", 6, 0, 0.0]]}, "grid cell ['a', 6, 0, 0.0] is not a list of four numbers"),
+            ({"grid": [[100, 6]]}, f"{CELLS}, got [[100, 6]]"),
+            ({"grid": [["a", 6, 0, 0.0]]}, f"{CELLS}, got [['a', 6, 0, 0.0]]"),
+            ({"grid": [[60.0, 4, 0, 0.0]]}, f"{CELLS}, got [[60.0, 4, 0, 0.0]]"),
+            ({"grid": [[60, 4, 0.5, 0.0]]}, f"{CELLS}, got [[60, 4, 0.5, 0.0]]"),
             ({"methods": "mcrts_z"}, "'methods' must be a list"),
+            ({"methods": ["mcrts_z", 1]}, "config key 'methods' must be a list of strings, got ['mcrts_z', 1]"),
             ({"replicates": "2"}, "config key 'replicates' must be an integer, got '2'"),
             ({"budget": "49"}, "config key 'budget' must be an integer, got '49'"),
             ({"alpha": True}, "config key 'alpha' must be a number, got True"),
+            # one unit per period skips every test, so no test would reach these
+            ({"grid": [[6, 6, 0, 0.0]], "statistic": "bogus"}, "unknown statistic 'bogus'"),
+            ({"grid": [[6, 6, 0, 0.0]], "budget": 0}, "resample budget must be at least 1"),
         ],
         ids=[
-            "alpha", "short-cell", "text-in-cell", "methods-not-a-list",
-            "replicates-text", "budget-text", "alpha-bool",
+            "alpha", "short-cell", "text-in-cell", "float-units-in-cell", "float-lag-in-cell",
+            "methods-not-a-list", "number-in-methods", "replicates-text", "budget-text", "alpha-bool",
+            "statistic-all-skipped", "budget-all-skipped",
         ],
     )
     def test_malformed_power_config_rejected_before_any_replicate(self, tmp_path, capsys, edit, message):
@@ -346,11 +355,17 @@ class TestSimulate:
         "edit, message",
         [
             ({"lags": 3}, "config key 'lags' must be a list, got 3"),
+            ({"lags": [1.0]}, "config key 'lags' must be a list of integers, got [1.0]"),
+            ({"lags": ["x"]}, "config key 'lags' must be a list of integers, got ['x']"),
+            ({"taus": ["a", 0, 0, 0, 0, 0]}, "config key 'taus' must be a list of numbers, got ['a', 0, 0, 0, 0, 0]"),
             ({"level": "0.9"}, "config key 'level' must be a number, got '0.9'"),
             ({"replicates": "2"}, "config key 'replicates' must be an integer, got '2'"),
             ({"n_units": 40.0}, "config key 'n_units' must be an integer, got 40.0"),
         ],
-        ids=["lags-number", "level-text", "replicates-text", "n_units-float"],
+        ids=[
+            "lags-number", "float-in-lags", "text-in-lags", "text-in-taus",
+            "level-text", "replicates-text", "n_units-float",
+        ],
     )
     def test_malformed_coverage_config_rejected_before_any_replicate(
         self, tmp_path, capsys, monkeypatch, edit, message
@@ -542,3 +557,17 @@ class TestValidate:
         monkeypatch.setenv("NO_COLOR", "1")
         main(["validate", "--name", "nested-lag0"])
         assert "\x1b[" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "{}", "--lag", "1"], ["simulate", "--config", "{}"], ["validate", "--scenario", "{}"]],
+    ids=["analyze", "simulate", "validate"],
+)
+def test_input_path_that_cannot_be_read_is_a_data_error(tmp_path, capsys, argv):
+    # a directory passes every argument check and fails only at open()
+    assert main([arg.format(tmp_path) for arg in argv]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = captured.err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error: ") and str(tmp_path) in errors[0]

@@ -43,8 +43,7 @@ def stub_test(test_time, var_treated, var_control, n_treated, n_control, p_less=
         var_control=var_control,
         n_treated=n_treated,
         n_control=n_control,
-        granularity=0.002,
-        result=SimpleNamespace(p_less=p_less, p_greater=p_greater),
+        result=SimpleNamespace(p_less=p_less, p_greater=p_greater, granularity=0.002),
     )
 
 

@@ -143,6 +143,14 @@ class TestBuildGroups:
 
 
 class TestRunMcrts:
+    @pytest.mark.parametrize(
+        "setting, message",
+        [({"statistic": "bogus"}, "unknown statistic 'bogus'"), ({"budget": 0}, "resample budget must be at least 1")],
+    )
+    def test_config_rejects_what_no_test_could_run(self, setting, message):
+        with pytest.raises(ValueError, match=message):
+            TestConfig(**setting)
+
     def test_constant_outcomes_give_unit_pvalues(self):
         times = CrossoverTimes(np.repeat([1, 2, 3], 5), 3)
         data = TrialData(np.arange(15), times, np.full((15, 4), 7.0))

@@ -226,7 +226,7 @@ class TestPowerStudy:
         # per-test streams, both combiners read the same nested family
         # run, and Bonferroni reads the naive family on stream key 2
         cfg = Sim1Config(n_units=20, n_times=3, lag=1, effect=0.5, seed=31)
-        out = _power_replicate((cfg, 4, 0.05, 99, POWER_METHODS, "diff_in_means"))
+        out = _power_replicate((cfg, 4, 0.05, TestConfig(budget=99), POWER_METHODS))
         data = gen_outcomes_sim1(cfg, generator(31, _POWER_TAG, 4, 0))
         nested = run_mcrts(
             data, 1, TestConfig(budget=99, seed=seed_sequence(31, _POWER_TAG, 4, 1))
