@@ -54,7 +54,6 @@ from .combine import (
     WeightVector,
     bonferroni_combine,
     combined_from_mcrt,
-    estimate_lambda,
     fisher_combine,
     weighted_z_combine,
     weights_from_result,

@@ -8,10 +8,10 @@ The relabelings are drawn once per test, from a stream keyed by (seed,
 test time) and never by delta, so the whole p-curve is evaluated
 against one set of relabelings (Garthwaite 1996, Biometrics).  Under
 those common relabelings each test's tail counts are step functions of
-delta that change only at the test's candidate shifts (TailPlan), and
-every combiner is monotone in its inputs.  The combined curve is
-therefore constant between consecutive candidates of the union, and
-the endpoints are exactly
+delta that change only at the test's candidate shifts, and every
+combiner is monotone in its inputs.  The combined curve is therefore
+constant between consecutive candidates of the union, and the
+endpoints are exactly
 
 - lower: the infimum of {delta : combined p_greater(delta) >= alpha/2},
 - upper: the supremum of {delta : combined p_less(delta) >= alpha/2},
@@ -20,18 +20,20 @@ each a candidate shift.  A bisection on delta finds them, evaluating
 the curve only on the open cells between candidates; no shifted
 outcome is ever formed, so rounding at a tie never decides an
 endpoint.  Each evaluation is one probe of a family lookup
-(permtest._ShiftIndex) built once per family and kept set of tests, so
-combiners that keep the same tests share it.  For the difference in
-means it merges the tests' candidates into their union, so a probe is
-two binary searches for the whole family, and it computes only the
-tail that the bisection step reads; the rank sum re-sums each test's
-ranks at every probe.  A side whose tail stays at or above alpha/2
-beyond every candidate is unbounded (-inf or inf); when the lower
-endpoint exceeds the upper one no delta is accepted and the set is
-empty (both endpoints nan).  The combined interval inverts the
-LagFamily that run_mcrts returns, the one that gives the analysis its
-p-values, through the same kept tests and weights as the combined
-p-value (combine), so its relabelings are never drawn again.
+(permtest._ShiftIndex), which holds the candidate shifts and is built
+once per family and kept set of tests, so combiners that keep the same
+tests share it.  For the difference in means it merges the tests'
+candidates into their union, so a probe is two binary searches for the
+whole family, and it computes only the tail that the bisection step
+reads; the rank sum re-sums each test's ranks at every probe, over the
+selections that the lookup gathers once per test.  A side whose tail
+stays at or above alpha/2 beyond every candidate is unbounded (-inf or
+inf); when the lower endpoint exceeds the upper one no delta is
+accepted and the set is empty (both endpoints nan).  The combined
+interval inverts the LagFamily that run_mcrts returns, the one that
+gives the analysis its p-values, through the same kept tests and
+weights as the combined p-value (combine), so its relabelings are
+never drawn again.
 """
 
 from __future__ import annotations
@@ -81,6 +83,9 @@ class ConfidenceInterval:
             raise ValueError("an empty set needs both endpoints nan")
         if self.lower > self.upper:
             raise ValueError("interval endpoints are out of order")
+        if self.empty:  # one nan object, so that equal empty sets compare and hash equal
+            object.__setattr__(self, "lower", math.nan)
+            object.__setattr__(self, "upper", math.nan)
 
     @property
     def empty(self) -> bool:

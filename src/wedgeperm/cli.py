@@ -24,6 +24,8 @@ from .rng import DEFAULT_SEED
 from .sim import (
     Sim2Config,
     StudyResult,
+    _coverage_checks,
+    _power_checks,
     coverage_study,
     emit_tables,
     power_study,
@@ -272,6 +274,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         skipped: list = []
         total = len(grid)
         study_args = _given(doc, "replicates", "budget", "alpha", "methods", "seed", "statistic")
+        # a bad value exits before any output
+        _power_checks(**_given(doc, "replicates", "budget", "alpha", "methods", "statistic"))
         for i, cell in enumerate(grid, start=1):
             print(f"power study: cell {i}/{total} {cell}", file=sys.stderr)
             part = power_study([tuple(cell)], threads=args.threads, **study_args)
@@ -284,14 +288,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         sim_cfg = Sim2Config(
             **_given(doc, "n_units", "n_times", "taus", "interaction", "replicates", "seed", "level")
         )
+        study_args = _given(doc, "methods", "lags", "budget", "statistic")
+        _coverage_checks(sim_cfg, **study_args)
         print(
             f"coverage study: N={sim_cfg.n_units} T={sim_cfg.n_times} "
             f"interaction={sim_cfg.interaction} replicates={sim_cfg.replicates}",
             file=sys.stderr,
         )
-        result = coverage_study(
-            sim_cfg, threads=args.threads, **_given(doc, "methods", "lags", "budget", "statistic")
-        )
+        result = coverage_study(sim_cfg, threads=args.threads, **study_args)
     emit_tables(result, out)
     print(f"wrote {out} ({len(result.rows)} rows)", file=sys.stderr)
     return EXIT_OK
@@ -307,19 +311,17 @@ def cmd_validate(args: argparse.Namespace) -> int:
         f"scenario: {scenario.name} ({space.size} elements, "
         f"{family.n_partitions} partitions, exact probabilities)"
     )
-    failed = False
-
-    for k in range(family.n_partitions):
-        check = is_partition(space, list(family.cells(k).values()))
+    checks = [is_partition(space, list(family.cells(k).values())) for k in range(family.n_partitions)]
+    for k, check in enumerate(checks):
         if not check.ok:
-            failed = True
             print(f"partition {k}: {_pass(False)} ({check.reason}, element {check.witness})")
         else:
             print(f"partition {k}: {_pass(True)} ({len(family.cells(k))} cells)")
 
+    # the report decides nestedness, which the Hasse diagram needs,
+    # conditional independence and dominance
     report = scenario.run()
     if report.nested_failures:
-        failed = True
         for f in report.nested_failures:
             print(
                 f"nestedness {f.j},{f.k}: {_pass(False)} — cells {f.witness[0]!r} and "
@@ -332,12 +334,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
         diagram = build_hasse(family)
         print(f"hasse diagram: {_pass(True)} ({diagram.n_nodes} nodes, {len(diagram.roots)} roots)")
     except NestednessError as exc:
-        failed = True
         print(f"hasse diagram: {_pass(False)} ({exc})")
 
     for r in report.cond_indep:
-        if not r.ok:
-            failed = True
         print(f"conditional independence {r.j},{r.k}: {_pass(r.ok)} (max TV gap {r.max_gap:.3g})")
 
     bad_rows = [r for r in report.rows if not r.holds]
@@ -347,16 +346,15 @@ def cmd_validate(args: argparse.Namespace) -> int:
         f"({len(report.rows)} level vectors, {len(report.cell_rows)} conditional rows)"
     )
     for r in bad_rows:
-        failed = True
         print(f"  marginal violation at levels {tuple(map(float, r.alphas))}: "
               f"probability {float(r.probability):.6g} > bound {float(r.bound):.6g}")
     for r in bad_cells:
-        failed = True
         print(f"  conditional violation at levels {tuple(map(float, r.alphas))} "
               f"in cell {sorted(r.cell)}: {float(r.probability):.6g} > {float(r.bound):.6g}")
 
-    print("overall:", _pass(not failed))
-    return EXIT_CHECK if failed else EXIT_OK
+    ok = all(check.ok for check in checks) and report.ok
+    print("overall:", _pass(ok))
+    return EXIT_OK if ok else EXIT_CHECK
 
 
 def main(argv=None) -> int:

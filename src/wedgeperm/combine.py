@@ -39,7 +39,6 @@ import numpy as np
 __all__ = [
     "CombinedPValue",
     "WeightVector",
-    "estimate_lambda",
     "weights_from_result",
     "weighted_z_combine",
     "fisher_combine",
@@ -68,9 +67,8 @@ class CombinedPValue:
 class WeightVector:
     """Per-test combining weights, squares summing to one.
 
-    ``lambdas`` holds the unnormalized precisions the weights came
-    from (when known); ``excluded`` lists (test time, reason) pairs for
-    tests that could not be weighted — their p-values are left out of
+    ``excluded`` lists (test time, reason) pairs for tests that could
+    not be weighted — their p-values are left out of
     the weighted-Z combination and the remaining weights are
     renormalized.
     """
@@ -78,7 +76,6 @@ class WeightVector:
     weights: np.ndarray
     test_times: tuple[int, ...]
     excluded: tuple[tuple[int, str], ...] = ()
-    lambdas: np.ndarray | None = None
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=np.float64, copy=True)
@@ -92,14 +89,6 @@ class WeightVector:
             raise ValueError("one weight per test time required")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        if self.lambdas is not None:
-            lam = np.array(self.lambdas, dtype=np.float64, copy=True)
-            if lam.shape != w.shape or (lam <= 0).any():
-                raise ValueError("lambdas must be positive, one per weight")
-            if not np.allclose(w, np.sqrt(lam / lam.sum()), rtol=0, atol=1e-12):
-                raise ValueError("weights must equal sqrt(lambda / sum(lambda))")
-            lam.setflags(write=False)
-            object.__setattr__(self, "lambdas", lam)
 
 
 def _lambda_from_moments(
@@ -123,22 +112,6 @@ def _lambda_from_moments(
     return 1.0 / denom
 
 
-def estimate_lambda(treated, control, n_total: int) -> float:
-    """Estimated precision of one test from its group outcomes.
-
-    Sample variances (ddof=1) plug into the cross-matched formula;
-    both arms need at least two observations, and outcomes constant in
-    both arms are rejected since the weight would be infinite.
-    """
-    t = np.asarray(treated, dtype=np.float64)
-    c = np.asarray(control, dtype=np.float64)
-    if t.size < 2 or c.size < 2:
-        raise ValueError("need at least two outcomes per arm to estimate a variance")
-    return _lambda_from_moments(
-        float(t.var(ddof=1)), float(c.var(ddof=1)), t.size, c.size, int(n_total)
-    )
-
-
 class _NoWeights(ValueError):
     """No test of a family has an estimable precision."""
 
@@ -160,7 +133,7 @@ def _weights_from_moments(tests, n_total: int) -> WeightVector:
     if not lambdas:
         raise _NoWeights("no test could be weighted: " + "; ".join(f"t={t}: {r}" for t, r in excluded))
     lam = np.asarray(lambdas)
-    return WeightVector(np.sqrt(lam / lam.sum()), tuple(kept_times), tuple(excluded), lam)
+    return WeightVector(np.sqrt(lam / lam.sum()), tuple(kept_times), tuple(excluded))
 
 
 def weights_from_result(result) -> WeightVector:

@@ -247,9 +247,9 @@ def _arm_variance(x: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class McrtTest:
-    """One completed test: its permutation result and the TailPlan that
-    re-evaluates it under any shifted effect.  Arm sizes and variances
-    are read from the plan's sample, a variance only on first read."""
+    """One completed test: its permutation result and its zero-shift
+    draw, the TailPlan that invert_combined shifts.  Arm sizes and
+    variances are read from the plan's sample, a variance on first read."""
 
     test_time: int
     outcome_time: int
@@ -288,9 +288,9 @@ class LagFamily:
 
     ``tests`` hold each testable group's p-values at zero shift and its
     TailPlan, ordered by test time.  run_mcrts builds it; the combiners
-    and invert_combined read it.  Two families compare equal by
-    everything but their tests' tails and the shift indexes
-    invert_combined keeps, one per kept set of test times.
+    and invert_combined read it, keeping one shift index per kept set of
+    test times, where a rank-sum family's selections are gathered.  Two
+    families compare equal by all but their tests' tails and those indexes.
     """
 
     lag: int

@@ -31,14 +31,15 @@ argpartition's order, which NumPy's kernel sets by SIMD level (AVX-512,
 AVX2 or baseline), so the last bits of its sums, and with them interval
 endpoints and p-values on tied outcomes, can differ between machines.
 
-A TailPlan keeps only what tail counting reads from a relabeling draw,
-and a _ShiftIndex over TailPlans evaluates both tails for any shift of
-the treated arm, so one draw serves the p-values at zero shift and a
-whole confidence-interval search.  The difference in means keeps the
-streamed sums and hits; only the rank sum, which re-sums ranks at every
-shift, gathers the B x m selections and keeps them.  The rank statistic
-uses midranks computed here in NumPy, so importing the package does not
-load SciPy.
+A TailPlan is one test's zero-shift draw: both statistics reduce it
+chunk by chunk, the rank sum over the pooled midranks, so a p-value
+keeps only the B sums and hits.  A _ShiftIndex over TailPlans is the
+only code that shifts the treated arm: it evaluates both tails for any
+shift, so one draw serves the p-values at zero shift and a whole
+confidence-interval search.  Only its rank-sum lookup gathers a test's
+B x m selections, once, to re-sum ranks at every shift.  The rank
+statistic uses midranks computed here in NumPy, so importing the
+package does not load SciPy.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -328,28 +328,16 @@ def _controls_below(xs: np.ndarray, ys: np.ndarray, v: float, strict: bool) -> n
 
 
 class TailPlan:
-    """One test's relabelings reduced to what tail counting reads.
+    """One test's zero-shift draw: what tail counting reads from it.
 
-    Shifting the treated arm by delta moves each relabeling's statistic
-    to the other side of the observed one only at a candidate shift, so
-    both tail counts are step functions of delta:
-
-    - difference in means: only the per-relabeling selected-slot sums
-      and treated hits are kept, reduced from the draw chunk by chunk
-      (RelabelPlan.reduce).
-      Relabeling r with h_r < m treated hits ties the observed statistic
-      at delta = (obs - sum_r) / (m - h_r); the relabelings with h_r = m
-      add a constant count.
-    - rank sum: the draw's selections are gathered once and kept to
-      sum ranks; it is the only test that keeps them.  The pooled order
-      changes only where a shifted treated value x_i - delta passes a
-      control value y_j, at delta = x_i - y_j; the m * n differences are
-      never formed, both arms are sorted and counted by bisection.
-
-    For both, ``_sums`` and ``_obs`` hold each relabeling's and the
-    observed statistic sum at zero shift, which ``result`` counts.  The
-    family lookup _ShiftIndex evaluates the tails on the open cell beside
-    a shift, where they are constant, with the candidates that bound it.
+    The pooled outcomes, or their midranks for the rank sum, are reduced
+    from the draw chunk by chunk (RelabelPlan.reduce) to each
+    relabeling's selected-slot sum and treated hits, so no statistic
+    keeps the B x m selections.  Midranks are half-integers, so a rank
+    sum is exact in any order of its terms.  ``_sums`` and ``_obs`` hold
+    each relabeling's and the observed statistic sum at zero shift, which
+    ``result`` counts; the plan is kept as ``_plan``.  Shifting the
+    treated arm is left to the family lookup _ShiftIndex.
     """
 
     def __init__(self, sample: TwoGroupSample, plan: RelabelPlan, statistic: str):
@@ -359,55 +347,12 @@ class TailPlan:
         self.statistic = statistic
         self.exact = plan.exact
         self.n_resamples = plan.n_resamples
+        self._plan = plan
         pool = sample.pooled()
-        if statistic == "diff_in_means":
-            self._sums, self._hits = plan.reduce(pool)
-        else:
-            self._selections = plan.selections
+        if statistic == "rank_sum":
             pool = midranks(pool)
-            self._sums = pool[self._selections].sum(axis=1)
+        self._sums, self._hits = plan.reduce(pool)
         self._obs = float(pool[: sample.n_treated].sum())
-
-    # the candidate structures serve only shifted evaluation, so a test
-    # that never leaves zero shift does not build them
-    @cached_property
-    def _breaks(self) -> tuple[np.ndarray, int, int]:
-        """Sorted candidate shifts, and how many relabelings that never
-        change side sit at or below and at or above the observed sum."""
-        m = self.sample.n_treated
-        moves = self._hits < m
-        breaks = np.sort((self._obs - self._sums[moves]) / (m - self._hits[moves]))
-        fixed_le, fixed_ge = _tail_counts(self._sums[~moves], self._obs)
-        return breaks, int(fixed_le), int(fixed_ge)
-
-    @cached_property
-    def _arms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Both arms sorted, the pooled slot of each sorted value, and the
-        within-arm midranks in pooled slot order."""
-        t_order = np.argsort(self.sample.treated, kind="stable")
-        c_order = np.argsort(self.sample.control, kind="stable")
-        ranks = np.concatenate([midranks(self.sample.treated), midranks(self.sample.control)])
-        return (
-            self.sample.treated[t_order], self.sample.control[c_order],
-            t_order, self.sample.n_treated + c_order, ranks,
-        )
-
-    def _rank_cell(self, v: float, side: str) -> tuple[int, int, float, float]:
-        """The rank-sum test's tail counts on the cell beside ``v`` (see
-        _ShiftIndex.cell), with the candidates that bound it."""
-        xs, ys, t_slots, c_slots, arm_ranks = self._arms
-        # a treated value stays above control y_j on the cell while x - y_j
-        # exceeds v; ties between arms cannot occur inside a cell
-        a = _controls_below(xs, ys, v, strict=side == "right")
-        ranks = arm_ranks.copy()
-        ranks[t_slots] += a
-        ranks[c_slots] += np.searchsorted(a, np.arange(ys.size), "right")
-        n_le, n_ge = _tail_counts(ranks[self._selections].sum(axis=1), float(ranks[: xs.size].sum()))
-        rows = a < ys.size
-        below = float((xs[rows] - ys[a[rows]]).max()) if rows.any() else -math.inf
-        rows = a > 0
-        above = float((xs[rows] - ys[a[rows] - 1]).min()) if rows.any() else math.inf
-        return n_le, n_ge, below, above
 
     def result(self) -> PermutationResult:
         """The unshifted test: observed statistic and both p-values."""
@@ -439,20 +384,31 @@ def _tail_plan(sample: TwoGroupSample, statistic: str, budget: int, exact_thresh
 class _ShiftIndex:
     """The shifted tails of a family of tests, one lookup per probe.
 
-    A probe is the open cell just above or below a shift, where every
-    test's tails are constant, and gives every test's position in it at
-    once; no shift is formed, so rounding cannot move a candidate across
-    the probed shift.  For the difference in means, the tests' sorted
-    candidate shifts (TailPlan._breaks) are merged once into their
-    distinct union (np.unique), and each candidate keeps its rank in the
-    union, offset by (union size + 1) times its test's index.  A probe
-    then takes two searchsorted calls: one on the union finds the cell
-    and the candidates that bound it, and one with a needle per test, at
-    the cell's rank plus the test's offset, counts each test's candidates
-    below the cell.  The rank sum re-sums ranks at every shift, so each of
-    its tests counts its own cell (TailPlan._rank_cell).  ``tail`` turns a
-    position into one tail's p-values, so a probe computes only the tail
-    it reads.
+    Shifting the treated arm by delta moves a relabeling's statistic to
+    the other side of the observed one only at a candidate shift, so
+    both tail counts are step functions of delta.  A probe is the open
+    cell just above or below a shift, where every test's tails are
+    constant, and gives every test's position in it at once; no shift is
+    formed, so rounding cannot move a candidate across the probed shift.
+
+    - difference in means: relabeling r with h_r < m treated hits ties
+      the observed statistic at delta = (obs - sum_r) / (m - h_r); the
+      relabelings with h_r = m add a constant count.  The tests' sorted
+      candidates are merged once into their distinct union (np.unique),
+      and each candidate keeps its rank in the union, offset by (union
+      size + 1) times its test's index.  A probe then takes two
+      searchsorted calls: one on the union finds the cell and the
+      candidates that bound it, and one with a needle per test, at the
+      cell's rank plus the test's offset, counts each test's candidates
+      below the cell.
+    - rank sum: the pooled order changes only where a shifted treated
+      value x_i - delta passes a control value y_j, at delta = x_i - y_j.
+      The m * n differences are never formed: both arms are sorted and
+      counted by bisection, and each probe re-sums every test's ranks
+      over its selections, gathered from its plan once, here.
+
+    ``tail`` turns a position into one tail's p-values, so a probe
+    computes only the tail it reads.
     """
 
     def __init__(self, tails):
@@ -461,8 +417,27 @@ class _ShiftIndex:
         self._add, self._den = np.asarray(add), np.asarray(den)
         self._means = self._tails[0].statistic == "diff_in_means"
         if not self._means:
+            # per test: both arms sorted, the pooled slot of each sorted
+            # value, the within-arm midranks in pooled slot order, and the
+            # draw's selections
+            self._ranked = []
+            for t in self._tails:
+                s = t.sample
+                t_order = np.argsort(s.treated, kind="stable")
+                c_order = np.argsort(s.control, kind="stable")
+                arm_ranks = np.concatenate([midranks(s.treated), midranks(s.control)])
+                self._ranked.append((
+                    s.treated[t_order], s.control[c_order], t_order, s.n_treated + c_order,
+                    arm_ranks, t._plan.selections,
+                ))
             return
-        breaks, fixed_le, fixed_ge = zip(*(t._breaks for t in self._tails))
+        breaks, fixed = [], []
+        for t in self._tails:
+            m = t.sample.n_treated
+            moves = t._hits < m
+            breaks.append(np.sort((t._obs - t._sums[moves]) / (m - t._hits[moves])))
+            fixed.append(_tail_counts(t._sums[~moves], t._obs))  # relabelings that never change side
+        fixed_le, fixed_ge = np.asarray(fixed, dtype=np.intp).T
         sizes = np.asarray([b.size for b in breaks])
         # -0.0 and 0.0 share a rank; the union keeps either as its value
         self._union, ranks = np.unique(np.concatenate(breaks), return_inverse=True)
@@ -473,8 +448,8 @@ class _ShiftIndex:
         # fixed_le + size - k relabelings at or below the observed sum
         # and fixed_ge + k at or above it
         starts = np.cumsum(sizes) - sizes
-        self._less = self._add + np.asarray(fixed_le) + sizes + starts
-        self._greater = self._add + np.asarray(fixed_ge) - starts
+        self._less = self._add + fixed_le + sizes + starts
+        self._greater = self._add + fixed_ge - starts
 
     def cell(self, v: float, side: str):
         """(position, below, above) of the open cell just above
@@ -482,9 +457,8 @@ class _ShiftIndex:
         ``below`` and ``above`` are the family's nearest candidates, -inf
         or inf when there is none."""
         if not self._means:
-            cells = [t._rank_cell(v, side) for t in self._tails]
-            counts = (np.array([c[0] for c in cells]), np.array([c[1] for c in cells]))
-            return counts, max(c[2] for c in cells), min(c[3] for c in cells)
+            n_le, n_ge, below, above = zip(*(self._ranked_cell(*ranked, v, side) for ranked in self._ranked))
+            return (np.array(n_le), np.array(n_ge)), max(below), min(above)
         union = self._union
         j = int(union.searchsorted(v, side))
         below = float(union[j - 1]) if j > 0 else -math.inf
@@ -498,6 +472,23 @@ class _ShiftIndex:
         if self._means:
             return (self._less - at if less else self._greater + at) / self._den
         return (self._add + at[0 if less else 1]) / self._den
+
+    @staticmethod
+    def _ranked_cell(xs, ys, t_slots, c_slots, arm_ranks, selections, v: float, side: str):
+        """One rank-sum test's tail counts on the cell beside ``v`` (see
+        _ShiftIndex.cell), with the candidates that bound it."""
+        # a treated value stays above control y_j on the cell while x - y_j
+        # exceeds v; ties between arms cannot occur inside a cell
+        a = _controls_below(xs, ys, v, strict=side == "right")
+        ranks = arm_ranks.copy()
+        ranks[t_slots] += a
+        ranks[c_slots] += np.searchsorted(a, np.arange(ys.size), "right")
+        n_le, n_ge = _tail_counts(ranks[selections].sum(axis=1), float(ranks[: xs.size].sum()))
+        rows = a < ys.size
+        below = float((xs[rows] - ys[a[rows]]).max()) if rows.any() else -math.inf
+        rows = a > 0
+        above = float((xs[rows] - ys[a[rows] - 1]).min()) if rows.any() else math.inf
+        return n_le, n_ge, below, above
 
 
 @dataclass(frozen=True)

@@ -302,6 +302,21 @@ def _power_replicate(task) -> dict[str, bool]:
     return out
 
 
+def _power_checks(
+    methods: Sequence[str] = POWER_METHODS, replicates: int | None = None, alpha: float = 0.05,
+    budget: int = 499, statistic: str = "diff_in_means",
+) -> TestConfig:
+    """Check power_study's arguments but the grid; the TestConfig of its tests."""
+    unknown = set(methods) - set(POWER_METHODS)
+    if unknown:
+        raise ValueError(f"unknown methods: {sorted(unknown)}; choose from {POWER_METHODS}")
+    if replicates is not None and replicates < 1:
+        raise ValueError("replicates must be positive")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    return TestConfig(budget=budget, statistic=statistic)
+
+
 def power_study(
     grid: Iterable,
     replicates: int | None = None,
@@ -321,14 +336,7 @@ def power_study(
     cells that are infeasible (lag too large for the horizon) are
     skipped and listed in the result instead of raising.
     """
-    unknown = set(methods) - set(POWER_METHODS)
-    if unknown:
-        raise ValueError(f"unknown methods: {sorted(unknown)}; choose from {POWER_METHODS}")
-    if replicates is not None and replicates < 1:
-        raise ValueError("replicates must be positive")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    tcfg = TestConfig(budget=budget, statistic=statistic)
+    tcfg = _power_checks(methods, replicates, alpha, budget, statistic)
     cells: list[Sim1Config] = []
     skipped: list[tuple[str, str]] = []
     given = {k: v for k, v in (("replicates", replicates), ("seed", seed)) if v is not None}
@@ -370,6 +378,20 @@ def _coverage_replicate(task) -> list[tuple[int, str, bool, float, bool]]:
     return out
 
 
+def _coverage_checks(
+    cfg: Sim2Config, methods: Sequence[str] = ("weighted_z",), lags: Sequence[int] = (0, 1, 2, 3, 4),
+    budget: int = 499, statistic: str = "diff_in_means",
+) -> TestConfig:
+    """Check coverage_study's arguments against ``cfg``; the TestConfig of its tests."""
+    unknown = set(methods) - set(COMBINERS)
+    if unknown:
+        raise ValueError(f"unknown combiners: {sorted(unknown)}; choose from {COMBINERS}")
+    for lag in lags:
+        if not 0 <= lag <= cfg.n_times - 2:
+            raise ValueError(f"lag {lag} out of range for {cfg.n_times} periods")
+    return TestConfig(budget=budget, statistic=statistic)
+
+
 def coverage_study(
     cfg: Sim2Config,
     methods: Sequence[str] = ("weighted_z",),
@@ -386,15 +408,9 @@ def coverage_study(
     length 0 and is also tallied in ``empty_sets``; an unbounded set has
     infinite length.
     """
-    unknown = set(methods) - set(COMBINERS)
-    if unknown:
-        raise ValueError(f"unknown combiners: {sorted(unknown)}; choose from {COMBINERS}")
     if replicates is not None and replicates != cfg.replicates:
         cfg = replace(cfg, replicates=replicates)
-    for lag in lags:
-        if not 0 <= lag <= cfg.n_times - 2:
-            raise ValueError(f"lag {lag} out of range for {cfg.n_times} periods")
-    tcfg = TestConfig(budget=budget, statistic=statistic)
+    tcfg = _coverage_checks(cfg, methods, lags, budget, statistic)
     tasks = [(cfg, rep, tuple(lags), tuple(methods), tcfg) for rep in range(cfg.replicates)]
     results = _parallel_map(_coverage_replicate, tasks, threads)
     rows = []

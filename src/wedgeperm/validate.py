@@ -391,18 +391,6 @@ def build_hasse(family: PartitionFamily) -> HasseDiagram:
             )
         )
 
-    for i, node in enumerate(nodes):
-        k_an_self = frozenset().union(*(nodes[a].owners for a in node.ancestors)) if node.ancestors else frozenset()
-        for c in node.children:
-            child = nodes[c]
-            k_an_child = frozenset().union(*(nodes[a].owners for a in child.ancestors))
-            if k_an_child != k_an_self | node.owners:
-                raise AssertionError(
-                    f"child {sorted(child.cell)}: ancestor partition indices "
-                    f"{sorted(k_an_child)} differ from parent's ancestors plus "
-                    f"parent {sorted(k_an_self | node.owners)}"
-                )
-
     roots = [i for i, p in enumerate(parents) if p is None]
     return HasseDiagram(nodes, roots)
 

@@ -203,6 +203,18 @@ class TestRankStatisticPath:
         ci = invert_single(s, 0.10, TestConfig(statistic="rank_sum", budget=299))
         assert ci.lower <= 1.0 <= ci.upper
 
+    def test_selections_are_gathered_once_per_kept_test(self, monkeypatch):
+        reads = []
+        gather = RelabelPlan.selections.fget
+        monkeypatch.setattr(RelabelPlan, "selections", property(lambda plan: reads.append(plan) or gather(plan)))
+        data = make_trial(60, (15, 15, 15, 15), lag=1, effect=0.4, seed=21, noise=0.5)
+        family = run_mcrts(data, 1, TestConfig(budget=199, statistic="rank_sum", seed=5))
+        assert reads == []  # the p-values reduce the draw chunk by chunk
+        for method in COMBINERS:
+            invert_combined(family, 0.10, method)
+        # every combiner keeps every test here, so they share one lookup
+        assert len(reads) == len(family.tests) == len({id(plan) for plan in reads})
+
 
 class TestInvertCombined:
     def test_single_group_family_matches_invert_single(self):
@@ -620,6 +632,12 @@ class TestIntervalArguments:
             with pytest.raises(ValueError, match="alpha"):
                 invert_combined(family, alpha)
 
+    def test_empty_sets_compare_and_hash_equal(self):
+        a = ConfidenceInterval(1, "fisher", 0.9, float("nan"), float("nan"), 0)
+        b = ConfidenceInterval(1, "fisher", 0.9, float("nan"), float("nan"), 0)
+        assert a == b and hash(a) == hash(b)
+        assert a != ConfidenceInterval(1, "fisher", 0.9, 0.0, 0.0, 0)
+
     def test_interval_endpoint_order_enforced(self):
         with pytest.raises(ValueError, match="out of order"):
             ConfidenceInterval(0, "single", 0.9, 2.0, 1.0, 10)
@@ -647,6 +665,8 @@ class TestCiCsv:
         ]
         assert back[0].lower == -0.25 and back[0].upper == 0.75
         assert [r.empty for r in back] == [False, False, True, False]
+        # an empty set read back equals another read and the one written, but for n_grid
+        assert read_ci_csv(path) == back and back[2] == ConfidenceInterval(1, "bonferroni", 0.9, math.nan, math.nan, 0)
         assert back[2].length == 0.0
         assert (back[3].lower, back[3].upper, back[3].length) == (-math.inf, math.inf, math.inf)
 

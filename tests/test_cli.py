@@ -8,6 +8,7 @@ import pytest
 import wedgeperm.sim
 import wedgeperm.validate
 from wedgeperm import (
+    COMBINERS,
     CrossoverTimes,
     TestConfig,
     Sim1Config,
@@ -335,20 +336,23 @@ class TestSimulate:
             # one unit per period skips every test, so no test would reach these
             ({"grid": [[6, 6, 0, 0.0]], "statistic": "bogus"}, "unknown statistic 'bogus'"),
             ({"grid": [[6, 6, 0, 0.0]], "budget": 0}, "resample budget must be at least 1"),
+            ({"statistic": "bogus"}, "unknown statistic 'bogus'"),
+            ({"methods": ["mcrts_q"]}, "unknown methods: ['mcrts_q']"),
         ],
         ids=[
             "alpha", "short-cell", "text-in-cell", "float-units-in-cell", "float-lag-in-cell",
             "methods-not-a-list", "number-in-methods", "replicates-text", "budget-text", "alpha-bool",
-            "statistic-all-skipped", "budget-all-skipped",
+            "statistic-all-skipped", "budget-all-skipped", "statistic", "unknown-method",
         ],
     )
     def test_malformed_power_config_rejected_before_any_replicate(self, tmp_path, capsys, edit, message):
-        cfg = {"study": "power", "grid": [[100, 6, 0, 0.0]], "replicates": 2, "budget": 49}
+        cfg = {"study": "power", "grid": [[100, 6, 1, 0.3]], "replicates": 2, "budget": 49}
         cfg_path, out = tmp_path / "study.json", tmp_path / "power.csv"
         cfg_path.write_text(json.dumps({**cfg, **edit}))
         assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == EXIT_USAGE
-        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
-        assert len(errors) == 1 and message in errors[0]
+        # the error is the only line: no progress line precedes it
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -361,10 +365,14 @@ class TestSimulate:
             ({"level": "0.9"}, "config key 'level' must be a number, got '0.9'"),
             ({"replicates": "2"}, "config key 'replicates' must be an integer, got '2'"),
             ({"n_units": 40.0}, "config key 'n_units' must be an integer, got 40.0"),
+            ({"lags": [9]}, "lag 9 out of range for 6 periods"),
+            ({"methods": ["nope"]}, f"unknown combiners: ['nope']; choose from {COMBINERS}"),
+            ({"budget": 0}, "resample budget must be at least 1"),
         ],
         ids=[
             "lags-number", "float-in-lags", "text-in-lags", "text-in-taus",
-            "level-text", "replicates-text", "n_units-float",
+            "level-text", "replicates-text", "n_units-float", "lag-out-of-range", "unknown-combiner",
+            "budget-zero",
         ],
     )
     def test_malformed_coverage_config_rejected_before_any_replicate(

@@ -15,7 +15,6 @@ from wedgeperm import (
     WeightVector,
     bonferroni_combine,
     combined_from_mcrt,
-    estimate_lambda,
     fisher_combine,
     run_mcrts,
     weighted_z_combine,
@@ -29,12 +28,6 @@ from conftest import make_trial
 EQUAL2 = np.full(2, math.sqrt(0.5))
 
 
-def standardized(rng, size: int, sd: float = 1.0) -> np.ndarray:
-    """Draws rescaled so the sample variance is exactly sd**2."""
-    x = rng.normal(0, 1, size)
-    return sd * (x - x.mean()) / x.std(ddof=1)
-
-
 def stub_test(test_time, var_treated, var_control, n_treated, n_control, p_less=0.5, p_greater=0.5):
     """Duck-typed completed test for weighting and combining."""
     return SimpleNamespace(
@@ -45,36 +38,6 @@ def stub_test(test_time, var_treated, var_control, n_treated, n_control, p_less=
         n_control=n_control,
         result=SimpleNamespace(p_less=p_less, p_greater=p_greater, granularity=0.002),
     )
-
-
-class TestEstimateLambda:
-    def test_unit_variances_equal_arms(self):
-        treated = np.asarray([-1.0, 0.0, 1.0])
-        control = np.asarray([5.0, 6.0, 7.0])
-        assert estimate_lambda(treated, control, 6) == pytest.approx(0.25)
-
-    def test_doubling_outcomes_quarters_lambda(self):
-        rng = generator(4)
-        t, c = rng.normal(0, 1, 8), rng.normal(0, 2, 10)
-        base = estimate_lambda(t, c, 18)
-        assert estimate_lambda(2 * t, 2 * c, 18) == pytest.approx(base / 4)
-
-    def test_monotone_in_arm_sizes(self):
-        rng = generator(5)
-        control = standardized(rng, 6, sd=2.0)
-        small = estimate_lambda(standardized(rng, 4), control, 40)
-        large = estimate_lambda(standardized(rng, 12), control, 40)
-        assert large > small
-        bigger_control = estimate_lambda(standardized(rng, 4), np.tile(control, 3), 40)
-        assert bigger_control > small
-
-    def test_rejects_singleton_arm(self):
-        with pytest.raises(ValueError, match="two outcomes"):
-            estimate_lambda([1.0], [0.0, 1.0], 3)
-
-    def test_rejects_doubly_constant_arms(self):
-        with pytest.raises(ValueError, match="zero variance"):
-            estimate_lambda([1.0, 1.0], [2.0, 2.0], 4)
 
 
 class TestWeightedZ:
@@ -242,14 +205,6 @@ class TestWeightVector:
         with pytest.raises(ValueError, match="sum to 1"):
             WeightVector(np.asarray([0.9, 0.9]), (1, 2))
 
-    def test_lambda_consistency_enforced(self):
-        with pytest.raises(ValueError, match="sqrt"):
-            WeightVector(EQUAL2, (1, 2), lambdas=np.asarray([1.0, 2.0]))
-
-    def test_symmetric_lambdas_accepted(self):
-        wv = WeightVector(EQUAL2, (1, 2), lambdas=np.asarray([0.3, 0.3]))
-        assert wv.lambdas is not None
-
 
 class TestWeightsFromResult:
     def test_identical_tests_share_weight_equally(self):
@@ -268,7 +223,6 @@ class TestWeightsFromResult:
             [1.0 / ((N / n0) * v1 + (N / n1) * v0) for _, v1, v0, n1, n0 in spec]
         )
         assert np.allclose(wv.weights, np.sqrt(lam / lam.sum()))
-        assert np.allclose(wv.lambdas, lam)
         assert float((wv.weights**2).sum()) == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_arm_test_excluded_and_renormalized(self):

@@ -13,7 +13,7 @@ EXPORTED = {
     "build_schedule", "naive_groups", "read_trial_csv", "run_mcrts",
     "write_trial_csv", "COMBINERS", "CombinedPValue", "WeightVector",
     "bonferroni_combine", "combined_from_mcrt",
-    "estimate_lambda", "fisher_combine", "weighted_z_combine", "weights_from_result",
+    "fisher_combine", "weighted_z_combine", "weights_from_result",
     "ConfidenceInterval", "invert_combined", "invert_single", "read_ci_csv",
     "write_ci_csv", "BUNDLED_SCENARIOS",
     "CondIndepResult", "DominanceReport", "DominanceRow", "FiniteAssignmentSpace",

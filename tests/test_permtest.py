@@ -18,6 +18,7 @@ from scipy.stats import rankdata
 
 import wedgeperm
 from wedgeperm import (
+    STATISTICS,
     PermutationResult,
     TailPlan,
     TwoGroupSample,
@@ -413,7 +414,7 @@ class TestRelabelPlan:
         assert peak < 32 * 2**20
 
     @staticmethod
-    def _streamed_tail_plan_peak():
+    def _streamed_tail_plan_peak(statistic):
         """tracemalloc peak of one m = 5000, pool 25 000, B = 999 TailPlan."""
         values = generator(4).normal(size=25_000)
         sample = TwoGroupSample(values[:5000], values[5000:], 50_000)
@@ -422,19 +423,21 @@ class TestRelabelPlan:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             plan = relabel_plan(25_000, 5000, budget=999, exact_threshold=1, seed=0)
-            TailPlan(sample, plan, "diff_in_means")
+            TailPlan(sample, plan, statistic)
             return tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
 
     def test_streamed_tail_plan_keeps_no_selections(self):
         # the selections and their gather would take 38 MiB each
-        assert self._streamed_tail_plan_peak() < 24 * 2**20
+        for statistic in STATISTICS:
+            assert self._streamed_tail_plan_peak(statistic) < 24 * 2**20, statistic
 
     def test_streamed_tail_plan_peak_fits_a_few_key_chunks(self):
         # 512 KiB key chunks: the same plan peaked at 17.4 MiB with
         # 8 MiB chunks, each with an 8 MiB argpartition index
-        assert self._streamed_tail_plan_peak() < 4 * 2**20
+        for statistic in STATISTICS:
+            assert self._streamed_tail_plan_peak(statistic) < 4 * 2**20, statistic
 
     def test_fixed_seed_selected_sets_and_hits_are_pinned(self):
         # argpartition lists a selected set in an order that depends on

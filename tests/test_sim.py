@@ -193,6 +193,14 @@ class TestPowerStudy:
         assert cell == repr((12, 3, 5, 0.1)) and "lag" in reason
         assert {r.lag for r in result.rows} == {0}
 
+    def test_rank_cell_never_gathers_selections(self, monkeypatch):
+        def no_gather(plan):
+            raise AssertionError("selections gathered")
+
+        monkeypatch.setattr(wedgeperm.RelabelPlan, "selections", property(no_gather))
+        result = power_study([(100, 6, 1, 0.3)], replicates=2, budget=49, statistic="rank_sum")
+        assert [r.replicates for r in result.rows] == [2, 2, 2]
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown methods"):
             power_study([(12, 3, 0, 0.0)], methods=("mcrts_z", "anova"))
