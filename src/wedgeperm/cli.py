@@ -6,14 +6,17 @@ written, 3 a theory check that ran and failed.  An empty confidence
 set, or one unbounded on a side, is a result rather than an error:
 `analyze` prints it and exits 0.  All randomness flows from --seed
 (default 12345, fixed so documented examples reproduce); only color
-suppression (NO_COLOR) comes from the environment.
+suppression (NO_COLOR) comes from the environment.  `simulate` prints
+the progress its one study call logs on the ``wedgeperm`` logger.
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import sys
+from dataclasses import fields
 
 from .ci import invert_combined, write_ci_csv
 from .combine import COMBINERS, combined_from_mcrt, weights_from_result
@@ -21,15 +24,7 @@ from .design import DataFormatError, _read_json, _write_table
 from .mcrt import TestConfig, build_schedule, read_trial_csv, run_mcrts
 from .permtest import STATISTICS
 from .rng import DEFAULT_SEED
-from .sim import (
-    Sim2Config,
-    StudyResult,
-    _coverage_checks,
-    _power_checks,
-    coverage_study,
-    emit_tables,
-    power_study,
-)
+from .sim import Sim2Config, coverage_study, emit_tables, power_study
 from .validate import (
     NestednessError,
     build_hasse,
@@ -254,48 +249,27 @@ def _load_study_config(args: argparse.Namespace) -> dict:
     return doc
 
 
-def _given(doc: dict, *keys: str) -> dict:
-    """The entries of ``doc`` under ``keys`` that it holds; a study takes
-    its own defaults for the others."""
-    return {key: doc[key] for key in keys if key in doc}
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.threads < 1:
         raise ValueError("--threads must be at least 1")
     doc = _load_study_config(args)
-    study = doc["study"]
+    study = doc.pop("study")
     out = args.out or f"{study}.csv"
-    if study == "power":
-        grid = doc.get("grid")
-        if not grid:
-            raise ValueError("config key 'grid' must be a non-empty list of [N, T, lag, effect] cells")
-        rows: list = []
-        skipped: list = []
-        total = len(grid)
-        study_args = _given(doc, "replicates", "budget", "alpha", "methods", "seed", "statistic")
-        # a bad value exits before any output
-        _power_checks(**_given(doc, "replicates", "budget", "alpha", "methods", "statistic"))
-        for i, cell in enumerate(grid, start=1):
-            print(f"power study: cell {i}/{total} {cell}", file=sys.stderr)
-            part = power_study([tuple(cell)], threads=args.threads, **study_args)
-            rows.extend(part.rows)
-            skipped.extend(part.skipped)
-            for cell_repr, reason in part.skipped:
-                print(f"  skipped {cell_repr}: {reason}", file=sys.stderr)
-        result = StudyResult("power", tuple(rows), tuple(skipped))
-    else:
-        sim_cfg = Sim2Config(
-            **_given(doc, "n_units", "n_times", "taus", "interaction", "replicates", "seed", "level")
-        )
-        study_args = _given(doc, "methods", "lags", "budget", "statistic")
-        _coverage_checks(sim_cfg, **study_args)
-        print(
-            f"coverage study: N={sim_cfg.n_units} T={sim_cfg.n_times} "
-            f"interaction={sim_cfg.interaction} replicates={sim_cfg.replicates}",
-            file=sys.stderr,
-        )
-        result = coverage_study(sim_cfg, threads=args.threads, **study_args)
+    # the study logs its progress; show it on stderr for this run only
+    logger = logging.getLogger("wedgeperm")
+    handlers, level = logger.handlers[:], logger.level
+    logger.addHandler(logging.StreamHandler(sys.stderr))
+    logger.setLevel(logging.INFO)
+    try:
+        if study == "power":
+            result = power_study(doc.pop("grid", []), threads=args.threads, **doc)
+        else:
+            model = {f.name for f in fields(Sim2Config)}
+            cfg = Sim2Config(**{k: v for k, v in doc.items() if k in model})
+            result = coverage_study(cfg, threads=args.threads, **{k: v for k, v in doc.items() if k not in model})
+    finally:
+        logger.handlers[:] = handlers
+        logger.setLevel(level)
     emit_tables(result, out)
     print(f"wrote {out} ({len(result.rows)} rows)", file=sys.stderr)
     return EXIT_OK

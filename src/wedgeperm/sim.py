@@ -19,6 +19,7 @@ emitted CSV tables are byte-identical no matter how many workers run.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, fields, replace
 from functools import cache, partial
@@ -60,6 +61,7 @@ POWER_METHODS = tuple(_POWER_FAMILIES)
 _POWER_TAG = 101
 _COVERAGE_TAG = 202
 _PAPER_TAUS = (0.1, 0.3, 0.6, 0.4, 0.2)
+_log = logging.getLogger(__name__)
 
 
 def default_counts(n_units: int, n_times: int) -> tuple[int, ...]:
@@ -70,6 +72,16 @@ def default_counts(n_units: int, n_times: int) -> tuple[int, ...]:
     if base < 1:
         raise ValueError("need at least one unit per period")
     return (base,) * (n_times - 1) + (n_units - base * (n_times - 1),)
+
+
+def _check_model(cfg) -> None:
+    """Variance, replicate and seed checks shared by both study models."""
+    for name in ("var_unit", "var_covariate", "var_noise"):
+        if getattr(cfg, name) < 0:
+            raise ValueError(f"{name} must be non-negative")
+    if cfg.replicates < 1:
+        raise ValueError("replicates must be positive")
+    seed_sequence(cfg.seed)
 
 
 @dataclass(frozen=True)
@@ -96,11 +108,7 @@ class Sim1Config:
         default_counts(self.n_units, self.n_times)  # feasibility
         if not 0 <= self.lag <= self.n_times - 2:
             raise ValueError(f"lag must lie in [0, {self.n_times - 2}]")
-        for name in ("var_unit", "var_covariate", "var_noise"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.replicates < 1:
-            raise ValueError("replicates must be positive")
+        _check_model(self)
 
 
 @dataclass(frozen=True)
@@ -135,11 +143,7 @@ class Sim2Config:
             raise ValueError("interaction must be 0, 1, 2, or 3")
         if not 0.0 < self.level < 1.0:
             raise ValueError("level must lie in (0, 1)")
-        for name in ("var_unit", "var_covariate", "var_noise"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.replicates < 1:
-            raise ValueError("replicates must be positive")
+        _check_model(self)
 
 
 def interaction_f(m: int, x):
@@ -302,21 +306,6 @@ def _power_replicate(task) -> dict[str, bool]:
     return out
 
 
-def _power_checks(
-    methods: Sequence[str] = POWER_METHODS, replicates: int | None = None, alpha: float = 0.05,
-    budget: int = 499, statistic: str = "diff_in_means",
-) -> TestConfig:
-    """Check power_study's arguments but the grid; the TestConfig of its tests."""
-    unknown = set(methods) - set(POWER_METHODS)
-    if unknown:
-        raise ValueError(f"unknown methods: {sorted(unknown)}; choose from {POWER_METHODS}")
-    if replicates is not None and replicates < 1:
-        raise ValueError("replicates must be positive")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    return TestConfig(budget=budget, statistic=statistic)
-
-
 def power_study(
     grid: Iterable,
     replicates: int | None = None,
@@ -334,23 +323,38 @@ def power_study(
     every cell; otherwise a Sim1Config keeps its own, and a tuple cell
     takes Sim1Config's defaults (300 replicates, DEFAULT_SEED).  Tuple
     cells that are infeasible (lag too large for the horizon) are
-    skipped and listed in the result instead of raising.
+    skipped and listed in the result instead of raising.  An empty grid
+    or ``methods`` raises, as does any bad argument, before any cell
+    runs.  Each cell then logs ``power study: cell i/n <cell>``, and a
+    skipped one ``  skipped <cell>: <reason>``, at INFO on the
+    ``wedgeperm`` logger, which is silent until ``logging`` is set up.
     """
-    tcfg = _power_checks(methods, replicates, alpha, budget, statistic)
-    cells: list[Sim1Config] = []
-    skipped: list[tuple[str, str]] = []
+    unknown = set(methods) - set(POWER_METHODS)
+    if unknown:
+        raise ValueError(f"unknown methods: {sorted(unknown)}; choose from {POWER_METHODS}")
+    if not methods:
+        raise ValueError("methods must name at least one method")
     given = {k: v for k, v in (("replicates", replicates), ("seed", seed)) if v is not None}
-    for cell in grid:
+    Sim1Config(**given)  # a bad replicates or seed raises here, never as a skipped cell
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    tcfg = TestConfig(budget=budget, statistic=statistic)
+    grid = list(grid)
+    if not grid:
+        raise ValueError("grid must hold at least one cell")
+    rows, skipped = [], []
+    for i, cell in enumerate(grid, start=1):
+        _log.info("power study: cell %d/%d %s", i, len(grid), cell)
         if isinstance(cell, Sim1Config):
-            cells.append(replace(cell, **given))
-            continue
-        n_units, n_times, lag, effect = cell
-        try:
-            cells.append(Sim1Config(n_units=n_units, n_times=n_times, lag=lag, effect=effect, **given))
-        except ValueError as exc:
-            skipped.append((repr(tuple(cell)), str(exc)))
-    rows = []
-    for cfg in cells:
+            cfg = replace(cell, **given)
+        else:
+            n_units, n_times, lag, effect = cell
+            try:
+                cfg = Sim1Config(n_units=n_units, n_times=n_times, lag=lag, effect=effect, **given)
+            except ValueError as exc:
+                skipped.append((repr(tuple(cell)), str(exc)))
+                _log.info("  skipped %s: %s", *skipped[-1])
+                continue
         tasks = [(cfg, rep, alpha, tcfg, tuple(methods)) for rep in range(cfg.replicates)]
         results = _parallel_map(_power_replicate, tasks, threads)
         for method in methods:
@@ -378,20 +382,6 @@ def _coverage_replicate(task) -> list[tuple[int, str, bool, float, bool]]:
     return out
 
 
-def _coverage_checks(
-    cfg: Sim2Config, methods: Sequence[str] = ("weighted_z",), lags: Sequence[int] = (0, 1, 2, 3, 4),
-    budget: int = 499, statistic: str = "diff_in_means",
-) -> TestConfig:
-    """Check coverage_study's arguments against ``cfg``; the TestConfig of its tests."""
-    unknown = set(methods) - set(COMBINERS)
-    if unknown:
-        raise ValueError(f"unknown combiners: {sorted(unknown)}; choose from {COMBINERS}")
-    for lag in lags:
-        if not 0 <= lag <= cfg.n_times - 2:
-            raise ValueError(f"lag {lag} out of range for {cfg.n_times} periods")
-    return TestConfig(budget=budget, statistic=statistic)
-
-
 def coverage_study(
     cfg: Sim2Config,
     methods: Sequence[str] = ("weighted_z",),
@@ -406,11 +396,26 @@ def coverage_study(
     Every replicate draws one dataset and inverts the test family at
     each requested lag.  An empty confidence set counts as a miss of
     length 0 and is also tallied in ``empty_sets``; an unbounded set has
-    infinite length.
+    infinite length.  An empty ``methods`` or ``lags`` raises, as does
+    any bad argument, before any replicate runs; the study then logs
+    ``coverage study: N=… T=… interaction=… replicates=…`` at INFO on
+    the ``wedgeperm`` logger, as ``power_study`` logs its cells.
     """
     if replicates is not None and replicates != cfg.replicates:
         cfg = replace(cfg, replicates=replicates)
-    tcfg = _coverage_checks(cfg, methods, lags, budget, statistic)
+    unknown = set(methods) - set(COMBINERS)
+    if unknown:
+        raise ValueError(f"unknown combiners: {sorted(unknown)}; choose from {COMBINERS}")
+    if not methods:
+        raise ValueError("methods must name at least one combiner")
+    if not lags:
+        raise ValueError("lags must name at least one lag")
+    for lag in lags:
+        if not 0 <= lag <= cfg.n_times - 2:
+            raise ValueError(f"lag {lag} out of range for {cfg.n_times} periods")
+    tcfg = TestConfig(budget=budget, statistic=statistic)
+    _log.info("coverage study: N=%s T=%s interaction=%s replicates=%s",
+              cfg.n_units, cfg.n_times, cfg.interaction, cfg.replicates)
     tasks = [(cfg, rep, tuple(lags), tuple(methods), tcfg) for rep in range(cfg.replicates)]
     results = _parallel_map(_coverage_replicate, tasks, threads)
     rows = []

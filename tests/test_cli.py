@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, exit codes, and file outputs."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -251,6 +252,44 @@ class TestSimulate:
         assert all(r.replicates == 2 for r in result.rows)
         assert "wrote" in capsys.readouterr().err
 
+    def test_power_stderr_is_one_line_per_cell_and_skip(self, tmp_path, capsys):
+        grid = [[100, 6, 0, 0.0], [100, 6, 9, 0.0], [6, 6, 0, 0.0], [60, 4, 1, 0.3]]
+        cfg_path, out = tmp_path / "study.json", tmp_path / "power.csv"
+        cfg_path.write_text(json.dumps({"study": "power", "grid": grid, "replicates": 3, "budget": 49}))
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err.splitlines() == [
+            "power study: cell 1/4 [100, 6, 0, 0.0]",
+            "power study: cell 2/4 [100, 6, 9, 0.0]",
+            "  skipped (100, 6, 9, 0.0): lag must lie in [0, 4]",
+            "power study: cell 3/4 [6, 6, 0, 0.0]",
+            "power study: cell 4/4 [60, 4, 1, 0.3]",
+            f"wrote {out} (9 rows)",
+        ]
+
+    def test_coverage_stderr_is_the_study_line_and_the_table_line(self, tmp_path, capsys):
+        cfg = {"study": "coverage", "n_units": 40, "n_times": 6, "replicates": 2,
+               "lags": [0, 1], "methods": ["weighted_z", "fisher"], "budget": 49}
+        cfg_path, out = tmp_path / "study.json", tmp_path / "coverage.csv"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err.splitlines() == [
+            "coverage study: N=40 T=6 interaction=0 replicates=2",
+            f"wrote {out} (4 rows)",
+        ]
+
+    def test_each_run_prints_its_progress_once_and_restores_the_logger(self, tmp_path, capsys):
+        logger = logging.getLogger("wedgeperm")
+        before = (list(logger.handlers), logger.level)
+        cfg_path, out = tmp_path / "study.json", tmp_path / "power.csv"
+        cfg_path.write_text(json.dumps({"study": "power", "grid": [[16, 2, 0, 0.0]], "replicates": 1, "budget": 49}))
+        for _ in range(2):
+            assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+            assert capsys.readouterr().err.splitlines() == ["power study: cell 1/1 [16, 2, 0, 0.0]", f"wrote {out} (3 rows)"]
+            assert (logger.handlers, logger.level) == before
+        # a run that fails inside the study restores the logger too
+        assert main(["simulate", "--config", str(cfg_path), "--seed", "-1", "--out", str(out)]) == EXIT_USAGE
+        assert (logger.handlers, logger.level) == before
+
     def test_cell_whose_tests_are_all_skipped_rejects_nothing(self, tmp_path, capsys):
         # one unit per period leaves every arm below min_arm
         cfg_path, out = tmp_path / "study.json", tmp_path / "power.csv"
@@ -338,11 +377,15 @@ class TestSimulate:
             ({"grid": [[6, 6, 0, 0.0]], "budget": 0}, "resample budget must be at least 1"),
             ({"statistic": "bogus"}, "unknown statistic 'bogus'"),
             ({"methods": ["mcrts_q"]}, "unknown methods: ['mcrts_q']"),
+            ({"seed": -1}, "seed must be a non-negative integer"),
+            ({"methods": []}, "methods must name at least one method"),
+            ({"grid": []}, "grid must hold at least one cell"),
         ],
         ids=[
             "alpha", "short-cell", "text-in-cell", "float-units-in-cell", "float-lag-in-cell",
             "methods-not-a-list", "number-in-methods", "replicates-text", "budget-text", "alpha-bool",
             "statistic-all-skipped", "budget-all-skipped", "statistic", "unknown-method",
+            "seed-negative", "methods-empty", "grid-empty",
         ],
     )
     def test_malformed_power_config_rejected_before_any_replicate(self, tmp_path, capsys, edit, message):
@@ -368,11 +411,14 @@ class TestSimulate:
             ({"lags": [9]}, "lag 9 out of range for 6 periods"),
             ({"methods": ["nope"]}, f"unknown combiners: ['nope']; choose from {COMBINERS}"),
             ({"budget": 0}, "resample budget must be at least 1"),
+            ({"seed": -1}, "seed must be a non-negative integer"),
+            ({"methods": []}, "methods must name at least one combiner"),
+            ({"lags": []}, "lags must name at least one lag"),
         ],
         ids=[
             "lags-number", "float-in-lags", "text-in-lags", "text-in-taus",
             "level-text", "replicates-text", "n_units-float", "lag-out-of-range", "unknown-combiner",
-            "budget-zero",
+            "budget-zero", "seed-negative", "methods-empty", "lags-empty",
         ],
     )
     def test_malformed_coverage_config_rejected_before_any_replicate(

@@ -1,6 +1,7 @@
 """Simulation studies: outcome models, power and coverage tables."""
 
 import hashlib
+import logging
 import math
 import os
 import subprocess
@@ -71,6 +72,11 @@ class TestConfigs:
     def test_replicates_positive(self):
         with pytest.raises(ValueError, match="replicates"):
             Sim1Config(replicates=0)
+
+    @pytest.mark.parametrize("model", [Sim1Config, Sim2Config])
+    def test_negative_seed_rejected(self, model):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            model(seed=-1)
 
     def test_default_effects_are_cut_or_padded_to_the_periods(self):
         assert Sim2Config().taus == (0.1, 0.3, 0.6, 0.4, 0.2, 0.0, 0.0, 0.0)
@@ -204,6 +210,21 @@ class TestPowerStudy:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown methods"):
             power_study([(12, 3, 0, 0.0)], methods=("mcrts_z", "anova"))
+
+    def test_negative_seed_rejected_not_skipped(self):
+        # the cell is infeasible too, yet the seed is what fails
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            power_study([(12, 3, 5, 0.1)], replicates=2, seed=-1)
+
+    @pytest.mark.parametrize(
+        "grid, methods, message",
+        [([], POWER_METHODS, "grid must hold at least one cell"),
+         ([(12, 3, 0, 0.0)], (), "methods must name at least one method")],
+        ids=["grid-empty", "methods-empty"],
+    )
+    def test_study_over_nothing_rejected(self, grid, methods, message):
+        with pytest.raises(ValueError, match=message):
+            power_study(grid, replicates=2, budget=19, methods=methods)
 
     def test_seed_applies_to_every_cell(self, monkeypatch):
         seeds = []
@@ -349,6 +370,15 @@ class TestCoverageStudy:
         with pytest.raises(ValueError, match=r"unknown combiners: \['anova'\]"):
             coverage_study(cfg, methods=("weighted_z", "anova"), lags=(0,), budget=49)
 
+    @pytest.mark.parametrize(
+        "methods, lags, message",
+        [((), (0,), "methods must name at least one combiner"), (("fisher",), (), "lags must name at least one lag")],
+        ids=["methods-empty", "lags-empty"],
+    )
+    def test_study_over_nothing_rejected(self, methods, lags, message):
+        with pytest.raises(ValueError, match=message):
+            coverage_study(Sim2Config(n_units=24, n_times=3, replicates=2), methods=methods, lags=lags)
+
     def test_lag_without_testable_groups_is_covered_with_infinite_length(self):
         # eight units over eight periods: one unit per arm, so every
         # lag-0 test is skipped and each set is the whole line
@@ -374,6 +404,29 @@ class TestCoverageStudy:
         )
         assert len(drawn) == cfg.replicates * tests_per_replicate
         assert len(set(drawn)) == len(drawn)
+
+
+class TestProgressLog:
+    GRID = [(16, 2, 0, 0.0), (16, 2, 5, 0.0)]
+    COVERAGE = Sim2Config(n_units=24, n_times=3, replicates=1)
+
+    def _run_both(self):
+        power_study(self.GRID, replicates=1, budget=19, methods=("mcrts_f",))
+        coverage_study(self.COVERAGE, lags=(0,), budget=19)
+
+    def test_library_calls_write_nothing_while_logging_is_unconfigured(self, capfd):
+        self._run_both()
+        assert capfd.readouterr() == ("", "")
+
+    def test_one_info_record_per_cell_skip_and_coverage_study(self, caplog):
+        with caplog.at_level(logging.INFO, logger="wedgeperm"):
+            self._run_both()
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("wedgeperm.sim", logging.INFO, "power study: cell 1/2 (16, 2, 0, 0.0)"),
+            ("wedgeperm.sim", logging.INFO, "power study: cell 2/2 (16, 2, 5, 0.0)"),
+            ("wedgeperm.sim", logging.INFO, "  skipped (16, 2, 5, 0.0): lag must lie in [0, 0]"),
+            ("wedgeperm.sim", logging.INFO, "coverage study: N=24 T=3 interaction=0 replicates=1"),
+        ]
 
 
 class TestRowValidation:
