@@ -20,8 +20,6 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .rng import as_generator
-
 __all__ = [
     "DesignSpec",
     "CrossoverTimes",
@@ -207,16 +205,15 @@ def step_conditional_prob(spec: DesignSpec, t: int) -> Fraction:
     )
 
 
-def sample_assignment(spec: DesignSpec, rng=None) -> CrossoverTimes:
-    """Uniform draw from the assignment space.
+def sample_assignment(spec: DesignSpec, rng: np.random.Generator) -> CrossoverTimes:
+    """Uniform draw from the assignment space, on the Generator ``rng``.
 
     Shuffles the multiset of crossover times (N_t copies of each time t)
     with a Fisher-Yates pass; every distinct assignment corresponds to
     the same number of label orderings, so the draw is exactly uniform.
     """
-    gen = as_generator(rng)
     labels = np.repeat(np.arange(1, spec.n_times + 1, dtype=np.int64), spec.counts)
-    gen.shuffle(labels)
+    rng.shuffle(labels)
     return CrossoverTimes(labels, spec.n_times)
 
 

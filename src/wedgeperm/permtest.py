@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import seed_sequence
+from .rng import DEFAULT_SEED, seed_sequence
 
 __all__ = [
     "TwoGroupSample",
@@ -275,23 +275,23 @@ def relabel_plan(
     n_treated: int,
     budget: int = DEFAULT_BUDGET,
     exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
-    seed=None,
+    seed=DEFAULT_SEED,
 ) -> RelabelPlan:
     """Fix the enumeration or sample of treated-slot selections for a
     pooled test; the plan yields its rows on demand.
 
-    A Monte-Carlo draw is fixed here, ``seed=None`` resolving to one
-    fresh entropy.
+    A Monte-Carlo draw is fixed here by ``seed``, a non-negative integer
+    or a SeedSequence (see rng.seed_sequence).
     """
     if not 1 <= n_treated < pool_size:
         raise ValueError("need at least one treated and one control slot")
     if budget < 1:
         raise ValueError("resample budget must be at least 1")
+    root = seed_sequence(seed)  # checked for an exact plan too, which draws nothing
     total = _count_if_at_most(pool_size, n_treated, exact_threshold)
     if total is not None:
         return RelabelPlan(n_treated, pool_size, total, True)
-    streams = tuple(seed_sequence(seed).spawn((budget + _BLOCK - 1) // _BLOCK))
-    return RelabelPlan(n_treated, pool_size, budget, False, streams=streams)
+    return RelabelPlan(n_treated, pool_size, budget, False, streams=tuple(root.spawn((budget + _BLOCK - 1) // _BLOCK)))
 
 
 def _add_one(n_resamples: int, exact: bool) -> tuple[int, int]:
@@ -518,7 +518,7 @@ def permutation_pvalue(
     budget: int = DEFAULT_BUDGET,
     statistic: str = "diff_in_means",
     exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
-    seed=None,
+    seed=DEFAULT_SEED,
 ) -> PermutationResult:
     """Both one-sided p-values for a two-group comparison.
 

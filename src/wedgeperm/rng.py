@@ -18,8 +18,9 @@ DEFAULT_SEED = 12345
 def seed_sequence(seed, *keys: int) -> np.random.SeedSequence:
     """Derive a child SeedSequence from ``seed`` and integer ``keys``.
 
-    The same (seed, keys) pair always yields the same stream; distinct
-    key tuples yield statistically independent streams.
+    A seed is a non-negative integer (not a bool) or a SeedSequence;
+    anything else, None included, raises ValueError.  Equal (seed, keys)
+    give equal streams, and distinct key tuples independent ones.
 
     Keys after a SeedSequence seed extend its spawn key, so
     seed_sequence(seed_sequence(s, *a), *b) is seed_sequence(s, *a, *b)
@@ -32,10 +33,7 @@ def seed_sequence(seed, *keys: int) -> np.random.SeedSequence:
         return np.random.SeedSequence(
             entropy=seed.entropy, spawn_key=tuple(seed.spawn_key) + tuple(int(k) for k in keys)
         )
-    if seed is None:
-        return np.random.SeedSequence()
-    seed = int(seed)
-    if seed < 0:
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
         raise ValueError("seed must be a non-negative integer")
     bad = [k for k in keys if int(k) < 0]
     if bad:
@@ -46,10 +44,3 @@ def seed_sequence(seed, *keys: int) -> np.random.SeedSequence:
 def generator(seed, *keys: int) -> np.random.Generator:
     """A fresh Generator on the stream derived from (seed, *keys)."""
     return np.random.default_rng(seed_sequence(seed, *keys))
-
-
-def as_generator(rng) -> np.random.Generator:
-    """Coerce an int seed, SeedSequence, Generator, or None to a Generator."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(seed_sequence(rng) if not isinstance(rng, np.random.SeedSequence) else rng)

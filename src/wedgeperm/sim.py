@@ -10,17 +10,20 @@ builder and replicate, the nested one (run_mcrts over build_groups)
 for MCRTs+Z/F and the Bonferroni baseline (run_mcrts over
 naive_groups), and reads each method's p-value by combined_from_mcrt.
 
-Everything is deterministic given (config, seed): datasets come from a
-stream keyed by (seed, study tag, replicate), test relabelings from
-(seed, study tag, replicate, family key, test time), and replicates
-parallelize over processes with order-preserving collection, so the
-emitted CSV tables are byte-identical no matter how many workers run.
+Everything is deterministic given (config, seed), and a config takes
+only a non-negative integer seed (rng.seed_sequence).  Datasets come
+from a stream keyed by (seed, study tag, replicate), test relabelings
+from (seed, study tag, replicate, family key, test time), and
+replicates parallelize over one process pool per study with
+order-preserving collection, so the emitted CSV tables are
+byte-identical no matter how many workers run.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from functools import cache, partial
 from typing import Iterable, Sequence, get_type_hints
@@ -280,16 +283,19 @@ class StudyResult:
         return [r for r in self.rows if all(getattr(r, k) == v for k, v in match.items())]
 
 
-def _parallel_map(fn, tasks: Sequence, threads: int) -> list:
-    """Order-preserving map, optionally fanned out over processes."""
-    if threads <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
+@contextmanager
+def _study_map(threads: int):
+    """Yield an order-preserving map(fn, tasks) for one study; with
+    threads > 1 it fans out over one pool of worker processes, which
+    stays open until the study ends."""
+    if threads <= 1:
+        yield lambda fn, tasks: list(map(fn, tasks))
+        return
     # imported here, so that importing the package does not load it
     from concurrent.futures import ProcessPoolExecutor
 
-    chunk = max(1, len(tasks) // (4 * threads))
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunk))
+        yield lambda fn, tasks: list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * threads))))
 
 
 def _power_replicate(task) -> dict[str, bool]:
@@ -343,28 +349,29 @@ def power_study(
     if not grid:
         raise ValueError("grid must hold at least one cell")
     rows, skipped = [], []
-    for i, cell in enumerate(grid, start=1):
-        _log.info("power study: cell %d/%d %s", i, len(grid), cell)
-        if isinstance(cell, Sim1Config):
-            cfg = replace(cell, **given)
-        else:
-            n_units, n_times, lag, effect = cell
-            try:
-                cfg = Sim1Config(n_units=n_units, n_times=n_times, lag=lag, effect=effect, **given)
-            except ValueError as exc:
-                skipped.append((repr(tuple(cell)), str(exc)))
-                _log.info("  skipped %s: %s", *skipped[-1])
-                continue
-        tasks = [(cfg, rep, alpha, tcfg, tuple(methods)) for rep in range(cfg.replicates)]
-        results = _parallel_map(_power_replicate, tasks, threads)
-        for method in methods:
-            rejections = sum(r[method] for r in results)
-            rows.append(
-                PowerRow.from_counts(
-                    cfg.n_units, cfg.n_times, cfg.lag, cfg.effect, method,
-                    cfg.replicates, rejections,
+    with _study_map(threads) as study_map:
+        for i, cell in enumerate(grid, start=1):
+            _log.info("power study: cell %d/%d %s", i, len(grid), cell)
+            if isinstance(cell, Sim1Config):
+                cfg = replace(cell, **given)
+            else:
+                n_units, n_times, lag, effect = cell
+                try:
+                    cfg = Sim1Config(n_units=n_units, n_times=n_times, lag=lag, effect=effect, **given)
+                except ValueError as exc:
+                    skipped.append((repr(tuple(cell)), str(exc)))
+                    _log.info("  skipped %s: %s", *skipped[-1])
+                    continue
+            tasks = [(cfg, rep, alpha, tcfg, tuple(methods)) for rep in range(cfg.replicates)]
+            results = study_map(_power_replicate, tasks)
+            for method in methods:
+                rejections = sum(r[method] for r in results)
+                rows.append(
+                    PowerRow.from_counts(
+                        cfg.n_units, cfg.n_times, cfg.lag, cfg.effect, method,
+                        cfg.replicates, rejections,
+                    )
                 )
-            )
     return StudyResult("power", tuple(rows), tuple(skipped))
 
 
@@ -417,7 +424,8 @@ def coverage_study(
     _log.info("coverage study: N=%s T=%s interaction=%s replicates=%s",
               cfg.n_units, cfg.n_times, cfg.interaction, cfg.replicates)
     tasks = [(cfg, rep, tuple(lags), tuple(methods), tcfg) for rep in range(cfg.replicates)]
-    results = _parallel_map(_coverage_replicate, tasks, threads)
+    with _study_map(threads) as study_map:
+        results = study_map(_coverage_replicate, tasks)
     rows = []
     for lag in lags:
         for method in methods:

@@ -448,6 +448,16 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg_path), "--threads", "2", "--out", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
+    def test_grid_table_and_stderr_identical_across_thread_settings(self, tmp_path, capsys):
+        grid = [[100, 6, 0, 0.0], [100, 6, 9, 0.0], [6, 6, 0, 0.0], [60, 4, 1, 0.3]]
+        cfg_path, out = tmp_path / "study.json", tmp_path / "power.csv"
+        cfg_path.write_text(json.dumps({"study": "power", "grid": grid, "replicates": 3, "budget": 49}))
+        runs = []
+        for threads in ("1", "2"):
+            assert main(["simulate", "--config", str(cfg_path), "--threads", threads, "--out", str(out)]) == EXIT_OK
+            runs.append((out.read_bytes(), capsys.readouterr().err))
+        assert runs[0] == runs[1]
+
     def test_thread_count_below_one_rejected(self, tmp_path, capsys):
         cfg_path, out = tmp_path / "study.json", tmp_path / "power.csv"
         cfg_path.write_text(

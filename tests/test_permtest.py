@@ -388,7 +388,7 @@ class TestRelabelPlan:
         assert kept == {"wide only": None, "narrow, then wide": permtest._KEY_CHUNK}
 
     @pytest.mark.parametrize("chunk", [7, 100, 1 << 20])
-    @pytest.mark.parametrize("seed", [11, None])
+    @pytest.mark.parametrize("seed", [11])
     def test_streamed_reduction_equals_materialised_selections(self, monkeypatch, chunk, seed):
         monkeypatch.setattr(permtest, "_KEY_CHUNK", chunk)
         for pool, m, budget in ((30, 10, 2500), (100, 17, 499), (7, 3, 1025)):
@@ -400,6 +400,16 @@ class TestRelabelPlan:
             ref_sums, ref_hits = values[sel].sum(axis=1), (sel < m).sum(axis=1)
             assert sums.dtype == ref_sums.dtype and sums.tobytes() == ref_sums.tobytes()
             assert hits.dtype == ref_hits.dtype and np.array_equal(hits, ref_hits)
+
+    def test_unseeded_draw_is_the_default_seed_draw(self):
+        unseeded = relabel_plan(30, 10, budget=99, exact_threshold=1)
+        seeded = relabel_plan(30, 10, budget=99, exact_threshold=1, seed=12345)
+        assert np.array_equal(unseeded.selections, seeded.selections)
+
+    @pytest.mark.parametrize("threshold", [1, 10**9])
+    def test_a_bad_seed_raises_for_sampled_and_exact_plans(self, threshold):
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
+            relabel_plan(30, 10, budget=99, exact_threshold=threshold, seed=None)
 
     def test_monte_carlo_draw_memory_is_bounded(self):
         tracemalloc.start()
@@ -587,6 +597,10 @@ class TestMonteCarloPValues:
         a = permutation_pvalue(s, budget=500, exact_threshold=1, seed=4)
         b = permutation_pvalue(s, budget=500, exact_threshold=1, seed=4)
         assert (a.p_less, a.p_greater) == (b.p_less, b.p_greater)
+
+    def test_unseeded_calls_return_equal_results(self):
+        s = TwoGroupSample(np.arange(10, dtype=float), np.arange(20, dtype=float), 30)
+        assert permutation_pvalue(s, budget=99) == permutation_pvalue(s, budget=99)
 
     def test_location_invariance_exact_equality(self):
         gen = generator(8)

@@ -78,6 +78,12 @@ class TestConfigs:
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             model(seed=-1)
 
+    @pytest.mark.parametrize("seed", [None, 3.7, "12", True], ids=repr)
+    @pytest.mark.parametrize("model", [Sim1Config, Sim2Config])
+    def test_seed_that_is_not_an_integer_rejected(self, model, seed):
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
+            model(seed=seed)
+
     def test_default_effects_are_cut_or_padded_to_the_periods(self):
         assert Sim2Config().taus == (0.1, 0.3, 0.6, 0.4, 0.2, 0.0, 0.0, 0.0)
         assert Sim2Config(n_times=3).taus == (0.1, 0.3, 0.6)
@@ -509,6 +515,22 @@ class TestDeterminism:
         emit_tables(serial, p1)
         emit_tables(fanned, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_one_process_pool_per_study(self, monkeypatch):
+        import concurrent.futures
+
+        started = []
+
+        class CountedPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+        grid = [(100, 6, 0, 0.0), (100, 6, 9, 0.0), (6, 6, 0, 0.0), (60, 4, 1, 0.3)]
+        result = power_study(grid, replicates=3, budget=49, threads=2)
+        assert len(result.rows) == 9 and len(result.skipped) == 1
+        assert started == [{"max_workers": 2}]
 
     def test_same_seed_same_rows(self):
         a = power_study([(16, 2, 0, 0.2)], replicates=5, budget=49, seed=13)
