@@ -3,10 +3,11 @@
 Units cross from control to treatment at randomized times, one group
 per period.  This package schedules mutually compatible conditional
 permutation tests for the effect a fixed number of periods after
-crossover, combines their p-values (precision-weighted inverse-normal,
-Fisher, or Bonferroni), inverts the family into confidence intervals,
-and verifies the underlying joint-validity theory exactly on small
-enumerable spaces.  A CLI (``wedgeperm``) fronts the same operations.
+crossover, combines their p-values (inverse-normal weighted by the
+design's arm sizes, Fisher, or Bonferroni), inverts the family into
+confidence intervals, and verifies the underlying joint-validity
+theory exactly on small enumerable spaces.  A CLI (``wedgeperm``)
+fronts the same operations.
 """
 
 from types import ModuleType as _ModuleType

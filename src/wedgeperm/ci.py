@@ -21,19 +21,18 @@ the curve only on the open cells between candidates; no shifted
 outcome is ever formed, so rounding at a tie never decides an
 endpoint.  Each evaluation is one probe of a family lookup
 (permtest._ShiftIndex), which holds the candidate shifts and is built
-once per family and kept set of tests, so combiners that keep the same
-tests share it.  For the difference in means it merges the tests'
-candidates into their union, so a probe is two binary searches for the
-whole family, and it computes only the tail that the bisection step
-reads; the rank sum re-sums each test's ranks at every probe, over the
-selections that the lookup gathers once per test.  A side whose tail
-stays at or above alpha/2 beyond every candidate is unbounded (-inf or
-inf); when the lower endpoint exceeds the upper one no delta is
-accepted and the set is empty (both endpoints nan).  The combined
-interval inverts the LagFamily that run_mcrts returns, the one that
-gives the analysis its p-values, through the same kept tests and
-weights as the combined p-value (combine), so its relabelings are
-never drawn again.
+once per family, so every combiner of a family shares it.  For the
+difference in means it merges the tests' candidates into their union,
+so a probe is two binary searches for the whole family, and it
+computes only the tail that the bisection step reads; the rank sum
+re-sums each test's ranks at every probe, over the selections that the
+lookup gathers once per test.  A side whose tail stays at or above
+alpha/2 beyond every candidate is unbounded (-inf or inf); when the
+lower endpoint exceeds the upper one no delta is accepted and the set
+is empty (both endpoints nan).  The combined interval inverts the
+LagFamily that run_mcrts returns, the one that gives the analysis its
+p-values, through the same tests and weights as the combined p-value
+(combine), so its relabelings are never drawn again.
 """
 
 from __future__ import annotations
@@ -170,24 +169,19 @@ def invert_combined(family: LagFamily, alpha: float = 0.10, method: str = "weigh
     """Invert a lag's whole test family through a combiner.
 
     Each test's treated outcomes are shifted by delta and tails are
-    combined per tail over the tests the combiner keeps (precision
-    weights are shift-invariant, computed once, as for the p-value);
-    the set collects deltas where each combined tail stays at or above
-    alpha/2.  Every delta is evaluated against the relabelings that
-    run_mcrts drew for ``family``.  When the combiner keeps no test, no
-    shift is rejected and the set is the whole line, (-inf, inf).
+    combined per tail over every test of the family (design weights
+    depend on arm sizes alone, so one set serves every shift, as for
+    the p-value); the set collects deltas where each combined tail stays
+    at or above alpha/2.  Every delta is evaluated against the
+    relabelings that run_mcrts drew for ``family``, through the
+    family's one shift index.  A family with no completed test rejects
+    no shift, and its set is the whole line, (-inf, inf).
     """
     _check_alpha(alpha)
-    kept, combined = _combiner(family.tests, family.n_units, method)
-    if not kept:
+    combined = _combiner(family.tests, method)
+    if not family.tests:
         return ConfidenceInterval(family.lag, method, 1.0 - alpha, -math.inf, math.inf, 0)
-    # combiners that keep the same tests invert the same tails, so the
-    # family keeps one lookup per kept set
-    times = tuple(t.test_time for t in kept)
-    shifts = family._shift_indexes.get(times)
-    if shifts is None:
-        shifts = family._shift_indexes[times] = _ShiftIndex([t.tail for t in kept])
-    return _exact_interval(shifts, combined, alpha, family.lag, method)
+    return _exact_interval(family._shift_index, combined, alpha, family.lag, method)
 
 
 _CI_COLUMNS = ["lag", "method", "level", "delta_lo", "delta_hi"]

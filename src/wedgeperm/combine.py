@@ -2,8 +2,13 @@
 
 Jointly valid p-value families stochastically dominate independent
 uniforms, so classical combiners keep their level even though the tests
-share data.  Three are provided: inverse-normal with precision-derived
-weights (the headline method), Fisher's product rule, and Bonferroni.
+share data.  Three are provided: inverse-normal with weights fixed by
+the design's arm sizes (the headline method), Fisher's product rule, and
+Bonferroni.  A combiner keeps its level this way only if it is a fixed
+monotone function of the p-values, so the weights must not depend on the
+assignment: test k's squared weight is proportional to n1 * n0 /
+(n1 + n0), which the period counts fix, and which equals its precision
+weight when the arms share a variance.
 
 Direction convention: a combiner consumes one-sided p-values from a
 single tail.  The two-sided mode combines each tail separately and
@@ -65,22 +70,17 @@ class CombinedPValue:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Per-test combining weights, squares summing to one.
-
-    ``excluded`` lists (test time, reason) pairs for tests that could
-    not be weighted — their p-values are left out of
-    the weighted-Z combination and the remaining weights are
-    renormalized.
-    """
+    """Per-test combining weights, squares summing to one."""
 
     weights: np.ndarray
     test_times: tuple[int, ...]
-    excluded: tuple[tuple[int, str], ...] = ()
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=np.float64, copy=True)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a non-empty 1-d vector")
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
         if (w <= 0).any():
             raise ValueError("weights must be strictly positive")
         if abs(float((w**2).sum()) - 1.0) > 1e-12:
@@ -91,67 +91,31 @@ class WeightVector:
         object.__setattr__(self, "weights", w)
 
 
-def _lambda_from_moments(
-    var_treated: float, var_control: float, n_treated: int, n_control: int, n_total: int
-) -> float:
-    """Inverse asymptotic variance of the root-N difference in means.
-
-    The treated-arm variance is divided by the control size and vice
-    versa; that cross-matching is what the root-N statistic's
-    permutation variance works out to.
-    """
-    if n_treated < 1 or n_control < 1 or n_total < n_treated + n_control:
-        raise ValueError("arm sizes must be positive and fit inside n_total")
-    if not (np.isfinite(var_treated) and np.isfinite(var_control)):
-        raise ValueError("arm variances must be finite")
-    if var_treated < 0 or var_control < 0:
-        raise ValueError("arm variances must be non-negative")
-    denom = (n_total / n_control) * var_treated + (n_total / n_treated) * var_control
-    if denom <= 0:
-        raise ValueError("zero variance in both arms: precision weight undefined")
-    return 1.0 / denom
-
-
-class _NoWeights(ValueError):
-    """No test of a family has an estimable precision."""
-
-
-def _weights_from_moments(tests, n_total: int) -> WeightVector:
-    lambdas: list[float] = []
-    kept_times: list[int] = []
-    excluded: list[tuple[int, str]] = []
-    for t in tests:
-        try:
-            lam = _lambda_from_moments(
-                t.var_treated, t.var_control, t.n_treated, t.n_control, n_total
-            )
-        except ValueError as exc:
-            excluded.append((t.test_time, str(exc)))
-            continue
-        lambdas.append(lam)
-        kept_times.append(t.test_time)
-    if not lambdas:
-        raise _NoWeights("no test could be weighted: " + "; ".join(f"t={t}: {r}" for t, r in excluded))
-    lam = np.asarray(lambdas)
-    return WeightVector(np.sqrt(lam / lam.sum()), tuple(kept_times), tuple(excluded))
+def _design_weights(tests) -> WeightVector:
+    """Squared weights proportional to n1 * n0 / (n1 + n0), which the
+    period counts fix under every assignment and every shift."""
+    lam = np.asarray([t.n_treated * t.n_control / (t.n_treated + t.n_control) for t in tests])
+    return WeightVector(np.sqrt(lam / lam.sum()), tuple(t.test_time for t in tests))
 
 
 def weights_from_result(result) -> WeightVector:
-    """Precision weights for a LagFamily, renormalized over usable tests.
+    """Design weights for a LagFamily, one per completed test.
 
-    Tests skipped by the engine never appear; a surviving test whose
-    arms are both constant is excluded here with a reason.  Squared
-    weights sum to one across the whole family, not per subset.
+    Test k's squared weight is proportional to n1 * n0 / (n1 + n0) over
+    its arm sizes: the precision weight of its difference in means when
+    the arms share a variance.  Squared weights sum to one.
     """
     if not result.tests:
         raise ValueError("result contains no completed tests to weight")
-    return _weights_from_moments(result.tests, result.n_units)
+    return _design_weights(result.tests)
 
 
 def _validate_pvalues(pvalues) -> np.ndarray:
     p = np.asarray(pvalues, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("need a non-empty 1-d vector of p-values")
+    if not np.isfinite(p).all():
+        raise ValueError("p-values must be finite")
     if (p <= 0).any():
         raise ValueError("p-values must be strictly positive")
     if (p > 1).any():
@@ -258,48 +222,42 @@ def _no_evidence(p: np.ndarray) -> tuple[float, float]:
     return math.nan, 1.0
 
 
-def _combiner(tests: Sequence, n_total: int, method: str):
-    """(kept tests, one-tail combination) for ``method`` over completed tests.
+def _combiner(tests: Sequence, method: str):
+    """The one-tail combination for ``method`` over completed tests.
 
-    The combination maps the kept tests' p-values from one tail, in
-    order, to (statistic, combined p-value) through the cores the public
-    combiners use, without their per-call checks.  weighted_z keeps the
-    tests with estimable precision and weights them over those alone;
-    the other combiners keep every test.  The kept set may be empty: a
-    combination over no test has no evidence, so its statistic is nan,
-    its p-value 1, and it rejects nothing.
+    It maps the tests' p-values from one tail, in order, to (statistic,
+    combined p-value) through the cores the public combiners use,
+    without their per-call checks; weighted_z weighs the tests by their
+    design weights.  A combination over no test has no evidence, so its
+    statistic is nan, its p-value 1, and it rejects nothing.
     """
     if method not in COMBINERS:
         raise ValueError(f"unknown combiner {method!r}; choose from {COMBINERS}")
-    if method == "weighted_z":
-        try:
-            weights = _weights_from_moments(tests, n_total)
-        except _NoWeights:
-            return [], _no_evidence
-        kept_times = set(weights.test_times)
-        kept = [t for t in tests if t.test_time in kept_times]
-        gran = np.asarray([t.result.granularity for t in kept])
-        return kept, lambda p: _weighted_z(p, weights.weights, gran)
     if not tests:
-        return [], _no_evidence
-    return list(tests), _fisher if method == "fisher" else _bonferroni
+        return _no_evidence
+    if method == "weighted_z":
+        w = _design_weights(tests).weights
+        gran = np.asarray([t.result.granularity for t in tests])
+        return lambda p: _weighted_z(p, w, gran)
+    return _fisher if method == "fisher" else _bonferroni
 
 
 def combined_from_mcrt(result, method: str, alternative: str = "greater") -> CombinedPValue:
     """Combine the p-values of a result's completed tests.
 
     ``result`` is a LagFamily from run_mcrts, or any object with
-    ``tests`` and ``n_units``.  ``alternative`` is "greater" (treatment
-    raises outcomes, the default), "less", or "two-sided" (both tails
-    combined separately, then twice the smaller combined p, capped at
-    1).  For weighted_z, tests without estimable precision are dropped
-    from the combination with their weight.  With no test left to
-    combine, the p-value is 1 and ``n_tests`` is 0.
+    ``tests``.  ``alternative`` is "greater" (treatment raises outcomes,
+    the default), "less", or "two-sided" (both tails combined
+    separately, then twice the smaller combined p, capped at 1).  Every
+    combiner keeps every test; weighted_z weighs them as
+    weights_from_result does.  With no test to combine, the p-value is
+    1 and ``n_tests`` is 0.
     """
-    kept, combine = _combiner(result.tests, result.n_units, method)
+    tests = result.tests
+    combine = _combiner(tests, method)
 
     def one_tail(tail: str) -> CombinedPValue:
-        p = np.asarray([t.result.p_less if tail == "less" else t.result.p_greater for t in kept])
+        p = np.asarray([t.result.p_less if tail == "less" else t.result.p_greater for t in tests])
         return CombinedPValue(method, tail, *combine(p), p.size)
 
     if alternative in ("less", "greater"):

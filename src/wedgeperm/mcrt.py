@@ -17,7 +17,6 @@ both evaluate that one draw.
 from __future__ import annotations
 
 import csv
-import math
 import warnings
 from array import array
 from dataclasses import dataclass, field
@@ -39,6 +38,7 @@ from .permtest import (
     PermutationResult,
     TailPlan,
     TwoGroupSample,
+    _ShiftIndex,
     _tail_plan,
 )
 from .rng import DEFAULT_SEED, seed_sequence
@@ -241,15 +241,11 @@ class TestConfig:
             raise ValueError("resample budget must be at least 1")
 
 
-def _arm_variance(x: np.ndarray) -> float:
-    return float(x.var(ddof=1)) if x.size > 1 else math.nan
-
-
 @dataclass(frozen=True)
 class McrtTest:
     """One completed test: its permutation result and its zero-shift
-    draw, the TailPlan that invert_combined shifts.  Arm sizes and
-    variances are read from the plan's sample, a variance on first read."""
+    draw, the TailPlan that invert_combined shifts.  Arm sizes are read
+    from the plan's sample."""
 
     test_time: int
     outcome_time: int
@@ -263,14 +259,6 @@ class McrtTest:
     @property
     def n_control(self) -> int:
         return self.tail.sample.n_control
-
-    @cached_property
-    def var_treated(self) -> float:
-        return _arm_variance(self.tail.sample.treated)
-
-    @cached_property
-    def var_control(self) -> float:
-        return _arm_variance(self.tail.sample.control)
 
 
 @dataclass(frozen=True)
@@ -288,16 +276,20 @@ class LagFamily:
 
     ``tests`` hold each testable group's p-values at zero shift and its
     TailPlan, ordered by test time.  run_mcrts builds it; the combiners
-    and invert_combined read it, keeping one shift index per kept set of
-    test times, where a rank-sum family's selections are gathered.  Two
-    families compare equal by all but their tests' tails and those indexes.
+    and invert_combined read it.  Every combiner keeps every test, so
+    invert_combined shifts the tests through one index per family, built
+    on first use, where a rank-sum family's selections are gathered.  Two
+    families compare equal by all but their tests' tails and that index.
     """
 
     lag: int
     n_units: int
     tests: tuple[McrtTest, ...]
     skipped: tuple[McrtSkip, ...]
-    _shift_indexes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    @cached_property
+    def _shift_index(self) -> _ShiftIndex:
+        return _ShiftIndex([t.tail for t in self.tests])
 
 
 def run_mcrts(data: TrialData, lag: int, cfg: TestConfig = TestConfig(), groups=build_groups) -> LagFamily:

@@ -261,7 +261,7 @@ class CoverageRow:
         replicates, covered, total_length, empty_sets,
     ):
         """An empty set counts as a miss of length 0.  A replicate whose
-        combiner keeps no test has the whole line as its set, so it
+        lag has no completed test has the whole line as its set, so it
         counts as covered, with infinite length."""
         coverage = covered / replicates
         stderr = math.sqrt(coverage * (1.0 - coverage) / replicates)

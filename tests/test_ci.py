@@ -18,6 +18,7 @@ from wedgeperm import (
     TrialData,
     TwoGroupSample,
     bonferroni_combine,
+    combined_from_mcrt,
     diff_in_means,
     fisher_combine,
     gen_outcomes_sim1,
@@ -31,6 +32,7 @@ from wedgeperm import (
     weights_from_result,
     write_ci_csv,
 )
+from wedgeperm import mcrt
 from wedgeperm.permtest import _ShiftIndex
 from wedgeperm.rng import generator, seed_sequence
 
@@ -250,13 +252,14 @@ class TestInvertCombined:
         assert covered / n_reps >= 0.90 - 3 * se
 
     def test_zero_noise_trial_recovers_exact_effect(self):
-        # constant arms carry no precision weights, so combine with
-        # fisher; the qualifying set degenerates to the single point 1.5
+        # every arm is constant, so for each combiner the qualifying set
+        # degenerates to the single point 1.5
         times = CrossoverTimes(np.repeat([1, 2, 3], 6), 3)
-        data = constant_baseline_trial(times, lag=0, effect=1.5)
-        ci = invert_combined(run_mcrts(data, 0), 0.10, "fisher")
-        assert ci.lower - 1e-5 <= 1.5 <= ci.upper + 1e-5
-        assert ci.length < 0.1
+        family = run_mcrts(constant_baseline_trial(times, lag=0, effect=1.5), 0)
+        for method in COMBINERS:
+            ci = invert_combined(family, 0.10, method)
+            assert ci.lower - 1e-5 <= 1.5 <= ci.upper + 1e-5
+            assert ci.length < 0.1
 
     @pytest.mark.parametrize("method", ["weighted_z", "fisher", "bonferroni"])
     def test_no_testable_groups_give_the_whole_line(self, method):
@@ -451,9 +454,23 @@ class TestExactEndpoints:
         assert math.isfinite(finite.lower) and math.isfinite(finite.upper)
 
 
+@pytest.fixture
+def built_indexes(monkeypatch):
+    """The tails of every family shift index built while the test runs."""
+    built = []
+
+    class Counted(_ShiftIndex):
+        def __init__(self, tails):
+            built.append(tuple(tails))
+            super().__init__(tails)
+
+    monkeypatch.setattr(mcrt, "_ShiftIndex", Counted)
+    return built
+
+
 class TestSharedFamily:
     @pytest.mark.parametrize("statistic", ["diff_in_means", "rank_sum"])
-    def test_shared_family_matches_independent_builds(self, statistic):
+    def test_shared_family_matches_independent_builds(self, statistic, built_indexes):
         lag = 1
         data = make_trial(60, (15, 15, 15, 15), lag=lag, effect=0.4, seed=21, noise=0.5)
         tcfg = TestConfig(budget=199, statistic=statistic, seed=5)
@@ -466,27 +483,31 @@ class TestSharedFamily:
             again = invert_combined(family, 0.10, method)
             fresh = invert_combined(run_mcrts(data, lag, tcfg), 0.10, method)
             assert first == again == fresh
-        # every combiner keeps every test here, so all three read one lookup
-        assert list(family._shift_indexes) == [tuple(t.test_time for t in family.tests)]
+        # one index per family: the three combiners of ``family`` read one,
+        # and each fresh family builds its own
+        tails = tuple(t.tail for t in family.tests)
+        assert sum(b == tails for b in built_indexes) == 1
+        assert len(built_indexes) == 1 + len(COMBINERS)
 
-    def test_weighted_z_dropping_a_test_gets_its_own_lookup(self):
+    def test_constant_arm_test_is_weighted_and_shares_the_lookup(self, built_indexes):
         data = make_trial(60, (15, 15, 15, 15), lag=0, effect=0.4, seed=21, noise=0.5)
         outcomes = data.outcomes.copy()
-        outcomes[:, 2] = 1.0  # both arms of the time-2 test are constant: it has no weight
+        outcomes[:, 2] = 1.0  # both arms of the time-2 test are constant
         data = TrialData(data.units, data.times, outcomes)
         tcfg = TestConfig(budget=199, seed=5)
         family = run_mcrts(data, 0, tcfg)
-        every = tuple(t.test_time for t in family.tests)
-        assert 2 in every
+        assert 2 in weights_from_result(family).test_times
+        assert combined_from_mcrt(family, "weighted_z").n_tests == len(family.tests)
         for method in ("weighted_z", "fisher", "bonferroni", "weighted_z"):
             assert invert_combined(family, 0.10, method) == invert_combined(run_mcrts(data, 0, tcfg), 0.10, method)
-        assert set(family._shift_indexes) == {every, tuple(t for t in every if t != 2)}
+        tails = tuple(t.tail for t in family.tests)
+        assert sum(b == tails for b in built_indexes) == 1
 
     def test_equality_and_repr_ignore_the_kept_lookups(self):
         data = make_trial(60, (15, 15, 15, 15), lag=1, effect=0.4, seed=21, noise=0.5)
         family, other = run_mcrts(data, 1), run_mcrts(data, 1)
         invert_combined(family, 0.10, "fisher")
-        assert family._shift_indexes and not other._shift_indexes
+        assert "_shift_index" in vars(family) and "_shift_index" not in vars(other)
         assert family == other
         assert repr(family) == repr(other)
 
@@ -531,57 +552,58 @@ class TestFamilyLookup:
 
 
 # (trial, statistic, lag, combiner, lower, upper, n_grid), recorded from the
-# per-test evaluator that preceded the family lookup
+# per-test evaluator that preceded the family lookup; the weighted_z rows
+# were recorded again when its weights came to depend on arm sizes alone
 PINNED_INTERVALS = [
-    ("raw", "diff_in_means", 0, "weighted_z", -0.25586141766170084, -0.01368639308725021, 29),
+    ("raw", "diff_in_means", 0, "weighted_z", -0.25139322686927557, -0.00965750885442208, 29),
     ("raw", "diff_in_means", 0, "fisher", -0.2591746054102637, -0.004576572971387065, 27),
     ("raw", "diff_in_means", 0, "bonferroni", -0.31260485410555905, 0.10134597595744564, 26),
-    ("raw", "diff_in_means", 1, "weighted_z", 0.04864657966592948, 0.35650247150928, 28),
+    ("raw", "diff_in_means", 1, "weighted_z", 0.05594762795159861, 0.3684520352474781, 26),
     ("raw", "diff_in_means", 1, "fisher", 0.05947098029110048, 0.3350300308869244, 28),
     ("raw", "diff_in_means", 1, "bonferroni", 0.05594762795159861, 0.27322886446815886, 28),
-    ("raw", "diff_in_means", 2, "weighted_z", -0.29837387337239596, 0.042826704389358206, 30),
+    ("raw", "diff_in_means", 2, "weighted_z", -0.28726719867926676, 0.054448656036206224, 27),
     ("raw", "diff_in_means", 2, "fisher", -0.30777687855786495, 0.06915604255444764, 31),
     ("raw", "diff_in_means", 2, "bonferroni", -0.4888745378877703, 0.2277616053816208, 26),
-    ("raw", "diff_in_means", 3, "weighted_z", -0.25586720537528657, 0.16108878805187032, 25),
+    ("raw", "diff_in_means", 3, "weighted_z", -0.25947835720874934, 0.15834492637648032, 28),
     ("raw", "diff_in_means", 3, "fisher", -0.28741467630900935, 0.20568507920712772, 26),
     ("raw", "diff_in_means", 3, "bonferroni", -0.37172305652632903, 0.3096177508085087, 27),
-    ("raw", "diff_in_means", 4, "weighted_z", -0.3000937090495377, 0.15298217574859965, 27),
+    ("raw", "diff_in_means", 4, "weighted_z", -0.30298214752877967, 0.1529109803079495, 27),
     ("raw", "diff_in_means", 4, "fisher", -0.3422686325809785, 0.18556051425445474, 27),
     ("raw", "diff_in_means", 4, "bonferroni", -0.4315954446979333, 0.28297520405188514, 25),
-    ("raw", "rank_sum", 0, "weighted_z", -0.2600854344471024, -0.022381442382490957, 30),
+    ("raw", "rank_sum", 0, "weighted_z", -0.2542769945483918, -0.016415322643520636, 30),
     ("raw", "rank_sum", 0, "fisher", -0.2542769945483918, -0.01341240272404809, 30),
     ("raw", "rank_sum", 0, "bonferroni", -0.30581277278611707, 0.08490157967645251, 28),
-    ("raw", "rank_sum", 1, "weighted_z", 0.032073720791401694, 0.34249307734731294, 28),
+    ("raw", "rank_sum", 1, "weighted_z", 0.03583387203316324, 0.34808452197378226, 27),
     ("raw", "rank_sum", 1, "fisher", 0.03509094284777481, 0.3515037753302437, 27),
     ("raw", "rank_sum", 1, "bonferroni", 0.0034338046665296496, 0.260095738364043, 28),
-    ("raw", "rank_sum", 2, "weighted_z", -0.3743097269886193, -0.005683701689999321, 25),
+    ("raw", "rank_sum", 2, "weighted_z", -0.3630883736641082, 0.00363668154760477, 27),
     ("raw", "rank_sum", 2, "fisher", -0.3584518524956142, 0.00955268410744825, 29),
     ("raw", "rank_sum", 2, "bonferroni", -0.5125871165714728, 0.09467165503832842, 26),
-    ("raw", "rank_sum", 3, "weighted_z", -0.3100332133628392, 0.154521290223399, 23),
+    ("raw", "rank_sum", 3, "weighted_z", -0.3100332133628392, 0.1504249489334033, 23),
     ("raw", "rank_sum", 3, "fisher", -0.35544717223979094, 0.20214220780840297, 23),
     ("raw", "rank_sum", 3, "bonferroni", -0.37503616904587367, 0.2126942302083572, 24),
     ("raw", "rank_sum", 4, "weighted_z", -0.35314147847579624, 0.10612949175508035, 22),
     ("raw", "rank_sum", 4, "fisher", -0.3955781977912447, 0.17025542206609368, 22),
     ("raw", "rank_sum", 4, "bonferroni", -0.49682030272138755, 0.33982088855561043, 25),
-    ("rounded", "diff_in_means", 0, "weighted_z", -0.25555555555555576, -0.014285714285714488, 23),
+    ("rounded", "diff_in_means", 0, "weighted_z", -0.25, -0.009090909090909139, 27),
     ("rounded", "diff_in_means", 0, "fisher", -0.2599999999999998, -3.700743415417188e-17, 28),
     ("rounded", "diff_in_means", 0, "bonferroni", -0.28181818181818197, 0.1142857142857144, 25),
-    ("rounded", "diff_in_means", 1, "weighted_z", 0.062499999999999556, 0.36666666666666675, 25),
+    ("rounded", "diff_in_means", 1, "weighted_z", 0.06666666666666761, 0.3777777777777776, 26),
     ("rounded", "diff_in_means", 1, "fisher", 0.07999999999999971, 0.3444444444444446, 28),
     ("rounded", "diff_in_means", 1, "bonferroni", 0.08333333333333333, 0.3000000000000007, 25),
-    ("rounded", "diff_in_means", 2, "weighted_z", -0.3000000000000003, 0.03750000000000009, 29),
+    ("rounded", "diff_in_means", 2, "weighted_z", -0.29999999999999954, 0.04999999999999982, 27),
     ("rounded", "diff_in_means", 2, "fisher", -0.31428571428571417, 0.07500000000000018, 24),
     ("rounded", "diff_in_means", 2, "bonferroni", -0.514285714285714, 0.22499999999999964, 26),
-    ("rounded", "diff_in_means", 3, "weighted_z", -0.25714285714285673, 0.15714285714285733, 24),
+    ("rounded", "diff_in_means", 3, "weighted_z", -0.25999999999999945, 0.15000000000000094, 24),
     ("rounded", "diff_in_means", 3, "fisher", -0.28999999999999987, 0.20000000000000018, 23),
     ("rounded", "diff_in_means", 3, "bonferroni", -0.366666666666666, 0.31666666666666643, 24),
-    ("rounded", "diff_in_means", 4, "weighted_z", -0.2999999999999998, 0.1555555555555562, 24),
+    ("rounded", "diff_in_means", 4, "weighted_z", -0.3, 0.1555555555555554, 24),
     ("rounded", "diff_in_means", 4, "fisher", -0.3333333333333339, 0.18000000000000113, 23),
     ("rounded", "diff_in_means", 4, "bonferroni", -0.4199999999999989, 0.27500000000000036, 23),
-    ("rounded", "rank_sum", 0, "weighted_z", -0.2999999999999998, 0.0, 16),
+    ("rounded", "rank_sum", 0, "weighted_z", -0.20000000000000018, 0.0, 17),
     ("rounded", "rank_sum", 0, "fisher", -0.20000000000000018, 0.0, 17),
     ("rounded", "rank_sum", 0, "bonferroni", -0.30000000000000004, 0.10000000000000009, 20),
-    ("rounded", "rank_sum", 1, "weighted_z", 0.0, 0.30000000000000027, 16),
+    ("rounded", "rank_sum", 1, "weighted_z", 0.09999999999999964, 0.3999999999999999, 19),
     ("rounded", "rank_sum", 1, "fisher", 0.09999999999999964, 0.30000000000000027, 19),
     ("rounded", "rank_sum", 1, "bonferroni", 0.0, 0.2999999999999998, 15),
     ("rounded", "rank_sum", 2, "weighted_z", -0.3999999999999999, 0.0, 16),

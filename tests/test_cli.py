@@ -2,6 +2,7 @@
 
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -105,7 +106,7 @@ class TestAnalyze:
 
     def test_per_test_csv_goes_through_the_table_writer(self, tmp_path, capsys):
         # every outcome at time 1 is 0, so the test at time 1 has constant
-        # arms and no weight, while the test at time 2 is weighted
+        # arms; its weight, like the time-2 test's, comes from its arm sizes
         data = make_trial(12, (4, 4, 4), seed=3)
         y = np.array(data.outcomes)
         y[:, 1] = 0.0
@@ -115,12 +116,12 @@ class TestAnalyze:
 
         family = run_mcrts(read_trial_csv(trial), 0, TestConfig(seed=7))
         wv = weights_from_result(family)
-        assert wv.test_times == (2,) and [t for t, _ in wv.excluded] == [1]
+        assert wv.test_times == (1, 2)
         weight_of = dict(zip(wv.test_times, wv.weights.tolist()))
         header = ["test_time", "outcome_time", "n_treated", "n_control", "statistic", "p_less", "p_greater", "weight"]
         rows = [
             [t.test_time, t.outcome_time, t.n_treated, t.n_control, t.result.statistic,
-             t.result.p_less, t.result.p_greater, weight_of.get(t.test_time, "")]
+             t.result.p_less, t.result.p_greater, weight_of[t.test_time]]
             for t in family.tests
         ]
         _write_table(expected, header, rows)
@@ -130,11 +131,16 @@ class TestAnalyze:
         lines = written.decode().split("\r\n")
         assert lines[0] == ",".join(header) and lines[-1] == "" and "\n" not in "".join(lines)
         cells = [line.split(",") for line in lines[1:-1]]
-        assert [row[7] for row in cells] == ["", repr(weight_of[2])]
+        assert [row[7] for row in cells] == [repr(weight_of[1]), repr(weight_of[2])]
         for row, t in zip(cells, family.tests, strict=True):
             assert [int(c) for c in row[:4]] == [t.test_time, t.outcome_time, t.n_treated, t.n_control]
             assert float(row[4]) == t.result.statistic
             assert float(row[5]) == t.result.p_less and float(row[6]) == t.result.p_greater
+
+        # a combiner without weights leaves the column empty
+        argv = ["analyze", str(trial), "--lag", "0", "--seed", "7", "--combiner", "fisher", "--out", str(path)]
+        assert main(argv) == EXIT_OK
+        assert [line.split(",")[7] for line in path.read_text().splitlines()[1:]] == ["", ""]
 
     def test_combiner_and_alpha_flags(self, trial_csv, capsys):
         code = main(
@@ -201,20 +207,21 @@ class TestAnalyze:
         assert main(["analyze", str(path), "--lag", "0"]) == EXIT_DATA
         assert "no usable tests" in capsys.readouterr().err
 
-    def test_no_weightable_test_is_a_data_error(self, tmp_path, capsys):
+    def test_constant_trial_weighs_every_test(self, tmp_path, capsys):
         # five units cross at each of times 1..6 and every outcome at
-        # time t is t: each test's arms are constant, so no test has a
-        # precision weight, while fisher and bonferroni need none
+        # time t is t: each test's arms are constant, and each still gets
+        # the weight of its arm sizes
         y = np.tile(np.arange(7.0), (30, 1))
         data = TrialData(np.arange(30), CrossoverTimes(np.repeat(np.arange(1, 7), 5), 6), y)
         path = tmp_path / "constant.csv"
         write_trial_csv(path, data)
         argv = ["analyze", str(path), "--lag", "1", "--combiner"]
-        assert main(argv + ["weighted_z"]) == EXIT_DATA
+        assert main(argv + ["weighted_z"]) == EXIT_OK
         captured = capsys.readouterr()
-        assert captured.out == ""
-        (line,) = captured.err.splitlines()
-        assert line.startswith("lag 1: no test could be weighted: t=1: zero variance in both arms")
+        assert captured.err == ""
+        tests = [line for line in captured.out.splitlines() if line.startswith("  t=")]
+        assert len(tests) == len(run_mcrts(data, 1).tests) > 1
+        assert all(re.search(r"  weight=0\.\d{4}$", line) for line in tests)
         assert main(argv + ["fisher"]) == EXIT_OK
         assert main(argv + ["bonferroni"]) == EXIT_OK
 

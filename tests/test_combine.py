@@ -1,6 +1,7 @@
-"""P-value combiners: precision weights, weighted-Z, Fisher, Bonferroni."""
+"""P-value combiners: design weights, weighted-Z, Fisher, Bonferroni, and their exact size."""
 
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,11 +11,16 @@ from hypothesis import strategies as st
 from scipy.special import gammaincc, ndtr, ndtri
 
 from wedgeperm import (
+    COMBINERS,
     CombinedPValue,
+    CrossoverTimes,
+    DesignSpec,
     TestConfig,
+    TrialData,
     WeightVector,
     bonferroni_combine,
     combined_from_mcrt,
+    enumerate_crossover_vectors,
     fisher_combine,
     run_mcrts,
     weighted_z_combine,
@@ -28,12 +34,10 @@ from conftest import make_trial
 EQUAL2 = np.full(2, math.sqrt(0.5))
 
 
-def stub_test(test_time, var_treated, var_control, n_treated, n_control, p_less=0.5, p_greater=0.5):
+def stub_test(test_time, n_treated, n_control, p_less=0.5, p_greater=0.5):
     """Duck-typed completed test for weighting and combining."""
     return SimpleNamespace(
         test_time=test_time,
-        var_treated=var_treated,
-        var_control=var_control,
         n_treated=n_treated,
         n_control=n_control,
         result=SimpleNamespace(p_less=p_less, p_greater=p_greater, granularity=0.002),
@@ -57,6 +61,16 @@ class TestWeightedZ:
     def test_rejects_pvalue_above_one(self):
         with pytest.raises(ValueError, match="exceed 1"):
             weighted_z_combine([1.2, 0.5], EQUAL2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "combine",
+        [lambda p: weighted_z_combine(p, EQUAL2), fisher_combine, bonferroni_combine],
+        ids=["weighted_z", "fisher", "bonferroni"],
+    )
+    def test_rejects_non_finite_pvalue(self, combine, bad):
+        with pytest.raises(ValueError, match="p-values must be finite"):
+            combine([bad, 0.001])
 
     def test_rejects_unnormalized_weights(self):
         with pytest.raises(ValueError, match="sum to 1"):
@@ -205,41 +219,43 @@ class TestWeightVector:
         with pytest.raises(ValueError, match="sum to 1"):
             WeightVector(np.asarray([0.9, 0.9]), (1, 2))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            WeightVector(np.asarray([bad, 1.0]), (1, 2))
+
 
 class TestWeightsFromResult:
     def test_identical_tests_share_weight_equally(self):
-        tests = [stub_test(1, 1.0, 1.0, 5, 5), stub_test(2, 1.0, 1.0, 5, 5)]
+        tests = [stub_test(1, 5, 5), stub_test(2, 5, 5)]
         wv = combined_from_mcrt(SimpleNamespace(tests=tests, n_units=10), "weighted_z", "greater")
         # symmetric case collapses to the equal-weight combination
         direct = weighted_z_combine([0.5, 0.5], EQUAL2, [0.002, 0.002])
         assert wv.p_value == pytest.approx(direct.p_value)
 
     def test_three_test_hand_computation(self):
-        spec = [(1, 1.0, 4.0, 10, 30), (2, 2.0, 1.0, 8, 16), (3, 0.5, 0.5, 12, 12)]
-        N = 48
+        spec = [(1, 10, 30), (2, 8, 16), (3, 12, 12)]
         tests = [stub_test(*row) for row in spec]
-        wv = weights_from_result(SimpleNamespace(tests=tests, n_units=N))
-        lam = np.asarray(
-            [1.0 / ((N / n0) * v1 + (N / n1) * v0) for _, v1, v0, n1, n0 in spec]
-        )
+        wv = weights_from_result(SimpleNamespace(tests=tests, n_units=48))
+        # 1 / (1/n1 + 1/n0): 7.5, 16/3 and 6
+        lam = np.asarray([n1 * n0 / (n1 + n0) for _, n1, n0 in spec])
+        assert np.allclose(lam, [7.5, 16 / 3, 6.0])
         assert np.allclose(wv.weights, np.sqrt(lam / lam.sum()))
+        assert wv.test_times == (1, 2, 3)
         assert float((wv.weights**2).sum()) == pytest.approx(1.0, abs=1e-12)
 
-    def test_constant_arm_test_excluded_and_renormalized(self):
-        tests = [
-            stub_test(1, 1.0, 1.0, 5, 5),
-            stub_test(2, 0.0, 0.0, 5, 5),  # both arms constant: no weight
-            stub_test(3, 2.0, 2.0, 5, 5),
-        ]
-        wv = weights_from_result(SimpleNamespace(tests=tests, n_units=10))
-        assert wv.test_times == (1, 3)
-        assert [t for t, _ in wv.excluded] == [2]
-        assert float((wv.weights**2).sum()) == pytest.approx(1.0, abs=1e-12)
-
-    def test_all_tests_unweightable_rejected(self):
-        tests = [stub_test(1, 0.0, 0.0, 5, 5)]
-        with pytest.raises(ValueError, match="no test could be weighted"):
-            weights_from_result(SimpleNamespace(tests=tests, n_units=10))
+    def test_weights_depend_on_arm_sizes_alone(self):
+        # every assignment of a design has the same arm sizes, so the
+        # weights do not move with the assignment or the outcomes, and a
+        # test whose arms are constant keeps its weight
+        weights = set()
+        for seed in range(4):
+            data = make_trial(24, (8, 8, 8), seed=seed)
+            for y in (data.outcomes, np.zeros_like(data.outcomes)):
+                res = run_mcrts(TrialData(data.units, data.times, y), 0, TestConfig(budget=49, seed=seed))
+                wv = weights_from_result(res)
+                weights.add((wv.test_times, tuple(wv.weights.tolist())))
+        assert len(weights) == 1
 
     def test_empty_result_rejected(self):
         with pytest.raises(ValueError, match="no completed tests"):
@@ -268,7 +284,7 @@ class TestCombinedFromTests:
         assert combined_from_mcrt(res, "fisher").alternative == "greater"
 
     def test_unknown_method_rejected(self):
-        tests = [stub_test(1, 1.0, 1.0, 5, 5)]
+        tests = [stub_test(1, 5, 5)]
         with pytest.raises(ValueError, match="unknown combiner"):
             combined_from_mcrt(SimpleNamespace(tests=tests, n_units=10), "tippett", "greater")
         with pytest.raises(ValueError, match="unknown combiner"):
@@ -280,9 +296,8 @@ class TestCombinedFromTests:
             ((), "weighted_z"),
             ((), "fisher"),
             ((), "bonferroni"),
-            ((stub_test(1, 0.0, 0.0, 5, 5, 0.001, 1.0),), "weighted_z"),
         ],
-        ids=["empty-weighted_z", "empty-fisher", "empty-bonferroni", "unweightable"],
+        ids=["empty-weighted_z", "empty-fisher", "empty-bonferroni"],
     )
     @pytest.mark.parametrize("alternative", ["less", "greater", "two-sided"])
     def test_no_kept_test_gives_p_one(self, tests, method, alternative):
@@ -313,3 +328,40 @@ class TestPipelineNullValidity:
                 rate = float((pvals[m] <= alpha).mean())
                 se = math.sqrt(alpha * (1 - alpha) / n_reps)
                 assert rate <= alpha + 3 * se, f"{m} at {alpha}: {rate}"
+
+
+class TestExactSize:
+    """Each combiner's size under the sharp null, by exact enumeration.
+
+    Every assignment of a small design is equally likely and the outcome
+    panel is fixed, so the size at level a is the share of assignments
+    whose combined p-value is at most a.  Unit scales spread widely, so
+    the arms' variances differ from one assignment to the next.
+    """
+
+    @pytest.mark.parametrize(
+        "n_units, counts, lag, seed",
+        [(9, (3, 3, 3), 0, 3), (9, (3, 3, 3), 0, 9), (8, (2, 2, 2, 2), 1, 3)],
+        ids=["N9-333-lag0-seed3", "N9-333-lag0-seed9", "N8-2222-lag1-seed3"],
+    )
+    def test_no_combiner_exceeds_its_level(self, n_units, counts, lag, seed):
+        spec = DesignSpec(n_units, counts)
+        rng = generator(seed)
+        y = rng.standard_normal((n_units, spec.n_times + 1)) * np.exp(1.5 * rng.standard_normal(n_units))[:, None]
+        cfg = TestConfig(exact_threshold=10**9)
+        cases = [(m, alt) for m in COMBINERS for alt in ("greater", "less", "two-sided")]
+        pvalues = {case: [] for case in cases}
+        for vec in enumerate_crossover_vectors(spec):
+            family = run_mcrts(TrialData(np.arange(n_units), CrossoverTimes(vec, spec.n_times), y), lag, cfg)
+            assert all(t.tail.exact for t in family.tests)
+            for method, alternative in cases:
+                pvalues[method, alternative].append(combined_from_mcrt(family, method, alternative).p_value)
+        excess = []
+        for case, ps in pvalues.items():
+            ps = np.sort(ps)
+            for a in np.unique(ps[ps <= 0.5]).tolist():
+                count = int(np.searchsorted(ps, a, side="right"))
+                if count > Fraction(a) * ps.size:
+                    excess.append((case, a, count, ps.size))
+        # the first assignment count above its bound, per failing case
+        assert not excess, {case: (a, count, n) for case, a, count, n in reversed(excess)}

@@ -285,15 +285,14 @@ class TestPowerStudy:
         assert all(r.rejections == 0 for r in result.rows)
 
     def test_family_without_weightable_tests_gives_rows(self):
-        # zero variances: every arm is constant, so weighted_z has no
-        # test to weight and rejects nothing, while the other methods
-        # still see the effect
+        # zero variances: every arm is constant, and weighted_z weighs
+        # each test by its arm sizes, so every method sees the effect
         cfg = Sim1Config(
             n_units=12, n_times=3, lag=0, effect=1.0,
             var_unit=0, var_covariate=0, var_noise=0, replicates=2,
         )
         result = power_study([cfg], budget=49)
-        assert {r.method: r.rejections for r in result.rows} == {"mcrts_z": 0, "mcrts_f": 2, "bonferroni": 2}
+        assert {r.method: r.rejections for r in result.rows} == {"mcrts_z": 2, "mcrts_f": 2, "bonferroni": 2}
 
     @pytest.mark.parametrize("seed", [0, 12345, 2**40 + 7])
     @pytest.mark.parametrize("statistic", ["diff_in_means", "rank_sum"])
