@@ -94,6 +94,8 @@ class WeightVector:
 def _design_weights(tests) -> WeightVector:
     """Squared weights proportional to n1 * n0 / (n1 + n0), which the
     period counts fix under every assignment and every shift."""
+    if any(min(t.n_treated, t.n_control) < 1 for t in tests):
+        raise ValueError("a test with an empty arm cannot be weighted")
     lam = np.asarray([t.n_treated * t.n_control / (t.n_treated + t.n_control) for t in tests])
     return WeightVector(np.sqrt(lam / lam.sum()), tuple(t.test_time for t in tests))
 

@@ -257,6 +257,30 @@ class TestWeightsFromResult:
                 weights.add((wv.test_times, tuple(wv.weights.tolist())))
         assert len(weights) == 1
 
+    def test_constant_arm_test_excluded_and_renormalized(self):
+        # a test whose arms are both constant is no longer excluded: it
+        # keeps its arm-size weight, and the squared weights are
+        # normalized over the whole family
+        data = make_trial(24, (8, 8, 8), seed=4)
+        cfg = TestConfig(budget=49, seed=4)
+        base = run_mcrts(data, 0, cfg)
+        y = data.outcomes.copy()
+        y[:, base.tests[1].outcome_time] = 3.0
+        res = run_mcrts(TrialData(data.units, data.times, y), 0, cfg)
+        wv = weights_from_result(res)
+        assert wv.test_times == tuple(t.test_time for t in base.tests)
+        lam = np.asarray([t.n_treated * t.n_control / (t.n_treated + t.n_control) for t in res.tests])
+        assert np.allclose(wv.weights, np.sqrt(lam / lam.sum()))
+        assert np.array_equal(wv.weights, weights_from_result(base).weights)
+        assert float((wv.weights**2).sum()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_all_tests_unweightable_rejected(self):
+        # only an empty arm leaves a test without a design weight
+        for arms in ([(0, 5)], [(5, 0), (0, 5)], [(5, 5), (0, 5)]):
+            tests = [stub_test(k + 1, n1, n0) for k, (n1, n0) in enumerate(arms)]
+            with pytest.raises(ValueError, match="empty arm cannot be weighted"):
+                weights_from_result(SimpleNamespace(tests=tests, n_units=10))
+
     def test_empty_result_rejected(self):
         with pytest.raises(ValueError, match="no completed tests"):
             weights_from_result(SimpleNamespace(tests=(), n_units=10))
