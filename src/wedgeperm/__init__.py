@@ -52,7 +52,6 @@ from .mcrt import (
 from .combine import (
     COMBINERS,
     CombinedPValue,
-    WeightVector,
     bonferroni_combine,
     combined_from_mcrt,
     fisher_combine,

@@ -176,19 +176,18 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"no usable tests at lag {args.lag} ({reasons})", file=sys.stderr)
         return EXIT_DATA
 
-    weight_of = {}
+    weights = [""] * len(family.tests)  # only weighted_z weighs the tests
     if args.combiner == "weighted_z":
-        wv = weights_from_result(family)
-        weight_of = dict(zip(wv.test_times, wv.weights.tolist()))
+        weights = weights_from_result(family).tolist()
     combined = combined_from_mcrt(family, args.combiner, "two-sided")
 
     print(f"lag {args.lag}: {len(family.tests)} tests, {len(family.skipped)} skipped")
-    for t in family.tests:
-        w = f"  weight={weight_of[t.test_time]:.4f}" if t.test_time in weight_of else ""
+    for t, w in zip(family.tests, weights):
+        shown = f"  weight={w:.4f}" if w != "" else ""
         print(
             f"  t={t.test_time} outcome@{t.outcome_time}: "
             f"n1={t.n_treated} n0={t.n_control} "
-            f"p_less={t.result.p_less:.4f} p_greater={t.result.p_greater:.4f}{w}"
+            f"p_less={t.result.p_less:.4f} p_greater={t.result.p_greater:.4f}{shown}"
         )
     for s in family.skipped:
         print(f"  t={s.test_time}: skipped ({s.reason})")
@@ -207,8 +206,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             ["test_time", "outcome_time", "n_treated", "n_control", "statistic", "p_less", "p_greater", "weight"],
             (
                 [t.test_time, t.outcome_time, t.n_treated, t.n_control, t.result.statistic,
-                 t.result.p_less, t.result.p_greater, weight_of.get(t.test_time, "")]
-                for t in family.tests
+                 t.result.p_less, t.result.p_greater, w]
+                for t, w in zip(family.tests, weights)
             ),
         )
     if args.ci_output:

@@ -43,7 +43,6 @@ import numpy as np
 
 __all__ = [
     "CombinedPValue",
-    "WeightVector",
     "weights_from_result",
     "weighted_z_combine",
     "fisher_combine",
@@ -58,7 +57,7 @@ COMBINERS = ("weighted_z", "fisher", "bonferroni")
 @dataclass(frozen=True)
 class CombinedPValue:
     method: str
-    alternative: str  # "less" | "greater" | "two-sided"
+    alternative: str  # "less" | "greater" | "two-sided"; "one-sided" from the public combiners
     statistic: float
     p_value: float
     n_tests: int
@@ -68,40 +67,18 @@ class CombinedPValue:
             raise ValueError("combined p-value must lie in (0, 1]")
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Per-test combining weights, squares summing to one."""
-
-    weights: np.ndarray
-    test_times: tuple[int, ...]
-
-    def __post_init__(self):
-        w = np.array(self.weights, dtype=np.float64, copy=True)
-        if w.ndim != 1 or w.size == 0:
-            raise ValueError("weights must be a non-empty 1-d vector")
-        if not np.isfinite(w).all():
-            raise ValueError("weights must be finite")
-        if (w <= 0).any():
-            raise ValueError("weights must be strictly positive")
-        if abs(float((w**2).sum()) - 1.0) > 1e-12:
-            raise ValueError("squared weights must sum to 1 within 1e-12")
-        if w.size != len(self.test_times):
-            raise ValueError("one weight per test time required")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-
-def _design_weights(tests) -> WeightVector:
+def _design_weights(tests) -> np.ndarray:
     """Squared weights proportional to n1 * n0 / (n1 + n0), which the
     period counts fix under every assignment and every shift."""
     if any(min(t.n_treated, t.n_control) < 1 for t in tests):
         raise ValueError("a test with an empty arm cannot be weighted")
     lam = np.asarray([t.n_treated * t.n_control / (t.n_treated + t.n_control) for t in tests])
-    return WeightVector(np.sqrt(lam / lam.sum()), tuple(t.test_time for t in tests))
+    return np.sqrt(lam / lam.sum())
 
 
-def weights_from_result(result) -> WeightVector:
-    """Design weights for a LagFamily, one per completed test.
+def weights_from_result(result) -> np.ndarray:
+    """Design weights for a LagFamily: one per test of ``result.tests``,
+    in order.
 
     Test k's squared weight is proportional to n1 * n0 / (n1 + n0) over
     its arm sizes: the precision weight of its difference in means when
@@ -145,7 +122,7 @@ def _normal_scores(p: np.ndarray, granularity) -> list[float]:
                 "a p-value of exactly 1 needs the test's resolution (granularity) to be capped"
             )
         g = np.broadcast_to(np.asarray(granularity, dtype=np.float64), p.shape).tolist()
-        if any(h <= 0.0 or h > 1.0 for h in g):
+        if any(not 0.0 < h <= 1.0 for h in g):
             raise ValueError("granularity values must lie in (0, 1]")
         q = [1.0 - h / 2.0 if x >= 1.0 else x for x, h in zip(q, g)]
     # a granularity below 2**-52 caps to 1.0 again, whose quantile is inf
@@ -195,17 +172,25 @@ def weighted_z_combine(pvalues, weights, granularity=None) -> CombinedPValue:
     """Weighted inverse-normal combination.
 
     Computes sum_k w_k * Phi^{-1}(p_k) and maps it back through Phi.
-    ``weights`` is a WeightVector or a plain vector, which WeightVector
-    checks to be positive with squares summing to one; under joint
-    validity the result again stochastically dominates Uniform(0, 1).
+    ``weights`` holds one weight per p-value, in the same order, as
+    weights_from_result returns them: finite, positive, with squares
+    summing to one.  Under joint validity the result again
+    stochastically dominates Uniform(0, 1).  ``granularity``, each
+    test's smallest p-value increment, caps a p-value of exactly 1.
     """
     p = _validate_pvalues(pvalues)
-    if not isinstance(weights, WeightVector):
-        w = np.asarray(weights, dtype=np.float64)
-        weights = WeightVector(w, tuple(range(w.size)))
-    if weights.weights.shape != p.shape:
+    w = np.asarray(weights, dtype=np.float64)
+    if w.ndim != 1 or w.size == 0:
+        raise ValueError("weights must be a non-empty 1-d vector")
+    if not np.isfinite(w).all():
+        raise ValueError("weights must be finite")
+    if (w <= 0).any():
+        raise ValueError("weights must be strictly positive")
+    if abs(float((w**2).sum()) - 1.0) > 1e-12:
+        raise ValueError("squared weights must sum to 1 within 1e-12")
+    if w.shape != p.shape:
         raise ValueError("weights and p-values must align")
-    return CombinedPValue("weighted_z", "one-sided", *_weighted_z(p, weights.weights, granularity), p.size)
+    return CombinedPValue("weighted_z", "one-sided", *_weighted_z(p, w, granularity), p.size)
 
 
 def fisher_combine(pvalues) -> CombinedPValue:
@@ -238,7 +223,7 @@ def _combiner(tests: Sequence, method: str):
     if not tests:
         return _no_evidence
     if method == "weighted_z":
-        w = _design_weights(tests).weights
+        w = _design_weights(tests)
         gran = np.asarray([t.result.granularity for t in tests])
         return lambda p: _weighted_z(p, w, gran)
     return _fisher if method == "fisher" else _bonferroni

@@ -275,15 +275,17 @@ class LagFamily:
     """One lag's test family with every test's relabelings drawn once.
 
     ``tests`` hold each testable group's p-values at zero shift and its
-    TailPlan, ordered by test time.  run_mcrts builds it; the combiners
-    and invert_combined read it.  Every combiner keeps every test, so
-    invert_combined shifts the tests through one index per family, built
-    on first use, where a rank-sum family's selections are gathered.  Two
-    families compare equal by all but their tests' tails and that index.
+    TailPlan, ordered by test time; per-test values, such as the weights
+    of weights_from_result, line up with them by position.  ``skipped``
+    lists the groups with an arm below MIN_ARM.  run_mcrts builds it;
+    the combiners and invert_combined read it.  Every combiner keeps
+    every test, so invert_combined shifts the tests through one index
+    per family, built on first use, where a rank-sum family's selections
+    are gathered.  Two families compare equal by all but their tests'
+    tails and that index.
     """
 
     lag: int
-    n_units: int
     tests: tuple[McrtTest, ...]
     skipped: tuple[McrtSkip, ...]
 
@@ -308,7 +310,7 @@ def run_mcrts(data: TrialData, lag: int, cfg: TestConfig = TestConfig(), groups=
         seed = seed_sequence(cfg.seed, g.test_time)
         tail = _tail_plan(sample, cfg.statistic, cfg.budget, cfg.exact_threshold, seed)
         tests.append(McrtTest(g.test_time, g.outcome_time, tail.result(), tail))
-    return LagFamily(lag, data.n_units, tuple(tests), tuple(skips))
+    return LagFamily(lag, tuple(tests), tuple(skips))
 
 
 def write_trial_csv(path, data: TrialData) -> None:

@@ -26,6 +26,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from functools import cache, partial
+from itertools import product
 from typing import Iterable, Sequence, get_type_hints
 
 import numpy as np
@@ -329,17 +330,20 @@ def power_study(
     every cell; otherwise a Sim1Config keeps its own, and a tuple cell
     takes Sim1Config's defaults (300 replicates, DEFAULT_SEED).  Tuple
     cells that are infeasible (lag too large for the horizon) are
-    skipped and listed in the result instead of raising.  An empty grid
-    or ``methods`` raises, as does any bad argument, before any cell
-    runs.  Each cell then logs ``power study: cell i/n <cell>``, and a
-    skipped one ``  skipped <cell>: <reason>``, at INFO on the
-    ``wedgeperm`` logger, which is silent until ``logging`` is set up.
+    skipped and listed in the result instead of raising.  An empty grid,
+    an empty ``methods`` or one that repeats a method raises, as does
+    any bad argument, before any cell runs.  Each cell then logs
+    ``power study: cell i/n <cell>``, and a skipped one
+    ``  skipped <cell>: <reason>``, at INFO on the ``wedgeperm`` logger,
+    which is silent until ``logging`` is set up.
     """
     unknown = set(methods) - set(POWER_METHODS)
     if unknown:
         raise ValueError(f"unknown methods: {sorted(unknown)}; choose from {POWER_METHODS}")
     if not methods:
         raise ValueError("methods must name at least one method")
+    if len(set(methods)) != len(methods):
+        raise ValueError("methods must be distinct")
     given = {k: v for k, v in (("replicates", replicates), ("seed", seed)) if v is not None}
     Sim1Config(**given)  # a bad replicates or seed raises here, never as a skipped cell
     if not 0.0 < alpha < 1.0:
@@ -375,7 +379,9 @@ def power_study(
     return StudyResult("power", tuple(rows), tuple(skipped))
 
 
-def _coverage_replicate(task) -> list[tuple[int, str, bool, float, bool]]:
+def _coverage_replicate(task) -> list[tuple[bool, float, bool]]:
+    """One replicate's (covered, length, empty) for each cell of lags ×
+    methods, in that order."""
     cfg, rep, lags, methods, tcfg = task
     data = gen_outcomes_sim2(cfg, generator(cfg.seed, _COVERAGE_TAG, cfg.interaction, rep, 0))
     out = []
@@ -385,7 +391,7 @@ def _coverage_replicate(task) -> list[tuple[int, str, bool, float, bool]]:
         for method in methods:
             ci = invert_combined(family, 1.0 - cfg.level, method)
             covered = ci.lower <= cfg.taus[lag] <= ci.upper
-            out.append((lag, method, covered, ci.length, ci.empty))
+            out.append((covered, ci.length, ci.empty))
     return out
 
 
@@ -403,10 +409,11 @@ def coverage_study(
     Every replicate draws one dataset and inverts the test family at
     each requested lag.  An empty confidence set counts as a miss of
     length 0 and is also tallied in ``empty_sets``; an unbounded set has
-    infinite length.  An empty ``methods`` or ``lags`` raises, as does
-    any bad argument, before any replicate runs; the study then logs
-    ``coverage study: N=… T=… interaction=… replicates=…`` at INFO on
-    the ``wedgeperm`` logger, as ``power_study`` logs its cells.
+    infinite length.  An empty ``methods`` or ``lags``, or one that
+    repeats an entry, raises, as does any bad argument, before any
+    replicate runs; the study then logs ``coverage study: N=… T=…
+    interaction=… replicates=…`` at INFO on the ``wedgeperm`` logger,
+    as ``power_study`` logs its cells.
     """
     if replicates is not None and replicates != cfg.replicates:
         cfg = replace(cfg, replicates=replicates)
@@ -415,8 +422,12 @@ def coverage_study(
         raise ValueError(f"unknown combiners: {sorted(unknown)}; choose from {COMBINERS}")
     if not methods:
         raise ValueError("methods must name at least one combiner")
+    if len(set(methods)) != len(methods):
+        raise ValueError("methods must be distinct")
     if not lags:
         raise ValueError("lags must name at least one lag")
+    if len(set(lags)) != len(lags):
+        raise ValueError("lags must be distinct")
     for lag in lags:
         if not 0 <= lag <= cfg.n_times - 2:
             raise ValueError(f"lag {lag} out of range for {cfg.n_times} periods")
@@ -426,20 +437,16 @@ def coverage_study(
     tasks = [(cfg, rep, tuple(lags), tuple(methods), tcfg) for rep in range(cfg.replicates)]
     with _study_map(threads) as study_map:
         results = study_map(_coverage_replicate, tasks)
-    rows = []
-    for lag in lags:
-        for method in methods:
-            hits = [r for reps in results for r in reps if r[0] == lag and r[1] == method]
-            covered = sum(1 for r in hits if r[2])
-            total_length = sum(r[3] for r in hits)
-            empty = sum(1 for r in hits if r[4])
-            rows.append(
-                CoverageRow.from_counts(
-                    cfg.n_units, cfg.n_times, cfg.interaction, cfg.level, lag,
-                    cfg.taus[lag], method, cfg.replicates, covered, total_length, empty,
-                )
-            )
-    return StudyResult("coverage", tuple(rows))
+    # every replicate lists its outcomes cell by cell, lags × methods, so
+    # zip(*results) gathers each cell's outcomes in replicate order
+    rows = tuple(
+        CoverageRow.from_counts(
+            cfg.n_units, cfg.n_times, cfg.interaction, cfg.level, lag,
+            cfg.taus[lag], method, cfg.replicates, *map(sum, zip(*outcomes)),
+        )
+        for (lag, method), outcomes in zip(product(lags, methods), zip(*results))
+    )
+    return StudyResult("coverage", rows)
 
 
 @cache  # get_type_hints evaluates the annotations on every call

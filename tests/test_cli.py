@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+import wedgeperm.cli
 import wedgeperm.sim
 import wedgeperm.validate
 from wedgeperm import (
@@ -15,6 +16,7 @@ from wedgeperm import (
     TestConfig,
     Sim1Config,
     Sim2Config,
+    StudyResult,
     gen_outcomes_sim1,
     gen_outcomes_sim2,
     parse_tables,
@@ -115,14 +117,13 @@ class TestAnalyze:
         assert main(["analyze", str(trial), "--lag", "0", "--seed", "7", "--out", str(path)]) == EXIT_OK
 
         family = run_mcrts(read_trial_csv(trial), 0, TestConfig(seed=7))
-        wv = weights_from_result(family)
-        assert wv.test_times == (1, 2)
-        weight_of = dict(zip(wv.test_times, wv.weights.tolist()))
+        weights = weights_from_result(family).tolist()
+        assert [t.test_time for t in family.tests] == [1, 2]
         header = ["test_time", "outcome_time", "n_treated", "n_control", "statistic", "p_less", "p_greater", "weight"]
         rows = [
             [t.test_time, t.outcome_time, t.n_treated, t.n_control, t.result.statistic,
-             t.result.p_less, t.result.p_greater, weight_of[t.test_time]]
-            for t in family.tests
+             t.result.p_less, t.result.p_greater, w]
+            for t, w in zip(family.tests, weights)
         ]
         _write_table(expected, header, rows)
         written = path.read_bytes()
@@ -131,7 +132,7 @@ class TestAnalyze:
         lines = written.decode().split("\r\n")
         assert lines[0] == ",".join(header) and lines[-1] == "" and "\n" not in "".join(lines)
         cells = [line.split(",") for line in lines[1:-1]]
-        assert [row[7] for row in cells] == [repr(weight_of[1]), repr(weight_of[2])]
+        assert [row[7] for row in cells] == [repr(w) for w in weights]
         for row, t in zip(cells, family.tests, strict=True):
             assert [int(c) for c in row[:4]] == [t.test_time, t.outcome_time, t.n_treated, t.n_control]
             assert float(row[4]) == t.result.statistic
@@ -258,6 +259,24 @@ class TestSimulate:
         assert len(result.rows) == 12  # 4 cells x 3 methods
         assert all(r.replicates == 2 for r in result.rows)
         assert "wrote" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra, replicates", [([], 1000), (["--replicates", "2"], 2)], ids=["full-scale", "replicates-override"]
+    )
+    def test_full_scale_sets_replicates_and_budget(self, tmp_path, monkeypatch, extra, replicates):
+        # --full-scale means 1000 replicates and 1000 relabelings, and
+        # --replicates still overrides the replicate count
+        calls = []
+
+        def spy(grid, **kwargs):
+            calls.append(kwargs)
+            return StudyResult("power", ())
+
+        monkeypatch.setattr(wedgeperm.cli, "power_study", spy)
+        argv = ["simulate", "--preset", "sim1-desk", "--full-scale", *extra, "--out", str(tmp_path / "power.csv")]
+        assert main(argv) == EXIT_OK
+        [kwargs] = calls
+        assert (kwargs["replicates"], kwargs["budget"]) == (replicates, 1000)
 
     def test_power_stderr_is_one_line_per_cell_and_skip(self, tmp_path, capsys):
         grid = [[100, 6, 0, 0.0], [100, 6, 9, 0.0], [6, 6, 0, 0.0], [60, 4, 1, 0.3]]
@@ -387,12 +406,13 @@ class TestSimulate:
             ({"seed": -1}, "seed must be a non-negative integer"),
             ({"methods": []}, "methods must name at least one method"),
             ({"grid": []}, "grid must hold at least one cell"),
+            ({"methods": ["mcrts_f", "mcrts_f"]}, "methods must be distinct"),
         ],
         ids=[
             "alpha", "short-cell", "text-in-cell", "float-units-in-cell", "float-lag-in-cell",
             "methods-not-a-list", "number-in-methods", "replicates-text", "budget-text", "alpha-bool",
             "statistic-all-skipped", "budget-all-skipped", "statistic", "unknown-method",
-            "seed-negative", "methods-empty", "grid-empty",
+            "seed-negative", "methods-empty", "grid-empty", "methods-repeated",
         ],
     )
     def test_malformed_power_config_rejected_before_any_replicate(self, tmp_path, capsys, edit, message):
@@ -421,11 +441,14 @@ class TestSimulate:
             ({"seed": -1}, "seed must be a non-negative integer"),
             ({"methods": []}, "methods must name at least one combiner"),
             ({"lags": []}, "lags must name at least one lag"),
+            ({"lags": [1, 1]}, "lags must be distinct"),
+            ({"methods": ["fisher", "fisher"]}, "methods must be distinct"),
         ],
         ids=[
             "lags-number", "float-in-lags", "text-in-lags", "text-in-taus",
             "level-text", "replicates-text", "n_units-float", "lag-out-of-range", "unknown-combiner",
-            "budget-zero", "seed-negative", "methods-empty", "lags-empty",
+            "budget-zero", "seed-negative", "methods-empty", "lags-empty", "lags-repeated",
+            "methods-repeated",
         ],
     )
     def test_malformed_coverage_config_rejected_before_any_replicate(

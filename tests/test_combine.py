@@ -1,6 +1,7 @@
 """P-value combiners: design weights, weighted-Z, Fisher, Bonferroni, and their exact size."""
 
 import math
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -17,7 +18,6 @@ from wedgeperm import (
     DesignSpec,
     TestConfig,
     TrialData,
-    WeightVector,
     bonferroni_combine,
     combined_from_mcrt,
     enumerate_crossover_vectors,
@@ -86,10 +86,30 @@ class TestWeightedZ:
         assert out.p_value == pytest.approx(capped.p_value)
         assert out.p_value < 1.0
 
-    def test_accepts_weight_vector_object(self):
-        wv = WeightVector(EQUAL2, (1, 2))
-        out = weighted_z_combine([0.2, 0.9], wv)
-        assert 0.0 < out.p_value <= 1.0
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -0.1, 1.5, math.inf])
+    def test_granularity_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(ValueError, match=re.escape("granularity values must lie in (0, 1]")):
+            weighted_z_combine([1.0, 0.001], EQUAL2, granularity=[bad, 0.1])
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ([math.nan, 1.0], "weights must be finite"),
+            ([math.inf, 1.0], "weights must be finite"),
+            ([-math.inf, 1.0], "weights must be finite"),
+            ([0.9, 0.9], "squared weights must sum to 1 within 1e-12"),
+            ([0.0, 1.0], "weights must be strictly positive"),
+            ([-0.6, 0.8], "weights must be strictly positive"),
+            ([[0.6, 0.8]], "weights must be a non-empty 1-d vector"),
+            ([], "weights must be a non-empty 1-d vector"),
+            ([1.0], "weights and p-values must align"),
+            ([0.6, 0.48, 0.64], "weights and p-values must align"),
+        ],
+        ids=["nan", "inf", "-inf", "unnormalized", "zero", "negative", "2-d", "empty", "too-few", "too-many"],
+    )
+    def test_rejects_bad_weights(self, weights, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            weighted_z_combine([0.2, 0.9], weights)
 
 
 class TestFisher:
@@ -214,21 +234,10 @@ class TestCombinerMonotonicity:
             assert combine(lowered) <= combine(pvals) + 1e-12
 
 
-class TestWeightVector:
-    def test_squared_sum_enforced(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            WeightVector(np.asarray([0.9, 0.9]), (1, 2))
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_weight_rejected(self, bad):
-        with pytest.raises(ValueError, match="weights must be finite"):
-            WeightVector(np.asarray([bad, 1.0]), (1, 2))
-
-
 class TestWeightsFromResult:
     def test_identical_tests_share_weight_equally(self):
         tests = [stub_test(1, 5, 5), stub_test(2, 5, 5)]
-        wv = combined_from_mcrt(SimpleNamespace(tests=tests, n_units=10), "weighted_z", "greater")
+        wv = combined_from_mcrt(SimpleNamespace(tests=tests), "weighted_z", "greater")
         # symmetric case collapses to the equal-weight combination
         direct = weighted_z_combine([0.5, 0.5], EQUAL2, [0.002, 0.002])
         assert wv.p_value == pytest.approx(direct.p_value)
@@ -236,13 +245,13 @@ class TestWeightsFromResult:
     def test_three_test_hand_computation(self):
         spec = [(1, 10, 30), (2, 8, 16), (3, 12, 12)]
         tests = [stub_test(*row) for row in spec]
-        wv = weights_from_result(SimpleNamespace(tests=tests, n_units=48))
-        # 1 / (1/n1 + 1/n0): 7.5, 16/3 and 6
+        w = weights_from_result(SimpleNamespace(tests=tests))
+        # 1 / (1/n1 + 1/n0): 7.5, 16/3 and 6, one weight per test in order
         lam = np.asarray([n1 * n0 / (n1 + n0) for _, n1, n0 in spec])
         assert np.allclose(lam, [7.5, 16 / 3, 6.0])
-        assert np.allclose(wv.weights, np.sqrt(lam / lam.sum()))
-        assert wv.test_times == (1, 2, 3)
-        assert float((wv.weights**2).sum()) == pytest.approx(1.0, abs=1e-12)
+        assert w.shape == (3,)
+        assert np.allclose(w, np.sqrt(lam / lam.sum()))
+        assert float((w**2).sum()) == pytest.approx(1.0, abs=1e-12)
 
     def test_weights_depend_on_arm_sizes_alone(self):
         # every assignment of a design has the same arm sizes, so the
@@ -253,8 +262,7 @@ class TestWeightsFromResult:
             data = make_trial(24, (8, 8, 8), seed=seed)
             for y in (data.outcomes, np.zeros_like(data.outcomes)):
                 res = run_mcrts(TrialData(data.units, data.times, y), 0, TestConfig(budget=49, seed=seed))
-                wv = weights_from_result(res)
-                weights.add((wv.test_times, tuple(wv.weights.tolist())))
+                weights.add(tuple(weights_from_result(res).tolist()))
         assert len(weights) == 1
 
     def test_constant_arm_test_excluded_and_renormalized(self):
@@ -267,30 +275,31 @@ class TestWeightsFromResult:
         y = data.outcomes.copy()
         y[:, base.tests[1].outcome_time] = 3.0
         res = run_mcrts(TrialData(data.units, data.times, y), 0, cfg)
-        wv = weights_from_result(res)
-        assert wv.test_times == tuple(t.test_time for t in base.tests)
+        w = weights_from_result(res)
+        assert [t.test_time for t in res.tests] == [t.test_time for t in base.tests]
+        assert w.shape == (len(res.tests),)
         lam = np.asarray([t.n_treated * t.n_control / (t.n_treated + t.n_control) for t in res.tests])
-        assert np.allclose(wv.weights, np.sqrt(lam / lam.sum()))
-        assert np.array_equal(wv.weights, weights_from_result(base).weights)
-        assert float((wv.weights**2).sum()) == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(w, np.sqrt(lam / lam.sum()))
+        assert np.array_equal(w, weights_from_result(base))
+        assert float((w**2).sum()) == pytest.approx(1.0, abs=1e-12)
 
     def test_all_tests_unweightable_rejected(self):
         # only an empty arm leaves a test without a design weight
         for arms in ([(0, 5)], [(5, 0), (0, 5)], [(5, 5), (0, 5)]):
             tests = [stub_test(k + 1, n1, n0) for k, (n1, n0) in enumerate(arms)]
             with pytest.raises(ValueError, match="empty arm cannot be weighted"):
-                weights_from_result(SimpleNamespace(tests=tests, n_units=10))
+                weights_from_result(SimpleNamespace(tests=tests))
 
     def test_empty_result_rejected(self):
         with pytest.raises(ValueError, match="no completed tests"):
-            weights_from_result(SimpleNamespace(tests=(), n_units=10))
+            weights_from_result(SimpleNamespace(tests=()))
 
     def test_squared_weights_sum_to_one_on_real_runs(self):
         for seed in range(5):
             data = make_trial(24, (8, 8, 8), seed=seed)
             res = run_mcrts(data, 0, TestConfig(budget=49, seed=seed))
-            wv = weights_from_result(res)
-            assert float((wv.weights**2).sum()) == pytest.approx(1.0, abs=1e-12)
+            w = weights_from_result(res)
+            assert float((w**2).sum()) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCombinedFromTests:
@@ -310,9 +319,9 @@ class TestCombinedFromTests:
     def test_unknown_method_rejected(self):
         tests = [stub_test(1, 5, 5)]
         with pytest.raises(ValueError, match="unknown combiner"):
-            combined_from_mcrt(SimpleNamespace(tests=tests, n_units=10), "tippett", "greater")
+            combined_from_mcrt(SimpleNamespace(tests=tests), "tippett", "greater")
         with pytest.raises(ValueError, match="unknown combiner"):
-            combined_from_mcrt(SimpleNamespace(tests=(), n_units=10), "tippett", "greater")
+            combined_from_mcrt(SimpleNamespace(tests=()), "tippett", "greater")
 
     @pytest.mark.parametrize(
         "tests, method",
@@ -325,7 +334,7 @@ class TestCombinedFromTests:
     )
     @pytest.mark.parametrize("alternative", ["less", "greater", "two-sided"])
     def test_no_kept_test_gives_p_one(self, tests, method, alternative):
-        combined = combined_from_mcrt(SimpleNamespace(tests=tests, n_units=10), method, alternative)
+        combined = combined_from_mcrt(SimpleNamespace(tests=tests), method, alternative)
         assert (combined.p_value, combined.n_tests, combined.alternative) == (1.0, 0, alternative)
         assert math.isnan(combined.statistic)
 

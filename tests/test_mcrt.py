@@ -194,7 +194,7 @@ class TestRunMcrts:
 
     def test_record_holds_the_result_and_its_plan(self):
         assert [f.name for f in dataclasses.fields(McrtTest)] == ["test_time", "outcome_time", "result", "tail"]
-        assert [f.name for f in dataclasses.fields(LagFamily)] == ["lag", "n_units", "tests", "skipped"]
+        assert [f.name for f in dataclasses.fields(LagFamily)] == ["lag", "tests", "skipped"]
 
     def test_same_seed_reproduces_everything(self, tiny_trial):
         cfg = TestConfig(budget=199, seed=21)

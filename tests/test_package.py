@@ -11,7 +11,7 @@ EXPORTED = {
     "relabel_plan", "LagFamily", "LagTestGroup",
     "McrtSkip", "McrtTest", "TestConfig", "TrialData", "build_groups",
     "build_schedule", "naive_groups", "read_trial_csv", "run_mcrts",
-    "write_trial_csv", "COMBINERS", "CombinedPValue", "WeightVector",
+    "write_trial_csv", "COMBINERS", "CombinedPValue",
     "bonferroni_combine", "combined_from_mcrt",
     "fisher_combine", "weighted_z_combine", "weights_from_result",
     "ConfidenceInterval", "invert_combined", "invert_single", "read_ci_csv",

@@ -225,8 +225,9 @@ class TestPowerStudy:
     @pytest.mark.parametrize(
         "grid, methods, message",
         [([], POWER_METHODS, "grid must hold at least one cell"),
-         ([(12, 3, 0, 0.0)], (), "methods must name at least one method")],
-        ids=["grid-empty", "methods-empty"],
+         ([(12, 3, 0, 0.0)], (), "methods must name at least one method"),
+         ([(12, 3, 0, 0.0)], ("mcrts_f", "mcrts_f"), "methods must be distinct")],
+        ids=["grid-empty", "methods-empty", "methods-repeated"],
     )
     def test_study_over_nothing_rejected(self, grid, methods, message):
         with pytest.raises(ValueError, match=message):
@@ -377,8 +378,9 @@ class TestCoverageStudy:
 
     @pytest.mark.parametrize(
         "methods, lags, message",
-        [((), (0,), "methods must name at least one combiner"), (("fisher",), (), "lags must name at least one lag")],
-        ids=["methods-empty", "lags-empty"],
+        [((), (0,), "methods must name at least one combiner"), (("fisher",), (), "lags must name at least one lag"),
+         (("fisher", "fisher"), (0,), "methods must be distinct"), (("fisher",), (1, 1), "lags must be distinct")],
+        ids=["methods-empty", "lags-empty", "methods-repeated", "lags-repeated"],
     )
     def test_study_over_nothing_rejected(self, methods, lags, message):
         with pytest.raises(ValueError, match=message):
