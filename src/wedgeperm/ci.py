@@ -58,6 +58,12 @@ __all__ = [
 ]
 
 
+def _check_unit(name: str, value: float) -> None:
+    """Reject a level or an alpha outside the open interval (0, 1)."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
+
+
 @dataclass(frozen=True)
 class ConfidenceInterval:
     """A level-``level`` confidence set for a constant effect.
@@ -76,8 +82,7 @@ class ConfidenceInterval:
     n_grid: int
 
     def __post_init__(self):
-        if not 0.0 < self.level < 1.0:
-            raise ValueError("level must lie in (0, 1)")
+        _check_unit("level", self.level)
         if math.isnan(self.lower) != math.isnan(self.upper):
             raise ValueError("an empty set needs both endpoints nan")
         if self.lower > self.upper:
@@ -94,11 +99,6 @@ class ConfidenceInterval:
     @property
     def length(self) -> float:
         return 0.0 if self.empty else self.upper - self.lower
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
 
 
 def _exact_interval(
@@ -160,7 +160,7 @@ def invert_single(
 
     The relabelings are drawn once, on the stream keyed by (seed, 0).
     """
-    _check_alpha(alpha)
+    _check_unit("alpha", alpha)
     tail = _tail_plan(sample, cfg.statistic, cfg.budget, cfg.exact_threshold, seed_sequence(cfg.seed, 0))
     return _exact_interval(_ShiftIndex([tail]), lambda p: (p[0], p[0]), alpha, lag, "single")
 
@@ -177,7 +177,7 @@ def invert_combined(family: LagFamily, alpha: float = 0.10, method: str = "weigh
     family's one shift index.  A family with no completed test rejects
     no shift, and its set is the whole line, (-inf, inf).
     """
-    _check_alpha(alpha)
+    _check_unit("alpha", alpha)
     combined = _combiner(family.tests, method)
     if not family.tests:
         return ConfidenceInterval(family.lag, method, 1.0 - alpha, -math.inf, math.inf, 0)
@@ -193,7 +193,7 @@ def write_ci_csv(path, intervals: Sequence[ConfidenceInterval]) -> None:
         path,
         _CI_COLUMNS,
         (
-            ["" if ci.lag is None else int(ci.lag), ci.method, float(ci.level), float(ci.lower), float(ci.upper)]
+            ["" if ci.lag is None else ci.lag, ci.method, float(ci.level), float(ci.lower), float(ci.upper)]
             for ci in intervals
         ),
     )

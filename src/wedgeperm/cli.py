@@ -18,7 +18,7 @@ import os
 import sys
 from dataclasses import fields
 
-from .ci import invert_combined, write_ci_csv
+from .ci import _check_unit, invert_combined, write_ci_csv
 from .combine import COMBINERS, combined_from_mcrt, weights_from_result
 from .design import DataFormatError, _read_json, _write_table
 from .mcrt import TestConfig, build_schedule, read_trial_csv, run_mcrts
@@ -166,8 +166,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    if not 0.0 < args.alpha < 1.0:
-        raise ValueError(f"--alpha must lie in (0, 1), got {args.alpha:g}")
+    _check_unit("--alpha", args.alpha)
     data = read_trial_csv(args.input)
     tcfg = TestConfig(budget=args.budget, statistic=args.statistic, seed=args.seed)
     family = run_mcrts(data, args.lag, tcfg)
@@ -245,8 +244,6 @@ def _load_study_config(args: argparse.Namespace) -> dict:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.threads < 1:
-        raise ValueError("--threads must be at least 1")
     doc = _load_study_config(args)
     study = doc.pop("study")
     out = args.out or f"{study}.csv"

@@ -117,13 +117,7 @@ def _normal_scores(p: np.ndarray, granularity) -> list[float]:
     """
     q = p.tolist()
     if max(q) >= 1.0:
-        if granularity is None:
-            raise ValueError(
-                "a p-value of exactly 1 needs the test's resolution (granularity) to be capped"
-            )
-        g = np.broadcast_to(np.asarray(granularity, dtype=np.float64), p.shape).tolist()
-        if any(not 0.0 < h <= 1.0 for h in g):
-            raise ValueError("granularity values must lie in (0, 1]")
+        g = np.broadcast_to(granularity, p.shape).tolist()
         q = [1.0 - h / 2.0 if x >= 1.0 else x for x, h in zip(q, g)]
     # a granularity below 2**-52 caps to 1.0 again, whose quantile is inf
     return [_norm_inv_cdf(x) if x < 1.0 else math.inf for x in q]
@@ -175,8 +169,9 @@ def weighted_z_combine(pvalues, weights, granularity=None) -> CombinedPValue:
     ``weights`` holds one weight per p-value, in the same order, as
     weights_from_result returns them: finite, positive, with squares
     summing to one.  Under joint validity the result again
-    stochastically dominates Uniform(0, 1).  ``granularity``, each
-    test's smallest p-value increment, caps a p-value of exactly 1.
+    stochastically dominates Uniform(0, 1).  ``granularity``, the
+    smallest p-value increment (one for all tests, or one per p-value;
+    each in (0, 1]), caps a p-value of exactly 1, which needs it.
     """
     p = _validate_pvalues(pvalues)
     w = np.asarray(weights, dtype=np.float64)
@@ -190,6 +185,14 @@ def weighted_z_combine(pvalues, weights, granularity=None) -> CombinedPValue:
         raise ValueError("squared weights must sum to 1 within 1e-12")
     if w.shape != p.shape:
         raise ValueError("weights and p-values must align")
+    if granularity is not None:
+        granularity = np.asarray(granularity, dtype=np.float64)
+        if granularity.shape not in ((), p.shape):
+            raise ValueError("granularity must be one value or one per p-value")
+        if not ((granularity > 0.0) & (granularity <= 1.0)).all():  # a nan fails both
+            raise ValueError("granularity values must lie in (0, 1]")
+    elif p.max() >= 1.0:
+        raise ValueError("a p-value of exactly 1 needs the test's resolution (granularity) to be capped")
     return CombinedPValue("weighted_z", "one-sided", *_weighted_z(p, w, granularity), p.size)
 
 

@@ -59,26 +59,28 @@ __all__ = [
 ]
 
 
+def _check_lag(n_times: int, lag) -> int:
+    """The lag as an int, if it is an integer in 0..n_times-2."""
+    if isinstance(lag, bool) or not isinstance(lag, (int, np.integer)):
+        raise ValueError(f"lag must be an integer, got {lag!r}")
+    if not 0 <= lag <= n_times - 2:
+        raise ValueError(f"lag must lie in [0, {n_times - 2}]")
+    return int(lag)
+
+
 def build_schedule(n_times: int, lag: int) -> tuple[tuple[int, ...], ...]:
     """Construct the lag-l test subsets, disjoint tuples of times.
 
-    Subset j starts at time j and strides by lag+1 while the next time
-    still fits in 1..n_times.  The number of subsets is
-    min(lag+1, n_times-lag-1): beyond that, a starting time could never
-    pair a tested unit with a later-crossing control.  Every element of
-    a subset but its last yields a test; the last has no controls.
+    Subset j starts at time j and strides by lag+1, for an integer lag
+    in 0..n_times-2, while the next time still fits in 1..n_times.
+    There are min(lag+1, n_times-lag-1) subsets: a later start could
+    never pair a tested unit with a later-crossing control.  Each time
+    of a subset but its last, which has no controls, yields a test.
     """
     n_times = int(n_times)
-    lag = int(lag)
     if n_times < 2:
         raise ValueError("need at least two crossover times")
-    if lag < 0:
-        raise ValueError("lag must be non-negative")
-    if lag >= n_times - 1:
-        raise ValueError(
-            f"lag {lag} admits no tests with {n_times} times: "
-            "every potential control would have to cross over after the last time"
-        )
+    lag = _check_lag(n_times, lag)
     return tuple(
         tuple(range(j, n_times + 1, lag + 1)) for j in range(1, min(lag + 1, n_times - lag - 1) + 1)
     )
@@ -140,9 +142,9 @@ def build_groups(times, n_times: int, lag: int) -> tuple[LagTestGroup, ...]:
 
     Controls for the test at time k are the units crossing at the later
     times of k's own subset; a subset's last element yields no test.
-    Groups are returned in increasing test time.
+    Groups come in increasing test time; the lag is an integer in 0..T-2.
     """
-    n_times, lag = int(n_times), int(lag)
+    n_times, lag = int(n_times), _check_lag(n_times, lag)
     subsets = build_schedule(n_times, lag)
     arr = _times_array(times, n_times)
     groups = [
@@ -154,15 +156,14 @@ def build_groups(times, n_times: int, lag: int) -> tuple[LagTestGroup, ...]:
 
 
 def naive_groups(times, n_times: int, lag: int) -> tuple[LagTestGroup, ...]:
-    """The unconditional comparisons: at each t in 1..T-lag-1, units
-    crossing at t against every unit crossing after t + lag.
+    """The unconditional comparisons for an integer lag in 0..T-2: units
+    crossing at each t in 1..T-lag-1 against all crossing after t + lag.
 
     These pools do not nest once lag >= 1, so the family is not jointly
     valid; run_mcrts over them is the Bonferroni baseline of the power
     study, and they are validate's broken construction.
     """
-    if not 0 <= lag < n_times - 1:
-        raise ValueError(f"lag {lag} admits no tests with {n_times} times")
+    lag = _check_lag(n_times, lag)
     arr = _times_array(times, n_times)
     return tuple(
         _group(arr, n_times, t, lag, range(t + lag + 1, n_times + 1))

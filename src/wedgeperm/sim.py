@@ -31,10 +31,10 @@ from typing import Iterable, Sequence, get_type_hints
 
 import numpy as np
 
-from .ci import invert_combined
+from .ci import _check_unit, invert_combined
 from .combine import COMBINERS, combined_from_mcrt
 from .design import DesignSpec, _read_table, _write_table, sample_assignment
-from .mcrt import TestConfig, TrialData, build_groups, naive_groups, run_mcrts
+from .mcrt import TestConfig, TrialData, _check_lag, build_groups, naive_groups, run_mcrts
 from .rng import DEFAULT_SEED, generator, seed_sequence
 
 __all__ = [
@@ -94,8 +94,8 @@ class Sim1Config:
 
     Outcomes follow intercept + 0.5*(covariate + time) + effect + noise
     with the effect applied only ``lag`` steps after each unit crosses
-    over.  Variances may be zero, which degenerates that term — handy
-    for deterministic sanity checks.
+    over, an integer in 0..n_times-2.  Variances may be zero, which
+    degenerates that term — handy for deterministic sanity checks.
     """
 
     n_units: int = 100
@@ -110,8 +110,7 @@ class Sim1Config:
 
     def __post_init__(self):
         default_counts(self.n_units, self.n_times)  # feasibility
-        if not 0 <= self.lag <= self.n_times - 2:
-            raise ValueError(f"lag must lie in [0, {self.n_times - 2}]")
+        object.__setattr__(self, "lag", _check_lag(self.n_times, self.lag))
         _check_model(self)
 
 
@@ -145,8 +144,7 @@ class Sim2Config:
             raise ValueError(f"need one effect per lag 0..{self.n_times - 1}")
         if self.interaction not in (0, 1, 2, 3):
             raise ValueError("interaction must be 0, 1, 2, or 3")
-        if not 0.0 < self.level < 1.0:
-            raise ValueError("level must lie in (0, 1)")
+        _check_unit("level", self.level)
         _check_model(self)
 
 
@@ -284,12 +282,25 @@ class StudyResult:
         return [r for r in self.rows if all(getattr(r, k) == v for k, v in match.items())]
 
 
+def _check_methods(methods, known: tuple[str, ...], noun: str) -> None:
+    """Reject methods that are none, repeat, or are not ``noun``s of ``known``."""
+    unknown = set(methods) - set(known)
+    if unknown:
+        raise ValueError(f"unknown {noun}s: {sorted(unknown)}; choose from {known}")
+    if not methods:
+        raise ValueError(f"methods must name at least one {noun}")
+    if len(set(methods)) != len(methods):
+        raise ValueError("methods must be distinct")
+
+
 @contextmanager
 def _study_map(threads: int):
     """Yield an order-preserving map(fn, tasks) for one study; with
     threads > 1 it fans out over one pool of worker processes, which
     stays open until the study ends."""
-    if threads <= 1:
+    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise ValueError(f"threads must be an integer of at least 1, got {threads!r}")
+    if threads == 1:
         yield lambda fn, tasks: list(map(fn, tasks))
         return
     # imported here, so that importing the package does not load it
@@ -329,25 +340,19 @@ def power_study(
     effect) tuples.  ``replicates`` and ``seed``, when given, apply to
     every cell; otherwise a Sim1Config keeps its own, and a tuple cell
     takes Sim1Config's defaults (300 replicates, DEFAULT_SEED).  Tuple
-    cells that are infeasible (lag too large for the horizon) are
-    skipped and listed in the result instead of raising.  An empty grid,
-    an empty ``methods`` or one that repeats a method raises, as does
-    any bad argument, before any cell runs.  Each cell then logs
+    cells that Sim1Config rejects, a lag outside 0..n_times-2 or not an
+    integer among them, are skipped and listed in the result instead of
+    raising.  An empty grid, an empty ``methods`` or one that repeats a
+    method raises, as does any bad argument, ``threads`` not an integer
+    of at least 1 too, before any cell runs.  Each cell then logs
     ``power study: cell i/n <cell>``, and a skipped one
     ``  skipped <cell>: <reason>``, at INFO on the ``wedgeperm`` logger,
     which is silent until ``logging`` is set up.
     """
-    unknown = set(methods) - set(POWER_METHODS)
-    if unknown:
-        raise ValueError(f"unknown methods: {sorted(unknown)}; choose from {POWER_METHODS}")
-    if not methods:
-        raise ValueError("methods must name at least one method")
-    if len(set(methods)) != len(methods):
-        raise ValueError("methods must be distinct")
+    _check_methods(methods, POWER_METHODS, "method")
     given = {k: v for k, v in (("replicates", replicates), ("seed", seed)) if v is not None}
     Sim1Config(**given)  # a bad replicates or seed raises here, never as a skipped cell
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    _check_unit("alpha", alpha)
     tcfg = TestConfig(budget=budget, statistic=statistic)
     grid = list(grid)
     if not grid:
@@ -407,35 +412,28 @@ def coverage_study(
     """Interval coverage of each true lagged effect, per combiner.
 
     Every replicate draws one dataset and inverts the test family at
-    each requested lag.  An empty confidence set counts as a miss of
-    length 0 and is also tallied in ``empty_sets``; an unbounded set has
-    infinite length.  An empty ``methods`` or ``lags``, or one that
-    repeats an entry, raises, as does any bad argument, before any
-    replicate runs; the study then logs ``coverage study: N=… T=…
-    interaction=… replicates=…`` at INFO on the ``wedgeperm`` logger,
-    as ``power_study`` logs its cells.
+    each requested lag, an integer in 0..n_times-2.  An empty confidence
+    set counts as a miss of length 0 and is also tallied in
+    ``empty_sets``; an unbounded set has infinite length.  An empty
+    ``methods`` or ``lags``, or one that repeats an entry, raises, as
+    does any bad argument, ``threads`` not an integer of at least 1 too,
+    before any replicate runs; the study then logs ``coverage study: N=…
+    T=… interaction=… replicates=…`` at INFO on the ``wedgeperm``
+    logger, as ``power_study`` logs its cells.
     """
     if replicates is not None and replicates != cfg.replicates:
         cfg = replace(cfg, replicates=replicates)
-    unknown = set(methods) - set(COMBINERS)
-    if unknown:
-        raise ValueError(f"unknown combiners: {sorted(unknown)}; choose from {COMBINERS}")
-    if not methods:
-        raise ValueError("methods must name at least one combiner")
-    if len(set(methods)) != len(methods):
-        raise ValueError("methods must be distinct")
+    _check_methods(methods, COMBINERS, "combiner")
     if not lags:
         raise ValueError("lags must name at least one lag")
+    lags = tuple(_check_lag(cfg.n_times, lag) for lag in lags)
     if len(set(lags)) != len(lags):
         raise ValueError("lags must be distinct")
-    for lag in lags:
-        if not 0 <= lag <= cfg.n_times - 2:
-            raise ValueError(f"lag {lag} out of range for {cfg.n_times} periods")
     tcfg = TestConfig(budget=budget, statistic=statistic)
-    _log.info("coverage study: N=%s T=%s interaction=%s replicates=%s",
-              cfg.n_units, cfg.n_times, cfg.interaction, cfg.replicates)
-    tasks = [(cfg, rep, tuple(lags), tuple(methods), tcfg) for rep in range(cfg.replicates)]
+    tasks = [(cfg, rep, lags, tuple(methods), tcfg) for rep in range(cfg.replicates)]
     with _study_map(threads) as study_map:
+        _log.info("coverage study: N=%s T=%s interaction=%s replicates=%s",
+                  cfg.n_units, cfg.n_times, cfg.interaction, cfg.replicates)
         results = study_map(_coverage_replicate, tasks)
     # every replicate lists its outcomes cell by cell, lags × methods, so
     # zip(*results) gathers each cell's outcomes in replicate order

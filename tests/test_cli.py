@@ -435,7 +435,7 @@ class TestSimulate:
             ({"level": "0.9"}, "config key 'level' must be a number, got '0.9'"),
             ({"replicates": "2"}, "config key 'replicates' must be an integer, got '2'"),
             ({"n_units": 40.0}, "config key 'n_units' must be an integer, got 40.0"),
-            ({"lags": [9]}, "lag 9 out of range for 6 periods"),
+            ({"lags": [9]}, "lag must lie in [0, 4]"),
             ({"methods": ["nope"]}, f"unknown combiners: ['nope']; choose from {COMBINERS}"),
             ({"budget": 0}, "resample budget must be at least 1"),
             ({"seed": -1}, "seed must be a non-negative integer"),
@@ -494,7 +494,7 @@ class TestSimulate:
             json.dumps({"study": "power", "grid": [[16, 2, 0, 0.0]], "replicates": 1, "budget": 49})
         )
         assert main(["simulate", "--config", str(cfg_path), "--threads", "0", "--out", str(out)]) == EXIT_USAGE
-        assert "--threads must be at least 1" in capsys.readouterr().err
+        assert "error: threads must be an integer of at least 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_thread_count_is_not_read_from_the_environment(self, monkeypatch, capsys):

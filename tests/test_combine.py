@@ -92,6 +92,20 @@ class TestWeightedZ:
             weighted_z_combine([1.0, 0.001], EQUAL2, granularity=[bad, 0.1])
 
     @pytest.mark.parametrize(
+        "granularity, message",
+        [([math.nan, 7.0], "granularity values must lie in (0, 1]"),
+         ([0.1] * 5, "granularity must be one value or one per p-value")],
+        ids=["nan-and-too-large", "misaligned"],
+    )
+    def test_granularity_checked_without_a_unit_pvalue(self, granularity, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            weighted_z_combine([0.5, 0.2], [0.6, 0.8], granularity=granularity)
+
+    def test_one_granularity_serves_every_test(self):
+        one = weighted_z_combine([1.0, 0.2], [0.6, 0.8], granularity=0.01)
+        assert one == weighted_z_combine([1.0, 0.2], [0.6, 0.8], granularity=[0.01, 0.01])
+
+    @pytest.mark.parametrize(
         "weights, message",
         [
             ([math.nan, 1.0], "weights must be finite"),

@@ -49,14 +49,20 @@ class TestBuildSchedule:
         assert s == ((1, 4, 7), (2, 5, 8), (3, 6))
 
     def test_lag_too_large_rejected(self):
-        with pytest.raises(ValueError, match="lag 7"):
+        with pytest.raises(ValueError, match=re.escape("lag must lie in [0, 6]")):
             build_schedule(8, 7)
-        with pytest.raises(ValueError, match="lag 2"):
+        with pytest.raises(ValueError, match=re.escape("lag must lie in [0, 1]")):
             build_schedule(3, 2)
 
     def test_negative_lag_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match=re.escape("lag must lie in [0, 6]")):
             build_schedule(8, -1)
+
+    @pytest.mark.parametrize("lag", [0.5, 1.0, True, "1"], ids=repr)
+    def test_lag_that_is_not_an_integer_rejected(self, lag):
+        # 0.5 must not run as lag 0, nor True as lag 1
+        with pytest.raises(ValueError, match=f"^lag must be an integer, got {re.escape(repr(lag))}$"):
+            build_schedule(6, lag)
 
     @pytest.mark.parametrize("n_times", range(2, 11))
     def test_structural_invariants(self, n_times):
@@ -106,6 +112,22 @@ class TestBuildGroups:
         with pytest.raises(ValueError, match="lag"):
             groups(times, 8, lag)
 
+    @pytest.mark.parametrize("groups", [build_groups, naive_groups])
+    @pytest.mark.parametrize("lag", [0.5, True], ids=repr)
+    def test_lag_that_is_not_an_integer_rejected(self, groups, lag):
+        times = CrossoverTimes(np.arange(1, 9), 8)
+        with pytest.raises(ValueError, match=f"^lag must be an integer, got {lag!r}$"):
+            groups(times, 8, lag)
+
+    @pytest.mark.parametrize("groups", [build_groups, naive_groups])
+    def test_numpy_integer_lag_gives_the_same_groups(self, groups):
+        times = CrossoverTimes(np.repeat(np.arange(1, 9), 2), 8)
+        for a, b in zip(groups(times, 8, np.int64(2)), groups(times, 8, 2), strict=True):
+            assert (a.test_time, a.outcome_time) == (b.test_time, b.outcome_time)
+            assert type(a.outcome_time) is int
+            assert np.array_equal(a.treated_units, b.treated_units)
+            assert np.array_equal(a.control_units, b.control_units)
+
     def test_every_control_crosses_after_outcome_time(self):
         lag = 1
         rng = generator(2)
@@ -148,6 +170,10 @@ class TestRunMcrts:
     def test_config_rejects_what_no_test_could_run(self, setting, message):
         with pytest.raises(ValueError, match=message):
             TestConfig(**setting)
+
+    def test_fractional_lag_rejected(self, tiny_trial):
+        with pytest.raises(ValueError, match=r"^lag must be an integer, got 1\.7$"):
+            run_mcrts(tiny_trial, 1.7, TestConfig(budget=9))
 
     def test_constant_outcomes_give_unit_pvalues(self):
         times = CrossoverTimes(np.repeat([1, 2, 3], 5), 3)

@@ -4,17 +4,21 @@ import hashlib
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wedgeperm
 import wedgeperm.mcrt
 from wedgeperm import (
     CoverageRow,
+    CrossoverTimes,
     DataFormatError,
     POWER_METHODS,
     PowerRow,
@@ -29,6 +33,7 @@ from wedgeperm import (
     emit_tables,
     gen_outcomes_sim1,
     gen_outcomes_sim2,
+    build_groups,
     build_schedule,
     interaction_f,
     naive_groups,
@@ -60,6 +65,15 @@ class TestConfigs:
     def test_lag_bounds(self):
         with pytest.raises(ValueError, match=r"lag must lie in \[0, 4\]"):
             Sim1Config(n_units=12, n_times=6, lag=5)
+
+    @pytest.mark.parametrize("lag", [0.5, 1.0, True], ids=repr)
+    def test_lag_that_is_not_an_integer_rejected(self, lag):
+        with pytest.raises(ValueError, match=f"^lag must be an integer, got {lag!r}$"):
+            Sim1Config(n_units=12, n_times=6, lag=lag)
+
+    def test_numpy_integer_lag_kept_as_int(self):
+        cfg = Sim1Config(n_units=12, n_times=6, lag=np.int64(2))
+        assert cfg.lag == 2 and type(cfg.lag) is int
 
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError, match="var_noise"):
@@ -204,6 +218,12 @@ class TestPowerStudy:
         cell, reason = result.skipped[0]
         assert cell == repr((12, 3, 5, 0.1)) and "lag" in reason
         assert {r.lag for r in result.rows} == {0}
+
+    def test_fractional_lag_cell_is_skipped(self):
+        # a row labelled lag 0.5 must not hold a lag-0 run
+        result = power_study([(60, 4, 0.5, 0.3)], replicates=2, budget=19, methods=["mcrts_z"])
+        assert result.rows == ()
+        assert result.skipped == ((repr((60, 4, 0.5, 0.3)), "lag must be an integer, got 0.5"),)
 
     def test_rank_cell_never_gathers_selections(self, monkeypatch):
         def no_gather(plan):
@@ -355,7 +375,7 @@ class TestCoverageStudy:
         cfg = Sim2Config(
             n_units=24, n_times=3, taus=(0.0, 0.5, 0.0), replicates=3, seed=51
         )
-        with pytest.raises(ValueError, match="lag 5 out of range"):
+        with pytest.raises(ValueError, match=re.escape("lag must lie in [0, 1]")):
             coverage_study(cfg, lags=(5,))
         result = coverage_study(
             cfg, methods=("weighted_z", "fisher"), lags=(0, 1), budget=99
@@ -385,6 +405,14 @@ class TestCoverageStudy:
     def test_study_over_nothing_rejected(self, methods, lags, message):
         with pytest.raises(ValueError, match=message):
             coverage_study(Sim2Config(n_units=24, n_times=3, replicates=2), methods=methods, lags=lags)
+
+    def test_fractional_lag_rejected_before_any_replicate(self, monkeypatch):
+        def no_family(*args):
+            pytest.fail("ran a test family before checking the lags")
+
+        monkeypatch.setattr(wedgeperm.sim, "run_mcrts", no_family)
+        with pytest.raises(ValueError, match=r"^lag must be an integer, got 0\.0$"):
+            coverage_study(Sim2Config(n_units=24, n_times=3, replicates=2), lags=[0.0], budget=19)
 
     def test_lag_without_testable_groups_is_covered_with_infinite_length(self):
         # eight units over eight periods: one unit per arm, so every
@@ -533,6 +561,21 @@ class TestDeterminism:
         assert len(result.rows) == 9 and len(result.skipped) == 1
         assert started == [{"max_workers": 2}]
 
+    @pytest.mark.parametrize("threads", [0, -3, True, 1.5, "2"], ids=repr)
+    def test_thread_count_that_is_not_a_positive_integer_rejected(self, monkeypatch, caplog, threads):
+        def no_data(cfg, rng):
+            pytest.fail("drew a dataset before checking the thread count")
+
+        monkeypatch.setattr(wedgeperm.sim, "gen_outcomes_sim1", no_data)
+        monkeypatch.setattr(wedgeperm.sim, "gen_outcomes_sim2", no_data)
+        message = f"^threads must be an integer of at least 1, got {re.escape(repr(threads))}$"
+        with caplog.at_level(logging.INFO, logger="wedgeperm"):
+            with pytest.raises(ValueError, match=message):
+                power_study([(16, 2, 0, 0.0)], replicates=2, budget=19, threads=threads)
+            with pytest.raises(ValueError, match=message):
+                coverage_study(Sim2Config(n_units=24, n_times=3, replicates=2), lags=(0,), budget=19, threads=threads)
+        assert caplog.records == []
+
     def test_same_seed_same_rows(self):
         a = power_study([(16, 2, 0, 0.2)], replicates=5, budget=49, seed=13)
         b = power_study([(16, 2, 0, 0.2)], replicates=5, budget=49, seed=13)
@@ -548,3 +591,40 @@ def test_package_import_leaves_process_pools_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
     )
     assert proc.stdout.strip() == "[]"
+
+
+class _FamilyRan(Exception):
+    """Raised in place of running a test family: the lag was accepted."""
+
+
+def _lag_outcome(call, lag):
+    """The message of the ValueError that ``call(lag)`` raises, or "ok" if it accepts the lag."""
+    try:
+        call(lag)
+    except _FamilyRan:
+        pass
+    except ValueError as exc:
+        return str(exc)
+    return "ok"
+
+
+@given(st.integers(-3, 8) | st.integers(-3, 8).map(np.int64) | st.floats() | st.booleans() | st.text(max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_every_lag_entry_point_applies_the_one_lag_rule(lag):
+    times = CrossoverTimes(np.repeat(np.arange(1, 7), 2), 6)
+
+    def no_family(*args):
+        raise _FamilyRan
+
+    calls = [
+        lambda lag: build_schedule(6, lag),
+        lambda lag: build_groups(times, 6, lag),
+        lambda lag: naive_groups(times, 6, lag),
+        lambda lag: Sim1Config(n_units=12, n_times=6, lag=lag),
+        lambda lag: coverage_study(Sim2Config(n_units=12, n_times=6, replicates=1), lags=[lag], budget=9),
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wedgeperm.sim, "run_mcrts", no_family)
+        outcomes = {_lag_outcome(call, lag) for call in calls}
+    assert len(outcomes) == 1, outcomes
+    assert (outcomes == {"ok"}) == (type(lag) in (int, np.int64) and 0 <= lag <= 4)
