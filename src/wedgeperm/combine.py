@@ -212,14 +212,16 @@ def _no_evidence(p: np.ndarray) -> tuple[float, float]:
     return math.nan, 1.0
 
 
-def _combiner(tests: Sequence, method: str):
+def _combiner(tests: Sequence, method: str, granularity=None):
     """The one-tail combination for ``method`` over completed tests.
 
     It maps the tests' p-values from one tail, in order, to (statistic,
     combined p-value) through the cores the public combiners use,
     without their per-call checks; weighted_z weighs the tests by their
-    design weights.  A combination over no test has no evidence, so its
-    statistic is nan, its p-value 1, and it rejects nothing.
+    design weights and caps a p-value of 1 by ``granularity``, one per
+    test, by default each result's.  A combination over no test has no
+    evidence, so its statistic is nan, its p-value 1, and it rejects
+    nothing.
     """
     if method not in COMBINERS:
         raise ValueError(f"unknown combiner {method!r}; choose from {COMBINERS}")
@@ -227,9 +229,16 @@ def _combiner(tests: Sequence, method: str):
         return _no_evidence
     if method == "weighted_z":
         w = _design_weights(tests)
-        gran = np.asarray([t.result.granularity for t in tests])
+        gran = np.asarray([t.result.granularity for t in tests] if granularity is None else granularity)
         return lambda p: _weighted_z(p, w, gran)
     return _fisher if method == "fisher" else _bonferroni
+
+
+def _two_sided(combine, p_less: np.ndarray, p_greater: np.ndarray) -> float:
+    """Twice the smaller of the two tails' combined p-values, capped at 1:
+    combined_from_mcrt's two-sided p-value from the tests' one-sided
+    ones.  Every combiner rises with each p-value, and so does this."""
+    return min(1.0, 2.0 * min(combine(p_less)[1], combine(p_greater)[1]))
 
 
 def combined_from_mcrt(result, method: str, alternative: str = "greater") -> CombinedPValue:

@@ -39,6 +39,7 @@ from .permtest import (
     TailPlan,
     TwoGroupSample,
     _ShiftIndex,
+    _check_budget,
     _tail_plan,
 )
 from .rng import DEFAULT_SEED, seed_sequence
@@ -238,19 +239,19 @@ class TestConfig:
     def __post_init__(self):
         if self.statistic not in STATISTICS:
             raise ValueError(f"unknown statistic {self.statistic!r}; choose from {STATISTICS}")
-        if self.budget < 1:
-            raise ValueError("resample budget must be at least 1")
+        object.__setattr__(self, "budget", _check_budget(self.budget))
 
 
 @dataclass(frozen=True)
 class McrtTest:
     """One completed test: its permutation result and its zero-shift
     draw, the TailPlan that invert_combined shifts.  Arm sizes are read
-    from the plan's sample."""
+    from the plan's sample.  A test whose draw run_mcrts left partial
+    (``rows``) has no result (None), even after its tail grows."""
 
     test_time: int
     outcome_time: int
-    result: PermutationResult
+    result: PermutationResult | None
     tail: TailPlan = field(compare=False, repr=False)
 
     @property
@@ -295,11 +296,16 @@ class LagFamily:
         return _ShiftIndex([t.tail for t in self.tests])
 
 
-def run_mcrts(data: TrialData, lag: int, cfg: TestConfig = TestConfig(), groups=build_groups) -> LagFamily:
+def run_mcrts(data: TrialData, lag: int, cfg: TestConfig = TestConfig(), groups=build_groups,
+              rows: int | None = None) -> LagFamily:
     """Run a lag-l test family on one trial, drawing each testable
     group's relabelings once; groups with an arm below MIN_ARM are
     skipped.  ``groups(times, n_times, lag)`` builds the comparisons:
-    build_groups (nested) or naive_groups (the unconditional baseline)."""
+    build_groups (nested) or naive_groups (the unconditional baseline).
+    With ``rows``, each test draws only its first ``rows`` relabelings,
+    and one whose draw that leaves partial has no result; its tail
+    draws on with TailPlan.grow.  Such a family serves decisions only:
+    its tails count no treated hits, so it cannot be inverted."""
     tests: list[McrtTest] = []
     skips: list[McrtSkip] = []
     for g in groups(data.times, data.n_times, lag):
@@ -309,8 +315,9 @@ def run_mcrts(data: TrialData, lag: int, cfg: TestConfig = TestConfig(), groups=
             continue
         sample = _group_sample(data.outcomes, g)
         seed = seed_sequence(cfg.seed, g.test_time)
-        tail = _tail_plan(sample, cfg.statistic, cfg.budget, cfg.exact_threshold, seed)
-        tests.append(McrtTest(g.test_time, g.outcome_time, tail.result(), tail))
+        tail = _tail_plan(sample, cfg.statistic, cfg.budget, cfg.exact_threshold, seed, rows)
+        result = tail.result() if tail.drawn == tail.n_resamples else None
+        tests.append(McrtTest(g.test_time, g.outcome_time, result, tail))
     return LagFamily(lag, tuple(tests), tuple(skips))
 
 

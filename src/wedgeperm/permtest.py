@@ -19,6 +19,15 @@ so no plan keeps its rows.  Reducing a draw to its per-relabeling
 selected-slot sums and treated hits needs one chunk plus those B sums
 and hits, never the B x m selections.
 
+A draw can be read by row range [lo, hi): chunks are also cut at hi,
+and a range that starts inside a block resumes the block's stream on a
+fresh generator advanced past the block's earlier keys
+(PCG64.advance), so no generator state is kept between ranges, and
+ranges that split the draw reduce to the whole draw's sums and hits,
+byte for byte.  A TailPlan grows this way, and until its draw is
+complete it reports only bounds on its p-values; the power study uses
+them to stop a family's draw once every decision is certain.
+
 What a fixed seed fixes does not depend on the CPU: the keys, each
 relabeling's selected set, its treated hits, and so p-values away from
 near-ties.  The selected-slot sums follow the order in which a selected
@@ -33,13 +42,13 @@ endpoints and p-values on tied outcomes, can differ between machines.
 
 A TailPlan is one test's zero-shift draw: both statistics reduce it
 chunk by chunk, the rank sum over the pooled midranks, so a p-value
-keeps only the B sums and hits.  A _ShiftIndex over TailPlans is the
-only code that shifts the treated arm: it evaluates both tails for any
-shift, so one draw serves the p-values at zero shift and a whole
-confidence-interval search.  Only its rank-sum lookup gathers a test's
-B x m selections, once, to re-sum ranks at every shift.  The rank
-statistic uses midranks computed here in NumPy, so importing the
-package does not load SciPy.
+keeps only the B sums, and the difference in means their treated hits
+too.  A _ShiftIndex over TailPlans is the only code that shifts the
+treated arm: it evaluates both tails for any shift, so one draw serves
+the p-values at zero shift and a whole confidence-interval search.
+Only its rank-sum lookup gathers a test's B x m selections, once, to
+re-sum ranks at every shift.  The rank statistic uses midranks computed
+here in NumPy, so importing the package does not load SciPy.
 """
 
 from __future__ import annotations
@@ -99,6 +108,19 @@ def _key_buffer(size: int, name: str = "buf", dtype=np.float64) -> np.ndarray:
     return buf[:size]
 
 
+def _positive_int(name: str, value) -> int:
+    """``value`` as an int, if it is an int or NumPy integer of at least 1
+    and not a bool: the rule for a resample budget and a trial size."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be at least 1 and an integer, got {value!r}")
+    return int(value)
+
+
+def _check_budget(budget) -> int:
+    """A resample budget: an integer of at least 1 (_positive_int)."""
+    return _positive_int("resample budget", budget)
+
+
 @dataclass(frozen=True)
 class TwoGroupSample:
     """Treated and control outcome vectors plus the root-N scale factor.
@@ -121,10 +143,7 @@ class TwoGroupSample:
                 raise ValueError(f"{name} group contains non-finite values")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        n = int(self.scale_n)
-        if n < 1:
-            raise ValueError("scale_n must be a positive integer")
-        object.__setattr__(self, "scale_n", n)
+        object.__setattr__(self, "scale_n", _positive_int("scale_n", self.scale_n))
 
     @property
     def n_treated(self) -> int:
@@ -178,33 +197,48 @@ class RelabelPlan:
         self.exact = exact
         self._streams = streams
 
-    def _chunks(self):
-        """(first row, selections of the rows) for each chunk of the
-        draw, in row order; the first chunk is the largest."""
-        m, budget, pool = self.n_treated, self.n_resamples, self.pool_size
+    def _chunks(self, lo: int = 0, hi: int | None = None):
+        """(first row, selections of the rows) for each chunk of rows
+        [lo, hi) of the draw (to its end by default), in row order.
+
+        Chunks are cut at block edges and at ``hi``.  A Monte-Carlo draw
+        that starts inside a block advances the block's fresh generator
+        past the block's earlier rows, pool_size keys each, so a range
+        draws the keys an uninterrupted draw would, and no generator
+        state outlives a call.  An exact draw skips its first ``lo``
+        combinations.
+        """
+        m, pool = self.n_treated, self.pool_size
+        hi = self.n_resamples if hi is None else hi
         rows = max(1, _KEY_CHUNK // pool)
         if self.exact:
-            subsets = itertools.combinations(range(pool), m)
-            for lo in range(0, budget, rows):
-                n_rows = min(rows, budget - lo)
+            subsets = itertools.islice(itertools.combinations(range(pool), m), lo, None)
+            for start in range(lo, hi, rows):
+                n_rows = min(rows, hi - start)
                 rows_flat = itertools.chain.from_iterable(itertools.islice(subsets, n_rows))
-                yield lo, np.fromiter(rows_flat, np.intp, n_rows * m).reshape(n_rows, m)
+                yield start, np.fromiter(rows_flat, np.intp, n_rows * m).reshape(n_rows, m)
             return
-        first = min(rows, _BLOCK, budget)
+        if lo >= hi:
+            return
+        size = min(rows, _BLOCK, hi - lo)  # no chunk is larger
         # the thread's plans share its kept buffers, even with their
         # generators interleaved: a chunk's keys are drawn and selected
         # from before the yield, and what is yielded is a new array, so
         # no key or tag outlives its chunk
-        keys = _key_buffer(first * pool).reshape(first, pool)
+        keys = _key_buffer(size * pool).reshape(size, pool)
         tagged = pool <= _TAGGED_POOL
         if tagged:
-            tags = _key_buffer(first * pool, "tags", np.int64).reshape(first, pool)
+            tags = _key_buffer(size * pool, "tags", np.int64).reshape(size, pool)
             slots = np.arange(pool, dtype=np.int64)
-        for block, stream in enumerate(self._streams):
-            rng = np.random.default_rng(stream)
-            block_end = min((block + 1) * _BLOCK, budget)
-            for lo in range(block * _BLOCK, block_end, rows):
-                n_rows = min(rows, block_end - lo)
+        for block in range(lo // _BLOCK, (hi - 1) // _BLOCK + 1):
+            rng = np.random.default_rng(self._streams[block])
+            first = max(lo, block * _BLOCK)
+            if first > block * _BLOCK:
+                # a uniform double takes one 64-bit step of the stream
+                rng.bit_generator.advance((first - block * _BLOCK) * pool)
+            block_end = min((block + 1) * _BLOCK, hi)
+            for start in range(first, block_end, rows):
+                n_rows = min(rows, block_end - start)
                 chunk_keys = keys[:n_rows]
                 rng.random(out=chunk_keys)
                 # the n_treated smallest keys per row form a uniform subset
@@ -217,9 +251,9 @@ class RelabelPlan:
                     np.multiply(chunk_keys, 2.0**61, out=chunk_tags, casting="unsafe")
                     chunk_tags |= slots
                     chunk_tags.sort(axis=1)
-                    yield lo, chunk_tags[:, :m] & 0xFF
+                    yield start, chunk_tags[:, :m] & 0xFF
                 else:
-                    yield lo, np.argpartition(chunk_keys, m - 1, axis=1)[:, :m]
+                    yield start, np.argpartition(chunk_keys, m - 1, axis=1)[:, :m]
 
     @property
     def selections(self) -> np.ndarray:
@@ -230,28 +264,34 @@ class RelabelPlan:
             del chunk  # free its index before the next chunk is drawn
         return sel
 
-    def reduce(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per relabeling, the selected-slot sum of ``values`` and how
-        many originally-treated slots were selected, in one pass over the
-        draw that keeps none of it."""
-        sums = np.empty(self.n_resamples)
-        hits = np.empty(self.n_resamples, dtype=np.intp)
+    def reduce(self, values: np.ndarray, lo: int = 0, hi: int | None = None,
+               hits: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+        """For each relabeling of rows [lo, hi) (the whole draw by
+        default), the selected-slot sum of ``values`` and, unless
+        ``hits`` is False (then None), how many originally-treated slots
+        were selected, in one pass over the rows that keeps none of
+        them.  Reductions over ranges that split the draw concatenate to
+        the one-pass reduction, byte for byte."""
+        hi = self.n_resamples if hi is None else hi
+        sums = np.empty(hi - lo)
+        counts = np.empty(hi - lo, dtype=np.intp) if hits else None
         buf = None
-        for lo, chunk in self._chunks():
+        for start, chunk in self._chunks(lo, hi):
             if chunk.flags.c_contiguous:  # a sorted, enumerated or one-row chunk
                 sel = chunk
             else:
-                if buf is None:
+                if buf is None or buf.shape[0] < chunk.shape[0]:  # a range's first chunk can stop at a block edge
                     buf = np.empty(chunk.shape, dtype=np.intp)
                 # a contiguous copy of argpartition's strided columns
                 # gathers faster than the columns themselves
                 sel = buf[: chunk.shape[0]]
                 np.copyto(sel, chunk)
             del chunk  # a copied chunk frees argpartition's index before the gather and the next chunk
-            hi = lo + sel.shape[0]
-            values[sel].sum(axis=1, out=sums[lo:hi])
-            (sel < self.n_treated).sum(axis=1, out=hits[lo:hi])
-        return sums, hits
+            at = slice(start - lo, start - lo + sel.shape[0])
+            values[sel].sum(axis=1, out=sums[at])
+            if hits:
+                (sel < self.n_treated).sum(axis=1, out=counts[at])
+        return sums, counts
 
 
 def _count_if_at_most(pool_size: int, n_treated: int, limit: int) -> int | None:
@@ -285,8 +325,7 @@ def relabel_plan(
     """
     if not 1 <= n_treated < pool_size:
         raise ValueError("need at least one treated and one control slot")
-    if budget < 1:
-        raise ValueError("resample budget must be at least 1")
+    budget = _check_budget(budget)
     root = seed_sequence(seed)  # checked for an exact plan too, which draws nothing
     total = _count_if_at_most(pool_size, n_treated, exact_threshold)
     if total is not None:
@@ -300,10 +339,10 @@ def _add_one(n_resamples: int, exact: bool) -> tuple[int, int]:
     return (0, n_resamples) if exact else (1, n_resamples + 1)
 
 
-def _tail_counts(resampled: np.ndarray, observed):
-    """How many relabelings (rows of ``resampled``) sit at or below and at
-    or above ``observed``, per column; ties count toward both tails."""
-    return (resampled <= observed).sum(axis=0), (resampled >= observed).sum(axis=0)
+def _tail_counts(resampled: np.ndarray, observed) -> tuple[int, int]:
+    """How many relabelings (entries of ``resampled``) sit at or below and
+    at or above ``observed``; ties count toward both tails."""
+    return int(np.count_nonzero(resampled <= observed)), int(np.count_nonzero(resampled >= observed))
 
 
 def _controls_below(xs: np.ndarray, ys: np.ndarray, v: float, strict: bool) -> np.ndarray:
@@ -332,15 +371,22 @@ class TailPlan:
 
     The pooled outcomes, or their midranks for the rank sum, are reduced
     from the draw chunk by chunk (RelabelPlan.reduce) to each
-    relabeling's selected-slot sum and treated hits, so no statistic
-    keeps the B x m selections.  Midranks are half-integers, so a rank
-    sum is exact in any order of its terms.  ``_sums`` and ``_obs`` hold
-    each relabeling's and the observed statistic sum at zero shift, which
-    ``result`` counts; the plan is kept as ``_plan``.  Shifting the
-    treated arm is left to the family lookup _ShiftIndex.
+    relabeling's selected-slot sum and, for the difference in means, its
+    treated hits, which only _ShiftIndex's means candidates read, so no
+    statistic keeps the B x m selections.  Midranks are half-integers, so
+    a rank sum is exact in any order of its terms.  ``_sums`` and
+    ``_obs`` hold each relabeling's and the observed statistic sum at
+    zero shift, which ``result`` counts; the plan is kept as ``_plan``.
+    Shifting the treated arm is left to the family lookup _ShiftIndex.
+
+    The draw grows by row range: a plan is made with its first ``rows``
+    relabelings drawn (all by default), and ``grow`` draws on.  Until the
+    draw is complete, ``bounds`` brackets each tail's p-value and
+    ``result`` raises.  A plan made with ``rows`` serves decisions, never
+    a shift, so it counts no treated hits.
     """
 
-    def __init__(self, sample: TwoGroupSample, plan: RelabelPlan, statistic: str):
+    def __init__(self, sample: TwoGroupSample, plan: RelabelPlan, statistic: str, rows: int | None = None):
         if statistic not in STATISTICS:
             raise ValueError(f"unknown statistic {statistic!r}; choose from {STATISTICS}")
         self.sample = sample
@@ -351,26 +397,66 @@ class TailPlan:
         pool = sample.pooled()
         if statistic == "rank_sum":
             pool = midranks(pool)
-        self._sums, self._hits = plan.reduce(pool)
+        self._values = pool
         self._obs = float(pool[: sample.n_treated].sum())
+        self._sums = np.empty(plan.n_resamples)
+        counts_hits = statistic == "diff_in_means" and rows is None
+        self._hits = np.empty(plan.n_resamples, dtype=np.intp) if counts_hits else None
+        self.drawn = 0
+        self.grow(rows)
+
+    def grow(self, rows: int | None = None) -> None:
+        """Draw on to the first ``rows`` relabelings (the whole draw by
+        default, and never past it)."""
+        hi = self.n_resamples if rows is None else min(rows, self.n_resamples)
+        if hi <= self.drawn:
+            return
+        sums, hits = self._plan.reduce(self._values, self.drawn, hi, hits=self._hits is not None)
+        self._sums[self.drawn : hi] = sums
+        if hits is not None:
+            self._hits[self.drawn : hi] = hits
+        self.drawn = hi
+
+    @property
+    def granularity(self) -> float:
+        """Smallest attainable p-value increment, as the result's."""
+        return 1.0 / _add_one(self.n_resamples, self.exact)[1]
+
+    def bounds(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """(p_less, p_greater) at the lowest and at the highest tail
+        counts the whole draw can reach: after r of B rows, each count
+        lies between its count so far and that count plus B - r."""
+        add, den = _add_one(self.n_resamples, self.exact)
+        n_le, n_ge = _tail_counts(self._sums[: self.drawn], self._obs)
+        undrawn = self.n_resamples - self.drawn
+        # a whole draw's p-value is positive (PermutationResult), so its
+        # count plus the add-one is at least 1
+        low = (max(add + n_le, 1) / den, max(add + n_ge, 1) / den)
+        high = ((add + n_le + undrawn) / den, (add + n_ge + undrawn) / den)
+        return low, high
 
     def result(self) -> PermutationResult:
-        """The unshifted test: observed statistic and both p-values."""
+        """The unshifted test: observed statistic and both p-values;
+        only a complete draw has one."""
+        if self.drawn < self.n_resamples:
+            raise ValueError(f"the draw is partial: {self.drawn} of {self.n_resamples} relabelings drawn")
         add, den = _add_one(self.n_resamples, self.exact)
         n_le, n_ge = _tail_counts(self._sums, self._obs)
         return PermutationResult(
             statistic=diff_in_means(self.sample) if self.statistic == "diff_in_means" else self._obs,
-            p_less=float((add + n_le) / den),
-            p_greater=float((add + n_ge) / den),
+            p_less=(add + n_le) / den,
+            p_greater=(add + n_ge) / den,
             n_resamples=self.n_resamples,
             exact=self.exact,
         )
 
 
-def _tail_plan(sample: TwoGroupSample, statistic: str, budget: int, exact_threshold: int, seed) -> TailPlan:
-    """One test's TailPlan on its own draw of relabelings.  It calls
-    relabel_plan through this module's global, so a wrapper bound to
-    that name sees every test's draw."""
+def _tail_plan(sample: TwoGroupSample, statistic: str, budget: int, exact_threshold: int, seed,
+               rows: int | None = None) -> TailPlan:
+    """One test's TailPlan on its own draw of relabelings, with its first
+    ``rows`` drawn (all by default).  It calls relabel_plan through this
+    module's global, so a wrapper bound to that name sees every test's
+    draw."""
     plan = relabel_plan(
         sample.n_treated + sample.n_control,
         sample.n_treated,
@@ -378,7 +464,7 @@ def _tail_plan(sample: TwoGroupSample, statistic: str, budget: int, exact_thresh
         exact_threshold=exact_threshold,
         seed=seed,
     )
-    return TailPlan(sample, plan, statistic)
+    return TailPlan(sample, plan, statistic, rows)
 
 
 class _ShiftIndex:

@@ -8,7 +8,19 @@ and a whole vector of lagged effects on top, and feeds the
 interval-coverage study.  The power study runs one family per group
 builder and replicate, the nested one (run_mcrts over build_groups)
 for MCRTs+Z/F and the Bonferroni baseline (run_mcrts over
-naive_groups), and reads each method's p-value by combined_from_mcrt.
+naive_groups), and keeps only whether each method rejects.
+
+A power replicate curtails its draws without changing a decision.  A
+family draws its tests' relabelings by row range, to each of a few
+fixed checkpoints and then to the end.  After r of a test's B rows,
+its whole-draw tail counts lie between the counts so far and those
+plus B - r, and every combiner rises with each p-value, so each
+method's two-sided p-value lies between its values at those ends.  A
+family stops drawing once, for each of its methods, both ends lie on
+one side of alpha; a bound within a relative 1e-9 of alpha decides
+nothing.  The tables are those of the whole draw; only fewer rows are
+drawn.  Coverage replicates invert intervals, which need the whole
+draw, and draw it at once.
 
 Everything is deterministic given (config, seed), and a config takes
 only a non-negative integer seed (rng.seed_sequence).  Datasets come
@@ -32,7 +44,7 @@ from typing import Iterable, Sequence, get_type_hints
 import numpy as np
 
 from .ci import _check_unit, invert_combined
-from .combine import COMBINERS, combined_from_mcrt
+from .combine import COMBINERS, _combiner, _two_sided
 from .design import DesignSpec, _read_table, _write_table, sample_assignment
 from .mcrt import TestConfig, TrialData, _check_lag, build_groups, naive_groups, run_mcrts
 from .rng import DEFAULT_SEED, generator, seed_sequence
@@ -62,6 +74,18 @@ _POWER_FAMILIES = {
     "bonferroni": (naive_groups, 2, "bonferroni"),
 }
 POWER_METHODS = tuple(_POWER_FAMILIES)
+# rows a power replicate's family draws before each look at its
+# decisions, below the budget; the whole draw is the last look.  Each
+# look costs every test a generator resume and a bounds pass, so few
+# looks beat many: on the sim1-desk grid at B = 499 these two draw 59%
+# of the rows, and on a 2-vCPU x86-64 host a power replicate cost less
+# with them than with (64, 128, 256), (64, 256) or (32, 256), as little
+# as with (256,), and the size and power acceptance studies least
+_CHECKPOINTS = (96, 288)
+# a p-value bound within this relative distance of alpha decides
+# nothing, so a last-bit non-monotonicity in a combiner's inv_cdf, erf
+# or exp cannot flip a decision
+_UNDECIDED = 1e-9
 _POWER_TAG = 101
 _COVERAGE_TAG = 202
 _PAPER_TAUS = (0.1, 0.3, 0.6, 0.4, 0.2)
@@ -142,14 +166,22 @@ class Sim2Config:
         object.__setattr__(self, "taus", tuple(taus))
         if len(self.taus) != self.n_times:
             raise ValueError(f"need one effect per lag 0..{self.n_times - 1}")
-        if self.interaction not in (0, 1, 2, 3):
-            raise ValueError("interaction must be 0, 1, 2, or 3")
+        object.__setattr__(self, "interaction", _check_interaction(self.interaction))
         _check_unit("level", self.level)
         _check_model(self)
 
 
+def _check_interaction(m) -> int:
+    """The interaction index as an int, if it is an int or NumPy integer
+    (not a bool) among 0, 1, 2 and 3."""
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m not in (0, 1, 2, 3):
+        raise ValueError(f"interaction index must be 0, 1, 2, or 3, got {m!r}")
+    return int(m)
+
+
 def interaction_f(m: int, x):
     """The nonlinear covariate term: 0, x^2, 2*exp(x/2), or 5*tanh(x)."""
+    _check_interaction(m)
     x = np.asarray(x, dtype=np.float64)
     if m == 0:
         return np.zeros_like(x)
@@ -157,9 +189,7 @@ def interaction_f(m: int, x):
         return x**2
     if m == 2:
         return 2.0 * np.exp(x / 2.0)
-    if m == 3:
-        return 5.0 * np.tanh(x)
-    raise ValueError("interaction index must be 0, 1, 2, or 3")
+    return 5.0 * np.tanh(x)
 
 
 def _panel(cfg, rng, slope: float, interaction: int) -> tuple[np.ndarray, np.ndarray]:
@@ -310,18 +340,50 @@ def _study_map(threads: int):
         yield lambda fn, tasks: list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * threads))))
 
 
+def _family_decisions(data, lag: int, tcfg: TestConfig, groups, combiners: dict[str, str], alpha: float):
+    """Whether each named combiner rejects at ``alpha`` (two-sided) on one
+    family, drawing its tests only as far as the decisions need (see the
+    module docstring): to each of _CHECKPOINTS below the budget, then to
+    the end.  On the whole draw both ends of the bounds are the p-value
+    combined_from_mcrt gives, and p <= alpha decides the rest.
+    """
+    looks = [r for r in _CHECKPOINTS if r < tcfg.budget] + [None]
+    family = run_mcrts(data, lag, tcfg, groups, looks[0])
+    tails = [t.tail for t in family.tests]
+    granularity = [t.granularity for t in tails]
+    combine = {name: _combiner(family.tests, c, granularity) for name, c in combiners.items()}
+    undecided, out = dict(combiners), {}
+    for rows in looks:
+        for tail in tails:
+            tail.grow(rows)
+        # each end's p_less and p_greater over the tests, in test order
+        low, high = np.array([tail.bounds() for tail in tails]).reshape(-1, 2, 2).transpose(1, 2, 0).copy()
+        guard = 0.0 if rows is None else _UNDECIDED
+        for name in list(undecided):
+            if _two_sided(combine[name], *low) > alpha * (1.0 + guard):
+                out[name] = False
+            elif _two_sided(combine[name], *high) <= alpha * (1.0 - guard):
+                out[name] = True
+            else:
+                continue
+            del undecided[name]
+        if not undecided:
+            break
+    return out
+
+
 def _power_replicate(task) -> dict[str, bool]:
     cfg, rep, alpha, tcfg, methods = task
     data = gen_outcomes_sim1(cfg, generator(cfg.seed, _POWER_TAG, rep, 0))
-    families = {}
-    out: dict[str, bool] = {}
+    by_family: dict = {}
     for name in methods:
         groups, key, combiner = _POWER_FAMILIES[name]
-        if groups not in families:
-            seed = seed_sequence(cfg.seed, _POWER_TAG, rep, key)
-            families[groups] = run_mcrts(data, cfg.lag, replace(tcfg, seed=seed), groups)
-        out[name] = combined_from_mcrt(families[groups], combiner, "two-sided").p_value <= alpha
-    return out
+        by_family.setdefault((groups, key), {})[name] = combiner
+    out: dict[str, bool] = {}
+    for (groups, key), combiners in by_family.items():
+        seed = seed_sequence(cfg.seed, _POWER_TAG, rep, key)
+        out.update(_family_decisions(data, cfg.lag, replace(tcfg, seed=seed), groups, combiners, alpha))
+    return {name: out[name] for name in methods}
 
 
 def power_study(

@@ -635,7 +635,7 @@ class TestFixedSeedIntervals:
 
 class TestIntervalArguments:
     def test_alpha_checked_before_any_draw(self, monkeypatch):
-        def no_draw(plan, values):
+        def no_draw(plan, values, *rows, **hits):
             raise AssertionError("relabelings drawn")
 
         monkeypatch.setattr(RelabelPlan, "reduce", no_draw)

@@ -437,7 +437,7 @@ class TestSimulate:
             ({"n_units": 40.0}, "config key 'n_units' must be an integer, got 40.0"),
             ({"lags": [9]}, "lag must lie in [0, 4]"),
             ({"methods": ["nope"]}, f"unknown combiners: ['nope']; choose from {COMBINERS}"),
-            ({"budget": 0}, "resample budget must be at least 1"),
+            ({"budget": 0}, "resample budget must be at least 1 and an integer, got 0"),
             ({"seed": -1}, "seed must be a non-negative integer"),
             ({"methods": []}, "methods must name at least one combiner"),
             ({"lags": []}, "lags must name at least one lag"),

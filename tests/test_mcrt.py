@@ -171,6 +171,26 @@ class TestRunMcrts:
         with pytest.raises(ValueError, match=message):
             TestConfig(**setting)
 
+    @pytest.mark.parametrize("budget", [2.5, True, 0, np.float64(99.0)])
+    def test_budget_is_an_integer_of_at_least_one(self, budget):
+        message = re.escape(f"resample budget must be at least 1 and an integer, got {budget!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TestConfig(budget=budget)
+
+    def test_numpy_integer_budget_kept_as_int(self):
+        cfg = TestConfig(budget=np.int64(99))
+        assert cfg.budget == 99 and type(cfg.budget) is int
+
+    def test_partial_family_has_tails_but_no_results(self, tiny_trial):
+        cfg = TestConfig(budget=199, seed=21, exact_threshold=1)
+        partial = run_mcrts(tiny_trial, 0, cfg, rows=50)
+        whole = run_mcrts(tiny_trial, 0, cfg)
+        assert [t.test_time for t in partial.tests] == [t.test_time for t in whole.tests]
+        assert all(t.result is None and t.tail.drawn == 50 for t in partial.tests)
+        for t, w in zip(partial.tests, whole.tests):
+            t.tail.grow()
+            assert t.tail.result() == w.result
+
     def test_fractional_lag_rejected(self, tiny_trial):
         with pytest.raises(ValueError, match=r"^lag must be an integer, got 1\.7$"):
             run_mcrts(tiny_trial, 1.7, TestConfig(budget=9))

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -57,6 +58,15 @@ class TestTwoGroupSample:
     def test_rejects_bad_scale(self):
         with pytest.raises(ValueError, match="scale_n"):
             TwoGroupSample([1.0], [0.0], 0)
+
+    @pytest.mark.parametrize("scale", [2.7, 2.0, True, "4"])
+    def test_scale_is_an_integer_never_truncated(self, scale):
+        with pytest.raises(ValueError, match=f"^scale_n must be at least 1 and an integer, got {scale!r}$"):
+            TwoGroupSample([1.0, 2.0], [3.0, 4.0], scale)
+
+    def test_numpy_integer_scale_kept_as_int(self):
+        s = TwoGroupSample([1.0, 2.0], [3.0, 4.0], np.int64(4))
+        assert s.scale_n == 4 and type(s.scale_n) is int
 
 
 class TestStatistics:
@@ -525,6 +535,137 @@ class TestRelabelPlan:
     def test_rejects_zero_budget(self):
         with pytest.raises(ValueError, match="budget"):
             relabel_plan(50, 10, budget=0, exact_threshold=1)
+
+    @pytest.mark.parametrize("budget", [2.5, 99.0, True, None])
+    @pytest.mark.parametrize("threshold", [1, 10**9])
+    def test_budget_is_an_integer_for_sampled_and_exact_plans(self, budget, threshold):
+        message = "^" + re.escape(f"resample budget must be at least 1 and an integer, got {budget!r}") + "$"
+        with pytest.raises(ValueError, match=message):
+            relabel_plan(30, 10, budget=budget, exact_threshold=threshold)
+
+    def test_numpy_integer_budget_draws_as_the_int(self):
+        a = relabel_plan(30, 10, budget=np.int32(99), exact_threshold=1, seed=4)
+        b = relabel_plan(30, 10, budget=99, exact_threshold=1, seed=4)
+        assert a.n_resamples == 99 and np.array_equal(a.selections, b.selections)
+
+
+# a tagged draw (pool <= 256), an argpartition draw (pool > 256) and an
+# exact enumeration, each of more than one 1024-row block
+_RANGE_PLANS = {
+    "tagged": (66, 16, 2100, 1),
+    "argpartition": (300, 40, 1100, 1),
+    "exact": (14, 5, 10, 2002),
+}
+_one_pass = {}
+
+
+def _one_pass_reduction(kind):
+    """The plan, its values, and the whole draw's sums and hits in one pass."""
+    if kind not in _one_pass:
+        pool, m, budget, threshold = _RANGE_PLANS[kind]
+        plan = relabel_plan(pool, m, budget=budget, exact_threshold=threshold, seed=pool)
+        values = generator(pool).normal(size=pool)
+        _one_pass[kind] = (plan, values, *plan.reduce(values))
+    return _one_pass[kind]
+
+
+class TestRowRanges:
+    @given(
+        kind=st.sampled_from(sorted(_RANGE_PLANS)),
+        chunk=st.sampled_from([1000, permtest._KEY_CHUNK]),
+        cuts=st.lists(st.integers(0, 2100), max_size=6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_any_split_into_ranges_reduces_to_the_one_pass_sums_and_hits(self, kind, chunk, cuts):
+        # chunk 1000 cuts a tagged block every 15 rows, an argpartition
+        # block every 3 and the enumeration every 71, so ranges start
+        # and end inside chunks and blocks; a repeated cut is an empty range
+        plan, values, sums, hits = _one_pass_reduction(kind)
+        n = plan.n_resamples
+        assert n > 1024
+        edges = [0, *sorted(min(c, n) for c in cuts), n]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(permtest, "_KEY_CHUNK", chunk)
+            parts = [plan.reduce(values, lo, hi) for lo, hi in zip(edges, edges[1:])]
+            bare_sums, no_hits = plan.reduce(values, edges[1], n, hits=False)
+        assert np.concatenate([p[0] for p in parts]).tobytes() == sums.tobytes()
+        assert np.concatenate([p[1] for p in parts]).tobytes() == hits.tobytes()
+        assert no_hits is None and bare_sums.tobytes() == sums[edges[1] :].tobytes()
+
+    def test_a_resumed_block_draws_the_uninterrupted_keys(self):
+        # rows 1000..1100 cross the first block's edge: the first 24 rows
+        # come from block 0 advanced past 1000 rows, the rest from block 1
+        pool, m = 30, 10
+        plan = relabel_plan(pool, m, budget=1500, exact_threshold=1, seed=8)
+        rows = np.vstack([chunk for _, chunk in plan._chunks(1000, 1100)])
+        assert np.array_equal(rows, _unchunked_reference(pool, m, 1500, 8)[1000:1100])
+        assert [lo for lo, _ in plan._chunks(1000, 1100)] == [1000, 1024]
+
+
+class TestTailPlanGrowth:
+    @staticmethod
+    def _sample(seed=5):
+        y = generator(seed).normal(size=40)
+        return TwoGroupSample(y[:15] + 0.3, y[15:], 40)
+
+    @pytest.mark.parametrize("statistic", STATISTICS)
+    @pytest.mark.parametrize("threshold", [1, 10**12])
+    def test_grown_draw_equals_the_draw_made_at_once(self, statistic, threshold):
+        sample = self._sample()
+        plan = relabel_plan(40, 15, budget=1500, exact_threshold=threshold, seed=3)
+        if plan.exact:  # C(40, 15) rows are too many to enumerate here
+            plan = relabel_plan(12, 4, exact_threshold=495)
+            sample = TwoGroupSample(sample.treated[:4], sample.control[:8], 40)
+        whole = TailPlan(sample, plan, statistic)
+        grown = TailPlan(sample, plan, statistic, rows=100)
+        assert grown.drawn == 100
+        for rows in (100, 1024, 1100, None):
+            grown.grow(rows)
+        assert grown.drawn == whole.drawn == plan.n_resamples
+        assert grown._sums.tobytes() == whole._sums.tobytes()
+        assert grown.result() == whole.result()
+        # only a draw made whole may be shifted, and only the means read hits
+        assert grown._hits is None
+        assert (whole._hits is None) == (statistic == "rank_sum")
+
+    def test_a_partial_draw_has_no_result(self):
+        tail = TailPlan(self._sample(), relabel_plan(40, 15, budget=499, exact_threshold=1, seed=3), "diff_in_means", 96)
+        with pytest.raises(ValueError, match="^the draw is partial: 96 of 499 relabelings drawn$"):
+            tail.result()
+        tail.grow(5000)  # never past the draw's end
+        assert tail.drawn == 499 and tail.result().n_resamples == 499
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bounds_bracket_the_whole_draw_and_meet_at_its_end(self, seed):
+        sample = self._sample(seed)
+        plan = relabel_plan(40, 15, budget=499, exact_threshold=1, seed=seed)
+        final = TailPlan(sample, plan, "diff_in_means").result()
+        tail = TailPlan(sample, plan, "diff_in_means", 0)
+        assert tail.bounds() == ((1 / 500, 1 / 500), (1.0, 1.0))
+        for rows in (1, 96, 288, 498):
+            tail.grow(rows)
+            (le_lo, ge_lo), (le_hi, ge_hi) = tail.bounds()
+            assert le_lo <= final.p_less <= le_hi and ge_lo <= final.p_greater <= ge_hi
+            # the upper end counts every undrawn row: one fewer would be
+            # a bound the whole draw can break
+            assert le_hi - le_lo == pytest.approx((499 - rows) / 500) == ge_hi - ge_lo
+        tail.grow()
+        assert tail.bounds() == ((final.p_less, final.p_greater),) * 2
+
+    def test_only_whole_means_draws_count_hits(self, monkeypatch):
+        asked = []
+        reduce = permtest.RelabelPlan.reduce
+
+        def spy(plan, values, lo=0, hi=None, hits=True):
+            asked.append(hits)
+            return reduce(plan, values, lo, hi, hits)
+
+        monkeypatch.setattr(permtest.RelabelPlan, "reduce", spy)
+        plan = relabel_plan(40, 15, budget=499, exact_threshold=1, seed=3)
+        TailPlan(self._sample(), plan, "rank_sum")
+        TailPlan(self._sample(), plan, "diff_in_means", rows=96).grow()
+        TailPlan(self._sample(), plan, "diff_in_means")
+        assert asked == [False, False, False, True]
 
 
 class TestExactPValues:

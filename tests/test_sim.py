@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,7 @@ from wedgeperm import (
     run_mcrts,
 )
 from wedgeperm.rng import DEFAULT_SEED, generator, seed_sequence
-from wedgeperm.sim import _POWER_TAG, _power_replicate
+from wedgeperm.sim import _CHECKPOINTS, _POWER_FAMILIES, _POWER_TAG, _power_replicate
 
 
 class TestDefaultCounts:
@@ -111,6 +112,20 @@ class TestConfigs:
     def test_interaction_index_checked(self):
         with pytest.raises(ValueError, match="interaction"):
             Sim2Config(interaction=7, taus=(0.0,) * 8)
+
+    @pytest.mark.parametrize("index", [True, 1.0, 7, -1])
+    def test_interaction_rule_shared_with_interaction_f(self, index):
+        # one rule, one message: a bool or a float equal to an index is
+        # not an index
+        message = f"^interaction index must be 0, 1, 2, or 3, got {index!r}$"
+        with pytest.raises(ValueError, match=message):
+            Sim2Config(interaction=index)
+        with pytest.raises(ValueError, match=message):
+            interaction_f(index, 1.0)
+
+    def test_numpy_integer_interaction_kept_as_int(self):
+        cfg = Sim2Config(interaction=np.int64(2))
+        assert cfg.interaction == 2 and type(cfg.interaction) is int
 
     def test_level_bounds(self):
         with pytest.raises(ValueError, match="level"):
@@ -232,6 +247,20 @@ class TestPowerStudy:
         monkeypatch.setattr(wedgeperm.RelabelPlan, "selections", property(no_gather))
         result = power_study([(100, 6, 1, 0.3)], replicates=2, budget=49, statistic="rank_sum")
         assert [r.replicates for r in result.rows] == [2, 2, 2]
+
+    @pytest.mark.parametrize("budget", [9.5, True, 0, "49"])
+    def test_budget_that_is_not_a_positive_integer_rejected_before_any_cell(self, monkeypatch, budget):
+        # every test of the cell is skipped, so no relabel_plan would see it
+        def no_replicate(*args):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(wedgeperm.sim, "gen_outcomes_sim1", no_replicate)
+        message = "^" + re.escape(f"resample budget must be at least 1 and an integer, got {budget!r}") + "$"
+        with pytest.raises(ValueError, match=message):
+            power_study([(6, 6, 0, 0.0)], replicates=2, budget=budget)
+        monkeypatch.setattr(wedgeperm.sim, "gen_outcomes_sim2", no_replicate)
+        with pytest.raises(ValueError, match=message):
+            coverage_study(Sim2Config(n_units=40, n_times=6, replicates=2), lags=[0], budget=budget)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown methods"):
@@ -368,6 +397,78 @@ class TestPowerStudy:
         null_rate = result.rows_for(effect=0.0)[0].rate
         alt_rate = result.rows_for(effect=1.5)[0].rate
         assert alt_rate > null_rate + 0.3
+
+
+def _whole_draw_pvalues(cfg, rep, tcfg):
+    """Each method's two-sided p-value on its family's whole draw, as a
+    power replicate that never curtails would read it."""
+    data = gen_outcomes_sim1(cfg, generator(cfg.seed, _POWER_TAG, rep, 0))
+    out = {}
+    for name, (groups, key, combiner) in _POWER_FAMILIES.items():
+        seed = seed_sequence(cfg.seed, _POWER_TAG, rep, key)
+        family = run_mcrts(data, cfg.lag, replace(tcfg, seed=seed), groups)
+        out[name] = combined_from_mcrt(family, combiner, "two-sided").p_value
+    return out
+
+
+class TestCurtailedDecisions:
+    # sim1-desk cells, a strong effect, and exact pools: N=16, T=2 has one
+    # 8-vs-8 test of 12 870 enumerated rows, and N=12, T=3 tests of at
+    # most 70 rows, complete at the first checkpoint
+    CELLS = ((100, 6, 0, 0.0), (100, 6, 1, 0.3), (60, 4, 1, 0.5), (16, 2, 0, 0.8), (12, 3, 0, 1.0))
+
+    @staticmethod
+    def _alphas(pvalues):
+        """The default level, and each method's whole-draw p-value and the
+        float just below it: at the first the method rejects, at the
+        second it does not."""
+        alphas = {0.05}
+        for p in pvalues.values():
+            if p < 1.0:
+                alphas |= {p, float(np.nextafter(p, 0.0))}
+        return sorted(alphas)
+
+    @pytest.mark.parametrize("budget, replicates", [(_CHECKPOINTS[0] + 1, 12), (499, 3)])
+    def test_decisions_equal_the_whole_draws_near_the_threshold(self, budget, replicates):
+        # at budget checkpoint + 1 one row is left undrawn at the first
+        # look, so an upper bound that counted B - r - 1 undrawn rows
+        # would decide on the rows so far, and a level just below the
+        # whole draw's p-value catches it whenever that last row falls in
+        # a tail that moves the combined p-value
+        tcfg = TestConfig(budget=budget)
+        looked = 0
+        for cell in self.CELLS:
+            cfg = Sim1Config(*cell, seed=7)
+            for rep in range(replicates):
+                pvalues = _whole_draw_pvalues(cfg, rep, tcfg)
+                for alpha in self._alphas(pvalues):
+                    got = _power_replicate((cfg, rep, alpha, tcfg, POWER_METHODS))
+                    assert got == {m: pvalues[m] <= alpha for m in POWER_METHODS}, (cell, rep, alpha)
+                    looked += 1
+        # most replicates give every method a level at and just below its p-value
+        assert looked >= 5 * len(self.CELLS) * replicates
+
+    def test_families_stop_drawing_once_decided(self, monkeypatch):
+        # at the default level most null families are decided before the
+        # budget, and the decisions are those of the whole draw
+        drawn, whole = [0], [0]
+        grow = wedgeperm.TailPlan.grow
+
+        def counting_grow(tail, rows=None):
+            before = tail.drawn
+            grow(tail, rows)
+            drawn[0] += tail.drawn - before
+            whole[0] += tail.n_resamples if before == 0 else 0
+
+        monkeypatch.setattr(wedgeperm.TailPlan, "grow", counting_grow)
+        tcfg = TestConfig(budget=499)
+        cfg = Sim1Config(100, 6, 1, 0.0, seed=3)
+        got = [_power_replicate((cfg, rep, 0.05, tcfg, POWER_METHODS)) for rep in range(8)]
+        monkeypatch.undo()
+        assert drawn[0] < 0.8 * whole[0]
+        for rep, decisions in enumerate(got):
+            pvalues = _whole_draw_pvalues(cfg, rep, tcfg)
+            assert decisions == {m: pvalues[m] <= 0.05 for m in POWER_METHODS}
 
 
 class TestCoverageStudy:
