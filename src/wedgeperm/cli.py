@@ -8,6 +8,8 @@ set, or one unbounded on a side, is a result rather than an error:
 (default 12345, fixed so documented examples reproduce); only color
 suppression (NO_COLOR) comes from the environment.  `simulate` prints
 the progress its one study call logs on the ``wedgeperm`` logger.
+`analyze` draws a family's tests on one thread per CPU the process may
+run on; its outputs are the same at any count.
 """
 
 from __future__ import annotations
@@ -165,11 +167,21 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _cpus() -> int:
+    """How many CPUs this process may run on: its affinity mask where the
+    platform has one (so ``taskset`` limits it), else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     _check_unit("--alpha", args.alpha)
     data = read_trial_csv(args.input)
     tcfg = TestConfig(budget=args.budget, statistic=args.statistic, seed=args.seed)
-    family = run_mcrts(data, args.lag, tcfg)
+    # the family is the same at every thread count, so the count is the
+    # CPUs available, not a setting
+    family = run_mcrts(data, args.lag, tcfg, threads=_cpus())
     if not family.tests:
         reasons = "; ".join(f"t={s.test_time}: {s.reason}" for s in family.skipped)
         print(f"no usable tests at lag {args.lag} ({reasons})", file=sys.stderr)

@@ -111,10 +111,22 @@ class LagTestGroup:
         return int(self.control_units.size)
 
 
+def _check_threads(threads) -> int:
+    """The thread count as an int, if it is an integer of at least 1 (not
+    a bool): the rule for run_mcrts's threads and the studies' workers."""
+    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise ValueError(f"threads must be an integer of at least 1, got {threads!r}")
+    return int(threads)
+
+
 def _times_array(times, n_times: int) -> np.ndarray:
     """Crossover times as an int array, checked by CrossoverTimes to be
-    whole numbers in 1..n_times."""
+    whole numbers in 1..n_times.  A CrossoverTimes over n_times periods
+    was checked when it was made, so its read-only times are returned
+    as they are."""
     if isinstance(times, CrossoverTimes):
+        if times.n_times == n_times:
+            return times.times
         times = times.times
     return CrossoverTimes(times, n_times).times
 
@@ -297,7 +309,7 @@ class LagFamily:
 
 
 def run_mcrts(data: TrialData, lag: int, cfg: TestConfig = TestConfig(), groups=build_groups,
-              rows: int | None = None) -> LagFamily:
+              rows: int | None = None, threads: int = 1) -> LagFamily:
     """Run a lag-l test family on one trial, drawing each testable
     group's relabelings once; groups with an arm below MIN_ARM are
     skipped.  ``groups(times, n_times, lag)`` builds the comparisons:
@@ -305,20 +317,43 @@ def run_mcrts(data: TrialData, lag: int, cfg: TestConfig = TestConfig(), groups=
     With ``rows``, each test draws only its first ``rows`` relabelings,
     and one whose draw that leaves partial has no result; its tail
     draws on with TailPlan.grow.  Such a family serves decisions only:
-    its tails count no treated hits, so it cannot be inverted."""
-    tests: list[McrtTest] = []
+    its tails count no treated hits, so it cannot be inverted.
+
+    ``threads``, an integer of at least 1 checked before any draw, is
+    how many tests draw at once: with more than one, and at least two
+    testable groups, each test's TailPlan is built on a pool of
+    min(threads, tests) threads; NumPy runs the draws without holding
+    the interpreter lock.  A test's draw depends only on its own stream,
+    keyed by (seed, test time), and tails are collected in test order,
+    so the family is the same at every thread count."""
+    threads = _check_threads(threads)
+    testable: list[LagTestGroup] = []
     skips: list[McrtSkip] = []
     for g in groups(data.times, data.n_times, lag):
         if min(g.n_treated, g.n_control) < MIN_ARM:
             reason = f"arm size below min_arm={MIN_ARM} (treated {g.n_treated}, control {g.n_control})"
             skips.append(McrtSkip(g.test_time, g.outcome_time, g.n_treated, g.n_control, reason))
-            continue
+        else:
+            testable.append(g)
+
+    def draw(g: LagTestGroup) -> TailPlan:
         sample = _group_sample(data.outcomes, g)
         seed = seed_sequence(cfg.seed, g.test_time)
-        tail = _tail_plan(sample, cfg.statistic, cfg.budget, cfg.exact_threshold, seed, rows)
-        result = tail.result() if tail.drawn == tail.n_resamples else None
-        tests.append(McrtTest(g.test_time, g.outcome_time, result, tail))
-    return LagFamily(lag, tuple(tests), tuple(skips))
+        return _tail_plan(sample, cfg.statistic, cfg.budget, cfg.exact_threshold, seed, rows)
+
+    if threads > 1 and len(testable) > 1:
+        # imported here, so that importing the package does not load it
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=min(threads, len(testable))) as pool:
+            tails = list(pool.map(draw, testable))
+    else:
+        tails = list(map(draw, testable))
+    tests = tuple(
+        McrtTest(g.test_time, g.outcome_time, tail.result() if tail.drawn == tail.n_resamples else None, tail)
+        for g, tail in zip(testable, tails)
+    )
+    return LagFamily(lag, tests, tuple(skips))
 
 
 def write_trial_csv(path, data: TrialData) -> None:

@@ -46,7 +46,7 @@ import numpy as np
 from .ci import _check_unit, invert_combined
 from .combine import COMBINERS, _combiner, _two_sided
 from .design import DesignSpec, _read_table, _write_table, sample_assignment
-from .mcrt import TestConfig, TrialData, _check_lag, build_groups, naive_groups, run_mcrts
+from .mcrt import TestConfig, TrialData, _check_lag, _check_threads, build_groups, naive_groups, run_mcrts
 from .rng import DEFAULT_SEED, generator, seed_sequence
 
 __all__ = [
@@ -328,8 +328,7 @@ def _study_map(threads: int):
     """Yield an order-preserving map(fn, tasks) for one study; with
     threads > 1 it fans out over one pool of worker processes, which
     stays open until the study ends."""
-    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
-        raise ValueError(f"threads must be an integer of at least 1, got {threads!r}")
+    threads = _check_threads(threads)
     if threads == 1:
         yield lambda fn, tasks: list(map(fn, tasks))
         return

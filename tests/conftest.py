@@ -1,5 +1,7 @@
 """Shared fixtures and builders for the test suite."""
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -45,3 +47,17 @@ def constant_baseline_trial(times: CrossoverTimes, lag: int, effect: float) -> T
 def tiny_trial() -> TrialData:
     """Small effect-free trial reused across modules."""
     return make_trial(24, (8, 8, 8), seed=3)
+
+
+@pytest.fixture
+def thread_pools(monkeypatch) -> list:
+    """The max_workers of every thread pool opened while the test runs."""
+    opened = []
+
+    class CountedPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            opened.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
+    return opened

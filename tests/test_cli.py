@@ -2,6 +2,7 @@
 
 import json
 import logging
+import os
 import re
 
 import numpy as np
@@ -184,6 +185,28 @@ class TestAnalyze:
             assert main(argv) == EXIT_OK
             runs.append((capsys.readouterr().out, res.read_bytes(), ci.read_bytes()))
         assert runs[0] == runs[1]
+
+    def test_outputs_identical_at_any_cpu_count(self, tmp_path, capsys, monkeypatch, thread_pools):
+        # pools of 300 to 600 slots, above the tagged-sort width of 256
+        path = tmp_path / "wide.csv"
+        write_trial_csv(path, make_trial(600, (150, 150, 150, 150), effect=0.2, seed=23))
+        runs = []
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
+            res, ci = tmp_path / f"tests_{cpus}.csv", tmp_path / f"ci_{cpus}.csv"
+            argv = ["analyze", str(path), "--lag", "0", "--budget", "99", "--out", str(res), "--ci-out", str(ci)]
+            assert main(argv) == EXIT_OK
+            runs.append((capsys.readouterr().out, res.read_bytes(), ci.read_bytes()))
+        assert runs[0][0].startswith("lag 0: 3 tests, 0 skipped\n")
+        assert runs[0] == runs[1] == runs[2]
+        assert thread_pools == [2, 3]  # min(cpus, tests); one CPU opens no pool
+
+    def test_cpu_count_without_an_affinity_mask(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert wedgeperm.cli._cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert wedgeperm.cli._cpus() == 1
 
     def test_oversized_unit_id_is_a_data_error(self, tmp_path, capsys):
         path = tmp_path / "big.csv"

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from wedgeperm import (
+    COMBINERS,
     CrossoverTimes,
     DataFormatError,
     LagFamily,
@@ -21,6 +22,7 @@ from wedgeperm import (
     build_groups,
     build_schedule,
     combined_from_mcrt,
+    invert_combined,
     naive_groups,
     permutation_pvalue,
     read_trial_csv,
@@ -118,6 +120,17 @@ class TestBuildGroups:
         times = CrossoverTimes(np.arange(1, 9), 8)
         with pytest.raises(ValueError, match=f"^lag must be an integer, got {lag!r}$"):
             groups(times, 8, lag)
+
+    @pytest.mark.parametrize("groups", [build_groups, naive_groups])
+    def test_times_over_more_periods_than_asked_rejected(self, groups):
+        times = CrossoverTimes(np.arange(1, 9), 8)
+        with pytest.raises(ValueError, match=r"^crossover times must lie in 1\.\.6$"):
+            groups(times, 6, 1)
+
+    def test_times_over_the_periods_asked_are_not_copied(self):
+        times = CrossoverTimes(np.repeat(np.arange(1, 9), 2), 8)
+        assert mcrt._times_array(times, 8) is times.times
+        assert mcrt._times_array(times, 9) is not times.times
 
     @pytest.mark.parametrize("groups", [build_groups, naive_groups])
     def test_numpy_integer_lag_gives_the_same_groups(self, groups):
@@ -277,6 +290,74 @@ class TestRunMcrts:
             hits += p <= alpha
         se = math.sqrt(alpha * (1 - alpha) / n_reps)
         assert hits / n_reps <= alpha + 3 * se
+
+
+class TestRunMcrtsThreads:
+    """A family drawn on a pool of threads is the one drawn serially."""
+
+    FAMILIES = {
+        # pools of 400 and 600 slots, above the tagged-sort width of 256
+        "wide_pool": (lambda: make_trial(600, (200, 200, 200), effect=0.2, seed=5), TestConfig(budget=199, seed=3)),
+        "rank_sum": (lambda: make_trial(24, (8, 8, 8), seed=3),
+                     TestConfig(budget=199, seed=4, statistic="rank_sum", exact_threshold=1)),
+        # C(12, 4) = 495 and C(8, 4) = 70 relabelings, both enumerated
+        "exact": (lambda: make_trial(12, (4, 4, 4), effect=0.5, seed=6), TestConfig(budget=99, seed=5)),
+        # one unit crosses at time 1, so its test is skipped
+        "skipped": (lambda: make_trial(25, (1, 8, 8, 8), seed=7), TestConfig(budget=99, seed=6, exact_threshold=1)),
+    }
+
+    @staticmethod
+    def _assert_same_draws(family, reference):
+        assert family == reference
+        for t, r in zip(family.tests, reference.tests):
+            drawn = r.tail.drawn  # the rows past it are not drawn yet
+            assert t.tail.drawn == drawn
+            assert np.array_equal(t.tail._sums[:drawn], r.tail._sums[:drawn])
+            assert (t.tail._hits is None) == (r.tail._hits is None)
+            if r.tail._hits is not None:
+                assert np.array_equal(t.tail._hits[:drawn], r.tail._hits[:drawn])
+
+    @pytest.mark.parametrize("threads", [2, 5])
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_family_equals_the_serial_one(self, thread_pools, name, threads):
+        make, cfg = self.FAMILIES[name]
+        data = make()
+        serial = run_mcrts(data, 0, cfg)
+        assert thread_pools == [] and len(serial.tests) >= 2
+        assert bool(serial.skipped) == (name == "skipped")
+        threaded = run_mcrts(data, 0, cfg, threads=threads)
+        assert thread_pools == [min(threads, len(serial.tests))]
+        self._assert_same_draws(threaded, serial)
+        for method in COMBINERS:
+            assert invert_combined(threaded, 0.1, method) == invert_combined(serial, 0.1, method)
+
+    @pytest.mark.parametrize("threads", [2, 5])
+    def test_partial_draw_grows_to_the_serial_one(self, thread_pools, threads):
+        data = make_trial(36, (12, 12, 12), seed=8)
+        cfg = TestConfig(budget=299, seed=9, exact_threshold=1)
+        serial, threaded = (run_mcrts(data, 0, cfg, rows=96, threads=k) for k in (1, threads))
+        assert thread_pools == [2]
+        self._assert_same_draws(threaded, serial)
+        assert all(t.tail.drawn == 96 for t in threaded.tests)
+        for t, r in zip(threaded.tests, serial.tests):
+            t.tail.grow()
+            r.tail.grow()
+            assert t.tail.result() == r.tail.result()
+        self._assert_same_draws(threaded, serial)
+
+    def test_one_testable_group_draws_without_a_pool(self, thread_pools):
+        family = run_mcrts(make_trial(25, (1, 8, 8, 8), seed=7), 1, TestConfig(budget=49), threads=4)
+        assert len(family.tests) == 1 and thread_pools == []
+
+    @pytest.mark.parametrize("threads", [0, -3, True, 1.5, "2"], ids=repr)
+    def test_thread_count_that_is_not_a_positive_integer_rejected_before_any_draw(self, monkeypatch, tiny_trial, threads):
+        def no_draw(*args, **kwargs):
+            pytest.fail("drew a test before checking the thread count")
+
+        monkeypatch.setattr(mcrt, "_tail_plan", no_draw)
+        message = f"^threads must be an integer of at least 1, got {re.escape(repr(threads))}$"
+        with pytest.raises(ValueError, match=message):
+            run_mcrts(tiny_trial, 0, TestConfig(budget=9), threads=threads)
 
 
 class TestTrialCsv:

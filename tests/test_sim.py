@@ -684,10 +684,15 @@ class TestDeterminism:
 
 
 def test_package_import_leaves_process_pools_unloaded():
-    # only a study run with threads > 1 needs concurrent.futures
+    # only a study or a family run with threads > 1 needs concurrent.futures
     src = str(Path(wedgeperm.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, wedgeperm; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    code = (
+        "import sys, numpy as np, wedgeperm as w; "
+        "data = w.TrialData(np.arange(12), w.CrossoverTimes(np.repeat([1, 2, 3], 4), 3), np.zeros((12, 4))); "
+        "assert len(w.run_mcrts(data, 0, w.TestConfig(budget=9), threads=1).tests) == 2; "
+        "print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
     )
