@@ -8,11 +8,14 @@ design's arm sizes, Fisher, or Bonferroni), inverts the family into
 confidence intervals, and verifies the underlying joint-validity
 theory exactly on small enumerable spaces.  A CLI (``wedgeperm``)
 fronts the same operations.
+
+The package exports what the README's "Library API" section lists; the
+building blocks those names wrap stay importable from their modules.
 """
 
 from types import ModuleType as _ModuleType
 
-from .rng import DEFAULT_SEED, generator, seed_sequence
+from .rng import generator, seed_sequence
 from .design import (
     CrossoverTimes,
     DataFormatError,
@@ -20,14 +23,10 @@ from .design import (
     enumerate_crossover_vectors,
     sample_assignment,
     space_size,
-    step_conditional_prob,
 )
 from .permtest import (
-    DEFAULT_BUDGET,
-    DEFAULT_EXACT_THRESHOLD,
     STATISTICS,
     PermutationResult,
-    RelabelPlan,
     TailPlan,
     TwoGroupSample,
     diff_in_means,
@@ -37,7 +36,6 @@ from .permtest import (
 )
 from .mcrt import (
     LagFamily,
-    LagTestGroup,
     McrtSkip,
     McrtTest,
     TestConfig,
@@ -67,27 +65,12 @@ from .ci import (
 )
 from .validate import (
     BUNDLED_SCENARIOS,
-    CondIndepResult,
     DominanceReport,
-    DominanceRow,
     FiniteAssignmentSpace,
-    HasseDiagram,
-    HasseNode,
-    NestedCheck,
-    NestednessError,
-    PartitionCheck,
     PartitionFamily,
     Scenario,
-    build_hasse,
     bundled_scenario,
-    coarsening,
-    cond_indep_check,
-    conditional_pvalues,
-    is_partition,
-    joint_dominance_check,
     load_scenario,
-    pairwise_nested_check,
-    refinement,
     save_scenario,
     stepped_wedge_scenario,
 )
@@ -99,11 +82,9 @@ from .sim import (
     Sim2Config,
     StudyResult,
     coverage_study,
-    default_counts,
     emit_tables,
     gen_outcomes_sim1,
     gen_outcomes_sim2,
-    interaction_f,
     parse_tables,
     power_study,
 )

@@ -174,12 +174,6 @@ class CrossoverTimes:
     def n_units(self) -> int:
         return int(self.times.size)
 
-    def counts(self) -> tuple[int, ...]:
-        return tuple(int(c) for c in np.bincount(self.times, minlength=self.n_times + 1)[1:])
-
-    def to_spec(self) -> DesignSpec:
-        return DesignSpec(self.n_units, self.counts())
-
 
 def space_size(spec: DesignSpec) -> int:
     """Exact number of assignments: N! / (N_1! ... N_T!).  Arbitrary precision."""

@@ -131,15 +131,22 @@ def _times_array(times, n_times: int) -> np.ndarray:
     return CrossoverTimes(times, n_times).times
 
 
-def _group(arr: np.ndarray, n_times: int, test_time: int, lag: int, control_times) -> LagTestGroup:
+def _units_at(times, n_times: int) -> list[np.ndarray]:
+    """Each time's units, in increasing order, at index 0..T (time 0 has
+    none), from one stable argsort of the crossover times."""
+    arr = _times_array(times, n_times)
+    order = np.argsort(arr, kind="stable")
+    ends = np.bincount(arr, minlength=n_times + 1).cumsum().tolist()  # units crossing by each time
+    return [order[start:end] for start, end in zip([0] + ends, ends)]
+
+
+def _group(units_at: list[np.ndarray], test_time: int, lag: int, control_times) -> LagTestGroup:
     """Units crossing at ``test_time`` against units crossing at ``control_times``."""
-    is_control = np.zeros(n_times + 1, dtype=bool)  # a lookup over times 0..T
-    is_control[list(control_times)] = True
     return LagTestGroup(
         test_time=test_time,
         outcome_time=test_time + lag,
-        treated_units=np.flatnonzero(arr == test_time),
-        control_units=np.flatnonzero(is_control[arr]),
+        treated_units=units_at[test_time],
+        control_units=np.sort(np.concatenate([units_at[c] for c in control_times])),
     )
 
 
@@ -159,9 +166,9 @@ def build_groups(times, n_times: int, lag: int) -> tuple[LagTestGroup, ...]:
     """
     n_times, lag = int(n_times), _check_lag(n_times, lag)
     subsets = build_schedule(n_times, lag)
-    arr = _times_array(times, n_times)
+    units_at = _units_at(times, n_times)
     groups = [
-        _group(arr, n_times, k, lag, subset[pos + 1 :])
+        _group(units_at, k, lag, subset[pos + 1 :])
         for subset in subsets
         for pos, k in enumerate(subset[:-1])
     ]
@@ -177,9 +184,9 @@ def naive_groups(times, n_times: int, lag: int) -> tuple[LagTestGroup, ...]:
     study, and they are validate's broken construction.
     """
     lag = _check_lag(n_times, lag)
-    arr = _times_array(times, n_times)
+    units_at = _units_at(times, n_times)
     return tuple(
-        _group(arr, n_times, t, lag, range(t + lag + 1, n_times + 1))
+        _group(units_at, t, lag, range(t + lag + 1, n_times + 1))
         for t in range(1, n_times - lag)
     )
 

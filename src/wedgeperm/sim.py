@@ -308,9 +308,6 @@ class StudyResult:
     rows: tuple
     skipped: tuple[tuple[str, str], ...] = ()
 
-    def rows_for(self, **match) -> list:
-        return [r for r in self.rows if all(getattr(r, k) == v for k, v in match.items())]
-
 
 def _check_methods(methods, known: tuple[str, ...], noun: str) -> None:
     """Reject methods that are none, repeat, or are not ``noun``s of ``known``."""

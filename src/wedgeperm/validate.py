@@ -301,27 +301,10 @@ class HasseDiagram:
     def __init__(self, nodes: Sequence[HasseNode], roots: Sequence[int]):
         self.nodes = tuple(nodes)
         self.roots = tuple(roots)
-        self._by_cell = {n.cell: i for i, n in enumerate(self.nodes)}
 
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
-
-    def node_for(self, cell) -> HasseNode:
-        return self.nodes[self._by_cell[frozenset(cell)]]
-
-    def canonical_form(self, elements: Sequence) -> frozenset:
-        """Relabeling/reordering-invariant fingerprint: each node as its
-        token set, its parent's token set, and its owner indices."""
-
-        def tokens(cell: frozenset) -> frozenset:
-            return frozenset(elements[i] for i in cell)
-
-        out = set()
-        for n in self.nodes:
-            parent = None if n.parent is None else tokens(self.nodes[n.parent].cell)
-            out.add((tokens(n.cell), parent, n.owners))
-        return frozenset(out)
 
 
 def build_hasse(family: PartitionFamily) -> HasseDiagram:

@@ -21,7 +21,6 @@ from wedgeperm import (
     Sim1Config,
     Sim2Config,
     TestConfig,
-    build_hasse,
     coverage_study,
     enumerate_crossover_vectors,
     power_study,
@@ -32,6 +31,7 @@ from wedgeperm import (
 from wedgeperm.cli import EXIT_OK, main
 from wedgeperm.rng import generator, seed_sequence
 from wedgeperm.sim import _power_replicate
+from wedgeperm.validate import build_hasse
 
 PER_TEST_BUDGET = 499
 ALPHA = 0.05

@@ -11,7 +11,6 @@ from wedgeperm import (
     COMBINERS,
     ConfidenceInterval,
     CrossoverTimes,
-    RelabelPlan,
     Sim1Config,
     TailPlan,
     TestConfig,
@@ -33,7 +32,7 @@ from wedgeperm import (
     write_ci_csv,
 )
 from wedgeperm import mcrt
-from wedgeperm.permtest import _ShiftIndex
+from wedgeperm.permtest import RelabelPlan, _ShiftIndex
 from wedgeperm.rng import generator, seed_sequence
 
 from conftest import constant_baseline_trial, make_trial

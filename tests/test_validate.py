@@ -12,27 +12,29 @@ from wedgeperm import (
     CrossoverTimes,
     DataFormatError,
     FiniteAssignmentSpace,
-    NestednessError,
     PartitionFamily,
     Scenario,
     TestConfig,
     TrialData,
-    build_hasse,
     bundled_scenario,
-    coarsening,
-    cond_indep_check,
-    conditional_pvalues,
     generator,
-    is_partition,
-    joint_dominance_check,
     load_scenario,
-    pairwise_nested_check,
-    refinement,
     run_mcrts,
     save_scenario,
     stepped_wedge_scenario,
 )
 from wedgeperm import mcrt
+from wedgeperm.validate import (
+    NestednessError,
+    build_hasse,
+    coarsening,
+    cond_indep_check,
+    conditional_pvalues,
+    is_partition,
+    joint_dominance_check,
+    pairwise_nested_check,
+    refinement,
+)
 
 SPACE4 = FiniteAssignmentSpace.uniform(["e0", "e1", "e2", "e3"])
 
@@ -153,9 +155,10 @@ class TestHasseDiagram:
         root = diagram.nodes[diagram.roots[0]]
         assert root.cell == frozenset(range(4)) and root.owners == {0}
         assert len(root.children) == 2 and len(root.descendants) == 6
-        half = diagram.node_for({0, 1})
+        node_for = {n.cell: n for n in diagram.nodes}
+        half = node_for[frozenset({0, 1})]
         assert half.owners == {1} and diagram.nodes[half.parent] is root
-        leaf = diagram.node_for({3})
+        leaf = node_for[frozenset({3})]
         assert leaf.owners == {2} and leaf.children == ()
         assert {diagram.nodes[a].cell for a in leaf.ancestors} == {
             frozenset(range(4)),
@@ -185,20 +188,31 @@ class TestHasseDiagram:
         assert (err.value.j, err.value.k) == (0, 1)
 
     def test_canonical_form_ignores_element_order_and_label_names(self):
+        def canonical_form(diagram, elements) -> frozenset:
+            """Each node as its element set, its parent's element set and
+            its owner indices, which reordering elements and renaming
+            labels leave unchanged."""
+            def tokens(cell):
+                return frozenset(elements[i] for i in cell)
+            return frozenset(
+                (tokens(n.cell), None if n.parent is None else tokens(diagram.nodes[n.parent].cell), n.owners)
+                for n in diagram.nodes
+            )
+
         elements = ["w", "x", "y", "z"]
-        base = build_hasse(CHAIN).canonical_form(elements)
+        base = canonical_form(build_hasse(CHAIN), elements)
 
         perm = [2, 3, 1, 0]
         permuted = PartitionFamily(
             [[vec[i] for i in perm] for vec in CHAIN.labels]
         )
-        shuffled = build_hasse(permuted).canonical_form([elements[i] for i in perm])
+        shuffled = canonical_form(build_hasse(permuted), [elements[i] for i in perm])
         assert shuffled == base
 
         renamed = PartitionFamily(
             [[f"cell-{lab}" for lab in vec] for vec in CHAIN.labels]
         )
-        assert build_hasse(renamed).canonical_form(elements) == base
+        assert canonical_form(build_hasse(renamed), elements) == base
 
 
 class TestConditionalPValues:
