@@ -212,16 +212,15 @@ def _no_evidence(p: np.ndarray) -> tuple[float, float]:
     return math.nan, 1.0
 
 
-def _combiner(tests: Sequence, method: str, granularity=None):
-    """The one-tail combination for ``method`` over completed tests.
+def _combiner(tests: Sequence, method: str):
+    """The one-tail combination for ``method`` over a family's tests.
 
     It maps the tests' p-values from one tail, in order, to (statistic,
     combined p-value) through the cores the public combiners use,
     without their per-call checks; weighted_z weighs the tests by their
-    design weights and caps a p-value of 1 by ``granularity``, one per
-    test, by default each result's.  A combination over no test has no
-    evidence, so its statistic is nan, its p-value 1, and it rejects
-    nothing.
+    design weights and caps a p-value of 1 by each test's granularity,
+    read from its tail.  A combination over no test has no evidence, so
+    its statistic is nan, its p-value 1, and it rejects nothing.
     """
     if method not in COMBINERS:
         raise ValueError(f"unknown combiner {method!r}; choose from {COMBINERS}")
@@ -229,7 +228,7 @@ def _combiner(tests: Sequence, method: str, granularity=None):
         return _no_evidence
     if method == "weighted_z":
         w = _design_weights(tests)
-        gran = np.asarray([t.result.granularity for t in tests] if granularity is None else granularity)
+        gran = np.asarray([t.tail.granularity for t in tests])
         return lambda p: _weighted_z(p, w, gran)
     return _fisher if method == "fisher" else _bonferroni
 

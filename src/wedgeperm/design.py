@@ -15,17 +15,17 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
+
+from .rng import _is_int
 
 __all__ = [
     "DesignSpec",
     "CrossoverTimes",
     "DataFormatError",
     "space_size",
-    "step_conditional_prob",
     "sample_assignment",
     "enumerate_crossover_vectors",
 ]
@@ -129,17 +129,19 @@ class DesignSpec:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
-        object.__setattr__(self, "counts", counts)
+        if not _is_int(self.n_units):
+            raise ValueError(f"n_units must be an integer, got {self.n_units!r}")
+        counts = tuple(self.counts)
+        if not all(map(_is_int, counts)):
+            raise ValueError(f"crossover counts must be integers, got {counts!r}")
+        object.__setattr__(self, "counts", tuple(map(int, counts)))
         object.__setattr__(self, "n_units", int(self.n_units))
-        if len(counts) < 1:
+        if len(self.counts) < 1:
             raise ValueError("a design needs at least one crossover time")
-        if any(c < 1 for c in counts):
+        if any(c < 1 for c in self.counts):
             raise ValueError("every crossover time must receive at least one unit")
-        if sum(counts) != self.n_units:
-            raise ValueError(
-                f"crossover counts sum to {sum(counts)} but n_units is {self.n_units}"
-            )
+        if sum(self.counts) != self.n_units:
+            raise ValueError(f"crossover counts sum to {sum(self.counts)} but n_units is {self.n_units}")
 
     @property
     def n_times(self) -> int:
@@ -161,14 +163,15 @@ class CrossoverTimes:
             raise ValueError("crossover times must be a non-empty 1-d array")
         if not np.array_equal(arr, raw):
             raise ValueError("crossover times must be whole numbers")
-        n_times = int(self.n_times)
-        if n_times < 1:
+        if not _is_int(self.n_times):
+            raise ValueError(f"n_times must be an integer, got {self.n_times!r}")
+        if self.n_times < 1:
             raise ValueError("n_times must be at least 1")
-        if arr.min() < 1 or arr.max() > n_times:
-            raise ValueError(f"crossover times must lie in 1..{n_times}")
+        if arr.min() < 1 or arr.max() > self.n_times:
+            raise ValueError(f"crossover times must lie in 1..{self.n_times}")
         arr.setflags(write=False)
         object.__setattr__(self, "times", arr)
-        object.__setattr__(self, "n_times", n_times)
+        object.__setattr__(self, "n_times", int(self.n_times))
 
     @property
     def n_units(self) -> int:
@@ -181,22 +184,6 @@ def space_size(spec: DesignSpec) -> int:
     for c in spec.counts:
         size //= math.factorial(c)
     return size
-
-
-def step_conditional_prob(spec: DesignSpec, t: int) -> Fraction:
-    """Exact probability of the time-t crossover set given times 1..t-1.
-
-    Equals 1 / C(remaining units, count at t); the product over t
-    telescopes to 1 / space_size(spec).
-    """
-    if not 1 <= t <= spec.n_times:
-        raise ValueError(f"t must lie in 1..{spec.n_times}")
-    filled = sum(spec.counts[: t - 1])
-    remaining = spec.n_units - filled
-    c_t = spec.counts[t - 1]
-    return Fraction(
-        math.factorial(c_t) * math.factorial(remaining - c_t), math.factorial(remaining)
-    )
 
 
 def sample_assignment(spec: DesignSpec, rng: np.random.Generator) -> CrossoverTimes:

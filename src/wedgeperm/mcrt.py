@@ -42,7 +42,7 @@ from .permtest import (
     _check_budget,
     _tail_plan,
 )
-from .rng import DEFAULT_SEED, seed_sequence
+from .rng import DEFAULT_SEED, _is_int, seed_sequence
 
 __all__ = [
     "LagTestGroup",
@@ -62,11 +62,21 @@ __all__ = [
 
 def _check_lag(n_times: int, lag) -> int:
     """The lag as an int, if it is an integer in 0..n_times-2."""
-    if isinstance(lag, bool) or not isinstance(lag, (int, np.integer)):
+    if not _is_int(lag):
         raise ValueError(f"lag must be an integer, got {lag!r}")
     if not 0 <= lag <= n_times - 2:
         raise ValueError(f"lag must lie in [0, {n_times - 2}]")
     return int(lag)
+
+
+def _check_schedule(n_times, lag) -> tuple[int, int]:
+    """n_times and the lag as ints, if n_times is an integer of at least 2
+    and the lag one in 0..n_times-2: every schedule and group builder's rule."""
+    if not _is_int(n_times):
+        raise ValueError(f"n_times must be an integer, got {n_times!r}")
+    if n_times < 2:
+        raise ValueError("need at least two crossover times")
+    return int(n_times), _check_lag(n_times, lag)
 
 
 def build_schedule(n_times: int, lag: int) -> tuple[tuple[int, ...], ...]:
@@ -78,10 +88,7 @@ def build_schedule(n_times: int, lag: int) -> tuple[tuple[int, ...], ...]:
     never pair a tested unit with a later-crossing control.  Each time
     of a subset but its last, which has no controls, yields a test.
     """
-    n_times = int(n_times)
-    if n_times < 2:
-        raise ValueError("need at least two crossover times")
-    lag = _check_lag(n_times, lag)
+    n_times, lag = _check_schedule(n_times, lag)
     return tuple(
         tuple(range(j, n_times + 1, lag + 1)) for j in range(1, min(lag + 1, n_times - lag - 1) + 1)
     )
@@ -114,7 +121,7 @@ class LagTestGroup:
 def _check_threads(threads) -> int:
     """The thread count as an int, if it is an integer of at least 1 (not
     a bool): the rule for run_mcrts's threads and the studies' workers."""
-    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
+    if not _is_int(threads) or threads < 1:
         raise ValueError(f"threads must be an integer of at least 1, got {threads!r}")
     return int(threads)
 
@@ -164,7 +171,7 @@ def build_groups(times, n_times: int, lag: int) -> tuple[LagTestGroup, ...]:
     times of k's own subset; a subset's last element yields no test.
     Groups come in increasing test time; the lag is an integer in 0..T-2.
     """
-    n_times, lag = int(n_times), _check_lag(n_times, lag)
+    n_times, lag = _check_schedule(n_times, lag)
     subsets = build_schedule(n_times, lag)
     units_at = _units_at(times, n_times)
     groups = [
@@ -183,7 +190,7 @@ def naive_groups(times, n_times: int, lag: int) -> tuple[LagTestGroup, ...]:
     valid; run_mcrts over them is the Bonferroni baseline of the power
     study, and they are validate's broken construction.
     """
-    lag = _check_lag(n_times, lag)
+    n_times, lag = _check_schedule(n_times, lag)
     units_at = _units_at(times, n_times)
     return tuple(
         _group(units_at, t, lag, range(t + lag + 1, n_times + 1))

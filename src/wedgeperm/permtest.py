@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import DEFAULT_SEED, seed_sequence
+from .rng import DEFAULT_SEED, _is_int, seed_sequence
 
 __all__ = [
     "TwoGroupSample",
@@ -111,7 +111,7 @@ def _key_buffer(size: int, name: str = "buf", dtype=np.float64) -> np.ndarray:
 def _positive_int(name: str, value) -> int:
     """``value`` as an int, if it is an int or NumPy integer of at least 1
     and not a bool: the rule for a resample budget and a trial size."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+    if not _is_int(value) or value < 1:
         raise ValueError(f"{name} must be at least 1 and an integer, got {value!r}")
     return int(value)
 

@@ -15,6 +15,11 @@ import numpy as np
 DEFAULT_SEED = 12345
 
 
+def _is_int(value) -> bool:
+    """The package's one integer test: an int or NumPy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def seed_sequence(seed, *keys: int) -> np.random.SeedSequence:
     """Derive a child SeedSequence from ``seed`` and integer ``keys``.
 
@@ -33,7 +38,7 @@ def seed_sequence(seed, *keys: int) -> np.random.SeedSequence:
         return np.random.SeedSequence(
             entropy=seed.entropy, spawn_key=tuple(seed.spawn_key) + tuple(int(k) for k in keys)
         )
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise ValueError("seed must be a non-negative integer")
     bad = [k for k in keys if int(k) < 0]
     if bad:

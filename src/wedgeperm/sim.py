@@ -47,7 +47,7 @@ from .ci import _check_unit, invert_combined
 from .combine import COMBINERS, _combiner, _two_sided
 from .design import DesignSpec, _read_table, _write_table, sample_assignment
 from .mcrt import TestConfig, TrialData, _check_lag, _check_threads, build_groups, naive_groups, run_mcrts
-from .rng import DEFAULT_SEED, generator, seed_sequence
+from .rng import DEFAULT_SEED, _is_int, generator, seed_sequence
 
 __all__ = [
     "Sim1Config",
@@ -94,6 +94,8 @@ _log = logging.getLogger(__name__)
 
 def default_counts(n_units: int, n_times: int) -> tuple[int, ...]:
     """Equal crossings per period, remainder absorbed by the last one."""
+    if not (_is_int(n_units) and _is_int(n_times)):
+        raise ValueError(f"n_units and n_times must be integers, got {n_units!r} and {n_times!r}")
     if n_times < 2:
         raise ValueError("need at least two periods")
     base = n_units // n_times
@@ -174,7 +176,7 @@ class Sim2Config:
 def _check_interaction(m) -> int:
     """The interaction index as an int, if it is an int or NumPy integer
     (not a bool) among 0, 1, 2 and 3."""
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m not in (0, 1, 2, 3):
+    if not _is_int(m) or m not in (0, 1, 2, 3):
         raise ValueError(f"interaction index must be 0, 1, 2, or 3, got {m!r}")
     return int(m)
 
@@ -346,8 +348,7 @@ def _family_decisions(data, lag: int, tcfg: TestConfig, groups, combiners: dict[
     looks = [r for r in _CHECKPOINTS if r < tcfg.budget] + [None]
     family = run_mcrts(data, lag, tcfg, groups, looks[0])
     tails = [t.tail for t in family.tests]
-    granularity = [t.granularity for t in tails]
-    combine = {name: _combiner(family.tests, c, granularity) for name, c in combiners.items()}
+    combine = {name: _combiner(family.tests, c) for name, c in combiners.items()}
     undecided, out = dict(combiners), {}
     for rows in looks:
         for tail in tails:

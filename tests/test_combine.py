@@ -40,7 +40,8 @@ def stub_test(test_time, n_treated, n_control, p_less=0.5, p_greater=0.5):
         test_time=test_time,
         n_treated=n_treated,
         n_control=n_control,
-        result=SimpleNamespace(p_less=p_less, p_greater=p_greater, granularity=0.002),
+        result=SimpleNamespace(p_less=p_less, p_greater=p_greater),
+        tail=SimpleNamespace(granularity=0.002),
     )
 
 

@@ -18,7 +18,6 @@ from wedgeperm import (
     sample_assignment,
     space_size,
 )
-from wedgeperm.design import step_conditional_prob
 from wedgeperm.rng import generator
 
 counts_strategy = st.lists(st.integers(1, 4), min_size=1, max_size=5).map(tuple)
@@ -26,6 +25,15 @@ counts_strategy = st.lists(st.integers(1, 4), min_size=1, max_size=5).map(tuple)
 
 def spec_of(counts) -> DesignSpec:
     return DesignSpec(sum(counts), counts)
+
+
+def step_conditional_prob(spec: DesignSpec, t: int) -> Fraction:
+    """Exact probability of the time-t crossover set given times 1..t-1:
+    1 / C(remaining units, count at t), written out in factorials.  The
+    product over t telescopes to 1 / space_size(spec)."""
+    remaining = spec.n_units - sum(spec.counts[: t - 1])
+    c_t = spec.counts[t - 1]
+    return Fraction(math.factorial(c_t) * math.factorial(remaining - c_t), math.factorial(remaining))
 
 
 class TestDesignSpec:

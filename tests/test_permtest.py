@@ -418,8 +418,9 @@ class TestRelabelPlan:
 
     @pytest.mark.parametrize("threshold", [1, 10**9])
     def test_a_bad_seed_raises_for_sampled_and_exact_plans(self, threshold):
-        with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
-            relabel_plan(30, 10, budget=99, exact_threshold=threshold, seed=None)
+        for seed in (None, True):
+            with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
+                relabel_plan(30, 10, budget=99, exact_threshold=threshold, seed=seed)
 
     def test_monte_carlo_draw_memory_is_bounded(self):
         tracemalloc.start()

@@ -3,24 +3,20 @@
 import hashlib
 import logging
 import math
-import os
 import re
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import wedgeperm
 import wedgeperm.mcrt
 from wedgeperm import (
     CoverageRow,
     CrossoverTimes,
     DataFormatError,
+    DesignSpec,
     POWER_METHODS,
     PowerRow,
     Sim1Config,
@@ -680,22 +676,6 @@ class TestDeterminism:
         assert a.rows == b.rows
 
 
-def test_package_import_leaves_process_pools_unloaded():
-    # only a study or a family run with threads > 1 needs concurrent.futures
-    src = str(Path(wedgeperm.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = (
-        "import sys, numpy as np, wedgeperm as w; "
-        "data = w.TrialData(np.arange(12), w.CrossoverTimes(np.repeat([1, 2, 3], 4), 3), np.zeros((12, 4))); "
-        "assert len(w.run_mcrts(data, 0, w.TestConfig(budget=9), threads=1).tests) == 2; "
-        "print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
-    )
-    assert proc.stdout.strip() == "[]"
-
-
 class _FamilyRan(Exception):
     """Raised in place of running a test family: the lag was accepted."""
 
@@ -731,3 +711,45 @@ def test_every_lag_entry_point_applies_the_one_lag_rule(lag):
         outcomes = {_lag_outcome(call, lag) for call in calls}
     assert len(outcomes) == 1, outcomes
     assert (outcomes == {"ok"}) == (type(lag) in (int, np.int64) and 0 <= lag <= 4)
+
+
+@given(st.integers(6, 9) | st.integers(6, 9).map(np.int64) | st.floats() | st.booleans() | st.text(max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_every_period_count_entry_point_applies_the_one_integer_rule(n_times):
+    # the lag rule's integer test: 6.5 must not run as 6, nor 6.0 fail
+    # with a TypeError
+    times = np.repeat(np.arange(1, 7), 2)
+    calls = [
+        lambda n: build_schedule(n, 1),
+        lambda n: build_groups(times, n, 1),
+        lambda n: naive_groups(times, n, 1),
+        lambda n: CrossoverTimes(times, n),
+    ]
+    outcomes = {_lag_outcome(call, n_times) for call in calls}
+    assert len(outcomes) == 1, outcomes
+    assert (outcomes == {"ok"}) == (type(n_times) in (int, np.int64))
+
+
+_TIMES = CrossoverTimes(np.repeat(np.arange(1, 7), 2), 6)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: build_schedule(6.5, 1), "n_times must be an integer, got 6.5"),
+        (lambda: build_schedule("6", 1), "n_times must be an integer, got '6'"),
+        (lambda: build_groups(_TIMES, 6.5, 1), "n_times must be an integer, got 6.5"),
+        (lambda: naive_groups(_TIMES, 6.0, 1), "n_times must be an integer, got 6.0"),
+        (lambda: CrossoverTimes(_TIMES.times, 6.5), "n_times must be an integer, got 6.5"),
+        (lambda: DesignSpec(4.9, (2, 2.9)), "n_units must be an integer, got 4.9"),
+        (lambda: DesignSpec(4, (2, 2.0)), "crossover counts must be integers, got (2, 2.0)"),
+        (lambda: DesignSpec(np.int64(4), (True, 3)), "crossover counts must be integers, got (True, 3)"),
+        (lambda: Sim1Config(n_units=60.5), "n_units and n_times must be integers, got 60.5 and 6"),
+        (lambda: Sim2Config(n_times=8.0), "n_units and n_times must be integers, got 200 and 8.0"),
+    ],
+    ids=["schedule", "schedule-text", "groups", "naive-groups", "times", "spec-units", "spec-counts", "spec-bool",
+         "sim1-units", "sim2-periods"],
+)
+def test_a_period_or_unit_count_that_is_not_an_integer_raises(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
