@@ -178,7 +178,7 @@ def invert_combined(family: LagFamily, alpha: float = 0.10, method: str = "weigh
     no shift, and its set is the whole line, (-inf, inf).
     """
     _check_unit("alpha", alpha)
-    combined = _combiner(family.tests, method)
+    combined = _combiner([t.tail for t in family.tests], method)
     if not family.tests:
         return ConfidenceInterval(family.lag, method, 1.0 - alpha, -math.inf, math.inf, 0)
     return _exact_interval(family._shift_index, combined, alpha, family.lag, method)

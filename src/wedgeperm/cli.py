@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from dataclasses import fields
@@ -86,10 +87,15 @@ _ITEM_NAMES = {
 
 def _has_type(value, kind) -> bool:
     """Whether a JSON value is of ``kind``: a type, or a tuple of types
-    for a list of exactly those."""
+    for a list of exactly those.  A float kind takes an int or a finite
+    float, never the NaN or Infinity that Python's json reads."""
     if isinstance(kind, tuple):
         return isinstance(value, list) and len(value) == len(kind) and all(map(_has_type, value, kind))
-    return not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
+    if isinstance(value, bool):
+        return False
+    if kind is float:
+        return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
+    return isinstance(value, kind)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -68,8 +68,8 @@ class CombinedPValue:
 
 
 def _design_weights(tests) -> np.ndarray:
-    """Squared weights proportional to n1 * n0 / (n1 + n0), which the
-    period counts fix under every assignment and every shift."""
+    """Squared weights proportional to each test's (or sample's) n1 * n0 /
+    (n1 + n0), which the period counts fix under every assignment and shift."""
     if any(min(t.n_treated, t.n_control) < 1 for t in tests):
         raise ValueError("a test with an empty arm cannot be weighted")
     lam = np.asarray([t.n_treated * t.n_control / (t.n_treated + t.n_control) for t in tests])
@@ -212,23 +212,23 @@ def _no_evidence(p: np.ndarray) -> tuple[float, float]:
     return math.nan, 1.0
 
 
-def _combiner(tests: Sequence, method: str):
-    """The one-tail combination for ``method`` over a family's tests.
+def _combiner(tails: Sequence, method: str):
+    """The one-tail combination for ``method`` over a family's TailPlans.
 
     It maps the tests' p-values from one tail, in order, to (statistic,
     combined p-value) through the cores the public combiners use,
     without their per-call checks; weighted_z weighs the tests by their
-    design weights and caps a p-value of 1 by each test's granularity,
-    read from its tail.  A combination over no test has no evidence, so
-    its statistic is nan, its p-value 1, and it rejects nothing.
+    samples' design weights and caps a p-value of 1 by each tail's
+    granularity, so partial tails serve too.  A combination over no test
+    has no evidence: its statistic is nan, its p-value 1.
     """
     if method not in COMBINERS:
         raise ValueError(f"unknown combiner {method!r}; choose from {COMBINERS}")
-    if not tests:
+    if not tails:
         return _no_evidence
     if method == "weighted_z":
-        w = _design_weights(tests)
-        gran = np.asarray([t.tail.granularity for t in tests])
+        w = _design_weights([t.sample for t in tails])
+        gran = np.asarray([t.granularity for t in tails])
         return lambda p: _weighted_z(p, w, gran)
     return _fisher if method == "fisher" else _bonferroni
 
@@ -252,7 +252,7 @@ def combined_from_mcrt(result, method: str, alternative: str = "greater") -> Com
     1 and ``n_tests`` is 0.
     """
     tests = result.tests
-    combine = _combiner(tests, method)
+    combine = _combiner([t.tail for t in tests], method)
 
     def one_tail(tail: str) -> CombinedPValue:
         p = np.asarray([t.result.p_less if tail == "less" else t.result.p_greater for t in tests])

@@ -20,7 +20,7 @@ import csv
 import warnings
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -271,13 +271,11 @@ class TestConfig:
 @dataclass(frozen=True)
 class McrtTest:
     """One completed test: its permutation result and its zero-shift
-    draw, the TailPlan that invert_combined shifts.  Arm sizes are read
-    from the plan's sample.  A test whose draw run_mcrts left partial
-    (``rows``) has no result (None), even after its tail grows."""
+    draw, the TailPlan that invert_combined shifts."""
 
     test_time: int
     outcome_time: int
-    result: PermutationResult | None
+    result: PermutationResult
     tail: TailPlan = field(compare=False, repr=False)
 
     @property
@@ -322,16 +320,33 @@ class LagFamily:
         return _ShiftIndex([t.tail for t in self.tests])
 
 
+def _testable(data: TrialData, lag: int, groups) -> tuple[list[LagTestGroup], list[McrtSkip]]:
+    """``groups(times, n_times, lag)`` split into the groups with both arms
+    of at least MIN_ARM units and the skips of the rest."""
+    testable, skips = [], []
+    for g in groups(data.times, data.n_times, lag):
+        if min(g.n_treated, g.n_control) < MIN_ARM:
+            reason = f"arm size below min_arm={MIN_ARM} (treated {g.n_treated}, control {g.n_control})"
+            skips.append(McrtSkip(g.test_time, g.outcome_time, g.n_treated, g.n_control, reason))
+        else:
+            testable.append(g)
+    return testable, skips
+
+
+def _draw(data: TrialData, cfg: TestConfig, group: LagTestGroup, rows: int | None = None) -> TailPlan:
+    """One test's TailPlan on its stream, keyed by (seed, test time), with
+    its first ``rows`` relabelings drawn (all by default)."""
+    sample = _group_sample(data.outcomes, group)
+    seed = seed_sequence(cfg.seed, group.test_time)
+    return _tail_plan(sample, cfg.statistic, cfg.budget, cfg.exact_threshold, seed, rows)
+
+
 def run_mcrts(data: TrialData, lag: int, cfg: TestConfig = TestConfig(), groups=build_groups,
-              rows: int | None = None, threads: int = 1) -> LagFamily:
+              threads: int = 1) -> LagFamily:
     """Run a lag-l test family on one trial, drawing each testable
     group's relabelings once; groups with an arm below MIN_ARM are
     skipped.  ``groups(times, n_times, lag)`` builds the comparisons:
     build_groups (nested) or naive_groups (the unconditional baseline).
-    With ``rows``, each test draws only its first ``rows`` relabelings,
-    and one whose draw that leaves partial has no result; its tail
-    draws on with TailPlan.grow.  Such a family serves decisions only:
-    its tails count no treated hits, so it cannot be inverted.
 
     ``threads``, an integer of at least 1 checked before any draw, is
     how many tests draw at once: with more than one, and at least two
@@ -341,20 +356,8 @@ def run_mcrts(data: TrialData, lag: int, cfg: TestConfig = TestConfig(), groups=
     keyed by (seed, test time), and tails are collected in test order,
     so the family is the same at every thread count."""
     threads = _check_threads(threads)
-    testable: list[LagTestGroup] = []
-    skips: list[McrtSkip] = []
-    for g in groups(data.times, data.n_times, lag):
-        if min(g.n_treated, g.n_control) < MIN_ARM:
-            reason = f"arm size below min_arm={MIN_ARM} (treated {g.n_treated}, control {g.n_control})"
-            skips.append(McrtSkip(g.test_time, g.outcome_time, g.n_treated, g.n_control, reason))
-        else:
-            testable.append(g)
-
-    def draw(g: LagTestGroup) -> TailPlan:
-        sample = _group_sample(data.outcomes, g)
-        seed = seed_sequence(cfg.seed, g.test_time)
-        return _tail_plan(sample, cfg.statistic, cfg.budget, cfg.exact_threshold, seed, rows)
-
+    testable, skips = _testable(data, lag, groups)
+    draw = partial(_draw, data, cfg)
     if threads > 1 and len(testable) > 1:
         # imported here, so that importing the package does not load it
         from concurrent.futures import ThreadPoolExecutor
@@ -363,10 +366,7 @@ def run_mcrts(data: TrialData, lag: int, cfg: TestConfig = TestConfig(), groups=
             tails = list(pool.map(draw, testable))
     else:
         tails = list(map(draw, testable))
-    tests = tuple(
-        McrtTest(g.test_time, g.outcome_time, tail.result() if tail.drawn == tail.n_resamples else None, tail)
-        for g, tail in zip(testable, tails)
-    )
+    tests = tuple(McrtTest(g.test_time, g.outcome_time, tail.result(), tail) for g, tail in zip(testable, tails))
     return LagFamily(lag, tests, tuple(skips))
 
 

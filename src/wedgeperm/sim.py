@@ -5,22 +5,22 @@ unit intercept, a unit covariate with a linear time trend, i.i.d.
 noise, and a single lagged effect; it powers the size/power study
 grids.  The second layers a possibly nonlinear covariate interaction
 and a whole vector of lagged effects on top, and feeds the
-interval-coverage study.  The power study runs one family per group
-builder and replicate, the nested one (run_mcrts over build_groups)
-for MCRTs+Z/F and the Bonferroni baseline (run_mcrts over
-naive_groups), and keeps only whether each method rejects.
+interval-coverage study.  The power study draws one family per group
+builder and replicate, the nested one (build_groups) for MCRTs+Z/F
+and the Bonferroni baseline (naive_groups), and keeps only whether
+each method rejects.
 
-A power replicate curtails its draws without changing a decision.  A
-family draws its tests' relabelings by row range, to each of a few
-fixed checkpoints and then to the end.  After r of a test's B rows,
-its whole-draw tail counts lie between the counts so far and those
-plus B - r, and every combiner rises with each p-value, so each
-method's two-sided p-value lies between its values at those ends.  A
-family stops drawing once, for each of its methods, both ends lie on
-one side of alpha; a bound within a relative 1e-9 of alpha decides
-nothing.  The tables are those of the whole draw; only fewer rows are
-drawn.  Coverage replicates invert intervals, which need the whole
-draw, and draw it at once.
+A power replicate curtails its draws without changing a decision.  It
+draws each test's TailPlan through run_mcrts's per-test helper
+(mcrt._draw) by row range, to a few fixed checkpoints and then to the
+end, and builds no LagFamily.  After r of a test's B rows, its
+whole-draw tail counts lie between the counts so far and those plus
+B - r, and every combiner rises with each p-value, so each method's
+two-sided p-value lies between its values at those ends.  A family
+stops drawing once, for each of its methods, both ends lie on one
+side of alpha; a bound within a relative 1e-9 of alpha decides
+nothing.  The tables are those of the whole draw.  Coverage
+replicates invert run_mcrts's families, which are drawn whole.
 
 Everything is deterministic given (config, seed), and a config takes
 only a non-negative integer seed (rng.seed_sequence).  Datasets come
@@ -46,7 +46,9 @@ import numpy as np
 from .ci import _check_unit, invert_combined
 from .combine import COMBINERS, _combiner, _two_sided
 from .design import DesignSpec, _read_table, _write_table, sample_assignment
-from .mcrt import TestConfig, TrialData, _check_lag, _check_threads, build_groups, naive_groups, run_mcrts
+from .mcrt import (TestConfig, TrialData, _check_lag, _check_threads, _draw, _testable, build_groups,
+                   naive_groups, run_mcrts)
+from .permtest import _positive_int
 from .rng import DEFAULT_SEED, _is_int, generator, seed_sequence
 
 __all__ = [
@@ -105,12 +107,12 @@ def default_counts(n_units: int, n_times: int) -> tuple[int, ...]:
 
 
 def _check_model(cfg) -> None:
-    """Variance, replicate and seed checks shared by both study models."""
+    """Variance, replicate and seed checks shared by both study models;
+    the replicate count is stored as an int."""
     for name in ("var_unit", "var_covariate", "var_noise"):
-        if getattr(cfg, name) < 0:
-            raise ValueError(f"{name} must be non-negative")
-    if cfg.replicates < 1:
-        raise ValueError("replicates must be positive")
+        if not 0 <= getattr(cfg, name) < math.inf:  # a nan fails too
+            raise ValueError(f"{name} must be finite and non-negative, got {getattr(cfg, name)!r}")
+    object.__setattr__(cfg, "replicates", _positive_int("replicates", cfg.replicates))
     seed_sequence(cfg.seed)
 
 
@@ -137,6 +139,8 @@ class Sim1Config:
     def __post_init__(self):
         default_counts(self.n_units, self.n_times)  # feasibility
         object.__setattr__(self, "lag", _check_lag(self.n_times, self.lag))
+        if not math.isfinite(self.effect):
+            raise ValueError(f"effect must be finite, got {self.effect!r}")
         _check_model(self)
 
 
@@ -168,6 +172,8 @@ class Sim2Config:
         object.__setattr__(self, "taus", tuple(taus))
         if len(self.taus) != self.n_times:
             raise ValueError(f"need one effect per lag 0..{self.n_times - 1}")
+        if not all(map(math.isfinite, self.taus)):
+            raise ValueError(f"taus must be finite, got {self.taus!r}")
         object.__setattr__(self, "interaction", _check_interaction(self.interaction))
         _check_unit("level", self.level)
         _check_model(self)
@@ -346,9 +352,8 @@ def _family_decisions(data, lag: int, tcfg: TestConfig, groups, combiners: dict[
     combined_from_mcrt gives, and p <= alpha decides the rest.
     """
     looks = [r for r in _CHECKPOINTS if r < tcfg.budget] + [None]
-    family = run_mcrts(data, lag, tcfg, groups, looks[0])
-    tails = [t.tail for t in family.tests]
-    combine = {name: _combiner(family.tests, c) for name, c in combiners.items()}
+    tails = [_draw(data, tcfg, g, looks[0]) for g in _testable(data, lag, groups)[0]]
+    combine = {name: _combiner(tails, c) for name, c in combiners.items()}
     undecided, out = dict(combiners), {}
     for rows in looks:
         for tail in tails:

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import math
 import os
 import re
 
@@ -421,6 +422,10 @@ class TestSimulate:
             ({"replicates": "2"}, "config key 'replicates' must be an integer, got '2'"),
             ({"budget": "49"}, "config key 'budget' must be an integer, got '49'"),
             ({"alpha": True}, "config key 'alpha' must be a number, got True"),
+            ({"alpha": math.nan}, "config key 'alpha' must be a number, got nan"),
+            ({"grid": [[16, 2, 0, math.inf]]}, f"{CELLS}, got [[16, 2, 0, inf]]"),
+            ({"grid": [[16, 2, 0, math.nan]]}, f"{CELLS}, got [[16, 2, 0, nan]]"),
+            ({"replicates": 2.5}, "config key 'replicates' must be an integer, got 2.5"),
             # one unit per period skips every test, so no test would reach these
             ({"grid": [[6, 6, 0, 0.0]], "statistic": "bogus"}, "unknown statistic 'bogus'"),
             ({"grid": [[6, 6, 0, 0.0]], "budget": 0}, "resample budget must be at least 1"),
@@ -434,6 +439,7 @@ class TestSimulate:
         ids=[
             "alpha", "short-cell", "text-in-cell", "float-units-in-cell", "float-lag-in-cell",
             "methods-not-a-list", "number-in-methods", "replicates-text", "budget-text", "alpha-bool",
+            "alpha-nan", "infinite-effect-in-cell", "nan-effect-in-cell", "replicates-float",
             "statistic-all-skipped", "budget-all-skipped", "statistic", "unknown-method",
             "seed-negative", "methods-empty", "grid-empty", "methods-repeated",
         ],
@@ -456,6 +462,9 @@ class TestSimulate:
             ({"lags": ["x"]}, "config key 'lags' must be a list of integers, got ['x']"),
             ({"taus": ["a", 0, 0, 0, 0, 0]}, "config key 'taus' must be a list of numbers, got ['a', 0, 0, 0, 0, 0]"),
             ({"level": "0.9"}, "config key 'level' must be a number, got '0.9'"),
+            ({"taus": [0.1, math.nan, 0.2, 0, 0, 0]}, "config key 'taus' must be a list of numbers, got [0.1, nan, 0.2, 0, 0, 0]"),
+            ({"taus": [0, 0, 0, 0, 0, -math.inf]}, "config key 'taus' must be a list of numbers, got [0, 0, 0, 0, 0, -inf]"),
+            ({"level": math.inf}, "config key 'level' must be a number, got inf"),
             ({"replicates": "2"}, "config key 'replicates' must be an integer, got '2'"),
             ({"n_units": 40.0}, "config key 'n_units' must be an integer, got 40.0"),
             ({"lags": [9]}, "lag must lie in [0, 4]"),
@@ -469,7 +478,7 @@ class TestSimulate:
         ],
         ids=[
             "lags-number", "float-in-lags", "text-in-lags", "text-in-taus",
-            "level-text", "replicates-text", "n_units-float", "lag-out-of-range", "unknown-combiner",
+            "level-text", "nan-in-taus", "infinity-in-taus", "level-infinite", "replicates-text", "n_units-float", "lag-out-of-range", "unknown-combiner",
             "budget-zero", "seed-negative", "methods-empty", "lags-empty", "lags-repeated",
             "methods-repeated",
         ],

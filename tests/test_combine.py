@@ -41,7 +41,7 @@ def stub_test(test_time, n_treated, n_control, p_less=0.5, p_greater=0.5):
         n_treated=n_treated,
         n_control=n_control,
         result=SimpleNamespace(p_less=p_less, p_greater=p_greater),
-        tail=SimpleNamespace(granularity=0.002),
+        tail=SimpleNamespace(granularity=0.002, sample=SimpleNamespace(n_treated=n_treated, n_control=n_control)),
     )
 
 

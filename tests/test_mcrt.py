@@ -16,6 +16,7 @@ from wedgeperm import (
     DataFormatError,
     LagFamily,
     McrtTest,
+    PermutationResult,
     TestConfig,
     TrialData,
     TwoGroupSample,
@@ -196,13 +197,31 @@ class TestRunMcrts:
 
     def test_partial_family_has_tails_but_no_results(self, tiny_trial):
         cfg = TestConfig(budget=199, seed=21, exact_threshold=1)
-        partial = run_mcrts(tiny_trial, 0, cfg, rows=50)
+        testable, skips = mcrt._testable(tiny_trial, 0, build_groups)
+        partial = [mcrt._draw(tiny_trial, cfg, g, 50) for g in testable]
         whole = run_mcrts(tiny_trial, 0, cfg)
-        assert [t.test_time for t in partial.tests] == [t.test_time for t in whole.tests]
-        assert all(t.result is None and t.tail.drawn == 50 for t in partial.tests)
-        for t, w in zip(partial.tests, whole.tests):
-            t.tail.grow()
-            assert t.tail.result() == w.result
+        assert [g.test_time for g in testable] == [t.test_time for t in whole.tests]
+        assert not skips and not whole.skipped
+        assert all(tail.drawn == 50 for tail in partial)
+        for tail, w in zip(partial, whole.tests):
+            with pytest.raises(ValueError, match="the draw is partial"):
+                tail.result()
+            tail.grow()
+            assert tail.result() == w.result
+
+    def test_families_hold_only_complete_tests(self):
+        data = make_trial(25, (1, 8, 8, 8), effect=0.3, seed=7)
+        cfg = TestConfig(budget=299, seed=9, exact_threshold=1)
+        with pytest.raises(TypeError):
+            run_mcrts(data, 0, cfg, rows=96)
+        for groups in (build_groups, naive_groups):
+            family = run_mcrts(data, 0, cfg, groups)
+            assert family.tests and family.skipped
+            assert all(isinstance(t.result, PermutationResult) for t in family.tests)
+            for method in COMBINERS:
+                assert combined_from_mcrt(family, method, "two-sided").n_tests == len(family.tests)
+                ci = invert_combined(family, 0.1, method)
+                assert (ci.lag, ci.method, ci.n_grid > 0) == (0, method, True)
 
     def test_fractional_lag_rejected(self, tiny_trial):
         with pytest.raises(ValueError, match=r"^lag must be an integer, got 1\.7$"):
@@ -310,12 +329,11 @@ class TestRunMcrtsThreads:
     def _assert_same_draws(family, reference):
         assert family == reference
         for t, r in zip(family.tests, reference.tests):
-            drawn = r.tail.drawn  # the rows past it are not drawn yet
-            assert t.tail.drawn == drawn
-            assert np.array_equal(t.tail._sums[:drawn], r.tail._sums[:drawn])
+            assert t.tail.drawn == r.tail.drawn == r.tail.n_resamples
+            assert np.array_equal(t.tail._sums, r.tail._sums)
             assert (t.tail._hits is None) == (r.tail._hits is None)
             if r.tail._hits is not None:
-                assert np.array_equal(t.tail._hits[:drawn], r.tail._hits[:drawn])
+                assert np.array_equal(t.tail._hits, r.tail._hits)
 
     @pytest.mark.parametrize("threads", [2, 5])
     @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -330,20 +348,6 @@ class TestRunMcrtsThreads:
         self._assert_same_draws(threaded, serial)
         for method in COMBINERS:
             assert invert_combined(threaded, 0.1, method) == invert_combined(serial, 0.1, method)
-
-    @pytest.mark.parametrize("threads", [2, 5])
-    def test_partial_draw_grows_to_the_serial_one(self, thread_pools, threads):
-        data = make_trial(36, (12, 12, 12), seed=8)
-        cfg = TestConfig(budget=299, seed=9, exact_threshold=1)
-        serial, threaded = (run_mcrts(data, 0, cfg, rows=96, threads=k) for k in (1, threads))
-        assert thread_pools == [2]
-        self._assert_same_draws(threaded, serial)
-        assert all(t.tail.drawn == 96 for t in threaded.tests)
-        for t, r in zip(threaded.tests, serial.tests):
-            t.tail.grow()
-            r.tail.grow()
-            assert t.tail.result() == r.tail.result()
-        self._assert_same_draws(threaded, serial)
 
     def test_one_testable_group_draws_without_a_pool(self, thread_pools):
         family = run_mcrts(make_trial(25, (1, 8, 8, 8), seed=7), 1, TestConfig(budget=49), threads=4)

@@ -7,10 +7,12 @@ interpreter: what importing the package loads, NumPy's SIMD dispatch,
 which is fixed when NumPy is imported, and the CPU affinity mask.
 """
 
+import ast
 import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -181,3 +183,31 @@ def test_bad_input_exits_with_one_error_line_and_no_output(tmp_path, capsys, arg
     assert captured.out == ""
     assert captured.err.splitlines() == [error.format(**paths)]
     assert not paths["out"].exists()
+
+
+def _imports(path: Path) -> set[str]:
+    """The top-level names of the modules that a file imports, anywhere in it."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_runtime_job_runs_every_module_that_imports_neither_scipy_nor_hypothesis():
+    # a module counts as importing what conftest, which pytest loads for
+    # every module, and the test modules it imports import in turn
+    tests = Path(__file__).resolve().parent
+
+    def heavy(name: str, seen: set[str]) -> bool:
+        seen.add(name)
+        names = _imports(tests / f"{name}.py") | {"conftest"}
+        local = {n for n in names - seen if (tests / f"{n}.py").is_file()}
+        return bool(names & {"scipy", "hypothesis"}) or any(heavy(n, seen) for n in local)
+
+    light = sorted(path.name for path in tests.glob("test_*.py") if not heavy(path.stem, set()))
+    workflow = (tests.parent / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    job = re.split(r"\n  (?=\S)", workflow.split("\n  runtime-smoke:")[1])[0]
+    assert sorted(re.findall(r"\btests/(test_\w+\.py)", job)) == light

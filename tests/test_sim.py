@@ -82,6 +82,37 @@ class TestConfigs:
         with pytest.raises(ValueError, match="replicates"):
             Sim1Config(replicates=0)
 
+    @pytest.mark.parametrize("replicates", [2.5, True, 0, "3"], ids=repr)
+    @pytest.mark.parametrize("model", [Sim1Config, Sim2Config])
+    def test_replicates_is_an_integer_of_at_least_one(self, model, replicates):
+        message = re.escape(f"replicates must be at least 1 and an integer, got {replicates!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            model(replicates=replicates)
+
+    @pytest.mark.parametrize("model", [Sim1Config, Sim2Config])
+    def test_numpy_integer_replicates_kept_as_int(self, model):
+        cfg = model(replicates=np.int64(4))
+        assert cfg.replicates == 4 and type(cfg.replicates) is int
+
+    @pytest.mark.parametrize(
+        "model, setting, message",
+        [
+            (Sim1Config, {"effect": math.nan}, "effect must be finite, got nan"),
+            (Sim1Config, {"effect": -math.inf}, "effect must be finite, got -inf"),
+            (Sim1Config, {"var_noise": math.nan}, "var_noise must be finite and non-negative, got nan"),
+            (Sim1Config, {"var_noise": math.inf}, "var_noise must be finite and non-negative, got inf"),
+            (Sim2Config, {"var_unit": math.inf}, "var_unit must be finite and non-negative, got inf"),
+            (Sim2Config, {"var_covariate": math.nan}, "var_covariate must be finite and non-negative, got nan"),
+            (Sim2Config, {"n_times": 3, "taus": (0.1, math.nan, 0.2)}, "taus must be finite, got (0.1, nan, 0.2)"),
+            (Sim2Config, {"n_times": 2, "taus": [math.inf, 0.0]}, "taus must be finite, got (inf, 0.0)"),
+        ],
+        ids=["effect-nan", "effect-inf", "var_noise-nan", "var_noise-inf", "var_unit-inf",
+             "var_covariate-nan", "taus-nan", "taus-inf"],
+    )
+    def test_non_finite_model_numbers_rejected(self, model, setting, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            model(**setting)
+
     @pytest.mark.parametrize("model", [Sim1Config, Sim2Config])
     def test_negative_seed_rejected(self, model):
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
@@ -259,6 +290,24 @@ class TestPowerStudy:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown methods"):
             power_study([(12, 3, 0, 0.0)], methods=("mcrts_z", "anova"))
+
+    @pytest.mark.parametrize("replicates", [2.5, True], ids=repr)
+    def test_replicates_that_is_not_an_integer_rejected_before_any_cell(self, monkeypatch, replicates):
+        def no_replicate(*args):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(wedgeperm.sim, "gen_outcomes_sim1", no_replicate)
+        monkeypatch.setattr(wedgeperm.sim, "gen_outcomes_sim2", no_replicate)
+        message = "^" + re.escape(f"replicates must be at least 1 and an integer, got {replicates!r}") + "$"
+        with pytest.raises(ValueError, match=message):
+            power_study([(16, 2, 0, 0.0)], replicates=replicates, budget=19)
+        with pytest.raises(ValueError, match=message):
+            coverage_study(Sim2Config(n_units=40, n_times=6, replicates=2), lags=[0], replicates=replicates)
+
+    def test_non_finite_effect_cell_is_skipped(self):
+        result = power_study([(16, 2, 0, math.inf), (16, 2, 0, 0.0)], replicates=2, budget=19)
+        assert result.skipped == ((repr((16, 2, 0, math.inf)), "effect must be finite, got inf"),)
+        assert {r.effect for r in result.rows} == {0.0}
 
     def test_negative_seed_rejected_not_skipped(self):
         # the cell is infeasible too, yet the seed is what fails
