@@ -161,7 +161,7 @@ def invert_single(
     The relabelings are drawn once, on the stream keyed by (seed, 0).
     """
     _check_unit("alpha", alpha)
-    tail = _tail_plan(sample, cfg.statistic, cfg.budget, cfg.exact_threshold, seed_sequence(cfg.seed, 0))
+    tail = _tail_plan(sample, cfg.statistic, cfg.budget, seed_sequence(cfg.seed, 0))
     return _exact_interval(_ShiftIndex([tail]), lambda p: (p[0], p[0]), alpha, lag, "single")
 
 

@@ -233,11 +233,14 @@ def _combiner(tails: Sequence, method: str):
     return _fisher if method == "fisher" else _bonferroni
 
 
-def _two_sided(combine, p_less: np.ndarray, p_greater: np.ndarray) -> float:
-    """Twice the smaller of the two tails' combined p-values, capped at 1:
-    combined_from_mcrt's two-sided p-value from the tests' one-sided
-    ones.  Every combiner rises with each p-value, and so does this."""
-    return min(1.0, 2.0 * min(combine(p_less)[1], combine(p_greater)[1]))
+def _two_sided(combine, p_less: np.ndarray, p_greater: np.ndarray) -> tuple[float, float]:
+    """(statistic, p-value) of the two-sided combination: the tail whose
+    combined p-value is smaller (the less tail on a tie), with twice that
+    p-value, capped at 1.  Every combiner rises with each p-value, and so
+    does this p-value."""
+    lo, hi = combine(p_less), combine(p_greater)
+    statistic, p = lo if lo[1] <= hi[1] else hi
+    return statistic, min(1.0, 2.0 * p)
 
 
 def combined_from_mcrt(result, method: str, alternative: str = "greater") -> CombinedPValue:
@@ -253,18 +256,12 @@ def combined_from_mcrt(result, method: str, alternative: str = "greater") -> Com
     """
     tests = result.tests
     combine = _combiner([t.tail for t in tests], method)
-
-    def one_tail(tail: str) -> CombinedPValue:
-        p = np.asarray([t.result.p_less if tail == "less" else t.result.p_greater for t in tests])
-        return CombinedPValue(method, tail, *combine(p), p.size)
-
-    if alternative in ("less", "greater"):
-        return one_tail(alternative)
-    if alternative != "two-sided":
+    p_less = np.asarray([t.result.p_less for t in tests])
+    p_greater = np.asarray([t.result.p_greater for t in tests])
+    if alternative == "two-sided":
+        combined = _two_sided(combine, p_less, p_greater)
+    elif alternative in ("less", "greater"):
+        combined = combine(p_less if alternative == "less" else p_greater)
+    else:
         raise ValueError("alternative must be 'less', 'greater', or 'two-sided'")
-    lo = one_tail("less")
-    hi = one_tail("greater")
-    side = lo if lo.p_value <= hi.p_value else hi
-    return CombinedPValue(
-        method, "two-sided", side.statistic, min(1.0, 2.0 * side.p_value), side.n_tests
-    )
+    return CombinedPValue(method, alternative, *combined, len(tests))

@@ -33,7 +33,6 @@ from .design import (
     _write_table,
 )
 from .permtest import (
-    DEFAULT_EXACT_THRESHOLD,
     STATISTICS,
     PermutationResult,
     TailPlan,
@@ -42,7 +41,7 @@ from .permtest import (
     _check_budget,
     _tail_plan,
 )
-from .rng import DEFAULT_SEED, _is_int, seed_sequence
+from .rng import DEFAULT_SEED, _check_seed, _is_int, seed_sequence
 
 __all__ = [
     "LagTestGroup",
@@ -253,12 +252,14 @@ class TestConfig:
     """Knobs shared by the per-test permutation engine.
 
     The per-test stream is derived from (seed, test time), so adding or
-    removing one test never perturbs the others.  A statistic or budget
-    the engine cannot run is rejected here, before any test is drawn.
+    removing one test never perturbs the others.  All three fields are
+    checked here, before any test is drawn: ``budget`` is an integer of
+    at least 1, ``statistic`` one of STATISTICS, and ``seed`` what
+    rng.seed_sequence takes.  A test is exact when its relabelings
+    number at most 20 000, whatever the config.
     """
 
     budget: int = 499
-    exact_threshold: int = DEFAULT_EXACT_THRESHOLD
     statistic: str = "diff_in_means"
     seed: int = DEFAULT_SEED
 
@@ -266,6 +267,7 @@ class TestConfig:
         if self.statistic not in STATISTICS:
             raise ValueError(f"unknown statistic {self.statistic!r}; choose from {STATISTICS}")
         object.__setattr__(self, "budget", _check_budget(self.budget))
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -338,7 +340,7 @@ def _draw(data: TrialData, cfg: TestConfig, group: LagTestGroup, rows: int | Non
     its first ``rows`` relabelings drawn (all by default)."""
     sample = _group_sample(data.outcomes, group)
     seed = seed_sequence(cfg.seed, group.test_time)
-    return _tail_plan(sample, cfg.statistic, cfg.budget, cfg.exact_threshold, seed, rows)
+    return _tail_plan(sample, cfg.statistic, cfg.budget, seed, rows)
 
 
 def run_mcrts(data: TrialData, lag: int, cfg: TestConfig = TestConfig(), groups=build_groups,

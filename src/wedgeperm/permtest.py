@@ -1,9 +1,10 @@
 """Two-group permutation tests.
 
 The engine relabels a pooled outcome vector (treated slots first) and
-reports both one-sided p-values with ties counted inclusively.  Small
-pools are enumerated exactly; larger ones fall back to Monte Carlo with
-the add-one correction (1 + count) / (budget + 1).
+reports both one-sided p-values with ties counted inclusively.  A test
+is exact when its C(m+n, m) relabelings number at most _EXACT_LIMIT
+(20 000): they are enumerated.  Otherwise it draws Monte-Carlo
+relabelings, with the add-one correction (1 + count) / (budget + 1).
 
 Monte-Carlo resamples are drawn in fixed blocks of 1024, each block on
 a stream derived from (seed, block index), so results never depend on
@@ -78,7 +79,8 @@ __all__ = [
 STATISTICS = ("diff_in_means", "rank_sum")
 
 DEFAULT_BUDGET = 999
-DEFAULT_EXACT_THRESHOLD = 20_000
+# a test with at most this many relabelings is enumerated, not sampled
+_EXACT_LIMIT = 20_000
 
 _BLOCK = 1024  # resamples per derived stream
 # uniform keys per draw chunk (at least one row): 512 KiB of keys, so a
@@ -314,20 +316,22 @@ def relabel_plan(
     pool_size: int,
     n_treated: int,
     budget: int = DEFAULT_BUDGET,
-    exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
     seed=DEFAULT_SEED,
 ) -> RelabelPlan:
     """Fix the enumeration or sample of treated-slot selections for a
     pooled test; the plan yields its rows on demand.
 
-    A Monte-Carlo draw is fixed here by ``seed``, a non-negative integer
-    or a SeedSequence (see rng.seed_sequence).
+    The plan is exact when the C(pool_size, n_treated) relabelings
+    number at most _EXACT_LIMIT (20 000), read at each call; otherwise it
+    draws ``budget`` of them.  A Monte-Carlo draw is fixed here by
+    ``seed``, a non-negative integer or a SeedSequence (see
+    rng.seed_sequence).
     """
     if not 1 <= n_treated < pool_size:
         raise ValueError("need at least one treated and one control slot")
     budget = _check_budget(budget)
     root = seed_sequence(seed)  # checked for an exact plan too, which draws nothing
-    total = _count_if_at_most(pool_size, n_treated, exact_threshold)
+    total = _count_if_at_most(pool_size, n_treated, _EXACT_LIMIT)
     if total is not None:
         return RelabelPlan(n_treated, pool_size, total, True)
     return RelabelPlan(n_treated, pool_size, budget, False, streams=tuple(root.spawn((budget + _BLOCK - 1) // _BLOCK)))
@@ -451,19 +455,12 @@ class TailPlan:
         )
 
 
-def _tail_plan(sample: TwoGroupSample, statistic: str, budget: int, exact_threshold: int, seed,
-               rows: int | None = None) -> TailPlan:
+def _tail_plan(sample: TwoGroupSample, statistic: str, budget: int, seed, rows: int | None = None) -> TailPlan:
     """One test's TailPlan on its own draw of relabelings, with its first
     ``rows`` drawn (all by default).  It calls relabel_plan through this
     module's global, so a wrapper bound to that name sees every test's
     draw."""
-    plan = relabel_plan(
-        sample.n_treated + sample.n_control,
-        sample.n_treated,
-        budget=budget,
-        exact_threshold=exact_threshold,
-        seed=seed,
-    )
+    plan = relabel_plan(sample.n_treated + sample.n_control, sample.n_treated, budget=budget, seed=seed)
     return TailPlan(sample, plan, statistic, rows)
 
 
@@ -603,19 +600,19 @@ def permutation_pvalue(
     sample: TwoGroupSample,
     budget: int = DEFAULT_BUDGET,
     statistic: str = "diff_in_means",
-    exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
     seed=DEFAULT_SEED,
 ) -> PermutationResult:
     """Both one-sided p-values for a two-group comparison.
 
     p_less is the relabeling probability of a statistic <= the observed
-    one, p_greater of >=; ties count toward both tails.  When all
-    C(m+n, m) relabelings fit under ``exact_threshold`` the reference
-    distribution is enumerated and ``budget`` is ignored; otherwise
-    ``budget`` Monte-Carlo relabelings are drawn on streams derived from
-    ``seed`` and the add-one correction keeps p-values positive.
+    one, p_greater of >=; ties count toward both tails.  The test is
+    exact when its C(m+n, m) relabelings number at most 20 000: the
+    reference distribution is enumerated and ``budget`` is ignored.
+    Otherwise ``budget`` Monte-Carlo relabelings are drawn on streams
+    derived from ``seed`` and the add-one correction keeps p-values
+    positive.
 
     To share one draw of relabelings across calls, build the plan with
     relabel_plan and evaluate ``TailPlan(sample, plan, statistic).result()``.
     """
-    return _tail_plan(sample, statistic, budget, exact_threshold, seed).result()
+    return _tail_plan(sample, statistic, budget, seed).result()

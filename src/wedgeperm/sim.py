@@ -362,9 +362,9 @@ def _family_decisions(data, lag: int, tcfg: TestConfig, groups, combiners: dict[
         low, high = np.array([tail.bounds() for tail in tails]).reshape(-1, 2, 2).transpose(1, 2, 0).copy()
         guard = 0.0 if rows is None else _UNDECIDED
         for name in list(undecided):
-            if _two_sided(combine[name], *low) > alpha * (1.0 + guard):
+            if _two_sided(combine[name], *low)[1] > alpha * (1.0 + guard):
                 out[name] = False
-            elif _two_sided(combine[name], *high) <= alpha * (1.0 - guard):
+            elif _two_sided(combine[name], *high)[1] <= alpha * (1.0 - guard):
                 out[name] = True
             else:
                 continue

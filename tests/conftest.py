@@ -5,7 +5,7 @@ import concurrent.futures
 import numpy as np
 import pytest
 
-from wedgeperm import CrossoverTimes, DesignSpec, TrialData, sample_assignment
+from wedgeperm import CrossoverTimes, DesignSpec, TrialData, permtest, sample_assignment
 from wedgeperm.rng import generator
 
 
@@ -61,3 +61,11 @@ def thread_pools(monkeypatch) -> list:
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
     return opened
+
+
+@pytest.fixture
+def exact_limit(monkeypatch):
+    """Set the engine's exactness limit for the test: ``exact_limit(1)``
+    draws even the smallest pool by Monte Carlo, a large limit
+    enumerates pools the default would sample."""
+    return lambda limit: monkeypatch.setattr(permtest, "_EXACT_LIMIT", limit)

@@ -158,7 +158,7 @@ def test_criterion_5_permutation_variance(capsys):
     control = 2.0 * (control - control.mean()) / control.std(ddof=1)
     pool = np.concatenate([treated, control])
 
-    plan = relabel_plan(m + n, m, budget=100_000, exact_threshold=1, seed=seed_sequence(7, 0))
+    plan = relabel_plan(m + n, m, budget=100_000, seed=seed_sequence(7, 0))
     sums, _ = plan.reduce(pool)
     total = pool.sum()
     stats = math.sqrt(m + n) * (sums / m - (total - sums) / n)

@@ -46,11 +46,7 @@ def gaussian_shift_sample(m: int, n: int, tau: float, seed: int) -> TwoGroupSamp
 def shift_index(sample: TwoGroupSample, tcfg: TestConfig = TestConfig()) -> _ShiftIndex:
     """The one-test lookup invert_single builds for ``sample``."""
     plan = relabel_plan(
-        sample.n_treated + sample.n_control,
-        sample.n_treated,
-        budget=tcfg.budget,
-        exact_threshold=tcfg.exact_threshold,
-        seed=seed_sequence(tcfg.seed, 0),
+        sample.n_treated + sample.n_control, sample.n_treated, budget=tcfg.budget, seed=seed_sequence(tcfg.seed, 0)
     )
     return _ShiftIndex([TailPlan(sample, plan, tcfg.statistic)])
 
@@ -115,16 +111,14 @@ class TestTailPValues:
 
     def test_matches_permutation_pvalue_at_zero_shift(self):
         s = gaussian_shift_sample(8, 12, 0.2, 5)
-        tcfg = TestConfig(budget=299, exact_threshold=1, seed=9)
+        tcfg = TestConfig(budget=299, seed=9)
         p1, p2 = tails_at(shift_index(s, tcfg), 0.0)
-        r = permutation_pvalue(
-            s, budget=299, exact_threshold=1, seed=seed_sequence(9, 0)
-        )
+        r = permutation_pvalue(s, budget=299, seed=seed_sequence(9, 0))
         assert (p1, p2) == (r.p_less, r.p_greater)
 
     def test_monotone_in_delta_under_shared_randomness(self):
         s = gaussian_shift_sample(10, 14, 0.4, 6)
-        index = shift_index(s, TestConfig(budget=199, exact_threshold=1, seed=2))
+        index = shift_index(s, TestConfig(budget=199, seed=2))
         deltas = np.linspace(-2, 2, 41)
         curves = [tails_at(index, d) for d in deltas]
         p1 = np.asarray([c[0] for c in curves])
@@ -513,17 +507,18 @@ class TestSharedFamily:
 
 
 class TestFamilyLookup:
-    def test_matches_direct_counts_on_monte_carlo_family(self):
+    def test_matches_direct_counts_on_monte_carlo_family(self, exact_limit):
         # outcomes on a 0.1 grid make tests share candidate shifts, and the
         # 5-vs-5 test has relabelings that never change side
+        exact_limit(1)  # every test is sampled, the 5-vs-5 one too
         data = gen_outcomes_sim1(Sim1Config(20, 4, lag=0, effect=0.3), generator(23))
         data = TrialData(data.units, data.times, np.round(data.outcomes, 1))
-        family = run_mcrts(data, 0, TestConfig(budget=499, exact_threshold=1, seed=8))
+        family = run_mcrts(data, 0, TestConfig(budget=499, seed=8))
         direct = []
         tails = [t.tail for t in family.tests]
         for test, tail in zip(family.tests, tails):
             m, pool = tail.sample.n_treated, tail.sample.pooled()
-            plan = relabel_plan(pool.size, m, budget=499, exact_threshold=1, seed=seed_sequence(8, test.test_time))
+            plan = relabel_plan(pool.size, m, budget=499, seed=seed_sequence(8, test.test_time))
             sums, hits = plan.reduce(pool)
             obs, moves = float(pool[:m].sum()), hits < m
             fixed = sums[~moves]

@@ -359,16 +359,15 @@ class TestCombinedFromTests:
 
 
 class TestPipelineNullValidity:
-    def test_combined_pvalues_valid_under_global_null(self):
+    def test_combined_pvalues_valid_under_global_null(self, exact_limit):
+        exact_limit(1)  # every test is sampled, though its pool is small enough to enumerate
         n_reps = 2000
         cfg_budget = 199
         methods = ("weighted_z", "fisher", "bonferroni")
         pvals = {m: np.empty(n_reps) for m in methods}
         for rep in range(n_reps):
             data = make_trial(18, (6, 6, 6), seed=50_000 + rep)
-            res = run_mcrts(
-                data, 0, TestConfig(budget=cfg_budget, exact_threshold=1, seed=rep)
-            )
+            res = run_mcrts(data, 0, TestConfig(budget=cfg_budget, seed=rep))
             for m in methods:
                 pvals[m][rep] = combined_from_mcrt(res, m, "greater").p_value
         for m in methods:
@@ -396,11 +395,10 @@ class TestExactSize:
         spec = DesignSpec(n_units, counts)
         rng = generator(seed)
         y = rng.standard_normal((n_units, spec.n_times + 1)) * np.exp(1.5 * rng.standard_normal(n_units))[:, None]
-        cfg = TestConfig(exact_threshold=10**9)
         cases = [(m, alt) for m in COMBINERS for alt in ("greater", "less", "two-sided")]
         pvalues = {case: [] for case in cases}
         for vec in enumerate_crossover_vectors(spec):
-            family = run_mcrts(TrialData(np.arange(n_units), CrossoverTimes(vec, spec.n_times), y), lag, cfg)
+            family = run_mcrts(TrialData(np.arange(n_units), CrossoverTimes(vec, spec.n_times), y), lag)
             assert all(t.tail.exact for t in family.tests)
             for method, alternative in cases:
                 pvalues[method, alternative].append(combined_from_mcrt(family, method, alternative).p_value)

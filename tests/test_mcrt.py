@@ -185,6 +185,19 @@ class TestRunMcrts:
         with pytest.raises(ValueError, match=message):
             TestConfig(**setting)
 
+    @pytest.mark.parametrize("seed", [-1, "abc", None, True, 2.5], ids=repr)
+    def test_config_rejects_a_seed_no_stream_could_take(self, seed):
+        # checked when the config is made, so a trial whose lag has no
+        # testable group, which draws nothing, rejects it too
+        data = make_trial(24, (1, 23), seed=5)
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
+            run_mcrts(data, 0, TestConfig(seed=seed))
+
+    def test_config_has_no_exactness_setting(self):
+        assert [f.name for f in dataclasses.fields(TestConfig)] == ["budget", "statistic", "seed"]
+        with pytest.raises(TypeError):
+            TestConfig(exact_threshold=1)
+
     @pytest.mark.parametrize("budget", [2.5, True, 0, np.float64(99.0)])
     def test_budget_is_an_integer_of_at_least_one(self, budget):
         message = re.escape(f"resample budget must be at least 1 and an integer, got {budget!r}")
@@ -195,8 +208,9 @@ class TestRunMcrts:
         cfg = TestConfig(budget=np.int64(99))
         assert cfg.budget == 99 and type(cfg.budget) is int
 
-    def test_partial_family_has_tails_but_no_results(self, tiny_trial):
-        cfg = TestConfig(budget=199, seed=21, exact_threshold=1)
+    def test_partial_family_has_tails_but_no_results(self, exact_limit, tiny_trial):
+        exact_limit(1)  # the 8-vs-8 test is sampled too
+        cfg = TestConfig(budget=199, seed=21)
         testable, skips = mcrt._testable(tiny_trial, 0, build_groups)
         partial = [mcrt._draw(tiny_trial, cfg, g, 50) for g in testable]
         whole = run_mcrts(tiny_trial, 0, cfg)
@@ -209,9 +223,10 @@ class TestRunMcrts:
             tail.grow()
             assert tail.result() == w.result
 
-    def test_families_hold_only_complete_tests(self):
+    def test_families_hold_only_complete_tests(self, exact_limit):
+        exact_limit(1)  # the small pools are sampled too
         data = make_trial(25, (1, 8, 8, 8), effect=0.3, seed=7)
-        cfg = TestConfig(budget=299, seed=9, exact_threshold=1)
+        cfg = TestConfig(budget=299, seed=9)
         with pytest.raises(TypeError):
             run_mcrts(data, 0, cfg, rows=96)
         for groups in (build_groups, naive_groups):
@@ -282,19 +297,17 @@ class TestRunMcrts:
             (t.result.p_less, t.result.p_greater) for t in b.tests
         ]
 
-    def test_per_test_streams_do_not_interact(self, tiny_trial):
+    def test_per_test_streams_do_not_interact(self, exact_limit, tiny_trial):
         # a test's p-values are unchanged when run alone
-        cfg = TestConfig(budget=199, seed=33, exact_threshold=1)
+        exact_limit(1)  # the 8-vs-8 target is sampled too
+        cfg = TestConfig(budget=199, seed=33)
         full = run_mcrts(tiny_trial, 0, cfg)
         groups = build_groups(tiny_trial.times, tiny_trial.n_times, 0)
         target = full.tests[-1]
         (g,) = [g for g in groups if g.test_time == target.test_time]
         y = tiny_trial.outcomes[:, g.outcome_time]
         sample = TwoGroupSample(y[g.treated_units], y[g.control_units], tiny_trial.n_units)
-        solo = permutation_pvalue(
-            sample, budget=cfg.budget, exact_threshold=cfg.exact_threshold,
-            seed=seed_sequence(cfg.seed, target.test_time),
-        )
+        solo = permutation_pvalue(sample, budget=cfg.budget, seed=seed_sequence(cfg.seed, target.test_time))
         assert solo.p_less == target.result.p_less
         assert solo.p_greater == target.result.p_greater
 
@@ -317,13 +330,14 @@ class TestRunMcrtsThreads:
     FAMILIES = {
         # pools of 400 and 600 slots, above the tagged-sort width of 256
         "wide_pool": (lambda: make_trial(600, (200, 200, 200), effect=0.2, seed=5), TestConfig(budget=199, seed=3)),
-        "rank_sum": (lambda: make_trial(24, (8, 8, 8), seed=3),
-                     TestConfig(budget=199, seed=4, statistic="rank_sum", exact_threshold=1)),
+        "rank_sum": (lambda: make_trial(24, (8, 8, 8), seed=3), TestConfig(budget=199, seed=4, statistic="rank_sum")),
         # C(12, 4) = 495 and C(8, 4) = 70 relabelings, both enumerated
         "exact": (lambda: make_trial(12, (4, 4, 4), effect=0.5, seed=6), TestConfig(budget=99, seed=5)),
         # one unit crosses at time 1, so its test is skipped
-        "skipped": (lambda: make_trial(25, (1, 8, 8, 8), seed=7), TestConfig(budget=99, seed=6, exact_threshold=1)),
+        "skipped": (lambda: make_trial(25, (1, 8, 8, 8), seed=7), TestConfig(budget=99, seed=6)),
     }
+    # families whose every test is sampled, though some pools are small enough to enumerate
+    SAMPLED = {"rank_sum", "skipped"}
 
     @staticmethod
     def _assert_same_draws(family, reference):
@@ -337,7 +351,9 @@ class TestRunMcrtsThreads:
 
     @pytest.mark.parametrize("threads", [2, 5])
     @pytest.mark.parametrize("name", sorted(FAMILIES))
-    def test_family_equals_the_serial_one(self, thread_pools, name, threads):
+    def test_family_equals_the_serial_one(self, thread_pools, exact_limit, name, threads):
+        if name in self.SAMPLED:
+            exact_limit(1)
         make, cfg = self.FAMILIES[name]
         data = make()
         serial = run_mcrts(data, 0, cfg)

@@ -167,7 +167,8 @@ _BASELINE_SIMD = "X86_V4 AVX512_ICL AVX512_SPR X86_V3"
 _NARROW_DIGESTS = """
 import hashlib
 import numpy as np
-from wedgeperm import relabel_plan
+import pytest
+from wedgeperm import permtest, relabel_plan
 from wedgeperm.rng import generator
 
 
@@ -178,17 +179,19 @@ def kernel_lists_key_order():
 
 def digests():
     out = []
-    for pool, m in ((5, 2), (33, 8), (66, 16), (100, 50), (256, 64)):
-        for values in (generator(pool).normal(size=pool), np.round(generator(pool).normal(size=pool), 1)):
-            sums, hits = relabel_plan(pool, m, budget=1100, exact_threshold=1, seed=pool).reduce(values)
-            out.append(hashlib.sha256(sums.tobytes() + hits.astype(np.int64).tobytes()).hexdigest()[:16])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(permtest, "_EXACT_LIMIT", 1)  # C(5, 2) = 10 is drawn too, not enumerated
+        for pool, m in ((5, 2), (33, 8), (66, 16), (100, 50), (256, 64)):
+            for values in (generator(pool).normal(size=pool), np.round(generator(pool).normal(size=pool), 1)):
+                sums, hits = relabel_plan(pool, m, budget=1100, seed=pool).reduce(values)
+                out.append(hashlib.sha256(sums.tobytes() + hits.astype(np.int64).tobytes()).hexdigest()[:16])
     return out
 """
 
 
 class TestRelabelPlan:
     def test_exact_plan_enumerates_all_subsets(self):
-        plan = relabel_plan(4, 2, exact_threshold=10)
+        plan = relabel_plan(4, 2)
         assert plan.exact and plan.n_resamples == 6
         rows = {tuple(sorted(r)) for r in plan.selections.tolist()}
         assert rows == {tuple(c) for c in itertools.combinations(range(4), 2)}
@@ -199,7 +202,7 @@ class TestRelabelPlan:
         # subsets span 62 chunks, the last one ragged; chunk 7 is below
         # one row
         monkeypatch.setattr(permtest, "_KEY_CHUNK", chunk)
-        plan = relabel_plan(12, 4, exact_threshold=495)
+        plan = relabel_plan(12, 4)
         assert plan.exact and plan.n_resamples == 495
         chunks = list(plan._chunks())
         assert len(chunks) == (62 if chunk == 100 else 495)
@@ -227,51 +230,55 @@ class TestRelabelPlan:
 
     def test_exact_hits_follow_hypergeometric_counts(self):
         m, n = 3, 4
-        plan = relabel_plan(m + n, m, exact_threshold=100)
+        plan = relabel_plan(m + n, m)
         hits = (plan.selections < m).sum(axis=1)
         for k in range(m + 1):
             assert int((hits == k).sum()) == math.comb(m, k) * math.comb(n, m - k)
 
-    def test_sums_are_linear_in_a_constant_shift(self):
-        plan = relabel_plan(10, 4, budget=200, exact_threshold=1, seed=3)
+    def test_sums_are_linear_in_a_constant_shift(self, exact_limit):
+        exact_limit(1)  # C(10, 4) = 210 relabelings, sampled
+        plan = relabel_plan(10, 4, budget=200, seed=3)
         values = np.arange(10, dtype=float)
         shifted, _ = plan.reduce(values + 2.5)
         assert np.allclose(shifted, plan.reduce(values)[0] + 4 * 2.5)
 
     def test_monte_carlo_plan_is_deterministic(self):
-        a = relabel_plan(30, 10, budget=777, exact_threshold=1, seed=9)
-        b = relabel_plan(30, 10, budget=777, exact_threshold=1, seed=9)
+        a = relabel_plan(30, 10, budget=777, seed=9)
+        b = relabel_plan(30, 10, budget=777, seed=9)
         assert np.array_equal(a.selections, b.selections)
         assert not a.exact and a.n_resamples == 777
 
-    def test_budget_spanning_multiple_blocks(self):
-        plan = relabel_plan(12, 3, budget=1500, exact_threshold=1, seed=0)
+    def test_budget_spanning_multiple_blocks(self, exact_limit):
+        exact_limit(1)  # C(12, 3) = 220 relabelings, sampled
+        plan = relabel_plan(12, 3, budget=1500, seed=0)
         assert plan.n_resamples == 1500
         assert ((plan.selections >= 0) & (plan.selections < 12)).all()
         # every row is a 3-subset: distinct slots
         assert all(len(set(row)) == 3 for row in plan.selections.tolist())
 
     @pytest.mark.parametrize("chunk", [7, 100, 1 << 20])
-    def test_chunked_draw_equals_unchunked_draw(self, monkeypatch, chunk):
+    def test_chunked_draw_equals_unchunked_draw(self, monkeypatch, exact_limit, chunk):
         # chunk 100 on pool 30 draws 3 rows at a time, so a block spans
         # many chunks and its last chunk is ragged; chunk 7 is below one row
         monkeypatch.setattr(permtest, "_KEY_CHUNK", chunk)
+        exact_limit(1)  # C(7, 3) = 35 relabelings, sampled
         for pool, m, budget in ((30, 10, 2500), (100, 17, 499), (7, 3, 1025)):
-            plan = relabel_plan(pool, m, budget=budget, exact_threshold=1, seed=11)
+            plan = relabel_plan(pool, m, budget=budget, seed=11)
             ref = _unchunked_reference(pool, m, budget, 11)
             assert plan.selections.dtype == ref.dtype
             assert np.array_equal(plan.selections, ref)
 
     @pytest.mark.parametrize("chunk", [1000, permtest._KEY_CHUNK])
-    def test_narrow_pools_list_selections_in_key_order(self, monkeypatch, chunk):
+    def test_narrow_pools_list_selections_in_key_order(self, monkeypatch, exact_limit, chunk):
         # chunk 1000 draws 1000 // pool rows at a time, so a block spans
         # many chunks, most pools' last one ragged; budget 1100 spans two
         # blocks
         monkeypatch.setattr(permtest, "_KEY_CHUNK", chunk)
+        exact_limit(1)  # the small pools are sampled too
         for pool in range(2, 258):
             budget = 1100 if pool in (2, 66, 255, 256, 257) else 40
             for m in sorted({1, pool // 3 or 1, pool - 1}):
-                plan = relabel_plan(pool, m, budget=budget, exact_threshold=1, seed=pool)
+                plan = relabel_plan(pool, m, budget=budget, seed=pool)
                 by_key = np.vstack([
                     np.argsort(keys, axis=1, kind="stable")[:, :m] for keys in _block_keys(pool, budget, pool)
                 ])
@@ -296,13 +303,14 @@ class TestRelabelPlan:
         # the lowest of the 53 bits is used, so no coarser grid would do either
         assert (scaled % 2 == 1).any()
 
-    def test_narrow_pool_keeps_one_tag_chunk(self):
+    def test_narrow_pool_keeps_one_tag_chunk(self, exact_limit):
         kept = {}
+        exact_limit(1)  # C(10, 5) = 252 relabelings, sampled
 
         def draw(name, pools):
             seen = []
             for pool in pools:
-                relabel_plan(pool, 5, budget=700, exact_threshold=1, seed=1).reduce(np.zeros(pool))
+                relabel_plan(pool, 5, budget=700, seed=1).reduce(np.zeros(pool))
                 tags = getattr(permtest._thread_keys, "tags", None)
                 seen.append(None if tags is None else (tags.size, tags.dtype, tags.__array_interface__["data"][0]))
             kept[name] = seen
@@ -320,12 +328,12 @@ class TestRelabelPlan:
         # with this thread's buffers made, a narrow draw allocates only
         # its selections, never a chunk of keys or tags
         values = np.zeros(66)
-        relabel_plan(66, 16, budget=499, exact_threshold=1, seed=2).reduce(values)
+        relabel_plan(66, 16, budget=499, seed=2).reduce(values)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            relabel_plan(66, 16, budget=499, exact_threshold=1, seed=3).reduce(values)
+            relabel_plan(66, 16, budget=499, seed=3).reduce(values)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -338,7 +346,7 @@ class TestRelabelPlan:
         # many chunks, the default chunk a ragged last one on pool 100
         monkeypatch.setattr(permtest, "_KEY_CHUNK", chunk)
         shapes = ((30, 10, 2500), (100, 17, 1100))
-        plans = [relabel_plan(pool, m, budget=budget, exact_threshold=1, seed=11) for pool, m, budget in shapes]
+        plans = [relabel_plan(pool, m, budget=budget, seed=11) for pool, m, budget in shapes]
         yielded = [[], []]
         for pair in itertools.zip_longest(*(plan._chunks() for plan in plans)):
             for kept, item in zip(yielded, pair):
@@ -353,7 +361,7 @@ class TestRelabelPlan:
 
     def test_concurrent_threads_draw_what_sequential_draws_do(self):
         shapes = ((30, 10, 4000, 11), (5000, 17, 999, 12), (300, 150, 2000, 13), (256, 64, 2000, 14))
-        expected = [relabel_plan(pool, m, budget=b, exact_threshold=1, seed=s).selections for pool, m, b, s in shapes]
+        expected = [relabel_plan(pool, m, budget=b, seed=s).selections for pool, m, b, s in shapes]
         barrier = threading.Barrier(len(shapes))
         got = [None] * len(shapes)
 
@@ -361,7 +369,7 @@ class TestRelabelPlan:
             pool, m, budget, seed = shapes[k]
             barrier.wait()
             got[k] = [
-                relabel_plan(pool, m, budget=budget, exact_threshold=1, seed=seed).selections for _ in range(4)
+                relabel_plan(pool, m, budget=budget, seed=seed).selections for _ in range(4)
             ]
 
         # more threads than cores, switching often, so the draws overlap
@@ -379,13 +387,14 @@ class TestRelabelPlan:
         for ref, draws in zip(expected, got):
             assert all(np.array_equal(ref, sel) for sel in draws)
 
-    def test_wide_pool_keeps_at_most_one_key_chunk(self):
+    def test_wide_pool_keeps_at_most_one_key_chunk(self, exact_limit):
         wide = permtest._KEY_CHUNK + 500
         kept = {}
+        exact_limit(1)  # C(10, 5) = 252 relabelings, sampled
 
         def draw(name, pools):
             for pool in pools:
-                relabel_plan(pool, 5, budget=3, exact_threshold=1, seed=1).selections
+                relabel_plan(pool, 5, budget=3, seed=1).selections
             buf = getattr(permtest._thread_keys, "buf", None)
             kept[name] = None if buf is None else buf.size
 
@@ -399,10 +408,11 @@ class TestRelabelPlan:
 
     @pytest.mark.parametrize("chunk", [7, 100, 1 << 20])
     @pytest.mark.parametrize("seed", [11])
-    def test_streamed_reduction_equals_materialised_selections(self, monkeypatch, chunk, seed):
+    def test_streamed_reduction_equals_materialised_selections(self, monkeypatch, exact_limit, chunk, seed):
         monkeypatch.setattr(permtest, "_KEY_CHUNK", chunk)
+        exact_limit(1)  # C(7, 3) = 35 relabelings, sampled
         for pool, m, budget in ((30, 10, 2500), (100, 17, 499), (7, 3, 1025)):
-            plan = relabel_plan(pool, m, budget=budget, exact_threshold=1, seed=seed)
+            plan = relabel_plan(pool, m, budget=budget, seed=seed)
             values = generator(pool).normal(size=pool)
             # streamed first, so the selections are drawn only afterwards
             sums, hits = plan.reduce(values)
@@ -412,15 +422,16 @@ class TestRelabelPlan:
             assert hits.dtype == ref_hits.dtype and np.array_equal(hits, ref_hits)
 
     def test_unseeded_draw_is_the_default_seed_draw(self):
-        unseeded = relabel_plan(30, 10, budget=99, exact_threshold=1)
-        seeded = relabel_plan(30, 10, budget=99, exact_threshold=1, seed=12345)
+        unseeded = relabel_plan(30, 10, budget=99)
+        seeded = relabel_plan(30, 10, budget=99, seed=12345)
         assert np.array_equal(unseeded.selections, seeded.selections)
 
-    @pytest.mark.parametrize("threshold", [1, 10**9])
-    def test_a_bad_seed_raises_for_sampled_and_exact_plans(self, threshold):
+    @pytest.mark.parametrize("limit", [1, 10**9])
+    def test_a_bad_seed_raises_for_sampled_and_exact_plans(self, exact_limit, limit):
+        exact_limit(limit)  # 10**9 enumerates C(30, 10) = 30 045 015
         for seed in (None, True):
             with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
-                relabel_plan(30, 10, budget=99, exact_threshold=threshold, seed=seed)
+                relabel_plan(30, 10, budget=99, seed=seed)
 
     def test_monte_carlo_draw_memory_is_bounded(self):
         tracemalloc.start()
@@ -428,7 +439,7 @@ class TestRelabelPlan:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             # reading the selections forces the draw
-            relabel_plan(20_000, 10, budget=999, exact_threshold=1, seed=0).selections
+            relabel_plan(20_000, 10, budget=999, seed=0).selections
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -443,7 +454,7 @@ class TestRelabelPlan:
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            plan = relabel_plan(25_000, 5000, budget=999, exact_threshold=1, seed=0)
+            plan = relabel_plan(25_000, 5000, budget=999, seed=0)
             TailPlan(sample, plan, statistic)
             return tracemalloc.get_traced_memory()[1] - before
         finally:
@@ -511,13 +522,28 @@ class TestRelabelPlan:
         assert got.strip() == repr(namespace["digests"]())
 
 
-    def test_exact_threshold_boundary(self):
+    def test_exact_threshold_boundary(self, exact_limit):
         for pool, m in ((10, 3), (12, 6), (200, 199), (25_000, 1)):
             total = math.comb(pool, m)
-            plan = relabel_plan(pool, m, exact_threshold=total)
+            exact_limit(total)
+            plan = relabel_plan(pool, m)
             assert plan.exact and plan.n_resamples == total
-            plan = relabel_plan(pool, m, budget=50, exact_threshold=total - 1, seed=1)
+            exact_limit(total - 1)
+            plan = relabel_plan(pool, m, budget=50, seed=1)
             assert not plan.exact and plan.n_resamples == 50
+
+    def test_default_limit_is_twenty_thousand_relabelings(self):
+        # one treated slot among 20 000 is enumerated, among 20 001 sampled
+        plan = relabel_plan(20_000, 1)
+        assert plan.exact and plan.n_resamples == 20_000
+        plan = relabel_plan(20_001, 1, budget=50, seed=1)
+        assert not plan.exact and plan.n_resamples == 50
+
+    def test_exactness_is_not_a_setting(self):
+        with pytest.raises(TypeError):
+            relabel_plan(200, 100, exact_threshold=1)
+        with pytest.raises(TypeError):
+            permutation_pvalue(TwoGroupSample([1.0, 2.0], [0.0, 3.0], 4), exact_threshold=1)
 
     def test_early_exit_count_agrees_with_math_comb(self):
         for pool in range(2, 40):
@@ -535,27 +561,28 @@ class TestRelabelPlan:
 
     def test_rejects_zero_budget(self):
         with pytest.raises(ValueError, match="budget"):
-            relabel_plan(50, 10, budget=0, exact_threshold=1)
+            relabel_plan(50, 10, budget=0)
 
     @pytest.mark.parametrize("budget", [2.5, 99.0, True, None])
-    @pytest.mark.parametrize("threshold", [1, 10**9])
-    def test_budget_is_an_integer_for_sampled_and_exact_plans(self, budget, threshold):
+    @pytest.mark.parametrize("limit", [1, 10**9])
+    def test_budget_is_an_integer_for_sampled_and_exact_plans(self, exact_limit, budget, limit):
+        exact_limit(limit)  # 10**9 enumerates C(30, 10) = 30 045 015
         message = "^" + re.escape(f"resample budget must be at least 1 and an integer, got {budget!r}") + "$"
         with pytest.raises(ValueError, match=message):
-            relabel_plan(30, 10, budget=budget, exact_threshold=threshold)
+            relabel_plan(30, 10, budget=budget)
 
     def test_numpy_integer_budget_draws_as_the_int(self):
-        a = relabel_plan(30, 10, budget=np.int32(99), exact_threshold=1, seed=4)
-        b = relabel_plan(30, 10, budget=99, exact_threshold=1, seed=4)
+        a = relabel_plan(30, 10, budget=np.int32(99), seed=4)
+        b = relabel_plan(30, 10, budget=99, seed=4)
         assert a.n_resamples == 99 and np.array_equal(a.selections, b.selections)
 
 
 # a tagged draw (pool <= 256), an argpartition draw (pool > 256) and an
 # exact enumeration, each of more than one 1024-row block
 _RANGE_PLANS = {
-    "tagged": (66, 16, 2100, 1),
-    "argpartition": (300, 40, 1100, 1),
-    "exact": (14, 5, 10, 2002),
+    "tagged": (66, 16, 2100),
+    "argpartition": (300, 40, 1100),
+    "exact": (14, 5, 10),  # C(14, 5) = 2002 relabelings
 }
 _one_pass = {}
 
@@ -563,8 +590,8 @@ _one_pass = {}
 def _one_pass_reduction(kind):
     """The plan, its values, and the whole draw's sums and hits in one pass."""
     if kind not in _one_pass:
-        pool, m, budget, threshold = _RANGE_PLANS[kind]
-        plan = relabel_plan(pool, m, budget=budget, exact_threshold=threshold, seed=pool)
+        pool, m, budget = _RANGE_PLANS[kind]
+        plan = relabel_plan(pool, m, budget=budget, seed=pool)
         values = generator(pool).normal(size=pool)
         _one_pass[kind] = (plan, values, *plan.reduce(values))
     return _one_pass[kind]
@@ -597,7 +624,7 @@ class TestRowRanges:
         # rows 1000..1100 cross the first block's edge: the first 24 rows
         # come from block 0 advanced past 1000 rows, the rest from block 1
         pool, m = 30, 10
-        plan = relabel_plan(pool, m, budget=1500, exact_threshold=1, seed=8)
+        plan = relabel_plan(pool, m, budget=1500, seed=8)
         rows = np.vstack([chunk for _, chunk in plan._chunks(1000, 1100)])
         assert np.array_equal(rows, _unchunked_reference(pool, m, 1500, 8)[1000:1100])
         assert [lo for lo, _ in plan._chunks(1000, 1100)] == [1000, 1024]
@@ -610,12 +637,13 @@ class TestTailPlanGrowth:
         return TwoGroupSample(y[:15] + 0.3, y[15:], 40)
 
     @pytest.mark.parametrize("statistic", STATISTICS)
-    @pytest.mark.parametrize("threshold", [1, 10**12])
-    def test_grown_draw_equals_the_draw_made_at_once(self, statistic, threshold):
+    @pytest.mark.parametrize("limit", [1, 10**12])
+    def test_grown_draw_equals_the_draw_made_at_once(self, exact_limit, statistic, limit):
         sample = self._sample()
-        plan = relabel_plan(40, 15, budget=1500, exact_threshold=threshold, seed=3)
+        exact_limit(limit)
+        plan = relabel_plan(40, 15, budget=1500, seed=3)
         if plan.exact:  # C(40, 15) rows are too many to enumerate here
-            plan = relabel_plan(12, 4, exact_threshold=495)
+            plan = relabel_plan(12, 4)
             sample = TwoGroupSample(sample.treated[:4], sample.control[:8], 40)
         whole = TailPlan(sample, plan, statistic)
         grown = TailPlan(sample, plan, statistic, rows=100)
@@ -630,7 +658,7 @@ class TestTailPlanGrowth:
         assert (whole._hits is None) == (statistic == "rank_sum")
 
     def test_a_partial_draw_has_no_result(self):
-        tail = TailPlan(self._sample(), relabel_plan(40, 15, budget=499, exact_threshold=1, seed=3), "diff_in_means", 96)
+        tail = TailPlan(self._sample(), relabel_plan(40, 15, budget=499, seed=3), "diff_in_means", 96)
         with pytest.raises(ValueError, match="^the draw is partial: 96 of 499 relabelings drawn$"):
             tail.result()
         tail.grow(5000)  # never past the draw's end
@@ -639,7 +667,7 @@ class TestTailPlanGrowth:
     @pytest.mark.parametrize("seed", range(6))
     def test_bounds_bracket_the_whole_draw_and_meet_at_its_end(self, seed):
         sample = self._sample(seed)
-        plan = relabel_plan(40, 15, budget=499, exact_threshold=1, seed=seed)
+        plan = relabel_plan(40, 15, budget=499, seed=seed)
         final = TailPlan(sample, plan, "diff_in_means").result()
         tail = TailPlan(sample, plan, "diff_in_means", 0)
         assert tail.bounds() == ((1 / 500, 1 / 500), (1.0, 1.0))
@@ -662,7 +690,7 @@ class TestTailPlanGrowth:
             return reduce(plan, values, lo, hi, hits)
 
         monkeypatch.setattr(permtest.RelabelPlan, "reduce", spy)
-        plan = relabel_plan(40, 15, budget=499, exact_threshold=1, seed=3)
+        plan = relabel_plan(40, 15, budget=499, seed=3)
         TailPlan(self._sample(), plan, "rank_sum")
         TailPlan(self._sample(), plan, "diff_in_means", rows=96).grow()
         TailPlan(self._sample(), plan, "diff_in_means")
@@ -716,47 +744,52 @@ class TestExactPValues:
 
 
 class TestMonteCarloPValues:
-    def test_add_one_correction_and_granularity(self):
+    def test_add_one_correction_and_granularity(self, exact_limit):
+        exact_limit(1)  # C(14, 6) = 3003 relabelings, sampled
         s = TwoGroupSample(np.arange(6, dtype=float), np.arange(6, 14, dtype=float), 14)
-        r = permutation_pvalue(s, budget=99, exact_threshold=1, seed=0)
+        r = permutation_pvalue(s, budget=99, seed=0)
         assert not r.exact and r.n_resamples == 99
         assert r.granularity == 1.0 / 100
         assert r.p_less >= 1.0 / 100 and r.p_greater >= 1.0 / 100
 
-    def test_agrees_with_exact_within_mc_error(self):
+    def test_agrees_with_exact_within_mc_error(self, exact_limit):
         gen = generator(31)
         s = TwoGroupSample(gen.normal(0.4, 1, 4), gen.normal(0, 1, 8), 12)
         exact = permutation_pvalue(s)
         assert exact.exact and exact.n_resamples == math.comb(12, 4)
-        mc = permutation_pvalue(s, budget=100_000, exact_threshold=1, seed=5)
+        exact_limit(1)
+        mc = permutation_pvalue(s, budget=100_000, seed=5)
         for tail in ("p_less", "p_greater"):
             p = getattr(exact, tail)
             se = math.sqrt(p * (1 - p) / 100_000)
             assert abs(getattr(mc, tail) - p) <= 3 * se + 2 / 100_000
 
-    def test_same_seed_reproduces(self):
+    def test_same_seed_reproduces(self, exact_limit):
+        exact_limit(1)  # C(15, 5) = 3003 relabelings, sampled
         s = TwoGroupSample(np.arange(5, dtype=float), np.arange(10, dtype=float), 15)
-        a = permutation_pvalue(s, budget=500, exact_threshold=1, seed=4)
-        b = permutation_pvalue(s, budget=500, exact_threshold=1, seed=4)
+        a = permutation_pvalue(s, budget=500, seed=4)
+        b = permutation_pvalue(s, budget=500, seed=4)
         assert (a.p_less, a.p_greater) == (b.p_less, b.p_greater)
 
     def test_unseeded_calls_return_equal_results(self):
         s = TwoGroupSample(np.arange(10, dtype=float), np.arange(20, dtype=float), 30)
         assert permutation_pvalue(s, budget=99) == permutation_pvalue(s, budget=99)
 
-    def test_location_invariance_exact_equality(self):
+    def test_location_invariance_exact_equality(self, exact_limit):
+        exact_limit(1)  # C(15, 6) = 5005 relabelings, sampled
         gen = generator(8)
         t, c = gen.normal(0, 1, 6), gen.normal(0, 1, 9)
-        a = permutation_pvalue(TwoGroupSample(t, c, 15), budget=400, exact_threshold=1, seed=2)
-        b = permutation_pvalue(TwoGroupSample(t + 17.5, c + 17.5, 15), budget=400, exact_threshold=1, seed=2)
+        a = permutation_pvalue(TwoGroupSample(t, c, 15), budget=400, seed=2)
+        b = permutation_pvalue(TwoGroupSample(t + 17.5, c + 17.5, 15), budget=400, seed=2)
         assert (a.p_less, a.p_greater) == (b.p_less, b.p_greater)
 
-    def test_shared_plan_overrides_budget(self):
+    def test_shared_plan_overrides_budget(self, exact_limit):
+        exact_limit(1)  # C(12, 4) = 495 relabelings, sampled
         s = TwoGroupSample(np.arange(4, dtype=float), np.arange(8, dtype=float), 12)
-        plan = relabel_plan(12, 4, budget=250, exact_threshold=1, seed=1)
+        plan = relabel_plan(12, 4, budget=250, seed=1)
         r = TailPlan(s, plan, "diff_in_means").result()
         assert r.n_resamples == 250
-        assert r == permutation_pvalue(s, budget=250, exact_threshold=1, seed=1)
+        assert r == permutation_pvalue(s, budget=250, seed=1)
 
 
 class TestNullValidity:
@@ -785,7 +818,7 @@ class TestPermutedVariance:
         t = (t - t.mean()) / t.std(ddof=1)
         c = 2.0 * (c - c.mean()) / c.std(ddof=1)
         sample = TwoGroupSample(t, c, N)
-        plan = relabel_plan(N, m, budget=40_000, exact_threshold=1, seed=6)
+        plan = relabel_plan(N, m, budget=40_000, seed=6)
         sums, _ = plan.reduce(sample.pooled())
         # sum -> statistic: T = sqrt(N) * (s/m - (total - s)/n)
         total = sample.pooled().sum()

@@ -34,3 +34,17 @@ def test_a_seed_is_a_non_negative_int_or_raises(value):
     else:
         assert is_seed
         assert root.entropy == [value]
+
+
+@pytest.mark.parametrize("key", [2.5, 2.0, True, False, "3", None, -1], ids=repr)
+def test_a_key_that_is_not_a_non_negative_integer_raises(key):
+    for seed in (1, seed_sequence(1)):
+        with pytest.raises(ValueError, match=r"^stream keys must be non-negative integers, got \["):
+            seed_sequence(seed, 4, key)
+        with pytest.raises(ValueError, match=r"^stream keys must be non-negative integers, got \["):
+            generator(seed, key)
+
+
+def test_a_numpy_integer_key_draws_the_stream_of_its_int():
+    for key in (np.int64(2), np.uint8(2)):
+        assert np.array_equal(generator(1, key).random(4), generator(1, 2).random(4))

@@ -88,6 +88,20 @@ def test_import_and_every_command_load_neither_scipy_nor_concurrent(tmp_path):
     assert (tmp_path / "analyze.out").read_text().startswith("lag 1: 3 tests, 0 skipped\n")
 
 
+def test_import_leaves_numpy_random_unloaded():
+    # importing the package makes config defaults, whose integer seeds
+    # are checked without np.random, which NumPy 2 loads on first use
+    src = str(Path(wedgeperm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, numpy; print('numpy.random' in sys.modules); import wedgeperm; print('numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    with_numpy, with_package = proc.stdout.split()
+    if with_numpy == "True":
+        pytest.skip("this NumPy loads np.random when it is imported")
+    assert with_package == "False"
+
+
 def test_outputs_do_not_depend_on_the_simd_level(tmp_path):
     # pools of up to 256 slots list each selected set in key order on
     # every CPU, and exact pools enumerate in combinations order, so the
@@ -157,6 +171,15 @@ def test_rank_sum_fisher_interval_is_one_ordered_row(tmp_path, capsys):
     assert interval.method == "fisher" and interval.lower <= interval.upper
 
 
+def _thin_trial(directory):
+    """A trial whose one lag-0 test has a single treated unit, so the
+    test is skipped and no stream is drawn."""
+    path = directory / "thin.csv"
+    rows = "".join(f"{u},{1 if u == 0 else 2},0.0,0.1,0.2\n" for u in range(6))
+    path.write_text("unit,crossover_time,y0,y1,y2\n" + rows)
+    return path
+
+
 def _bad_cell_trial(directory):
     lines = write_trial(directory, "narrow").read_text().splitlines()
     lines[3] = lines[3].rsplit(",", 1)[0] + ",1.0x"
@@ -173,11 +196,13 @@ def _bad_cell_trial(directory):
          EXIT_USAGE, "error: seed must be a non-negative integer"),
         (["analyze", "{bad}", "--lag", "1", "--out", "{out}"],
          EXIT_DATA, "error: {bad}: line 4: could not convert string to float: '1.0x'"),
+        (["analyze", "{thin}", "--lag", "0", "--seed", "-1", "--out", "{out}"],
+         EXIT_USAGE, "error: seed must be a non-negative integer"),
     ],
-    ids=["schedule-lag", "simulate-seed", "analyze-cell"],
+    ids=["schedule-lag", "simulate-seed", "analyze-cell", "analyze-seed-no-testable-group"],
 )
 def test_bad_input_exits_with_one_error_line_and_no_output(tmp_path, capsys, argv, code, error):
-    paths = {"out": tmp_path / "out.csv", "bad": _bad_cell_trial(tmp_path)}
+    paths = {"out": tmp_path / "out.csv", "bad": _bad_cell_trial(tmp_path), "thin": _thin_trial(tmp_path)}
     assert main([arg.format(**paths) for arg in argv]) == code
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -14,7 +14,6 @@ from wedgeperm import (
     FiniteAssignmentSpace,
     PartitionFamily,
     Scenario,
-    TestConfig,
     TrialData,
     bundled_scenario,
     generator,
@@ -484,9 +483,8 @@ class TestEngineMatchesOracle:
         space, family = scenario.space, scenario.family
         n_times = len(counts)
         panel = generator(11, n_units).standard_normal((n_units, n_times + 1))
-        cfg = TestConfig(exact_threshold=10**9)
         families = [
-            run_mcrts(TrialData(np.arange(n_units), CrossoverTimes(z, n_times), panel), lag, cfg)
+            run_mcrts(TrialData(np.arange(n_units), CrossoverTimes(z, n_times), panel), lag)
             for z in space.elements
         ]
         for k in range(family.n_partitions):
