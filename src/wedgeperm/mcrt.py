@@ -353,8 +353,9 @@ def run_mcrts(data: TrialData, lag: int, cfg: TestConfig = TestConfig(), groups=
     ``threads``, an integer of at least 1 checked before any draw, is
     how many tests draw at once: with more than one, and at least two
     testable groups, each test's TailPlan is built on a pool of
-    min(threads, tests) threads; NumPy runs the draws without holding
-    the interpreter lock.  A test's draw depends only on its own stream,
+    min(threads, tests) threads; NumPy runs the key draws without
+    holding the interpreter lock, while an index-sampled draw takes it
+    between rows.  A test's draw depends only on its own stream,
     keyed by (seed, test time), and tails are collected in test order,
     so the family is the same at every thread count."""
     threads = _check_threads(threads)

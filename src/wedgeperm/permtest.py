@@ -8,38 +8,48 @@ relabelings, with the add-one correction (1 + count) / (budget + 1).
 
 Monte-Carlo resamples are drawn in fixed blocks of 1024, each block on
 a stream derived from (seed, block index), so results never depend on
-how work is scheduled.  Within a block the uniform keys are drawn in
-row chunks of at most _KEY_CHUNK keys into one buffer per thread,
-reused by every test the thread draws: a buffer freed after each test
-would be handed back to the OS by the allocator and page-faulted in
-again by the next one.  The stream fills rows in order, so the
-selections are byte-identical to drawing the whole block's keys at
-once.  A plan fixes its streams when it is made and replays them chunk
-by chunk; an exact plan yields its enumeration through the same chunks,
-so no plan keeps its rows.  Reducing a draw to its per-relabeling
-selected-slot sums and treated hits needs one chunk plus those B sums
-and hits, never the B x m selections.
+how work is scheduled.  A row's treated set is the m smallest of pool
+uniform keys, except in a pool of more than _INDEX_POOL slots with at
+most half of them treated: there Generator.choice draws the m slots
+themselves by a partial Fisher-Yates tail shuffle (Knuth, TAOCP
+vol. 2, 3.4.2), m bounded integers instead of pool keys and a partition.
+Within a block the keys are drawn in row chunks of at most _KEY_CHUNK
+keys into one buffer per thread, reused by every test the thread
+draws: a buffer freed after each test would be handed back to the OS
+by the allocator and page-faulted in again by the next one.  An
+index-sampled chunk holds the rows of at most _KEY_CHUNK / 2 indices.
+The stream fills rows in order, so the selections are byte-identical
+to drawing the whole block at once.  A plan fixes its streams when it
+is made and replays them chunk by chunk; an exact plan yields its
+enumeration through the same chunks, so no plan keeps its rows.
+Reducing a draw to its per-relabeling selected-slot sums and treated
+hits needs one chunk plus those B sums and hits, never the B x m
+selections.
 
 A draw can be read by row range [lo, hi): chunks are also cut at hi,
 and a range that starts inside a block resumes the block's stream on a
-fresh generator advanced past the block's earlier keys
-(PCG64.advance), so no generator state is kept between ranges, and
-ranges that split the draw reduce to the whole draw's sums and hits,
-byte for byte.  A TailPlan grows this way, and until its draw is
-complete it reports only bounds on its p-values; the power study uses
-them to stop a family's draw once every decision is certain.
+fresh generator moved past the block's earlier rows, by PCG64.advance
+past their keys or, for index rows, which take a varying number of
+draws, by drawing them again.  So no generator state is kept between
+ranges, and ranges that split the draw reduce to the whole draw's sums
+and hits, byte for byte.  A TailPlan grows this way, and until its draw
+is complete it reports only bounds on its p-values; the power study
+uses them to stop a family's draw once every decision is certain.
 
-What a fixed seed fixes does not depend on the CPU: the keys, each
-relabeling's selected set, its treated hits, and so p-values away from
-near-ties.  The selected-slot sums follow the order in which a selected
-set is listed.  A pool of up to _TAGGED_POOL slots lists it in key
-order on every CPU: each key, an integer multiple of 2^-53, is tagged
-with its slot in the low 8 bits of one integer, in a second kept buffer
-per thread, and each row of tags is sorted, which on such narrow rows
-costs less than argpartition's per-row setup.  A wider pool takes
-argpartition's order, which NumPy's kernel sets by SIMD level (AVX-512,
-AVX2 or baseline), so the last bits of its sums, and with them interval
-endpoints and p-values on tied outcomes, can differ between machines.
+What a fixed seed fixes does not depend on the CPU: the keys and the
+drawn indices, each relabeling's selected set, its treated hits, and so
+p-values away from near-ties.  The selected-slot sums follow the order
+in which a selected set is listed.  An index-sampled pool lists it in
+the order the shuffle leaves it on every CPU.  A pool of up to
+_TAGGED_POOL slots lists it in key order on every CPU: each key, an
+integer multiple of 2^-53, is tagged with its slot in the low 8 bits of
+one integer, in a second kept buffer per thread, and each row of tags
+is sorted, which on such narrow rows costs less than argpartition's
+per-row setup.  Any other pool, 257 to _INDEX_POOL slots or with more
+than half of them treated, takes argpartition's order, which NumPy's
+kernel sets by SIMD level (AVX-512, AVX2 or baseline), so the last bits
+of its sums, and with them interval endpoints and p-values on tied
+outcomes, can differ between machines.
 
 A TailPlan is one test's zero-shift draw: both statistics reduce it
 chunk by chunk, the rank sum over the pooled midranks, so a p-value
@@ -92,6 +102,16 @@ _KEY_CHUNK = 1 << 16
 # AVX2 and AVX-512 argpartition kernels already list a selected set in
 # key order, so on those CPUs the sums are the ones it gave
 _TAGGED_POOL = 256
+
+# widest pool whose Monte-Carlo rows are always keys; past it, with at
+# most half the slots treated, a row is drawn as slot indices, where
+# Generator.choice takes NumPy's partial Fisher-Yates tail shuffle, m
+# bounded integers, which beats pool keys and argpartition (one test,
+# B = 999, one CPU of a 2-vCPU Xeon host: 79 against 158 ms at
+# 25 000/5000, 42 against 88 ms at 12 000/3000); at 10 000 slots choice
+# takes a hash-set path, 122 against 69 ms at 10 000/5000, and at
+# 12 000/11 000 the keys still win, 79 against 103 ms
+_INDEX_POOL = 10_000
 
 # this thread's kept buffers: "buf" for the keys, "tags" for the tags
 _thread_keys = threading.local()
@@ -185,7 +205,9 @@ class RelabelPlan:
     Each relabeling is one row listing which pooled slots are called
     treated.  Exact plans enumerate all C(m+n, m) subsets in
     itertools.combinations order; Monte-Carlo plans hold the streams of
-    ``n_resamples`` uniform draws.  Both yield their rows through the
+    ``n_resamples`` draws, each row the m smallest of pool uniform keys
+    or, in a pool of more than _INDEX_POOL slots with 2m <= pool, m slot
+    indices drawn without replacement.  Both yield their rows through the
     same chunks and keep none of them: ``reduce`` visits the draw one
     chunk at a time, and ``selections`` gathers the whole draw anew on
     every read.
@@ -204,11 +226,13 @@ class RelabelPlan:
         [lo, hi) of the draw (to its end by default), in row order.
 
         Chunks are cut at block edges and at ``hi``.  A Monte-Carlo draw
-        that starts inside a block advances the block's fresh generator
-        past the block's earlier rows, pool_size keys each, so a range
-        draws the keys an uninterrupted draw would, and no generator
-        state outlives a call.  An exact draw skips its first ``lo``
-        combinations.
+        that starts inside a block moves the block's fresh generator past
+        the block's earlier rows: a key row is pool_size 64-bit steps, so
+        the generator advances past them, while an index row takes a
+        varying number of steps, so its rows are drawn again and dropped.
+        Either way a range draws the rows an uninterrupted draw would,
+        and no generator state outlives a call.  An exact draw skips its
+        first ``lo`` combinations.
         """
         m, pool = self.n_treated, self.pool_size
         hi = self.n_resamples if hi is None else hi
@@ -222,12 +246,20 @@ class RelabelPlan:
             return
         if lo >= hi:
             return
+        indexed = pool > _INDEX_POOL and 2 * m <= pool
+        if indexed:
+            # _KEY_CHUNK / 2 indices, so a chunk and its gathered values
+            # take the bytes of a key chunk's argpartition index; two
+            # 25 000/5000 tests drawn on two threads took 134 ms at 2 rows
+            # a chunk against 119-122 ms at 4 to 13
+            rows = max(1, _KEY_CHUNK // (2 * m))
         size = min(rows, _BLOCK, hi - lo)  # no chunk is larger
         # the thread's plans share its kept buffers, even with their
         # generators interleaved: a chunk's keys are drawn and selected
         # from before the yield, and what is yielded is a new array, so
         # no key or tag outlives its chunk
-        keys = _key_buffer(size * pool).reshape(size, pool)
+        if not indexed:
+            keys = _key_buffer(size * pool).reshape(size, pool)
         tagged = pool <= _TAGGED_POOL
         if tagged:
             tags = _key_buffer(size * pool, "tags", np.int64).reshape(size, pool)
@@ -235,12 +267,23 @@ class RelabelPlan:
         for block in range(lo // _BLOCK, (hi - 1) // _BLOCK + 1):
             rng = np.random.default_rng(self._streams[block])
             first = max(lo, block * _BLOCK)
-            if first > block * _BLOCK:
+            if indexed:
+                for _ in range(block * _BLOCK, first):
+                    rng.choice(pool, m, replace=False, shuffle=False)
+            elif first > block * _BLOCK:
                 # a uniform double takes one 64-bit step of the stream
                 rng.bit_generator.advance((first - block * _BLOCK) * pool)
             block_end = min((block + 1) * _BLOCK, hi)
             for start in range(first, block_end, rows):
                 n_rows = min(rows, block_end - start)
+                if indexed:
+                    # each row is a uniform m-subset of distinct slots, in
+                    # the order the shuffle leaves them on every CPU
+                    chunk = np.empty((n_rows, m), dtype=np.intp)
+                    for row in chunk:
+                        row[:] = rng.choice(pool, m, replace=False, shuffle=False)
+                    yield start, chunk
+                    continue
                 chunk_keys = keys[:n_rows]
                 rng.random(out=chunk_keys)
                 # the n_treated smallest keys per row form a uniform subset
@@ -279,7 +322,7 @@ class RelabelPlan:
         counts = np.empty(hi - lo, dtype=np.intp) if hits else None
         buf = None
         for start, chunk in self._chunks(lo, hi):
-            if chunk.flags.c_contiguous:  # a sorted, enumerated or one-row chunk
+            if chunk.flags.c_contiguous:  # a sorted, index-sampled, enumerated or one-row chunk
                 sel = chunk
             else:
                 if buf is None or buf.shape[0] < chunk.shape[0]:  # a range's first chunk can stop at a block edge

@@ -2,9 +2,11 @@
 
 Only outputs that do not depend on the CPU are pinned: every pool here
 has at most 256 slots, and such a pool lists each selected set in key
-order on every CPU, while an exact pool enumerates in combinations
-order.  A change that moves one of these digests must edit it here and
-say why.
+order on every CPU, or has more than 10 000 slots with at most half of
+them treated, and such a pool draws each selected set as slot indices,
+listed alike on every CPU, while an exact pool enumerates in
+combinations order.  A change that moves one of these digests must
+edit it here and say why.
 """
 
 import hashlib
@@ -16,15 +18,19 @@ from wedgeperm import Sim1Config, gen_outcomes_sim1, write_trial_csv
 from wedgeperm.cli import EXIT_OK, main
 from wedgeperm.rng import generator
 
-# Simulation I trials at lag 1, drawn from generator(7): 60 units give
-# Monte-Carlo pools of 24 and 36 slots, and 24 units pools of 8 and 12
-# slots, which are enumerated
+# Simulation I trials, drawn from generator(7) and analyzed at their
+# lag: 60 units at lag 1 give Monte-Carlo pools of 24 and 36 slots, 24
+# units at lag 1 pools of 8 and 12 slots, which are enumerated, and
+# 24 000 units at lag 0 index-sampled pools of 24 000 and 16 000 slots
 TRIALS = {
     "narrow": Sim1Config(n_units=60, n_times=5, lag=1, effect=0.3),
     "exact": Sim1Config(n_units=24, n_times=6, lag=1, effect=0.3),
+    "index": Sim1Config(n_units=24_000, n_times=3, lag=0, effect=0.01),
 }
 
-# sha256 of analyze's stdout, --out and --ci-out at --lag 1
+# sha256 of analyze's stdout, --out and --ci-out at the trial's lag; the
+# wide trial only with diff_in_means, as a rank-sum interval would
+# gather each test's B x m selections, 61 MiB at m = 8000
 ANALYZE = {
     ("narrow", "diff_in_means"): (
         "0fd5b96e63dd1ea847596b81185a1946c5b5c850cc7b6204c67e801add0c987a",
@@ -45,6 +51,11 @@ ANALYZE = {
         "ab2b2233d44e5e7f505745f6064b797590892596b413fb6069c7deb914e2cf1b",
         "e7709c0938ec21afefe7b53d1da3f1d88a4cd4e93507b1bc386e618f3635e258",
         "8452495b86204487cd9febf0147b578c2a6940ef7c129a4dd0075e69e423510f",
+    ),
+    ("index", "diff_in_means"): (
+        "d66571205e7fd8a19906ae2abd571f2696c83724e427e0e2d589329534711ebf",
+        "4a9e4236076443079ddf43453d346f6c32024218c767bc169403c42329994371",
+        "4d082cae48ad6a630dffb0d27a8e46897374738d33d89480659ad5f5c4dc9664",
     ),
 }
 
@@ -71,9 +82,9 @@ def write_trial(directory, name: str):
     return path
 
 
-def analyze_argv(trial, statistic: str, directory) -> list[str]:
-    """analyze at lag 1, writing its tables into ``directory``."""
-    return ["analyze", str(trial), "--lag", "1", "--statistic", statistic,
+def analyze_argv(trial, statistic: str, directory, lag: int = 1) -> list[str]:
+    """analyze at ``lag``, writing its tables into ``directory``."""
+    return ["analyze", str(trial), "--lag", str(lag), "--statistic", statistic,
             "--out", str(directory / "tests.csv"), "--ci-out", str(directory / "ci.csv")]
 
 
@@ -91,7 +102,7 @@ def coverage_argv(directory) -> list[str]:
 
 @pytest.mark.parametrize("trial, statistic", list(ANALYZE), ids=["-".join(case) for case in ANALYZE])
 def test_analyze_outputs(tmp_path, capsys, trial, statistic):
-    assert main(analyze_argv(write_trial(tmp_path, trial), statistic, tmp_path)) == EXIT_OK
+    assert main(analyze_argv(write_trial(tmp_path, trial), statistic, tmp_path, TRIALS[trial].lag)) == EXIT_OK
     assert analyze_digests(capsys.readouterr().out.encode(), tmp_path) == ANALYZE[trial, statistic]
 
 

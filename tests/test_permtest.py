@@ -149,9 +149,17 @@ def _block_keys(pool_size, budget, seed):
 
 
 def _unchunked_reference(pool_size, n_treated, budget, seed):
-    """The Monte-Carlo draw with each block's keys drawn at once: a pool
-    of up to 256 slots lists each selected set in key order, exact-key
-    ties by slot, and a wider one as argpartition does."""
+    """The Monte-Carlo draw with each block drawn at once: a pool of more
+    than 10 000 slots with at most half of them treated draws each row's
+    slot indices with Generator.choice; a pool of up to 256 slots lists
+    each selected set in key order, exact-key ties by slot, and any
+    other pool as argpartition does."""
+    if pool_size > 10_000 and 2 * n_treated <= pool_size:
+        rows = []
+        for k, child in enumerate(seed_sequence(seed).spawn((budget + 1023) // 1024)):
+            rng = np.random.default_rng(child)
+            rows += [rng.choice(pool_size, n_treated, replace=False, shuffle=False) for _ in range(min(1024, budget - 1024 * k))]
+        return np.array(rows, dtype=np.intp)
     if pool_size <= 256:
         select = lambda keys: np.argsort(keys, axis=1, kind="stable")[:, :n_treated]
     else:
@@ -164,7 +172,7 @@ def _unchunked_reference(pool_size, n_treated, budget, seed):
 _BASELINE_SIMD = "X86_V4 AVX512_ICL AVX512_SPR X86_V3"
 
 # run both in this process and in one with _BASELINE_SIMD disabled
-_NARROW_DIGESTS = """
+_SIMD_DIGESTS = """
 import hashlib
 import numpy as np
 import pytest
@@ -181,7 +189,7 @@ def digests():
     out = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(permtest, "_EXACT_LIMIT", 1)  # C(5, 2) = 10 is drawn too, not enumerated
-        for pool, m in ((5, 2), (33, 8), (66, 16), (100, 50), (256, 64)):
+        for pool, m in ((5, 2), (33, 8), (66, 16), (100, 50), (256, 64), (12_000, 3000), (25_000, 5000)):
             for values in (generator(pool).normal(size=pool), np.round(generator(pool).normal(size=pool), 1)):
                 sums, hits = relabel_plan(pool, m, budget=1100, seed=pool).reduce(values)
                 out.append(hashlib.sha256(sums.tobytes() + hits.astype(np.int64).tobytes()).hexdigest()[:16])
@@ -360,7 +368,7 @@ class TestRelabelPlan:
             assert np.array_equal(sel, _unchunked_reference(pool, m, budget, 11))
 
     def test_concurrent_threads_draw_what_sequential_draws_do(self):
-        shapes = ((30, 10, 4000, 11), (5000, 17, 999, 12), (300, 150, 2000, 13), (256, 64, 2000, 14))
+        shapes = ((30, 10, 4000, 11), (5000, 17, 999, 12), (300, 150, 2000, 13), (256, 64, 2000, 14), (12_000, 3000, 300, 15))
         expected = [relabel_plan(pool, m, budget=b, seed=s).selections for pool, m, b, s in shapes]
         barrier = threading.Barrier(len(shapes))
         got = [None] * len(shapes)
@@ -388,23 +396,26 @@ class TestRelabelPlan:
             assert all(np.array_equal(ref, sel) for sel in draws)
 
     def test_wide_pool_keeps_at_most_one_key_chunk(self, exact_limit):
-        wide = permtest._KEY_CHUNK + 500
+        # more than half the wide pool is treated, so its rows are keys,
+        # each wider than a chunk; an index-sampled draw takes no keys
+        wide = (permtest._KEY_CHUNK + 500, permtest._KEY_CHUNK // 2 + 251)
         kept = {}
         exact_limit(1)  # C(10, 5) = 252 relabelings, sampled
 
-        def draw(name, pools):
-            for pool in pools:
-                relabel_plan(pool, 5, budget=3, seed=1).selections
+        def draw(name, shapes):
+            for pool, m in shapes:
+                relabel_plan(pool, m, budget=3, seed=1).selections
             buf = getattr(permtest._thread_keys, "buf", None)
             kept[name] = None if buf is None else buf.size
 
         # each in a new thread, so no earlier draw has sized its buffer
-        for name, pools in (("wide only", [wide]), ("narrow, then wide", [10, wide])):
-            t = threading.Thread(target=draw, args=(name, pools))
+        cases = (("wide only", [wide]), ("narrow, then wide", [(10, 5), wide]), ("index-sampled", [(20_000, 5000)]))
+        for name, shapes in cases:
+            t = threading.Thread(target=draw, args=(name, shapes))
             t.start()
             t.join(timeout=60)
             assert not t.is_alive()
-        assert kept == {"wide only": None, "narrow, then wide": permtest._KEY_CHUNK}
+        assert kept == {"wide only": None, "narrow, then wide": permtest._KEY_CHUNK, "index-sampled": None}
 
     @pytest.mark.parametrize("chunk", [7, 100, 1 << 20])
     @pytest.mark.parametrize("seed", [11])
@@ -446,15 +457,16 @@ class TestRelabelPlan:
         assert peak < 32 * 2**20
 
     @staticmethod
-    def _streamed_tail_plan_peak(statistic):
-        """tracemalloc peak of one m = 5000, pool 25 000, B = 999 TailPlan."""
+    def _streamed_tail_plan_peak(statistic, m=5000):
+        """tracemalloc peak of one pool 25 000, B = 999 TailPlan with m
+        treated slots: 5000 draw slot indices, 20 000 keys."""
         values = generator(4).normal(size=25_000)
-        sample = TwoGroupSample(values[:5000], values[5000:], 50_000)
+        sample = TwoGroupSample(values[:m], values[m:], 50_000)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            plan = relabel_plan(25_000, 5000, budget=999, seed=0)
+            plan = relabel_plan(25_000, m, budget=999, seed=0)
             TailPlan(sample, plan, statistic)
             return tracemalloc.get_traced_memory()[1] - before
         finally:
@@ -466,10 +478,12 @@ class TestRelabelPlan:
             assert self._streamed_tail_plan_peak(statistic) < 24 * 2**20, statistic
 
     def test_streamed_tail_plan_peak_fits_a_few_key_chunks(self):
-        # 512 KiB key chunks: the same plan peaked at 17.4 MiB with
-        # 8 MiB chunks, each with an 8 MiB argpartition index
+        # 512 KiB key chunks: the m = 5000 plan peaked at 17.4 MiB with
+        # 8 MiB chunks, each with an 8 MiB argpartition index, when it
+        # drew keys; an index-sampled chunk holds 6 rows of indices
         for statistic in STATISTICS:
-            assert self._streamed_tail_plan_peak(statistic) < 4 * 2**20, statistic
+            for m in (5000, 20_000):
+                assert self._streamed_tail_plan_peak(statistic, m) < 4 * 2**20, (statistic, m)
 
     def test_fixed_seed_selected_sets_and_hits_are_pinned(self):
         # argpartition lists a selected set in an order that depends on
@@ -485,6 +499,37 @@ class TestRelabelPlan:
             "d00886a078736fe5a66eac4dcc5281ac691ed202da9ac0f3e4c39f4eeb99bdb2"
         )
 
+    def test_fixed_seed_index_sampled_sums_are_pinned(self):
+        # a pool of more than 10 000 slots with at most half of them
+        # treated draws slot indices, listed alike on every CPU, so its
+        # sums are pinned to the bit
+        values = np.round(generator(5).normal(size=12_000), 1)
+        sums, hits = relabel_plan(12_000, 3000, budget=499, seed=5).reduce(values)
+        assert hashlib.sha256(sums.tobytes()).hexdigest() == (
+            "52deeb1b2c53393ad2f43fa65c4d2f8db29b1e49cb9c6154e00dbb4843caefb4"
+        )
+        assert hashlib.sha256(hits.astype(np.int64).tobytes()).hexdigest() == (
+            "814f159cc2736658555eeabde33b1a52d7357fc36d6319062810029db5c559f1"
+        )
+
+    def test_index_sampled_rows_are_uniform_subsets(self):
+        # hits of a uniform m-subset of pool slots, m of them treated,
+        # are hypergeometric: mean m^2 / pool = 750 and variance
+        # m^2 (pool - m)^2 / (pool^2 (pool - 1)) = 421.9; over 2100 rows
+        # the mean's standard error is 0.45 and the sample variance's
+        # relative one about sqrt(2 / 2099) = 3.1%, so the bounds are
+        # four and five of them
+        pool, m, budget = 12_000, 3000, 2100
+        sel = relabel_plan(pool, m, budget=budget, seed=21).selections
+        assert sel.shape == (budget, m) and sel.dtype == np.intp
+        assert sel.min() >= 0 and sel.max() < pool
+        assert (np.diff(np.sort(sel, axis=1), axis=1) > 0).all()
+        hits = (sel < m).sum(axis=1)
+        mean = m * m / pool
+        var = m * m * (pool - m) ** 2 / (pool**2 * (pool - 1))
+        assert abs(hits.mean() - mean) < 4 * math.sqrt(var / budget)
+        assert abs(hits.var(ddof=1) / var - 1) < 5 * math.sqrt(2 / (budget - 1))
+
     def test_fixed_seed_narrow_pool_sums_are_pinned(self):
         # a pool of up to 256 slots lists each selected set in key order
         # on every CPU, so its sums are pinned to the bit
@@ -497,9 +542,12 @@ class TestRelabelPlan:
             "e8791f16c419a9972c37bc3d42cca1f1dd9efea62f92773b9bea29ab8d48b7e7"
         )
 
-    def test_narrow_pool_sums_do_not_depend_on_the_simd_level(self):
+    def test_tagged_and_index_sampled_sums_do_not_depend_on_the_simd_level(self):
+        # pools of up to 256 slots list each selected set in key order,
+        # and pools of 12 000 and 25 000 slots in the order Generator.choice
+        # leaves it, with every SIMD level
         namespace = {}
-        exec(_NARROW_DIGESTS, namespace)
+        exec(_SIMD_DIGESTS, namespace)
         if not namespace["kernel_lists_key_order"]():
             pytest.skip("argpartition runs its baseline kernel here already, as on a CPU without AVX2")
         src = str(Path(wedgeperm.__file__).resolve().parents[1])
@@ -508,7 +556,7 @@ class TestRelabelPlan:
             NPY_DISABLE_CPU_FEATURES=_BASELINE_SIMD,
             PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
         )
-        code = _NARROW_DIGESTS + "print(kernel_lists_key_order(), digests())"
+        code = _SIMD_DIGESTS + "print(kernel_lists_key_order(), digests())"
         proc = subprocess.run(
             [sys.executable, "-W", "error::ImportWarning", "-c", code],
             env=env, capture_output=True, text=True, timeout=300,
@@ -577,11 +625,13 @@ class TestRelabelPlan:
         assert a.n_resamples == 99 and np.array_equal(a.selections, b.selections)
 
 
-# a tagged draw (pool <= 256), an argpartition draw (pool > 256) and an
-# exact enumeration, each of more than one 1024-row block
+# a tagged draw (pool <= 256), an argpartition draw (257 to 10 000), an
+# index-sampled draw (pool > 10 000, 2m <= pool) and an exact
+# enumeration, each of more than one 1024-row block
 _RANGE_PLANS = {
     "tagged": (66, 16, 2100),
     "argpartition": (300, 40, 1100),
+    "indexed": (12_000, 3000, 2100),
     "exact": (14, 5, 10),  # C(14, 5) = 2002 relabelings
 }
 _one_pass = {}
@@ -606,7 +656,8 @@ class TestRowRanges:
     @settings(max_examples=40, deadline=None)
     def test_any_split_into_ranges_reduces_to_the_one_pass_sums_and_hits(self, kind, chunk, cuts):
         # chunk 1000 cuts a tagged block every 15 rows, an argpartition
-        # block every 3 and the enumeration every 71, so ranges start
+        # block every 3, an index-sampled block every row (10 rows at the
+        # default chunk) and the enumeration every 71, so ranges start
         # and end inside chunks and blocks; a repeated cut is an empty range
         plan, values, sums, hits = _one_pass_reduction(kind)
         n = plan.n_resamples
@@ -628,6 +679,16 @@ class TestRowRanges:
         rows = np.vstack([chunk for _, chunk in plan._chunks(1000, 1100)])
         assert np.array_equal(rows, _unchunked_reference(pool, m, 1500, 8)[1000:1100])
         assert [lo for lo, _ in plan._chunks(1000, 1100)] == [1000, 1024]
+
+    def test_a_resumed_index_block_draws_the_uninterrupted_rows(self):
+        # an index row takes a varying number of draws, so rows 1000..1023
+        # come from block 0 with its first 1000 rows drawn again; a chunk
+        # holds _KEY_CHUNK // 6000 = 10 rows
+        pool, m = 12_000, 3000
+        plan = relabel_plan(pool, m, budget=1500, seed=8)
+        rows = np.vstack([chunk for _, chunk in plan._chunks(1000, 1100)])
+        assert np.array_equal(rows, _unchunked_reference(pool, m, 1500, 8)[1000:1100])
+        assert [lo for lo, _ in plan._chunks(1000, 1100)] == [1000, 1010, 1020, *range(1024, 1100, 10)]
 
 
 class TestTailPlanGrowth:

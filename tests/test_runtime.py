@@ -24,7 +24,7 @@ from wedgeperm import Sim1Config, gen_outcomes_sim1, read_ci_csv, write_trial_cs
 from wedgeperm.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from wedgeperm.rng import generator
 
-from test_golden import ANALYZE, COVERAGE, analyze_argv, analyze_digests, coverage_argv, sha256, write_trial
+from test_golden import ANALYZE, COVERAGE, TRIALS, analyze_argv, analyze_digests, coverage_argv, sha256, write_trial
 
 # the SIMD levels above x86-64's baseline that NumPy may dispatch to
 BASELINE_SIMD = "X86_V4 AVX512_ICL AVX512_SPR X86_V3"
@@ -104,13 +104,15 @@ def test_import_leaves_numpy_random_unloaded():
 
 def test_outputs_do_not_depend_on_the_simd_level(tmp_path):
     # pools of up to 256 slots list each selected set in key order on
-    # every CPU, and exact pools enumerate in combinations order, so the
-    # sums, and the intervals' last bits, agree with the pinned outputs
+    # every CPU, index-sampled pools of more than 10 000 slots in the
+    # order Generator.choice leaves it, and exact pools enumerate in
+    # combinations order, so the sums, and the intervals' last bits,
+    # agree with the pinned outputs
     runs, dirs = [], {}
     for trial, statistic in ANALYZE:
         directory = dirs[trial, statistic] = tmp_path / f"{trial}-{statistic}"
         directory.mkdir()
-        runs.append((directory / "stdout", analyze_argv(write_trial(directory, trial), statistic, directory)))
+        runs.append((directory / "stdout", analyze_argv(write_trial(directory, trial), statistic, directory, TRIALS[trial].lag)))
     runs.append((tmp_path / "coverage.out", coverage_argv(tmp_path)))
     proc = run_child(runs, NPY_DISABLE_CPU_FEATURES=BASELINE_SIMD)
     if proc.returncode != 0 and "NPY_DISABLE_CPU_FEATURES" in proc.stderr:
@@ -124,8 +126,9 @@ def test_outputs_do_not_depend_on_the_simd_level(tmp_path):
 @needs_affinity
 def test_wide_pool_trial_analyzes_to_the_same_bytes_on_one_cpu_and_on_every_cpu(tmp_path, capsys):
     # analyze draws a family's tests on one thread per CPU it may run
-    # on; each test draws from its own stream, and pools above 256 slots
-    # take argpartition's order, so this trial covers that path
+    # on; each test draws from its own stream, and pools of 257 to
+    # 10 000 slots take argpartition's order, so this trial covers that
+    # path
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("one CPU here: both runs would draw on one thread")
     trial = tmp_path / "wide.csv"
@@ -138,7 +141,7 @@ def test_wide_pool_trial_analyzes_to_the_same_bytes_on_one_cpu_and_on_every_cpu(
     assert proc.returncode == 0, proc.stderr
     assert main(argv + ["--out", str(every / "tests.csv"), "--ci-out", str(every / "ci.csv")]) == EXIT_OK
     rows = list(csv.DictReader((every / "tests.csv").open()))
-    assert len(rows) >= 2 and all(int(r["n_treated"]) + int(r["n_control"]) > 256 for r in rows), rows
+    assert len(rows) >= 2 and all(256 < int(r["n_treated"]) + int(r["n_control"]) <= 10_000 for r in rows), rows
     assert (one / "stdout").read_text() == capsys.readouterr().out
     for name in ("tests.csv", "ci.csv"):
         assert (one / name).read_bytes() == (every / name).read_bytes(), name
