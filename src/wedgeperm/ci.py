@@ -2,7 +2,9 @@
 
 To test a constant lag-l effect delta, subtract delta from every
 treated outcome and rerun the permutation test; the confidence set
-collects the deltas whose shifted tails both stay at or above alpha/2.
+collects the deltas whose shifted tails both stay above alpha/2, the
+deltas that the two-sided test at alpha does not reject
+(combine._tail_rejects).
 
 The relabelings are drawn once per test, from a stream keyed by (seed,
 test time) and never by delta, so the whole p-curve is evaluated
@@ -13,8 +15,8 @@ combiner is monotone in its inputs.  The combined curve is therefore
 constant between consecutive candidates of the union, and the
 endpoints are exactly
 
-- lower: the infimum of {delta : combined p_greater(delta) >= alpha/2},
-- upper: the supremum of {delta : combined p_less(delta) >= alpha/2},
+- lower: the infimum of {delta : combined p_greater(delta) > alpha/2},
+- upper: the supremum of {delta : combined p_less(delta) > alpha/2},
 
 each a candidate shift.  A bisection on delta finds them, evaluating
 the curve only on the open cells between candidates; no shifted
@@ -26,10 +28,10 @@ difference in means it merges the tests' candidates into their union,
 so a probe is two binary searches for the whole family, and it
 computes only the tail that the bisection step reads; the rank sum
 re-sums each test's ranks at every probe, over the selections that the
-lookup gathers once per test.  A side whose tail stays at or above
-alpha/2 beyond every candidate is unbounded (-inf or inf); when the
-lower endpoint exceeds the upper one no delta is accepted and the set
-is empty (both endpoints nan).  The combined interval inverts the
+lookup gathers once per test.  A side whose tail stays above alpha/2
+beyond every candidate is unbounded (-inf or inf); when the lower
+endpoint exceeds the upper one no delta is accepted and the set is
+empty (both endpoints nan).  The combined interval inverts the
 LagFamily that run_mcrts returns, the one that gives the analysis its
 p-values, through the same tests and weights as the combined p-value
 (combine), so its relabelings are never drawn again.
@@ -43,7 +45,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .combine import _combiner
+from .combine import _combiner, _tail_rejects
 from .design import _read_table, _write_table
 from .mcrt import LagFamily, TestConfig
 from .permtest import TwoGroupSample, _ShiftIndex, _tail_plan
@@ -111,11 +113,10 @@ def _exact_interval(
     ``combined`` maps one tail's p-values, one per test of ``shifts``,
     to the combined (statistic, p-value), the p-value non-decreasing in
     each.  Lower is the smallest candidate c whose combined p_greater on
-    the cell just above c reaches alpha/2 (p_greater only grows with
+    the cell just above c is above alpha/2 (p_greater only grows with
     delta), upper the largest c whose combined p_less on the cell just
-    below c does.
+    below c is.
     """
-    thr = alpha / 2.0
     evaluations = 0
 
     def curve(v: float, side: str):
@@ -123,8 +124,8 @@ def _exact_interval(
         evaluations += 1
         return shifts.cell(v, side)
 
-    def p_value(at, tail: str) -> float:
-        return combined(shifts.tail(at, tail))[1]
+    def accepts(at, tail: str) -> bool:
+        return not _tail_rejects(combined(shifts.tail(at, tail))[1], alpha)
 
     def endpoint(lo: float, hi: float, upper: bool) -> float:
         # invariant: the endpoint is a candidate in [lo, hi], and lo, hi
@@ -136,7 +137,7 @@ def _exact_interval(
             if not lo < mid < hi:  # no shift strictly between neighbours
                 mid = hi if upper else lo
             at, below, above = curve(mid, side)
-            if (p_value(at, tail) >= thr) == upper:  # the endpoint lies at or above the cell
+            if accepts(at, tail) == upper:  # the endpoint lies at or above the cell
                 lo = above
             else:  # at or below it
                 hi = below
@@ -145,9 +146,9 @@ def _exact_interval(
     first_at, _, first = curve(-math.inf, "right")
     last_at, last, _ = curve(math.inf, "left")
     lower = upper = math.nan  # the empty set unless some shift is accepted
-    if p_value(last_at, "greater") >= thr and p_value(first_at, "less") >= thr:
-        lo = -math.inf if p_value(first_at, "greater") >= thr else endpoint(first, last, upper=False)
-        hi = math.inf if p_value(last_at, "less") >= thr else endpoint(first, last, upper=True)
+    if accepts(last_at, "greater") and accepts(first_at, "less"):
+        lo = -math.inf if accepts(first_at, "greater") else endpoint(first, last, upper=False)
+        hi = math.inf if accepts(last_at, "less") else endpoint(first, last, upper=True)
         if lo <= hi:  # a candidate can be -0.0; adding 0.0 reports it as 0.0 and changes no other value
             lower, upper = lo + 0.0, hi + 0.0
     return ConfidenceInterval(lag, method, 1.0 - alpha, lower, upper, evaluations)
@@ -172,10 +173,10 @@ def invert_combined(family: LagFamily, alpha: float = 0.10, method: str = "weigh
     combined per tail over every test of the family (design weights
     depend on arm sizes alone, so one set serves every shift, as for
     the p-value); the set collects deltas where each combined tail stays
-    at or above alpha/2.  Every delta is evaluated against the
-    relabelings that run_mcrts drew for ``family``, through the
-    family's one shift index.  A family with no completed test rejects
-    no shift, and its set is the whole line, (-inf, inf).
+    above alpha/2.  Every delta is evaluated against the relabelings
+    that run_mcrts drew for ``family``, through the family's one shift
+    index.  A family with no completed test rejects no shift, and its
+    set is the whole line, (-inf, inf).
     """
     _check_unit("alpha", alpha)
     combined = _combiner([t.tail for t in family.tests], method)

@@ -1,8 +1,9 @@
 """Command-line front end: schedule, analyze, simulate, validate.
 
 Exit codes are a stable contract: 0 success, 1 usage or configuration
-problems, 2 malformed input data or a file that cannot be read or
-written, 3 a theory check that ran and failed.  An empty confidence
+problems (a budget too large for memory among them), 2 malformed input
+data or a file that cannot be read or written, 3 a theory check that
+ran and failed.  An empty confidence
 set, or one unbounded on a side, is a result rather than an error:
 `analyze` prints it and exits 0.  All randomness flows from --seed
 (default 12345, fixed so documented examples reproduce); only color
@@ -28,14 +29,7 @@ from .mcrt import TestConfig, build_schedule, read_trial_csv, run_mcrts
 from .permtest import STATISTICS
 from .rng import DEFAULT_SEED
 from .sim import Sim2Config, coverage_study, emit_tables, power_study
-from .validate import (
-    NestednessError,
-    build_hasse,
-    bundled_scenario,
-    BUNDLED_SCENARIOS,
-    is_partition,
-    load_scenario,
-)
+from .validate import BUNDLED_SCENARIOS, bundled_scenario, load_scenario
 
 __all__ = ["main"]
 
@@ -295,15 +289,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         f"scenario: {scenario.name} ({space.size} elements, "
         f"{family.n_partitions} partitions, exact probabilities)"
     )
-    checks = [is_partition(space, list(family.cells(k).values())) for k in range(family.n_partitions)]
-    for k, check in enumerate(checks):
-        if not check.ok:
-            print(f"partition {k}: {_pass(False)} ({check.reason}, element {check.witness})")
-        else:
-            print(f"partition {k}: {_pass(True)} ({len(family.cells(k))} cells)")
-
-    # the report decides nestedness, which the Hasse diagram needs,
-    # conditional independence and dominance
+    # the report decides nestedness, conditional independence and dominance
     report = scenario.run()
     if report.nested_failures:
         for f in report.nested_failures:
@@ -313,12 +299,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
             )
     else:
         print(f"nestedness: {_pass(True)} (all pairs)")
-
-    try:
-        diagram = build_hasse(family)
-        print(f"hasse diagram: {_pass(True)} ({diagram.n_nodes} nodes, {len(diagram.roots)} roots)")
-    except NestednessError as exc:
-        print(f"hasse diagram: {_pass(False)} ({exc})")
 
     for r in report.cond_indep:
         print(f"conditional independence {r.j},{r.k}: {_pass(r.ok)} (max TV gap {r.max_gap:.3g})")
@@ -336,9 +316,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
         print(f"  conditional violation at levels {tuple(map(float, r.alphas))} "
               f"in cell {sorted(r.cell)}: {float(r.probability):.6g} > {float(r.bound):.6g}")
 
-    ok = all(check.ok for check in checks) and report.ok
-    print("overall:", _pass(ok))
-    return EXIT_OK if ok else EXIT_CHECK
+    print("overall:", _pass(report.ok))
+    return EXIT_OK if report.ok else EXIT_CHECK
 
 
 def main(argv=None) -> int:
@@ -362,6 +341,9 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except (ValueError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # a setting, such as --budget, asked for more than fits
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_USAGE
 

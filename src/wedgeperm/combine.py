@@ -233,6 +233,15 @@ def _combiner(tails: Sequence, method: str):
     return _fisher if method == "fisher" else _bonferroni
 
 
+def _tail_rejects(p: float, alpha: float) -> bool:
+    """The one decision rule at two-sided level ``alpha``: a combined
+    one-tail p-value rejects when twice it is at most alpha, so a family
+    rejects exactly when its _two_sided p-value is at most alpha (for
+    alpha below 1), and a shift is accepted only when each tail is above
+    alpha/2.  Doubling is exact in binary floating point."""
+    return 2.0 * p <= alpha
+
+
 def _two_sided(combine, p_less: np.ndarray, p_greater: np.ndarray) -> tuple[float, float]:
     """(statistic, p-value) of the two-sided combination: the tail whose
     combined p-value is smaller (the less tail on a tie), with twice that

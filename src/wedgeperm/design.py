@@ -97,14 +97,15 @@ def _read_table(path, columns: Callable[[list[str]], Callable]) -> Iterator:
 
 def _read_json(path):
     """The JSON document in ``path``, read as _read_table reads a CSV:
-    UTF-8 with or without a byte-order mark; bad bytes or bad JSON raise
-    DataFormatError naming the path."""
+    UTF-8 with or without a byte-order mark; bad bytes, bad JSON or JSON
+    nested deeper than the parser recurses raise DataFormatError naming
+    the path."""
     with open(path, encoding="utf-8-sig") as fh:
         try:
             return json.load(fh)
         except UnicodeDecodeError as exc:
             raise DataFormatError(f"{path}: not valid UTF-8: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise DataFormatError(f"{path}: not valid JSON: {exc}") from None
 
 

@@ -204,22 +204,36 @@ class RelabelPlan:
 
     Each relabeling is one row listing which pooled slots are called
     treated.  Exact plans enumerate all C(m+n, m) subsets in
-    itertools.combinations order; Monte-Carlo plans hold the streams of
-    ``n_resamples`` draws, each row the m smallest of pool uniform keys
-    or, in a pool of more than _INDEX_POOL slots with 2m <= pool, m slot
-    indices drawn without replacement.  Both yield their rows through the
-    same chunks and keep none of them: ``reduce`` visits the draw one
-    chunk at a time, and ``selections`` gathers the whole draw anew on
-    every read.
+    itertools.combinations order; Monte-Carlo plans draw ``n_resamples``
+    rows from the streams of a root SeedSequence, each row the m smallest
+    of pool uniform keys or, in a pool of more than _INDEX_POOL slots
+    with 2m <= pool, m slot indices drawn without replacement.  Both
+    yield their rows through the same chunks and keep none of them:
+    ``reduce`` visits the draw one chunk at a time, and ``selections``
+    gathers the whole draw anew on every read.
     """
 
     def __init__(self, n_treated: int, pool_size: int, n_resamples: int, exact: bool,
-                 streams: tuple[np.random.SeedSequence, ...] = ()):
+                 root: np.random.SeedSequence | None = None):
         self.n_treated = n_treated
         self.pool_size = pool_size
         self.n_resamples = n_resamples
         self.exact = exact
-        self._streams = streams
+        self._root = root
+        self._streams: dict[int, np.random.SeedSequence] = {}
+
+    def _stream(self, block: int) -> np.random.SeedSequence:
+        """The stream of one _BLOCK-row block: the root's child ``block``,
+        as a fresh root's ``spawn`` gives it, made when the block is first
+        drawn and kept.  Nothing is spawned from the root, so a caller's
+        SeedSequence is left as it was and gives the same draw again."""
+        stream = self._streams.get(block)
+        if stream is None:
+            root = self._root
+            stream = self._streams[block] = np.random.SeedSequence(
+                root.entropy, spawn_key=root.spawn_key + (block,), pool_size=root.pool_size
+            )
+        return stream
 
     def _chunks(self, lo: int = 0, hi: int | None = None):
         """(first row, selections of the rows) for each chunk of rows
@@ -265,7 +279,7 @@ class RelabelPlan:
             tags = _key_buffer(size * pool, "tags", np.int64).reshape(size, pool)
             slots = np.arange(pool, dtype=np.int64)
         for block in range(lo // _BLOCK, (hi - 1) // _BLOCK + 1):
-            rng = np.random.default_rng(self._streams[block])
+            rng = np.random.default_rng(self._stream(block))
             first = max(lo, block * _BLOCK)
             if indexed:
                 for _ in range(block * _BLOCK, first):
@@ -377,7 +391,7 @@ def relabel_plan(
     total = _count_if_at_most(pool_size, n_treated, _EXACT_LIMIT)
     if total is not None:
         return RelabelPlan(n_treated, pool_size, total, True)
-    return RelabelPlan(n_treated, pool_size, budget, False, streams=tuple(root.spawn((budget + _BLOCK - 1) // _BLOCK)))
+    return RelabelPlan(n_treated, pool_size, budget, False, root)
 
 
 def _add_one(n_resamples: int, exact: bool) -> tuple[int, int]:

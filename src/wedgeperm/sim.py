@@ -44,7 +44,7 @@ from typing import Iterable, Sequence, get_type_hints
 import numpy as np
 
 from .ci import _check_unit, invert_combined
-from .combine import COMBINERS, _combiner, _two_sided
+from .combine import COMBINERS, _combiner, _tail_rejects
 from .design import DesignSpec, _read_table, _write_table, sample_assignment
 from .mcrt import (TestConfig, TrialData, _check_lag, _check_threads, _draw, _testable, build_groups,
                    naive_groups, run_mcrts)
@@ -349,7 +349,8 @@ def _family_decisions(data, lag: int, tcfg: TestConfig, groups, combiners: dict[
     family, drawing its tests only as far as the decisions need (see the
     module docstring): to each of _CHECKPOINTS below the budget, then to
     the end.  On the whole draw both ends of the bounds are the p-value
-    combined_from_mcrt gives, and p <= alpha decides the rest.
+    combined_from_mcrt gives, and p <= alpha, either combined tail at
+    most alpha/2 (combine._tail_rejects), decides the rest.
     """
     looks = [r for r in _CHECKPOINTS if r < tcfg.budget] + [None]
     tails = [_draw(data, tcfg, g, looks[0]) for g in _testable(data, lag, groups)[0]]
@@ -362,9 +363,10 @@ def _family_decisions(data, lag: int, tcfg: TestConfig, groups, combiners: dict[
         low, high = np.array([tail.bounds() for tail in tails]).reshape(-1, 2, 2).transpose(1, 2, 0).copy()
         guard = 0.0 if rows is None else _UNDECIDED
         for name in list(undecided):
-            if _two_sided(combine[name], *low)[1] > alpha * (1.0 + guard):
+            # a family rejects when either combined tail does
+            if not any(_tail_rejects(combine[name](p)[1], alpha * (1.0 + guard)) for p in low):
                 out[name] = False
-            elif _two_sided(combine[name], *high)[1] <= alpha * (1.0 - guard):
+            elif any(_tail_rejects(combine[name](p)[1], alpha * (1.0 - guard)) for p in high):
                 out[name] = True
             else:
                 continue

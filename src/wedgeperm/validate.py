@@ -12,11 +12,18 @@ The checks mirror the structural theory behind multiple conditional
 randomization tests:
 
 * pairwise nestedness of the conditioning partitions,
-* a Hasse (covering) diagram of the union of all cells, with its
-  partition/index-bookkeeping invariants asserted during construction,
 * conditional independence of statistics inside refinement cells,
 * the joint dominance bound  P{all K p-values <= alpha_k} <= prod alpha_k,
   marginally and conditionally on each coarsening cell.
+
+Nothing else needs checking.  Each partition is built from a label
+vector with one label per element, so its label groups partition the
+space by construction.  Pairwise nestedness makes the cells of all
+partitions a laminar family: any two are disjoint or one contains the
+other.  So a cell's strict supersets form a chain, the cells form a
+forest under containment, children partition their parent, and every
+refinement or coarsening cell of a nested family is one of its own
+cells.
 
 Statistics enter as one value per element.  The stepped-wedge
 scenarios build each element's comparisons with mcrt's group
@@ -47,21 +54,15 @@ from .permtest import diff_in_means
 from .rng import generator
 
 __all__ = [
-    "NestednessError",
     "FiniteAssignmentSpace",
     "PartitionFamily",
-    "PartitionCheck",
     "NestedCheck",
     "CondIndepResult",
     "DominanceRow",
     "DominanceReport",
-    "HasseNode",
-    "HasseDiagram",
-    "is_partition",
     "pairwise_nested_check",
     "refinement",
     "coarsening",
-    "build_hasse",
     "conditional_pvalues",
     "joint_dominance_check",
     "cond_indep_check",
@@ -72,17 +73,6 @@ __all__ = [
     "load_scenario",
     "save_scenario",
 ]
-
-class NestednessError(ValueError):
-    """Two conditioning partitions have overlapping, non-nested cells."""
-
-    def __init__(self, j: int, k: int, label_j, label_k):
-        super().__init__(
-            f"partitions {j} and {k} are not nested: cells {label_j!r} and "
-            f"{label_k!r} overlap without containment"
-        )
-        self.j, self.k = j, k
-        self.label_j, self.label_k = label_j, label_k
 
 
 def _as_fraction(value) -> Fraction:
@@ -167,25 +157,12 @@ class PartitionFamily:
     def cell_of(self, k: int, i: int) -> frozenset:
         return self._cells[k][self.labels[k][i]]
 
-    def all_cells(self) -> set[frozenset]:
-        out: set[frozenset] = set()
-        for cells in self._cells:
-            out.update(cells.values())
-        return out
-
     @cached_property
     def nested_failures(self) -> tuple[NestedCheck, ...]:
         """Failing pair checks, computed once; empty means fully nested."""
         K = self.n_partitions
         checks = (pairwise_nested_check(self, j, k) for j in range(K) for k in range(j + 1, K))
         return tuple(res for res in checks if not res.ok)
-
-
-@dataclass(frozen=True)
-class PartitionCheck:
-    ok: bool
-    witness: int | None = None
-    reason: str = ""
 
 
 @dataclass(frozen=True)
@@ -205,28 +182,6 @@ class CondIndepResult:
     worst_cell: frozenset | None
 
 
-def is_partition(space: FiniteAssignmentSpace, cells: Sequence[Sequence[int]]) -> PartitionCheck:
-    """Do the given cells partition the space?  Reports a witnessing
-    element index on failure: one covered twice or one not covered."""
-    cells = [frozenset(c) for c in cells]
-    if not cells:
-        raise ValueError("cells must be nonempty")
-    seen: set[int] = set()
-    for cell in cells:
-        if not cell:
-            return PartitionCheck(False, None, "empty cell")
-        for i in cell:
-            if not 0 <= i < space.size:
-                return PartitionCheck(False, i, "element index out of range")
-            if i in seen:
-                return PartitionCheck(False, i, "element belongs to two cells")
-        seen |= cell
-    if len(seen) != space.size:
-        missing = min(set(range(space.size)) - seen)
-        return PartitionCheck(False, missing, "element not covered by any cell")
-    return PartitionCheck(True)
-
-
 def pairwise_nested_check(family: PartitionFamily, j: int, k: int) -> NestedCheck:
     """Every cell pair across partitions j,k must be disjoint or nested."""
     for lab_j, a in family.cells(j).items():
@@ -237,11 +192,9 @@ def pairwise_nested_check(family: PartitionFamily, j: int, k: int) -> NestedChec
     return NestedCheck(True, j, k)
 
 
-def _combine_cells(family: PartitionFamily, subset: Sequence[int], op, what: str) -> list[frozenset]:
+def _combine_cells(family: PartitionFamily, subset: Sequence[int], op) -> list[frozenset]:
     """Per-element ``op`` (intersection or union) of the chosen
-    partitions' cells, deduplicated in element order.  On a fully nested
-    family every output cell is one of the family's own cells, which is
-    asserted."""
+    partitions' cells, deduplicated in element order."""
     subset = list(subset)
     if not subset:
         raise ValueError("subset must be nonempty")
@@ -254,128 +207,22 @@ def _combine_cells(family: PartitionFamily, subset: Sequence[int], op, what: str
         if cell not in seen:
             seen.add(cell)
             out.append(cell)
-    if not family.nested_failures and not set(out) <= family.all_cells():
-        raise AssertionError(
-            f"{what} produced a cell outside the family union on a nested "
-            f"family; this indicates an internal error"
-        )
     return out
 
 
 def refinement(family: PartitionFamily, subset: Sequence[int]) -> list[frozenset]:
     """Per-element intersection of the chosen partitions' cells; always
     a partition."""
-    return _combine_cells(family, subset, frozenset.intersection, "refinement")
+    return _combine_cells(family, subset, frozenset.intersection)
 
 
 def coarsening(family: PartitionFamily, subset: Sequence[int]) -> list[frozenset]:
     """Per-element union of the chosen partitions' cells, deduplicated.
 
-    On a non-nested family the result may fail to be a partition;
-    is_partition will flag the overlap.
+    On a non-nested family two of its cells may overlap, so the result
+    need not be a partition.
     """
-    return _combine_cells(family, subset, frozenset.union, "coarsening")
-
-
-@dataclass(frozen=True)
-class HasseNode:
-    cell: frozenset
-    owners: frozenset  # partition indices whose cell this is
-    parent: int | None
-    children: tuple[int, ...]
-    ancestors: frozenset
-    descendants: frozenset
-
-
-class HasseDiagram:
-    """Covering-relation forest of the distinct cells of a nested family.
-
-    Under pairwise nestedness the strict supersets of any cell form a
-    chain, so every node has at most one parent and the diagram is a
-    forest.  Construction re-derives and asserts the structural
-    bookkeeping facts: children partition their parent, and for every
-    node the partition indices split exactly into those owning an
-    ancestor, the node itself, and a descendant.
-    """
-
-    def __init__(self, nodes: Sequence[HasseNode], roots: Sequence[int]):
-        self.nodes = tuple(nodes)
-        self.roots = tuple(roots)
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.nodes)
-
-
-def build_hasse(family: PartitionFamily) -> HasseDiagram:
-    """Build the covering diagram, verifying nestedness first."""
-    if family.nested_failures:
-        f = family.nested_failures[0]
-        raise NestednessError(f.j, f.k, *f.witness)
-
-    cell_owners: dict[frozenset, set[int]] = {}
-    for k in range(family.n_partitions):
-        for cell in family.cells(k).values():
-            cell_owners.setdefault(cell, set()).add(k)
-    # stable order: big cells first, ties broken by members
-    cells = sorted(cell_owners, key=lambda c: (-len(c), sorted(c)))
-    index = {cell: i for i, cell in enumerate(cells)}
-
-    parents: list[int | None] = [None] * len(cells)
-    for i, cell in enumerate(cells):
-        supersets = [d for d in cells if len(d) > len(cell) and cell < d]
-        if supersets:
-            parents[i] = index[min(supersets, key=len)]
-
-    children: list[list[int]] = [[] for _ in cells]
-    for i, p in enumerate(parents):
-        if p is not None:
-            children[p].append(i)
-
-    ancestors: list[set[int]] = [set() for _ in cells]
-    for i in range(len(cells)):  # parents precede children in size order
-        p = parents[i]
-        if p is not None:
-            ancestors[i] = ancestors[p] | {p}
-    descendants: list[set[int]] = [set() for _ in cells]
-    for i in range(len(cells) - 1, -1, -1):
-        for c in children[i]:
-            descendants[i] |= descendants[c] | {c}
-
-    K = family.n_partitions
-    nodes = []
-    for i, cell in enumerate(cells):
-        owners = frozenset(cell_owners[cell])
-        k_an = frozenset().union(*(cell_owners[cells[a]] for a in ancestors[i])) if ancestors[i] else frozenset()
-        k_de = frozenset().union(*(cell_owners[cells[d]] for d in descendants[i])) if descendants[i] else frozenset()
-        groups = [k_an, owners, k_de]
-        if sum(len(g) for g in groups) != K or frozenset().union(*groups) != frozenset(range(K)):
-            raise AssertionError(
-                f"node {sorted(cell)}: ancestor/self/descendant partition indices "
-                f"{[sorted(g) for g in groups]} do not split the {K} partitions"
-            )
-        if children[i]:
-            kids = [cells[c] for c in children[i]]
-            covered: set[int] = set()
-            for kid in kids:
-                if covered & kid:
-                    raise AssertionError(f"children of node {sorted(cell)} overlap")
-                covered |= kid
-            if covered != set(cell):
-                raise AssertionError(f"children of node {sorted(cell)} do not cover it")
-        nodes.append(
-            HasseNode(
-                cell=cell,
-                owners=owners,
-                parent=parents[i],
-                children=tuple(children[i]),
-                ancestors=frozenset(ancestors[i]),
-                descendants=frozenset(descendants[i]),
-            )
-        )
-
-    roots = [i for i, p in enumerate(parents) if p is None]
-    return HasseDiagram(nodes, roots)
+    return _combine_cells(family, subset, frozenset.union)
 
 
 def _statistic_values(space: FiniteAssignmentSpace, stat) -> np.ndarray:

@@ -137,6 +137,14 @@ class TestInvertSingle:
         assert (ci.lower, ci.upper) == (tau, tau)
         assert ci.length == 0.0
 
+    def test_a_tail_at_half_alpha_rejects_as_the_test_does(self):
+        # all 20 relabelings are enumerated; at zero shift p_greater is
+        # 1/20, so the two-sided p-value is alpha and the test rejects 0
+        s = TwoGroupSample([4.0, 5.0, 6.0], [1.0, 2.0, 3.0], 6)
+        assert permutation_pvalue(s).p_greater == 0.05
+        ci = invert_single(s, 0.10)
+        assert (ci.lower, ci.upper) == (1.0, 5.0)
+
     def test_covers_point_estimate(self):
         s = gaussian_shift_sample(10, 10, 0.5, 7)
         ci = invert_single(s, 0.10, TestConfig(budget=499, seed=3))
@@ -320,11 +328,11 @@ class ExactOracle:
         self.thr = alpha / 2
 
     def accepts(self, delta: Fraction) -> tuple[bool, bool]:
-        """Whether the combined p_less and p_greater reach alpha/2 at delta."""
+        """Whether the combined p_less and p_greater are above alpha/2 at delta."""
         tails = [_exact_tails(s, delta, self.statistic) for s in self.samples]
         return (
-            self.combined([float(p) for p, _ in tails]) >= self.thr,
-            self.combined([float(q) for _, q in tails]) >= self.thr,
+            self.combined([float(p) for p, _ in tails]) > self.thr,
+            self.combined([float(q) for _, q in tails]) > self.thr,
         )
 
     def interval(self) -> tuple:
@@ -558,7 +566,7 @@ PINNED_INTERVALS = [
     ("raw", "diff_in_means", 1, "bonferroni", 0.05594762795159861, 0.27322886446815886, 28),
     ("raw", "diff_in_means", 2, "weighted_z", -0.28726719867926676, 0.054448656036206224, 27),
     ("raw", "diff_in_means", 2, "fisher", -0.30777687855786495, 0.06915604255444764, 31),
-    ("raw", "diff_in_means", 2, "bonferroni", -0.4888745378877703, 0.2277616053816208, 26),
+    ("raw", "diff_in_means", 2, "bonferroni", -0.47227408796152154, 0.20083611053689232, 26),
     ("raw", "diff_in_means", 3, "weighted_z", -0.25947835720874934, 0.15834492637648032, 28),
     ("raw", "diff_in_means", 3, "fisher", -0.28741467630900935, 0.20568507920712772, 26),
     ("raw", "diff_in_means", 3, "bonferroni", -0.37172305652632903, 0.3096177508085087, 27),
@@ -573,7 +581,7 @@ PINNED_INTERVALS = [
     ("raw", "rank_sum", 1, "bonferroni", 0.0034338046665296496, 0.260095738364043, 28),
     ("raw", "rank_sum", 2, "weighted_z", -0.3630883736641082, 0.00363668154760477, 27),
     ("raw", "rank_sum", 2, "fisher", -0.3584518524956142, 0.00955268410744825, 29),
-    ("raw", "rank_sum", 2, "bonferroni", -0.5125871165714728, 0.09467165503832842, 26),
+    ("raw", "rank_sum", 2, "bonferroni", -0.4773151088717036, 0.09467165503832842, 27),
     ("raw", "rank_sum", 3, "weighted_z", -0.3100332133628392, 0.1504249489334033, 23),
     ("raw", "rank_sum", 3, "fisher", -0.35544717223979094, 0.20214220780840297, 23),
     ("raw", "rank_sum", 3, "bonferroni", -0.37503616904587367, 0.2126942302083572, 24),
@@ -588,7 +596,7 @@ PINNED_INTERVALS = [
     ("rounded", "diff_in_means", 1, "bonferroni", 0.08333333333333333, 0.3000000000000007, 25),
     ("rounded", "diff_in_means", 2, "weighted_z", -0.29999999999999954, 0.04999999999999982, 27),
     ("rounded", "diff_in_means", 2, "fisher", -0.31428571428571417, 0.07500000000000018, 24),
-    ("rounded", "diff_in_means", 2, "bonferroni", -0.514285714285714, 0.22499999999999964, 26),
+    ("rounded", "diff_in_means", 2, "bonferroni", -0.48571428571428604, 0.21666666666666737, 26),
     ("rounded", "diff_in_means", 3, "weighted_z", -0.25999999999999945, 0.15000000000000094, 24),
     ("rounded", "diff_in_means", 3, "fisher", -0.28999999999999987, 0.20000000000000018, 23),
     ("rounded", "diff_in_means", 3, "bonferroni", -0.366666666666666, 0.31666666666666643, 24),
@@ -603,7 +611,7 @@ PINNED_INTERVALS = [
     ("rounded", "rank_sum", 1, "bonferroni", 0.0, 0.2999999999999998, 15),
     ("rounded", "rank_sum", 2, "weighted_z", -0.3999999999999999, 0.0, 16),
     ("rounded", "rank_sum", 2, "fisher", -0.3999999999999999, 0.0, 16),
-    ("rounded", "rank_sum", 2, "bonferroni", -0.5000000000000002, 0.10000000000000009, 18),
+    ("rounded", "rank_sum", 2, "bonferroni", -0.5, 0.10000000000000009, 18),
     ("rounded", "rank_sum", 3, "weighted_z", -0.30000000000000004, 0.19999999999999973, 16),
     ("rounded", "rank_sum", 3, "fisher", -0.30000000000000027, 0.19999999999999996, 17),
     ("rounded", "rank_sum", 3, "bonferroni", -0.30000000000000027, 0.19999999999999973, 16),

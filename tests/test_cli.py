@@ -545,6 +545,7 @@ class TestValidate:
         assert main(["validate", "--name", "naive-lag1"]) == EXIT_CHECK
         out = capsys.readouterr().out
         assert "nestedness 0,1: FAIL" in out
+        assert "joint dominance (exact): FAIL" in out
         assert "overall: FAIL" in out
 
     def test_scenario_file(self, tmp_path, capsys):
@@ -594,8 +595,8 @@ class TestValidate:
         assert "marginal violation at levels (0.5, 0.5): probability 0.251 > bound 0.25" in out
 
     def test_nestedness_is_computed_once(self, monkeypatch, capsys):
-        # the partition, Hasse, refinement, coarsening and dominance
-        # steps all read the family's one nestedness result
+        # each pair is checked once, by the report, and the nestedness
+        # line prints the report's result
         calls = []
         check = wedgeperm.validate.pairwise_nested_check
         monkeypatch.setattr(
@@ -697,3 +698,30 @@ def test_input_path_that_cannot_be_read_is_a_data_error(tmp_path, capsys, argv):
     assert captured.out == ""
     errors = captured.err.splitlines()
     assert len(errors) == 1 and errors[0].startswith("error: ") and str(tmp_path) in errors[0]
+
+
+@pytest.mark.parametrize("command", ["simulate --config", "validate --scenario"])
+def test_deeply_nested_json_is_a_data_error(tmp_path, capsys, command):
+    # valid JSON nested deeper than the parser recurses
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main([*command.split(), str(path)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = captured.err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith(f"error: {path}: not valid JSON: ")
+
+
+def test_budget_too_large_for_memory_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # stands in for TailPlan's allocation of one float per relabeling,
+    # which a budget of 10**9 asks for
+    def allocate(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.45 GiB for an array with shape (1000000000,)")
+
+    monkeypatch.setattr(wedgeperm.cli, "run_mcrts", allocate)
+    path = tmp_path / "trial.csv"
+    write_trial_csv(path, make_trial(12, (4, 4, 4), seed=3))
+    assert main(["analyze", str(path), "--lag", "0", "--budget", "1000000000"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory: Unable to allocate 7.45 GiB for an array with shape (1000000000,)\n"

@@ -836,6 +836,21 @@ class TestMonteCarloPValues:
         s = TwoGroupSample(np.arange(10, dtype=float), np.arange(20, dtype=float), 30)
         assert permutation_pvalue(s, budget=99) == permutation_pvalue(s, budget=99)
 
+    def test_a_seed_sequence_gives_the_same_draw_again_and_is_not_spawned(self):
+        s = TwoGroupSample(np.arange(10, dtype=float), np.arange(20, dtype=float), 30)
+        root = np.random.SeedSequence(2024)
+        first = permutation_pvalue(s, budget=2500, seed=root)
+        assert permutation_pvalue(s, budget=2500, seed=root) == first
+        assert root.n_children_spawned == 0
+        # a SeedSequence once used draws as a fresh one does
+        assert first == permutation_pvalue(s, budget=2500, seed=np.random.SeedSequence(2024))
+
+    def test_a_huge_budget_derives_no_stream_before_its_first_draw(self):
+        plan = relabel_plan(1000, 500, budget=10**9, seed=3)
+        assert plan.n_resamples == 10**9 and plan._streams == {}
+        _, chunk = next(plan._chunks(0, 5))
+        assert chunk.shape == (5, 500) and list(plan._streams) == [0]
+
     def test_location_invariance_exact_equality(self, exact_limit):
         exact_limit(1)  # C(15, 6) = 5005 relabelings, sampled
         gen = generator(8)

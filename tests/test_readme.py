@@ -1,4 +1,5 @@
-"""The README's quick start runs as written and prints what it shows."""
+"""The README's quick start and validate example run as written and print
+what they show."""
 
 import os
 import re
@@ -21,3 +22,13 @@ def test_quick_start_prints_its_documented_output():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout == expected
+
+
+def test_validate_example_prints_its_documented_output(capsys):
+    from wedgeperm.cli import EXIT_OK, main
+
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("### `validate`", 1)[1].split("\n## ", 1)[0]
+    command, expected = re.search(r"```sh\n\$ wedgeperm (.*?)\n(.*?)```", section, re.S).groups()
+    assert main(command.split()) == EXIT_OK
+    assert capsys.readouterr().out == expected

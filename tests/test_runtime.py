@@ -140,7 +140,7 @@ def test_wide_pool_trial_analyzes_to_the_same_bytes_on_one_cpu_and_on_every_cpu(
     proc = run_child([(one / "stdout", argv + ["--out", str(one / "tests.csv"), "--ci-out", str(one / "ci.csv")])], first_cpu())
     assert proc.returncode == 0, proc.stderr
     assert main(argv + ["--out", str(every / "tests.csv"), "--ci-out", str(every / "ci.csv")]) == EXIT_OK
-    rows = list(csv.DictReader((every / "tests.csv").open()))
+    rows = list(csv.DictReader((every / "tests.csv").read_text().splitlines()))
     assert len(rows) >= 2 and all(256 < int(r["n_treated"]) + int(r["n_control"]) <= 10_000 for r in rows), rows
     assert (one / "stdout").read_text() == capsys.readouterr().out
     for name in ("tests.csv", "ci.csv"):
@@ -150,7 +150,7 @@ def test_wide_pool_trial_analyzes_to_the_same_bytes_on_one_cpu_and_on_every_cpu(
 def test_exact_trial_enumerates_every_pool(tmp_path, capsys):
     # each one-sided p-value times C(n1 + n0, n1) is a whole count
     assert main(analyze_argv(write_trial(tmp_path, "exact"), "diff_in_means", tmp_path)) == EXIT_OK
-    rows = list(csv.DictReader((tmp_path / "tests.csv").open()))
+    rows = list(csv.DictReader((tmp_path / "tests.csv").read_text().splitlines()))
     counts = [float(r["p_less"]) * math.comb(int(r["n_treated"]) + int(r["n_control"]), int(r["n_treated"])) for r in rows]
     assert rows and all(abs(k - round(k)) < 1e-6 for k in counts), counts
 

@@ -1,6 +1,8 @@
 """Exact finite-space checks for families of conditional tests."""
 
+import itertools
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -24,12 +26,9 @@ from wedgeperm import (
 )
 from wedgeperm import mcrt
 from wedgeperm.validate import (
-    NestednessError,
-    build_hasse,
     coarsening,
     cond_indep_check,
     conditional_pvalues,
-    is_partition,
     joint_dominance_check,
     pairwise_nested_check,
     refinement,
@@ -45,6 +44,60 @@ CROSSING = PartitionFamily([[0, 0, 1, 1], [0, 1, 1, 0]])
 def float_copy(space: FiniteAssignmentSpace) -> FiniteAssignmentSpace:
     """The same space with its probabilities given as floats."""
     return FiniteAssignmentSpace(space.elements, [float(p) for p in space.probs])
+
+
+@dataclass(frozen=True)
+class PartitionCheck:
+    ok: bool
+    witness: int | None = None
+    reason: str = ""
+
+
+def is_partition(space: FiniteAssignmentSpace, cells) -> PartitionCheck:
+    """Do the given cells partition the space?  Reports a witnessing
+    element index on failure: one covered twice or one not covered."""
+    cells = [frozenset(c) for c in cells]
+    if not cells:
+        raise ValueError("cells must be nonempty")
+    seen: set[int] = set()
+    for cell in cells:
+        if not cell:
+            return PartitionCheck(False, None, "empty cell")
+        for i in cell:
+            if not 0 <= i < space.size:
+                return PartitionCheck(False, i, "element index out of range")
+            if i in seen:
+                return PartitionCheck(False, i, "element belongs to two cells")
+        seen |= cell
+    if len(seen) != space.size:
+        missing = min(set(range(space.size)) - seen)
+        return PartitionCheck(False, missing, "element not covered by any cell")
+    return PartitionCheck(True)
+
+
+def family_cells(fam: PartitionFamily) -> set[frozenset]:
+    """The distinct cells of all the family's partitions."""
+    return {cell for k in range(fam.n_partitions) for cell in fam.cells(k).values()}
+
+
+def crosses(a: frozenset, b: frozenset) -> bool:
+    """The two cells overlap without either containing the other."""
+    return bool(a & b) and not (a <= b or b <= a)
+
+
+def maximal_cells(cells, inside: frozenset | None = None) -> list[frozenset]:
+    """The cells strictly inside ``inside`` (or all cells) that lie
+    strictly inside no other such cell: the roots, or a cell's children."""
+    below = [c for c in cells if inside is None or c < inside]
+    return [c for c in below if not any(c < d for d in below)]
+
+
+@st.composite
+def label_families(draw):
+    """1-4 label vectors over 1-7 elements, each label one of four."""
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(1, 4))
+    return PartitionFamily([draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)) for _ in range(k)])
 
 
 class TestReadingProbabilities:
@@ -141,77 +194,35 @@ class TestRefinementCoarsening:
             coarsening(CHAIN, [])
 
 
-class TestHasseDiagram:
-    def test_single_partition_is_all_roots(self):
-        diagram = build_hasse(PartitionFamily([[0, 0, 1]]))
-        assert diagram.n_nodes == 2
-        assert sorted(diagram.roots) == [0, 1]
-        assert all(n.parent is None and n.children == () for n in diagram.nodes)
+class TestLaminarFamily:
+    """Under pairwise nestedness the cells of all partitions are
+    disjoint or nested, which is why validate checks nothing beyond
+    nestedness about the family's structure."""
 
-    def test_chain_structure(self):
-        diagram = build_hasse(CHAIN)
-        assert diagram.n_nodes == 7 and len(diagram.roots) == 1
-        root = diagram.nodes[diagram.roots[0]]
-        assert root.cell == frozenset(range(4)) and root.owners == {0}
-        assert len(root.children) == 2 and len(root.descendants) == 6
-        node_for = {n.cell: n for n in diagram.nodes}
-        half = node_for[frozenset({0, 1})]
-        assert half.owners == {1} and diagram.nodes[half.parent] is root
-        leaf = node_for[frozenset({3})]
-        assert leaf.owners == {2} and leaf.children == ()
-        assert {diagram.nodes[a].cell for a in leaf.ancestors} == {
-            frozenset(range(4)),
-            frozenset({2, 3}),
-        }
+    @given(fam=label_families())
+    @settings(max_examples=300, deadline=None)
+    def test_nested_family_combines_to_its_own_cells(self, fam):
+        cells = family_cells(fam)
+        assert bool(fam.nested_failures) == any(crosses(a, b) for a in cells for b in cells)
+        if fam.nested_failures:
+            return
+        for r in range(1, fam.n_partitions + 1):
+            for subset in itertools.combinations(range(fam.n_partitions), r):
+                assert set(refinement(fam, subset)) <= cells
+                assert set(coarsening(fam, subset)) <= cells
 
-    def test_children_partition_their_parent(self):
+    def test_staggered_crossover_cells_form_a_forest(self):
+        # six roots partition the space, and the children of every cell
+        # with children partition it
         fam = stepped_wedge_scenario(4, (1, 1, 1, 1), lag=1, conditioning="sequential").family
-        diagram = build_hasse(fam)
-        for node in diagram.nodes:
-            if node.children:
-                kid_cells = [diagram.nodes[c].cell for c in node.children]
-                assert sum(len(c) for c in kid_cells) == len(node.cell)
-                assert frozenset().union(*kid_cells) == node.cell
-
-    def test_staggered_crossover_family_forms_a_six_root_forest(self):
-        fam = stepped_wedge_scenario(4, (1, 1, 1, 1), lag=1, conditioning="sequential").family
-        diagram = build_hasse(fam)
-        assert len(diagram.roots) == 6
-        covered = [diagram.nodes[r].cell for r in diagram.roots]
-        assert sum(len(c) for c in covered) == fam.n_elements
-        assert frozenset().union(*covered) == frozenset(range(fam.n_elements))
-
-    def test_crossing_family_raises(self):
-        with pytest.raises(NestednessError, match="partitions 0 and 1") as err:
-            build_hasse(CROSSING)
-        assert (err.value.j, err.value.k) == (0, 1)
-
-    def test_canonical_form_ignores_element_order_and_label_names(self):
-        def canonical_form(diagram, elements) -> frozenset:
-            """Each node as its element set, its parent's element set and
-            its owner indices, which reordering elements and renaming
-            labels leave unchanged."""
-            def tokens(cell):
-                return frozenset(elements[i] for i in cell)
-            return frozenset(
-                (tokens(n.cell), None if n.parent is None else tokens(diagram.nodes[n.parent].cell), n.owners)
-                for n in diagram.nodes
-            )
-
-        elements = ["w", "x", "y", "z"]
-        base = canonical_form(build_hasse(CHAIN), elements)
-
-        perm = [2, 3, 1, 0]
-        permuted = PartitionFamily(
-            [[vec[i] for i in perm] for vec in CHAIN.labels]
-        )
-        shuffled = canonical_form(build_hasse(permuted), [elements[i] for i in perm])
-        assert shuffled == base
-
-        renamed = PartitionFamily(
-            [[f"cell-{lab}" for lab in vec] for vec in CHAIN.labels]
-        )
-        assert canonical_form(build_hasse(renamed), elements) == base
+        cells = family_cells(fam)
+        space = FiniteAssignmentSpace.uniform(range(fam.n_elements))
+        roots = maximal_cells(cells)
+        assert len(roots) == 6 and is_partition(space, roots).ok
+        for cell in cells:
+            kids = maximal_cells(cells, cell)
+            if kids:
+                assert sum(len(c) for c in kids) == len(cell) and frozenset().union(*kids) == cell
 
 
 class TestConditionalPValues:
