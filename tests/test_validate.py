@@ -211,18 +211,33 @@ class TestLaminarFamily:
                 assert set(refinement(fam, subset)) <= cells
                 assert set(coarsening(fam, subset)) <= cells
 
-    def test_staggered_crossover_cells_form_a_forest(self):
-        # six roots partition the space, and the children of every cell
-        # with children partition it
+
+
+class TestHasseDiagram:
+    """The inclusion order on a nested family's cells, read off the cells
+    themselves: a cell's children are the maximal cells strictly inside
+    it, and the roots are the maximal cells."""
+
+    def test_children_partition_their_parent(self):
         fam = stepped_wedge_scenario(4, (1, 1, 1, 1), lag=1, conditioning="sequential").family
         cells = family_cells(fam)
-        space = FiniteAssignmentSpace.uniform(range(fam.n_elements))
-        roots = maximal_cells(cells)
-        assert len(roots) == 6 and is_partition(space, roots).ok
+        parents = 0
         for cell in cells:
             kids = maximal_cells(cells, cell)
             if kids:
-                assert sum(len(c) for c in kids) == len(cell) and frozenset().union(*kids) == cell
+                parents += 1
+                assert sum(len(c) for c in kids) == len(cell)
+                assert frozenset().union(*kids) == cell
+        assert parents > 0
+
+    def test_staggered_crossover_family_forms_a_six_root_forest(self):
+        fam = stepped_wedge_scenario(4, (1, 1, 1, 1), lag=1, conditioning="sequential").family
+        roots = maximal_cells(family_cells(fam))
+        assert len(roots) == 6
+        assert sum(len(c) for c in roots) == fam.n_elements
+        assert frozenset().union(*roots) == frozenset(range(fam.n_elements))
+        space = FiniteAssignmentSpace.uniform(range(fam.n_elements))
+        assert is_partition(space, roots).ok
 
 
 class TestConditionalPValues:
