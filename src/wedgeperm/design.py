@@ -30,6 +30,8 @@ __all__ = [
     "enumerate_crossover_vectors",
 ]
 
+_ENUMERATION_CAP = 1_000_000  # the most assignments enumerate_crossover_vectors lists
+
 
 class DataFormatError(ValueError):
     """A structured text input (CSV, JSON) violates its documented schema.
@@ -97,15 +99,15 @@ def _read_table(path, columns: Callable[[list[str]], Callable]) -> Iterator:
 
 def _read_json(path):
     """The JSON document in ``path``, read as _read_table reads a CSV:
-    UTF-8 with or without a byte-order mark; bad bytes, bad JSON or JSON
-    nested deeper than the parser recurses raise DataFormatError naming
-    the path."""
+    UTF-8 with or without a byte-order mark; bad bytes, bad JSON, an
+    integer of more digits than int() reads or JSON nested deeper than
+    the parser recurses raise DataFormatError naming the path."""
     with open(path, encoding="utf-8-sig") as fh:
         try:
             return json.load(fh)
         except UnicodeDecodeError as exc:
             raise DataFormatError(f"{path}: not valid UTF-8: {exc}") from None
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
             raise DataFormatError(f"{path}: not valid JSON: {exc}") from None
 
 
@@ -199,18 +201,17 @@ def sample_assignment(spec: DesignSpec, rng: np.random.Generator) -> CrossoverTi
     return CrossoverTimes(labels, spec.n_times)
 
 
-def enumerate_crossover_vectors(spec: DesignSpec, cap: int | None = 1_000_000) -> Iterator[tuple[int, ...]]:
+def enumerate_crossover_vectors(spec: DesignSpec) -> Iterator[tuple[int, ...]]:
     """Yield every assignment once, as a tuple of crossover times, in lex order.
 
     Steps from the sorted multiset of times to its next permutation in
     place, so the depth of the call stack does not grow with the unit
-    count.  Raises if the space exceeds ``cap`` elements (pass None to
-    disable).
+    count.  Raises, before the first assignment, if the space exceeds
+    _ENUMERATION_CAP (10^6) elements.
     """
-    if cap is not None:
-        size = space_size(spec)
-        if size > cap:
-            raise ValueError(f"assignment space has {size} elements, above the cap of {cap}")
+    size = space_size(spec)
+    if size > _ENUMERATION_CAP:
+        raise ValueError(f"assignment space has {size} elements, above the cap of {_ENUMERATION_CAP}")
     vec = [t for t, c in enumerate(spec.counts, start=1) for _ in range(c)]
     while True:
         yield tuple(vec)

@@ -186,8 +186,8 @@ def naive_groups(times, n_times: int, lag: int) -> tuple[LagTestGroup, ...]:
     crossing at each t in 1..T-lag-1 against all crossing after t + lag.
 
     These pools do not nest once lag >= 1, so the family is not jointly
-    valid; run_mcrts over them is the Bonferroni baseline of the power
-    study, and they are validate's broken construction.
+    valid; the power study draws them as its Bonferroni baseline through
+    sim._family_decisions, and they are validate's broken construction.
     """
     n_times, lag = _check_schedule(n_times, lag)
     units_at = _units_at(times, n_times)

@@ -17,14 +17,14 @@ Within a block the keys are drawn in row chunks of at most _KEY_CHUNK
 keys into one buffer per thread, reused by every test the thread
 draws: a buffer freed after each test would be handed back to the OS
 by the allocator and page-faulted in again by the next one.  An
-index-sampled chunk holds the rows of at most _KEY_CHUNK / 2 indices.
-The stream fills rows in order, so the selections are byte-identical
-to drawing the whole block at once.  A plan fixes its streams when it
-is made and replays them chunk by chunk; an exact plan yields its
-enumeration through the same chunks, so no plan keeps its rows.
-Reducing a draw to its per-relabeling selected-slot sums and treated
-hits needs one chunk plus those B sums and hits, never the B x m
-selections.
+index-sampled chunk holds at most _KEY_CHUNK / 2 indices, a tagged one
+(below) as many keys.  The stream fills rows in order, so the
+selections are byte-identical to drawing the whole block at once.  A
+plan fixes its streams when it is made and replays them chunk by
+chunk; an exact plan yields its enumeration through the same chunks,
+so no plan keeps its rows.  Reducing a draw to its per-relabeling
+selected-slot sums and treated hits needs one chunk plus those B sums
+and hits, never the B x m selections.
 
 A draw can be read by row range [lo, hi): chunks are also cut at hi,
 and a range that starts inside a block resumes the block's stream on a
@@ -43,13 +43,13 @@ in which a selected set is listed.  An index-sampled pool lists it in
 the order the shuffle leaves it on every CPU.  A pool of up to
 _TAGGED_POOL slots lists it in key order on every CPU: each key, an
 integer multiple of 2^-53, is tagged with its slot in the low 8 bits of
-one integer, in a second kept buffer per thread, and each row of tags
-is sorted, which on such narrow rows costs less than argpartition's
-per-row setup.  Any other pool, 257 to _INDEX_POOL slots or with more
-than half of them treated, takes argpartition's order, which NumPy's
-kernel sets by SIMD level (AVX-512, AVX2 or baseline), so the last bits
-of its sums, and with them interval endpoints and p-values on tied
-outcomes, can differ between machines.
+one integer, in the other half of the thread's one buffer, and each row
+of tags is sorted, which on such narrow rows costs less than
+argpartition's per-row setup.  Any other pool, 257 to _INDEX_POOL slots
+or with more than half of them treated, takes argpartition's order,
+which NumPy's kernel sets by SIMD level (AVX-512, AVX2 or baseline), so
+the last bits of its sums, and with them interval endpoints and
+p-values on tied outcomes, can differ between machines.
 
 A TailPlan is one test's zero-shift draw: both statistics reduce it
 chunk by chunk, the rank sum over the pooled midranks, so a p-value
@@ -113,20 +113,19 @@ _TAGGED_POOL = 256
 # 12 000/11 000 the keys still win, 79 against 103 ms
 _INDEX_POOL = 10_000
 
-# this thread's kept buffers: "buf" for the keys, "tags" for the tags
+# this thread's one kept buffer, "buf", for keys and tags
 _thread_keys = threading.local()
 
 
-def _key_buffer(size: int, name: str = "buf", dtype=np.float64) -> np.ndarray:
-    """A buffer of ``size`` elements: a view of this thread's kept buffer
-    ``name`` of _KEY_CHUNK elements, or, for a row wider than that, a
-    new buffer that is not kept."""
+def _key_buffer(size: int) -> np.ndarray:
+    """A float64 buffer of ``size`` elements: a view of this thread's
+    kept buffer of _KEY_CHUNK elements, or, for a chunk larger than
+    that, a new buffer that is not kept."""
     if size > _KEY_CHUNK:
-        return np.empty(size, dtype)
-    buf = getattr(_thread_keys, name, None)
+        return np.empty(size)
+    buf = getattr(_thread_keys, "buf", None)
     if buf is None or buf.size < _KEY_CHUNK:
-        buf = np.empty(_KEY_CHUNK, dtype)
-        setattr(_thread_keys, name, buf)
+        buf = _thread_keys.buf = np.empty(_KEY_CHUNK)
     return buf[:size]
 
 
@@ -237,7 +236,8 @@ class RelabelPlan:
 
     def _chunks(self, lo: int = 0, hi: int | None = None):
         """(first row, selections of the rows) for each chunk of rows
-        [lo, hi) of the draw (to its end by default), in row order.
+        [lo, hi) of the draw (to its end by default), in row order, the
+        selections a new C-contiguous (rows, m) integer array.
 
         Chunks are cut at block edges and at ``hi``.  A Monte-Carlo draw
         that starts inside a block moves the block's fresh generator past
@@ -261,22 +261,27 @@ class RelabelPlan:
         if lo >= hi:
             return
         indexed = pool > _INDEX_POOL and 2 * m <= pool
+        tagged = pool <= _TAGGED_POOL
         if indexed:
             # _KEY_CHUNK / 2 indices, so a chunk and its gathered values
             # take the bytes of a key chunk's argpartition index; two
             # 25 000/5000 tests drawn on two threads took 134 ms at 2 rows
             # a chunk against 119-122 ms at 4 to 13
             rows = max(1, _KEY_CHUNK // (2 * m))
+        elif tagged:
+            # _KEY_CHUNK / 2 keys, their tags in the other half: NumPy would
+            # copy the keys before writing tags over them (a two-dtype overlap)
+            rows = max(1, _KEY_CHUNK // (2 * pool))
         size = min(rows, _BLOCK, hi - lo)  # no chunk is larger
-        # the thread's plans share its kept buffers, even with their
+        # the thread's plans share its kept buffer, even with their
         # generators interleaved: a chunk's keys are drawn and selected
         # from before the yield, and what is yielded is a new array, so
         # no key or tag outlives its chunk
         if not indexed:
-            keys = _key_buffer(size * pool).reshape(size, pool)
-        tagged = pool <= _TAGGED_POOL
+            buf = _key_buffer((1 + tagged) * size * pool)
+            keys = buf[: size * pool].reshape(size, pool)
         if tagged:
-            tags = _key_buffer(size * pool, "tags", np.int64).reshape(size, pool)
+            tags = buf[size * pool :].view(np.int64).reshape(size, pool)
             slots = np.arange(pool, dtype=np.int64)
         for block in range(lo // _BLOCK, (hi - 1) // _BLOCK + 1):
             rng = np.random.default_rng(self._stream(block))
@@ -312,7 +317,9 @@ class RelabelPlan:
                     chunk_tags.sort(axis=1)
                     yield start, chunk_tags[:, :m] & 0xFF
                 else:
-                    yield start, np.argpartition(chunk_keys, m - 1, axis=1)[:, :m]
+                    # a contiguous copy of argpartition's strided columns
+                    # gathers faster than the columns themselves
+                    yield start, np.argpartition(chunk_keys, m - 1, axis=1)[:, :m].copy()
 
     @property
     def selections(self) -> np.ndarray:
@@ -320,7 +327,6 @@ class RelabelPlan:
         sel = np.empty((self.n_resamples, self.n_treated), dtype=np.intp)
         for lo, chunk in self._chunks():
             sel[lo : lo + chunk.shape[0]] = chunk
-            del chunk  # free its index before the next chunk is drawn
         return sel
 
     def reduce(self, values: np.ndarray, lo: int = 0, hi: int | None = None,
@@ -334,18 +340,7 @@ class RelabelPlan:
         hi = self.n_resamples if hi is None else hi
         sums = np.empty(hi - lo)
         counts = np.empty(hi - lo, dtype=np.intp) if hits else None
-        buf = None
-        for start, chunk in self._chunks(lo, hi):
-            if chunk.flags.c_contiguous:  # a sorted, index-sampled, enumerated or one-row chunk
-                sel = chunk
-            else:
-                if buf is None or buf.shape[0] < chunk.shape[0]:  # a range's first chunk can stop at a block edge
-                    buf = np.empty(chunk.shape, dtype=np.intp)
-                # a contiguous copy of argpartition's strided columns
-                # gathers faster than the columns themselves
-                sel = buf[: chunk.shape[0]]
-                np.copyto(sel, chunk)
-            del chunk  # a copied chunk frees argpartition's index before the gather and the next chunk
+        for start, sel in self._chunks(lo, hi):
             at = slice(start - lo, start - lo + sel.shape[0])
             values[sel].sum(axis=1, out=sums[at])
             if hits:

@@ -98,6 +98,8 @@ def default_counts(n_units: int, n_times: int) -> tuple[int, ...]:
     """Equal crossings per period, remainder absorbed by the last one."""
     if not (_is_int(n_units) and _is_int(n_times)):
         raise ValueError(f"n_units and n_times must be integers, got {n_units!r} and {n_times!r}")
+    if n_units > np.iinfo(np.intp).max:
+        raise ValueError(f"n_units must be at most {np.iinfo(np.intp).max}, got {n_units!r}")
     if n_times < 2:
         raise ValueError("need at least two periods")
     base = n_units // n_times
@@ -175,7 +177,8 @@ class Sim2Config:
         if not all(map(math.isfinite, self.taus)):
             raise ValueError(f"taus must be finite, got {self.taus!r}")
         object.__setattr__(self, "interaction", _check_interaction(self.interaction))
-        _check_unit("level", self.level)
+        if not 0.0 < 1.0 - self.level < 1.0:
+            raise ValueError(f"level must lie in (0, 1) with 1 - level below 1, got {self.level!r}")
         _check_model(self)
 
 

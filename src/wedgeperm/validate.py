@@ -497,7 +497,7 @@ def load_scenario(path) -> Scenario:
         partition_names = [str(p.get("name", f"partition{k}")) for k, p in enumerate(partitions)]
         stats, alphas = _consistent(space, family, [s["values"] for s in doc["statistics"]], doc["alphas"])
         stat_names = [str(s.get("name", f"stat{k}")) for k, s in enumerate(doc["statistics"])]
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise DataFormatError(f"{path}: malformed scenario: {exc!r}") from None
     return Scenario(
         space=space,

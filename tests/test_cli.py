@@ -302,6 +302,17 @@ class TestSimulate:
         [kwargs] = calls
         assert (kwargs["replicates"], kwargs["budget"]) == (replicates, 1000)
 
+    def test_cell_with_more_units_than_numpy_holds_is_skipped(self, tmp_path, capsys):
+        cfg_path, out = tmp_path / "study.json", tmp_path / "power.csv"
+        cell = [10**30, 6, 0, 0.0]
+        cfg_path.write_text(json.dumps({"study": "power", "grid": [cell], "replicates": 1}))
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err.splitlines() == [
+            f"power study: cell 1/1 {cell}",
+            f"  skipped {tuple(cell)}: n_units must be at most {2**63 - 1}, got {10**30}",
+            f"wrote {out} (0 rows)",
+        ]
+
     def test_power_stderr_is_one_line_per_cell_and_skip(self, tmp_path, capsys):
         grid = [[100, 6, 0, 0.0], [100, 6, 9, 0.0], [6, 6, 0, 0.0], [60, 4, 1, 0.3]]
         cfg_path, out = tmp_path / "study.json", tmp_path / "power.csv"
@@ -475,12 +486,14 @@ class TestSimulate:
             ({"lags": []}, "lags must name at least one lag"),
             ({"lags": [1, 1]}, "lags must be distinct"),
             ({"methods": ["fisher", "fisher"]}, "methods must be distinct"),
+            ({"n_units": 2**70}, f"n_units must be at most {2**63 - 1}, got {2**70}"),
+            ({"level": 1e-300}, "level must lie in (0, 1) with 1 - level below 1, got 1e-300"),
         ],
         ids=[
             "lags-number", "float-in-lags", "text-in-lags", "text-in-taus",
             "level-text", "nan-in-taus", "infinity-in-taus", "level-infinite", "replicates-text", "n_units-float", "lag-out-of-range", "unknown-combiner",
             "budget-zero", "seed-negative", "methods-empty", "lags-empty", "lags-repeated",
-            "methods-repeated",
+            "methods-repeated", "n_units-beyond-int64", "level-whose-alpha-rounds-to-one",
         ],
     )
     def test_malformed_coverage_config_rejected_before_any_replicate(
@@ -631,12 +644,14 @@ class TestValidate:
             lambda doc: doc.update(probs=[float("nan")] + ["1/12"] * (len(doc["elements"]) - 1)),
             lambda doc: doc.update(probs=[float("inf")] + ["1/12"] * (len(doc["elements"]) - 1)),
             lambda doc: doc.update(probs=[-1 / 12, 3 / 12] + ["1/12"] * (len(doc["elements"]) - 2)),
+            lambda doc: doc["statistics"][0]["values"].__setitem__(0, 10**400),
         ],
         ids=[
             "alpha-vector-length", "probs-sum", "prob-not-a-number", "label-lengths",
             "duplicate-elements", "statistic-not-a-number", "alpha-not-a-number",
             "prob-zero-denominator", "statistic-not-finite", "probs-sum-off-by-1e-6",
             "prob-bool", "alpha-bool", "prob-nan", "prob-infinite", "prob-negative",
+            "statistic-beyond-float",
         ],
     )
     def test_malformed_scenario_file_is_a_data_error(self, tmp_path, capsys, edit):
@@ -705,6 +720,18 @@ def test_deeply_nested_json_is_a_data_error(tmp_path, capsys, command):
     # valid JSON nested deeper than the parser recurses
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main([*command.split(), str(path)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = captured.err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith(f"error: {path}: not valid JSON: ")
+
+
+@pytest.mark.parametrize("command", ["simulate --config", "validate --scenario"])
+def test_json_integer_too_long_to_read_is_a_data_error(tmp_path, capsys, command):
+    # valid JSON, but int() reads at most 4300 digits
+    path = tmp_path / "long.json"
+    path.write_text('{"seed": ' + "9" * 5000 + "}")
     assert main([*command.split(), str(path)]) == EXIT_DATA
     captured = capsys.readouterr()
     assert captured.out == ""

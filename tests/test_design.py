@@ -182,9 +182,14 @@ class TestEnumeration:
             assert sorted(vec) == [1, 1, 2, 2]
 
     def test_cap_enforced(self):
-        spec = spec_of((5, 5, 5))
-        with pytest.raises(ValueError, match="cap"):
-            list(enumerate_crossover_vectors(spec, cap=100))
+        # 16! / (4!)^4 = 63 063 000 assignments, above the fixed cap of
+        # 10^6: the first step raises, before any assignment is listed
+        spec = DesignSpec(16, (4, 4, 4, 4))
+        assert space_size(spec) == 63_063_000
+        with pytest.raises(ValueError, match="^assignment space has 63063000 elements, above the cap of 1000000$"):
+            next(enumerate_crossover_vectors(spec))
+        with pytest.raises(TypeError):
+            enumerate_crossover_vectors(spec, cap=10**8)
 
     @pytest.mark.parametrize("counts", [(3, 2, 1), (1, 3, 1, 2), (1,) * 6, (2, 2, 2), (4,)])
     def test_lex_order_of_the_distinct_permutations(self, counts):

@@ -312,6 +312,9 @@ class TestRelabelPlan:
         assert (scaled % 2 == 1).any()
 
     def test_narrow_pool_keeps_one_tag_chunk(self, exact_limit):
+        # a tagged draw writes its tags into the other half of the
+        # thread's key buffer, so tagged and argpartition draws alike keep
+        # that one buffer
         kept = {}
         exact_limit(1)  # C(10, 5) = 252 relabelings, sampled
 
@@ -319,21 +322,22 @@ class TestRelabelPlan:
             seen = []
             for pool in pools:
                 relabel_plan(pool, 5, budget=700, seed=1).reduce(np.zeros(pool))
-                tags = getattr(permtest._thread_keys, "tags", None)
-                seen.append(None if tags is None else (tags.size, tags.dtype, tags.__array_interface__["data"][0]))
+                held = vars(permtest._thread_keys)
+                buf = held["buf"]
+                seen.append((sorted(held), buf.size, buf.dtype, buf.__array_interface__["data"][0]))
             kept[name] = seen
 
-        # each in a new thread, so no earlier draw has made its buffers
+        # each in a new thread, so no earlier draw has made its buffer
         for name, pools in (("wide only", [257, 1000]), ("narrow and wide", [10, 256, 1000, 66])):
             t = threading.Thread(target=draw, args=(name, pools))
             t.start()
             t.join(timeout=60)
             assert not t.is_alive()
-        assert kept["wide only"] == [None, None]
-        first, *rest = kept["narrow and wide"]
-        assert first[:2] == (permtest._KEY_CHUNK, np.int64) and rest == [first] * 3
+        for seen in kept.values():
+            first, *rest = seen
+            assert first[:3] == (["buf"], permtest._KEY_CHUNK, np.float64) and rest == [first] * len(rest)
 
-        # with this thread's buffers made, a narrow draw allocates only
+        # with this thread's buffer made, a narrow draw allocates only
         # its selections, never a chunk of keys or tags
         values = np.zeros(66)
         relabel_plan(66, 16, budget=499, seed=2).reduce(values)
@@ -346,6 +350,23 @@ class TestRelabelPlan:
         finally:
             tracemalloc.stop()
         assert peak < 499 * 66 * 8
+
+    @pytest.mark.parametrize("kind", ["tagged", "argpartition", "indexed", "exact"])
+    def test_every_kernel_yields_new_contiguous_slot_indices(self, monkeypatch, kind):
+        # chunk 1000 gives every kind several chunks per block, so each
+        # chunk is checked against the thread's key buffer and the others
+        monkeypatch.setattr(permtest, "_KEY_CHUNK", 1000)
+        pool, m, budget = _RANGE_PLANS[kind]
+        plan = relabel_plan(pool, m, budget=budget, seed=pool)
+        chunks = [chunk for _, chunk in plan._chunks()]
+        assert len(chunks) > 2
+        buf = getattr(permtest._thread_keys, "buf", None)
+        for k, chunk in enumerate(chunks):
+            assert chunk.dtype.kind == "i" and chunk.ndim == 2 and chunk.shape[1] == m
+            assert chunk.flags.c_contiguous
+            assert buf is None or not np.shares_memory(chunk, buf)
+            assert not any(np.shares_memory(chunk, other) for other in chunks[:k])
+        assert sum(chunk.shape[0] for chunk in chunks) == plan.n_resamples
 
     @pytest.mark.parametrize("chunk", [100, permtest._KEY_CHUNK])
     def test_interleaved_draws_equal_separate_draws(self, monkeypatch, chunk):
@@ -655,7 +676,7 @@ class TestRowRanges:
     )
     @settings(max_examples=40, deadline=None)
     def test_any_split_into_ranges_reduces_to_the_one_pass_sums_and_hits(self, kind, chunk, cuts):
-        # chunk 1000 cuts a tagged block every 15 rows, an argpartition
+        # chunk 1000 cuts a tagged block every 7 rows, an argpartition
         # block every 3, an index-sampled block every row (10 rows at the
         # default chunk) and the enumeration every 71, so ranges start
         # and end inside chunks and blocks; a repeated cut is an empty range

@@ -55,6 +55,13 @@ class TestDefaultCounts:
         with pytest.raises(ValueError, match="one unit per period"):
             default_counts(3, 4)
 
+    def test_unit_count_must_fit_a_numpy_index(self):
+        top = np.iinfo(np.intp).max
+        assert sum(default_counts(top, 2)) == top
+        for n_units in (top + 1, 2**70):
+            with pytest.raises(ValueError, match=f"^n_units must be at most {top}, got {n_units}$"):
+                default_counts(n_units, 2)
+
 
 class TestConfigs:
     def test_lag_bounds(self):
@@ -155,6 +162,13 @@ class TestConfigs:
     def test_level_bounds(self):
         with pytest.raises(ValueError, match="level"):
             Sim2Config(level=1.0)
+
+    @pytest.mark.parametrize("level", [1e-300, 2.0**-54, 0.0, -0.5, math.nan])
+    def test_level_whose_alpha_is_not_below_one_rejected(self, level):
+        with pytest.raises(ValueError, match=r"^level must lie in \(0, 1\) with 1 - level below 1"):
+            Sim2Config(level=level)
+        # 2^-53 leaves alpha = 1 - 2^-53, which a double holds below 1
+        assert Sim2Config(level=2.0**-53).level == 2.0**-53
 
 
 class TestInteractionF:
