@@ -155,15 +155,16 @@ def _exact_interval(
 
 
 def invert_single(
-    sample: TwoGroupSample, alpha: float = 0.10, cfg: TestConfig = TestConfig(), lag: int | None = None
+    sample: TwoGroupSample, alpha: float = 0.10, cfg: TestConfig = TestConfig()
 ) -> ConfidenceInterval:
-    """Invert one two-group permutation test into a level 1-alpha set.
+    """Invert one two-group permutation test into a level 1-alpha set,
+    reported with lag None: a lone test has no lag.
 
     The relabelings are drawn once, on the stream keyed by (seed, 0).
     """
     _check_unit("alpha", alpha)
     tail = _tail_plan(sample, cfg.statistic, cfg.budget, seed_sequence(cfg.seed, 0))
-    return _exact_interval(_ShiftIndex([tail]), lambda p: (p[0], p[0]), alpha, lag, "single")
+    return _exact_interval(_ShiftIndex([tail]), lambda p: (p[0], p[0]), alpha, None, "single")
 
 
 def invert_combined(family: LagFamily, alpha: float = 0.10, method: str = "weighted_z") -> ConfidenceInterval:

@@ -339,7 +339,7 @@ def main(argv=None) -> int:
     except (DataFormatError, OSError) as exc:  # bad data, or a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (ValueError, NotImplementedError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:  # a setting, such as --budget, asked for more than fits

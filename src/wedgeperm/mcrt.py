@@ -38,10 +38,9 @@ from .permtest import (
     TailPlan,
     TwoGroupSample,
     _ShiftIndex,
-    _check_budget,
     _tail_plan,
 )
-from .rng import DEFAULT_SEED, _check_seed, _is_int, seed_sequence
+from .rng import DEFAULT_SEED, _check_seed, _is_int, _positive_int, seed_sequence
 
 __all__ = [
     "LagTestGroup",
@@ -115,14 +114,6 @@ class LagTestGroup:
     @property
     def n_control(self) -> int:
         return int(self.control_units.size)
-
-
-def _check_threads(threads) -> int:
-    """The thread count as an int, if it is an integer of at least 1 (not
-    a bool): the rule for run_mcrts's threads and the studies' workers."""
-    if not _is_int(threads) or threads < 1:
-        raise ValueError(f"threads must be an integer of at least 1, got {threads!r}")
-    return int(threads)
 
 
 def _times_array(times, n_times: int) -> np.ndarray:
@@ -266,7 +257,7 @@ class TestConfig:
     def __post_init__(self):
         if self.statistic not in STATISTICS:
             raise ValueError(f"unknown statistic {self.statistic!r}; choose from {STATISTICS}")
-        object.__setattr__(self, "budget", _check_budget(self.budget))
+        object.__setattr__(self, "budget", _positive_int("resample budget", self.budget))
         _check_seed(self.seed)
 
 
@@ -358,7 +349,7 @@ def run_mcrts(data: TrialData, lag: int, cfg: TestConfig = TestConfig(), groups=
     between rows.  A test's draw depends only on its own stream,
     keyed by (seed, test time), and tails are collected in test order,
     so the family is the same at every thread count."""
-    threads = _check_threads(threads)
+    threads = _positive_int("threads", threads)
     testable, skips = _testable(data, lag, groups)
     draw = partial(_draw, data, cfg)
     if threads > 1 and len(testable) > 1:

@@ -71,7 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import DEFAULT_SEED, _is_int, seed_sequence
+from .rng import DEFAULT_SEED, _positive_int, seed_sequence
 
 __all__ = [
     "TwoGroupSample",
@@ -127,19 +127,6 @@ def _key_buffer(size: int) -> np.ndarray:
     if buf is None or buf.size < _KEY_CHUNK:
         buf = _thread_keys.buf = np.empty(_KEY_CHUNK)
     return buf[:size]
-
-
-def _positive_int(name: str, value) -> int:
-    """``value`` as an int, if it is an int or NumPy integer of at least 1
-    and not a bool: the rule for a resample budget and a trial size."""
-    if not _is_int(value) or value < 1:
-        raise ValueError(f"{name} must be at least 1 and an integer, got {value!r}")
-    return int(value)
-
-
-def _check_budget(budget) -> int:
-    """A resample budget: an integer of at least 1 (_positive_int)."""
-    return _positive_int("resample budget", budget)
 
 
 @dataclass(frozen=True)
@@ -222,16 +209,13 @@ class RelabelPlan:
         self._streams: dict[int, np.random.SeedSequence] = {}
 
     def _stream(self, block: int) -> np.random.SeedSequence:
-        """The stream of one _BLOCK-row block: the root's child ``block``,
-        as a fresh root's ``spawn`` gives it, made when the block is first
-        drawn and kept.  Nothing is spawned from the root, so a caller's
-        SeedSequence is left as it was and gives the same draw again."""
+        """The stream of one _BLOCK-row block, seed_sequence(root, block),
+        made when the block is first drawn and kept, so the ranges of a
+        growing draw derive it once.  Nothing is spawned from the root, so
+        a caller's SeedSequence gives the same draw again."""
         stream = self._streams.get(block)
         if stream is None:
-            root = self._root
-            stream = self._streams[block] = np.random.SeedSequence(
-                root.entropy, spawn_key=root.spawn_key + (block,), pool_size=root.pool_size
-            )
+            stream = self._streams[block] = seed_sequence(self._root, block)
         return stream
 
     def _chunks(self, lo: int = 0, hi: int | None = None):
@@ -381,7 +365,7 @@ def relabel_plan(
     """
     if not 1 <= n_treated < pool_size:
         raise ValueError("need at least one treated and one control slot")
-    budget = _check_budget(budget)
+    budget = _positive_int("resample budget", budget)
     root = seed_sequence(seed)  # checked for an exact plan too, which draws nothing
     total = _count_if_at_most(pool_size, n_treated, _EXACT_LIMIT)
     if total is not None:
@@ -481,7 +465,8 @@ class TailPlan:
     def bounds(self) -> tuple[tuple[float, float], tuple[float, float]]:
         """(p_less, p_greater) at the lowest and at the highest tail
         counts the whole draw can reach: after r of B rows, each count
-        lies between its count so far and that count plus B - r."""
+        lies between its count so far and that count plus B - r.  On a
+        complete draw the highest end adds nothing: it is what ``result`` reports."""
         add, den = _add_one(self.n_resamples, self.exact)
         n_le, n_ge = _tail_counts(self._sums[: self.drawn], self._obs)
         undrawn = self.n_resamples - self.drawn
@@ -496,12 +481,11 @@ class TailPlan:
         only a complete draw has one."""
         if self.drawn < self.n_resamples:
             raise ValueError(f"the draw is partial: {self.drawn} of {self.n_resamples} relabelings drawn")
-        add, den = _add_one(self.n_resamples, self.exact)
-        n_le, n_ge = _tail_counts(self._sums, self._obs)
+        _, (p_less, p_greater) = self.bounds()
         return PermutationResult(
             statistic=diff_in_means(self.sample) if self.statistic == "diff_in_means" else self._obs,
-            p_less=(add + n_le) / den,
-            p_greater=(add + n_ge) / den,
+            p_less=p_less,
+            p_greater=p_greater,
             n_resamples=self.n_resamples,
             exact=self.exact,
         )

@@ -20,6 +20,14 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _positive_int(name: str, value) -> int:
+    """``value`` as an int, if it is an integer (_is_int) of at least 1:
+    the rule for every budget, size, replicate and thread count."""
+    if not _is_int(value) or value < 1:
+        raise ValueError(f"{name} must be at least 1 and an integer, got {value!r}")
+    return int(value)
+
+
 def _check_seed(seed) -> None:
     """The seed rule: raise ValueError unless ``seed`` is a non-negative
     integer (not a bool) or a SeedSequence.  An integer seed passes
@@ -38,10 +46,13 @@ def seed_sequence(seed, *keys: int) -> np.random.SeedSequence:
     rejected, never read as 2, 1 and 3.  Equal (seed, keys) give equal
     streams, and distinct key tuples independent ones.
 
-    Keys after a SeedSequence seed extend its spawn key, so
-    seed_sequence(seed_sequence(s, *a), *b) is seed_sequence(s, *a, *b)
-    when the integer seed s and keys a take at least four 32-bit words:
-    NumPy zero-pads only shorter entropy before a spawn key.
+    Keys after a SeedSequence root extend its spawn key and keep its pool
+    size, so seed_sequence(root, k) is the child k of a fresh root's
+    spawn, and root is left as it was; this is the one place that makes
+    a SeedSequence.  seed_sequence(seed_sequence(s, *a), *b) is
+    seed_sequence(s, *a, *b) when the integer seed s and keys a take at
+    least four 32-bit words: NumPy zero-pads only shorter entropy before
+    a spawn key.
     """
     _check_seed(seed)
     bad = [k for k in keys if not _is_int(k) or k < 0]
@@ -52,7 +63,7 @@ def seed_sequence(seed, *keys: int) -> np.random.SeedSequence:
         return np.random.SeedSequence(entropy=[seed, *keys])
     if not keys:
         return seed
-    return np.random.SeedSequence(entropy=seed.entropy, spawn_key=tuple(seed.spawn_key) + keys)
+    return np.random.SeedSequence(seed.entropy, spawn_key=tuple(seed.spawn_key) + keys, pool_size=seed.pool_size)
 
 
 def generator(seed, *keys: int) -> np.random.Generator:

@@ -22,8 +22,8 @@ side of alpha; a bound within a relative 1e-9 of alpha decides
 nothing.  The tables are those of the whole draw.  Coverage
 replicates invert run_mcrts's families, which are drawn whole.
 
-Everything is deterministic given (config, seed), and a config takes
-only a non-negative integer seed (rng.seed_sequence).  Datasets come
+Everything is deterministic given (config, seed), and a config's seed
+follows the seed rule (rng._check_seed).  Datasets come
 from a stream keyed by (seed, study tag, replicate), test relabelings
 from (seed, study tag, replicate, family key, test time), and
 replicates parallelize over one process pool per study with
@@ -46,10 +46,8 @@ import numpy as np
 from .ci import _check_unit, invert_combined
 from .combine import COMBINERS, _combiner, _tail_rejects
 from .design import DesignSpec, _read_table, _write_table, sample_assignment
-from .mcrt import (TestConfig, TrialData, _check_lag, _check_threads, _draw, _testable, build_groups,
-                   naive_groups, run_mcrts)
-from .permtest import _positive_int
-from .rng import DEFAULT_SEED, _is_int, generator, seed_sequence
+from .mcrt import TestConfig, TrialData, _check_lag, _draw, _testable, build_groups, naive_groups, run_mcrts
+from .rng import DEFAULT_SEED, _check_seed, _is_int, _positive_int, generator, seed_sequence
 
 __all__ = [
     "Sim1Config",
@@ -115,7 +113,7 @@ def _check_model(cfg) -> None:
         if not 0 <= getattr(cfg, name) < math.inf:  # a nan fails too
             raise ValueError(f"{name} must be finite and non-negative, got {getattr(cfg, name)!r}")
     object.__setattr__(cfg, "replicates", _positive_int("replicates", cfg.replicates))
-    seed_sequence(cfg.seed)
+    _check_seed(cfg.seed)
 
 
 @dataclass(frozen=True)
@@ -336,7 +334,7 @@ def _study_map(threads: int):
     """Yield an order-preserving map(fn, tasks) for one study; with
     threads > 1 it fans out over one pool of worker processes, which
     stays open until the study ends."""
-    threads = _check_threads(threads)
+    threads = _positive_int("threads", threads)
     if threads == 1:
         yield lambda fn, tasks: list(map(fn, tasks))
         return
@@ -419,8 +417,12 @@ def power_study(
     which is silent until ``logging`` is set up.
     """
     _check_methods(methods, POWER_METHODS, "method")
+    # a bad replicates or seed raises here, in _check_model's order, never as a skipped cell
+    if replicates is not None:
+        _positive_int("replicates", replicates)
+    if seed is not None:
+        _check_seed(seed)
     given = {k: v for k, v in (("replicates", replicates), ("seed", seed)) if v is not None}
-    Sim1Config(**given)  # a bad replicates or seed raises here, never as a skipped cell
     _check_unit("alpha", alpha)
     tcfg = TestConfig(budget=budget, statistic=statistic)
     grid = list(grid)

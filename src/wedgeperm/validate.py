@@ -51,7 +51,7 @@ import numpy as np
 from .design import DataFormatError, DesignSpec, _read_json, enumerate_crossover_vectors
 from .mcrt import _group_sample, build_groups, build_schedule, naive_groups
 from .permtest import diff_in_means
-from .rng import generator
+from .rng import _is_int, generator
 
 __all__ = [
     "FiniteAssignmentSpace",
@@ -226,10 +226,17 @@ def coarsening(family: PartitionFamily, subset: Sequence[int]) -> list[frozenset
 
 
 def _statistic_values(space: FiniteAssignmentSpace, stat) -> np.ndarray:
-    """One statistic as a finite value per element."""
-    vals = np.asarray(stat, dtype=np.float64)
+    """One statistic as a finite float per element.  Each value must be
+    an integer (rng._is_int) or a float, the JSON number rule of a study
+    config (cli._has_type): a bool or a string, even "0.123", is refused
+    rather than read as 1 or 0.123."""
+    vals = np.asarray(stat, dtype=object)
     if vals.shape != (space.size,):
         raise ValueError("statistic vector must have one value per element")
+    bad = [v for v in vals if not (_is_int(v) or isinstance(v, float))]
+    if bad:
+        raise ValueError(f"statistic values must be numbers, got {bad[0]!r}")
+    vals = vals.astype(np.float64)
     if not np.isfinite(vals).all():
         raise ValueError("statistic values must be finite")
     return vals
@@ -523,8 +530,6 @@ def stepped_wedge_scenario(
     counts: Sequence[int],
     lag: int,
     conditioning: str = "sequential",
-    seed: int = 7,
-    alphas: Sequence[Sequence] | None = None,
     name: str | None = None,
 ) -> Scenario:
     """Enumerated staggered-crossover space with effect-free outcomes.
@@ -541,14 +546,16 @@ def stepped_wedge_scenario(
 
     Outcomes are i.i.d. normal draws shared across all assignments, so
     every null hypothesis holds by construction and the dominance bound
-    is testable.
+    is testable; they come from the fixed stream (7, 97), so a call
+    always gives the same scenario.  Its levels are every vector over
+    0.1, ..., 0.5; other levels go in the returned Scenario's ``alphas``.
     """
     spec = DesignSpec(n_units, counts)
     n_times = spec.n_times
     elements = list(enumerate_crossover_vectors(spec))
     space = FiniteAssignmentSpace.uniform(elements)
     panel = np.zeros((n_units, n_times + 1))  # column s is time s; no test reads time 0
-    panel[:, 1:] = generator(seed, 97).standard_normal((n_units, n_times))
+    panel[:, 1:] = generator(7, 97).standard_normal((n_units, n_times))
 
     if conditioning == "sequential":
         tests = list(zip(*(build_groups(z, n_times, lag) for z in elements)))
@@ -575,7 +582,7 @@ def stepped_wedge_scenario(
         stats=[np.asarray([diff_in_means(_group_sample(panel, g)) for g in test]) for test in tests],
         stat_names=[f"diff_in_means_t{t}" for t in test_times],
         partition_names=[f"test_t{t}" for t in test_times],
-        alphas=list(alphas) if alphas is not None else _default_alpha_grid(len(tests)),
+        alphas=_default_alpha_grid(len(tests)),
         name=name or f"stepped-wedge-{conditioning}",
     )
 

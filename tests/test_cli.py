@@ -539,7 +539,7 @@ class TestSimulate:
             json.dumps({"study": "power", "grid": [[16, 2, 0, 0.0]], "replicates": 1, "budget": 49})
         )
         assert main(["simulate", "--config", str(cfg_path), "--threads", "0", "--out", str(out)]) == EXIT_USAGE
-        assert "error: threads must be an integer of at least 1, got 0" in capsys.readouterr().err
+        assert "error: threads must be at least 1 and an integer, got 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_thread_count_is_not_read_from_the_environment(self, monkeypatch, capsys):
@@ -645,13 +645,15 @@ class TestValidate:
             lambda doc: doc.update(probs=[float("inf")] + ["1/12"] * (len(doc["elements"]) - 1)),
             lambda doc: doc.update(probs=[-1 / 12, 3 / 12] + ["1/12"] * (len(doc["elements"]) - 2)),
             lambda doc: doc["statistics"][0]["values"].__setitem__(0, 10**400),
+            lambda doc: doc["statistics"][0].update(values=[v > 0 for v in doc["statistics"][0]["values"]]),
+            lambda doc: doc["statistics"][0].update(values=[str(v) for v in doc["statistics"][0]["values"]]),
         ],
         ids=[
             "alpha-vector-length", "probs-sum", "prob-not-a-number", "label-lengths",
             "duplicate-elements", "statistic-not-a-number", "alpha-not-a-number",
             "prob-zero-denominator", "statistic-not-finite", "probs-sum-off-by-1e-6",
             "prob-bool", "alpha-bool", "prob-nan", "prob-infinite", "prob-negative",
-            "statistic-beyond-float",
+            "statistic-beyond-float", "statistic-bools", "statistic-numeric-strings",
         ],
     )
     def test_malformed_scenario_file_is_a_data_error(self, tmp_path, capsys, edit):
@@ -665,7 +667,7 @@ class TestValidate:
         assert main(["validate", "--scenario", str(path)]) == EXIT_DATA
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: {path}: ")
+        assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
 
     def test_invalid_scenario_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -375,7 +375,7 @@ class TestRunMcrtsThreads:
             pytest.fail("drew a test before checking the thread count")
 
         monkeypatch.setattr(mcrt, "_tail_plan", no_draw)
-        message = f"^threads must be an integer of at least 1, got {re.escape(repr(threads))}$"
+        message = f"^threads must be at least 1 and an integer, got {re.escape(repr(threads))}$"
         with pytest.raises(ValueError, match=message):
             run_mcrts(tiny_trial, 0, TestConfig(budget=9), threads=threads)
 

@@ -866,6 +866,23 @@ class TestMonteCarloPValues:
         # a SeedSequence once used draws as a fresh one does
         assert first == permutation_pvalue(s, budget=2500, seed=np.random.SeedSequence(2024))
 
+    def test_a_seed_sequence_keeps_its_pool_size_in_every_derived_stream(self):
+        """seed_sequence derives a block's stream as spawn does, pool size
+        included, and a plan's draw is unchanged by taking it from there.
+        Before seed_sequence kept the pool size, only its half failed: the
+        plan built its block streams itself, with the pool size."""
+        root = np.random.SeedSequence(2024, pool_size=8)
+        for key in (0, 3):
+            child = seed_sequence(root, key)
+            spawned = np.random.SeedSequence(2024, pool_size=8).spawn(key + 1)[key]
+            assert child.pool_size == 8
+            assert np.array_equal(child.generate_state(4), spawned.generate_state(4))
+        assert root.n_children_spawned == 0
+        selections = relabel_plan(60, 20, budget=50, seed=root).selections
+        assert hashlib.sha256(selections.astype(np.int64).tobytes()).hexdigest() == (
+            "1d0e176853f058d7cdfa8445dddd8af357960ea87ce1b05ec2eac7279d27099c"
+        )
+
     def test_a_huge_budget_derives_no_stream_before_its_first_draw(self):
         plan = relabel_plan(1000, 500, budget=10**9, seed=3)
         assert plan.n_resamples == 10**9 and plan._streams == {}

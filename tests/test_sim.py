@@ -725,7 +725,7 @@ class TestDeterminism:
 
         monkeypatch.setattr(wedgeperm.sim, "gen_outcomes_sim1", no_data)
         monkeypatch.setattr(wedgeperm.sim, "gen_outcomes_sim2", no_data)
-        message = f"^threads must be an integer of at least 1, got {re.escape(repr(threads))}$"
+        message = f"^threads must be at least 1 and an integer, got {re.escape(repr(threads))}$"
         with caplog.at_level(logging.INFO, logger="wedgeperm"):
             with pytest.raises(ValueError, match=message):
                 power_study([(16, 2, 0, 0.0)], replicates=2, budget=19, threads=threads)
